@@ -6,54 +6,18 @@ data layouts: partition by samples (full-length vectors on a master) or by
 features (all vectors block-partitioned across nodes). The two layouts run
 the same mathematics and differ only in what they communicate, which is the
 point: the cost counters make the layout tradeoff directly measurable.
+
+The names below are the entry points; everything else is imported from its
+submodule (``disco.linalg``, ``disco.losses``, ``disco.partition``,
+``disco.solver``, ``disco.harness``).
 """
 
 from .comm import Cluster, CommStats
-from .linalg import PartitionedVec, SparseBlock, axpy, dot, norm2, spmv, spmv_transpose
-from .losses import (
-    LossKind,
-    Objective,
-    full_gradient,
-    hess_vec_dense,
-    loss_grad_coeff,
-    loss_hess_coeff,
-    loss_value,
-    objective_value,
-)
-from .partition import (
-    FeaturePartition,
-    SamplePartition,
-    balanced_sizes,
-    partition_by_features,
-    partition_by_samples,
-)
-from .solver import (
-    BlockPreconditioner,
-    DiscoResult,
-    NewtonStepResult,
-    PartitionMode,
-    SolverConfig,
-    TraceRecord,
-    apply_pinv,
-    build_preconditioner,
-    build_preconditioner_features,
-    damped_update,
-    disco_outer,
-    feature_margins,
-    hessian_vec_features,
-    hessian_vec_samples,
-    pcg_features,
-    pcg_samples,
-)
-from .harness import (
-    Dataset,
-    DenseNewtonOracle,
-    gen_synthetic,
-    read_libsvm,
-    ridge_closed_form,
-    write_libsvm,
-    write_trace_csv,
-)
+from .linalg import SparseBlock
+from .losses import LossKind, Objective, full_gradient, hess_vec_dense, objective_value
+from .partition import partition_by_features, partition_by_samples
+from .solver import PartitionMode, SolverConfig, disco_outer, pcg_features, pcg_samples
+from .harness import Dataset
 
 __version__ = "0.1.0"
 
@@ -61,46 +25,17 @@ __all__ = [
     "Cluster",
     "CommStats",
     "SparseBlock",
-    "PartitionedVec",
-    "spmv",
-    "spmv_transpose",
-    "axpy",
-    "dot",
-    "norm2",
     "LossKind",
     "Objective",
-    "loss_value",
-    "loss_grad_coeff",
-    "loss_hess_coeff",
-    "objective_value",
     "full_gradient",
     "hess_vec_dense",
-    "SamplePartition",
-    "FeaturePartition",
-    "balanced_sizes",
+    "objective_value",
     "partition_by_samples",
     "partition_by_features",
     "PartitionMode",
     "SolverConfig",
-    "NewtonStepResult",
-    "TraceRecord",
-    "DiscoResult",
-    "BlockPreconditioner",
-    "build_preconditioner",
-    "build_preconditioner_features",
-    "apply_pinv",
-    "feature_margins",
-    "hessian_vec_samples",
-    "hessian_vec_features",
+    "disco_outer",
     "pcg_samples",
     "pcg_features",
-    "damped_update",
-    "disco_outer",
     "Dataset",
-    "read_libsvm",
-    "write_libsvm",
-    "gen_synthetic",
-    "DenseNewtonOracle",
-    "ridge_closed_form",
-    "write_trace_csv",
 ]

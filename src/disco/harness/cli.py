@@ -86,6 +86,7 @@ def run_experiment(args) -> int:
     print(f"outer iterations: {result.updates} ({'converged' if result.converged else 'not converged'})")
     print(f"final grad norm: {final.grad_norm:.6e}")
     print(f"total inner iterations: {result.inner_iters_total}")
+    print(f"inner solves stopped at max_inner: {result.inner_unconverged}")
     print(f"total rounds: {stats.total_rounds} "
           f"(broadcast {stats.broadcast_rounds}, reduceall {stats.reduceall_rounds}, reduce {stats.reduce_rounds})")
     print(f"total bytes: {stats.total_bytes}")

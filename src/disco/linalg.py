@@ -5,13 +5,11 @@ reference computations and the per-node work inside the simulated cluster, so
 that a one-node run reproduces the unpartitioned computation bit for bit.
 Matrix-vector products go through scipy's CSR/CSC kernels, which accumulate
 in storage order (ascending index) and are therefore deterministic from run
-to run; vector reductions use a single fixed accumulation order for the same
-reason.
+to run.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +21,6 @@ __all__ = [
     "as_vec",
     "spmv",
     "spmv_transpose",
-    "axpy",
-    "dot",
-    "norm2",
 ]
 
 
@@ -138,10 +133,6 @@ class PartitionedVec:
             return np.zeros(0)
         return np.concatenate(self.blocks)
 
-    @property
-    def block_sizes(self) -> tuple:
-        return tuple(len(b) for b in self.blocks)
-
 
 def spmv(block: SparseBlock, x: np.ndarray) -> np.ndarray:
     """Return ``block @ x`` (length ``block.rows``)."""
@@ -163,30 +154,3 @@ def spmv_transpose(block: SparseBlock, x: np.ndarray) -> np.ndarray:
             f"vector has length {x.shape[0] if x.ndim == 1 else x.shape}"
         )
     return block.matrix.T @ x
-
-
-def _check_same_length(x: np.ndarray, y: np.ndarray, opname: str):
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"{opname} dimension mismatch: {x.shape} vs {y.shape}")
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return ``y + alpha * x`` as a new vector."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_same_length(x, y, "axpy")
-    return y + alpha * x
-
-
-def dot(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_same_length(x, y, "dot")
-    return float(np.dot(x, y))
-
-
-def norm2(x: np.ndarray) -> float:
-    """Euclidean norm, defined as sqrt(dot(x, x)) so that a blockwise
-    sum of squares reproduces the same value for a single block."""
-    x = np.asarray(x, dtype=np.float64)
-    return math.sqrt(float(np.dot(x, x)))

@@ -44,15 +44,6 @@ class LossKind(str, Enum):
     SQUARE = "square"
     LOGISTIC = "logistic"
 
-    @property
-    def self_concordance_m(self) -> float:
-        """Self-concordance constant kept as metadata; nothing consumes it.
-
-        The square loss is quadratic (constant 0). For the scalar logistic
-        family we record 1.0, the slope bound |phi'''(t)| <= phi''(t).
-        """
-        return 0.0 if self is LossKind.SQUARE else 1.0
-
 
 @dataclass(frozen=True)
 class Objective:
@@ -117,15 +108,17 @@ def grad_coeffs(obj: Objective, margins: np.ndarray, labels: np.ndarray) -> np.n
     return -labels * expit(-labels * margins)
 
 
-def hess_coeffs(obj: Objective, margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def hess_coeffs(obj: Objective, margins: np.ndarray | None, labels: np.ndarray) -> np.ndarray:
     """Vectorized per-sample Hessian coefficients.
 
-    Constant 2 for the square loss, so callers may pass arbitrary margins
-    there (the result does not depend on the current iterate).
+    Constant 2 for the square loss, so callers may pass arbitrary margins,
+    or None, there (the result does not depend on the current iterate).
     """
     labels = np.asarray(labels, dtype=np.float64)
     if obj.loss is LossKind.SQUARE:
         return np.full(labels.shape[0], 2.0)
+    if margins is None:
+        raise ValueError("logistic Hessian coefficients need the margins of the current iterate")
     margins = np.asarray(margins, dtype=np.float64)
     _check_margins(margins)
     z = labels * margins

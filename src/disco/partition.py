@@ -62,36 +62,26 @@ class FeaturePartition:
     n: int
 
 
-def partition_by_samples(X: SparseBlock, y: np.ndarray, m: int) -> SamplePartition:
+def _contiguous_split(X: SparseBlock, y, m: int, total: int, what: str) -> tuple:
+    """Validated labels plus the sizes and offsets of a balanced split of
+    ``total`` rows or columns over m nodes."""
     y = as_vec(y)
-    d, n = X.rows, X.cols
-    if y.shape[0] != n:
-        raise ValueError(f"labels have length {y.shape[0]}, data has {n} samples")
-    if m > n:
-        raise ValueError(f"cannot split {n} samples over {m} nodes: empty shard")
-    sizes = balanced_sizes(n, m)
-    shards, labels, offsets = [], [], []
-    start = 0
-    for nj in sizes:
-        shards.append(X.column_slice(start, start + nj))
-        labels.append(y[start:start + nj].copy())
-        offsets.append(start)
-        start += nj
-    return SamplePartition(tuple(shards), tuple(labels), tuple(sizes), tuple(offsets), d, n)
+    if y.shape[0] != X.cols:
+        raise ValueError(f"labels have length {y.shape[0]}, data has {X.cols} samples")
+    if m > total:
+        raise ValueError(f"cannot split {total} {what} over {m} nodes: empty shard")
+    sizes = tuple(balanced_sizes(total, m))
+    return y, sizes, tuple(sum(sizes[:i]) for i in range(m))
+
+
+def partition_by_samples(X: SparseBlock, y: np.ndarray, m: int) -> SamplePartition:
+    y, sizes, offsets = _contiguous_split(X, y, m, X.cols, "samples")
+    shards = tuple(X.column_slice(off, off + size) for off, size in zip(offsets, sizes))
+    labels = tuple(y[off:off + size].copy() for off, size in zip(offsets, sizes))
+    return SamplePartition(shards, labels, sizes, offsets, X.rows, X.cols)
 
 
 def partition_by_features(X: SparseBlock, y: np.ndarray, m: int) -> FeaturePartition:
-    y = as_vec(y)
-    d, n = X.rows, X.cols
-    if y.shape[0] != n:
-        raise ValueError(f"labels have length {y.shape[0]}, data has {n} samples")
-    if m > d:
-        raise ValueError(f"cannot split {d} features over {m} nodes: empty shard")
-    sizes = balanced_sizes(d, m)
-    shards, offsets = [], []
-    start = 0
-    for di in sizes:
-        shards.append(X.row_slice(start, start + di))
-        offsets.append(start)
-        start += di
-    return FeaturePartition(tuple(shards), y.copy(), tuple(sizes), tuple(offsets), d, n)
+    y, sizes, offsets = _contiguous_split(X, y, m, X.rows, "features")
+    shards = tuple(X.row_slice(off, off + size) for off, size in zip(offsets, sizes))
+    return FeaturePartition(shards, y.copy(), sizes, offsets, X.rows, X.cols)

@@ -1,41 +1,44 @@
-"""Damped inexact-Newton outer loop with two distributed PCG inner solvers.
+"""Damped inexact-Newton outer loop: one PCG recurrence, two data layouts.
 
 The outer loop repeats: evaluate the gradient, solve the Newton system
 H v = grad approximately with preconditioned conjugate gradient, then apply
 the damped update w <- w - v / (1 + delta) with delta = sqrt(v'Hv). The inner
 tolerance follows the relative rule eps_k = theta * ||grad||.
 
-Two inner solvers implement the same mathematics over different data
-layouts:
+The recurrence, the preconditioner build and the outer loop are written once,
+over a small layout object that says where vectors live and what combining
+them costs:
 
-* ``pcg_samples`` (sample partition): the master owns every full-length PCG
-  vector; each inner iteration broadcasts the search direction (R^d) and
-  reduce-alls the per-node Hessian-product contributions (R^d).
-* ``pcg_features`` (feature partition): every PCG vector lives as per-node
-  coordinate blocks; each inner iteration costs one length-n reduce_all (the
-  sample-space product X'u) plus two scalar reduce_alls, and a final
-  concatenating reduce assembles the direction on the master.
+* ``_SampleLayout``: each vector is one full-length block on the master, so
+  dot products are free; each Hessian product broadcasts the search direction
+  (R^d) and reduce-alls the per-node contributions (R^d).
+* ``_FeatureLayout``: each vector is one coordinate block per node; each
+  Hessian product costs one length-n reduce_all (the sample-space product
+  X'u), the dot products ride two scalar reduce_alls per inner iteration
+  (the first also carries the initial <r, s>; the second carries r's,
+  ||r||^2 and v'Hv), and a final concatenating reduce assembles the
+  direction on the master.
 
-Both use the same preconditioner: a feature-block-diagonal curvature matrix
-estimated from the first tau samples,
+Both layouts use the same preconditioner: a feature-block-diagonal curvature
+matrix estimated from the first tau samples,
 
     P_b = (1/tau) * sum_{j<tau} h_j x_j^(b) (x_j^(b))' + mu * I
 
-per feature block b, Cholesky-factored once per build (the blocks are exactly
-the diagonal blocks of the subsampled curvature matrix; with one node there
-is a single block covering all features). Keeping the preconditioner
-identical across layouts makes the two solvers produce the same iterate
-sequence up to roundoff, so layout only changes communication cost, not the
-optimization path. In feature layout each node factors and applies only its
-own block, which keeps every preconditioner application communication-free.
+per feature block b, Cholesky-factored once per build. With identical
+preconditioners the two layouts produce the same iterates up to roundoff, so
+layout only changes communication cost, not the optimization path.
+
+The layout objects call the public entry points (``pcg_*``,
+``build_preconditioner*``), the partitioners and the kernels through this
+module's globals at call time, so replacing one of those names (a tracer, a
+test) catches every call.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -63,7 +66,6 @@ __all__ = [
     "BlockPreconditioner",
     "build_preconditioner",
     "build_preconditioner_features",
-    "apply_pinv",
     "feature_margins",
     "hessian_vec_samples",
     "hessian_vec_features",
@@ -83,13 +85,11 @@ class PartitionMode(str, Enum):
 class SolverConfig:
     """Solver parameters. ``tau``/``max_inner`` of None mean "pick the default
     at solve time": tau = min(1000, available samples), max_inner =
-    min(5d, 10000). ``rho`` is accepted for interface compatibility but no
-    update consumes it; a warning is emitted when it is nonzero."""
+    min(5d, 10000)."""
 
     lam: float
     mu: float = 1e-4
     tau: int | None = None
-    rho: float = 0.0
     loss: LossKind = LossKind.SQUARE
     theta: float = 1e-4
     outer_tol: float = 1e-8
@@ -102,8 +102,6 @@ class SolverConfig:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.mu < 0:
             raise ValueError(f"mu must be non-negative, got {self.mu}")
-        if self.rho < 0:
-            raise ValueError(f"rho must be non-negative, got {self.rho}")
         if self.tau is not None and self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.theta <= 0:
@@ -136,7 +134,10 @@ class PcgIterate(NamedTuple):
 
 @dataclass
 class NewtonStepResult:
-    """Inexact Newton direction and its damping certificate."""
+    """Inexact Newton direction and its damping certificate.
+
+    ``direction_blocks`` holds the direction as the layout stores it: one
+    full-length block (samples) or one block per node (features)."""
 
     direction: np.ndarray
     delta: float
@@ -162,12 +163,16 @@ class TraceRecord:
 
 @dataclass
 class DiscoResult:
+    """Outcome of ``disco_outer``. ``inner_unconverged`` counts the inner
+    solves that stopped at ``max_inner`` above their tolerance."""
+
     w: np.ndarray
     trace: list
     converged: bool
     updates: int
     grad_evals: int
     inner_iters_total: int
+    inner_unconverged: int
     steps: list | None = None
     iterates: list | None = None
 
@@ -197,6 +202,7 @@ class BlockPreconditioner:
         return cho_solve(self.factors[i], r)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
+        """Solve P s = r with the stored factorization."""
         r = np.asarray(r, dtype=np.float64)
         if r.shape[0] != self.dim:
             raise ValueError(f"P solve: vector has length {r.shape[0]}, P is {self.dim}x{self.dim}")
@@ -204,11 +210,6 @@ class BlockPreconditioner:
         for i, (off, size) in enumerate(zip(self.offsets, self.sizes)):
             out[off:off + size] = cho_solve(self.factors[i], r[off:off + size])
         return out
-
-
-def apply_pinv(precond: BlockPreconditioner, r: np.ndarray) -> np.ndarray:
-    """Solve P s = r with the stored factorization."""
-    return precond.apply(r)
 
 
 def _factor_curvature_block(i: int, dense_block: np.ndarray, h_tau: np.ndarray, mu: float):
@@ -225,12 +226,10 @@ def _factor_curvature_block(i: int, dense_block: np.ndarray, h_tau: np.ndarray, 
         ) from exc
 
 
-def _preconditioner_hess_coeffs(obj: Objective, margins_tau: np.ndarray | None, labels_tau: np.ndarray) -> np.ndarray:
-    if obj.loss is LossKind.SQUARE:
-        return np.full(labels_tau.shape[0], 2.0)
-    if margins_tau is None:
-        raise ValueError("logistic preconditioner needs margins of the subsample")
-    return hess_coeffs(obj, margins_tau, labels_tau)
+def _block_preconditioner(blocks_tau: list, h_tau: np.ndarray, mu: float, sizes, offsets) -> BlockPreconditioner:
+    """Factor each feature block's first-tau-samples slice (sparse, d_b x tau)."""
+    factors = tuple(_factor_curvature_block(i, b.toarray(), h_tau, mu) for i, b in enumerate(blocks_tau))
+    return BlockPreconditioner(factors, tuple(sizes), tuple(offsets), mu)
 
 
 def build_preconditioner(
@@ -240,36 +239,29 @@ def build_preconditioner(
     labels: np.ndarray,
     w: np.ndarray | None,
     block_sizes: list | None = None,
+    *,
+    margins: np.ndarray | None = None,
 ) -> BlockPreconditioner:
     """Master-side build for the sample layout.
 
     ``shard`` is the master's block (all d features, its n_1 samples); the
-    first tau of those samples feed the estimate. ``block_sizes`` fixes the
-    feature-block structure and defaults to the balanced single-block split
-    (i.e. the full matrix) when omitted.
+    first tau of those samples feed the estimate. The logistic curvature
+    needs the margins of the iterate ``w`` on those samples: pass ``margins``
+    (the master's X_1'w, e.g. from the gradient step) to skip recomputing
+    them. ``block_sizes`` fixes the feature-block structure and defaults to
+    the balanced single-block split (i.e. the full matrix) when omitted.
     """
     tau = config.resolved_tau(shard.cols)
     sub = shard.column_slice(0, tau)
-    if obj.loss is LossKind.SQUARE:
-        margins_tau = None
-    else:
-        if w is None:
-            raise ValueError("logistic preconditioner needs the current iterate")
-        margins_tau = spmv_transpose(sub, np.asarray(w, dtype=np.float64))
-    h_tau = _preconditioner_hess_coeffs(obj, margins_tau, np.asarray(labels[:tau], dtype=np.float64))
-    if block_sizes is None:
-        block_sizes = [shard.rows]
-    sizes = [int(s) for s in block_sizes]
+    if margins is None and w is not None:
+        margins = spmv_transpose(sub, np.asarray(w, dtype=np.float64))
+    h_tau = hess_coeffs(obj, None if margins is None else margins[:tau], labels[:tau])
+    sizes = [shard.rows] if block_sizes is None else [int(s) for s in block_sizes]
     if sum(sizes) != shard.rows:
         raise ValueError(f"block sizes {sizes} do not cover {shard.rows} features")
-    factors, offsets = [], []
-    start = 0
-    for i, di in enumerate(sizes):
-        dense = sub.matrix[start:start + di, :].toarray()
-        factors.append(_factor_curvature_block(i, dense, h_tau, config.mu))
-        offsets.append(start)
-        start += di
-    return BlockPreconditioner(tuple(factors), tuple(sizes), tuple(offsets), config.mu)
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    blocks = [sub.matrix[off:off + size, :] for off, size in zip(offsets, sizes)]
+    return _block_preconditioner(blocks, h_tau, config.mu, sizes, offsets)
 
 
 def build_preconditioner_features(
@@ -282,62 +274,172 @@ def build_preconditioner_features(
     first tau columns of its feature slice. ``w_margins`` are the replicated
     sample margins of the current iterate (any value for the square loss)."""
     tau = config.resolved_tau(fpart.n)
-    margins_tau = None if obj.loss is LossKind.SQUARE else np.asarray(w_margins, dtype=np.float64)[:tau]
-    h_tau = _preconditioner_hess_coeffs(obj, margins_tau, fpart.y[:tau])
-    factors = []
-    for i, shard in enumerate(fpart.shards):
-        dense = shard.matrix[:, :tau].toarray()
-        factors.append(_factor_curvature_block(i, dense, h_tau, config.mu))
-    return BlockPreconditioner(tuple(factors), tuple(fpart.sizes), tuple(fpart.offsets), config.mu)
+    margins_tau = None if w_margins is None else np.asarray(w_margins, dtype=np.float64)[:tau]
+    h_tau = hess_coeffs(obj, margins_tau, fpart.y[:tau])
+    blocks = [shard.matrix[:, :tau] for shard in fpart.shards]
+    return _block_preconditioner(blocks, h_tau, config.mu, fpart.sizes, fpart.offsets)
 
 
 # ---------------------------------------------------------------------------
-# Distributed gradient and Hessian-vector products
+# Data layouts
 # ---------------------------------------------------------------------------
 
 
-def _sample_hess_coeff_lists(spart: SamplePartition, obj: Objective, w: np.ndarray) -> list:
-    """Per-node Hessian coefficients at w; local work only (nodes hold w
-    from the gradient broadcast)."""
-    if obj.loss is LossKind.SQUARE:
-        return [np.full(nj, 2.0) for nj in spart.sizes]
-    return [
-        hess_coeffs(obj, spmv_transpose(shard, w), y_j)
-        for shard, y_j in zip(spart.shards, spart.labels)
-    ]
+class _Layout:
+    """A vector is a list of blocks, block i of length ``sizes[i]``.
+    Subclasses set ``sizes``, ``node_labels`` (the labels node i holds) and
+    ``tau_available`` (the samples the preconditioner can draw from)."""
+
+    def __init__(self, cluster: Cluster, part, obj: Objective):
+        self.cluster, self.part, self.obj = cluster, part, obj
+
+    def zeros(self) -> list:
+        return self.map(lambda i: np.zeros(self.sizes[i]))
+
+    def curvature(self, margins: list) -> list:
+        """Per-node Hessian coefficients from per-node margins; local work."""
+        return self.cluster.map_nodes(lambda i: hess_coeffs(self.obj, margins[i], self.node_labels[i]))
 
 
-def _sample_gradient(cluster: Cluster, spart: SamplePartition, obj: Objective, w: np.ndarray) -> np.ndarray:
-    """Broadcast w, reduce-all the per-node data terms, add lam*w."""
-    w_reps = cluster.broadcast(cluster.master, w)
+class _SampleLayout(_Layout):
+    """Sample partition: each vector is one full-length block on the master."""
 
-    def local_term(j):
-        margins = spmv_transpose(spart.shards[j], w_reps[j])
-        coeffs = grad_coeffs(obj, margins, spart.labels[j])
-        return spmv(spart.shards[j], coeffs) / obj.n
+    def __init__(self, cluster: Cluster, part: SamplePartition, obj: Objective):
+        super().__init__(cluster, part, obj)
+        self.sizes = (part.d,)
+        self.node_labels = part.labels
+        self.tau_available = part.sizes[0]
 
-    parts = cluster.map_nodes(local_term)
-    reps = cluster.reduce_all(parts)
-    return reps[cluster.master] + obj.lam * w_reps[cluster.master]
+    def map(self, fn) -> list:
+        return [fn(0)]
+
+    def dots(self, *pairs, metered: bool = True) -> list:
+        """<a, b> for each pair; free either way, the master holds both."""
+        return [float(np.dot(a[0], b[0])) for a, b in pairs]
+
+    def margins_of(self, w: list) -> list:
+        """Per-node margins X_j'w; local work (nodes hold w from the gradient
+        broadcast)."""
+        return self.cluster.map_nodes(lambda j: spmv_transpose(self.part.shards[j], w[0]))
+
+    def gradient(self, w: list, margins: list | None = None) -> tuple:
+        """Broadcast w, reduce-all the per-node data terms, add lam*w.
+        Returns the gradient and the per-node margins."""
+        cluster, part, obj = self.cluster, self.part, self.obj
+        w_reps = cluster.broadcast(cluster.master, w[0])
+
+        def local_term(j):
+            margins_j = spmv_transpose(part.shards[j], w_reps[j]) if margins is None else margins[j]
+            return margins_j, spmv(part.shards[j], grad_coeffs(obj, margins_j, part.labels[j])) / obj.n
+
+        node_margins, parts = zip(*cluster.map_nodes(local_term))
+        reps = cluster.reduce_all(list(parts))
+        return [reps[cluster.master] + obj.lam * w_reps[cluster.master]], list(node_margins)
+
+    def hess_vec(self, u: list, h: list) -> list:
+        """One metered Hu: broadcast u, reduce-all the data terms, add lam*u."""
+        cluster, part, obj = self.cluster, self.part, self.obj
+        u_reps = cluster.broadcast(cluster.master, u[0])
+
+        def local_term(j):
+            z = spmv_transpose(part.shards[j], u_reps[j])
+            return spmv(part.shards[j], h[j] * z) / obj.n
+
+        reps = cluster.reduce_all(cluster.map_nodes(local_term))
+        return [reps[cluster.master] + obj.lam * u_reps[cluster.master]]
+
+    def precondition(self, precond: BlockPreconditioner, r: list) -> list:
+        return [precond.apply(r[0])]
+
+    def assemble(self, v: list) -> np.ndarray:
+        return v[0]
+
+    def preconditioner(self, config: SolverConfig, w: list, margins: list) -> BlockPreconditioner:
+        part = self.part
+        return build_preconditioner(
+            self.obj, config, part.shards[0], part.labels[0], w[0],
+            balanced_sizes(part.d, self.cluster.m), margins=margins[0],
+        )
+
+    def newton_step(self, w, eps_k, config, grad, margins, precond) -> NewtonStepResult:
+        return pcg_samples(
+            self.cluster, self.part, self.obj, w[0], eps_k, config,
+            grad=grad[0], margins=margins, precond=precond,
+        )
 
 
-def _hess_vec_samples(
-    cluster: Cluster,
-    spart: SamplePartition,
-    obj: Objective,
-    u: np.ndarray,
-    h_lists: list,
-) -> np.ndarray:
-    """One metered Hu: broadcast u, reduce-all the data terms, add lam*u."""
-    u_reps = cluster.broadcast(cluster.master, u)
+class _FeatureLayout(_Layout):
+    """Feature partition: each vector is one coordinate block per node."""
 
-    def local_term(j):
-        z = spmv_transpose(spart.shards[j], u_reps[j])
-        return spmv(spart.shards[j], h_lists[j] * z) / obj.n
+    def __init__(self, cluster: Cluster, part: FeaturePartition, obj: Objective):
+        super().__init__(cluster, part, obj)
+        self.sizes = part.sizes
+        self.node_labels = (part.y,) * cluster.m
+        self.tau_available = part.n
 
-    parts = cluster.map_nodes(local_term)
-    reps = cluster.reduce_all(parts)
-    return reps[cluster.master] + obj.lam * u_reps[cluster.master]
+    def map(self, fn) -> list:
+        return self.cluster.map_nodes(fn)
+
+    def dots(self, *pairs, metered: bool = True) -> list:
+        """Global <a, b> for each pair, all riding one scalar reduce_all. With
+        ``metered=False`` the driver sums the per-node terms instead: a control
+        scalar that stands in for a piggybacked value and is deliberately not
+        counted as a round."""
+        m = self.cluster.m
+        if not metered:
+            return [sum(float(np.dot(a[i], b[i])) for i in range(m)) for a, b in pairs]
+        local = self.cluster.map_nodes(lambda i: np.array([float(np.dot(a[i], b[i])) for a, b in pairs]))
+        return [float(x) for x in self.cluster.reduce_all(local)[0]]
+
+    def margins_of(self, w: list) -> list:
+        return feature_margins(self.cluster, self.part, w)
+
+    def gradient(self, w: list, margins: list | None = None) -> tuple:
+        """Per-node gradient blocks from replicated margins; the margins cost
+        one length-n reduce_all unless given. Returns blocks and margins."""
+        part, obj = self.part, self.obj
+        if margins is None:
+            margins = self.margins_of(w)
+
+        def local_block(i):
+            coeffs = grad_coeffs(obj, margins[i], part.y)
+            return spmv(part.shards[i], coeffs) / obj.n + obj.lam * w[i]
+
+        return self.cluster.map_nodes(local_block), margins
+
+    def hess_vec(self, u: list, h: list) -> list:
+        """One metered Hu: a single length-n reduce_all of the partial
+        products X_i'u_i, then local block work."""
+        cluster, part, obj = self.cluster, self.part, self.obj
+        z_reps = cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], u[i])))
+        return cluster.map_nodes(lambda i: spmv(part.shards[i], h[i] * z_reps[i]) / obj.n + obj.lam * u[i])
+
+    def precondition(self, precond: BlockPreconditioner, r: list) -> list:
+        return self.cluster.map_nodes(lambda i: precond.apply_block(i, r[i]))
+
+    def assemble(self, v: list) -> np.ndarray:
+        return self.cluster.reduce_concat(v, to=self.cluster.master).to_array()
+
+    def preconditioner(self, config: SolverConfig, w: list, margins: list) -> BlockPreconditioner:
+        return build_preconditioner_features(self.obj, config, self.part, margins[0])
+
+    def newton_step(self, w, eps_k, config, grad, margins, precond) -> NewtonStepResult:
+        return pcg_features(
+            self.cluster, self.part, self.obj, w, eps_k, config,
+            grad_blocks=grad, margins=margins, precond=precond,
+        )
+
+
+def _replicas(margins, m: int) -> list:
+    """Per-node margin replicas from one array, a replica list, or None."""
+    if margins is None or isinstance(margins, np.ndarray):
+        return [margins] * m
+    return list(margins)
+
+
+# ---------------------------------------------------------------------------
+# Distributed Hessian-vector products (standalone entry points)
+# ---------------------------------------------------------------------------
 
 
 def hessian_vec_samples(
@@ -349,10 +451,9 @@ def hessian_vec_samples(
 ) -> np.ndarray:
     """Hessian-vector product over the sample partition (2 rounds: one
     broadcast of u, one reduce_all of the partial products)."""
-    w = np.asarray(w, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    h_lists = _sample_hess_coeff_lists(spart, obj, w)
-    return _hess_vec_samples(cluster, spart, obj, u, h_lists)
+    layout = _SampleLayout(cluster, spart, obj)
+    h = layout.curvature(layout.margins_of([np.asarray(w, dtype=np.float64)]))
+    return layout.hess_vec([np.asarray(u, dtype=np.float64)], h)[0]
 
 
 def feature_margins(cluster: Cluster, fpart: FeaturePartition, w_blocks: list) -> list:
@@ -360,46 +461,6 @@ def feature_margins(cluster: Cluster, fpart: FeaturePartition, w_blocks: list) -
     length-n reduce_all. Returns the per-node replicas."""
     parts = cluster.map_nodes(lambda i: spmv_transpose(fpart.shards[i], w_blocks[i]))
     return cluster.reduce_all(parts)
-
-
-def _feature_grad_blocks(
-    cluster: Cluster,
-    fpart: FeaturePartition,
-    obj: Objective,
-    w_blocks: list,
-    margin_reps: list,
-) -> list:
-    """Per-node gradient blocks from replicated margins; local work only."""
-
-    def local_block(i):
-        coeffs = grad_coeffs(obj, margin_reps[i], fpart.y)
-        return spmv(fpart.shards[i], coeffs) / obj.n + obj.lam * w_blocks[i]
-
-    return cluster.map_nodes(local_block)
-
-
-def _feature_hess_coeff_reps(cluster: Cluster, fpart: FeaturePartition, obj: Objective, margin_reps: list) -> list:
-    if obj.loss is LossKind.SQUARE:
-        return cluster.map_nodes(lambda i: np.full(fpart.n, 2.0))
-    return cluster.map_nodes(lambda i: hess_coeffs(obj, margin_reps[i], fpart.y))
-
-
-def _hess_vec_features(
-    cluster: Cluster,
-    fpart: FeaturePartition,
-    obj: Objective,
-    u_blocks: list,
-    h_reps: list,
-) -> list:
-    """One metered Hu in feature layout: a single length-n reduce_all of the
-    partial products X_i'u_i, then local block work."""
-    parts = cluster.map_nodes(lambda i: spmv_transpose(fpart.shards[i], u_blocks[i]))
-    z_reps = cluster.reduce_all(parts)
-
-    def local_block(i):
-        return spmv(fpart.shards[i], h_reps[i] * z_reps[i]) / obj.n + obj.lam * u_blocks[i]
-
-    return cluster.map_nodes(local_block)
 
 
 def hessian_vec_features(
@@ -415,34 +476,85 @@ def hessian_vec_features(
     array, or the per-node replica list from :func:`feature_margins`); they
     are only consulted for the logistic loss.
     """
-    if obj.loss is LossKind.SQUARE:
-        margin_reps = [None] * cluster.m
-    elif w_margins is None:
-        raise ValueError("logistic Hessian products need the iterate margins")
-    elif isinstance(w_margins, np.ndarray):
-        margin_reps = [w_margins] * cluster.m
-    else:
-        margin_reps = list(w_margins)
-    h_reps = _feature_hess_coeff_reps(cluster, fpart, obj, margin_reps)
-    return _hess_vec_features(cluster, fpart, obj, u_blocks, h_reps)
+    layout = _FeatureLayout(cluster, fpart, obj)
+    return layout.hess_vec(u_blocks, layout.curvature(_replicas(w_margins, cluster.m)))
 
 
 # ---------------------------------------------------------------------------
-# Inner solvers
+# Inner solver
 # ---------------------------------------------------------------------------
 
 
-def _zero_step(d: int, resnorm: float, blocks_sizes=None) -> NewtonStepResult:
-    blocks = None
-    if blocks_sizes is not None:
-        blocks = [np.zeros(s) for s in blocks_sizes]
+def _pcg(
+    layout: _Layout,
+    w: list,
+    eps_k: float,
+    config: SolverConfig,
+    grad: list | None,
+    margins: list | None,
+    precond: BlockPreconditioner | None,
+    record_history: bool,
+) -> NewtonStepResult:
+    """PCG on H v = grad at the iterate ``w`` (all vectors in layout blocks).
+
+    Missing inputs are computed here: the gradient with its metered exchange,
+    the margins, the preconditioner. Every dot product goes through
+    ``layout.dots``, batched so that the feature layout pays two scalar rounds
+    per iteration.
+    """
+    if eps_k <= 0:
+        raise ValueError(f"eps_k must be positive, got {eps_k}")
+    if grad is None:
+        grad, margins = layout.gradient(w, margins)
+    elif margins is None:
+        margins = layout.margins_of(w)
+    if precond is None:
+        precond = layout.preconditioner(config, w, margins)
+    h = layout.curvature(margins)
+    max_inner = config.resolved_max_inner(layout.part.d)
+
+    r = layout.map(lambda i: grad[i].copy())
+    # Driver-side control scalar; the metered path learns ||r|| from the
+    # first beta batch below.
+    resnorm = math.sqrt(layout.dots((r, r), metered=False)[0])
+    if resnorm <= eps_k:
+        zero = layout.zeros()
+        return NewtonStepResult(np.concatenate(zero), 0.0, 0, resnorm, True, direction_blocks=zero)
+    s = layout.precondition(precond, r)
+    u = layout.map(lambda i: s[i].copy())
+    v = layout.zeros()
+    Hv = layout.zeros()
+    history: list = []
+    for t in range(max_inner):
+        Hu = layout.hess_vec(u, h)
+        if t == 0:  # <r, s> is first needed here; later it comes from the beta batch
+            uHu, rs = layout.dots((u, Hu), (r, s))
+        else:
+            (uHu,) = layout.dots((u, Hu))
+        if uHu <= 0:
+            raise RuntimeError(f"PCG breakdown at inner iteration {t}: u'Hu = {uHu} <= 0")
+        alpha = rs / uHu
+        v = layout.map(lambda i: v[i] + alpha * u[i])
+        Hv = layout.map(lambda i: Hv[i] + alpha * Hu[i])
+        r = layout.map(lambda i: r[i] - alpha * Hu[i])
+        s = layout.precondition(precond, r)
+        rs_next, rnorm2, vHv = layout.dots((r, s), (r, r), (v, Hv))
+        resnorm = math.sqrt(max(rnorm2, 0.0))
+        if record_history:
+            history.append(PcgIterate(np.concatenate(v), np.concatenate(r), resnorm, np.concatenate(Hv)))
+        if resnorm <= eps_k:
+            break
+        beta = rs_next / rs
+        u = layout.map(lambda i: s[i] + beta * u[i])
+        rs = rs_next
     return NewtonStepResult(
-        direction=np.zeros(d),
-        delta=0.0,
-        inner_iters=0,
+        direction=layout.assemble(v),
+        delta=math.sqrt(max(vHv, 0.0)),
+        inner_iters=t + 1,
         residual_norm=resnorm,
-        converged=True,
-        direction_blocks=blocks,
+        converged=resnorm <= eps_k,
+        direction_blocks=v,
+        history=history if record_history else None,
     )
 
 
@@ -455,70 +567,25 @@ def pcg_samples(
     config: SolverConfig,
     *,
     grad: np.ndarray | None = None,
+    margins: list | None = None,
     precond: BlockPreconditioner | None = None,
     record_history: bool = False,
 ) -> NewtonStepResult:
     """PCG on the sample partition; the master owns all full-length vectors.
 
+    Per inner iteration: one broadcast of the search direction and one
+    reduce_all of the Hessian-product contributions, both of length d; dot
+    products are free on the master.
+
     When ``grad`` is omitted the initial exchange (broadcast w, reduce_all of
     local gradient terms) runs here; the outer loop normally performs it
     itself and passes the result in, which costs the same rounds either way.
+    ``margins`` are the per-node margins X_j'w from that exchange; when
+    omitted the nodes recompute them locally.
     """
-    if eps_k <= 0:
-        raise ValueError(f"eps_k must be positive, got {eps_k}")
-    w = np.asarray(w, dtype=np.float64)
-    d = spart.d
-    if grad is None:
-        grad = _sample_gradient(cluster, spart, obj, w)
-    if precond is None:
-        precond = build_preconditioner(
-            obj, config, spart.shards[0], spart.labels[0], w, balanced_sizes(d, cluster.m)
-        )
-    max_inner = config.resolved_max_inner(d)
-    h_lists = _sample_hess_coeff_lists(spart, obj, w)
-
-    r = np.asarray(grad, dtype=np.float64).copy()
-    resnorm = math.sqrt(float(np.dot(r, r)))
-    if resnorm <= eps_k:
-        return _zero_step(d, resnorm)
-    s = precond.apply(r)
-    u = s.copy()
-    v = np.zeros(d)
-    Hv = np.zeros(d)
-    rs = float(np.dot(r, s))
-    history: list = []
-    converged = False
-    inner = max_inner
-    for t in range(max_inner):
-        Hu = _hess_vec_samples(cluster, spart, obj, u, h_lists)
-        uHu = float(np.dot(u, Hu))
-        if uHu <= 0:
-            raise RuntimeError(f"PCG breakdown at inner iteration {t}: u'Hu = {uHu} <= 0")
-        alpha = rs / uHu
-        v = v + alpha * u
-        Hv = Hv + alpha * Hu
-        r = r - alpha * Hu
-        resnorm = math.sqrt(float(np.dot(r, r)))
-        if record_history:
-            history.append(PcgIterate(v.copy(), r.copy(), resnorm, Hv.copy()))
-        if resnorm <= eps_k:
-            converged = True
-            inner = t + 1
-            break
-        s = precond.apply(r)
-        rs_next = float(np.dot(r, s))
-        beta = rs_next / rs
-        u = s + beta * u
-        rs = rs_next
-    delta = math.sqrt(max(float(np.dot(v, Hv)), 0.0))
-    return NewtonStepResult(
-        direction=v,
-        delta=delta,
-        inner_iters=inner,
-        residual_norm=resnorm,
-        converged=converged,
-        history=history if record_history else None,
-    )
+    w = [np.asarray(w, dtype=np.float64)]
+    grad = None if grad is None else [np.asarray(grad, dtype=np.float64)]
+    return _pcg(_SampleLayout(cluster, spart, obj), w, eps_k, config, grad, margins, precond, record_history)
 
 
 def pcg_features(
@@ -547,84 +614,9 @@ def pcg_features(
     length-n reduce_all) runs here and the gradient blocks are formed
     locally; the outer loop normally passes both in.
     """
-    if eps_k <= 0:
-        raise ValueError(f"eps_k must be positive, got {eps_k}")
-    d = fpart.d
-    if margins is None:
-        margins = feature_margins(cluster, fpart, w_blocks)
-    elif isinstance(margins, np.ndarray):
-        margins = [margins] * cluster.m
-    if grad_blocks is None:
-        grad_blocks = _feature_grad_blocks(cluster, fpart, obj, w_blocks, margins)
-    if precond is None:
-        precond = build_preconditioner_features(obj, config, fpart, margins[0])
-    max_inner = config.resolved_max_inner(d)
-    h_reps = _feature_hess_coeff_reps(cluster, fpart, obj, margins)
-
-    r = cluster.map_nodes(lambda i: grad_blocks[i].copy())
-    # Driver-side control scalar; the metered path learns ||r|| from the
-    # first beta round below.
-    r0norm = math.sqrt(sum(float(np.dot(ri, ri)) for ri in r))
-    if r0norm <= eps_k:
-        return _zero_step(d, r0norm, blocks_sizes=fpart.sizes)
-    s = cluster.map_nodes(lambda i: precond.apply_block(i, r[i]))
-    u = cluster.map_nodes(lambda i: s[i].copy())
-    v = cluster.map_nodes(lambda i: np.zeros(fpart.sizes[i]))
-    Hv = cluster.map_nodes(lambda i: np.zeros(fpart.sizes[i]))
-
-    history: list = []
-    converged = False
-    inner = max_inner
-    rs = None  # global <r, s>; first learned in the t=0 curvature round
-    resnorm = r0norm
-    vHv = 0.0
-    for t in range(max_inner):
-        Hu = _hess_vec_features(cluster, fpart, obj, u, h_reps)
-        local_uHu = cluster.map_nodes(lambda i: float(np.dot(u[i], Hu[i])))
-        if t == 0:
-            local_rs = cluster.map_nodes(lambda i: float(np.dot(r[i], s[i])))
-            reps = cluster.reduce_all(
-                [np.array([local_uHu[i], local_rs[i]]) for i in range(cluster.m)]
-            )
-            uHu, rs = float(reps[0][0]), float(reps[0][1])
-        else:
-            reps = cluster.reduce_all([np.array([local_uHu[i]]) for i in range(cluster.m)])
-            uHu = float(reps[0][0])
-        if uHu <= 0:
-            raise RuntimeError(f"PCG breakdown at inner iteration {t}: u'Hu = {uHu} <= 0")
-        alpha = rs / uHu
-        v = cluster.map_nodes(lambda i: v[i] + alpha * u[i])
-        Hv = cluster.map_nodes(lambda i: Hv[i] + alpha * Hu[i])
-        r = cluster.map_nodes(lambda i: r[i] - alpha * Hu[i])
-        s = cluster.map_nodes(lambda i: precond.apply_block(i, r[i]))
-        local_sums = cluster.map_nodes(
-            lambda i: np.array(
-                [float(np.dot(r[i], s[i])), float(np.dot(r[i], r[i])), float(np.dot(v[i], Hv[i]))]
-            )
-        )
-        reps = cluster.reduce_all(local_sums)
-        rs_next, rnorm2, vHv = (float(x) for x in reps[0])
-        resnorm = math.sqrt(max(rnorm2, 0.0))
-        if record_history:
-            history.append(PcgIterate(np.concatenate(v), np.concatenate(r), resnorm, np.concatenate(Hv)))
-        if resnorm <= eps_k:
-            converged = True
-            inner = t + 1
-            break
-        beta = rs_next / rs
-        u = cluster.map_nodes(lambda i: s[i] + beta * u[i])
-        rs = rs_next
-    delta = math.sqrt(max(vHv, 0.0))
-    assembled = cluster.reduce_concat(v, to=cluster.master)
-    return NewtonStepResult(
-        direction=assembled.to_array(),
-        delta=delta,
-        inner_iters=inner,
-        residual_norm=resnorm,
-        converged=converged,
-        direction_blocks=v,
-        history=history if record_history else None,
-    )
+    margins = None if margins is None else _replicas(margins, cluster.m)
+    layout = _FeatureLayout(cluster, fpart, obj)
+    return _pcg(layout, w_blocks, eps_k, config, grad_blocks, margins, precond, record_history)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +640,6 @@ def disco_outer(
     config: SolverConfig,
     *,
     record_iterates: bool = False,
-    meter_setup: bool = False,
 ) -> DiscoResult:
     """Run the damped inexact-Newton loop on ``dataset`` over ``cluster``.
 
@@ -656,53 +647,42 @@ def disco_outer(
     iterates until the gradient norm drops to ``outer_tol`` or ``max_outer``
     updates have been applied. Each outer iteration evaluates the gradient
     (metered), records a trace row, then runs the layout's PCG solver with
-    eps_k = theta * ||grad||. ``meter_setup`` additionally charges the one-off
-    label replication of the feature layout (8n bytes) to the broadcast
-    counters.
+    eps_k = theta * ||grad||. The logistic loss requires labels in {-1, +1}.
 
     Control scalars (the gradient norm used for the stopping test and
     eps_k) are aggregated by the driver; in the feature layout this stands in
     for a piggybacked scalar and is deliberately not metered as a round.
     """
     config.validate()
-    if config.rho != 0.0:
-        warnings.warn("SolverConfig.rho is accepted but unused by the solver", stacklevel=2)
+    if config.loss is LossKind.LOGISTIC:
+        bad = np.setdiff1d(dataset.y, (-1.0, 1.0))
+        if bad.size:
+            raise ValueError(
+                f"logistic loss needs labels in {{-1, +1}}; found {bad.size} other value(s): {bad[:5].tolist()}"
+            )
     obj = Objective(loss=config.loss, lam=config.lam, n=dataset.n, d=dataset.d)
-    samples_mode = config.partition_mode is PartitionMode.SAMPLES
-    d = dataset.d
-
-    if samples_mode:
-        spart = partition_by_samples(dataset.X, dataset.y, cluster.m)
-        config.resolved_tau(spart.sizes[0])  # fail fast on an impossible tau
-        w = np.zeros(d)
+    if config.partition_mode is PartitionMode.SAMPLES:
+        layout = _SampleLayout(cluster, partition_by_samples(dataset.X, dataset.y, cluster.m), obj)
     else:
-        fpart = partition_by_features(dataset.X, dataset.y, cluster.m)
-        config.resolved_tau(fpart.n)
-        if meter_setup:
-            cluster.broadcast(cluster.master, fpart.y)
-        w_blocks = [np.zeros(di) for di in fpart.sizes]
+        layout = _FeatureLayout(cluster, partition_by_features(dataset.X, dataset.y, cluster.m), obj)
+    config.resolved_tau(layout.tau_available)  # fail fast on an impossible tau
 
+    w = layout.zeros()
     precond: BlockPreconditioner | None = None
     trace: list = []
     steps: list = []
     iterates: list = []
     inner_cum = 0
+    inner_unconverged = 0
     updates = 0
-    converged = False
     start = time.perf_counter()
 
     for k in range(config.max_outer + 1):
-        if samples_mode:
-            grad = _sample_gradient(cluster, spart, obj, w)
-            gnorm = math.sqrt(float(np.dot(grad, grad)))
-        else:
-            margins = feature_margins(cluster, fpart, w_blocks)
-            grad_blocks = _feature_grad_blocks(cluster, fpart, obj, w_blocks, margins)
-            gnorm = math.sqrt(sum(float(np.dot(g, g)) for g in grad_blocks))
+        grad, margins = layout.gradient(w)
+        gnorm = math.sqrt(layout.dots((grad, grad), metered=False)[0])
         if not math.isfinite(gnorm):
-            w_now = w if samples_mode else np.concatenate(w_blocks)
             raise FloatingPointError(
-                f"non-finite gradient at outer iteration {k}; iterate head: {w_now[:8]}"
+                f"non-finite gradient at outer iteration {k}; iterate head: {np.concatenate(w)[:8]}"
             )
         stats = cluster.snapshot_stats()
         trace.append(
@@ -715,43 +695,28 @@ def disco_outer(
                 wall_ms=(time.perf_counter() - start) * 1e3,
             )
         )
-        if gnorm <= config.outer_tol:
-            converged = True
-            break
-        if k == config.max_outer:
+        if gnorm <= config.outer_tol or k == config.max_outer:
             break
         eps_k = config.theta * gnorm
         if precond is None or config.loss is LossKind.LOGISTIC:
-            if samples_mode:
-                precond = build_preconditioner(
-                    obj, config, spart.shards[0], spart.labels[0], w, balanced_sizes(d, cluster.m)
-                )
-            else:
-                precond = build_preconditioner_features(obj, config, fpart, margins[0])
-        if samples_mode:
-            step = pcg_samples(cluster, spart, obj, w, eps_k, config, grad=grad, precond=precond)
-            w = damped_update(w, step.direction, step.delta)
-        else:
-            step = pcg_features(
-                cluster, fpart, obj, w_blocks, eps_k, config,
-                grad_blocks=grad_blocks, margins=margins, precond=precond,
-            )
-            scale = 1.0 / (1.0 + step.delta)
-            w_blocks = cluster.map_nodes(lambda i: w_blocks[i] - scale * step.direction_blocks[i])
+            precond = layout.preconditioner(config, w, margins)
+        step = layout.newton_step(w, eps_k, config, grad, margins, precond)
+        w = layout.map(lambda i: damped_update(w[i], step.direction_blocks[i], step.delta))
         inner_cum += step.inner_iters
+        inner_unconverged += not step.converged
         updates += 1
         if record_iterates:
             steps.append(step)
-            iterates.append(w.copy() if samples_mode else np.concatenate(w_blocks))
+            iterates.append(np.concatenate(w))
 
-    w_final = w if samples_mode else np.concatenate(w_blocks)
     return DiscoResult(
-        w=w_final,
+        w=np.concatenate(w),
         trace=trace,
-        converged=converged,
+        converged=trace[-1].grad_norm <= config.outer_tol,
         updates=updates,
         grad_evals=len(trace),
         inner_iters_total=inner_cum,
+        inner_unconverged=inner_unconverged,
         steps=steps if record_iterates else None,
         iterates=iterates if record_iterates else None,
     )

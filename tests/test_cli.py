@@ -44,6 +44,7 @@ class TestRuns:
         assert run_cli("--synthetic", "8,30,0.6,0.1,4", "--trace", str(trace), "--tol", "1e-9") == 0
         out = capsys.readouterr().out
         n_updates = int(out.split("outer iterations: ")[1].split(" ")[0])
+        assert "inner solves stopped at max_inner: 0" in out
         rows = read_rows(trace)
         assert len(rows) == n_updates + 1  # one row per gradient evaluation
 

@@ -7,9 +7,6 @@ from disco.linalg import (
     PartitionedVec,
     SparseBlock,
     as_vec,
-    axpy,
-    dot,
-    norm2,
     spmv,
     spmv_transpose,
 )
@@ -78,27 +75,6 @@ class TestSpmvTranspose:
         assert np.array_equal(spmv_transpose(block, spmv(block, x)), x)
 
 
-class TestVectorOps:
-    def test_axpy_zero_scalar(self):
-        x, y = np.array([1.0, 2.0]), np.array([5.0, 6.0])
-        assert np.array_equal(axpy(0.0, x, y), y)
-
-    def test_axpy(self):
-        assert np.array_equal(axpy(2.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])), [2.0, 1.0])
-
-    def test_dot(self):
-        assert dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_norm2_345(self):
-        assert norm2(np.array([3.0, 4.0])) == 5.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            dot(np.ones(2), np.ones(3))
-        with pytest.raises(ValueError):
-            axpy(1.0, np.ones(2), np.ones(3))
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     d=st.integers(min_value=1, max_value=12),
@@ -112,8 +88,8 @@ def test_adjoint_identity(d, n, seed):
     block = random_sparse(d, n, nnz=nnz, seed=seed)
     u = rng.standard_normal(n)
     v = rng.standard_normal(d)
-    left = dot(spmv(block, u), v)
-    right = dot(u, spmv_transpose(block, v))
+    left = float(np.dot(spmv(block, u), v))
+    right = float(np.dot(u, spmv_transpose(block, v)))
     assert abs(left - right) <= 1e-10 * max(1.0, abs(left), abs(right))
 
 

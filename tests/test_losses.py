@@ -3,17 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from disco import (
-    LossKind,
-    Objective,
-    SparseBlock,
-    full_gradient,
-    hess_vec_dense,
-    loss_grad_coeff,
-    loss_hess_coeff,
-    loss_value,
-    objective_value,
-)
+from disco import LossKind, Objective, SparseBlock, full_gradient, hess_vec_dense, objective_value
+from disco.losses import loss_grad_coeff, loss_hess_coeff, loss_value
 from disco.harness import ridge_closed_form
 
 from conftest import make_dense_instance
@@ -66,10 +57,6 @@ class TestScalarOps:
     def test_non_finite_margin_rejected(self, fn):
         with pytest.raises(ValueError, match="non-finite"):
             fn(sq_obj(), float("nan"), 1.0)
-
-    def test_self_concordance_metadata(self):
-        assert LossKind.SQUARE.self_concordance_m == 0.0
-        assert LossKind.LOGISTIC.self_concordance_m >= 0.0
 
 
 class TestObjectiveType:

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from disco import (
-    balanced_sizes,
-    full_gradient,
-    partition_by_features,
-    partition_by_samples,
-    spmv,
-    spmv_transpose,
-)
+from disco import full_gradient, partition_by_features, partition_by_samples
+from disco.linalg import spmv, spmv_transpose
 from disco.losses import grad_coeffs
+from disco.partition import balanced_sizes
 
 from conftest import make_dense_instance
 

@@ -11,23 +11,25 @@ from disco import (
     PartitionMode,
     SolverConfig,
     SparseBlock,
-    apply_pinv,
-    balanced_sizes,
-    build_preconditioner,
-    build_preconditioner_features,
-    damped_update,
     disco_outer,
-    feature_margins,
     full_gradient,
     hess_vec_dense,
-    hessian_vec_features,
-    hessian_vec_samples,
     partition_by_features,
     partition_by_samples,
     pcg_features,
     pcg_samples,
 )
 from disco.harness import DenseNewtonOracle, ridge_closed_form
+from disco.partition import balanced_sizes
+from disco.solver import (
+    _FeatureLayout,
+    build_preconditioner,
+    build_preconditioner_features,
+    damped_update,
+    feature_margins,
+    hessian_vec_features,
+    hessian_vec_samples,
+)
 
 from conftest import make_dense_instance
 
@@ -75,7 +77,7 @@ class TestPreconditioner:
         spart = partition_by_samples(ds.X, ds.y, 1)
         P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, [5])
         r = np.random.default_rng(75).standard_normal(5)
-        assert np.linalg.norm(apply_pinv(P, r) - r / mu) <= 1e-8 * np.linalg.norm(r) / mu
+        assert np.linalg.norm(P.apply(r) - r / mu) <= 1e-8 * np.linalg.norm(r) / mu
 
     def test_multiply_back(self):
         ds, obj = make_dense_instance(d=6, n=9, seed=76)
@@ -325,9 +327,7 @@ class TestPcgFeatures:
         fpart = partition_by_features(ds.X, ds.y, m)
         cl = Cluster(m)
         w_blocks = [np.zeros(s) for s in fpart.sizes]
-        margins = feature_margins(cl, fpart, w_blocks)
-        from disco.solver import _feature_grad_blocks
-        grad_blocks = _feature_grad_blocks(cl, fpart, obj, w_blocks, margins)
+        grad_blocks, margins = _FeatureLayout(cl, fpart, obj).gradient(w_blocks)
         precond = build_preconditioner_features(obj, cfg, fpart, margins[0])
         cl.reset_stats()
         step = pcg_features(
@@ -350,9 +350,7 @@ class TestPcgFeatures:
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
         w_blocks = [np.zeros(s) for s in fpart.sizes]
-        margins = feature_margins(cl, fpart, w_blocks)
-        from disco.solver import _feature_grad_blocks
-        grad_blocks = _feature_grad_blocks(cl, fpart, obj, w_blocks, margins)
+        grad_blocks, margins = _FeatureLayout(cl, fpart, obj).gradient(w_blocks)
         precond = build_preconditioner_features(obj, cfg, fpart, margins[0])
         cl.reset_stats()
         pcg_features(cl, fpart, obj, w_blocks, eps_k=1e-14, config=cfg,
@@ -444,20 +442,13 @@ class TestDiscoOuter:
         assert res.converged and res.updates == 0 and res.grad_evals == 1
         assert np.array_equal(res.w, np.zeros(4))
 
-    def test_rho_warns(self):
-        ds, _ = make_dense_instance(d=4, n=8, seed=141)
-        cfg = ridge_config(tau=4)
-        cfg.rho = 0.5
-        with pytest.warns(UserWarning, match="rho"):
-            disco_outer(Cluster(1), ds, cfg)
-
     def test_synthetic_ridge_matches_closed_form(self):
         from disco.harness import gen_synthetic
 
         ds = gen_synthetic(12, 30, density=0.9, noise=0.05, seed=7)
         cfg = ridge_config(lam=0.1, mu=0.1, tau=None, theta=1e-6, outer_tol=1e-10)
         res = disco_outer(Cluster(2), ds, cfg)
-        assert res.converged and res.updates <= 10
+        assert res.converged and res.updates <= 10 and res.inner_unconverged == 0
         w_ref = ridge_closed_form(ds, 0.1)
         assert np.linalg.norm(res.w - w_ref) <= 1e-6 * np.linalg.norm(w_ref)
 
@@ -515,15 +506,20 @@ class TestDiscoOuter:
         with pytest.raises(FloatingPointError, match="non-finite"):
             disco_outer(Cluster(1), ds, ridge_config(tau=3))
 
-    def test_meter_setup_charges_label_broadcast(self):
-        ds, _ = make_dense_instance(d=6, n=14, seed=146)
-        cfg = ridge_config(tau=6, mode=PartitionMode.FEATURES, max_outer=0)
-        cl_plain = Cluster(2)
-        disco_outer(cl_plain, ds, cfg)
-        cl_meter = Cluster(2)
-        disco_outer(cl_meter, ds, cfg, meter_setup=True)
-        diff_bytes = cl_meter.snapshot_stats().broadcast_bytes - cl_plain.snapshot_stats().broadcast_bytes
-        assert diff_bytes == 8 * 14
+    @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
+    def test_counts_inner_solves_stopped_at_max_inner(self, mode):
+        ds, _ = make_dense_instance(d=10, n=24, seed=148, lam=1e-3)
+        cfg = ridge_config(lam=1e-3, mu=1.0, tau=6, max_inner=1, max_outer=3, mode=mode)
+        res = disco_outer(Cluster(2), ds, cfg)
+        assert 0 < res.inner_unconverged <= res.updates
+
+    @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
+    def test_logistic_rejects_labels_outside_plus_minus_one(self, mode):
+        ds, _ = make_dense_instance(d=5, n=12, seed=149, labels="sign")
+        zero_one = Dataset(X=ds.X, y=(ds.y + 1) / 2, d=5, n=12, source="0/1 labels")
+        cfg = SolverConfig(lam=0.1, mu=0.1, tau=4, loss=LossKind.LOGISTIC, partition_mode=mode)
+        with pytest.raises(ValueError, match=r"labels in \{-1, \+1\}.*\[0\.0\]"):
+            disco_outer(Cluster(2), zero_one, cfg)
 
     def test_tau_larger_than_shard_rejected(self):
         ds, _ = make_dense_instance(d=6, n=12, seed=147)
