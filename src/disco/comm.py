@@ -8,24 +8,22 @@ collective invocations and payload volume, not transport-level hops. Counters
 never reset on their own; ``reset_stats``/``snapshot_stats`` bracket the
 region being measured.
 
-Three collectives exist and they are the only way data crosses nodes:
+Node 0 is the master. Three collectives exist and they are the only way data
+crosses nodes:
 
-* ``broadcast``   -- copy one node's payload to every node.
+* ``broadcast``   -- copy the master's payload to every node.
 * ``reduce_all``  -- element-wise sum of per-node payloads, result replicated.
-* ``reduce_concat`` -- concatenate per-node blocks onto one node.
+* ``reduce_concat`` -- concatenate per-node blocks onto the master.
 
-Reductions always sum in ascending node order, so a sequential scheduler and
-a thread-pool scheduler produce bit-identical results.
+Compute phases run node by node in node order and reductions sum in ascending
+node order, so a run is deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import PartitionedVec
 
 __all__ = ["CommStats", "Cluster", "BYTES_PER_ELEMENT"]
 
@@ -63,51 +61,27 @@ class CommStats:
 
 
 class Cluster:
-    """m simulated workers plus the collectives connecting them.
+    """m simulated workers plus the collectives connecting them; node 0 is
+    the master."""
 
-    ``scheduler`` selects how compute phases run: ``"sequential"`` executes
-    node closures one by one in node order, ``"parallel"`` uses a thread
-    pool. Results are required (and tested) to be identical, which holds
-    because per-node work is independent and reductions are ordered.
-    """
+    master = 0
 
-    def __init__(self, m: int, master: int = 0, scheduler: str = "sequential"):
+    def __init__(self, m: int):
         if m < 1:
             raise ValueError(f"node count must be >= 1, got {m}")
-        if not 0 <= master < m:
-            raise ValueError(f"master id {master} out of range for {m} nodes")
-        if scheduler not in ("sequential", "parallel"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
         self.m = m
-        self.master = master
-        self.scheduler = scheduler
         self._stats = CommStats()
-        self._pool = None
 
     # -- compute phases ----------------------------------------------------
 
     def map_nodes(self, fn) -> list:
-        """Run ``fn(node_id)`` on every node; barrier before returning."""
-        if self.scheduler == "parallel" and self.m > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.m)
-            return list(self._pool.map(fn, range(self.m)))
+        """Run ``fn(node_id)`` on every node, in node order."""
         return [fn(i) for i in range(self.m)]
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # -- collectives --------------------------------------------------------
 
-    def _check_node(self, idx: int):
-        if not 0 <= idx < self.m:
-            raise ValueError(f"node index {idx} out of range for {self.m} nodes")
-
-    def broadcast(self, from_node: int, payload: np.ndarray) -> list:
-        """Copy ``payload`` (owned by ``from_node``) to every node."""
-        self._check_node(from_node)
+    def broadcast(self, payload: np.ndarray) -> list:
+        """Copy the master's ``payload`` to every node."""
         payload = np.asarray(payload, dtype=np.float64)
         self._stats.broadcast_rounds += 1
         self._stats.broadcast_bytes += BYTES_PER_ELEMENT * payload.size
@@ -131,22 +105,14 @@ class Cluster:
         self._stats.reduceall_bytes += BYTES_PER_ELEMENT * length
         return [total.copy() for _ in range(self.m)]
 
-    def reduce_concat(self, blocks: list, to: int | None = None) -> PartitionedVec:
-        """Assemble per-node blocks, in node order, on node ``to``."""
-        if to is None:
-            to = self.master
-        self._check_node(to)
+    def reduce_concat(self, blocks: list) -> np.ndarray:
+        """Concatenate per-node blocks, in node order, on the master."""
         if len(blocks) != self.m:
             raise ValueError(f"expected {self.m} blocks, got {len(blocks)}")
-        arrays = [np.asarray(b, dtype=np.float64).copy() for b in blocks]
-        sizes = [a.shape[0] for a in arrays]
-        offsets = [0] * self.m
-        for i in range(1, self.m):
-            offsets[i] = offsets[i - 1] + sizes[i - 1]
-        total = sum(sizes)
+        total = np.concatenate([np.asarray(b, dtype=np.float64) for b in blocks])
         self._stats.reduce_rounds += 1
-        self._stats.reduce_bytes += BYTES_PER_ELEMENT * total
-        return PartitionedVec(tuple(arrays), tuple(offsets), total)
+        self._stats.reduce_bytes += BYTES_PER_ELEMENT * total.size
+        return total
 
     # -- metering -----------------------------------------------------------
 

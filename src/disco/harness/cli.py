@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
+
+import numpy as np
 
 from ..comm import Cluster
 from ..losses import LossKind
@@ -24,7 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument(
         "--synthetic",
         metavar="d,n,density,noise[,seed]",
-        help="generate a synthetic sparse regression problem",
+        help="generate a synthetic sparse regression problem (with --loss logistic, "
+        "labels y > 0 become +1 and the rest -1)",
     )
     p.add_argument("--dim", type=int, default=None, help="override the feature count of --data")
     p.add_argument("--partition", choices=["samples", "features"], default="samples")
@@ -38,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outer", type=int, default=50)
     p.add_argument("--max-inner", type=int, default=None, help="default min(5d, 10000)")
     p.add_argument("--trace", metavar="PATH.csv", default=None, help="write per-iteration trace CSV")
-    p.add_argument("--scheduler", choices=["sequential", "parallel"], default="sequential")
     p.add_argument("--seed", type=int, default=0, help="seed for --synthetic when the tuple omits one")
     return p
 
@@ -56,6 +59,8 @@ def _parse_synthetic(spec: str, fallback_seed: int):
 def run_experiment(args) -> int:
     if args.synthetic is not None:
         dataset = _parse_synthetic(args.synthetic, args.seed)
+        if args.loss == "logistic":  # the generator's labels are real-valued
+            dataset = replace(dataset, y=np.where(dataset.y > 0, 1.0, -1.0))
     else:
         dataset = read_libsvm(args.data, dim=args.dim)
 
@@ -70,11 +75,8 @@ def run_experiment(args) -> int:
         max_inner=args.max_inner,
         partition_mode=PartitionMode(args.partition),
     )
-    cluster = Cluster(args.nodes, scheduler=args.scheduler)
-    try:
-        result = disco_outer(cluster, dataset, config)
-    finally:
-        cluster.close()
+    cluster = Cluster(args.nodes)
+    result = disco_outer(cluster, dataset, config)
 
     if args.trace is not None:
         write_trace_csv(args.trace, result.trace)

@@ -17,7 +17,6 @@ from scipy import sparse
 
 __all__ = [
     "SparseBlock",
-    "PartitionedVec",
     "as_vec",
     "spmv",
     "spmv_transpose",
@@ -36,16 +35,10 @@ def as_vec(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseBlock:
-    """A CSR block of the feature-by-sample data matrix.
-
-    ``matrix`` is rows x cols where rows index features and cols index
-    samples. ``row_offset``/``col_offset`` locate the block inside the global
-    (d, n) matrix; a full matrix is simply a block with zero offsets.
-    """
+    """A CSR block of the feature-by-sample data matrix: rows index features,
+    columns index samples."""
 
     matrix: sparse.csr_array
-    row_offset: int = 0
-    col_offset: int = 0
 
     def __post_init__(self):
         m = self.matrix
@@ -59,8 +52,6 @@ class SparseBlock:
         m.sort_indices()
         if not np.all(np.isfinite(m.data)):
             raise ValueError("sparse block contains non-finite values")
-        if self.row_offset < 0 or self.col_offset < 0:
-            raise ValueError("block offsets must be non-negative")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -76,62 +67,23 @@ class SparseBlock:
         return self.matrix.nnz
 
     @classmethod
-    def from_dense(cls, array, row_offset: int = 0, col_offset: int = 0) -> "SparseBlock":
+    def from_dense(cls, array) -> "SparseBlock":
         dense = np.atleast_2d(np.asarray(array, dtype=np.float64))
-        return cls(sparse.csr_array(dense), row_offset, col_offset)
+        return cls(sparse.csr_array(dense))
 
     @classmethod
-    def from_coo(cls, rows, cols, values, shape, row_offset: int = 0, col_offset: int = 0) -> "SparseBlock":
+    def from_coo(cls, rows, cols, values, shape) -> "SparseBlock":
         coo = sparse.coo_array((np.asarray(values, dtype=np.float64), (rows, cols)), shape=shape)
-        return cls(coo.tocsr(), row_offset, col_offset)
+        return cls(coo.tocsr())
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
     def column_slice(self, start: int, stop: int) -> "SparseBlock":
-        return SparseBlock(self.matrix[:, start:stop], self.row_offset, self.col_offset + start)
+        return SparseBlock(self.matrix[:, start:stop])
 
     def row_slice(self, start: int, stop: int) -> "SparseBlock":
-        return SparseBlock(self.matrix[start:stop, :], self.row_offset + start, self.col_offset)
-
-
-@dataclass(frozen=True)
-class PartitionedVec:
-    """A length-``total_len`` vector stored as contiguous per-node blocks."""
-
-    blocks: tuple
-    offsets: tuple
-    total_len: int
-
-    def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=np.float64) for b in self.blocks)
-        offsets = tuple(int(o) for o in self.offsets)
-        if len(blocks) != len(offsets):
-            raise ValueError("one offset per block required")
-        expected = 0
-        for off, blk in zip(offsets, blocks):
-            if off != expected:
-                raise ValueError(f"block offsets must be contiguous from 0, got {offsets}")
-            expected += len(blk)
-        if expected != self.total_len:
-            raise ValueError(f"block lengths sum to {expected}, expected {self.total_len}")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "offsets", offsets)
-
-    @classmethod
-    def from_array(cls, x, sizes) -> "PartitionedVec":
-        x = as_vec(x)
-        sizes = [int(s) for s in sizes]
-        if sum(sizes) != len(x):
-            raise ValueError(f"sizes sum to {sum(sizes)}, vector has length {len(x)}")
-        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(int)
-        blocks = [x[o:o + s].copy() for o, s in zip(offsets, sizes)]
-        return cls(tuple(blocks), tuple(int(o) for o in offsets), len(x))
-
-    def to_array(self) -> np.ndarray:
-        if not self.blocks:
-            return np.zeros(0)
-        return np.concatenate(self.blocks)
+        return SparseBlock(self.matrix[start:stop, :])
 
 
 def spmv(block: SparseBlock, x: np.ndarray) -> np.ndarray:

@@ -326,7 +326,7 @@ class _SampleLayout(_Layout):
         """Broadcast w, reduce-all the per-node data terms, add lam*w.
         Returns the gradient and the per-node margins."""
         cluster, part, obj = self.cluster, self.part, self.obj
-        w_reps = cluster.broadcast(cluster.master, w[0])
+        w_reps = cluster.broadcast(w[0])
 
         def local_term(j):
             margins_j = spmv_transpose(part.shards[j], w_reps[j]) if margins is None else margins[j]
@@ -339,7 +339,7 @@ class _SampleLayout(_Layout):
     def hess_vec(self, u: list, h: list) -> list:
         """One metered Hu: broadcast u, reduce-all the data terms, add lam*u."""
         cluster, part, obj = self.cluster, self.part, self.obj
-        u_reps = cluster.broadcast(cluster.master, u[0])
+        u_reps = cluster.broadcast(u[0])
 
         def local_term(j):
             z = spmv_transpose(part.shards[j], u_reps[j])
@@ -418,7 +418,7 @@ class _FeatureLayout(_Layout):
         return self.cluster.map_nodes(lambda i: precond.apply_block(i, r[i]))
 
     def assemble(self, v: list) -> np.ndarray:
-        return self.cluster.reduce_concat(v, to=self.cluster.master).to_array()
+        return self.cluster.reduce_concat(v)
 
     def preconditioner(self, config: SolverConfig, w: list, margins: list) -> BlockPreconditioner:
         return build_preconditioner_features(self.obj, config, self.part, margins[0])

@@ -254,13 +254,11 @@ def _drop_wall(lines):
 def test_criterion_7_determinism(tmp_path):
     base = ["--synthetic", "30,90,0.3,0.05,11", "--nodes", "3", "--partition", "features",
             "--tau", "25", "--lambda", "0.1", "--mu", "0.1", "--tol", "1e-9"]
-    t1, t2, t3 = (tmp_path / f"run{i}.csv" for i in range(3))
+    t1, t2 = (tmp_path / f"run{i}.csv" for i in range(2))
     assert cli_main(base + ["--trace", str(t1)]) == 0
     assert cli_main(base + ["--trace", str(t2)]) == 0
     assert _drop_wall(_read_trace(t1)) == _drop_wall(_read_trace(t2))
-    assert cli_main(base + ["--scheduler", "parallel", "--trace", str(t3)]) == 0
-    assert _drop_wall(_read_trace(t1)) == _drop_wall(_read_trace(t3))
-    report(7, "sequential reruns byte-identical (excluding wall_ms); parallel matches sequential")
+    report(7, "reruns byte-identical (excluding wall_ms)")
 
 
 def test_criterion_8_delta_certificate(outer_runs):

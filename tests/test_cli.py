@@ -61,6 +61,14 @@ class TestRuns:
             totals[mode] = int(out.split("total bytes: ")[1].split("\n")[0])
         assert totals["features"] < totals["samples"]
 
+    @pytest.mark.parametrize("mode", ["samples", "features"])
+    def test_synthetic_logistic(self, capsys, mode):
+        # the generated real-valued labels are mapped to y > 0 -> +1, else -1
+        assert run_cli(
+            "--synthetic", "20,50,0.3,0.1,1", "--loss", "logistic", "--partition", mode, "--nodes", "2",
+        ) == 0
+        assert "(converged)" in capsys.readouterr().out
+
     def test_libsvm_input(self, tmp_path, capsys):
         ds, _ = make_dense_instance(d=6, n=20, seed=170)
         data = tmp_path / "data.txt"
@@ -78,20 +86,16 @@ class TestDeterminism:
         assert run_cli(*args, "--trace", str(t2)) == 0
         assert strip_wall(t1) == strip_wall(t2)
 
-    @pytest.mark.parametrize("mode", ["samples", "features"])
-    def test_parallel_scheduler_matches_sequential(self, tmp_path, mode):
-        base = ["--synthetic", "12,48,0.4,0.05,8", "--nodes", "3", "--partition", mode,
-                "--tau", "10", "--tol", "1e-9"]
-        t_seq, t_par = tmp_path / "seq.csv", tmp_path / "par.csv"
-        assert run_cli(*base, "--scheduler", "sequential", "--trace", str(t_seq)) == 0
-        assert run_cli(*base, "--scheduler", "parallel", "--trace", str(t_par)) == 0
-        assert strip_wall(t_seq) == strip_wall(t_par)
-
 
 class TestErrors:
     def test_missing_source_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("--nodes", "2")
+        assert exc.value.code == 2
+
+    def test_scheduler_flag_is_unknown(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--synthetic", "10,20,0.5,0.1", "--scheduler", "parallel")
         assert exc.value.code == 2
 
     def test_bad_synthetic_spec(self, capsys):

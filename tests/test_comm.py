@@ -7,31 +7,27 @@ from disco.comm import Cluster
 class TestBroadcast:
     def test_single_node_still_metered(self):
         cl = Cluster(1)
-        reps = cl.broadcast(0, np.array([1.0, 2.0]))
+        reps = cl.broadcast(np.array([1.0, 2.0]))
         assert len(reps) == 1 and np.array_equal(reps[0], [1.0, 2.0])
         assert cl.snapshot_stats().broadcast_rounds == 1
 
     def test_bytes_are_8_per_element(self):
         cl = Cluster(3)
-        cl.broadcast(0, np.zeros(4))
+        cl.broadcast(np.zeros(4))
         assert cl.snapshot_stats().broadcast_bytes == 32
 
     def test_round_counter(self):
         cl = Cluster(2)
-        cl.broadcast(0, np.zeros(5))
-        cl.broadcast(1, np.zeros(5))
+        cl.broadcast(np.zeros(5))
+        cl.broadcast(np.zeros(5))
         assert cl.snapshot_stats().broadcast_rounds == 2
 
     def test_replicas_are_copies(self):
         cl = Cluster(2)
         src = np.array([1.0])
-        reps = cl.broadcast(0, src)
+        reps = cl.broadcast(src)
         reps[0][0] = 99.0
         assert src[0] == 1.0 and reps[1][0] == 1.0
-
-    def test_invalid_source(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Cluster(2).broadcast(2, np.zeros(1))
 
 
 class TestReduceAll:
@@ -74,14 +70,13 @@ class TestReduceAll:
 class TestReduceConcat:
     def test_concatenation(self):
         cl = Cluster(2)
-        pv = cl.reduce_concat([np.array([1.0, 2.0]), np.array([3.0])], to=0)
-        assert np.array_equal(pv.to_array(), [1.0, 2.0, 3.0])
-        assert pv.offsets == (0, 2)
+        out = cl.reduce_concat([np.array([1.0, 2.0]), np.array([3.0])])
+        assert np.array_equal(out, [1.0, 2.0, 3.0])
 
     def test_single_node_identity(self):
         cl = Cluster(1)
-        pv = cl.reduce_concat([np.array([4.0, 5.0])])
-        assert np.array_equal(pv.to_array(), [4.0, 5.0])
+        out = cl.reduce_concat([np.array([4.0, 5.0])])
+        assert np.array_equal(out, [4.0, 5.0])
 
     def test_bytes_sum_block_sizes(self):
         cl = Cluster(3)
@@ -93,7 +88,7 @@ class TestReduceConcat:
 class TestStats:
     def test_reset_zeroes_everything(self):
         cl = Cluster(2)
-        cl.broadcast(0, np.zeros(3))
+        cl.broadcast(np.zeros(3))
         cl.reduce_all([np.zeros(3), np.zeros(3)])
         cl.reset_stats()
         stats = cl.snapshot_stats()
@@ -102,7 +97,7 @@ class TestStats:
     def test_snapshot_is_a_value_copy(self):
         cl = Cluster(2)
         snap = cl.snapshot_stats()
-        cl.broadcast(0, np.zeros(3))
+        cl.broadcast(np.zeros(3))
         assert snap.broadcast_rounds == 0
         assert cl.snapshot_stats().broadcast_rounds == 1
 
@@ -117,31 +112,15 @@ class TestStats:
             prev = cur
 
 
-class TestSchedulers:
-    def test_parallel_map_matches_sequential(self):
-        rng = np.random.default_rng(7)
-        data = [rng.standard_normal(100) for _ in range(6)]
-        seq = Cluster(6, scheduler="sequential")
-        par = Cluster(6, scheduler="parallel")
-        fn = lambda i: np.cumsum(data[i]) * (i + 1)
-        out_seq = seq.map_nodes(fn)
-        out_par = par.map_nodes(fn)
-        for a, b in zip(out_seq, out_par):
-            assert np.array_equal(a, b)
-        par.close()
-
-    def test_parallel_reduce_all_bit_identical(self):
-        rng = np.random.default_rng(8)
-        contributions = [rng.standard_normal(257) for _ in range(4)]
-        seq = Cluster(4, scheduler="sequential").reduce_all([c.copy() for c in contributions])
-        par_cl = Cluster(4, scheduler="parallel")
-        par = par_cl.reduce_all([c.copy() for c in contributions])
-        assert np.array_equal(seq[0], par[0])
-        par_cl.close()
-
-    def test_rejects_unknown_scheduler(self):
-        with pytest.raises(ValueError):
-            Cluster(2, scheduler="chaotic")
+def test_cluster_takes_only_m():
+    """The master is node 0 and compute phases run in node order; neither is
+    configurable."""
+    assert Cluster(3).master == 0
+    assert Cluster(3).map_nodes(lambda i: i) == [0, 1, 2]
+    with pytest.raises(TypeError):
+        Cluster(2, master=1)
+    with pytest.raises(TypeError):
+        Cluster(2, scheduler="parallel")
 
 
 def test_cluster_validates_m():

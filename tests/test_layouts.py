@@ -19,6 +19,7 @@ from disco import (
     SparseBlock,
     disco_outer,
     full_gradient,
+    objective_value,
     partition_by_features,
     partition_by_samples,
     pcg_features,
@@ -112,6 +113,30 @@ def test_comm_stats_match_cost_model(data, d, n, loss, mode):
     cluster = Cluster(m)
     result = disco_outer(cluster, ds, cfg)
     assert cluster.snapshot_stats() == cost_model(mode, d, n, result)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(1, 12),
+    n=st.integers(1, 16),
+    loss=LOSSES,
+    mode=st.sampled_from(list(PartitionMode)),
+)
+def test_damped_newton_converges_monotonically(data, d, n, loss, mode):
+    """Under the default ``max_outer`` every run converges, and the damped step
+    never raises the objective by more than roundoff."""
+    ds = random_instance(data, d, n, loss)
+    m = draw_m(data, n if mode is PartitionMode.SAMPLES else d)
+    lam = data.draw(st.floats(0.1, 1.0), label="lam")
+    cfg = SolverConfig(lam=lam, mu=lam, loss=loss, partition_mode=mode)
+    result = disco_outer(Cluster(m), ds, cfg, record_iterates=True)
+
+    assert result.converged
+    obj = Objective(loss=loss, lam=lam, n=n, d=d)
+    values = [objective_value(obj, ds.X, ds.y, w) for w in [np.zeros(d)] + result.iterates]
+    for f_prev, f_next in zip(values, values[1:]):
+        assert f_next <= f_prev * (1 + 1e-12)
 
 
 # The names discobench/tracer.py replaces to time the solver's layers.

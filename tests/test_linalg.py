@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disco.linalg import (
-    PartitionedVec,
     SparseBlock,
     as_vec,
     spmv,
@@ -102,26 +101,10 @@ class TestSparseBlock:
         block = random_sparse(6, 8, nnz=12, seed=7)
         rows = block.row_slice(2, 5)
         cols = block.column_slice(3, 7)
-        assert (rows.rows, rows.row_offset) == (3, 2)
-        assert (cols.cols, cols.col_offset) == (4, 3)
+        assert (rows.rows, rows.cols) == (3, 8)
+        assert (cols.rows, cols.cols) == (6, 4)
         assert np.array_equal(rows.toarray(), block.toarray()[2:5, :])
         assert np.array_equal(cols.toarray(), block.toarray()[:, 3:7])
-
-
-class TestPartitionedVec:
-    def test_round_trip(self):
-        x = np.arange(7.0)
-        pv = PartitionedVec.from_array(x, [3, 2, 2])
-        assert pv.offsets == (0, 3, 5)
-        assert np.array_equal(pv.to_array(), x)
-
-    def test_rejects_bad_offsets(self):
-        with pytest.raises(ValueError):
-            PartitionedVec((np.ones(2), np.ones(2)), (0, 3), 4)
-
-    def test_rejects_bad_total(self):
-        with pytest.raises(ValueError):
-            PartitionedVec((np.ones(2),), (0,), 3)
 
 
 def test_as_vec_rejects_matrix():

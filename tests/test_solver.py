@@ -534,18 +534,3 @@ class TestDiscoOuter:
             SolverConfig(lam=1.0, theta=0.0).validate()
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, tau=0).validate()
-
-
-class TestSchedulerEquivalence:
-    @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
-    def test_parallel_matches_sequential_bitwise(self, mode):
-        ds, _ = make_dense_instance(d=16, n=40, seed=150, lam=0.1)
-        cfg = ridge_config(tau=8, outer_tol=1e-9, mode=mode)
-        res_seq = disco_outer(Cluster(3, scheduler="sequential"), ds, cfg)
-        cl_par = Cluster(3, scheduler="parallel")
-        res_par = disco_outer(cl_par, ds, cfg)
-        cl_par.close()
-        assert np.array_equal(res_seq.w, res_par.w)
-        assert res_seq.inner_iters_total == res_par.inner_iters_total
-        for a, b in zip(res_seq.trace, res_par.trace):
-            assert a.grad_norm == b.grad_norm and a.rounds_cum == b.rounds_cum
