@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", choices=["square", "logistic"], default="square")
     p.add_argument("--lambda", dest="lam", type=float, default=1e-3, help="l2 weight (default 1e-3)")
     p.add_argument("--mu", type=float, default=1e-4, help="preconditioner ridge (default 1e-4)")
-    p.add_argument("--tau", type=int, default=None, help="preconditioner samples (default min(1000, shard))")
+    p.add_argument("--tau", type=int, default=None, help="preconditioner samples (default min(1000, master's sample shard))")
     p.add_argument("--theta", type=float, default=1e-4, help="inner tolerance multiplier (default 1e-4)")
     p.add_argument("--tol", type=float, default=1e-8, help="outer gradient-norm tolerance (default 1e-8)")
     p.add_argument("--max-outer", type=int, default=50)

@@ -24,9 +24,14 @@ matrix estimated from the first tau samples,
 
     P_b = (1/tau) * sum_{j<tau} h_j x_j^(b) (x_j^(b))' + mu * I
 
-per feature block b, Cholesky-factored once per build. With identical
-preconditioners the two layouts produce the same iterates up to roundoff, so
-layout only changes communication cost, not the optimization path.
+per feature block b, factored once per build. Each block factors the smaller
+of two Gram matrices: when mu > 0 and tau < d_b, P_b is mu*I plus a rank-tau
+term, so the block keeps its sparse d_b x tau slice and the Cholesky factor
+of a tau x tau matrix and solves by the Woodbury identity; otherwise it keeps
+the Cholesky factor of the dense d_b x d_b P_b. With mu = 0 and tau < d_b the
+estimate is singular and the build raises. With identical preconditioners the
+two layouts produce the same iterates up to roundoff, so layout only changes
+communication cost, not the optimization path.
 
 The layout objects call the public entry points (``pcg_*``,
 ``build_preconditioner*``), the partitioners and the kernels through this
@@ -43,6 +48,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from .comm import Cluster
@@ -84,7 +90,7 @@ class PartitionMode(str, Enum):
 @dataclass
 class SolverConfig:
     """Solver parameters. ``tau``/``max_inner`` of None mean "pick the default
-    at solve time": tau = min(1000, available samples), max_inner =
+    at solve time": tau = min(1000, the master's sample shard), max_inner =
     min(5d, 10000)."""
 
     lam: float
@@ -113,11 +119,16 @@ class SolverConfig:
         if self.max_inner is not None and self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
 
-    def resolved_tau(self, available: int) -> int:
-        tau = min(1000, available) if self.tau is None else self.tau
-        if tau > available:
-            raise ValueError(f"tau={tau} exceeds the {available} samples available for the preconditioner")
-        return tau
+    def resolved_tau(self, available: int, master_shard: int | None = None) -> int:
+        """tau, checked against the ``available`` samples. The default is
+        min(1000, master_shard) in both layouts, so that they share one
+        preconditioner; ``master_shard`` defaults to ``available``, as in the
+        sample layout, where the two coincide."""
+        if self.tau is None:
+            return min(1000, available if master_shard is None else master_shard)
+        if self.tau > available:
+            raise ValueError(f"tau={self.tau} exceeds the {available} samples available for the preconditioner")
+        return self.tau
 
     def resolved_max_inner(self, d: int) -> int:
         return min(5 * d, 10000) if self.max_inner is None else self.max_inner
@@ -182,14 +193,42 @@ class DiscoResult:
 # ---------------------------------------------------------------------------
 
 
+class _DenseBlock(NamedTuple):
+    """Cholesky factor of the d_b x d_b block P_b."""
+
+    cho: tuple
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        return cho_solve(self.cho, r, check_finite=False)
+
+
+class _LowRankBlock(NamedTuple):
+    """P_b = mu*I + (1/tau) U U' with U = X_b S, S = diag(sqrt(h)), solved by
+    the Woodbury identity through the tau x tau matrix K = mu*tau*I + U'U:
+
+        P_b^{-1} r = (r - U K^{-1} U' r) / mu.
+
+    U stays the sparse d_b x tau slice (kept with its transpose, both CSR), so
+    a solve costs O(nnz_b + tau^2)."""
+
+    u: sparse.csr_array
+    ut: sparse.csr_array
+    cho: tuple
+    mu: float
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        z = cho_solve(self.cho, self.ut @ r, check_finite=False)
+        return (r - self.u @ z) / self.mu
+
+
 @dataclass
 class BlockPreconditioner:
-    """Cholesky factors of the per-feature-block subsampled curvature matrix."""
+    """Factored per-feature-block subsampled curvature matrices, one
+    ``_DenseBlock`` or ``_LowRankBlock`` per block."""
 
-    factors: tuple
+    blocks: tuple
     sizes: tuple
     offsets: tuple
-    mu: float
 
     @property
     def dim(self) -> int:
@@ -199,26 +238,40 @@ class BlockPreconditioner:
         r = np.asarray(r, dtype=np.float64)
         if r.shape[0] != self.sizes[i]:
             raise ValueError(f"block {i} solve: vector has length {r.shape[0]}, block is {self.sizes[i]}")
-        return cho_solve(self.factors[i], r)
+        return self.blocks[i].solve(r)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """Solve P s = r with the stored factorization."""
+        """Solve P s = r with the stored factorizations."""
         r = np.asarray(r, dtype=np.float64)
         if r.shape[0] != self.dim:
             raise ValueError(f"P solve: vector has length {r.shape[0]}, P is {self.dim}x{self.dim}")
         out = np.empty_like(r)
-        for i, (off, size) in enumerate(zip(self.offsets, self.sizes)):
-            out[off:off + size] = cho_solve(self.factors[i], r[off:off + size])
+        for block, off, size in zip(self.blocks, self.offsets, self.sizes):
+            out[off:off + size] = block.solve(r[off:off + size])
         return out
 
 
-def _factor_curvature_block(i: int, dense_block: np.ndarray, h_tau: np.ndarray, mu: float):
-    """Cholesky of (1/tau) * Xb diag(h) Xb' + mu*I for one feature block."""
-    tau = dense_block.shape[1]
-    gram = (dense_block * h_tau) @ dense_block.T / tau
-    gram[np.diag_indices_from(gram)] += mu
+def _factor_curvature_block(i: int, block: sparse.csr_array, h_tau: np.ndarray, mu: float):
+    """Factor (1/tau) * Xb diag(h) Xb' + mu*I for one feature block, given its
+    sparse first-tau-samples slice: through the tau x tau Woodbury matrix when
+    mu > 0 and tau < d_b, as a dense d_b x d_b Cholesky otherwise."""
+    d_b, tau = block.shape
+    if tau < d_b and mu == 0:
+        raise np.linalg.LinAlgError(
+            f"preconditioner block {i} has rank at most tau={tau} < {d_b} features "
+            f"and is singular with mu=0; increase mu"
+        )
     try:
-        return cho_factor(gram, lower=True)
+        if tau < d_b:
+            u = block @ sparse.diags_array(np.sqrt(h_tau))
+            ut = u.T.tocsr()
+            gram = (ut @ u).toarray()
+            gram[np.diag_indices_from(gram)] += mu * tau
+            return _LowRankBlock(u, ut, cho_factor(gram, lower=True), mu)
+        dense_block = block.toarray()
+        gram = (dense_block * h_tau) @ dense_block.T / tau
+        gram[np.diag_indices_from(gram)] += mu
+        return _DenseBlock(cho_factor(gram, lower=True))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"preconditioner block {i} is not positive definite; "
@@ -228,8 +281,8 @@ def _factor_curvature_block(i: int, dense_block: np.ndarray, h_tau: np.ndarray, 
 
 def _block_preconditioner(blocks_tau: list, h_tau: np.ndarray, mu: float, sizes, offsets) -> BlockPreconditioner:
     """Factor each feature block's first-tau-samples slice (sparse, d_b x tau)."""
-    factors = tuple(_factor_curvature_block(i, b.toarray(), h_tau, mu) for i, b in enumerate(blocks_tau))
-    return BlockPreconditioner(factors, tuple(sizes), tuple(offsets), mu)
+    blocks = tuple(_factor_curvature_block(i, b, h_tau, mu) for i, b in enumerate(blocks_tau))
+    return BlockPreconditioner(blocks, tuple(sizes), tuple(offsets))
 
 
 def build_preconditioner(
@@ -270,10 +323,10 @@ def build_preconditioner_features(
     fpart: FeaturePartition,
     w_margins: np.ndarray | None,
 ) -> BlockPreconditioner:
-    """Feature-layout build: node i factors its own d_i x d_i block from the
-    first tau columns of its feature slice. ``w_margins`` are the replicated
+    """Feature-layout build: node i factors its own block from the first tau
+    columns of its feature slice. ``w_margins`` are the replicated
     sample margins of the current iterate (any value for the square loss)."""
-    tau = config.resolved_tau(fpart.n)
+    tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.shards))[0])
     margins_tau = None if w_margins is None else np.asarray(w_margins, dtype=np.float64)[:tau]
     h_tau = hess_coeffs(obj, margins_tau, fpart.y[:tau])
     blocks = [shard.matrix[:, :tau] for shard in fpart.shards]
@@ -531,14 +584,20 @@ def _pcg(
             uHu, rs = layout.dots((u, Hu), (r, s))
         else:
             (uHu,) = layout.dots((u, Hu))
-        if uHu <= 0:
-            raise RuntimeError(f"PCG breakdown at inner iteration {t}: u'Hu = {uHu} <= 0")
+        if not uHu > 0:  # also catches a NaN
+            raise RuntimeError(f"PCG breakdown at inner iteration {t}: u'Hu = {uHu} is not positive")
         alpha = rs / uHu
         v = layout.map(lambda i: v[i] + alpha * u[i])
         Hv = layout.map(lambda i: Hv[i] + alpha * Hu[i])
         r = layout.map(lambda i: r[i] - alpha * Hu[i])
         s = layout.precondition(precond, r)
         rs_next, rnorm2, vHv = layout.dots((r, s), (r, r), (v, Hv))
+        # The block solves skip scipy's per-call finiteness scan; a NaN or
+        # infinity in r or s surfaces in these scalars instead.
+        if not all(map(math.isfinite, (rs_next, rnorm2, vHv))):
+            raise FloatingPointError(
+                f"non-finite PCG state at inner iteration {t}: r's = {rs_next}, ||r||^2 = {rnorm2}, v'Hv = {vHv}"
+            )
         resnorm = math.sqrt(max(rnorm2, 0.0))
         if record_history:
             history.append(PcgIterate(np.concatenate(v), np.concatenate(r), resnorm, np.concatenate(Hv)))

@@ -69,6 +69,17 @@ class TestRuns:
         ) == 0
         assert "(converged)" in capsys.readouterr().out
 
+    def test_default_tau_shared_by_both_layouts(self, capsys):
+        # tau defaults to min(1000, master's sample shard) in both layouts, so
+        # they build the same preconditioner and take the same inner iterations
+        inner = {}
+        for mode in ("samples", "features"):
+            assert run_cli(
+                "--synthetic", "20,50,0.3,0.1,1", "--loss", "logistic", "--partition", mode, "--nodes", "2",
+            ) == 0
+            inner[mode] = int(capsys.readouterr().out.split("total inner iterations: ")[1].split("\n")[0])
+        assert inner["samples"] == inner["features"]
+
     def test_libsvm_input(self, tmp_path, capsys):
         ds, _ = make_dense_instance(d=6, n=20, seed=170)
         data = tmp_path / "data.txt"

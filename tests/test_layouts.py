@@ -26,6 +26,7 @@ from disco import (
     pcg_samples,
 )
 from disco import solver
+from disco.partition import balanced_sizes
 from disco.solver import BlockPreconditioner
 
 from conftest import make_dense_instance
@@ -48,6 +49,22 @@ def random_instance(data, d, n, loss):
 def draw_m(data, limit):
     """A node count in [1, limit] that often sits at either end."""
     return data.draw(st.one_of(st.just(1), st.just(limit), st.integers(1, limit)), label="m")
+
+
+def draw_tau_mu(data, d, n, m, mode):
+    """A preconditioner sample count below the first feature block's size
+    (the low-rank path) or at least that size (the dense path), whichever the
+    instance allows, and a shift mu drawn apart from lam."""
+    available = balanced_sizes(n, m)[0] if mode is PartitionMode.SAMPLES else n
+    d_b = balanced_sizes(d, m)[0]
+    low_rank = data.draw(st.booleans(), label="tau < d_b")
+    if low_rank and d_b > 1:
+        tau = data.draw(st.integers(1, min(d_b - 1, available)), label="tau")
+    elif available >= d_b:
+        tau = data.draw(st.integers(d_b, available), label="tau")
+    else:
+        tau = data.draw(st.integers(1, available), label="tau")
+    return tau, data.draw(st.floats(0.01, 1.0), label="mu")
 
 
 def cost_model(mode, d, n, result):
@@ -109,7 +126,8 @@ def test_comm_stats_match_cost_model(data, d, n, loss, mode):
     count up to one shard per sample (samples) or per feature (features)."""
     ds = random_instance(data, d, n, loss)
     m = draw_m(data, n if mode is PartitionMode.SAMPLES else d)
-    cfg = SolverConfig(lam=0.2, mu=0.2, loss=loss, max_outer=4, partition_mode=mode)
+    tau, mu = draw_tau_mu(data, d, n, m, mode)
+    cfg = SolverConfig(lam=0.2, mu=mu, tau=tau, loss=loss, max_outer=4, partition_mode=mode)
     cluster = Cluster(m)
     result = disco_outer(cluster, ds, cfg)
     assert cluster.snapshot_stats() == cost_model(mode, d, n, result)
@@ -129,7 +147,8 @@ def test_damped_newton_converges_monotonically(data, d, n, loss, mode):
     ds = random_instance(data, d, n, loss)
     m = draw_m(data, n if mode is PartitionMode.SAMPLES else d)
     lam = data.draw(st.floats(0.1, 1.0), label="lam")
-    cfg = SolverConfig(lam=lam, mu=lam, loss=loss, partition_mode=mode)
+    tau, mu = draw_tau_mu(data, d, n, m, mode)
+    cfg = SolverConfig(lam=lam, mu=mu, tau=tau, loss=loss, partition_mode=mode)
     result = disco_outer(Cluster(m), ds, cfg, record_iterates=True)
 
     assert result.converged

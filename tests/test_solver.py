@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disco import (
     Cluster,
@@ -22,7 +24,10 @@ from disco import (
 from disco.harness import DenseNewtonOracle, ridge_closed_form
 from disco.partition import balanced_sizes
 from disco.solver import (
+    BlockPreconditioner,
     _FeatureLayout,
+    _LowRankBlock,
+    _factor_curvature_block,
     build_preconditioner,
     build_preconditioner_features,
     damped_update,
@@ -96,22 +101,48 @@ class TestPreconditioner:
         with pytest.raises(np.linalg.LinAlgError, match="mu"):
             build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, [8])
 
+    def test_mu_zero_below_full_rank_rejected_before_factoring(self):
+        # a rank-3 estimate of a 4x4 block that cho_factor accepts: roundoff
+        # leaves its last pivot slightly positive
+        ds, obj = make_dense_instance(d=4, n=6, seed=2)
+        spart = partition_by_samples(ds.X, ds.y, 1)
+        with pytest.raises(np.linalg.LinAlgError, match="mu=0"):
+            build_preconditioner(obj, ridge_config(mu=0.0, tau=3), spart.shards[0], spart.labels[0], None, [4])
+        # at tau >= d_b the dense path still accepts mu = 0 when the block is full rank
+        P = build_preconditioner(obj, ridge_config(mu=0.0, tau=6), spart.shards[0], spart.labels[0], None, [4])
+        r = np.random.default_rng(82).standard_normal(4)
+        expected = brute_force_curvature(ds.X.toarray(), np.full(6, 2.0), tau=6, mu=0.0)
+        assert np.linalg.norm(expected @ P.apply(r) - r) <= 1e-10 * np.linalg.norm(r)
+
     def test_sample_and_feature_builds_agree_blockwise(self):
         # tau must not exceed the master shard so both layouts see the same
         # subsample (the first tau global samples)
         ds, obj = make_dense_instance(d=9, n=12, seed=79, lam=0.2)
-        cfg = ridge_config(lam=0.2, mu=0.05, tau=4)
         m = 3
         spart = partition_by_samples(ds.X, ds.y, m)
         fpart = partition_by_features(ds.X, ds.y, m)
-        Ps = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, balanced_sizes(9, m))
-        Pf = build_preconditioner_features(obj, cfg, fpart, None)
-        rng = np.random.default_rng(80)
-        r = rng.standard_normal(9)
-        got = np.concatenate(
-            [Pf.apply_block(i, r[o:o + s]) for i, (o, s) in enumerate(zip(Pf.offsets, Pf.sizes))]
-        )
-        assert np.array_equal(Ps.apply(r), got)
+        r = np.random.default_rng(80).standard_normal(9)
+        for tau in (4, 2):  # d_b = 3: the dense and the low-rank path
+            cfg = ridge_config(lam=0.2, mu=0.05, tau=tau)
+            Ps = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, balanced_sizes(9, m))
+            Pf = build_preconditioner_features(obj, cfg, fpart, None)
+            got = np.concatenate(
+                [Pf.apply_block(i, r[o:o + s]) for i, (o, s) in enumerate(zip(Pf.offsets, Pf.sizes))]
+            )
+            assert np.array_equal(Ps.apply(r), got)
+            assert all(isinstance(b, _LowRankBlock) == (tau < 3) for b in Ps.blocks + Pf.blocks)
+
+    def test_low_rank_block_stores_no_square_array(self):
+        ds, obj = make_dense_instance(d=40, n=12, seed=83)
+        spart = partition_by_samples(ds.X, ds.y, 1)
+        P = build_preconditioner(obj, ridge_config(mu=0.1, tau=5), spart.shards[0], spart.labels[0], None, [40])
+        (block,) = P.blocks
+        assert isinstance(block, _LowRankBlock)
+        shapes = [np.shape(block.u), np.shape(block.ut), np.shape(block.cho[0])]
+        assert shapes == [(40, 5), (5, 40), (5, 5)]
+        expected = brute_force_curvature(ds.X.toarray(), np.full(12, 2.0), tau=5, mu=0.1)
+        r = np.random.default_rng(84).standard_normal(40)
+        assert np.linalg.norm(P.apply(r) - np.linalg.solve(expected, r)) <= 1e-12 * np.linalg.norm(r) / 0.1
 
     def test_block_solve_dimension_check(self):
         ds, obj = make_dense_instance(d=6, n=8, seed=81)
@@ -120,6 +151,25 @@ class TestPreconditioner:
         P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, [6])
         with pytest.raises(ValueError):
             P.apply(np.zeros(5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d_b=st.integers(2, 30), mu=st.floats(1e-3, 10.0))
+def test_low_rank_apply_matches_dense_solve(data, d_b, mu):
+    """The Woodbury block solve equals a dense solve of P_b, also when some
+    curvature coefficients are exactly zero (logistic underflow)."""
+    tau = data.draw(st.integers(1, d_b - 1), label="tau")
+    h = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]) | st.floats(0.0, 4.0),
+                                    min_size=tau, max_size=tau), label="h"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    density = data.draw(st.sampled_from([0.1, 0.5, 1.0]), label="density")
+    Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < density)
+    block = _factor_curvature_block(0, SparseBlock.from_dense(Xd).matrix, h, mu)
+    assert isinstance(block, _LowRankBlock)
+    P = BlockPreconditioner((block,), (d_b,), (0,))
+    r = rng.standard_normal(d_b)
+    expected = np.linalg.solve((Xd * h) @ Xd.T / tau + mu * np.eye(d_b), r)
+    assert np.linalg.norm(P.apply(r) - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestHessianVecSamples:
@@ -369,6 +419,36 @@ class TestPcgInvariants:
         fpart = partition_by_features(ds.X, ds.y, m)
         w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
         return w, pcg_features(Cluster(m), fpart, obj, w_blocks, eps_k, cfg, record_history=True)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode,method,per_apply", [
+        (PartitionMode.SAMPLES, "apply", 1), (PartitionMode.FEATURES, "apply_block", 2),
+    ])
+    @pytest.mark.parametrize("poisoned_apply,error,message", [
+        (1, RuntimeError, "breakdown at inner iteration 0"),  # the initial s: u'Hu is not positive
+        (2, FloatingPointError, "non-finite PCG state at inner iteration 0"),
+        (3, FloatingPointError, "non-finite PCG state at inner iteration 1"),
+    ])
+    def test_non_finite_preconditioned_residual_fails_loudly(
+        self, monkeypatch, value, mode, method, per_apply, poisoned_apply, error, message,
+    ):
+        # the block solves skip scipy's finiteness scan; the per-iteration
+        # scalar checks must stop the same inner solve instead
+        ds, obj = make_dense_instance(d=12, n=30, seed=133, lam=0.2)
+        cfg = ridge_config(lam=0.2, mu=0.02, tau=10)
+        original = getattr(BlockPreconditioner, method)
+        calls = []
+
+        def poisoned(precond, *args):
+            out = original(precond, *args)
+            calls.append(None)
+            if len(calls) == (poisoned_apply - 1) * per_apply + 1:
+                out[0] = value
+            return out
+
+        monkeypatch.setattr(BlockPreconditioner, method, poisoned)
+        with pytest.raises(error, match=message):
+            self.run_with_history(ds, obj, cfg, 2, mode, eps_k=1e-10)
 
     @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
     def test_residual_and_hv_recomputable(self, mode):
