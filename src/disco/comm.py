@@ -8,12 +8,15 @@ collective invocations and payload volume, not transport-level hops. Counters
 never reset on their own; ``reset_stats``/``snapshot_stats`` bracket the
 region being measured.
 
-Node 0 is the master. Three collectives exist and they are the only way data
-crosses nodes:
+Three collectives exist and they are the only way data crosses nodes:
 
-* ``broadcast``   -- copy the master's payload to every node.
-* ``reduce_all``  -- element-wise sum of per-node payloads, result replicated.
+* ``broadcast``   -- send the master's payload to every node.
+* ``reduce_all``  -- element-wise sum of per-node payloads, held by every node.
 * ``reduce_concat`` -- concatenate per-node blocks onto the master.
+
+After ``broadcast`` or ``reduce_all`` every node holds the same value, so the
+simulator returns it once, as a read-only array: a copy of the payload, or
+the sum itself. The counters meter the call, not the replicas.
 
 Compute phases run node by node in node order and reductions sum in ascending
 node order, so a run is deterministic.
@@ -21,7 +24,7 @@ node order, so a run is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,22 +52,10 @@ class CommStats:
     def total_bytes(self) -> int:
         return self.broadcast_bytes + self.reduce_bytes + self.reduceall_bytes
 
-    def copy(self) -> "CommStats":
-        return CommStats(
-            self.broadcast_rounds,
-            self.reduce_rounds,
-            self.reduceall_rounds,
-            self.broadcast_bytes,
-            self.reduce_bytes,
-            self.reduceall_bytes,
-        )
-
 
 class Cluster:
     """m simulated workers plus the collectives connecting them; node 0 is
     the master."""
-
-    master = 0
 
     def __init__(self, m: int):
         if m < 1:
@@ -80,15 +71,18 @@ class Cluster:
 
     # -- collectives --------------------------------------------------------
 
-    def broadcast(self, payload: np.ndarray) -> list:
-        """Copy the master's ``payload`` to every node."""
-        payload = np.asarray(payload, dtype=np.float64)
+    def broadcast(self, payload: np.ndarray) -> np.ndarray:
+        """Send the master's ``payload`` to every node; returns the read-only
+        copy they all hold."""
+        received = np.array(payload, dtype=np.float64)
+        received.flags.writeable = False
         self._stats.broadcast_rounds += 1
-        self._stats.broadcast_bytes += BYTES_PER_ELEMENT * payload.size
-        return [payload.copy() for _ in range(self.m)]
+        self._stats.broadcast_bytes += BYTES_PER_ELEMENT * received.size
+        return received
 
-    def reduce_all(self, contributions: list) -> list:
-        """Sum per-node vectors in ascending node order; replicate the sum."""
+    def reduce_all(self, contributions: list) -> np.ndarray:
+        """Sum per-node vectors in ascending node order; returns the read-only
+        sum every node holds."""
         if len(contributions) != self.m:
             raise ValueError(f"expected {self.m} contributions, got {len(contributions)}")
         arrays = [np.asarray(c, dtype=np.float64) for c in contributions]
@@ -103,7 +97,8 @@ class Cluster:
             total += a
         self._stats.reduceall_rounds += 1
         self._stats.reduceall_bytes += BYTES_PER_ELEMENT * length
-        return [total.copy() for _ in range(self.m)]
+        total.flags.writeable = False
+        return total
 
     def reduce_concat(self, blocks: list) -> np.ndarray:
         """Concatenate per-node blocks, in node order, on the master."""
@@ -117,7 +112,7 @@ class Cluster:
     # -- metering -----------------------------------------------------------
 
     def snapshot_stats(self) -> CommStats:
-        return self._stats.copy()
+        return replace(self._stats)
 
     def reset_stats(self):
         self._stats = CommStats()

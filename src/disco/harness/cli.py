@@ -27,10 +27,10 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument(
         "--synthetic",
         metavar="d,n,density,noise[,seed]",
-        help="generate a synthetic sparse regression problem (with --loss logistic, "
-        "labels y > 0 become +1 and the rest -1)",
+        help="generate a synthetic sparse regression problem; seed defaults to 0 (with "
+        "--loss logistic, labels y > 0 become +1 and the rest -1)",
     )
-    p.add_argument("--dim", type=int, default=None, help="override the feature count of --data")
+    p.add_argument("--dim", type=int, default=None, help="override the feature count of --data (not with --synthetic)")
     p.add_argument("--partition", choices=["samples", "features"], default="samples")
     p.add_argument("--nodes", type=int, default=1, help="simulated node count m")
     p.add_argument("--loss", choices=["square", "logistic"], default="square")
@@ -42,23 +42,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-outer", type=int, default=50)
     p.add_argument("--max-inner", type=int, default=None, help="default min(5d, 10000)")
     p.add_argument("--trace", metavar="PATH.csv", default=None, help="write per-iteration trace CSV")
-    p.add_argument("--seed", type=int, default=0, help="seed for --synthetic when the tuple omits one")
     return p
 
 
-def _parse_synthetic(spec: str, fallback_seed: int):
+def _parse_synthetic(spec: str):
     parts = spec.split(",")
     if len(parts) not in (4, 5):
         raise ValueError(f"--synthetic expects d,n,density,noise[,seed], got {spec!r}")
     d, n = int(parts[0]), int(parts[1])
     density, noise = float(parts[2]), float(parts[3])
-    seed = int(parts[4]) if len(parts) == 5 else fallback_seed
+    seed = int(parts[4]) if len(parts) == 5 else 0
     return gen_synthetic(d, n, density, noise, seed)
 
 
 def run_experiment(args) -> int:
     if args.synthetic is not None:
-        dataset = _parse_synthetic(args.synthetic, args.seed)
+        dataset = _parse_synthetic(args.synthetic)
         if args.loss == "logistic":  # the generator's labels are real-valued
             dataset = replace(dataset, y=np.where(dataset.y > 0, 1.0, -1.0))
     else:
@@ -96,7 +95,10 @@ def run_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.dim is not None and args.synthetic is not None:
+        parser.error("--dim applies only to --data")
     try:
         return run_experiment(args)
     except Exception as exc:  # surface a clean message, nonzero exit

@@ -19,6 +19,10 @@ them costs:
   ||r||^2 and v'Hv), and a final concatenating reduce assembles the
   direction on the master.
 
+A broadcast or reduce_all returns the one read-only array that every node
+then holds, so no layout keeps per-node replicas; PCG never writes into an
+array it did not just allocate.
+
 Both layouts use the same preconditioner: a feature-block-diagonal curvature
 matrix estimated from the first tau samples,
 
@@ -72,9 +76,6 @@ __all__ = [
     "BlockPreconditioner",
     "build_preconditioner",
     "build_preconditioner_features",
-    "feature_margins",
-    "hessian_vec_samples",
-    "hessian_vec_features",
     "pcg_samples",
     "pcg_features",
     "damped_update",
@@ -104,6 +105,10 @@ class SolverConfig:
     partition_mode: PartitionMode = PartitionMode.SAMPLES
 
     def validate(self):
+        for name in ("lam", "mu", "theta", "outer_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.mu < 0:
@@ -324,7 +329,7 @@ def build_preconditioner_features(
     w_margins: np.ndarray | None,
 ) -> BlockPreconditioner:
     """Feature-layout build: node i factors its own block from the first tau
-    columns of its feature slice. ``w_margins`` are the replicated
+    columns of its feature slice. ``w_margins`` are the shared
     sample margins of the current iterate (any value for the square loss)."""
     tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.shards))[0])
     margins_tau = None if w_margins is None else np.asarray(w_margins, dtype=np.float64)[:tau]
@@ -340,18 +345,14 @@ def build_preconditioner_features(
 
 class _Layout:
     """A vector is a list of blocks, block i of length ``sizes[i]``.
-    Subclasses set ``sizes``, ``node_labels`` (the labels node i holds) and
-    ``tau_available`` (the samples the preconditioner can draw from)."""
+    Subclasses set ``sizes`` and ``tau_available`` (the samples the
+    preconditioner can draw from)."""
 
     def __init__(self, cluster: Cluster, part, obj: Objective):
         self.cluster, self.part, self.obj = cluster, part, obj
 
     def zeros(self) -> list:
         return self.map(lambda i: np.zeros(self.sizes[i]))
-
-    def curvature(self, margins: list) -> list:
-        """Per-node Hessian coefficients from per-node margins; local work."""
-        return self.cluster.map_nodes(lambda i: hess_coeffs(self.obj, margins[i], self.node_labels[i]))
 
 
 class _SampleLayout(_Layout):
@@ -360,7 +361,6 @@ class _SampleLayout(_Layout):
     def __init__(self, cluster: Cluster, part: SamplePartition, obj: Objective):
         super().__init__(cluster, part, obj)
         self.sizes = (part.d,)
-        self.node_labels = part.labels
         self.tau_available = part.sizes[0]
 
     def map(self, fn) -> list:
@@ -375,31 +375,34 @@ class _SampleLayout(_Layout):
         broadcast)."""
         return self.cluster.map_nodes(lambda j: spmv_transpose(self.part.shards[j], w[0]))
 
+    def curvature(self, margins: list) -> list:
+        """Per-node Hessian coefficients from per-node margins; local work."""
+        part = self.part
+        return self.cluster.map_nodes(lambda j: hess_coeffs(self.obj, margins[j], part.labels[j]))
+
     def gradient(self, w: list, margins: list | None = None) -> tuple:
         """Broadcast w, reduce-all the per-node data terms, add lam*w.
         Returns the gradient and the per-node margins."""
         cluster, part, obj = self.cluster, self.part, self.obj
-        w_reps = cluster.broadcast(w[0])
+        w_all = cluster.broadcast(w[0])
 
         def local_term(j):
-            margins_j = spmv_transpose(part.shards[j], w_reps[j]) if margins is None else margins[j]
+            margins_j = spmv_transpose(part.shards[j], w_all) if margins is None else margins[j]
             return margins_j, spmv(part.shards[j], grad_coeffs(obj, margins_j, part.labels[j])) / obj.n
 
         node_margins, parts = zip(*cluster.map_nodes(local_term))
-        reps = cluster.reduce_all(list(parts))
-        return [reps[cluster.master] + obj.lam * w_reps[cluster.master]], list(node_margins)
+        return [cluster.reduce_all(list(parts)) + obj.lam * w_all], list(node_margins)
 
     def hess_vec(self, u: list, h: list) -> list:
         """One metered Hu: broadcast u, reduce-all the data terms, add lam*u."""
         cluster, part, obj = self.cluster, self.part, self.obj
-        u_reps = cluster.broadcast(u[0])
+        u_all = cluster.broadcast(u[0])
 
         def local_term(j):
-            z = spmv_transpose(part.shards[j], u_reps[j])
+            z = spmv_transpose(part.shards[j], u_all)
             return spmv(part.shards[j], h[j] * z) / obj.n
 
-        reps = cluster.reduce_all(cluster.map_nodes(local_term))
-        return [reps[cluster.master] + obj.lam * u_reps[cluster.master]]
+        return [cluster.reduce_all(cluster.map_nodes(local_term)) + obj.lam * u_all]
 
     def precondition(self, precond: BlockPreconditioner, r: list) -> list:
         return [precond.apply(r[0])]
@@ -422,12 +425,13 @@ class _SampleLayout(_Layout):
 
 
 class _FeatureLayout(_Layout):
-    """Feature partition: each vector is one coordinate block per node."""
+    """Feature partition: each vector is one coordinate block per node. The
+    sample margins X'w and the coefficients derived from them are one
+    length-n array that every node holds."""
 
     def __init__(self, cluster: Cluster, part: FeaturePartition, obj: Objective):
         super().__init__(cluster, part, obj)
         self.sizes = part.sizes
-        self.node_labels = (part.y,) * cluster.m
         self.tau_available = part.n
 
     def map(self, fn) -> list:
@@ -442,30 +446,34 @@ class _FeatureLayout(_Layout):
         if not metered:
             return [sum(float(np.dot(a[i], b[i])) for i in range(m)) for a, b in pairs]
         local = self.cluster.map_nodes(lambda i: np.array([float(np.dot(a[i], b[i])) for a, b in pairs]))
-        return [float(x) for x in self.cluster.reduce_all(local)[0]]
+        return [float(x) for x in self.cluster.reduce_all(local)]
 
-    def margins_of(self, w: list) -> list:
-        return feature_margins(self.cluster, self.part, w)
+    def margins_of(self, w: list) -> np.ndarray:
+        """Sample margins X'w summed from the per-node partial products: one
+        length-n reduce_all."""
+        part = self.part
+        return self.cluster.reduce_all(self.cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], w[i])))
 
-    def gradient(self, w: list, margins: list | None = None) -> tuple:
-        """Per-node gradient blocks from replicated margins; the margins cost
+    def curvature(self, margins: np.ndarray | None) -> np.ndarray:
+        """Hessian coefficients of the shared margins (any value, or None, for
+        the square loss); local work."""
+        return hess_coeffs(self.obj, margins, self.part.y)
+
+    def gradient(self, w: list, margins: np.ndarray | None = None) -> tuple:
+        """Per-node gradient blocks from the shared margins; the margins cost
         one length-n reduce_all unless given. Returns blocks and margins."""
         part, obj = self.part, self.obj
         if margins is None:
             margins = self.margins_of(w)
+        coeffs = grad_coeffs(obj, margins, part.y)
+        return self.cluster.map_nodes(lambda i: spmv(part.shards[i], coeffs) / obj.n + obj.lam * w[i]), margins
 
-        def local_block(i):
-            coeffs = grad_coeffs(obj, margins[i], part.y)
-            return spmv(part.shards[i], coeffs) / obj.n + obj.lam * w[i]
-
-        return self.cluster.map_nodes(local_block), margins
-
-    def hess_vec(self, u: list, h: list) -> list:
+    def hess_vec(self, u: list, h: np.ndarray) -> list:
         """One metered Hu: a single length-n reduce_all of the partial
         products X_i'u_i, then local block work."""
         cluster, part, obj = self.cluster, self.part, self.obj
-        z_reps = cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], u[i])))
-        return cluster.map_nodes(lambda i: spmv(part.shards[i], h[i] * z_reps[i]) / obj.n + obj.lam * u[i])
+        hz = h * cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], u[i])))
+        return cluster.map_nodes(lambda i: spmv(part.shards[i], hz) / obj.n + obj.lam * u[i])
 
     def precondition(self, precond: BlockPreconditioner, r: list) -> list:
         return self.cluster.map_nodes(lambda i: precond.apply_block(i, r[i]))
@@ -473,64 +481,14 @@ class _FeatureLayout(_Layout):
     def assemble(self, v: list) -> np.ndarray:
         return self.cluster.reduce_concat(v)
 
-    def preconditioner(self, config: SolverConfig, w: list, margins: list) -> BlockPreconditioner:
-        return build_preconditioner_features(self.obj, config, self.part, margins[0])
+    def preconditioner(self, config: SolverConfig, w: list, margins: np.ndarray) -> BlockPreconditioner:
+        return build_preconditioner_features(self.obj, config, self.part, margins)
 
     def newton_step(self, w, eps_k, config, grad, margins, precond) -> NewtonStepResult:
         return pcg_features(
             self.cluster, self.part, self.obj, w, eps_k, config,
             grad_blocks=grad, margins=margins, precond=precond,
         )
-
-
-def _replicas(margins, m: int) -> list:
-    """Per-node margin replicas from one array, a replica list, or None."""
-    if margins is None or isinstance(margins, np.ndarray):
-        return [margins] * m
-    return list(margins)
-
-
-# ---------------------------------------------------------------------------
-# Distributed Hessian-vector products (standalone entry points)
-# ---------------------------------------------------------------------------
-
-
-def hessian_vec_samples(
-    cluster: Cluster,
-    spart: SamplePartition,
-    obj: Objective,
-    w: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Hessian-vector product over the sample partition (2 rounds: one
-    broadcast of u, one reduce_all of the partial products)."""
-    layout = _SampleLayout(cluster, spart, obj)
-    h = layout.curvature(layout.margins_of([np.asarray(w, dtype=np.float64)]))
-    return layout.hess_vec([np.asarray(u, dtype=np.float64)], h)[0]
-
-
-def feature_margins(cluster: Cluster, fpart: FeaturePartition, w_blocks: list) -> list:
-    """Sample margins X'w assembled from per-node feature blocks: one
-    length-n reduce_all. Returns the per-node replicas."""
-    parts = cluster.map_nodes(lambda i: spmv_transpose(fpart.shards[i], w_blocks[i]))
-    return cluster.reduce_all(parts)
-
-
-def hessian_vec_features(
-    cluster: Cluster,
-    fpart: FeaturePartition,
-    obj: Objective,
-    u_blocks: list,
-    w_margins: list | np.ndarray | None = None,
-) -> list:
-    """Hessian-vector product over the feature partition (1 length-n round).
-
-    ``w_margins`` are the replicated margins of the current iterate (one
-    array, or the per-node replica list from :func:`feature_margins`); they
-    are only consulted for the logistic loss.
-    """
-    layout = _FeatureLayout(cluster, fpart, obj)
-    return layout.hess_vec(u_blocks, layout.curvature(_replicas(w_margins, cluster.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +524,7 @@ def _pcg(
     h = layout.curvature(margins)
     max_inner = config.resolved_max_inner(layout.part.d)
 
-    r = layout.map(lambda i: grad[i].copy())
+    r = grad
     # Driver-side control scalar; the metered path learns ||r|| from the
     # first beta batch below.
     resnorm = math.sqrt(layout.dots((r, r), metered=False)[0])
@@ -574,7 +532,7 @@ def _pcg(
         zero = layout.zeros()
         return NewtonStepResult(np.concatenate(zero), 0.0, 0, resnorm, True, direction_blocks=zero)
     s = layout.precondition(precond, r)
-    u = layout.map(lambda i: s[i].copy())
+    u = s
     v = layout.zeros()
     Hv = layout.zeros()
     history: list = []
@@ -656,7 +614,7 @@ def pcg_features(
     config: SolverConfig,
     *,
     grad_blocks: list | None = None,
-    margins: list | np.ndarray | None = None,
+    margins: np.ndarray | None = None,
     precond: BlockPreconditioner | None = None,
     record_history: bool = False,
 ) -> NewtonStepResult:
@@ -671,9 +629,9 @@ def pcg_features(
 
     When ``grad_blocks``/``margins`` are omitted, the margin exchange (one
     length-n reduce_all) runs here and the gradient blocks are formed
-    locally; the outer loop normally passes both in.
+    locally; the outer loop normally passes both in. ``margins`` is the one
+    length-n array X'w that every node holds.
     """
-    margins = None if margins is None else _replicas(margins, cluster.m)
     layout = _FeatureLayout(cluster, fpart, obj)
     return _pcg(layout, w_blocks, eps_k, config, grad_blocks, margins, precond, record_history)
 

@@ -80,6 +80,12 @@ class TestRuns:
             inner[mode] = int(capsys.readouterr().out.split("total inner iterations: ")[1].split("\n")[0])
         assert inner["samples"] == inner["features"]
 
+    def test_synthetic_seed_defaults_to_zero(self, capsys):
+        assert run_cli("--synthetic", "10,40,0.5,0.1", "--nodes", "2") == 0
+        omitted = capsys.readouterr().out
+        assert run_cli("--synthetic", "10,40,0.5,0.1,0", "--nodes", "2") == 0
+        assert capsys.readouterr().out == omitted
+
     def test_libsvm_input(self, tmp_path, capsys):
         ds, _ = make_dense_instance(d=6, n=20, seed=170)
         data = tmp_path / "data.txt"
@@ -109,6 +115,24 @@ class TestErrors:
             run_cli("--synthetic", "10,20,0.5,0.1", "--scheduler", "parallel")
         assert exc.value.code == 2
 
+    def test_seed_flag_is_unknown(self):
+        # the seed is the optional fifth field of --synthetic
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--synthetic", "10,20,0.5,0.1,1", "--seed", "9")
+        assert exc.value.code == 2
+
+    def test_dim_with_synthetic_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--synthetic", "10,20,0.5,0.1,1", "--dim", "12")
+        assert exc.value.code == 2
+        assert "--dim" in capsys.readouterr().err
+
+    def test_infinite_tolerance_rejected(self, capsys):
+        # before, every gradient norm passed the test and the run "converged"
+        # after 0 iterations
+        assert run_cli("--synthetic", "20,50,0.3,0.1,1", "--nodes", "2", "--tol", "inf") == 1
+        assert "outer_tol must be finite" in capsys.readouterr().err
+
     def test_bad_synthetic_spec(self, capsys):
         assert run_cli("--synthetic", "10,20") == 1
         assert "error" in capsys.readouterr().err
@@ -121,3 +145,4 @@ class TestErrors:
         # more nodes than samples
         assert run_cli("--synthetic", "10,3,0.5,0.0,1", "--nodes", "4") == 1
         assert "error" in capsys.readouterr().err
+

@@ -1,14 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from disco.comm import Cluster
+from disco.comm import Cluster, CommStats
+
+
+def assert_read_only(value):
+    assert isinstance(value, np.ndarray) and not value.flags.writeable
+    with pytest.raises(ValueError):
+        value[0] = 99.0
 
 
 class TestBroadcast:
     def test_single_node_still_metered(self):
         cl = Cluster(1)
-        reps = cl.broadcast(np.array([1.0, 2.0]))
-        assert len(reps) == 1 and np.array_equal(reps[0], [1.0, 2.0])
+        got = cl.broadcast(np.array([1.0, 2.0]))
+        assert np.array_equal(got, [1.0, 2.0])
         assert cl.snapshot_stats().broadcast_rounds == 1
 
     def test_bytes_are_8_per_element(self):
@@ -22,24 +30,34 @@ class TestBroadcast:
         cl.broadcast(np.zeros(5))
         assert cl.snapshot_stats().broadcast_rounds == 2
 
-    def test_replicas_are_copies(self):
+    def test_result_is_a_read_only_copy(self):
         cl = Cluster(2)
-        src = np.array([1.0])
-        reps = cl.broadcast(src)
-        reps[0][0] = 99.0
-        assert src[0] == 1.0 and reps[1][0] == 1.0
+        src = np.array([1.0, 2.0])
+        got = cl.broadcast(src)
+        assert np.array_equal(got, src)
+        assert_read_only(got)
+        src[0] = -5.0  # a later write to the source does not reach the nodes
+        assert np.array_equal(got, [1.0, 2.0])
 
 
 class TestReduceAll:
     def test_scalar_sum(self):
         cl = Cluster(3)
-        reps = cl.reduce_all([np.array([1.0]), np.array([2.0]), np.array([3.0])])
-        assert all(r[0] == 6.0 for r in reps)
+        got = cl.reduce_all([np.array([1.0]), np.array([2.0]), np.array([3.0])])
+        assert np.array_equal(got, [6.0])
 
     def test_disjoint_support(self):
         cl = Cluster(2)
-        reps = cl.reduce_all([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        assert np.array_equal(reps[0], [1.0, 1.0]) and np.array_equal(reps[1], [1.0, 1.0])
+        got = cl.reduce_all([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        assert np.array_equal(got, [1.0, 1.0])
+
+    def test_result_is_a_read_only_sum(self):
+        contributions = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
+        got = Cluster(2).reduce_all(contributions)
+        assert np.array_equal(got, [4.0, 6.0])
+        assert_read_only(got)
+        contributions[0][0] = -5.0  # not even node 0's contribution aliases the sum
+        assert np.array_equal(got, [4.0, 6.0])
 
     def test_length_n_vector_bytes(self):
         n = 17
@@ -48,19 +66,12 @@ class TestReduceAll:
         stats = cl.snapshot_stats()
         assert stats.reduceall_bytes == 8 * n and stats.reduceall_rounds == 1
 
-    def test_replicas_bit_identical(self):
-        rng = np.random.default_rng(0)
-        cl = Cluster(5)
-        reps = cl.reduce_all([rng.standard_normal(64) for _ in range(5)])
-        for r in reps[1:]:
-            assert np.array_equal(r, reps[0])
-
     def test_sum_is_ascending_node_order(self):
         # left-to-right float accumulation, not pairwise
         contributions = [np.array([1e16]), np.array([1.0]), np.array([-1e16])]
-        reps = Cluster(3).reduce_all(contributions)
+        got = Cluster(3).reduce_all(contributions)
         expected = (1e16 + 1.0) + -1e16  # == 0.0 in float64
-        assert reps[0][0] == expected
+        assert got[0] == expected
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -98,8 +109,12 @@ class TestStats:
         cl = Cluster(2)
         snap = cl.snapshot_stats()
         cl.broadcast(np.zeros(3))
-        assert snap.broadcast_rounds == 0
-        assert cl.snapshot_stats().broadcast_rounds == 1
+        cl.reduce_all([np.zeros(2), np.zeros(2)])
+        cl.reduce_concat([np.zeros(1), np.zeros(4)])
+        later = cl.snapshot_stats()
+        for field in dataclasses.fields(CommStats):
+            assert getattr(snap, field.name) == 0, field.name
+            assert getattr(later, field.name) > 0, field.name
 
     def test_counters_monotone(self):
         cl = Cluster(2)
@@ -113,9 +128,8 @@ class TestStats:
 
 
 def test_cluster_takes_only_m():
-    """The master is node 0 and compute phases run in node order; neither is
+    """Compute phases run in node order and node 0 is the master; neither is
     configurable."""
-    assert Cluster(3).master == 0
     assert Cluster(3).map_nodes(lambda i: i) == [0, 1, 2]
     with pytest.raises(TypeError):
         Cluster(2, master=1)

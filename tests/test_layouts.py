@@ -1,6 +1,7 @@
 """Properties of the two data layouts over random small instances, and the
 module-global lookups that let an outside tracer see the solver's layers."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -143,12 +144,14 @@ def test_comm_stats_match_cost_model(data, d, n, loss, mode):
 )
 def test_damped_newton_converges_monotonically(data, d, n, loss, mode):
     """Under the default ``max_outer`` every run converges, and the damped step
-    never raises the objective by more than roundoff."""
+    never raises the objective by more than roundoff, for inner tolerances
+    from near-exact to loose."""
     ds = random_instance(data, d, n, loss)
     m = draw_m(data, n if mode is PartitionMode.SAMPLES else d)
     lam = data.draw(st.floats(0.1, 1.0), label="lam")
     tau, mu = draw_tau_mu(data, d, n, m, mode)
-    cfg = SolverConfig(lam=lam, mu=mu, tau=tau, loss=loss, partition_mode=mode)
+    theta = 10.0 ** data.draw(st.floats(-8.0, math.log10(0.5)), label="log10 theta")
+    cfg = SolverConfig(lam=lam, mu=mu, tau=tau, loss=loss, theta=theta, partition_mode=mode)
     result = disco_outer(Cluster(m), ds, cfg, record_iterates=True)
 
     assert result.converged

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,13 +28,11 @@ from disco.solver import (
     BlockPreconditioner,
     _FeatureLayout,
     _LowRankBlock,
+    _SampleLayout,
     _factor_curvature_block,
     build_preconditioner,
     build_preconditioner_features,
     damped_update,
-    feature_margins,
-    hessian_vec_features,
-    hessian_vec_samples,
 )
 
 from conftest import make_dense_instance
@@ -178,7 +177,8 @@ class TestHessianVecSamples:
         spart = partition_by_samples(ds.X, ds.y, 1)
         rng = np.random.default_rng(91)
         w, u = rng.standard_normal(8), rng.standard_normal(8)
-        got = hessian_vec_samples(Cluster(1), spart, obj, w, u)
+        layout = _SampleLayout(Cluster(1), spart, obj)
+        got = layout.hess_vec([u], layout.curvature(layout.margins_of([w])))[0]
         assert np.array_equal(got, hess_vec_dense(obj, ds.X, ds.y, w, u))
 
     @pytest.mark.parametrize("loss,labels", [(LossKind.SQUARE, "regression"), (LossKind.LOGISTIC, "sign")])
@@ -187,7 +187,8 @@ class TestHessianVecSamples:
         spart = partition_by_samples(ds.X, ds.y, 3)
         rng = np.random.default_rng(93)
         w, u = rng.standard_normal(8), rng.standard_normal(8)
-        got = hessian_vec_samples(Cluster(3), spart, obj, w, u)
+        layout = _SampleLayout(Cluster(3), spart, obj)
+        got = layout.hess_vec([u], layout.curvature(layout.margins_of([w])))[0]
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
@@ -195,7 +196,8 @@ class TestHessianVecSamples:
         ds, obj = make_dense_instance(d=6, n=9, seed=94)
         spart = partition_by_samples(ds.X, ds.y, 3)
         cl = Cluster(3)
-        got = hessian_vec_samples(cl, spart, obj, np.zeros(6), np.zeros(6))
+        layout = _SampleLayout(cl, spart, obj)
+        got = layout.hess_vec([np.zeros(6)], layout.curvature(layout.margins_of([np.zeros(6)])))[0]
         assert np.array_equal(got, np.zeros(6))
         stats = cl.snapshot_stats()
         assert stats.broadcast_rounds == 1 and stats.reduceall_rounds == 1
@@ -208,7 +210,8 @@ class TestHessianVecFeatures:
         fpart = partition_by_features(ds.X, ds.y, 1)
         rng = np.random.default_rng(96)
         u = rng.standard_normal(7)
-        got = hessian_vec_features(Cluster(1), fpart, obj, [u])
+        layout = _FeatureLayout(Cluster(1), fpart, obj)
+        got = layout.hess_vec([u], layout.curvature(None))
         assert np.array_equal(got[0], hess_vec_dense(obj, ds.X, ds.y, np.zeros(7), u))
 
     @pytest.mark.parametrize("loss,labels", [(LossKind.SQUARE, "regression"), (LossKind.LOGISTIC, "sign")])
@@ -221,8 +224,8 @@ class TestHessianVecFeatures:
         w, u = rng.standard_normal(20), rng.standard_normal(20)
         w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
         u_blocks = [u[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-        margins = feature_margins(cl, fpart, w_blocks)
-        got = np.concatenate(hessian_vec_features(cl, fpart, obj, u_blocks, margins))
+        layout = _FeatureLayout(cl, fpart, obj)
+        got = np.concatenate(layout.hess_vec(u_blocks, layout.curvature(layout.margins_of(w_blocks))))
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
@@ -231,7 +234,8 @@ class TestHessianVecFeatures:
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
         u_blocks = [np.zeros(s) for s in fpart.sizes]
-        hessian_vec_features(cl, fpart, obj, u_blocks)
+        layout = _FeatureLayout(cl, fpart, obj)
+        layout.hess_vec(u_blocks, layout.curvature(None))
         stats = cl.snapshot_stats()
         assert stats.reduceall_rounds == 1 and stats.reduceall_bytes == 8 * 13
         assert stats.broadcast_rounds == 0
@@ -243,7 +247,8 @@ class TestHessianVecFeatures:
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
         u_blocks = [np.ones(fpart.sizes[0]), np.zeros(fpart.sizes[1])]
-        got = hessian_vec_features(cl, fpart, obj, u_blocks)
+        layout = _FeatureLayout(cl, fpart, obj)
+        got = layout.hess_vec(u_blocks, layout.curvature(None))
         assert np.linalg.norm(got[1]) > 0  # data coupling, lam * 0 = 0
 
 
@@ -378,7 +383,7 @@ class TestPcgFeatures:
         cl = Cluster(m)
         w_blocks = [np.zeros(s) for s in fpart.sizes]
         grad_blocks, margins = _FeatureLayout(cl, fpart, obj).gradient(w_blocks)
-        precond = build_preconditioner_features(obj, cfg, fpart, margins[0])
+        precond = build_preconditioner_features(obj, cfg, fpart, margins)
         cl.reset_stats()
         step = pcg_features(
             cl, fpart, obj, w_blocks, eps_k=1e-10, config=cfg,
@@ -401,7 +406,7 @@ class TestPcgFeatures:
         cl = Cluster(2)
         w_blocks = [np.zeros(s) for s in fpart.sizes]
         grad_blocks, margins = _FeatureLayout(cl, fpart, obj).gradient(w_blocks)
-        precond = build_preconditioner_features(obj, cfg, fpart, margins[0])
+        precond = build_preconditioner_features(obj, cfg, fpart, margins)
         cl.reset_stats()
         pcg_features(cl, fpart, obj, w_blocks, eps_k=1e-14, config=cfg,
                      grad_blocks=grad_blocks, margins=margins, precond=precond)
@@ -614,3 +619,10 @@ class TestDiscoOuter:
             SolverConfig(lam=1.0, theta=0.0).validate()
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, tau=0).validate()
+
+    @pytest.mark.parametrize("field", ["lam", "mu", "theta", "outer_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        # every comparison with NaN is false, so a sign check alone lets it by
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(SolverConfig(lam=1.0), **{field: value}).validate()
