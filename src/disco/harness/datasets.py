@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,9 +48,12 @@ def read_libsvm(path, dim: int | None = None) -> Dataset:
             if not tokens:
                 continue
             try:
-                labels.append(float(tokens[0]))
+                label = float(tokens[0])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad label {tokens[0]!r}") from None
+            if not math.isfinite(label):
+                raise ValueError(f"{path}:{lineno}: non-finite label {tokens[0]!r}")
+            labels.append(label)
             col = len(labels) - 1
             prev = 0
             for tok in tokens[1:]:
@@ -61,6 +65,8 @@ def read_libsvm(path, dim: int | None = None) -> Dataset:
                     val = float(val_str)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad feature entry {tok!r}") from None
+                if not math.isfinite(val):
+                    raise ValueError(f"{path}:{lineno}: non-finite feature entry {tok!r}")
                 if idx <= prev:
                     raise ValueError(
                         f"{path}:{lineno}: indices must be 1-based strictly increasing, got {idx} after {prev}"

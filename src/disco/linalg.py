@@ -5,12 +5,13 @@ reference computations and the per-node work inside the simulated cluster, so
 that a one-node run reproduces the unpartitioned computation bit for bit.
 Matrix-vector products go through scipy's CSR/CSC kernels, which accumulate
 in storage order (ascending index) and are therefore deterministic from run
-to run.
+to run. Each block builds its transposed view (a CSC matrix over the same
+arrays, no copy) once, so a transposed product pays no per-call setup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -36,9 +37,11 @@ def as_vec(values) -> np.ndarray:
 @dataclass(frozen=True)
 class SparseBlock:
     """A CSR block of the feature-by-sample data matrix: rows index features,
-    columns index samples."""
+    columns index samples. ``matrix_t`` is ``matrix.T``, built once: a CSC
+    view that shares the CSR arrays."""
 
     matrix: sparse.csr_array
+    matrix_t: sparse.csc_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -53,6 +56,7 @@ class SparseBlock:
         if not np.all(np.isfinite(m.data)):
             raise ValueError("sparse block contains non-finite values")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix_t", m.T)
 
     @property
     def rows(self) -> int:
@@ -105,4 +109,4 @@ def spmv_transpose(block: SparseBlock, x: np.ndarray) -> np.ndarray:
             f"spmv_transpose dimension mismatch: block is {block.rows}x{block.cols}, "
             f"vector has length {x.shape[0] if x.ndim == 1 else x.shape}"
         )
-    return block.matrix.T @ x
+    return block.matrix_t @ x

@@ -16,8 +16,8 @@ them costs:
   Hessian product costs one length-n reduce_all (the sample-space product
   X'u), the dot products ride two scalar reduce_alls per inner iteration
   (the first also carries the initial <r, s>; the second carries r's,
-  ||r||^2 and v'Hv), and a final concatenating reduce assembles the
-  direction on the master.
+  ||r||^2 and v'Hv), and a step that ran any inner iteration ends with a
+  concatenating reduce that assembles the direction on the master.
 
 A broadcast or reduce_all returns the one read-only array that every node
 then holds, so no layout keeps per-node replicas; PCG never writes into an
@@ -53,7 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .comm import Cluster
 from .linalg import SparseBlock, spmv, spmv_transpose
@@ -198,13 +199,30 @@ class DiscoResult:
 # ---------------------------------------------------------------------------
 
 
+# The LAPACK routine behind scipy's cho_solve, looked up once. Calling it
+# directly skips the wrapper's per-call lookup and argument checks; the
+# finiteness checks in _pcg cover what check_finite would have scanned.
+_potrs = get_lapack_funcs("potrs", dtype=np.float64)
+
+
+def _cho_solve(cho: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b given ``cho = cho_factor(A)``; b is left untouched."""
+    if b.shape[0] == 0:  # an empty block (m > d in the sample layout); f2py rejects it
+        return np.empty_like(b)
+    c, lower = cho
+    x, info = _potrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of internal potrs")
+    return x
+
+
 class _DenseBlock(NamedTuple):
     """Cholesky factor of the d_b x d_b block P_b."""
 
     cho: tuple
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        return cho_solve(self.cho, r, check_finite=False)
+        return _cho_solve(self.cho, r)
 
 
 class _LowRankBlock(NamedTuple):
@@ -222,7 +240,7 @@ class _LowRankBlock(NamedTuple):
     mu: float
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        z = cho_solve(self.cho, self.ut @ r, check_finite=False)
+        z = _cho_solve(self.cho, self.ut @ r)
         return (r - self.u @ z) / self.mu
 
 
@@ -625,7 +643,10 @@ def pcg_features(
     only iteration where it is not already known from the previous beta
     round), and one scalar reduce_all carrying (r's, ||r||^2, v'Hv) -- the
     beta numerator, the stopping test and the damping certificate ride one
-    round. A final concatenating reduce assembles the direction on master.
+    round. A step that runs at least one inner iteration ends with a
+    concatenating reduce that assembles the direction on the master; when the
+    gradient already meets ``eps_k`` (theta >= 1 in the outer loop) the step
+    returns the zero direction after 0 iterations and sends nothing.
 
     When ``grad_blocks``/``margins`` are omitted, the margin exchange (one
     length-n reduce_all) runs here and the gradient blocks are formed

@@ -146,3 +146,9 @@ class TestErrors:
         assert run_cli("--synthetic", "10,3,0.5,0.0,1", "--nodes", "4") == 1
         assert "error" in capsys.readouterr().err
 
+
+    def test_non_finite_data_names_path_and_line(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text("1 1:0.5\n-1 2:nan\n")
+        assert run_cli("--data", str(data)) == 1
+        assert f"{data}:2: non-finite" in capsys.readouterr().err

@@ -63,6 +63,18 @@ class TestReadLibsvm:
         with pytest.raises(ValueError, match=":1"):
             read_libsvm(p)
 
+    @pytest.mark.parametrize(
+        "text, what",
+        [("1 1:0.5\n1 2:nan\n", "feature entry '2:nan'"),
+         ("1 1:0.5\n1 2:1e400\n", "feature entry '2:1e400'"),
+         ("1 1:0.5\ninf 2:1\n", "label 'inf'")],
+    )
+    def test_non_finite_value_names_path_and_line(self, tmp_path, text, what):
+        p = tmp_path / "nf.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"nf.txt:2: non-finite {what}"):
+            read_libsvm(p)
+
     def test_indices_must_increase(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("1 2:1.0 2:2.0\n")

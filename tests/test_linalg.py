@@ -92,6 +92,52 @@ def test_adjoint_identity(d, n, seed):
     assert abs(left - right) <= 1e-10 * max(1.0, abs(left), abs(right))
 
 
+def test_spmv_transpose_builds_no_view_per_call(monkeypatch):
+    """The transposed view is built with the block, not on each product."""
+    block = random_sparse(5, 7, nnz=12, seed=8)
+    x = np.random.default_rng(9).standard_normal(5)
+    expected = block.toarray().T @ x
+
+    def no_transpose(*args, **kwargs):
+        raise AssertionError("spmv_transpose built a transposed view")
+
+    monkeypatch.setattr(type(block.matrix), "transpose", no_transpose)
+    assert np.linalg.norm(spmv_transpose(block, x) - expected) < 1e-12
+
+
+@st.composite
+def blocks(draw):
+    """A block from each constructor, with empty rows and columns likely."""
+    d = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 10))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=d * n, max_size=d * n))).reshape(d, n)
+    values = np.random.default_rng(draw(st.integers(0, 10_000))).standard_normal((d, n))
+    dense = np.where(mask, values, 0.0)
+    how = draw(st.sampled_from(["from_dense", "from_coo", "row_slice", "column_slice"]))
+    if how == "from_dense":
+        return SparseBlock.from_dense(dense)
+    if how == "from_coo":
+        rows, cols = np.nonzero(dense)
+        return SparseBlock.from_coo(rows, cols, dense[rows, cols], shape=(d, n))
+    whole = SparseBlock.from_dense(dense)
+    size = d if how == "row_slice" else n
+    start = draw(st.integers(0, size - 1))
+    stop = draw(st.integers(start + 1, size))
+    return getattr(whole, how)(start, stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=blocks(), seed=st.integers(0, 10_000))
+def test_cached_transpose_view_is_exact_and_shares_storage(block, seed):
+    x = np.random.default_rng(seed).standard_normal(block.rows)
+    assert np.array_equal(spmv_transpose(block, x), block.matrix.T @ x)
+    view = block.matrix_t
+    assert view.shape == (block.cols, block.rows)
+    if block.nnz:  # zero-size arrays share no memory
+        assert np.shares_memory(view.data, block.matrix.data)
+        assert np.shares_memory(view.indices, block.matrix.indices)
+
+
 class TestSparseBlock:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from disco import (
     Cluster,
@@ -26,6 +27,7 @@ from disco.harness import DenseNewtonOracle, ridge_closed_form
 from disco.partition import balanced_sizes
 from disco.solver import (
     BlockPreconditioner,
+    _DenseBlock,
     _FeatureLayout,
     _LowRankBlock,
     _SampleLayout,
@@ -169,6 +171,53 @@ def test_low_rank_apply_matches_dense_solve(data, d_b, mu):
     r = rng.standard_normal(d_b)
     expected = np.linalg.solve((Xd * h) @ Xd.T / tau + mu * np.eye(d_b), r)
     assert np.linalg.norm(P.apply(r) - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def sparse_curvature_block(d_b, tau, seed, mu=0.05):
+    """A factored block from a random 30%-dense d_b x tau slice, plus the rng."""
+    rng = np.random.default_rng(seed)
+    Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < 0.3)
+    h = rng.uniform(0.0, 2.0, tau)
+    return _factor_curvature_block(0, SparseBlock.from_dense(Xd).matrix, h, mu), rng
+
+
+@pytest.mark.parametrize("d_b, tau", [(1, 1), (5, 8), (63, 63), (125, 200)])
+def test_dense_block_solve_matches_cho_solve_bitwise(d_b, tau):
+    block, rng = sparse_curvature_block(d_b, tau, seed=d_b)
+    assert isinstance(block, _DenseBlock)
+    r = rng.standard_normal(d_b)
+    r_before = r.copy()
+    assert np.array_equal(block.solve(r), cho_solve(block.cho, r, check_finite=False))
+    assert np.array_equal(r, r_before)
+
+
+@pytest.mark.parametrize("d_b, tau", [(2, 1), (40, 5), (200, 63), (1000, 125)])
+def test_low_rank_block_solve_matches_woodbury_bitwise(d_b, tau):
+    block, rng = sparse_curvature_block(d_b, tau, seed=d_b)
+    assert isinstance(block, _LowRankBlock)
+    r = rng.standard_normal(d_b)
+    r_before = r.copy()
+    z = cho_solve(block.cho, block.ut @ r, check_finite=False)
+    assert np.array_equal(block.solve(r), (r - block.u @ z) / block.mu)
+    assert np.array_equal(r, r_before)
+
+
+def test_block_solve_raises_on_potrs_error(monkeypatch):
+    monkeypatch.setattr("disco.solver._potrs", lambda c, b, lower: (b.copy(), -1))
+    for d_b, tau in ((5, 8), (40, 5)):  # dense, low-rank
+        block, rng = sparse_curvature_block(d_b, tau, seed=d_b)
+        with pytest.raises(ValueError, match="argument 1 of internal potrs"):
+            block.solve(rng.standard_normal(d_b))
+
+
+def test_empty_preconditioner_block_solves():
+    # the sample layout splits d < m features into some empty blocks
+    ds, obj = make_dense_instance(d=2, n=6, seed=85)
+    spart = partition_by_samples(ds.X, ds.y, 1)
+    P = build_preconditioner(obj, ridge_config(mu=0.1, tau=4), spart.shards[0], spart.labels[0], None, [2, 0])
+    r = np.random.default_rng(86).standard_normal(2)
+    assert P.apply_block(1, np.empty(0)).shape == (0,)
+    assert np.array_equal(P.apply(r), P.apply_block(0, r))
 
 
 class TestHessianVecSamples:
