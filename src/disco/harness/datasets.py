@@ -117,13 +117,13 @@ def gen_synthetic(d: int, n: int, density: float, noise: float, seed: int) -> Da
         raise ValueError(f"noise must be non-negative, got {noise}")
     rng = np.random.default_rng(seed)
     per_col = max(1, round(density * d))
-    rows = np.empty(per_col * n, dtype=np.int64)
-    cols = np.empty(per_col * n, dtype=np.int64)
+    rows = np.empty((n, per_col), dtype=np.int64)
     for j in range(n):
-        rows[j * per_col:(j + 1) * per_col] = np.sort(rng.choice(d, size=per_col, replace=False))
-        cols[j * per_col:(j + 1) * per_col] = j
+        rows[j] = rng.choice(d, size=per_col, replace=False)
+    rows.sort(axis=1)
+    cols = np.repeat(np.arange(n), per_col)
     vals = rng.standard_normal(per_col * n)
-    X = SparseBlock.from_coo(rows, cols, vals, shape=(d, n))
+    X = SparseBlock.from_coo(rows.ravel(), cols, vals, shape=(d, n))
     w_star = rng.standard_normal(d) / np.sqrt(d)
     y = X.matrix.T @ w_star
     if noise > 0:

@@ -5,13 +5,18 @@ reference computations and the per-node work inside the simulated cluster, so
 that a one-node run reproduces the unpartitioned computation bit for bit.
 Matrix-vector products go through scipy's CSR/CSC kernels, which accumulate
 in storage order (ascending index) and are therefore deterministic from run
-to run. Each block builds its transposed view (a CSC matrix over the same
-arrays, no copy) once, so a transposed product pays no per-call setup.
+to run. A transposed product loops over the block's shorter side: a block
+with no more rows than columns multiplies by its CSC view (no copy); a
+taller one by a CSR copy of its transpose, built on its first transposed
+product and kept, so a block that is never multiplied transposed pays for no
+copy. The loss functions on the unpartitioned data matrix multiply through
+its CSC view directly, so that it never holds one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -37,11 +42,11 @@ def as_vec(values) -> np.ndarray:
 @dataclass(frozen=True)
 class SparseBlock:
     """A CSR block of the feature-by-sample data matrix: rows index features,
-    columns index samples. ``matrix_t`` is ``matrix.T``, built once: a CSC
-    view that shares the CSR arrays."""
+    columns index samples. Indices are int32 when the shape and nnz fit.
+    ``matrix_t``, the operand of transposed products, loops over the shorter
+    side and is built on first use."""
 
     matrix: sparse.csr_array
-    matrix_t: sparse.csc_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.matrix
@@ -53,10 +58,23 @@ class SparseBlock:
             m = m.astype(np.float64)
         m.sum_duplicates()
         m.sort_indices()
+        # Retype only after canonicalising: the new matrix shares m's data.
+        idx = np.int32 if max(*m.shape, m.nnz) <= np.iinfo(np.int32).max else np.int64
+        if m.indices.dtype != idx or m.indptr.dtype != idx:
+            m = type(m)((m.data, m.indices.astype(idx), m.indptr.astype(idx)), shape=m.shape)
         if not np.all(np.isfinite(m.data)):
             raise ValueError("sparse block contains non-finite values")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "matrix_t", m.T)
+
+    @cached_property
+    def matrix_t(self):
+        """The operand of ``block.T @ x``, built on the first transposed
+        product: the CSC view over the CSR arrays when rows <= cols, else a CSR
+        matrix over sorted CSC arrays, so that the product's outer loop runs
+        over the shorter side. Both kernels add each output element's terms in
+        ascending index order, starting from 0.0, so the bits are the same."""
+        m = self.matrix
+        return m.T if m.shape[0] <= m.shape[1] else m.tocsc().T
 
     @property
     def rows(self) -> int:

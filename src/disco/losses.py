@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
-from .linalg import SparseBlock, spmv, spmv_transpose
+from .linalg import SparseBlock, spmv
 
 __all__ = [
     "LossKind",
@@ -138,7 +138,9 @@ def objective_value(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     _check_full_dims(obj, X, y, w)
-    margins = spmv_transpose(X, w)
+    # The unpartitioned X is multiplied through its CSC view, not spmv_transpose,
+    # so that these one-off products leave no transposed copy cached on X.
+    margins = X.matrix.T @ w
     _check_margins(margins)
     if obj.loss is LossKind.SQUARE:
         resid = y - margins
@@ -153,7 +155,7 @@ def full_gradient(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray) 
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     _check_full_dims(obj, X, y, w)
-    margins = spmv_transpose(X, w)
+    margins = X.matrix.T @ w
     coeffs = grad_coeffs(obj, margins, y)
     return spmv(X, coeffs) / obj.n + obj.lam * w
 
@@ -173,6 +175,6 @@ def hess_vec_dense(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray,
     if obj.loss is LossKind.SQUARE:
         h = np.full(obj.n, 2.0)
     else:
-        h = hess_coeffs(obj, spmv_transpose(X, w), y)
-    z = spmv_transpose(X, u)
+        h = hess_coeffs(obj, X.matrix.T @ w, y)
+    z = X.matrix.T @ u
     return spmv(X, h * z) / obj.n + obj.lam * u

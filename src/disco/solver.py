@@ -33,9 +33,16 @@ of two Gram matrices: when mu > 0 and tau < d_b, P_b is mu*I plus a rank-tau
 term, so the block keeps its sparse d_b x tau slice and the Cholesky factor
 of a tau x tau matrix and solves by the Woodbury identity; otherwise it keeps
 the Cholesky factor of the dense d_b x d_b P_b. With mu = 0 and tau < d_b the
-estimate is singular and the build raises. With identical preconditioners the
-two layouts produce the same iterates up to roundoff, so layout only changes
+estimate is singular and the build raises. A build slices its blocks straight
+from the shard's CSR matrix. With identical preconditioners the two layouts
+produce the same iterates up to roundoff, so layout only changes
 communication cost, not the optimization path.
+
+Every Hessian product multiplies each shard transposed (``spmv_transpose``),
+looping over the shard's shorter side: a shard with more rows than columns,
+such as a d x n_j sample shard with d > n_j, gathers over its columns through
+a CSR copy of its transpose built on its first product; a shard with no more
+rows than columns scatters through its CSC view.
 
 The layout objects call the public entry points (``pcg_*``,
 ``build_preconditioner*``), the partitioners and the kernels through this
@@ -286,7 +293,8 @@ def _factor_curvature_block(i: int, block: sparse.csr_array, h_tau: np.ndarray, 
         )
     try:
         if tau < d_b:
-            u = block @ sparse.diags_array(np.sqrt(h_tau))
+            ind = np.arange(tau + 1)
+            u = block @ sparse.csr_array((np.sqrt(h_tau), ind[:-1], ind), shape=(tau, tau))
             ut = u.T.tocsr()
             gram = (ut @ u).toarray()
             gram[np.diag_indices_from(gram)] += mu * tau
@@ -328,15 +336,15 @@ def build_preconditioner(
     the balanced single-block split (i.e. the full matrix) when omitted.
     """
     tau = config.resolved_tau(shard.cols)
-    sub = shard.column_slice(0, tau)
+    sub = shard.matrix[:, :tau]
     if margins is None and w is not None:
-        margins = spmv_transpose(sub, np.asarray(w, dtype=np.float64))
+        margins = sub.T @ np.asarray(w, dtype=np.float64)
     h_tau = hess_coeffs(obj, None if margins is None else margins[:tau], labels[:tau])
     sizes = [shard.rows] if block_sizes is None else [int(s) for s in block_sizes]
     if sum(sizes) != shard.rows:
         raise ValueError(f"block sizes {sizes} do not cover {shard.rows} features")
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    blocks = [sub.matrix[off:off + size, :] for off, size in zip(offsets, sizes)]
+    blocks = [sub[off:off + size, :] for off, size in zip(offsets, sizes)]
     return _block_preconditioner(blocks, h_tau, config.mu, sizes, offsets)
 
 

@@ -96,7 +96,40 @@ class TestReadLibsvm:
             read_libsvm(p)
 
 
+def gen_synthetic_by_column(d, n, density, noise, seed):
+    """Reference for gen_synthetic: the same draws, each column's rows sorted
+    and its column index filled one column at a time."""
+    rng = np.random.default_rng(seed)
+    per_col = max(1, round(density * d))
+    rows = np.empty(per_col * n, dtype=np.int64)
+    cols = np.empty(per_col * n, dtype=np.int64)
+    for j in range(n):
+        rows[j * per_col:(j + 1) * per_col] = np.sort(rng.choice(d, size=per_col, replace=False))
+        cols[j * per_col:(j + 1) * per_col] = j
+    vals = rng.standard_normal(per_col * n)
+    X = SparseBlock.from_coo(rows, cols, vals, shape=(d, n))
+    w_star = rng.standard_normal(d) / np.sqrt(d)
+    y = X.matrix.T @ w_star
+    if noise > 0:
+        y = y + noise * rng.standard_normal(n)
+    return X, y
+
+
 class TestGenSynthetic:
+    @pytest.mark.parametrize("d, n, density, noise", [
+        (10, 20, 0.3, 0.1),
+        (50, 7, 0.01, 0.1),    # per_col = 1
+        (1, 4, 1.0, 0.0),      # per_col = 1, density = 1
+        (8, 12, 1.0, 0.2),     # density = 1
+        (300, 40, 0.05, 0.0),
+    ])
+    def test_matches_per_column_reference_bitwise(self, d, n, density, noise):
+        ds = gen_synthetic(d, n, density, noise, seed=d + n)
+        X, y = gen_synthetic_by_column(d, n, density, noise, seed=d + n)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(ds.X.matrix, name), getattr(X.matrix, name))
+        assert np.array_equal(ds.y, y)
+
     def test_same_seed_identical(self):
         a = gen_synthetic(10, 20, 0.3, 0.1, seed=5)
         b = gen_synthetic(10, 20, 0.3, 0.1, seed=5)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from disco.linalg import (
     SparseBlock,
@@ -93,16 +94,23 @@ def test_adjoint_identity(d, n, seed):
 
 
 def test_spmv_transpose_builds_no_view_per_call(monkeypatch):
-    """The transposed view is built with the block, not on each product."""
-    block = random_sparse(5, 7, nnz=12, seed=8)
-    x = np.random.default_rng(9).standard_normal(5)
-    expected = block.toarray().T @ x
+    """The transposed operand is built on the first product, not on each,
+    for a wide block (CSC view) and a tall one (CSR copy)."""
+    for d, n in ((5, 7), (7, 5)):
+        block = random_sparse(d, n, nnz=12, seed=8)
+        x = np.random.default_rng(9).standard_normal(d)
+        assert "matrix_t" not in vars(block)  # a block never multiplied transposed pays for nothing
+        first = spmv_transpose(block, x)
+        assert np.linalg.norm(first - block.toarray().T @ x) < 1e-12
 
-    def no_transpose(*args, **kwargs):
-        raise AssertionError("spmv_transpose built a transposed view")
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("spmv_transpose rebuilt its transposed operand")
 
-    monkeypatch.setattr(type(block.matrix), "transpose", no_transpose)
-    assert np.linalg.norm(spmv_transpose(block, x) - expected) < 1e-12
+        with monkeypatch.context() as patch:
+            patch.setattr(type(block.matrix), "transpose", no_rebuild)
+            patch.setattr(type(block.matrix), "tocsc", no_rebuild)
+            for _ in range(3):
+                assert np.array_equal(spmv_transpose(block, x), first)
 
 
 @st.composite
@@ -129,16 +137,53 @@ def blocks(draw):
 @settings(max_examples=60, deadline=None)
 @given(block=blocks(), seed=st.integers(0, 10_000))
 def test_cached_transpose_view_is_exact_and_shares_storage(block, seed):
+    """Bitwise equal to the CSC scatter ``matrix.T @ x`` for every shape. A
+    block with rows <= cols multiplies by the view over its own arrays; a
+    taller one by a CSR operand with sorted indices, built once."""
     x = np.random.default_rng(seed).standard_normal(block.rows)
     assert np.array_equal(spmv_transpose(block, x), block.matrix.T @ x)
-    view = block.matrix_t
-    assert view.shape == (block.cols, block.rows)
-    if block.nnz:  # zero-size arrays share no memory
-        assert np.shares_memory(view.data, block.matrix.data)
-        assert np.shares_memory(view.indices, block.matrix.indices)
+    op = block.matrix_t
+    assert op.shape == (block.cols, block.rows)
+    assert block.matrix_t is op
+    if block.rows <= block.cols:
+        if block.nnz:  # zero-size arrays share no memory
+            assert np.shares_memory(op.data, block.matrix.data)
+            assert np.shares_memory(op.indices, block.matrix.indices)
+    else:
+        assert op.format == "csr"
+        assert all(np.all(np.diff(op.indices[a:b]) > 0) for a, b in zip(op.indptr[:-1], op.indptr[1:]))
+        assert np.array_equal(op.toarray(), block.toarray().T)
 
 
 class TestSparseBlock:
+    @pytest.mark.parametrize("d, n", [(40, 300), (300, 40)])
+    def test_int32_indices_give_the_int64_products(self, d, n):
+        block = random_sparse(d, n, nnz=900, seed=d)
+        assert block.matrix.indices.dtype == np.int32 and block.matrix.indptr.dtype == np.int32
+        m = block.matrix
+        m64 = sparse.csr_array((m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)), shape=m.shape)
+        assert m64.indices.dtype == np.int64
+        rng = np.random.default_rng(n)
+        x, y = rng.standard_normal(n), rng.standard_normal(d)
+        assert np.array_equal(spmv(block, x), m64 @ x)
+        assert np.array_equal(spmv_transpose(block, y), m64.T @ y)
+
+    def test_keeps_int64_indices_when_the_shape_needs_them(self):
+        block = SparseBlock(sparse.csr_array((1, 2**31)))
+        assert block.matrix.indptr.dtype == np.int64
+
+    def test_retype_leaves_a_non_canonical_int64_input_intact(self):
+        # unsorted column indices and a duplicate entry, on int64 index arrays
+        data = np.array([3.0, 1.0, 2.0, 4.0, 5.0])
+        indices = np.array([2, 0, 1, 0, 0], dtype=np.int64)
+        indptr = np.array([0, 3, 5], dtype=np.int64)
+        m = sparse.csr_array((data, indices, indptr), shape=(2, 3))
+        before = m.toarray()
+        block = SparseBlock(m)
+        assert block.matrix.indices.dtype == np.int32
+        assert np.array_equal(m.toarray(), before)
+        assert np.array_equal(block.toarray(), before)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             SparseBlock.from_dense([[np.inf, 0.0], [0.0, 1.0]])

@@ -101,6 +101,20 @@ class TestFullGradient:
             full_gradient(obj, X, np.ones(2), np.zeros(3))
 
 
+def test_unpartitioned_products_cache_no_transposed_copy():
+    """objective_value, full_gradient and hess_vec_dense leave a tall X (d > n)
+    without the transposed copy that spmv_transpose would build and keep."""
+    ds, _ = make_dense_instance(d=9, n=4, seed=5)
+    rng = np.random.default_rng(6)
+    w, u = rng.standard_normal(9), rng.standard_normal(9)
+    for loss in LossKind:
+        obj = Objective(loss=loss, lam=0.1, n=4, d=9)
+        objective_value(obj, ds.X, ds.y, w)
+        full_gradient(obj, ds.X, ds.y, w)
+        hess_vec_dense(obj, ds.X, ds.y, w, u)
+    assert "matrix_t" not in vars(ds.X)
+
+
 class TestHessVec:
     def test_identity_data_gives_2u(self):
         # two unit samples, lam = 1: H = (2/2) I + I = 2I

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
+from scipy import sparse
+from scipy.linalg import cho_factor, cho_solve
 
 from disco import (
     Cluster,
@@ -218,6 +219,49 @@ def test_empty_preconditioner_block_solves():
     r = np.random.default_rng(86).standard_normal(2)
     assert P.apply_block(1, np.empty(0)).shape == (0,)
     assert np.array_equal(P.apply(r), P.apply_block(0, r))
+
+
+@pytest.mark.parametrize("d_b, tau", [(2, 1), (40, 5), (200, 63), (1000, 125)])
+def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
+    """U, U' and the factor equal those of U = Xb @ diags(sqrt(h)) and the
+    Gram (U'U).toarray() + mu*tau*I, also with zero curvature coefficients."""
+    rng = np.random.default_rng(d_b + tau)
+    Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < 0.3)
+    h = rng.uniform(0.0, 2.0, tau) * (rng.random(tau) < 0.8)
+    mu = 0.05
+    xb = SparseBlock.from_dense(Xd).matrix
+    block = _factor_curvature_block(0, xb, h, mu)
+    assert isinstance(block, _LowRankBlock)
+    u = xb @ sparse.diags_array(np.sqrt(h))
+    ut = u.T.tocsr()
+    gram = (ut @ u).toarray()
+    gram[np.diag_indices_from(gram)] += mu * tau
+    for got, want in ((block.u, u), (block.ut, ut)):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(block.cho[0], cho_factor(gram, lower=True)[0])
+
+
+def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
+    ds, obj = make_dense_instance(d=12, n=10, seed=87, lam=0.1, loss=LossKind.LOGISTIC, labels="sign")
+    spart = partition_by_samples(ds.X, ds.y, 2)
+    shard, labels = spart.shards[0], spart.labels[0]
+    w = np.random.default_rng(88).standard_normal(12)
+    cfg = ridge_config(mu=0.1, tau=3, loss=LossKind.LOGISTIC)
+    margins = shard.matrix[:, :3].T @ w  # the first tau samples' margins
+    built = []
+    init = SparseBlock.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(SparseBlock, "__post_init__", counting_init)
+    from_w = build_preconditioner(obj, cfg, shard, labels, w, [5, 7])
+    given = build_preconditioner(obj, cfg, shard, labels, None, [5, 7], margins=margins)
+    assert built == []
+    for a, b in zip(from_w.blocks, given.blocks):
+        assert np.array_equal(a.cho[0], b.cho[0])
 
 
 class TestHessianVecSamples:
