@@ -35,11 +35,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=1, help="simulated node count m")
     p.add_argument("--loss", choices=["square", "logistic"], default="square")
     p.add_argument("--lambda", dest="lam", type=float, default=1e-3, help="l2 weight (default 1e-3)")
-    p.add_argument("--mu", type=float, default=1e-4, help="preconditioner ridge (default 1e-4)")
+    p.add_argument("--mu", type=float, default=SolverConfig.mu, help="preconditioner ridge (default %(default)g)")
     p.add_argument("--tau", type=int, default=None, help="preconditioner samples (default min(1000, master's sample shard))")
-    p.add_argument("--theta", type=float, default=1e-4, help="inner tolerance multiplier (default 1e-4)")
-    p.add_argument("--tol", type=float, default=1e-8, help="outer gradient-norm tolerance (default 1e-8)")
-    p.add_argument("--max-outer", type=int, default=50)
+    p.add_argument("--theta", type=float, default=SolverConfig.theta,
+                   help="inner tolerance multiplier (default %(default)g)")
+    p.add_argument("--tol", type=float, default=SolverConfig.outer_tol,
+                   help="outer gradient-norm tolerance (default %(default)g)")
+    p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer,
+                   help="outer iteration limit (default %(default)d)")
     p.add_argument("--max-inner", type=int, default=None, help="default min(5d, 10000)")
     p.add_argument("--trace", metavar="PATH.csv", default=None, help="write per-iteration trace CSV")
     return p

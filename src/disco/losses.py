@@ -6,8 +6,8 @@ The objective is
 
 with two smooth losses: the square loss (y - w'x)^2 (no 1/2 factor, so its
 curvature coefficient is the constant 2) and the logistic loss
-log(1 + exp(-y * w'x)). Per-sample derivatives are exposed as scalar
-coefficients g_i and h_i with
+log(1 + exp(-y * w'x)). Per-sample derivatives are exposed as vectors of
+coefficients g_i and h_i (``grad_coeffs``, ``hess_coeffs``) with
 
     grad loss_i = g_i * x_i        hess loss_i = h_i * x_i x_i'
 
@@ -17,7 +17,6 @@ reduce to matrix-vector products with the data block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,9 +28,6 @@ from .linalg import SparseBlock, spmv
 __all__ = [
     "LossKind",
     "Objective",
-    "loss_value",
-    "loss_grad_coeff",
-    "loss_hess_coeff",
     "grad_coeffs",
     "hess_coeffs",
     "objective_value",
@@ -59,38 +55,6 @@ class Objective:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.n < 1 or self.d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
-
-
-def _check_margin(margin: float):
-    if not math.isfinite(margin):
-        raise ValueError(f"non-finite margin: {margin}")
-
-
-def loss_value(obj: Objective, margin: float, label: float) -> float:
-    _check_margin(margin)
-    if obj.loss is LossKind.SQUARE:
-        resid = label - margin
-        return resid * resid
-    z = label * margin
-    # log(1 + exp(-z)) without overflow for large |z|
-    return float(np.logaddexp(0.0, -z))
-
-
-def loss_grad_coeff(obj: Objective, margin: float, label: float) -> float:
-    """Scalar g with d/dw loss(w'x, y) = g * x."""
-    _check_margin(margin)
-    if obj.loss is LossKind.SQUARE:
-        return 2.0 * (margin - label)
-    return float(-label * expit(-label * margin))
-
-
-def loss_hess_coeff(obj: Objective, margin: float, label: float) -> float:
-    """Scalar h with d^2/dw^2 loss(w'x, y) = h * x x'."""
-    _check_margin(margin)
-    if obj.loss is LossKind.SQUARE:
-        return 2.0
-    z = label * margin
-    return float(expit(z) * expit(-z))
 
 
 def _check_margins(margins: np.ndarray):

@@ -310,9 +310,13 @@ def _factor_curvature_block(i: int, block: sparse.csr_array, h_tau: np.ndarray, 
         ) from exc
 
 
-def _block_preconditioner(blocks_tau: list, h_tau: np.ndarray, mu: float, sizes, offsets) -> BlockPreconditioner:
-    """Factor each feature block's first-tau-samples slice (sparse, d_b x tau)."""
-    blocks = tuple(_factor_curvature_block(i, b, h_tau, mu) for i, b in enumerate(blocks_tau))
+def _block_preconditioner(obj: Objective, config: SolverConfig, tau: int, blocks_tau: list,
+                          labels: np.ndarray, margins: np.ndarray | None, sizes, offsets) -> BlockPreconditioner:
+    """Factor each feature block's first-tau-samples slice (sparse, d_b x tau)
+    with the curvature of the first tau ``margins`` and ``labels``."""
+    config.validate()
+    h_tau = hess_coeffs(obj, None if margins is None else margins[:tau], labels[:tau])
+    blocks = tuple(_factor_curvature_block(i, b, h_tau, config.mu) for i, b in enumerate(blocks_tau))
     return BlockPreconditioner(blocks, tuple(sizes), tuple(offsets))
 
 
@@ -321,47 +325,40 @@ def build_preconditioner(
     config: SolverConfig,
     shard: SparseBlock,
     labels: np.ndarray,
-    w: np.ndarray | None,
-    block_sizes: list | None = None,
+    block_sizes: list,
     *,
     margins: np.ndarray | None = None,
 ) -> BlockPreconditioner:
     """Master-side build for the sample layout.
 
     ``shard`` is the master's block (all d features, its n_1 samples); the
-    first tau of those samples feed the estimate. The logistic curvature
-    needs the margins of the iterate ``w`` on those samples: pass ``margins``
-    (the master's X_1'w, e.g. from the gradient step) to skip recomputing
-    them. ``block_sizes`` fixes the feature-block structure and defaults to
-    the balanced single-block split (i.e. the full matrix) when omitted.
+    first tau of those samples feed the estimate, split into feature blocks
+    of ``block_sizes``. The logistic curvature reads ``margins``, the
+    master's margins X_1'w of the current iterate (as the gradient exchange
+    leaves them); the square loss needs none.
     """
     tau = config.resolved_tau(shard.cols)
-    sub = shard.matrix[:, :tau]
-    if margins is None and w is not None:
-        margins = sub.T @ np.asarray(w, dtype=np.float64)
-    h_tau = hess_coeffs(obj, None if margins is None else margins[:tau], labels[:tau])
-    sizes = [shard.rows] if block_sizes is None else [int(s) for s in block_sizes]
+    sizes = [int(s) for s in block_sizes]
     if sum(sizes) != shard.rows:
         raise ValueError(f"block sizes {sizes} do not cover {shard.rows} features")
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    sub = shard.matrix[:, :tau]
     blocks = [sub[off:off + size, :] for off, size in zip(offsets, sizes)]
-    return _block_preconditioner(blocks, h_tau, config.mu, sizes, offsets)
+    return _block_preconditioner(obj, config, tau, blocks, labels, margins, sizes, offsets)
 
 
 def build_preconditioner_features(
     obj: Objective,
     config: SolverConfig,
     fpart: FeaturePartition,
-    w_margins: np.ndarray | None,
+    margins: np.ndarray | None,
 ) -> BlockPreconditioner:
     """Feature-layout build: node i factors its own block from the first tau
-    columns of its feature slice. ``w_margins`` are the shared
-    sample margins of the current iterate (any value for the square loss)."""
+    columns of its feature slice. ``margins`` are the shared sample margins
+    X'w of the current iterate (any value, or None, for the square loss)."""
     tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.shards))[0])
-    margins_tau = None if w_margins is None else np.asarray(w_margins, dtype=np.float64)[:tau]
-    h_tau = hess_coeffs(obj, margins_tau, fpart.y[:tau])
     blocks = [shard.matrix[:, :tau] for shard in fpart.shards]
-    return _block_preconditioner(blocks, h_tau, config.mu, fpart.sizes, fpart.offsets)
+    return _block_preconditioner(obj, config, tau, blocks, fpart.y, margins, fpart.sizes, fpart.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +403,14 @@ class _SampleLayout(_Layout):
         part = self.part
         return self.cluster.map_nodes(lambda j: hess_coeffs(self.obj, margins[j], part.labels[j]))
 
-    def gradient(self, w: list, margins: list | None = None) -> tuple:
+    def gradient(self, w: list) -> tuple:
         """Broadcast w, reduce-all the per-node data terms, add lam*w.
         Returns the gradient and the per-node margins."""
         cluster, part, obj = self.cluster, self.part, self.obj
         w_all = cluster.broadcast(w[0])
 
         def local_term(j):
-            margins_j = spmv_transpose(part.shards[j], w_all) if margins is None else margins[j]
+            margins_j = spmv_transpose(part.shards[j], w_all)
             return margins_j, spmv(part.shards[j], grad_coeffs(obj, margins_j, part.labels[j])) / obj.n
 
         node_margins, parts = zip(*cluster.map_nodes(local_term))
@@ -436,11 +433,11 @@ class _SampleLayout(_Layout):
     def assemble(self, v: list) -> np.ndarray:
         return v[0]
 
-    def preconditioner(self, config: SolverConfig, w: list, margins: list) -> BlockPreconditioner:
+    def preconditioner(self, config: SolverConfig, margins: list) -> BlockPreconditioner:
         part = self.part
         return build_preconditioner(
-            self.obj, config, part.shards[0], part.labels[0], w[0],
-            balanced_sizes(part.d, self.cluster.m), margins=margins[0],
+            self.obj, config, part.shards[0], part.labels[0], balanced_sizes(part.d, self.cluster.m),
+            margins=margins[0],
         )
 
     def newton_step(self, w, eps_k, config, grad, margins, precond) -> NewtonStepResult:
@@ -485,12 +482,11 @@ class _FeatureLayout(_Layout):
         the square loss); local work."""
         return hess_coeffs(self.obj, margins, self.part.y)
 
-    def gradient(self, w: list, margins: np.ndarray | None = None) -> tuple:
-        """Per-node gradient blocks from the shared margins; the margins cost
-        one length-n reduce_all unless given. Returns blocks and margins."""
+    def gradient(self, w: list) -> tuple:
+        """Per-node gradient blocks from the shared margins, which cost one
+        length-n reduce_all. Returns blocks and margins."""
         part, obj = self.part, self.obj
-        if margins is None:
-            margins = self.margins_of(w)
+        margins = self.margins_of(w)
         coeffs = grad_coeffs(obj, margins, part.y)
         return self.cluster.map_nodes(lambda i: spmv(part.shards[i], coeffs) / obj.n + obj.lam * w[i]), margins
 
@@ -507,7 +503,7 @@ class _FeatureLayout(_Layout):
     def assemble(self, v: list) -> np.ndarray:
         return self.cluster.reduce_concat(v)
 
-    def preconditioner(self, config: SolverConfig, w: list, margins: np.ndarray) -> BlockPreconditioner:
+    def preconditioner(self, config: SolverConfig, margins: np.ndarray) -> BlockPreconditioner:
         return build_preconditioner_features(self.obj, config, self.part, margins)
 
     def newton_step(self, w, eps_k, config, grad, margins, precond) -> NewtonStepResult:
@@ -534,19 +530,23 @@ def _pcg(
 ) -> NewtonStepResult:
     """PCG on H v = grad at the iterate ``w`` (all vectors in layout blocks).
 
-    Missing inputs are computed here: the gradient with its metered exchange,
-    the margins, the preconditioner. Every dot product goes through
-    ``layout.dots``, batched so that the feature layout pays two scalar rounds
-    per iteration.
+    Missing inputs are computed here: the gradient with its metered exchange
+    (which also yields the margins), the margins alone when only the gradient
+    is given, the preconditioner. Margins without a gradient are rejected.
+    Every dot product goes through ``layout.dots``, batched so that the
+    feature layout pays two scalar rounds per iteration.
     """
+    config.validate()
     if eps_k <= 0:
         raise ValueError(f"eps_k must be positive, got {eps_k}")
     if grad is None:
-        grad, margins = layout.gradient(w, margins)
+        if margins is not None:
+            raise ValueError("margins were given without the gradient they come from; pass both or neither")
+        grad, margins = layout.gradient(w)
     elif margins is None:
         margins = layout.margins_of(w)
     if precond is None:
-        precond = layout.preconditioner(config, w, margins)
+        precond = layout.preconditioner(config, margins)
     h = layout.curvature(margins)
     max_inner = config.resolved_max_inner(layout.part.d)
 
@@ -623,8 +623,9 @@ def pcg_samples(
     When ``grad`` is omitted the initial exchange (broadcast w, reduce_all of
     local gradient terms) runs here; the outer loop normally performs it
     itself and passes the result in, which costs the same rounds either way.
-    ``margins`` are the per-node margins X_j'w from that exchange; when
-    omitted the nodes recompute them locally.
+    ``margins`` are the per-node margins X_j'w from that exchange and are
+    accepted only with ``grad``; given ``grad`` alone, the nodes recompute
+    them locally.
     """
     w = [np.asarray(w, dtype=np.float64)]
     grad = None if grad is None else [np.asarray(grad, dtype=np.float64)]
@@ -656,10 +657,11 @@ def pcg_features(
     gradient already meets ``eps_k`` (theta >= 1 in the outer loop) the step
     returns the zero direction after 0 iterations and sends nothing.
 
-    When ``grad_blocks``/``margins`` are omitted, the margin exchange (one
-    length-n reduce_all) runs here and the gradient blocks are formed
-    locally; the outer loop normally passes both in. ``margins`` is the one
-    length-n array X'w that every node holds.
+    When ``grad_blocks`` is omitted, the margin exchange (one length-n
+    reduce_all) runs here and the gradient blocks are formed locally; given
+    ``grad_blocks`` alone, only the margin exchange runs. The outer loop
+    normally passes both in. ``margins`` is the one length-n array X'w that
+    every node holds and is accepted only with ``grad_blocks``.
     """
     layout = _FeatureLayout(cluster, fpart, obj)
     return _pcg(layout, w_blocks, eps_k, config, grad_blocks, margins, precond, record_history)
@@ -720,7 +722,6 @@ def disco_outer(
     iterates: list = []
     inner_cum = 0
     inner_unconverged = 0
-    updates = 0
     start = time.perf_counter()
 
     for k in range(config.max_outer + 1):
@@ -745,12 +746,11 @@ def disco_outer(
             break
         eps_k = config.theta * gnorm
         if precond is None or config.loss is LossKind.LOGISTIC:
-            precond = layout.preconditioner(config, w, margins)
+            precond = layout.preconditioner(config, margins)
         step = layout.newton_step(w, eps_k, config, grad, margins, precond)
         w = layout.map(lambda i: damped_update(w[i], step.direction_blocks[i], step.delta))
         inner_cum += step.inner_iters
         inner_unconverged += not step.converged
-        updates += 1
         if record_iterates:
             steps.append(step)
             iterates.append(np.concatenate(w))
@@ -759,7 +759,7 @@ def disco_outer(
         w=np.concatenate(w),
         trace=trace,
         converged=trace[-1].grad_norm <= config.outer_tol,
-        updates=updates,
+        updates=len(trace) - 1,
         grad_evals=len(trace),
         inner_iters_total=inner_cum,
         inner_unconverged=inner_unconverged,

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from disco import SolverConfig
 from disco.harness import write_libsvm
-from disco.harness.cli import main
+from disco.harness.cli import build_parser, main
 from disco.harness.trace import TRACE_HEADER
 
 from conftest import make_dense_instance
@@ -92,6 +95,14 @@ class TestRuns:
         write_libsvm(data, ds)
         assert run_cli("--data", str(data), "--lambda", "0.2", "--tol", "1e-8") == 0
         assert "d=6, n=20" in capsys.readouterr().out
+
+
+def test_parser_defaults_are_solver_config_defaults():
+    args = build_parser().parse_args(["--synthetic", "4,8,0.5,0.1"])
+    defaults = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    parsed = {"mu": args.mu, "tau": args.tau, "loss": args.loss, "theta": args.theta, "outer_tol": args.tol,
+              "max_outer": args.max_outer, "max_inner": args.max_inner, "partition_mode": args.partition}
+    assert parsed == {name: defaults[name] for name in parsed}
 
 
 class TestDeterminism:

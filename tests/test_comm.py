@@ -78,6 +78,13 @@ class TestReduceAll:
             Cluster(2).reduce_all([np.zeros(2), np.zeros(3)])
 
 
+@pytest.mark.parametrize("op", ["reduce_all", "reduce_concat"])
+@pytest.mark.parametrize("parts", [1, 3])
+def test_one_part_per_node(op, parts):
+    with pytest.raises(ValueError, match=f"expected 2 .*, got {parts}"):
+        getattr(Cluster(2), op)([np.zeros(2)] * parts)
+
+
 class TestReduceConcat:
     def test_concatenation(self):
         cl = Cluster(2)

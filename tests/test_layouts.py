@@ -1,8 +1,10 @@
 """Properties of the two data layouts over random small instances, and the
 module-global lookups that let an outside tracer see the solver's layers."""
 
+import importlib.util
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from disco import (
 )
 from disco import solver
 from disco.partition import balanced_sizes
-from disco.solver import BlockPreconditioner
 
 from conftest import make_dense_instance
 
@@ -161,16 +162,14 @@ def test_damped_newton_converges_monotonically(data, d, n, loss, mode):
         assert f_next <= f_prev * (1 + 1e-12)
 
 
-# The names discobench/tracer.py replaces to time the solver's layers.
-SOLVER_NAMES = (
-    "pcg_samples", "pcg_features", "build_preconditioner", "build_preconditioner_features",
-    "partition_by_samples", "partition_by_features", "spmv", "spmv_transpose",
-    "grad_coeffs", "hess_coeffs",
-)
-METHODS = (
-    (BlockPreconditioner, "apply"), (BlockPreconditioner, "apply_block"),
-    (Cluster, "broadcast"), (Cluster, "reduce_all"), (Cluster, "reduce_concat"), (Cluster, "map_nodes"),
-)
+def load_tracer():
+    """discobench/tracer.py, loaded from its file: its TRACED table lists the
+    names it replaces to time the solver's layers."""
+    path = Path(__file__).resolve().parents[1] / "discobench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("discobench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("mode,pcg,build,partition", [
@@ -186,9 +185,7 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in SOLVER_NAMES:
-        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
-    for owner, attr in METHODS:
+    for owner, attr, _ in load_tracer().TRACED:
         monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
     ds, _ = make_dense_instance(d=8, n=20, seed=160, loss=LossKind.LOGISTIC, labels="sign")
     cfg = SolverConfig(lam=0.1, mu=0.1, tau=5, loss=LossKind.LOGISTIC, partition_mode=mode)
@@ -197,7 +194,7 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
     assert result.updates > 0
     # the logistic preconditioner is rebuilt before every Newton step
     assert calls[pcg] == calls[build] == result.updates
-    assert calls[partition] == 1
+    assert calls["disco_outer"] == calls[partition] == 1
     apply = "apply" if mode is PartitionMode.SAMPLES else "apply_block"
     for name in ("spmv", "spmv_transpose", "grad_coeffs", "hess_coeffs", apply, "reduce_all", "map_nodes"):
         assert calls[name] > 0, name

@@ -4,59 +4,81 @@ import numpy as np
 import pytest
 
 from disco import LossKind, Objective, SparseBlock, full_gradient, hess_vec_dense, objective_value
-from disco.losses import loss_grad_coeff, loss_hess_coeff, loss_value
+from disco.losses import grad_coeffs, hess_coeffs
 from disco.harness import ridge_closed_form
 
 from conftest import make_dense_instance
 
 
-def sq_obj(n=1, d=2, lam=0.5):
+def sq_obj(n=1, d=1, lam=0.5):
     return Objective(loss=LossKind.SQUARE, lam=lam, n=n, d=d)
 
 
-def lo_obj(n=1, d=2, lam=0.5):
+def lo_obj(n=1, d=1, lam=0.5):
     return Objective(loss=LossKind.LOGISTIC, lam=lam, n=n, d=d)
+
+
+def sample_loss(obj, margin, label):
+    """The loss of the one sample x = [1] at w = [margin]: the objective
+    value minus the regulariser."""
+    w = np.array([margin])
+    return objective_value(obj, SparseBlock.from_dense([[1.0]]), np.array([label]), w) - 0.5 * obj.lam * margin**2
+
+
+def grad_coeff(obj, margin, label):
+    return grad_coeffs(obj, np.array([margin]), np.array([label]))[0]
+
+
+def hess_coeff(obj, margin, label):
+    return hess_coeffs(obj, np.array([margin]), np.array([label]))[0]
 
 
 class TestScalarOps:
     def test_square_perfect_fit(self):
-        assert loss_value(sq_obj(), margin=1.0, label=1.0) == 0.0
+        assert sample_loss(sq_obj(), margin=1.0, label=1.0) == 0.0
 
     def test_square_value(self):
-        assert loss_value(sq_obj(), margin=0.0, label=2.0) == 4.0
+        assert sample_loss(sq_obj(), margin=0.0, label=2.0) == 4.0
 
     def test_logistic_at_zero(self):
-        assert loss_value(lo_obj(), margin=0.0, label=1.0) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert sample_loss(lo_obj(), margin=0.0, label=1.0) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_square_grad(self):
-        assert loss_grad_coeff(sq_obj(), margin=0.0, label=1.0) == -2.0
+        assert grad_coeff(sq_obj(), margin=0.0, label=1.0) == -2.0
 
     def test_square_grad_stationary(self):
-        assert loss_grad_coeff(sq_obj(), margin=0.7, label=0.7) == 0.0
+        assert grad_coeff(sq_obj(), margin=0.7, label=0.7) == 0.0
 
     def test_logistic_grad_at_zero(self):
-        assert loss_grad_coeff(lo_obj(), margin=0.0, label=1.0) == -0.5
+        assert grad_coeff(lo_obj(), margin=0.0, label=1.0) == -0.5
 
     def test_square_hess_constant(self):
         for margin in (-3.0, 0.0, 17.5):
-            assert loss_hess_coeff(sq_obj(), margin, label=1.0) == 2.0
+            assert hess_coeff(sq_obj(), margin, label=1.0) == 2.0
 
     def test_logistic_hess_at_zero(self):
-        assert loss_hess_coeff(lo_obj(), margin=0.0, label=1.0) == 0.25
+        assert hess_coeff(lo_obj(), margin=0.0, label=1.0) == 0.25
 
     def test_logistic_hess_saturates(self):
-        assert loss_hess_coeff(lo_obj(), margin=50.0, label=1.0) < 1e-20
-        assert loss_hess_coeff(lo_obj(), margin=-50.0, label=1.0) < 1e-20
+        assert hess_coeff(lo_obj(), margin=50.0, label=1.0) < 1e-20
+        assert hess_coeff(lo_obj(), margin=-50.0, label=1.0) < 1e-20
 
     def test_logistic_value_overflow_safe(self):
-        big = loss_value(lo_obj(), margin=-2000.0, label=1.0)
+        big = sample_loss(lo_obj(), margin=-2000.0, label=1.0)
         assert big == pytest.approx(2000.0)
-        assert loss_value(lo_obj(), margin=2000.0, label=1.0) == 0.0
+        assert sample_loss(lo_obj(), margin=2000.0, label=1.0) == 0.0
 
-    @pytest.mark.parametrize("fn", [loss_value, loss_grad_coeff, loss_hess_coeff])
-    def test_non_finite_margin_rejected(self, fn):
+    @pytest.mark.parametrize("fn,obj", [
+        (sample_loss, sq_obj()), (sample_loss, lo_obj()), (grad_coeff, sq_obj()), (grad_coeff, lo_obj()),
+        (hess_coeff, lo_obj()),  # the square curvature never reads the margins
+    ], ids=["value-square", "value-logistic", "grad-square", "grad-logistic", "hess-logistic"])
+    def test_non_finite_margin_rejected(self, fn, obj):
         with pytest.raises(ValueError, match="non-finite"):
-            fn(sq_obj(), float("nan"), 1.0)
+            fn(obj, float("nan"), 1.0)
+
+    def test_logistic_hess_needs_margins(self):
+        with pytest.raises(ValueError, match="need the margins"):
+            hess_coeffs(lo_obj(), None, np.array([1.0]))
 
 
 class TestObjectiveType:
@@ -134,7 +156,11 @@ class TestHessVec:
         margins = Xd.T @ w
         H = np.zeros((6, 6))
         for i in range(10):
-            h_i = loss_hess_coeff(obj, margins[i], ds.y[i])
+            if loss is LossKind.SQUARE:
+                h_i = 2.0
+            else:  # sigma(z) * sigma(-z) at z = y_i * margin_i
+                z = ds.y[i] * margins[i]
+                h_i = 1.0 / ((1.0 + math.exp(-z)) * (1.0 + math.exp(z)))
             H += h_i * np.outer(Xd[:, i], Xd[:, i])
         H = H / obj.n + obj.lam * np.eye(6)
         expected = H @ u

@@ -60,7 +60,7 @@ class TestPreconditioner:
         ds, obj = make_dense_instance(d=8, n=8, seed=70, lam=0.2)
         cfg = ridge_config(lam=0.2, mu=0.05, tau=4)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], np.zeros(8), [8])
+        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [8])
         expected = brute_force_curvature(ds.X.toarray(), np.full(8, 2.0), tau=4, mu=0.05)
         rng = np.random.default_rng(71)
         for _ in range(3):
@@ -72,7 +72,7 @@ class TestPreconditioner:
         ds, obj = make_dense_instance(d=6, n=10, seed=72, lam=0.3)
         cfg = ridge_config(lam=0.3, mu=0.3, tau=10)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, [6])
+        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [6])
         H = DenseNewtonOracle(ds, obj).hessian(np.zeros(6))
         r = np.random.default_rng(73).standard_normal(6)
         assert np.linalg.norm(P.apply(r) - np.linalg.solve(H, r)) < 1e-10
@@ -82,7 +82,7 @@ class TestPreconditioner:
         mu = 1e9
         cfg = ridge_config(mu=mu, tau=8)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, [5])
+        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [5])
         r = np.random.default_rng(75).standard_normal(5)
         assert np.linalg.norm(P.apply(r) - r / mu) <= 1e-8 * np.linalg.norm(r) / mu
 
@@ -90,18 +90,26 @@ class TestPreconditioner:
         ds, obj = make_dense_instance(d=6, n=9, seed=76)
         cfg = ridge_config(mu=0.02, tau=6)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, [6])
+        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [6])
         dense = brute_force_curvature(ds.X.toarray(), np.full(9, 2.0), tau=6, mu=0.02)
         r = np.random.default_rng(77).standard_normal(6)
         assert np.linalg.norm(dense @ P.apply(r) - r) <= 1e-10 * np.linalg.norm(r)
 
-    def test_non_pd_failure_names_mu(self):
+    @pytest.mark.parametrize("tau, zero_row, message", [
         # tau < d with mu = 0 leaves the estimate rank-deficient
+        (3, False, "rank at most tau=3 .* increase mu"),
+        # tau >= d takes the dense path; a feature no sample touches leaves a
+        # zero row, which the Cholesky factorization rejects
+        (8, True, "not positive definite; increase mu"),
+    ])
+    def test_non_pd_failure_names_mu(self, tau, zero_row, message):
         ds, obj = make_dense_instance(d=8, n=8, seed=78)
-        cfg = ridge_config(mu=0.0, tau=3)
-        spart = partition_by_samples(ds.X, ds.y, 1)
-        with pytest.raises(np.linalg.LinAlgError, match="mu"):
-            build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, [8])
+        Xd = ds.X.toarray()
+        if zero_row:
+            Xd[2] = 0.0
+        spart = partition_by_samples(SparseBlock.from_dense(Xd), ds.y, 1)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            build_preconditioner(obj, ridge_config(mu=0.0, tau=tau), spart.shards[0], spart.labels[0], [8])
 
     def test_mu_zero_below_full_rank_rejected_before_factoring(self):
         # a rank-3 estimate of a 4x4 block that cho_factor accepts: roundoff
@@ -109,9 +117,9 @@ class TestPreconditioner:
         ds, obj = make_dense_instance(d=4, n=6, seed=2)
         spart = partition_by_samples(ds.X, ds.y, 1)
         with pytest.raises(np.linalg.LinAlgError, match="mu=0"):
-            build_preconditioner(obj, ridge_config(mu=0.0, tau=3), spart.shards[0], spart.labels[0], None, [4])
+            build_preconditioner(obj, ridge_config(mu=0.0, tau=3), spart.shards[0], spart.labels[0], [4])
         # at tau >= d_b the dense path still accepts mu = 0 when the block is full rank
-        P = build_preconditioner(obj, ridge_config(mu=0.0, tau=6), spart.shards[0], spart.labels[0], None, [4])
+        P = build_preconditioner(obj, ridge_config(mu=0.0, tau=6), spart.shards[0], spart.labels[0], [4])
         r = np.random.default_rng(82).standard_normal(4)
         expected = brute_force_curvature(ds.X.toarray(), np.full(6, 2.0), tau=6, mu=0.0)
         assert np.linalg.norm(expected @ P.apply(r) - r) <= 1e-10 * np.linalg.norm(r)
@@ -126,7 +134,7 @@ class TestPreconditioner:
         r = np.random.default_rng(80).standard_normal(9)
         for tau in (4, 2):  # d_b = 3: the dense and the low-rank path
             cfg = ridge_config(lam=0.2, mu=0.05, tau=tau)
-            Ps = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, balanced_sizes(9, m))
+            Ps = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], balanced_sizes(9, m))
             Pf = build_preconditioner_features(obj, cfg, fpart, None)
             got = np.concatenate(
                 [Pf.apply_block(i, r[o:o + s]) for i, (o, s) in enumerate(zip(Pf.offsets, Pf.sizes))]
@@ -137,7 +145,7 @@ class TestPreconditioner:
     def test_low_rank_block_stores_no_square_array(self):
         ds, obj = make_dense_instance(d=40, n=12, seed=83)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, ridge_config(mu=0.1, tau=5), spart.shards[0], spart.labels[0], None, [40])
+        P = build_preconditioner(obj, ridge_config(mu=0.1, tau=5), spart.shards[0], spart.labels[0], [40])
         (block,) = P.blocks
         assert isinstance(block, _LowRankBlock)
         shapes = [np.shape(block.u), np.shape(block.ut), np.shape(block.cho[0])]
@@ -150,9 +158,13 @@ class TestPreconditioner:
         ds, obj = make_dense_instance(d=6, n=8, seed=81)
         cfg = ridge_config(mu=0.1, tau=4)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], None, [6])
+        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [6])
         with pytest.raises(ValueError):
             P.apply(np.zeros(5))
+        with pytest.raises(ValueError, match="block 0 solve: vector has length 5, block is 6"):
+            P.apply_block(0, np.zeros(5))
+        with pytest.raises(ValueError, match="do not cover 6 features"):
+            build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [2, 3])
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,7 +227,7 @@ def test_empty_preconditioner_block_solves():
     # the sample layout splits d < m features into some empty blocks
     ds, obj = make_dense_instance(d=2, n=6, seed=85)
     spart = partition_by_samples(ds.X, ds.y, 1)
-    P = build_preconditioner(obj, ridge_config(mu=0.1, tau=4), spart.shards[0], spart.labels[0], None, [2, 0])
+    P = build_preconditioner(obj, ridge_config(mu=0.1, tau=4), spart.shards[0], spart.labels[0], [2, 0])
     r = np.random.default_rng(86).standard_normal(2)
     assert P.apply_block(1, np.empty(0)).shape == (0,)
     assert np.array_equal(P.apply(r), P.apply_block(0, r))
@@ -248,7 +260,7 @@ def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
     shard, labels = spart.shards[0], spart.labels[0]
     w = np.random.default_rng(88).standard_normal(12)
     cfg = ridge_config(mu=0.1, tau=3, loss=LossKind.LOGISTIC)
-    margins = shard.matrix[:, :3].T @ w  # the first tau samples' margins
+    margins = shard.matrix.T @ w  # the master's margins, as the gradient exchange leaves them
     built = []
     init = SparseBlock.__post_init__
 
@@ -257,11 +269,8 @@ def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
         init(self)
 
     monkeypatch.setattr(SparseBlock, "__post_init__", counting_init)
-    from_w = build_preconditioner(obj, cfg, shard, labels, w, [5, 7])
-    given = build_preconditioner(obj, cfg, shard, labels, None, [5, 7], margins=margins)
+    build_preconditioner(obj, cfg, shard, labels, [5, 7], margins=margins)
     assert built == []
-    for a, b in zip(from_w.blocks, given.blocks):
-        assert np.array_equal(a.cho[0], b.cho[0])
 
 
 class TestHessianVecSamples:
@@ -390,7 +399,7 @@ class TestPcgSamples:
         cl = Cluster(m)
         w = np.zeros(12)
         grad = full_gradient(obj, ds.X, ds.y, w)
-        precond = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], w, balanced_sizes(12, m))
+        precond = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], balanced_sizes(12, m))
         cl.reset_stats()
         step = pcg_samples(cl, spart, obj, w, eps_k=1e-10, config=cfg, grad=grad, precond=precond)
         stats = cl.snapshot_stats()
@@ -504,6 +513,43 @@ class TestPcgFeatures:
         pcg_features(cl, fpart, obj, w_blocks, eps_k=1e-14, config=cfg,
                      grad_blocks=grad_blocks, margins=margins, precond=precond)
         assert cl.snapshot_stats().reduceall_rounds == 3
+
+
+class TestStandaloneEntryPoints:
+    @staticmethod
+    def entry_points(mode, cfg, m=2, **pcg_kw):
+        """The pcg and preconditioner-build calls of ``mode`` at w = 0 on a
+        d=6, n=12 instance, as zero-argument callables."""
+        ds, obj = make_dense_instance(d=6, n=12, seed=150)
+        if mode is PartitionMode.SAMPLES:
+            spart = partition_by_samples(ds.X, ds.y, m)
+            return (
+                lambda: pcg_samples(Cluster(m), spart, obj, np.zeros(6), 1e-8, cfg, **pcg_kw),
+                lambda: build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], balanced_sizes(6, m)),
+            )
+        fpart = partition_by_features(ds.X, ds.y, m)
+        w_blocks = [np.zeros(s) for s in fpart.sizes]
+        return (
+            lambda: pcg_features(Cluster(m), fpart, obj, w_blocks, 1e-8, cfg, **pcg_kw),
+            lambda: build_preconditioner_features(obj, cfg, fpart, None),
+        )
+
+    @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
+    @pytest.mark.parametrize("field", ["max_inner", "tau"])
+    def test_config_is_validated(self, mode, field):
+        # max_inner=0 would leave v'Hv unset, and tau=0 would build P = mu*I
+        # from no samples
+        cfg = dataclasses.replace(ridge_config(mu=0.1, tau=4, mode=mode), **{field: 0})
+        for call in self.entry_points(mode, cfg):
+            with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+                call()
+
+    @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
+    def test_margins_without_gradient_rejected(self, mode):
+        margins = [np.zeros(6), np.zeros(6)] if mode is PartitionMode.SAMPLES else np.zeros(12)
+        pcg, _ = self.entry_points(mode, ridge_config(mu=0.1, tau=4, mode=mode), margins=margins)
+        with pytest.raises(ValueError, match="margins were given without the gradient"):
+            pcg()
 
 
 class TestPcgInvariants:
@@ -705,13 +751,18 @@ class TestDiscoOuter:
         with pytest.raises(ValueError, match="tau"):
             disco_outer(Cluster(2), ds, cfg)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(lam=-1.0).validate()
-        with pytest.raises(ValueError):
-            SolverConfig(lam=1.0, theta=0.0).validate()
-        with pytest.raises(ValueError):
-            SolverConfig(lam=1.0, tau=0).validate()
+    @pytest.mark.parametrize("field, value, message", [
+        ("lam", -1.0, "lam must be positive"),
+        ("theta", 0.0, "theta must be positive"),
+        ("tau", 0, "tau must be >= 1"),
+        ("mu", -1e-3, "mu must be non-negative"),
+        ("outer_tol", 0.0, "outer_tol must be positive"),
+        ("max_outer", -1, "max_outer must be >= 0"),
+        ("max_inner", 0, "max_inner must be >= 1"),
+    ])
+    def test_config_validation(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(SolverConfig(lam=1.0), **{field: value}).validate()
 
     @pytest.mark.parametrize("field", ["lam", "mu", "theta", "outer_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
