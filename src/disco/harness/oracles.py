@@ -44,12 +44,12 @@ class DenseNewtonOracle:
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         margins = self._Xd.T @ w
-        g = grad_coeffs(self.obj, margins, self.dataset.y)
+        g = grad_coeffs(self.obj.loss, margins, self.dataset.y)
         return self._Xd @ g / self.obj.n + self.obj.lam * w
 
     def hessian(self, w: np.ndarray) -> np.ndarray:
         margins = self._Xd.T @ w
-        h = hess_coeffs(self.obj, margins, self.dataset.y)
+        h = hess_coeffs(self.obj.loss, margins, self.dataset.y)
         H = (self._Xd * h) @ self._Xd.T / self.obj.n
         H[np.diag_indices_from(H)] += self.obj.lam
         return H

@@ -6,8 +6,9 @@ The objective is
 
 with two smooth losses: the square loss (y - w'x)^2 (no 1/2 factor, so its
 curvature coefficient is the constant 2) and the logistic loss
-log(1 + exp(-y * w'x)). Per-sample derivatives are exposed as vectors of
-coefficients g_i and h_i (``grad_coeffs``, ``hess_coeffs``) with
+log(1 + exp(-y * w'x)), whose functions reject labels outside {-1, +1}.
+Per-sample derivatives are exposed as vectors of coefficients g_i and h_i
+(``grad_coeffs``, ``hess_coeffs``, given the loss kind) with
 
     grad loss_i = g_i * x_i        hess loss_i = h_i * x_i x_i'
 
@@ -62,25 +63,35 @@ def _check_margins(margins: np.ndarray):
         raise ValueError("non-finite margin encountered")
 
 
-def grad_coeffs(obj: Objective, margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _check_sign_labels(labels: np.ndarray):
+    if not np.all(np.abs(labels) == 1.0):
+        bad = np.setdiff1d(labels, (-1.0, 1.0))
+        raise ValueError(
+            f"logistic loss needs labels in {{-1, +1}}; found {bad.size} other value(s): {bad[:5].tolist()}"
+        )
+
+
+def grad_coeffs(loss: LossKind, margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Vectorized per-sample gradient coefficients."""
     margins = np.asarray(margins, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     _check_margins(margins)
-    if obj.loss is LossKind.SQUARE:
+    if loss is LossKind.SQUARE:
         return 2.0 * (margins - labels)
+    _check_sign_labels(labels)
     return -labels * expit(-labels * margins)
 
 
-def hess_coeffs(obj: Objective, margins: np.ndarray | None, labels: np.ndarray) -> np.ndarray:
+def hess_coeffs(loss: LossKind, margins: np.ndarray | None, labels: np.ndarray) -> np.ndarray:
     """Vectorized per-sample Hessian coefficients.
 
     Constant 2 for the square loss, so callers may pass arbitrary margins,
     or None, there (the result does not depend on the current iterate).
     """
     labels = np.asarray(labels, dtype=np.float64)
-    if obj.loss is LossKind.SQUARE:
+    if loss is LossKind.SQUARE:
         return np.full(labels.shape[0], 2.0)
+    _check_sign_labels(labels)
     if margins is None:
         raise ValueError("logistic Hessian coefficients need the margins of the current iterate")
     margins = np.asarray(margins, dtype=np.float64)
@@ -110,6 +121,7 @@ def objective_value(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray
         resid = y - margins
         data_term = float(np.dot(resid, resid)) / obj.n
     else:
+        _check_sign_labels(y)
         data_term = float(np.sum(np.logaddexp(0.0, -y * margins))) / obj.n
     return data_term + 0.5 * obj.lam * float(np.dot(w, w))
 
@@ -120,7 +132,7 @@ def full_gradient(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray) 
     w = np.asarray(w, dtype=np.float64)
     _check_full_dims(obj, X, y, w)
     margins = X.matrix.T @ w
-    coeffs = grad_coeffs(obj, margins, y)
+    coeffs = grad_coeffs(obj.loss, margins, y)
     return spmv(X, coeffs) / obj.n + obj.lam * w
 
 
@@ -139,6 +151,6 @@ def hess_vec_dense(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray,
     if obj.loss is LossKind.SQUARE:
         h = np.full(obj.n, 2.0)
     else:
-        h = hess_coeffs(obj, X.matrix.T @ w, y)
+        h = hess_coeffs(obj.loss, X.matrix.T @ w, y)
     z = X.matrix.T @ u
     return spmv(X, h * z) / obj.n + obj.lam * u

@@ -44,6 +44,10 @@ such as a d x n_j sample shard with d > n_j, gathers over its columns through
 a CSR copy of its transpose built on its first product; a shard with no more
 rows than columns scatters through its CSC view.
 
+A solve is described once: the partition gives the data, n and the feature
+block split, ``SolverConfig`` the loss, lam and every solver parameter; a
+layout validates the config, and that tau fits the data, when it is built.
+
 The layout objects call the public entry points (``pcg_*``,
 ``build_preconditioner*``), the partitioners and the kernels through this
 module's globals at call time, so replacing one of those names (a tracer, a
@@ -64,8 +68,8 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .comm import Cluster
-from .linalg import SparseBlock, spmv, spmv_transpose
-from .losses import LossKind, Objective, grad_coeffs, hess_coeffs
+from .linalg import spmv, spmv_transpose
+from .losses import LossKind, grad_coeffs, hess_coeffs
 from .partition import (
     FeaturePartition,
     SamplePartition,
@@ -310,55 +314,50 @@ def _factor_curvature_block(i: int, block: sparse.csr_array, h_tau: np.ndarray, 
         ) from exc
 
 
-def _block_preconditioner(obj: Objective, config: SolverConfig, tau: int, blocks_tau: list,
-                          labels: np.ndarray, margins: np.ndarray | None, sizes, offsets) -> BlockPreconditioner:
+def _block_preconditioner(config: SolverConfig, tau: int, blocks_tau: list, labels: np.ndarray,
+                          margins: np.ndarray | None, sizes, offsets) -> BlockPreconditioner:
     """Factor each feature block's first-tau-samples slice (sparse, d_b x tau)
     with the curvature of the first tau ``margins`` and ``labels``."""
     config.validate()
-    h_tau = hess_coeffs(obj, None if margins is None else margins[:tau], labels[:tau])
+    h_tau = hess_coeffs(config.loss, None if margins is None else margins[:tau], labels[:tau])
     blocks = tuple(_factor_curvature_block(i, b, h_tau, config.mu) for i, b in enumerate(blocks_tau))
     return BlockPreconditioner(blocks, tuple(sizes), tuple(offsets))
 
 
 def build_preconditioner(
-    obj: Objective,
     config: SolverConfig,
-    shard: SparseBlock,
-    labels: np.ndarray,
-    block_sizes: list,
-    *,
+    spart: SamplePartition,
     margins: np.ndarray | None = None,
 ) -> BlockPreconditioner:
     """Master-side build for the sample layout.
 
-    ``shard`` is the master's block (all d features, its n_1 samples); the
-    first tau of those samples feed the estimate, split into feature blocks
-    of ``block_sizes``. The logistic curvature reads ``margins``, the
-    master's margins X_1'w of the current iterate (as the gradient exchange
-    leaves them); the square loss needs none.
+    The first tau samples of the master's shard (node 0: all d features, its
+    n_1 samples) feed the estimate, split into the m balanced feature blocks
+    that the feature layout's nodes hold, so that both layouts build the same
+    preconditioner. The logistic curvature reads ``margins``, the master's
+    margins X_1'w of the current iterate (as the gradient exchange leaves
+    them); the square loss needs none.
     """
+    shard = spart.shards[0]
     tau = config.resolved_tau(shard.cols)
-    sizes = [int(s) for s in block_sizes]
-    if sum(sizes) != shard.rows:
-        raise ValueError(f"block sizes {sizes} do not cover {shard.rows} features")
+    sizes = balanced_sizes(spart.d, len(spart.shards))
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
     sub = shard.matrix[:, :tau]
     blocks = [sub[off:off + size, :] for off, size in zip(offsets, sizes)]
-    return _block_preconditioner(obj, config, tau, blocks, labels, margins, sizes, offsets)
+    return _block_preconditioner(config, tau, blocks, spart.labels[0], margins, sizes, offsets)
 
 
 def build_preconditioner_features(
-    obj: Objective,
     config: SolverConfig,
     fpart: FeaturePartition,
-    margins: np.ndarray | None,
+    margins: np.ndarray | None = None,
 ) -> BlockPreconditioner:
     """Feature-layout build: node i factors its own block from the first tau
     columns of its feature slice. ``margins`` are the shared sample margins
     X'w of the current iterate (any value, or None, for the square loss)."""
     tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.shards))[0])
     blocks = [shard.matrix[:, :tau] for shard in fpart.shards]
-    return _block_preconditioner(obj, config, tau, blocks, fpart.y, margins, fpart.sizes, fpart.offsets)
+    return _block_preconditioner(config, tau, blocks, fpart.y, margins, fpart.sizes, fpart.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +366,14 @@ def build_preconditioner_features(
 
 
 class _Layout:
-    """A vector is a list of blocks, block i of length ``sizes[i]``.
-    Subclasses set ``sizes`` and ``tau_available`` (the samples the
-    preconditioner can draw from)."""
+    """A vector is a list of blocks, block i of length ``sizes[i]``. The
+    partition and ``config`` describe the whole problem; ``config`` is
+    validated here, and subclasses set ``sizes`` and check that tau fits the
+    samples their preconditioner draws from."""
 
-    def __init__(self, cluster: Cluster, part, obj: Objective):
-        self.cluster, self.part, self.obj = cluster, part, obj
+    def __init__(self, cluster: Cluster, part, config: SolverConfig):
+        config.validate()
+        self.cluster, self.part, self.config = cluster, part, config
 
     def zeros(self) -> list:
         return self.map(lambda i: np.zeros(self.sizes[i]))
@@ -381,10 +382,10 @@ class _Layout:
 class _SampleLayout(_Layout):
     """Sample partition: each vector is one full-length block on the master."""
 
-    def __init__(self, cluster: Cluster, part: SamplePartition, obj: Objective):
-        super().__init__(cluster, part, obj)
+    def __init__(self, cluster: Cluster, part: SamplePartition, config: SolverConfig):
+        super().__init__(cluster, part, config)
         self.sizes = (part.d,)
-        self.tau_available = part.sizes[0]
+        config.resolved_tau(part.sizes[0])
 
     def map(self, fn) -> list:
         return [fn(0)]
@@ -400,32 +401,32 @@ class _SampleLayout(_Layout):
 
     def curvature(self, margins: list) -> list:
         """Per-node Hessian coefficients from per-node margins; local work."""
-        part = self.part
-        return self.cluster.map_nodes(lambda j: hess_coeffs(self.obj, margins[j], part.labels[j]))
+        part, loss = self.part, self.config.loss
+        return self.cluster.map_nodes(lambda j: hess_coeffs(loss, margins[j], part.labels[j]))
 
     def gradient(self, w: list) -> tuple:
         """Broadcast w, reduce-all the per-node data terms, add lam*w.
         Returns the gradient and the per-node margins."""
-        cluster, part, obj = self.cluster, self.part, self.obj
+        cluster, part, config = self.cluster, self.part, self.config
         w_all = cluster.broadcast(w[0])
 
         def local_term(j):
             margins_j = spmv_transpose(part.shards[j], w_all)
-            return margins_j, spmv(part.shards[j], grad_coeffs(obj, margins_j, part.labels[j])) / obj.n
+            return margins_j, spmv(part.shards[j], grad_coeffs(config.loss, margins_j, part.labels[j])) / part.n
 
         node_margins, parts = zip(*cluster.map_nodes(local_term))
-        return [cluster.reduce_all(list(parts)) + obj.lam * w_all], list(node_margins)
+        return [cluster.reduce_all(list(parts)) + config.lam * w_all], list(node_margins)
 
     def hess_vec(self, u: list, h: list) -> list:
         """One metered Hu: broadcast u, reduce-all the data terms, add lam*u."""
-        cluster, part, obj = self.cluster, self.part, self.obj
+        cluster, part = self.cluster, self.part
         u_all = cluster.broadcast(u[0])
 
         def local_term(j):
             z = spmv_transpose(part.shards[j], u_all)
-            return spmv(part.shards[j], h[j] * z) / obj.n
+            return spmv(part.shards[j], h[j] * z) / part.n
 
-        return [cluster.reduce_all(cluster.map_nodes(local_term)) + obj.lam * u_all]
+        return [cluster.reduce_all(cluster.map_nodes(local_term)) + self.config.lam * u_all]
 
     def precondition(self, precond: BlockPreconditioner, r: list) -> list:
         return [precond.apply(r[0])]
@@ -433,17 +434,12 @@ class _SampleLayout(_Layout):
     def assemble(self, v: list) -> np.ndarray:
         return v[0]
 
-    def preconditioner(self, config: SolverConfig, margins: list) -> BlockPreconditioner:
-        part = self.part
-        return build_preconditioner(
-            self.obj, config, part.shards[0], part.labels[0], balanced_sizes(part.d, self.cluster.m),
-            margins=margins[0],
-        )
+    def preconditioner(self, margins: list) -> BlockPreconditioner:
+        return build_preconditioner(self.config, self.part, margins[0])
 
-    def newton_step(self, w, eps_k, config, grad, margins, precond) -> NewtonStepResult:
+    def newton_step(self, w, eps_k, grad, margins, precond) -> NewtonStepResult:
         return pcg_samples(
-            self.cluster, self.part, self.obj, w[0], eps_k, config,
-            grad=grad[0], margins=margins, precond=precond,
+            self.cluster, self.part, w[0], eps_k, self.config, grad=grad[0], margins=margins, precond=precond,
         )
 
 
@@ -452,10 +448,10 @@ class _FeatureLayout(_Layout):
     sample margins X'w and the coefficients derived from them are one
     length-n array that every node holds."""
 
-    def __init__(self, cluster: Cluster, part: FeaturePartition, obj: Objective):
-        super().__init__(cluster, part, obj)
+    def __init__(self, cluster: Cluster, part: FeaturePartition, config: SolverConfig):
+        super().__init__(cluster, part, config)
         self.sizes = part.sizes
-        self.tau_available = part.n
+        config.resolved_tau(part.n)
 
     def map(self, fn) -> list:
         return self.cluster.map_nodes(fn)
@@ -480,22 +476,22 @@ class _FeatureLayout(_Layout):
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:
         """Hessian coefficients of the shared margins (any value, or None, for
         the square loss); local work."""
-        return hess_coeffs(self.obj, margins, self.part.y)
+        return hess_coeffs(self.config.loss, margins, self.part.y)
 
     def gradient(self, w: list) -> tuple:
         """Per-node gradient blocks from the shared margins, which cost one
         length-n reduce_all. Returns blocks and margins."""
-        part, obj = self.part, self.obj
+        part, lam = self.part, self.config.lam
         margins = self.margins_of(w)
-        coeffs = grad_coeffs(obj, margins, part.y)
-        return self.cluster.map_nodes(lambda i: spmv(part.shards[i], coeffs) / obj.n + obj.lam * w[i]), margins
+        coeffs = grad_coeffs(self.config.loss, margins, part.y)
+        return self.cluster.map_nodes(lambda i: spmv(part.shards[i], coeffs) / part.n + lam * w[i]), margins
 
     def hess_vec(self, u: list, h: np.ndarray) -> list:
         """One metered Hu: a single length-n reduce_all of the partial
         products X_i'u_i, then local block work."""
-        cluster, part, obj = self.cluster, self.part, self.obj
+        cluster, part, lam = self.cluster, self.part, self.config.lam
         hz = h * cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], u[i])))
-        return cluster.map_nodes(lambda i: spmv(part.shards[i], hz) / obj.n + obj.lam * u[i])
+        return cluster.map_nodes(lambda i: spmv(part.shards[i], hz) / part.n + lam * u[i])
 
     def precondition(self, precond: BlockPreconditioner, r: list) -> list:
         return self.cluster.map_nodes(lambda i: precond.apply_block(i, r[i]))
@@ -503,13 +499,12 @@ class _FeatureLayout(_Layout):
     def assemble(self, v: list) -> np.ndarray:
         return self.cluster.reduce_concat(v)
 
-    def preconditioner(self, config: SolverConfig, margins: np.ndarray) -> BlockPreconditioner:
-        return build_preconditioner_features(self.obj, config, self.part, margins)
+    def preconditioner(self, margins: np.ndarray) -> BlockPreconditioner:
+        return build_preconditioner_features(self.config, self.part, margins)
 
-    def newton_step(self, w, eps_k, config, grad, margins, precond) -> NewtonStepResult:
+    def newton_step(self, w, eps_k, grad, margins, precond) -> NewtonStepResult:
         return pcg_features(
-            self.cluster, self.part, self.obj, w, eps_k, config,
-            grad_blocks=grad, margins=margins, precond=precond,
+            self.cluster, self.part, w, eps_k, self.config, grad_blocks=grad, margins=margins, precond=precond,
         )
 
 
@@ -522,7 +517,6 @@ def _pcg(
     layout: _Layout,
     w: list,
     eps_k: float,
-    config: SolverConfig,
     grad: list | None,
     margins: list | None,
     precond: BlockPreconditioner | None,
@@ -536,8 +530,7 @@ def _pcg(
     Every dot product goes through ``layout.dots``, batched so that the
     feature layout pays two scalar rounds per iteration.
     """
-    config.validate()
-    if eps_k <= 0:
+    if not eps_k > 0:  # also catches a NaN
         raise ValueError(f"eps_k must be positive, got {eps_k}")
     if grad is None:
         if margins is not None:
@@ -546,9 +539,9 @@ def _pcg(
     elif margins is None:
         margins = layout.margins_of(w)
     if precond is None:
-        precond = layout.preconditioner(config, margins)
+        precond = layout.preconditioner(margins)
     h = layout.curvature(margins)
-    max_inner = config.resolved_max_inner(layout.part.d)
+    max_inner = layout.config.resolved_max_inner(layout.part.d)
 
     r = grad
     # Driver-side control scalar; the metered path learns ||r|| from the
@@ -604,7 +597,6 @@ def _pcg(
 def pcg_samples(
     cluster: Cluster,
     spart: SamplePartition,
-    obj: Objective,
     w: np.ndarray,
     eps_k: float,
     config: SolverConfig,
@@ -629,13 +621,12 @@ def pcg_samples(
     """
     w = [np.asarray(w, dtype=np.float64)]
     grad = None if grad is None else [np.asarray(grad, dtype=np.float64)]
-    return _pcg(_SampleLayout(cluster, spart, obj), w, eps_k, config, grad, margins, precond, record_history)
+    return _pcg(_SampleLayout(cluster, spart, config), w, eps_k, grad, margins, precond, record_history)
 
 
 def pcg_features(
     cluster: Cluster,
     fpart: FeaturePartition,
-    obj: Objective,
     w_blocks: list,
     eps_k: float,
     config: SolverConfig,
@@ -663,8 +654,8 @@ def pcg_features(
     normally passes both in. ``margins`` is the one length-n array X'w that
     every node holds and is accepted only with ``grad_blocks``.
     """
-    layout = _FeatureLayout(cluster, fpart, obj)
-    return _pcg(layout, w_blocks, eps_k, config, grad_blocks, margins, precond, record_history)
+    layout = _FeatureLayout(cluster, fpart, config)
+    return _pcg(layout, w_blocks, eps_k, grad_blocks, margins, precond, record_history)
 
 
 # ---------------------------------------------------------------------------
@@ -701,19 +692,10 @@ def disco_outer(
     eps_k) are aggregated by the driver; in the feature layout this stands in
     for a piggybacked scalar and is deliberately not metered as a round.
     """
-    config.validate()
-    if config.loss is LossKind.LOGISTIC:
-        bad = np.setdiff1d(dataset.y, (-1.0, 1.0))
-        if bad.size:
-            raise ValueError(
-                f"logistic loss needs labels in {{-1, +1}}; found {bad.size} other value(s): {bad[:5].tolist()}"
-            )
-    obj = Objective(loss=config.loss, lam=config.lam, n=dataset.n, d=dataset.d)
     if config.partition_mode is PartitionMode.SAMPLES:
-        layout = _SampleLayout(cluster, partition_by_samples(dataset.X, dataset.y, cluster.m), obj)
+        layout = _SampleLayout(cluster, partition_by_samples(dataset.X, dataset.y, cluster.m), config)
     else:
-        layout = _FeatureLayout(cluster, partition_by_features(dataset.X, dataset.y, cluster.m), obj)
-    config.resolved_tau(layout.tau_available)  # fail fast on an impossible tau
+        layout = _FeatureLayout(cluster, partition_by_features(dataset.X, dataset.y, cluster.m), config)
 
     w = layout.zeros()
     precond: BlockPreconditioner | None = None
@@ -746,8 +728,8 @@ def disco_outer(
             break
         eps_k = config.theta * gnorm
         if precond is None or config.loss is LossKind.LOGISTIC:
-            precond = layout.preconditioner(config, margins)
-        step = layout.newton_step(w, eps_k, config, grad, margins, precond)
+            precond = layout.preconditioner(margins)
+        step = layout.newton_step(w, eps_k, grad, margins, precond)
         w = layout.map(lambda i: damped_update(w[i], step.direction_blocks[i], step.delta))
         inner_cum += step.inner_iters
         inner_unconverged += not step.converged

@@ -91,13 +91,13 @@ def test_criterion_1_inner_solver_oracle_equivalence(ridge_suite):
         scale = np.linalg.norm(expected)
 
         spart = partition_by_samples(ds.X, ds.y, m)
-        step_s = pcg_samples(Cluster(m), spart, obj, w, eps_k=1e-12, config=cfg)
+        step_s = pcg_samples(Cluster(m), spart, w, eps_k=1e-12, config=cfg)
         assert step_s.converged
         assert np.linalg.norm(step_s.direction - expected) <= 1e-8 * scale
 
         fpart = partition_by_features(ds.X, ds.y, m)
         w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-        step_f = pcg_features(Cluster(m), fpart, obj, w_blocks, eps_k=1e-12, config=cfg)
+        step_f = pcg_features(Cluster(m), fpart, w_blocks, eps_k=1e-12, config=cfg)
         assert step_f.converged
         assert np.linalg.norm(step_f.direction - expected) <= 1e-8 * scale
         checked += 1

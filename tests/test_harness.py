@@ -35,6 +35,13 @@ class TestReadLibsvm:
         col = ds.X.toarray()[:, 0]
         assert np.array_equal(col, [0.5, 0.0, -2.0])
 
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "blank.txt"
+        p.write_text("\n1 1:1\n\n   \n-1 2:1\n")
+        ds = read_libsvm(p)
+        assert (ds.d, ds.n) == (2, 2)
+        assert np.array_equal(ds.y, [1.0, -1.0])
+
     def test_label_only_line_gives_zero_column(self, tmp_path):
         p = tmp_path / "b.txt"
         p.write_text("1 1:1\n-1\n")
@@ -73,6 +80,16 @@ class TestReadLibsvm:
         p = tmp_path / "nf.txt"
         p.write_text(text)
         with pytest.raises(ValueError, match=f"nf.txt:2: non-finite {what}"):
+            read_libsvm(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 1:0.5\nabc 2:1\n", "bad.txt:2: bad label 'abc'"),
+        ("1\n-1\n", "bad.txt: no features"),
+    ], ids=["bad-label", "no-features"])
+    def test_rejects_malformed_file(self, tmp_path, text, message):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
             read_libsvm(p)
 
     def test_indices_must_increase(self, tmp_path):
@@ -149,9 +166,14 @@ class TestGenSynthetic:
         ds = gen_synthetic(100, 10, 0.25, 0.0, seed=2)
         assert ds.X.nnz == 25 * 10
 
-    def test_invalid_density(self):
-        with pytest.raises(ValueError, match="density"):
-            gen_synthetic(4, 4, 0.0, 0.0, seed=0)
+    @pytest.mark.parametrize("d, n, density, noise, message", [
+        (4, 4, 0.0, 0.0, "density must be in"),
+        (0, 4, 0.5, 0.0, "need d >= 1 and n >= 1, got d=0"),
+        (4, 4, 0.5, -0.1, "noise must be non-negative"),
+    ], ids=["density", "d", "noise"])
+    def test_invalid_arguments(self, d, n, density, noise, message):
+        with pytest.raises(ValueError, match=message):
+            gen_synthetic(d, n, density, noise, seed=0)
 
     def test_noiseless_planted_solution_recovered(self):
         # with no noise and vanishing regularization the ridge solution is
@@ -195,7 +217,7 @@ class TestDenseNewtonOracle:
         spart = partition_by_samples(ds.X, ds.y, 2)
         rng = np.random.default_rng(163)
         w = rng.standard_normal(10)
-        step = pcg_samples(Cluster(2), spart, obj, w, eps_k=1e-13, config=cfg)
+        step = pcg_samples(Cluster(2), spart, w, eps_k=1e-13, config=cfg)
         expected = DenseNewtonOracle(ds, obj).newton_direction(w)
         assert np.linalg.norm(step.direction - expected) <= 1e-8 * np.linalg.norm(expected)
 
@@ -207,6 +229,11 @@ class TestDenseNewtonOracle:
             ridge_closed_form(ds, 0.1)
         with pytest.raises(ValueError, match="500"):
             DenseNewtonOracle(ds, Objective(LossKind.SQUARE, 0.1, 2, 501))
+
+    def test_objective_must_match_dataset(self):
+        ds, _ = make_dense_instance(d=3, n=4, seed=166)
+        with pytest.raises(ValueError, match="dataset and objective dimensions disagree"):
+            DenseNewtonOracle(ds, Objective(LossKind.SQUARE, 0.1, 5, 3))
 
     def test_minimizer_requires_square_loss(self):
         ds, obj = make_dense_instance(d=4, n=8, seed=165, loss=LossKind.LOGISTIC, labels="sign")

@@ -69,6 +69,19 @@ def draw_tau_mu(data, d, n, m, mode):
     return tau, data.draw(st.floats(0.01, 1.0), label="mu")
 
 
+def load_discobench(name):
+    """discobench/<name>.py, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "discobench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"discobench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# discobench/costmodel.py: the counters every benchmark solve is gated on
+COSTMODEL = load_discobench("costmodel")
+
+
 def cost_model(mode, d, n, result):
     """The README's collective counts for one ``disco_outer`` run."""
     cum = [row.inner_iters_cum for row in result.trace]
@@ -103,10 +116,10 @@ def test_pcg_layouts_agree(data, d, n, loss):
     w = 0.5 * np.random.default_rng(d * 100 + n).standard_normal(d)
     eps_k = 1e-10 * max(np.linalg.norm(full_gradient(obj, ds.X, ds.y, w)), 1e-300)
 
-    step_s = pcg_samples(Cluster(m), partition_by_samples(ds.X, ds.y, m), obj, w, eps_k, cfg)
+    step_s = pcg_samples(Cluster(m), partition_by_samples(ds.X, ds.y, m), w, eps_k, cfg)
     fpart = partition_by_features(ds.X, ds.y, m)
     w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-    step_f = pcg_features(Cluster(m), fpart, obj, w_blocks, eps_k, cfg)
+    step_f = pcg_features(Cluster(m), fpart, w_blocks, eps_k, cfg)
     if m == 1:
         assert np.array_equal(step_s.direction, step_f.direction)
         assert (step_s.delta, step_s.inner_iters) == (step_f.delta, step_f.inner_iters)
@@ -132,7 +145,10 @@ def test_comm_stats_match_cost_model(data, d, n, loss, mode):
     cfg = SolverConfig(lam=0.2, mu=mu, tau=tau, loss=loss, max_outer=4, partition_mode=mode)
     cluster = Cluster(m)
     result = disco_outer(cluster, ds, cfg)
-    assert cluster.snapshot_stats() == cost_model(mode, d, n, result)
+    stats = cluster.snapshot_stats()
+    assert stats == cost_model(mode, d, n, result)
+    # the gate every benchmark solve must pass
+    assert stats == COSTMODEL.expected_stats(mode, d, n, result.grad_evals, COSTMODEL.inner_iters_per_step(result))
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,11 +181,7 @@ def test_damped_newton_converges_monotonically(data, d, n, loss, mode):
 def load_tracer():
     """discobench/tracer.py, loaded from its file: its TRACED table lists the
     names it replaces to time the solver's layers."""
-    path = Path(__file__).resolve().parents[1] / "discobench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("discobench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_discobench("tracer")
 
 
 @pytest.mark.parametrize("mode,pcg,build,partition", [

@@ -188,6 +188,16 @@ class TestSparseBlock:
         with pytest.raises(ValueError, match="non-finite"):
             SparseBlock.from_dense([[np.inf, 0.0], [0.0, 1.0]])
 
+    def test_rejects_dense_array(self):
+        with pytest.raises(TypeError, match="scipy sparse matrix"):
+            SparseBlock(np.eye(2))
+
+    def test_int_coo_becomes_float64_csr(self):
+        coo = sparse.coo_array((np.array([3, 4]), (np.array([0, 1]), np.array([1, 0]))), shape=(2, 2))
+        block = SparseBlock(coo)
+        assert block.matrix.format == "csr" and block.matrix.dtype == np.float64
+        assert np.array_equal(block.toarray(), [[0.0, 3.0], [4.0, 0.0]])
+
     def test_slicing_tracks_offsets(self):
         block = random_sparse(6, 8, nnz=12, seed=7)
         rows = block.row_slice(2, 5)

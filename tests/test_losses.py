@@ -26,11 +26,11 @@ def sample_loss(obj, margin, label):
 
 
 def grad_coeff(obj, margin, label):
-    return grad_coeffs(obj, np.array([margin]), np.array([label]))[0]
+    return grad_coeffs(obj.loss, np.array([margin]), np.array([label]))[0]
 
 
 def hess_coeff(obj, margin, label):
-    return hess_coeffs(obj, np.array([margin]), np.array([label]))[0]
+    return hess_coeffs(obj.loss, np.array([margin]), np.array([label]))[0]
 
 
 class TestScalarOps:
@@ -78,7 +78,7 @@ class TestScalarOps:
 
     def test_logistic_hess_needs_margins(self):
         with pytest.raises(ValueError, match="need the margins"):
-            hess_coeffs(lo_obj(), None, np.array([1.0]))
+            hess_coeffs(LossKind.LOGISTIC, None, np.array([1.0]))
 
 
 class TestObjectiveType:
@@ -116,11 +116,23 @@ class TestFullGradient:
         g = full_gradient(obj, X, y, w)
         assert np.array_equal(g, obj.lam * w)
 
-    def test_dimension_mismatch(self):
-        X = SparseBlock.from_dense(np.eye(3))
+    @pytest.mark.parametrize("x_shape, y_len, w_len, message", [
+        ((3, 3), 2, 3, "labels have length 2, expected 3"),
+        ((3, 2), 3, 3, "data block is 3x2, objective expects 3x3"),
+        ((3, 3), 3, 2, "iterate has length 2, expected 3"),
+    ], ids=["labels", "data", "iterate"])
+    def test_dimension_mismatch(self, x_shape, y_len, w_len, message):
+        X = SparseBlock.from_dense(np.ones(x_shape))
         obj = sq_obj(n=3, d=3, lam=1.0)
-        with pytest.raises(ValueError):
-            full_gradient(obj, X, np.ones(2), np.zeros(3))
+        y, w = np.ones(y_len), np.zeros(w_len)
+        for call in (objective_value, full_gradient, lambda *args: hess_vec_dense(*args, np.zeros(3))):
+            with pytest.raises(ValueError, match=message):
+                call(obj, X, y, w)
+
+    def test_direction_length_mismatch(self):
+        X = SparseBlock.from_dense(np.eye(3))
+        with pytest.raises(ValueError, match="direction has length 2, expected 3"):
+            hess_vec_dense(sq_obj(n=3, d=3, lam=1.0), X, np.ones(3), np.zeros(3), np.zeros(2))
 
 
 def test_unpartitioned_products_cache_no_transposed_copy():
@@ -131,9 +143,10 @@ def test_unpartitioned_products_cache_no_transposed_copy():
     w, u = rng.standard_normal(9), rng.standard_normal(9)
     for loss in LossKind:
         obj = Objective(loss=loss, lam=0.1, n=4, d=9)
-        objective_value(obj, ds.X, ds.y, w)
-        full_gradient(obj, ds.X, ds.y, w)
-        hess_vec_dense(obj, ds.X, ds.y, w, u)
+        y = ds.y if loss is LossKind.SQUARE else np.where(ds.y > 0, 1.0, -1.0)
+        objective_value(obj, ds.X, y, w)
+        full_gradient(obj, ds.X, y, w)
+        hess_vec_dense(obj, ds.X, y, w, u)
     assert "matrix_t" not in vars(ds.X)
 
 

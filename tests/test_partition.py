@@ -19,6 +19,21 @@ class TestBalancedSizes:
     def test_single(self):
         assert balanced_sizes(9, 1) == [9]
 
+    def test_no_shards_rejected(self):
+        with pytest.raises(ValueError, match="at least one shard, got m=0"):
+            balanced_sizes(5, 0)
+
+
+@pytest.mark.parametrize("partition", [partition_by_samples, partition_by_features])
+@pytest.mark.parametrize("labels, message", [
+    ([1.0, np.nan, 0.0, 2.0, 1.0], "vector contains non-finite values"),
+    ([1.0, 0.0, 2.0, 1.0], "labels have length 4, data has 5 samples"),
+], ids=["nan", "short"])
+def test_rejects_bad_labels(partition, labels, message):
+    ds, _ = make_dense_instance(d=4, n=5, seed=0)
+    with pytest.raises(ValueError, match=message):
+        partition(ds.X, np.array(labels), 2)
+
 
 class TestSamplePartition:
     def test_sizes_and_offsets(self):
@@ -100,7 +115,7 @@ class TestObjectiveEquivalence:
         total = np.zeros(6)
         for shard, yj in zip(part.shards, part.labels):
             margins = spmv_transpose(shard, w)
-            total += spmv(shard, grad_coeffs(obj, margins, yj)) / obj.n
+            total += spmv(shard, grad_coeffs(obj.loss, margins, yj)) / obj.n
         total += obj.lam * w
         assert np.linalg.norm(total - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
@@ -115,7 +130,7 @@ class TestObjectiveEquivalence:
         blocks = []
         for shard, off, di in zip(part.shards, part.offsets, part.sizes):
             margins += spmv_transpose(shard, w[off:off + di])
-        coeffs = grad_coeffs(obj, margins, part.y)
+        coeffs = grad_coeffs(obj.loss, margins, part.y)
         for shard, off, di in zip(part.shards, part.offsets, part.sizes):
             blocks.append(spmv(shard, coeffs) / obj.n + obj.lam * w[off:off + di])
         got = np.concatenate(blocks)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from disco import (
     disco_outer,
     full_gradient,
     hess_vec_dense,
+    objective_value,
     partition_by_features,
     partition_by_samples,
     pcg_features,
     pcg_samples,
 )
 from disco.harness import DenseNewtonOracle, ridge_closed_form
-from disco.partition import balanced_sizes
+from disco.losses import grad_coeffs, hess_coeffs
 from disco.solver import (
     BlockPreconditioner,
     _DenseBlock,
@@ -57,10 +59,10 @@ def brute_force_curvature(Xd, h, tau, mu):
 
 class TestPreconditioner:
     def test_matches_brute_force_assembly(self):
-        ds, obj = make_dense_instance(d=8, n=8, seed=70, lam=0.2)
+        ds, _ = make_dense_instance(d=8, n=8, seed=70, lam=0.2)
         cfg = ridge_config(lam=0.2, mu=0.05, tau=4)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [8])
+        P = build_preconditioner(cfg, spart)
         expected = brute_force_curvature(ds.X.toarray(), np.full(8, 2.0), tau=4, mu=0.05)
         rng = np.random.default_rng(71)
         for _ in range(3):
@@ -72,25 +74,25 @@ class TestPreconditioner:
         ds, obj = make_dense_instance(d=6, n=10, seed=72, lam=0.3)
         cfg = ridge_config(lam=0.3, mu=0.3, tau=10)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [6])
+        P = build_preconditioner(cfg, spart)
         H = DenseNewtonOracle(ds, obj).hessian(np.zeros(6))
         r = np.random.default_rng(73).standard_normal(6)
         assert np.linalg.norm(P.apply(r) - np.linalg.solve(H, r)) < 1e-10
 
     def test_large_mu_is_scaled_identity(self):
-        ds, obj = make_dense_instance(d=5, n=8, seed=74)
+        ds, _ = make_dense_instance(d=5, n=8, seed=74)
         mu = 1e9
         cfg = ridge_config(mu=mu, tau=8)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [5])
+        P = build_preconditioner(cfg, spart)
         r = np.random.default_rng(75).standard_normal(5)
         assert np.linalg.norm(P.apply(r) - r / mu) <= 1e-8 * np.linalg.norm(r) / mu
 
     def test_multiply_back(self):
-        ds, obj = make_dense_instance(d=6, n=9, seed=76)
+        ds, _ = make_dense_instance(d=6, n=9, seed=76)
         cfg = ridge_config(mu=0.02, tau=6)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [6])
+        P = build_preconditioner(cfg, spart)
         dense = brute_force_curvature(ds.X.toarray(), np.full(9, 2.0), tau=6, mu=0.02)
         r = np.random.default_rng(77).standard_normal(6)
         assert np.linalg.norm(dense @ P.apply(r) - r) <= 1e-10 * np.linalg.norm(r)
@@ -103,23 +105,23 @@ class TestPreconditioner:
         (8, True, "not positive definite; increase mu"),
     ])
     def test_non_pd_failure_names_mu(self, tau, zero_row, message):
-        ds, obj = make_dense_instance(d=8, n=8, seed=78)
+        ds, _ = make_dense_instance(d=8, n=8, seed=78)
         Xd = ds.X.toarray()
         if zero_row:
             Xd[2] = 0.0
         spart = partition_by_samples(SparseBlock.from_dense(Xd), ds.y, 1)
         with pytest.raises(np.linalg.LinAlgError, match=message):
-            build_preconditioner(obj, ridge_config(mu=0.0, tau=tau), spart.shards[0], spart.labels[0], [8])
+            build_preconditioner(ridge_config(mu=0.0, tau=tau), spart)
 
     def test_mu_zero_below_full_rank_rejected_before_factoring(self):
         # a rank-3 estimate of a 4x4 block that cho_factor accepts: roundoff
         # leaves its last pivot slightly positive
-        ds, obj = make_dense_instance(d=4, n=6, seed=2)
+        ds, _ = make_dense_instance(d=4, n=6, seed=2)
         spart = partition_by_samples(ds.X, ds.y, 1)
         with pytest.raises(np.linalg.LinAlgError, match="mu=0"):
-            build_preconditioner(obj, ridge_config(mu=0.0, tau=3), spart.shards[0], spart.labels[0], [4])
+            build_preconditioner(ridge_config(mu=0.0, tau=3), spart)
         # at tau >= d_b the dense path still accepts mu = 0 when the block is full rank
-        P = build_preconditioner(obj, ridge_config(mu=0.0, tau=6), spart.shards[0], spart.labels[0], [4])
+        P = build_preconditioner(ridge_config(mu=0.0, tau=6), spart)
         r = np.random.default_rng(82).standard_normal(4)
         expected = brute_force_curvature(ds.X.toarray(), np.full(6, 2.0), tau=6, mu=0.0)
         assert np.linalg.norm(expected @ P.apply(r) - r) <= 1e-10 * np.linalg.norm(r)
@@ -127,15 +129,15 @@ class TestPreconditioner:
     def test_sample_and_feature_builds_agree_blockwise(self):
         # tau must not exceed the master shard so both layouts see the same
         # subsample (the first tau global samples)
-        ds, obj = make_dense_instance(d=9, n=12, seed=79, lam=0.2)
+        ds, _ = make_dense_instance(d=9, n=12, seed=79, lam=0.2)
         m = 3
         spart = partition_by_samples(ds.X, ds.y, m)
         fpart = partition_by_features(ds.X, ds.y, m)
         r = np.random.default_rng(80).standard_normal(9)
         for tau in (4, 2):  # d_b = 3: the dense and the low-rank path
             cfg = ridge_config(lam=0.2, mu=0.05, tau=tau)
-            Ps = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], balanced_sizes(9, m))
-            Pf = build_preconditioner_features(obj, cfg, fpart, None)
+            Ps = build_preconditioner(cfg, spart)
+            Pf = build_preconditioner_features(cfg, fpart)
             got = np.concatenate(
                 [Pf.apply_block(i, r[o:o + s]) for i, (o, s) in enumerate(zip(Pf.offsets, Pf.sizes))]
             )
@@ -143,9 +145,9 @@ class TestPreconditioner:
             assert all(isinstance(b, _LowRankBlock) == (tau < 3) for b in Ps.blocks + Pf.blocks)
 
     def test_low_rank_block_stores_no_square_array(self):
-        ds, obj = make_dense_instance(d=40, n=12, seed=83)
+        ds, _ = make_dense_instance(d=40, n=12, seed=83)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, ridge_config(mu=0.1, tau=5), spart.shards[0], spart.labels[0], [40])
+        P = build_preconditioner(ridge_config(mu=0.1, tau=5), spart)
         (block,) = P.blocks
         assert isinstance(block, _LowRankBlock)
         shapes = [np.shape(block.u), np.shape(block.ut), np.shape(block.cho[0])]
@@ -155,16 +157,14 @@ class TestPreconditioner:
         assert np.linalg.norm(P.apply(r) - np.linalg.solve(expected, r)) <= 1e-12 * np.linalg.norm(r) / 0.1
 
     def test_block_solve_dimension_check(self):
-        ds, obj = make_dense_instance(d=6, n=8, seed=81)
+        ds, _ = make_dense_instance(d=6, n=8, seed=81)
         cfg = ridge_config(mu=0.1, tau=4)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [6])
+        P = build_preconditioner(cfg, spart)
         with pytest.raises(ValueError):
             P.apply(np.zeros(5))
         with pytest.raises(ValueError, match="block 0 solve: vector has length 5, block is 6"):
             P.apply_block(0, np.zeros(5))
-        with pytest.raises(ValueError, match="do not cover 6 features"):
-            build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], [2, 3])
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,12 +225,13 @@ def test_block_solve_raises_on_potrs_error(monkeypatch):
 
 def test_empty_preconditioner_block_solves():
     # the sample layout splits d < m features into some empty blocks
-    ds, obj = make_dense_instance(d=2, n=6, seed=85)
-    spart = partition_by_samples(ds.X, ds.y, 1)
-    P = build_preconditioner(obj, ridge_config(mu=0.1, tau=4), spart.shards[0], spart.labels[0], [2, 0])
+    ds, _ = make_dense_instance(d=2, n=12, seed=85)
+    spart = partition_by_samples(ds.X, ds.y, 3)
+    P = build_preconditioner(ridge_config(mu=0.1, tau=4), spart)
+    assert P.sizes == (1, 1, 0)
     r = np.random.default_rng(86).standard_normal(2)
-    assert P.apply_block(1, np.empty(0)).shape == (0,)
-    assert np.array_equal(P.apply(r), P.apply_block(0, r))
+    assert P.apply_block(2, np.empty(0)).shape == (0,)
+    assert np.array_equal(P.apply(r), np.concatenate([P.apply_block(0, r[:1]), P.apply_block(1, r[1:])]))
 
 
 @pytest.mark.parametrize("d_b, tau", [(2, 1), (40, 5), (200, 63), (1000, 125)])
@@ -255,12 +256,11 @@ def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
 
 
 def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
-    ds, obj = make_dense_instance(d=12, n=10, seed=87, lam=0.1, loss=LossKind.LOGISTIC, labels="sign")
+    ds, _ = make_dense_instance(d=12, n=10, seed=87, lam=0.1, loss=LossKind.LOGISTIC, labels="sign")
     spart = partition_by_samples(ds.X, ds.y, 2)
-    shard, labels = spart.shards[0], spart.labels[0]
     w = np.random.default_rng(88).standard_normal(12)
     cfg = ridge_config(mu=0.1, tau=3, loss=LossKind.LOGISTIC)
-    margins = shard.matrix.T @ w  # the master's margins, as the gradient exchange leaves them
+    margins = spart.shards[0].matrix.T @ w  # the master's margins, as the gradient exchange leaves them
     built = []
     init = SparseBlock.__post_init__
 
@@ -269,7 +269,7 @@ def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
         init(self)
 
     monkeypatch.setattr(SparseBlock, "__post_init__", counting_init)
-    build_preconditioner(obj, cfg, shard, labels, [5, 7], margins=margins)
+    build_preconditioner(cfg, spart, margins)
     assert built == []
 
 
@@ -279,7 +279,7 @@ class TestHessianVecSamples:
         spart = partition_by_samples(ds.X, ds.y, 1)
         rng = np.random.default_rng(91)
         w, u = rng.standard_normal(8), rng.standard_normal(8)
-        layout = _SampleLayout(Cluster(1), spart, obj)
+        layout = _SampleLayout(Cluster(1), spart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = layout.hess_vec([u], layout.curvature(layout.margins_of([w])))[0]
         assert np.array_equal(got, hess_vec_dense(obj, ds.X, ds.y, w, u))
 
@@ -289,7 +289,7 @@ class TestHessianVecSamples:
         spart = partition_by_samples(ds.X, ds.y, 3)
         rng = np.random.default_rng(93)
         w, u = rng.standard_normal(8), rng.standard_normal(8)
-        layout = _SampleLayout(Cluster(3), spart, obj)
+        layout = _SampleLayout(Cluster(3), spart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = layout.hess_vec([u], layout.curvature(layout.margins_of([w])))[0]
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
@@ -298,7 +298,7 @@ class TestHessianVecSamples:
         ds, obj = make_dense_instance(d=6, n=9, seed=94)
         spart = partition_by_samples(ds.X, ds.y, 3)
         cl = Cluster(3)
-        layout = _SampleLayout(cl, spart, obj)
+        layout = _SampleLayout(cl, spart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = layout.hess_vec([np.zeros(6)], layout.curvature(layout.margins_of([np.zeros(6)])))[0]
         assert np.array_equal(got, np.zeros(6))
         stats = cl.snapshot_stats()
@@ -312,7 +312,7 @@ class TestHessianVecFeatures:
         fpart = partition_by_features(ds.X, ds.y, 1)
         rng = np.random.default_rng(96)
         u = rng.standard_normal(7)
-        layout = _FeatureLayout(Cluster(1), fpart, obj)
+        layout = _FeatureLayout(Cluster(1), fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = layout.hess_vec([u], layout.curvature(None))
         assert np.array_equal(got[0], hess_vec_dense(obj, ds.X, ds.y, np.zeros(7), u))
 
@@ -326,7 +326,7 @@ class TestHessianVecFeatures:
         w, u = rng.standard_normal(20), rng.standard_normal(20)
         w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
         u_blocks = [u[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-        layout = _FeatureLayout(cl, fpart, obj)
+        layout = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = np.concatenate(layout.hess_vec(u_blocks, layout.curvature(layout.margins_of(w_blocks))))
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
@@ -336,7 +336,7 @@ class TestHessianVecFeatures:
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
         u_blocks = [np.zeros(s) for s in fpart.sizes]
-        layout = _FeatureLayout(cl, fpart, obj)
+        layout = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
         layout.hess_vec(u_blocks, layout.curvature(None))
         stats = cl.snapshot_stats()
         assert stats.reduceall_rounds == 1 and stats.reduceall_bytes == 8 * 13
@@ -349,19 +349,19 @@ class TestHessianVecFeatures:
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
         u_blocks = [np.ones(fpart.sizes[0]), np.zeros(fpart.sizes[1])]
-        layout = _FeatureLayout(cl, fpart, obj)
+        layout = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = layout.hess_vec(u_blocks, layout.curvature(None))
         assert np.linalg.norm(got[1]) > 0  # data coupling, lam * 0 = 0
 
 
 class TestPcgSamples:
     def test_exact_preconditioner_converges_in_one_iteration(self):
-        ds, obj = make_dense_instance(d=6, n=10, seed=110, lam=0.3)
+        ds, _ = make_dense_instance(d=6, n=10, seed=110, lam=0.3)
         cfg = ridge_config(lam=0.3, mu=0.3, tau=10)
         spart = partition_by_samples(ds.X, ds.y, 1)
         rng = np.random.default_rng(111)
         w = rng.standard_normal(6)
-        step = pcg_samples(Cluster(1), spart, obj, w, eps_k=1e-10, config=cfg)
+        step = pcg_samples(Cluster(1), spart, w, eps_k=1e-10, config=cfg)
         assert step.converged and step.inner_iters == 1
 
     def test_hand_case_2x2(self):
@@ -369,11 +369,10 @@ class TestPcgSamples:
         X = SparseBlock.from_dense(np.eye(2))
         y = np.array([1.0, 1.0])
         ds = Dataset(X=X, y=y, d=2, n=2, source="hand")
-        obj = Objective(loss=LossKind.SQUARE, lam=1.0, n=2, d=2)
         cfg = ridge_config(lam=1.0, mu=1.0, tau=2)
         spart = partition_by_samples(X, y, 1)
         step = pcg_samples(
-            Cluster(1), spart, obj, np.zeros(2), eps_k=1e-12, config=cfg,
+            Cluster(1), spart, np.zeros(2), eps_k=1e-12, config=cfg,
             grad=np.array([2.0, 0.0]),
         )
         assert np.allclose(step.direction, [1.0, 0.0], atol=1e-12)
@@ -386,7 +385,7 @@ class TestPcgSamples:
         spart = partition_by_samples(ds.X, ds.y, m)
         rng = np.random.default_rng(113)
         w = rng.standard_normal(10)
-        step = pcg_samples(Cluster(m), spart, obj, w, eps_k=1e-12, config=cfg)
+        step = pcg_samples(Cluster(m), spart, w, eps_k=1e-12, config=cfg)
         expected = DenseNewtonOracle(ds, obj).newton_direction(w)
         assert step.converged
         assert np.linalg.norm(step.direction - expected) <= 1e-8 * np.linalg.norm(expected)
@@ -399,9 +398,9 @@ class TestPcgSamples:
         cl = Cluster(m)
         w = np.zeros(12)
         grad = full_gradient(obj, ds.X, ds.y, w)
-        precond = build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], balanced_sizes(12, m))
+        precond = build_preconditioner(cfg, spart)
         cl.reset_stats()
-        step = pcg_samples(cl, spart, obj, w, eps_k=1e-10, config=cfg, grad=grad, precond=precond)
+        step = pcg_samples(cl, spart, w, eps_k=1e-10, config=cfg, grad=grad, precond=precond)
         stats = cl.snapshot_stats()
         T = step.inner_iters
         assert stats.broadcast_rounds == T and stats.reduceall_rounds == T
@@ -409,34 +408,28 @@ class TestPcgSamples:
         assert stats.reduce_rounds == 0
 
     def test_standalone_call_meters_initial_gradient_exchange(self):
-        ds, obj = make_dense_instance(d=9, n=18, seed=115, lam=0.1)
+        ds, _ = make_dense_instance(d=9, n=18, seed=115, lam=0.1)
         cfg = ridge_config(tau=6)
         m = 2
         spart = partition_by_samples(ds.X, ds.y, m)
         cl = Cluster(m)
-        step = pcg_samples(cl, spart, obj, np.zeros(9), eps_k=1e-10, config=cfg)
+        step = pcg_samples(cl, spart, np.zeros(9), eps_k=1e-10, config=cfg)
         stats = cl.snapshot_stats()
         T = step.inner_iters
         assert stats.broadcast_rounds == T + 1 and stats.reduceall_rounds == T + 1
 
     def test_max_inner_flags_not_converged(self):
-        ds, obj = make_dense_instance(d=10, n=20, seed=116, lam=1e-3)
+        ds, _ = make_dense_instance(d=10, n=20, seed=116, lam=1e-3)
         cfg = ridge_config(lam=1e-3, mu=1.0, tau=4, max_inner=2)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        step = pcg_samples(Cluster(1), spart, obj, np.zeros(10), eps_k=1e-14, config=cfg)
+        step = pcg_samples(Cluster(1), spart, np.zeros(10), eps_k=1e-14, config=cfg)
         assert not step.converged and step.inner_iters == 2
 
-    def test_rejects_nonpositive_eps(self):
-        ds, obj = make_dense_instance(d=4, n=8, seed=117)
-        spart = partition_by_samples(ds.X, ds.y, 1)
-        with pytest.raises(ValueError, match="eps_k"):
-            pcg_samples(Cluster(1), spart, obj, np.zeros(4), eps_k=0.0, config=ridge_config(tau=4))
-
     def test_zero_gradient_returns_zero_step(self):
-        ds, obj = make_dense_instance(d=5, n=9, seed=118)
+        ds, _ = make_dense_instance(d=5, n=9, seed=118)
         spart = partition_by_samples(ds.X, ds.y, 1)
         step = pcg_samples(
-            Cluster(1), spart, obj, np.zeros(5), eps_k=1e-8, config=ridge_config(tau=5),
+            Cluster(1), spart, np.zeros(5), eps_k=1e-8, config=ridge_config(tau=5),
             grad=np.zeros(5),
         )
         assert step.inner_iters == 0 and step.delta == 0.0
@@ -445,14 +438,14 @@ class TestPcgSamples:
 
 class TestPcgFeatures:
     def test_single_node_bit_identical_to_samples(self):
-        ds, obj = make_dense_instance(d=10, n=22, seed=120, lam=0.2)
+        ds, _ = make_dense_instance(d=10, n=22, seed=120, lam=0.2)
         cfg = ridge_config(lam=0.2, mu=0.02, tau=9)
         rng = np.random.default_rng(121)
         w = rng.standard_normal(10)
         spart = partition_by_samples(ds.X, ds.y, 1)
         fpart = partition_by_features(ds.X, ds.y, 1)
-        step_s = pcg_samples(Cluster(1), spart, obj, w, eps_k=1e-9, config=cfg, record_history=True)
-        step_f = pcg_features(Cluster(1), fpart, obj, [w], eps_k=1e-9, config=cfg, record_history=True)
+        step_s = pcg_samples(Cluster(1), spart, w, eps_k=1e-9, config=cfg, record_history=True)
+        step_f = pcg_features(Cluster(1), fpart, [w], eps_k=1e-9, config=cfg, record_history=True)
         assert step_s.inner_iters == step_f.inner_iters
         assert np.array_equal(step_s.direction, step_f.direction)
         assert step_s.delta == step_f.delta
@@ -468,11 +461,11 @@ class TestPcgFeatures:
         w = rng.standard_normal(10)
         fpart = partition_by_features(ds.X, ds.y, m)
         w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-        step_f = pcg_features(Cluster(m), fpart, obj, w_blocks, eps_k=1e-12, config=cfg)
+        step_f = pcg_features(Cluster(m), fpart, w_blocks, eps_k=1e-12, config=cfg)
         expected = DenseNewtonOracle(ds, obj).newton_direction(w)
         assert np.linalg.norm(step_f.direction - expected) <= 1e-8 * np.linalg.norm(expected)
         spart = partition_by_samples(ds.X, ds.y, m)
-        step_s = pcg_samples(Cluster(m), spart, obj, w, eps_k=1e-12, config=cfg)
+        step_s = pcg_samples(Cluster(m), spart, w, eps_k=1e-12, config=cfg)
         assert np.linalg.norm(step_f.direction - step_s.direction) <= 1e-8 * np.linalg.norm(step_s.direction)
 
     def test_comm_pattern_per_iteration(self):
@@ -484,11 +477,11 @@ class TestPcgFeatures:
         fpart = partition_by_features(ds.X, ds.y, m)
         cl = Cluster(m)
         w_blocks = [np.zeros(s) for s in fpart.sizes]
-        grad_blocks, margins = _FeatureLayout(cl, fpart, obj).gradient(w_blocks)
-        precond = build_preconditioner_features(obj, cfg, fpart, margins)
+        grad_blocks, margins = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(w_blocks)
+        precond = build_preconditioner_features(cfg, fpart, margins)
         cl.reset_stats()
         step = pcg_features(
-            cl, fpart, obj, w_blocks, eps_k=1e-10, config=cfg,
+            cl, fpart, w_blocks, eps_k=1e-10, config=cfg,
             grad_blocks=grad_blocks, margins=margins, precond=precond,
         )
         stats = cl.snapshot_stats()
@@ -507,31 +500,31 @@ class TestPcgFeatures:
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
         w_blocks = [np.zeros(s) for s in fpart.sizes]
-        grad_blocks, margins = _FeatureLayout(cl, fpart, obj).gradient(w_blocks)
-        precond = build_preconditioner_features(obj, cfg, fpart, margins)
+        grad_blocks, margins = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(w_blocks)
+        precond = build_preconditioner_features(cfg, fpart, margins)
         cl.reset_stats()
-        pcg_features(cl, fpart, obj, w_blocks, eps_k=1e-14, config=cfg,
+        pcg_features(cl, fpart, w_blocks, eps_k=1e-14, config=cfg,
                      grad_blocks=grad_blocks, margins=margins, precond=precond)
         assert cl.snapshot_stats().reduceall_rounds == 3
 
 
 class TestStandaloneEntryPoints:
     @staticmethod
-    def entry_points(mode, cfg, m=2, **pcg_kw):
+    def entry_points(mode, cfg, m=2, eps_k=1e-8, **pcg_kw):
         """The pcg and preconditioner-build calls of ``mode`` at w = 0 on a
         d=6, n=12 instance, as zero-argument callables."""
-        ds, obj = make_dense_instance(d=6, n=12, seed=150)
+        ds, _ = make_dense_instance(d=6, n=12, seed=150)
         if mode is PartitionMode.SAMPLES:
             spart = partition_by_samples(ds.X, ds.y, m)
             return (
-                lambda: pcg_samples(Cluster(m), spart, obj, np.zeros(6), 1e-8, cfg, **pcg_kw),
-                lambda: build_preconditioner(obj, cfg, spart.shards[0], spart.labels[0], balanced_sizes(6, m)),
+                lambda: pcg_samples(Cluster(m), spart, np.zeros(6), eps_k, cfg, **pcg_kw),
+                lambda: build_preconditioner(cfg, spart),
             )
         fpart = partition_by_features(ds.X, ds.y, m)
         w_blocks = [np.zeros(s) for s in fpart.sizes]
         return (
-            lambda: pcg_features(Cluster(m), fpart, obj, w_blocks, 1e-8, cfg, **pcg_kw),
-            lambda: build_preconditioner_features(obj, cfg, fpart, None),
+            lambda: pcg_features(Cluster(m), fpart, w_blocks, eps_k, cfg, **pcg_kw),
+            lambda: build_preconditioner_features(cfg, fpart),
         )
 
     @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
@@ -545,6 +538,14 @@ class TestStandaloneEntryPoints:
                 call()
 
     @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
+    @pytest.mark.parametrize("eps_k", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_eps(self, mode, eps_k):
+        # a NaN tolerance fails every comparison, so "eps_k <= 0" lets it by
+        pcg, _ = self.entry_points(mode, ridge_config(tau=4, mode=mode), eps_k=eps_k)
+        with pytest.raises(ValueError, match="eps_k must be positive"):
+            pcg()
+
+    @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
     def test_margins_without_gradient_rejected(self, mode):
         margins = [np.zeros(6), np.zeros(6)] if mode is PartitionMode.SAMPLES else np.zeros(12)
         pcg, _ = self.entry_points(mode, ridge_config(mu=0.1, tau=4, mode=mode), margins=margins)
@@ -552,17 +553,52 @@ class TestStandaloneEntryPoints:
             pcg()
 
 
+def zero_one_problem():
+    """A d=5, n=12 logistic problem whose labels are {0, 1}, not {-1, +1},
+    partitioned over 2 nodes both ways."""
+    ds, _ = make_dense_instance(d=5, n=12, seed=149, labels="sign")
+    y = (ds.y + 1) / 2
+    return SimpleNamespace(
+        ds=Dataset(X=ds.X, y=y, d=5, n=12, source="0/1 labels"),
+        obj=Objective(loss=LossKind.LOGISTIC, lam=0.1, n=12, d=5),
+        cfg=SolverConfig(lam=0.1, mu=0.1, tau=4, loss=LossKind.LOGISTIC),
+        spart=partition_by_samples(ds.X, y, 2),
+        fpart=partition_by_features(ds.X, y, 2),
+        w=np.zeros(5),
+    )
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda p: grad_coeffs(LossKind.LOGISTIC, np.zeros(12), p.ds.y), id="grad_coeffs"),
+    pytest.param(lambda p: hess_coeffs(LossKind.LOGISTIC, np.zeros(12), p.ds.y), id="hess_coeffs"),
+    pytest.param(lambda p: objective_value(p.obj, p.ds.X, p.ds.y, p.w), id="objective_value"),
+    pytest.param(lambda p: full_gradient(p.obj, p.ds.X, p.ds.y, p.w), id="full_gradient"),
+    pytest.param(lambda p: hess_vec_dense(p.obj, p.ds.X, p.ds.y, p.w, p.w), id="hess_vec_dense"),
+    pytest.param(lambda p: DenseNewtonOracle(p.ds, p.obj).gradient(p.w), id="oracle_gradient"),
+    pytest.param(lambda p: DenseNewtonOracle(p.ds, p.obj).hessian(p.w), id="oracle_hessian"),
+    pytest.param(lambda p: pcg_samples(Cluster(2), p.spart, p.w, 1e-8, p.cfg), id="pcg_samples"),
+    pytest.param(lambda p: pcg_features(Cluster(2), p.fpart, [np.zeros(3), np.zeros(2)], 1e-8, p.cfg),
+                 id="pcg_features"),
+    pytest.param(lambda p: build_preconditioner(p.cfg, p.spart, np.zeros(6)), id="build_preconditioner"),
+    pytest.param(lambda p: build_preconditioner_features(p.cfg, p.fpart, np.zeros(12)),
+                 id="build_preconditioner_features"),
+])
+def test_every_logistic_entry_point_rejects_labels_outside_plus_minus_one(call):
+    with pytest.raises(ValueError, match=r"labels in \{-1, \+1\}; found 1 other value\(s\): \[0\.0\]"):
+        call(zero_one_problem())
+
+
 class TestPcgInvariants:
     @staticmethod
-    def run_with_history(ds, obj, cfg, m, mode, eps_k):
+    def run_with_history(ds, cfg, m, mode, eps_k):
         rng = np.random.default_rng(130)
         w = rng.standard_normal(ds.d)
         if mode is PartitionMode.SAMPLES:
             spart = partition_by_samples(ds.X, ds.y, m)
-            return w, pcg_samples(Cluster(m), spart, obj, w, eps_k, cfg, record_history=True)
+            return w, pcg_samples(Cluster(m), spart, w, eps_k, cfg, record_history=True)
         fpart = partition_by_features(ds.X, ds.y, m)
         w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-        return w, pcg_features(Cluster(m), fpart, obj, w_blocks, eps_k, cfg, record_history=True)
+        return w, pcg_features(Cluster(m), fpart, w_blocks, eps_k, cfg, record_history=True)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("mode,method,per_apply", [
@@ -578,7 +614,7 @@ class TestPcgInvariants:
     ):
         # the block solves skip scipy's finiteness scan; the per-iteration
         # scalar checks must stop the same inner solve instead
-        ds, obj = make_dense_instance(d=12, n=30, seed=133, lam=0.2)
+        ds, _ = make_dense_instance(d=12, n=30, seed=133, lam=0.2)
         cfg = ridge_config(lam=0.2, mu=0.02, tau=10)
         original = getattr(BlockPreconditioner, method)
         calls = []
@@ -592,13 +628,13 @@ class TestPcgInvariants:
 
         monkeypatch.setattr(BlockPreconditioner, method, poisoned)
         with pytest.raises(error, match=message):
-            self.run_with_history(ds, obj, cfg, 2, mode, eps_k=1e-10)
+            self.run_with_history(ds, cfg, 2, mode, eps_k=1e-10)
 
     @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
     def test_residual_and_hv_recomputable(self, mode):
         ds, obj = make_dense_instance(d=12, n=30, seed=131, lam=0.2)
         cfg = ridge_config(lam=0.2, mu=0.02, tau=10)
-        w, step = self.run_with_history(ds, obj, cfg, 2, mode, eps_k=1e-10)
+        w, step = self.run_with_history(ds, cfg, 2, mode, eps_k=1e-10)
         oracle = DenseNewtonOracle(ds, obj)
         H = oracle.hessian(w)
         grad = oracle.gradient(w)
@@ -611,7 +647,7 @@ class TestPcgInvariants:
     def test_monotone_energy_norm(self, mode):
         ds, obj = make_dense_instance(d=14, n=35, seed=132, lam=0.15)
         cfg = ridge_config(lam=0.15, mu=0.01, tau=12)
-        w, step = self.run_with_history(ds, obj, cfg, 2, mode, eps_k=1e-11)
+        w, step = self.run_with_history(ds, cfg, 2, mode, eps_k=1e-11)
         oracle = DenseNewtonOracle(ds, obj)
         H = oracle.hessian(w)
         v_star = oracle.newton_direction(w)
@@ -623,9 +659,9 @@ class TestPcgInvariants:
     def test_finite_termination(self, mode):
         # a near-full subsample keeps the Krylov cliff well inside d steps,
         # so the deep tolerance is reached within d iterations despite float
-        ds, obj = make_dense_instance(d=20, n=80, seed=133, lam=0.5)
+        ds, _ = make_dense_instance(d=20, n=80, seed=133, lam=0.5)
         cfg = ridge_config(lam=0.5, mu=0.5, tau=40, max_inner=20)
-        w, step = self.run_with_history(ds, obj, cfg, 2, mode, eps_k=1e-13)
+        w, step = self.run_with_history(ds, cfg, 2, mode, eps_k=1e-13)
         assert step.converged and step.inner_iters <= 20
 
     @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
@@ -634,7 +670,7 @@ class TestPcgInvariants:
         ds, obj = make_dense_instance(d=15, n=40, seed=134, lam=0.2)
         cfg = ridge_config(lam=0.2, mu=0.02, tau=12)
         eps_k = 1e-6
-        w, step = self.run_with_history(ds, obj, cfg, 3, mode, eps_k=eps_k)
+        w, step = self.run_with_history(ds, cfg, 3, mode, eps_k=eps_k)
         oracle = DenseNewtonOracle(ds, obj)
         resid = oracle.hessian(w) @ step.direction - oracle.gradient(w)
         assert np.linalg.norm(resid) <= eps_k + 1e-9
@@ -643,7 +679,7 @@ class TestPcgInvariants:
     def test_delta_certificate(self, mode):
         ds, obj = make_dense_instance(d=11, n=28, seed=135, lam=0.25)
         cfg = ridge_config(lam=0.25, mu=0.02, tau=9)
-        w, step = self.run_with_history(ds, obj, cfg, 2, mode, eps_k=1e-8)
+        w, step = self.run_with_history(ds, cfg, 2, mode, eps_k=1e-8)
         H = DenseNewtonOracle(ds, obj).hessian(w)
         expected = float(step.direction @ H @ step.direction)
         assert step.delta**2 == pytest.approx(expected, rel=1e-8)
