@@ -5,12 +5,13 @@ reference computations and the per-node work inside the simulated cluster, so
 that a one-node run reproduces the unpartitioned computation bit for bit.
 Matrix-vector products go through scipy's CSR/CSC kernels, which accumulate
 in storage order (ascending index) and are therefore deterministic from run
-to run. A transposed product loops over the block's shorter side: a block
-with no more rows than columns multiplies by its CSC view (no copy); a
-taller one by a CSR copy of its transpose, built on its first transposed
-product and kept, so a block that is never multiplied transposed pays for no
-copy. The loss functions on the unpartitioned data matrix multiply through
-its CSC view directly, so that it never holds one.
+to run. Both products loop over the block's shorter side. A block with no
+more rows than columns multiplies by its CSR matrix and, transposed, by the
+CSC view over the same arrays, so it holds no copy. A taller one keeps a CSR
+copy of its transpose, built on its first product of either kind, and
+multiplies transposed by that copy and forward by the CSC view over the
+copy's arrays. The loss functions on the unpartitioned data matrix multiply
+through its CSR matrix and CSC view directly, so that it never holds one.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ def as_vec(values) -> np.ndarray:
 class SparseBlock:
     """A CSR block of the feature-by-sample data matrix: rows index features,
     columns index samples. Indices are int32 when the shape and nnz fit.
-    ``matrix_t``, the operand of transposed products, loops over the shorter
-    side and is built on first use."""
+    ``matrix_t`` and ``matrix_fwd``, the operands of transposed and forward
+    products, loop over the shorter side; a taller block's pair shares one
+    copy of the transpose, built on first use."""
 
     matrix: sparse.csr_array
 
@@ -75,6 +77,16 @@ class SparseBlock:
         ascending index order, starting from 0.0, so the bits are the same."""
         m = self.matrix
         return m.T if m.shape[0] <= m.shape[1] else m.tocsc().T
+
+    @cached_property
+    def matrix_fwd(self):
+        """The operand of ``block @ x``: the CSR matrix when rows <= cols, else
+        the CSC view over ``matrix_t``'s arrays (no copy), so that the product's
+        outer loop runs over the columns. Both kernels add each output
+        element's terms in ascending column order, starting from 0.0, so the
+        bits are the same."""
+        m = self.matrix
+        return m if m.shape[0] <= m.shape[1] else self.matrix_t.T
 
     @property
     def rows(self) -> int:
@@ -116,7 +128,7 @@ def spmv(block: SparseBlock, x: np.ndarray) -> np.ndarray:
             f"spmv dimension mismatch: block is {block.rows}x{block.cols}, "
             f"vector has length {x.shape[0] if x.ndim == 1 else x.shape}"
         )
-    return block.matrix @ x
+    return block.matrix_fwd @ x
 
 
 def spmv_transpose(block: SparseBlock, x: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ with two smooth losses: the square loss (y - w'x)^2 (no 1/2 factor, so its
 curvature coefficient is the constant 2) and the logistic loss
 log(1 + exp(-y * w'x)), whose functions reject labels outside {-1, +1}.
 Per-sample derivatives are exposed as vectors of coefficients g_i and h_i
-(``grad_coeffs``, ``hess_coeffs``, given the loss kind) with
+(``grad_coeffs``, ``hess_coeffs``, given the loss kind as a ``LossKind`` or
+its string value) with
 
     grad loss_i = g_i * x_i        hess loss_i = h_i * x_i x_i'
 
@@ -24,7 +25,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
-from .linalg import SparseBlock, spmv
+from .linalg import SparseBlock
 
 __all__ = [
     "LossKind",
@@ -37,7 +38,17 @@ __all__ = [
 ]
 
 
-class LossKind(str, Enum):
+class Choice(str, Enum):
+    """A string enum that is built from a member or its value; anything else
+    raises a ValueError naming the allowed values."""
+
+    @classmethod
+    def _missing_(cls, value):
+        allowed = ", ".join(repr(member.value) for member in cls)
+        raise ValueError(f"{value!r} is not a valid {cls.__name__}; expected one of {allowed}")
+
+
+class LossKind(Choice):
     SQUARE = "square"
     LOGISTIC = "logistic"
 
@@ -52,6 +63,7 @@ class Objective:
     d: int
 
     def __post_init__(self):
+        object.__setattr__(self, "loss", LossKind(self.loss))
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.n < 1 or self.d < 1:
@@ -73,6 +85,7 @@ def _check_sign_labels(labels: np.ndarray):
 
 def grad_coeffs(loss: LossKind, margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Vectorized per-sample gradient coefficients."""
+    loss = LossKind(loss)
     margins = np.asarray(margins, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     _check_margins(margins)
@@ -88,6 +101,7 @@ def hess_coeffs(loss: LossKind, margins: np.ndarray | None, labels: np.ndarray) 
     Constant 2 for the square loss, so callers may pass arbitrary margins,
     or None, there (the result does not depend on the current iterate).
     """
+    loss = LossKind(loss)
     labels = np.asarray(labels, dtype=np.float64)
     if loss is LossKind.SQUARE:
         return np.full(labels.shape[0], 2.0)
@@ -113,8 +127,9 @@ def objective_value(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     _check_full_dims(obj, X, y, w)
-    # The unpartitioned X is multiplied through its CSC view, not spmv_transpose,
-    # so that these one-off products leave no transposed copy cached on X.
+    # The unpartitioned X is multiplied through its CSR matrix and CSC view,
+    # not spmv/spmv_transpose, so that these one-off products leave no
+    # transposed copy cached on X.
     margins = X.matrix.T @ w
     _check_margins(margins)
     if obj.loss is LossKind.SQUARE:
@@ -133,7 +148,7 @@ def full_gradient(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray) 
     _check_full_dims(obj, X, y, w)
     margins = X.matrix.T @ w
     coeffs = grad_coeffs(obj.loss, margins, y)
-    return spmv(X, coeffs) / obj.n + obj.lam * w
+    return X.matrix @ coeffs / obj.n + obj.lam * w
 
 
 def hess_vec_dense(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -153,4 +168,4 @@ def hess_vec_dense(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray,
     else:
         h = hess_coeffs(obj.loss, X.matrix.T @ w, y)
     z = X.matrix.T @ u
-    return spmv(X, h * z) / obj.n + obj.lam * u
+    return X.matrix @ (h * z) / obj.n + obj.lam * u

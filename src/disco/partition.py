@@ -11,11 +11,15 @@ Two layouts:
 Splits are contiguous and balanced (sizes differ by at most one, larger
 shards first) so partitioning is deterministic and reassembly is a plain
 concatenation.
+
+Each partition carries a ``cache`` dict for what later steps derive from it
+alone (the solver keeps its preconditioner slices there), so that such data
+is made once and lives exactly as long as the partition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +52,7 @@ class SamplePartition:
     offsets: tuple
     d: int
     n: int
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,7 @@ class FeaturePartition:
     offsets: tuple
     d: int
     n: int
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _contiguous_split(X: SparseBlock, y, m: int, total: int, what: str) -> tuple:

@@ -33,16 +33,20 @@ of two Gram matrices: when mu > 0 and tau < d_b, P_b is mu*I plus a rank-tau
 term, so the block keeps its sparse d_b x tau slice and the Cholesky factor
 of a tau x tau matrix and solves by the Woodbury identity; otherwise it keeps
 the Cholesky factor of the dense d_b x d_b P_b. With mu = 0 and tau < d_b the
-estimate is singular and the build raises. A build slices its blocks straight
-from the shard's CSR matrix. With identical preconditioners the two layouts
-produce the same iterates up to roundoff, so layout only changes
-communication cost, not the optimization path.
+estimate is singular and the build raises. A partition's first build slices
+each block's first tau samples, and the transpose the low-rank path reads,
+and keeps them in the partition's ``cache``, so a logistic rebuild at every
+Newton step slices nothing: it forms U' by scaling the kept transpose's rows
+by sqrt(h). With identical preconditioners the two layouts produce the same
+iterates up to roundoff, so layout only changes communication cost, not the
+optimization path.
 
-Every Hessian product multiplies each shard transposed (``spmv_transpose``),
-looping over the shard's shorter side: a shard with more rows than columns,
-such as a d x n_j sample shard with d > n_j, gathers over its columns through
-a CSR copy of its transpose built on its first product; a shard with no more
-rows than columns scatters through its CSC view.
+Every Hessian product multiplies each shard transposed (``spmv_transpose``)
+and then forward (``spmv``), both looping over the shard's shorter side: a
+shard with more rows than columns, such as a d x n_j sample shard with
+d > n_j, multiplies through a CSR copy of its transpose built on its first
+product and through the CSC view of that copy; a shard with no more rows than
+columns through its CSR matrix and its CSC view.
 
 A solve is described once: the partition gives the data, n and the feature
 block split, ``SolverConfig`` the loss, lam and every solver parameter; a
@@ -59,7 +63,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +72,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .comm import Cluster
 from .linalg import spmv, spmv_transpose
-from .losses import LossKind, grad_coeffs, hess_coeffs
+from .losses import Choice, LossKind, grad_coeffs, hess_coeffs
 from .partition import (
     FeaturePartition,
     SamplePartition,
@@ -95,7 +98,7 @@ __all__ = [
 ]
 
 
-class PartitionMode(str, Enum):
+class PartitionMode(Choice):
     SAMPLES = "samples"
     FEATURES = "features"
 
@@ -104,7 +107,8 @@ class PartitionMode(str, Enum):
 class SolverConfig:
     """Solver parameters. ``tau``/``max_inner`` of None mean "pick the default
     at solve time": tau = min(1000, the master's sample shard), max_inner =
-    min(5d, 10000)."""
+    min(5d, 10000). ``loss`` and ``partition_mode`` take an enum member or its
+    string value and hold the member."""
 
     lam: float
     mu: float = 1e-4
@@ -116,7 +120,12 @@ class SolverConfig:
     max_inner: int | None = None
     partition_mode: PartitionMode = PartitionMode.SAMPLES
 
+    def __post_init__(self):
+        self.loss = LossKind(self.loss)
+        self.partition_mode = PartitionMode(self.partition_mode)
+
     def validate(self):
+        self.__post_init__()  # also coerces, or rejects, a kind assigned after construction
         for name in ("lam", "mu", "theta", "outer_tol"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -285,10 +294,23 @@ class BlockPreconditioner:
         return out
 
 
-def _factor_curvature_block(i: int, block: sparse.csr_array, h_tau: np.ndarray, mu: float):
+def _scale_rows(m: sparse.csr_array, scale: np.ndarray) -> sparse.csr_array:
+    """diag(scale) @ m for a CSR m with sorted indices, dropping the entries
+    that come out zero, as scipy's sparse product does."""
+    data = m.data * np.repeat(scale, np.diff(m.indptr))
+    keep = data != 0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return sparse.csr_array((data[keep], m.indices[keep], kept[m.indptr]), shape=m.shape)
+
+
+def _factor_curvature_block(i: int, block: sparse.csr_array, block_t: sparse.csr_array,
+                            h_tau: np.ndarray, mu: float):
     """Factor (1/tau) * Xb diag(h) Xb' + mu*I for one feature block, given its
     sparse first-tau-samples slice: through the tau x tau Woodbury matrix when
-    mu > 0 and tau < d_b, as a dense d_b x d_b Cholesky otherwise."""
+    mu > 0 and tau < d_b, as a dense d_b x d_b Cholesky otherwise. The
+    Woodbury path reads ``block_t``, the slice's transpose as CSR with sorted
+    indices, and scales its rows to form U', which equals
+    ``(Xb @ diag(sqrt h)).T.tocsr()`` array for array."""
     d_b, tau = block.shape
     if tau < d_b and mu == 0:
         raise np.linalg.LinAlgError(
@@ -297,9 +319,10 @@ def _factor_curvature_block(i: int, block: sparse.csr_array, h_tau: np.ndarray, 
         )
     try:
         if tau < d_b:
+            sqrt_h = np.sqrt(h_tau)
             ind = np.arange(tau + 1)
-            u = block @ sparse.csr_array((np.sqrt(h_tau), ind[:-1], ind), shape=(tau, tau))
-            ut = u.T.tocsr()
+            u = block @ sparse.csr_array((sqrt_h, ind[:-1], ind), shape=(tau, tau))
+            ut = _scale_rows(block_t, sqrt_h)
             gram = (ut @ u).toarray()
             gram[np.diag_indices_from(gram)] += mu * tau
             return _LowRankBlock(u, ut, cho_factor(gram, lower=True), mu)
@@ -314,13 +337,24 @@ def _factor_curvature_block(i: int, block: sparse.csr_array, h_tau: np.ndarray, 
         ) from exc
 
 
-def _block_preconditioner(config: SolverConfig, tau: int, blocks_tau: list, labels: np.ndarray,
+def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int, cut) -> tuple:
+    """(slice, transpose) pairs of the feature blocks' first tau samples, the
+    transpose as CSR with sorted indices: the first call for a partition and
+    tau makes the slices with ``cut()`` and keeps them in ``part.cache``."""
+    key = ("curvature_slices", tau)
+    if key not in part.cache:
+        part.cache[key] = tuple((b, b.T.tocsr()) for b in cut())
+    return part.cache[key]
+
+
+def _block_preconditioner(config: SolverConfig, tau: int, blocks_tau: tuple, labels: np.ndarray,
                           margins: np.ndarray | None, sizes, offsets) -> BlockPreconditioner:
-    """Factor each feature block's first-tau-samples slice (sparse, d_b x tau)
-    with the curvature of the first tau ``margins`` and ``labels``."""
+    """Factor each feature block's first-tau-samples slice (sparse, d_b x tau,
+    paired with its transpose) with the curvature of the first tau
+    ``margins`` and ``labels``."""
     config.validate()
     h_tau = hess_coeffs(config.loss, None if margins is None else margins[:tau], labels[:tau])
-    blocks = tuple(_factor_curvature_block(i, b, h_tau, config.mu) for i, b in enumerate(blocks_tau))
+    blocks = tuple(_factor_curvature_block(i, b, bt, h_tau, config.mu) for i, (b, bt) in enumerate(blocks_tau))
     return BlockPreconditioner(blocks, tuple(sizes), tuple(offsets))
 
 
@@ -334,16 +368,21 @@ def build_preconditioner(
     The first tau samples of the master's shard (node 0: all d features, its
     n_1 samples) feed the estimate, split into the m balanced feature blocks
     that the feature layout's nodes hold, so that both layouts build the same
-    preconditioner. The logistic curvature reads ``margins``, the master's
-    margins X_1'w of the current iterate (as the gradient exchange leaves
-    them); the square loss needs none.
+    preconditioner; the partition's first build slices them and keeps them.
+    The logistic curvature reads ``margins``, the master's margins X_1'w of
+    the current iterate (as the gradient exchange leaves them); the square
+    loss needs none.
     """
     shard = spart.shards[0]
     tau = config.resolved_tau(shard.cols)
     sizes = balanced_sizes(spart.d, len(spart.shards))
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    sub = shard.matrix[:, :tau]
-    blocks = [sub[off:off + size, :] for off, size in zip(offsets, sizes)]
+
+    def cut():
+        sub = shard.matrix[:, :tau]
+        return [sub[off:off + size, :] for off, size in zip(offsets, sizes)]
+
+    blocks = _curvature_slices(spart, tau, cut)
     return _block_preconditioner(config, tau, blocks, spart.labels[0], margins, sizes, offsets)
 
 
@@ -353,10 +392,11 @@ def build_preconditioner_features(
     margins: np.ndarray | None = None,
 ) -> BlockPreconditioner:
     """Feature-layout build: node i factors its own block from the first tau
-    columns of its feature slice. ``margins`` are the shared sample margins
-    X'w of the current iterate (any value, or None, for the square loss)."""
+    columns of its feature slice, which the partition's first build slices
+    and keeps. ``margins`` are the shared sample margins X'w of the current
+    iterate (any value, or None, for the square loss)."""
     tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.shards))[0])
-    blocks = [shard.matrix[:, :tau] for shard in fpart.shards]
+    blocks = _curvature_slices(fpart, tau, lambda: [shard.matrix[:, :tau] for shard in fpart.shards])
     return _block_preconditioner(config, tau, blocks, fpart.y, margins, fpart.sizes, fpart.offsets)
 
 
@@ -692,7 +732,7 @@ def disco_outer(
     eps_k) are aggregated by the driver; in the feature layout this stands in
     for a piggybacked scalar and is deliberately not metered as a round.
     """
-    if config.partition_mode is PartitionMode.SAMPLES:
+    if config.partition_mode == PartitionMode.SAMPLES:  # the layout validates config.partition_mode
         layout = _SampleLayout(cluster, partition_by_samples(dataset.X, dataset.y, cluster.m), config)
     else:
         layout = _FeatureLayout(cluster, partition_by_features(dataset.X, dataset.y, cluster.m), config)

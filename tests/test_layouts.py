@@ -2,7 +2,9 @@
 module-global lookups that let an outside tracer see the solver's layers."""
 
 import importlib.util
+import json
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -176,6 +178,35 @@ def test_damped_newton_converges_monotonically(data, d, n, loss, mode):
     values = [objective_value(obj, ds.X, ds.y, w) for w in [np.zeros(d)] + result.iterates]
     for f_prev, f_next in zip(values, values[1:]):
         assert f_next <= f_prev * (1 + 1e-12)
+
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "discobench"
+
+
+@pytest.mark.parametrize(
+    "workload", [w["name"] for w in json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())["workloads"]]
+)
+def test_benchmark_gate_passes_in_process(monkeypatch, workload):
+    """Each benchmark workload, at a tenth of its size, passes the gate every
+    benchmark solve is held to: convergence, the gradient norm recomputed on
+    the full data, the README cost model and counters repeated across the
+    solves of one dataset. The benchmark's modules are imported from their
+    directory without writing to it, and unloaded afterwards."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the value run.py sets on import; the old state comes back on exit
+    modules = ("run", "workloads", "costmodel", "reference", "tracer")
+    for name in modules:
+        monkeypatch.delitem(sys.modules, name, raising=False)  # a module of that name is put back on exit
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    try:
+        import run
+
+        _, result = run.run(workload, 3, 1.0, False, scale=0.1)
+    finally:
+        for name in modules:
+            sys.modules.pop(name, None)
+    assert result["correct"] and result["failed"] == 0, result
 
 
 def load_tracer():

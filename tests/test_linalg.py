@@ -113,6 +113,42 @@ def test_spmv_transpose_builds_no_view_per_call(monkeypatch):
                 assert np.array_equal(spmv_transpose(block, x), first)
 
 
+@pytest.mark.parametrize("d, n", [(40, 7), (7, 40), (12, 12)])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_spmv_loops_over_the_short_side_bitwise(monkeypatch, d, n, index_dtype):
+    """``spmv`` equals the CSR product ``block.matrix @ x`` bitwise for tall,
+    wide and square blocks, with either index width. A tall block multiplies
+    by the CSC view over ``matrix_t``'s arrays, built on the first product and
+    kept; a wide or square one by its CSR matrix, building nothing."""
+    block = random_sparse(d, n, nnz=(d * n) // 3, seed=d)
+    if index_dtype is np.int64:  # as a block too large for int32 indices holds them
+        m = block.matrix
+        m64 = sparse.csr_array((m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)), shape=m.shape)
+        object.__setattr__(block, "matrix", m64)
+    assert block.matrix.indices.dtype == index_dtype
+    x = np.random.default_rng(n).standard_normal(n)
+    first = spmv(block, x)
+    assert np.array_equal(first, block.matrix @ x)
+    op = block.matrix_fwd
+    if d > n:
+        assert op.format == "csc" and op.shape == (d, n)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(op, name), getattr(block.matrix_t, name))
+    else:
+        assert op is block.matrix
+        assert "matrix_t" not in vars(block)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("spmv rebuilt its operand")
+
+    with monkeypatch.context() as patch:
+        for cls in (sparse.csr_array, sparse.csc_array):
+            for attr in ("transpose", "tocsc", "tocsr"):
+                patch.setattr(cls, attr, no_rebuild)
+        for _ in range(3):
+            assert np.array_equal(spmv(block, x), first)
+
+
 @st.composite
 def blocks(draw):
     """A block from each constructor, with empty rows and columns likely."""

@@ -150,6 +150,26 @@ def test_unpartitioned_products_cache_no_transposed_copy():
     assert "matrix_t" not in vars(ds.X)
 
 
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_string_loss_kinds_act_as_their_members(loss):
+    rng = np.random.default_rng(7)
+    margins, labels = rng.standard_normal(6), np.array([1.0, -1.0] * 3)
+    for coeffs in (grad_coeffs, hess_coeffs):
+        assert np.array_equal(coeffs(loss.value, margins, labels), coeffs(loss, margins, labels))
+    assert Objective(loss=loss.value, lam=0.1, n=1, d=1).loss is loss
+
+
+@pytest.mark.parametrize("call", [
+    lambda kind: grad_coeffs(kind, np.zeros(2), np.ones(2)),
+    lambda kind: hess_coeffs(kind, np.zeros(2), np.ones(2)),
+    lambda kind: Objective(loss=kind, lam=0.1, n=1, d=1),
+])
+@pytest.mark.parametrize("kind", ["logit", "Square", None])
+def test_unknown_loss_kinds_name_the_allowed_values(call, kind):
+    with pytest.raises(ValueError, match="expected one of 'square', 'logistic'"):
+        call(kind)
+
+
 class TestHessVec:
     def test_identity_data_gives_2u(self):
         # two unit samples, lam = 1: H = (2/2) I + I = 2I

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +28,7 @@ from disco import (
     pcg_features,
     pcg_samples,
 )
-from disco.harness import DenseNewtonOracle, ridge_closed_form
+from disco.harness import DenseNewtonOracle, gen_synthetic, ridge_closed_form
 from disco.losses import grad_coeffs, hess_coeffs
 from disco.solver import (
     BlockPreconditioner,
@@ -167,6 +169,13 @@ class TestPreconditioner:
             P.apply_block(0, np.zeros(5))
 
 
+def curvature_slice(Xd):
+    """A dense first-tau-samples slice as the builders pass it: CSR, and its
+    transpose as CSR with sorted indices."""
+    xb = SparseBlock.from_dense(Xd).matrix
+    return xb, xb.T.tocsr()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d_b=st.integers(2, 30), mu=st.floats(1e-3, 10.0))
 def test_low_rank_apply_matches_dense_solve(data, d_b, mu):
@@ -178,7 +187,7 @@ def test_low_rank_apply_matches_dense_solve(data, d_b, mu):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     density = data.draw(st.sampled_from([0.1, 0.5, 1.0]), label="density")
     Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < density)
-    block = _factor_curvature_block(0, SparseBlock.from_dense(Xd).matrix, h, mu)
+    block = _factor_curvature_block(0, *curvature_slice(Xd), h, mu)
     assert isinstance(block, _LowRankBlock)
     P = BlockPreconditioner((block,), (d_b,), (0,))
     r = rng.standard_normal(d_b)
@@ -191,7 +200,7 @@ def sparse_curvature_block(d_b, tau, seed, mu=0.05):
     rng = np.random.default_rng(seed)
     Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < 0.3)
     h = rng.uniform(0.0, 2.0, tau)
-    return _factor_curvature_block(0, SparseBlock.from_dense(Xd).matrix, h, mu), rng
+    return _factor_curvature_block(0, *curvature_slice(Xd), h, mu), rng
 
 
 @pytest.mark.parametrize("d_b, tau", [(1, 1), (5, 8), (63, 63), (125, 200)])
@@ -242,8 +251,8 @@ def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
     Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < 0.3)
     h = rng.uniform(0.0, 2.0, tau) * (rng.random(tau) < 0.8)
     mu = 0.05
-    xb = SparseBlock.from_dense(Xd).matrix
-    block = _factor_curvature_block(0, xb, h, mu)
+    xb, xbt = curvature_slice(Xd)
+    block = _factor_curvature_block(0, xb, xbt, h, mu)
     assert isinstance(block, _LowRankBlock)
     u = xb @ sparse.diags_array(np.sqrt(h))
     ut = u.T.tocsr()
@@ -271,6 +280,76 @@ def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
     monkeypatch.setattr(SparseBlock, "__post_init__", counting_init)
     build_preconditioner(cfg, spart, margins)
     assert built == []
+
+
+def block_arrays(block):
+    """Every array a factored preconditioner block holds."""
+    if isinstance(block, _LowRankBlock):
+        for m in (block.u, block.ut):
+            yield from (m.data, m.indices, m.indptr)
+    yield block.cho[0]
+
+
+@pytest.mark.parametrize("mode", list(PartitionMode))
+@pytest.mark.parametrize("tau", [3, 5])  # d_b = 4: the low-rank and the dense path
+def test_logistic_rebuild_slices_nothing(monkeypatch, mode, tau):
+    """The partition keeps its first-tau-samples slices: a second logistic
+    build on it, at other margins, slices no sparse matrix, and its blocks
+    equal a fresh partition's, array for array."""
+    ds, _ = make_dense_instance(d=8, n=10, seed=89, loss=LossKind.LOGISTIC, labels="sign")
+    cfg = ridge_config(mu=0.1, tau=tau, loss=LossKind.LOGISTIC, mode=mode)
+    if mode is PartitionMode.SAMPLES:
+        part_of, build = partition_by_samples, build_preconditioner
+    else:
+        part_of, build = partition_by_features, build_preconditioner_features
+    rng = np.random.default_rng(90)
+    first, second = rng.standard_normal(10), rng.standard_normal(10)
+    part = part_of(ds.X, ds.y, 2)
+    build(cfg, part, first)
+
+    def no_slicing(*args, **kwargs):
+        raise AssertionError("a rebuild sliced the data")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sparse.csr_array, "__getitem__", no_slicing)
+        with pytest.raises(AssertionError, match="sliced"):  # a partition's first build does slice
+            build(cfg, part_of(ds.X, ds.y, 2), first)
+        again = build(cfg, part, second)
+    fresh = build(cfg, part_of(ds.X, ds.y, 2), second)
+    assert (again.sizes, again.offsets) == (fresh.sizes, fresh.offsets)
+    for got, want in zip(again.blocks, fresh.blocks):
+        assert type(got) is type(want) and isinstance(got, _LowRankBlock) == (tau < 4)
+        for a, b in zip(block_arrays(got), block_arrays(want), strict=True):
+            assert np.array_equal(a, b)
+    # the slices live exactly as long as their partition
+    (kept,) = part.cache.values()
+    kept = weakref.ref(kept[0][0])
+    del part
+    gc.collect()
+    assert kept() is None
+
+
+@pytest.mark.parametrize("mode", list(PartitionMode))
+def test_alternating_solves_repeat_each_datasets_first_solve(mode):
+    """Slices kept by one solve's partition never reach another solve:
+    alternating logistic solves of two same-shape datasets repeat each one's
+    first ``w`` and counters. (A cache keyed by ``id(partition)`` breaks this
+    whenever a new partition reuses a freed one's id, which collecting
+    garbage before each solve makes likelier; as that depends on the
+    allocator, ``test_logistic_rebuild_slices_nothing`` also pins the cache
+    to the partition itself.)"""
+    datasets = [make_dense_instance(d=12, n=20, seed=seed, loss=LossKind.LOGISTIC, labels="sign")[0]
+                for seed in (91, 92)]
+    cfg = SolverConfig(lam=0.1, mu=0.1, tau=5, loss=LossKind.LOGISTIC, partition_mode=mode)
+    first = {}
+    for _ in range(20):
+        for j, ds in enumerate(datasets):
+            gc.collect()
+            cluster = Cluster(2)
+            result = disco_outer(cluster, ds, cfg)
+            got = (result.w.tobytes(), cluster.snapshot_stats(), result.inner_iters_total, result.updates)
+            assert first.setdefault(j, got) == got
+    assert first[0] != first[1]
 
 
 class TestHessianVecSamples:
@@ -806,3 +885,38 @@ class TestDiscoOuter:
         # every comparison with NaN is false, so a sign check alone lets it by
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(SolverConfig(lam=1.0), **{field: value}).validate()
+
+    def test_string_kinds_solve_as_their_enum_members(self):
+        """A string partition mode and loss, given at construction or assigned
+        later, run the sample layout's 254 broadcasts and 254 reduce_alls here,
+        exactly as the enum members do."""
+        ds = gen_synthetic(20, 40, 0.5, 0.1, 1)
+        by_string = SolverConfig(lam=0.1, tau=5)
+        by_string.partition_mode, by_string.loss = "samples", "square"
+        runs = []
+        for cfg in (
+            SolverConfig(lam=0.1, tau=5, partition_mode=PartitionMode.SAMPLES, loss=LossKind.SQUARE),
+            SolverConfig(lam=0.1, tau=5, partition_mode="samples", loss="square"),
+            by_string,
+        ):
+            cluster = Cluster(2)
+            result = disco_outer(cluster, ds, cfg)
+            stats = cluster.snapshot_stats()
+            assert (stats.broadcast_rounds, stats.reduceall_rounds) == (254, 254)
+            runs.append((result.w.tobytes(), stats, result.inner_iters_total, result.updates))
+            assert cfg.partition_mode is PartitionMode.SAMPLES and cfg.loss is LossKind.SQUARE
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("field, value, allowed", [
+        ("partition_mode", "sample", "'samples', 'features'"),
+        ("partition_mode", "SAMPLES", "'samples', 'features'"),
+        ("loss", "squared", "'square', 'logistic'"),
+        ("loss", None, "'square', 'logistic'"),
+    ])
+    def test_config_rejects_unknown_kinds(self, field, value, allowed):
+        with pytest.raises(ValueError, match=f"expected one of {allowed}"):
+            SolverConfig(lam=1.0, **{field: value})
+        cfg = SolverConfig(lam=1.0)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=f"expected one of {allowed}"):
+            cfg.validate()
