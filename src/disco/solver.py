@@ -34,12 +34,18 @@ term, so the block keeps its sparse d_b x tau slice and the Cholesky factor
 of a tau x tau matrix and solves by the Woodbury identity; otherwise it keeps
 the Cholesky factor of the dense d_b x d_b P_b. With mu = 0 and tau < d_b the
 estimate is singular and the build raises. A partition's first build slices
-each block's first tau samples, and the transpose the low-rank path reads,
-and keeps them in the partition's ``cache``, so a logistic rebuild at every
-Newton step slices nothing: it forms U' by scaling the kept transpose's rows
-by sqrt(h). With identical preconditioners the two layouts produce the same
-iterates up to roundoff, so layout only changes communication cost, not the
-optimization path.
+each block's first tau samples and keeps in the partition's ``cache`` what
+every later build reads: for a low-rank block the sparse slice X_b, its
+transpose and their dense tau x tau Gram X_b'X_b (one sparse product per
+block per solve); for a dense block the dense d_b x tau slice. Only the
+sqrt(h) scaling depends on the iterate, so a logistic rebuild at every Newton
+step slices nothing and creates no sparse matrix: a low-rank block scales the
+kept Gram by sqrt(h) on both sides, an O(tau^2) pass, adds mu*tau*I and
+factors it; a dense block forms and factors its d_b x d_b Gram. The price is
+one extra tau x tau array per low-rank block for the life of the partition,
+8 MB per block at the default tau = 1000. With identical preconditioners the
+two layouts produce the same iterates up to roundoff, so layout only changes
+communication cost, not the optimization path.
 
 Every Hessian product multiplies each shard transposed (``spmv_transpose``)
 and then forward (``spmv``), both looping over the shard's shorter side: a
@@ -246,22 +252,25 @@ class _DenseBlock(NamedTuple):
 
 
 class _LowRankBlock(NamedTuple):
-    """P_b = mu*I + (1/tau) U U' with U = X_b S, S = diag(sqrt(h)), solved by
-    the Woodbury identity through the tau x tau matrix K = mu*tau*I + U'U:
+    """P_b = mu*I + (1/tau) U U' with U = X_b S, S = diag(s), s = sqrt(h),
+    solved by the Woodbury identity through the tau x tau matrix
+    K = mu*tau*I + S X_b'X_b S:
 
-        P_b^{-1} r = (r - U K^{-1} U' r) / mu.
+        P_b^{-1} r = (r - X_b S K^{-1} S X_b' r) / mu.
 
-    U stays the sparse d_b x tau slice (kept with its transpose, both CSR), so
-    a solve costs O(nnz_b + tau^2)."""
+    The block holds the unscaled sparse d_b x tau slice ``x`` and its
+    transpose ``xt`` (both CSR, kept by the partition), s and the Cholesky
+    factor of K, so a solve costs O(nnz_b + tau^2)."""
 
-    u: sparse.csr_array
-    ut: sparse.csr_array
+    x: sparse.csr_array
+    xt: sparse.csr_array
+    s: np.ndarray
     cho: tuple
     mu: float
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        z = _cho_solve(self.cho, self.ut @ r)
-        return (r - self.u @ z) / self.mu
+        z = _cho_solve(self.cho, self.s * (self.xt @ r))
+        return (r - self.x @ (self.s * z)) / self.mu
 
 
 @dataclass
@@ -294,40 +303,47 @@ class BlockPreconditioner:
         return out
 
 
-def _scale_rows(m: sparse.csr_array, scale: np.ndarray) -> sparse.csr_array:
-    """diag(scale) @ m for a CSR m with sorted indices, dropping the entries
-    that come out zero, as scipy's sparse product does."""
-    data = m.data * np.repeat(scale, np.diff(m.indptr))
-    keep = data != 0
-    kept = np.concatenate(([0], np.cumsum(keep)))
-    return sparse.csr_array((data[keep], m.indices[keep], kept[m.indptr]), shape=m.shape)
+class _GramSlice(NamedTuple):
+    """What every build reads of a low-rank block's (tau < d_b) first tau
+    samples: the sparse d_b x tau slice ``x`` and its transpose ``xt``, both
+    CSR with sorted indices, and their dense tau x tau Gram ``gram`` = x'x,
+    which no curvature changes."""
+
+    x: sparse.csr_array
+    xt: sparse.csr_array
+    gram: np.ndarray
 
 
-def _factor_curvature_block(i: int, block: sparse.csr_array, block_t: sparse.csr_array,
-                            h_tau: np.ndarray, mu: float):
-    """Factor (1/tau) * Xb diag(h) Xb' + mu*I for one feature block, given its
-    sparse first-tau-samples slice: through the tau x tau Woodbury matrix when
-    mu > 0 and tau < d_b, as a dense d_b x d_b Cholesky otherwise. The
-    Woodbury path reads ``block_t``, the slice's transpose as CSR with sorted
-    indices, and scales its rows to form U', which equals
-    ``(Xb @ diag(sqrt h)).T.tocsr()`` array for array."""
+def _kept_slice(block: sparse.csr_array):
+    """What a partition keeps of one feature block's sparse first-tau-samples
+    slice (d_b x tau): a ``_GramSlice`` when tau < d_b, else the dense slice."""
     d_b, tau = block.shape
-    if tau < d_b and mu == 0:
+    if tau < d_b:
+        block_t = block.T.tocsr()
+        return _GramSlice(block, block_t, (block_t @ block).toarray())
+    return block.toarray()
+
+
+def _factor_curvature_block(i: int, kept, h_tau: np.ndarray, mu: float):
+    """Factor (1/tau) * Xb diag(h) Xb' + mu*I for one feature block from its
+    kept slice (see ``_kept_slice``): a ``_GramSlice`` through the tau x tau
+    Woodbury matrix K = diag(s) x'x diag(s) + mu*tau*I, s = sqrt(h), which
+    costs an O(tau^2) scaling and one Cholesky; a dense slice as a dense
+    d_b x d_b Cholesky."""
+    low_rank = isinstance(kept, _GramSlice)
+    tau = len(h_tau)
+    if low_rank and mu == 0:
         raise np.linalg.LinAlgError(
-            f"preconditioner block {i} has rank at most tau={tau} < {d_b} features "
+            f"preconditioner block {i} has rank at most tau={tau} < {kept.x.shape[0]} features "
             f"and is singular with mu=0; increase mu"
         )
     try:
-        if tau < d_b:
-            sqrt_h = np.sqrt(h_tau)
-            ind = np.arange(tau + 1)
-            u = block @ sparse.csr_array((sqrt_h, ind[:-1], ind), shape=(tau, tau))
-            ut = _scale_rows(block_t, sqrt_h)
-            gram = (ut @ u).toarray()
-            gram[np.diag_indices_from(gram)] += mu * tau
-            return _LowRankBlock(u, ut, cho_factor(gram, lower=True), mu)
-        dense_block = block.toarray()
-        gram = (dense_block * h_tau) @ dense_block.T / tau
+        if low_rank:
+            s = np.sqrt(h_tau)
+            k = (s[:, None] * kept.gram) * s
+            k[np.diag_indices_from(k)] += mu * tau
+            return _LowRankBlock(kept.x, kept.xt, s, cho_factor(k, lower=True), mu)
+        gram = (kept * h_tau) @ kept.T / tau
         gram[np.diag_indices_from(gram)] += mu
         return _DenseBlock(cho_factor(gram, lower=True))
     except np.linalg.LinAlgError as exc:
@@ -338,23 +354,22 @@ def _factor_curvature_block(i: int, block: sparse.csr_array, block_t: sparse.csr
 
 
 def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int, cut) -> tuple:
-    """(slice, transpose) pairs of the feature blocks' first tau samples, the
-    transpose as CSR with sorted indices: the first call for a partition and
-    tau makes the slices with ``cut()`` and keeps them in ``part.cache``."""
+    """The kept slices (see ``_kept_slice``) of the feature blocks' first tau
+    samples: the first call for a partition and tau cuts the sparse slices
+    with ``cut()`` and keeps what the builds read in ``part.cache``."""
     key = ("curvature_slices", tau)
     if key not in part.cache:
-        part.cache[key] = tuple((b, b.T.tocsr()) for b in cut())
+        part.cache[key] = tuple(_kept_slice(b) for b in cut())
     return part.cache[key]
 
 
-def _block_preconditioner(config: SolverConfig, tau: int, blocks_tau: tuple, labels: np.ndarray,
+def _block_preconditioner(config: SolverConfig, tau: int, kept: tuple, labels: np.ndarray,
                           margins: np.ndarray | None, sizes, offsets) -> BlockPreconditioner:
-    """Factor each feature block's first-tau-samples slice (sparse, d_b x tau,
-    paired with its transpose) with the curvature of the first tau
-    ``margins`` and ``labels``."""
+    """Factor each feature block from its kept first-tau-samples slice with
+    the curvature of the first tau ``margins`` and ``labels``."""
     config.validate()
     h_tau = hess_coeffs(config.loss, None if margins is None else margins[:tau], labels[:tau])
-    blocks = tuple(_factor_curvature_block(i, b, bt, h_tau, config.mu) for i, (b, bt) in enumerate(blocks_tau))
+    blocks = tuple(_factor_curvature_block(i, b, h_tau, config.mu) for i, b in enumerate(kept))
     return BlockPreconditioner(blocks, tuple(sizes), tuple(offsets))
 
 

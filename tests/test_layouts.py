@@ -31,6 +31,7 @@ from disco import (
     pcg_samples,
 )
 from disco import solver
+from disco.harness import gen_synthetic
 from disco.partition import balanced_sizes
 
 from conftest import make_dense_instance
@@ -153,6 +154,50 @@ def test_comm_stats_match_cost_model(data, d, n, loss, mode):
     assert stats == COSTMODEL.expected_stats(mode, d, n, result.grad_evals, COSTMODEL.inner_iters_per_step(result))
 
 
+SWEEP_N = 1000
+SWEEP_D_OVER_N = (0.125, 0.5, 1, 4, 8)
+
+
+def byte_ratio_sweep():
+    """(d, {mode: (result, stats)}) for both layouts of gen_synthetic(d, 1000,
+    0.02, 0.1, 5) at each d/n in ``SWEEP_D_OVER_N``: m=4, lam=mu=1e-2,
+    tau=125."""
+    rows = []
+    for d_over_n in SWEEP_D_OVER_N:
+        d = round(d_over_n * SWEEP_N)
+        ds = gen_synthetic(d, SWEEP_N, 0.02, 0.1, 5)
+        runs = {}
+        for mode in PartitionMode:
+            cluster = Cluster(4)
+            result = disco_outer(cluster, ds, SolverConfig(lam=1e-2, mu=1e-2, tau=125, partition_mode=mode))
+            runs[mode] = (result, cluster.snapshot_stats())
+        rows.append((d, runs))
+    return rows
+
+
+def per_inner_byte_ratio(d, n):
+    """The cost model's feature/sample bytes per inner iteration: a length-n
+    reduce_all plus 3 scalars against a length-d broadcast and reduce_all."""
+    return (8 * n + 24) / (16 * d)
+
+
+def test_byte_ratio_sweep_crosses_where_the_cost_model_puts_it():
+    """The paper's claim as a curve: across d/n from 1/8 to 8 both layouts
+    take the same inner iterations and meet the cost model exactly, and the
+    feature layout moves more bytes than the sample layout exactly where the
+    cost model's per-iteration ratio exceeds 1 (d below about n/2)."""
+    above = []
+    for d, runs in byte_ratio_sweep():
+        for mode, (result, stats) in runs.items():
+            assert result.converged
+            assert stats == cost_model(mode, d, SWEEP_N, result)
+        (res_s, stats_s), (res_f, stats_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
+        assert COSTMODEL.inner_iters_per_step(res_s) == COSTMODEL.inner_iters_per_step(res_f)
+        above.append(per_inner_byte_ratio(d, SWEEP_N) > 1)
+        assert (stats_f.total_bytes > stats_s.total_bytes) == above[-1]
+    assert any(above) and not all(above)  # the sweep spans the crossover
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -241,3 +286,15 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
     apply = "apply" if mode is PartitionMode.SAMPLES else "apply_block"
     for name in ("spmv", "spmv_transpose", "grad_coeffs", "hess_coeffs", apply, "reduce_all", "map_nodes"):
         assert calls[name] > 0, name
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_layouts.py prints the README's sweep table
+    print("| d/n | d | inner (both) | rounds s / f | bytes s / f | byte ratio f/s | (8n+24)/(16d) |")
+    print("|---|---|---|---|---|---|---|")
+    for d, runs in byte_ratio_sweep():
+        (res_s, stats_s), (_, stats_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
+        print(f"| {d / SWEEP_N:g} | {d} | {res_s.inner_iters_total} "
+              f"| {stats_s.total_rounds} / {stats_f.total_rounds} "
+              f"| {stats_s.total_bytes:,} / {stats_f.total_bytes:,} "
+              f"| {stats_f.total_bytes / stats_s.total_bytes:.3f} | {per_inner_byte_ratio(d, SWEEP_N):.3f} |")

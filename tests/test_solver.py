@@ -37,6 +37,7 @@ from disco.solver import (
     _LowRankBlock,
     _SampleLayout,
     _factor_curvature_block,
+    _kept_slice,
     build_preconditioner,
     build_preconditioner_features,
     damped_update,
@@ -152,8 +153,8 @@ class TestPreconditioner:
         P = build_preconditioner(ridge_config(mu=0.1, tau=5), spart)
         (block,) = P.blocks
         assert isinstance(block, _LowRankBlock)
-        shapes = [np.shape(block.u), np.shape(block.ut), np.shape(block.cho[0])]
-        assert shapes == [(40, 5), (5, 40), (5, 5)]
+        shapes = [np.shape(block.x), np.shape(block.xt), np.shape(block.s), np.shape(block.cho[0])]
+        assert shapes == [(40, 5), (5, 40), (5,), (5, 5)]
         expected = brute_force_curvature(ds.X.toarray(), np.full(12, 2.0), tau=5, mu=0.1)
         r = np.random.default_rng(84).standard_normal(40)
         assert np.linalg.norm(P.apply(r) - np.linalg.solve(expected, r)) <= 1e-12 * np.linalg.norm(r) / 0.1
@@ -170,10 +171,8 @@ class TestPreconditioner:
 
 
 def curvature_slice(Xd):
-    """A dense first-tau-samples slice as the builders pass it: CSR, and its
-    transpose as CSR with sorted indices."""
-    xb = SparseBlock.from_dense(Xd).matrix
-    return xb, xb.T.tocsr()
+    """A dense first-tau-samples slice as a partition keeps it."""
+    return _kept_slice(SparseBlock.from_dense(Xd).matrix)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,7 +186,7 @@ def test_low_rank_apply_matches_dense_solve(data, d_b, mu):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     density = data.draw(st.sampled_from([0.1, 0.5, 1.0]), label="density")
     Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < density)
-    block = _factor_curvature_block(0, *curvature_slice(Xd), h, mu)
+    block = _factor_curvature_block(0, curvature_slice(Xd), h, mu)
     assert isinstance(block, _LowRankBlock)
     P = BlockPreconditioner((block,), (d_b,), (0,))
     r = rng.standard_normal(d_b)
@@ -200,7 +199,7 @@ def sparse_curvature_block(d_b, tau, seed, mu=0.05):
     rng = np.random.default_rng(seed)
     Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < 0.3)
     h = rng.uniform(0.0, 2.0, tau)
-    return _factor_curvature_block(0, *curvature_slice(Xd), h, mu), rng
+    return _factor_curvature_block(0, curvature_slice(Xd), h, mu), rng
 
 
 @pytest.mark.parametrize("d_b, tau", [(1, 1), (5, 8), (63, 63), (125, 200)])
@@ -219,8 +218,8 @@ def test_low_rank_block_solve_matches_woodbury_bitwise(d_b, tau):
     assert isinstance(block, _LowRankBlock)
     r = rng.standard_normal(d_b)
     r_before = r.copy()
-    z = cho_solve(block.cho, block.ut @ r, check_finite=False)
-    assert np.array_equal(block.solve(r), (r - block.u @ z) / block.mu)
+    z = cho_solve(block.cho, block.s * (block.xt @ r), check_finite=False)
+    assert np.array_equal(block.solve(r), (r - block.x @ (block.s * z)) / block.mu)
     assert np.array_equal(r, r_before)
 
 
@@ -245,23 +244,33 @@ def test_empty_preconditioner_block_solves():
 
 @pytest.mark.parametrize("d_b, tau", [(2, 1), (40, 5), (200, 63), (1000, 125)])
 def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
-    """U, U' and the factor equal those of U = Xb @ diags(sqrt(h)) and the
-    Gram (U'U).toarray() + mu*tau*I, also with zero curvature coefficients."""
+    """The block holds the kept slice, s = sqrt(h) and, bitwise, the factor
+    of K = (s * G) * s + mu*tau*I, where G = (x'x).toarray() is the sparse
+    Gram the partition keeps; also with zero curvature coefficients. K agrees
+    with the Gram of the scaled slice U = x @ diags(s), formed as
+    (U'U).toarray() + mu*tau*I, to 1e-14 relative in Frobenius norm: the two
+    differ only in where the sqrt(h) factors are rounded in (at most 8.2e-16
+    over 200 draws of each shape)."""
     rng = np.random.default_rng(d_b + tau)
     Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < 0.3)
     h = rng.uniform(0.0, 2.0, tau) * (rng.random(tau) < 0.8)
+    h[0] = 0.0
     mu = 0.05
-    xb, xbt = curvature_slice(Xd)
-    block = _factor_curvature_block(0, xb, xbt, h, mu)
+    kept = curvature_slice(Xd)
+    block = _factor_curvature_block(0, kept, h, mu)
     assert isinstance(block, _LowRankBlock)
-    u = xb @ sparse.diags_array(np.sqrt(h))
-    ut = u.T.tocsr()
-    gram = (ut @ u).toarray()
-    gram[np.diag_indices_from(gram)] += mu * tau
-    for got, want in ((block.u, u), (block.ut, ut)):
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-    assert np.array_equal(block.cho[0], cho_factor(gram, lower=True)[0])
+    assert block.x is kept.x and block.xt is kept.xt and block.mu == mu
+    s = np.sqrt(h)
+    assert np.array_equal(block.s, s)
+    x = SparseBlock.from_dense(Xd).matrix
+    assert np.array_equal(kept.gram, (x.T.tocsr() @ x).toarray())
+    k = (s[:, None] * kept.gram) * s
+    k[np.diag_indices_from(k)] += mu * tau
+    assert np.array_equal(block.cho[0], cho_factor(k, lower=True)[0])
+    u = x @ sparse.diags_array(s)
+    scaled = (u.T.tocsr() @ u).toarray()
+    scaled[np.diag_indices_from(scaled)] += mu * tau
+    assert np.linalg.norm(k - scaled) <= 1e-14 * np.linalg.norm(scaled)
 
 
 def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
@@ -285,16 +294,18 @@ def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
 def block_arrays(block):
     """Every array a factored preconditioner block holds."""
     if isinstance(block, _LowRankBlock):
-        for m in (block.u, block.ut):
+        for m in (block.x, block.xt):
             yield from (m.data, m.indices, m.indptr)
+        yield block.s
     yield block.cho[0]
 
 
 @pytest.mark.parametrize("mode", list(PartitionMode))
 @pytest.mark.parametrize("tau", [3, 5])  # d_b = 4: the low-rank and the dense path
 def test_logistic_rebuild_slices_nothing(monkeypatch, mode, tau):
-    """The partition keeps its first-tau-samples slices: a second logistic
-    build on it, at other margins, slices no sparse matrix, and its blocks
+    """The partition keeps what every build reads of its first-tau-samples
+    slices: a second logistic build on it, at other margins, slices no sparse
+    matrix, converts none to a dense array and creates none, and its blocks
     equal a fresh partition's, array for array."""
     ds, _ = make_dense_instance(d=8, n=10, seed=89, loss=LossKind.LOGISTIC, labels="sign")
     cfg = ridge_config(mu=0.1, tau=tau, loss=LossKind.LOGISTIC, mode=mode)
@@ -307,26 +318,44 @@ def test_logistic_rebuild_slices_nothing(monkeypatch, mode, tau):
     part = part_of(ds.X, ds.y, 2)
     build(cfg, part, first)
 
-    def no_slicing(*args, **kwargs):
-        raise AssertionError("a rebuild sliced the data")
+    def refuse(name):
+        def refusing(*args, **kwargs):
+            raise AssertionError(f"a rebuild called {name}")
+        return refusing
+
+    created = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(cls)
+            init(self, *args, **kwargs)
+        return counting_init
 
     with monkeypatch.context() as patch:
-        patch.setattr(sparse.csr_array, "__getitem__", no_slicing)
-        with pytest.raises(AssertionError, match="sliced"):  # a partition's first build does slice
+        patch.setattr(sparse.csr_array, "__getitem__", refuse("__getitem__"))
+        patch.setattr(sparse.csr_array, "toarray", refuse("toarray"))
+        with pytest.raises(AssertionError, match="__getitem__"):  # a partition's first build does slice
             build(cfg, part_of(ds.X, ds.y, 2), first)
+        for cls in (sparse.csr_array, sparse.csc_array, sparse.coo_array):
+            patch.setattr(cls, "__init__", counting(cls))
         again = build(cfg, part, second)
+    assert created == []
     fresh = build(cfg, part_of(ds.X, ds.y, 2), second)
     assert (again.sizes, again.offsets) == (fresh.sizes, fresh.offsets)
     for got, want in zip(again.blocks, fresh.blocks):
         assert type(got) is type(want) and isinstance(got, _LowRankBlock) == (tau < 4)
         for a, b in zip(block_arrays(got), block_arrays(want), strict=True):
             assert np.array_equal(a, b)
-    # the slices live exactly as long as their partition
+    # what the partition keeps (the slice, its transpose and their Gram, or
+    # the dense slice) lives exactly as long as the partition and the
+    # preconditioners built from it
     (kept,) = part.cache.values()
-    kept = weakref.ref(kept[0][0])
-    del part
+    kept = [weakref.ref(a) for a in (kept[0] if tau < 4 else [kept[0]])]
+    del part, again
     gc.collect()
-    assert kept() is None
+    assert [ref() for ref in kept] == [None] * (3 if tau < 4 else 1)
 
 
 @pytest.mark.parametrize("mode", list(PartitionMode))
@@ -888,8 +917,9 @@ class TestDiscoOuter:
 
     def test_string_kinds_solve_as_their_enum_members(self):
         """A string partition mode and loss, given at construction or assigned
-        later, run the sample layout's 254 broadcasts and 254 reduce_alls here,
-        exactly as the enum members do."""
+        later, run the sample layout, exactly as the enum members do: one
+        broadcast and one reduce_all per gradient evaluation and per inner
+        iteration, 253 of each here."""
         ds = gen_synthetic(20, 40, 0.5, 0.1, 1)
         by_string = SolverConfig(lam=0.1, tau=5)
         by_string.partition_mode, by_string.loss = "samples", "square"
@@ -902,7 +932,8 @@ class TestDiscoOuter:
             cluster = Cluster(2)
             result = disco_outer(cluster, ds, cfg)
             stats = cluster.snapshot_stats()
-            assert (stats.broadcast_rounds, stats.reduceall_rounds) == (254, 254)
+            rounds = result.inner_iters_total + result.grad_evals
+            assert stats.broadcast_rounds == stats.reduceall_rounds == rounds == 253
             runs.append((result.w.tobytes(), stats, result.inner_iters_total, result.updates))
             assert cfg.partition_mode is PartitionMode.SAMPLES and cfg.loss is LossKind.SQUARE
         assert runs[0] == runs[1] == runs[2]
