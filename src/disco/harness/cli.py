@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=SolverConfig.mu, help="preconditioner ridge (default %(default)g)")
     p.add_argument("--tau", type=int, default=None, help="preconditioner samples (default min(1000, master's sample shard))")
     p.add_argument("--theta", type=float, default=SolverConfig.theta,
-                   help="inner tolerance multiplier (default %(default)g)")
+                   help="inner tolerance multiplier, in (0, 1) (default %(default)g)")
     p.add_argument("--tol", type=float, default=SolverConfig.outer_tol,
                    help="outer gradient-norm tolerance (default %(default)g)")
     p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer,

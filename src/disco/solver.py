@@ -3,7 +3,7 @@
 The outer loop repeats: evaluate the gradient, solve the Newton system
 H v = grad approximately with preconditioned conjugate gradient, then apply
 the damped update w <- w - v / (1 + delta) with delta = sqrt(v'Hv). The inner
-tolerance follows the relative rule eps_k = theta * ||grad||.
+tolerance follows the relative rule eps_k = theta * ||grad||, 0 < theta < 1.
 
 The recurrence, the preconditioner build and the outer loop are written once,
 over a small layout object that says where vectors live and what combining
@@ -60,8 +60,10 @@ layout validates the config, and that tau fits the data, when it is built.
 
 The layout objects call the public entry points (``pcg_*``,
 ``build_preconditioner*``), the partitioners and the kernels through this
-module's globals at call time, so replacing one of those names (a tracer, a
-test) catches every call.
+module's globals at call time, so replacing one of those names catches every
+call: the benchmark's tracer times the layers that way, and the tests record
+the Newton steps and preconditioned residuals of a solve, which the solver
+itself does not keep.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ __all__ = [
     "PartitionMode",
     "SolverConfig",
     "NewtonStepResult",
-    "PcgIterate",
     "TraceRecord",
     "DiscoResult",
     "BlockPreconditioner",
@@ -144,6 +145,8 @@ class SolverConfig:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.theta <= 0:
             raise ValueError(f"theta must be positive, got {self.theta}")
+        if self.theta >= 1:  # eps_k >= ||grad|| accepts the zero direction at every step
+            raise ValueError(f"theta must be below 1, got {self.theta}")
         if self.outer_tol <= 0:
             raise ValueError(f"outer_tol must be positive, got {self.outer_tol}")
         if self.max_outer < 0:
@@ -166,15 +169,6 @@ class SolverConfig:
         return min(5 * d, 10000) if self.max_inner is None else self.max_inner
 
 
-class PcgIterate(NamedTuple):
-    """One inner iterate, recorded only on request (test instrumentation)."""
-
-    direction: np.ndarray
-    residual: np.ndarray
-    residual_norm: float
-    hessian_direction: np.ndarray
-
-
 @dataclass
 class NewtonStepResult:
     """Inexact Newton direction and its damping certificate.
@@ -187,8 +181,7 @@ class NewtonStepResult:
     inner_iters: int
     residual_norm: float
     converged: bool
-    direction_blocks: list | None = None
-    history: list | None = None
+    direction_blocks: list
 
 
 @dataclass(frozen=True)
@@ -216,8 +209,6 @@ class DiscoResult:
     grad_evals: int
     inner_iters_total: int
     inner_unconverged: int
-    steps: list | None = None
-    iterates: list | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +566,6 @@ def _pcg(
     grad: list | None,
     margins: list | None,
     precond: BlockPreconditioner | None,
-    record_history: bool,
 ) -> NewtonStepResult:
     """PCG on H v = grad at the iterate ``w`` (all vectors in layout blocks).
 
@@ -604,12 +594,11 @@ def _pcg(
     resnorm = math.sqrt(layout.dots((r, r), metered=False)[0])
     if resnorm <= eps_k:
         zero = layout.zeros()
-        return NewtonStepResult(np.concatenate(zero), 0.0, 0, resnorm, True, direction_blocks=zero)
+        return NewtonStepResult(np.concatenate(zero), 0.0, 0, resnorm, True, zero)
     s = layout.precondition(precond, r)
     u = s
     v = layout.zeros()
     Hv = layout.zeros()
-    history: list = []
     for t in range(max_inner):
         Hu = layout.hess_vec(u, h)
         if t == 0:  # <r, s> is first needed here; later it comes from the beta batch
@@ -631,8 +620,6 @@ def _pcg(
                 f"non-finite PCG state at inner iteration {t}: r's = {rs_next}, ||r||^2 = {rnorm2}, v'Hv = {vHv}"
             )
         resnorm = math.sqrt(max(rnorm2, 0.0))
-        if record_history:
-            history.append(PcgIterate(np.concatenate(v), np.concatenate(r), resnorm, np.concatenate(Hv)))
         if resnorm <= eps_k:
             break
         beta = rs_next / rs
@@ -645,7 +632,6 @@ def _pcg(
         residual_norm=resnorm,
         converged=resnorm <= eps_k,
         direction_blocks=v,
-        history=history if record_history else None,
     )
 
 
@@ -659,7 +645,6 @@ def pcg_samples(
     grad: np.ndarray | None = None,
     margins: list | None = None,
     precond: BlockPreconditioner | None = None,
-    record_history: bool = False,
 ) -> NewtonStepResult:
     """PCG on the sample partition; the master owns all full-length vectors.
 
@@ -676,7 +661,7 @@ def pcg_samples(
     """
     w = [np.asarray(w, dtype=np.float64)]
     grad = None if grad is None else [np.asarray(grad, dtype=np.float64)]
-    return _pcg(_SampleLayout(cluster, spart, config), w, eps_k, grad, margins, precond, record_history)
+    return _pcg(_SampleLayout(cluster, spart, config), w, eps_k, grad, margins, precond)
 
 
 def pcg_features(
@@ -689,7 +674,6 @@ def pcg_features(
     grad_blocks: list | None = None,
     margins: np.ndarray | None = None,
     precond: BlockPreconditioner | None = None,
-    record_history: bool = False,
 ) -> NewtonStepResult:
     """PCG on the feature partition; every vector lives as per-node blocks.
 
@@ -700,8 +684,9 @@ def pcg_features(
     beta numerator, the stopping test and the damping certificate ride one
     round. A step that runs at least one inner iteration ends with a
     concatenating reduce that assembles the direction on the master; when the
-    gradient already meets ``eps_k`` (theta >= 1 in the outer loop) the step
-    returns the zero direction after 0 iterations and sends nothing.
+    gradient already meets ``eps_k`` (a standalone call with a loose tolerance;
+    the outer loop's theta < 1 never allows it) the step returns the zero
+    direction after 0 iterations and sends nothing.
 
     When ``grad_blocks`` is omitted, the margin exchange (one length-n
     reduce_all) runs here and the gradient blocks are formed locally; given
@@ -709,8 +694,7 @@ def pcg_features(
     normally passes both in. ``margins`` is the one length-n array X'w that
     every node holds and is accepted only with ``grad_blocks``.
     """
-    layout = _FeatureLayout(cluster, fpart, config)
-    return _pcg(layout, w_blocks, eps_k, grad_blocks, margins, precond, record_history)
+    return _pcg(_FeatureLayout(cluster, fpart, config), w_blocks, eps_k, grad_blocks, margins, precond)
 
 
 # ---------------------------------------------------------------------------
@@ -728,13 +712,7 @@ def damped_update(w: np.ndarray, direction: np.ndarray, delta: float) -> np.ndar
     return w - (1.0 / (1.0 + delta)) * direction
 
 
-def disco_outer(
-    cluster: Cluster,
-    dataset,
-    config: SolverConfig,
-    *,
-    record_iterates: bool = False,
-) -> DiscoResult:
+def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
     """Run the damped inexact-Newton loop on ``dataset`` over ``cluster``.
 
     Partitions the data per ``config.partition_mode``, starts from w = 0 and
@@ -755,8 +733,6 @@ def disco_outer(
     w = layout.zeros()
     precond: BlockPreconditioner | None = None
     trace: list = []
-    steps: list = []
-    iterates: list = []
     inner_cum = 0
     inner_unconverged = 0
     start = time.perf_counter()
@@ -788,9 +764,6 @@ def disco_outer(
         w = layout.map(lambda i: damped_update(w[i], step.direction_blocks[i], step.delta))
         inner_cum += step.inner_iters
         inner_unconverged += not step.converged
-        if record_iterates:
-            steps.append(step)
-            iterates.append(np.concatenate(w))
 
     return DiscoResult(
         w=np.concatenate(w),
@@ -800,6 +773,4 @@ def disco_outer(
         grad_evals=len(trace),
         inner_iters_total=inner_cum,
         inner_unconverged=inner_unconverged,
-        steps=steps if record_iterates else None,
-        iterates=iterates if record_iterates else None,
     )

@@ -26,7 +26,7 @@ from disco.harness import DenseNewtonOracle, gen_synthetic, ridge_closed_form
 from disco.harness.cli import main as cli_main
 from disco.harness.trace import TRACE_HEADER
 
-from conftest import make_dense_instance
+from conftest import make_dense_instance, recorded_solve
 
 
 def report(num, text):
@@ -66,7 +66,8 @@ def ridge_suite():
 
 @pytest.fixture(scope="module")
 def outer_runs(ridge_suite):
-    """Both-mode solver runs with theta = 1e-4 on every suite instance."""
+    """Both-mode recorded solves (result, steps, iterates) with theta = 1e-4
+    on every suite instance."""
     runs = []
     for ds, lam, m, tau in ridge_suite:
         per_mode = {}
@@ -75,7 +76,7 @@ def outer_runs(ridge_suite):
                 lam=lam, mu=lam, tau=tau, theta=1e-4, outer_tol=1e-8,
                 partition_mode=mode,
             )
-            per_mode[mode] = disco_outer(Cluster(m), ds, cfg, record_iterates=True)
+            per_mode[mode] = recorded_solve(Cluster(m), ds, cfg)
         runs.append((ds, lam, m, per_mode))
     return runs
 
@@ -108,11 +109,11 @@ def test_criterion_1_inner_solver_oracle_equivalence(ridge_suite):
 def test_criterion_2_outer_layout_equivalence(outer_runs):
     worst = 0.0
     for ds, lam, m, per_mode in outer_runs:
-        rs = per_mode[PartitionMode.SAMPLES]
-        rf = per_mode[PartitionMode.FEATURES]
+        rs, _, iterates_s = per_mode[PartitionMode.SAMPLES]
+        rf, _, iterates_f = per_mode[PartitionMode.FEATURES]
         assert rs.converged and rf.converged
         assert rs.updates == rf.updates
-        for ws, wf in zip(rs.iterates, rf.iterates):
+        for ws, wf in zip(iterates_s, iterates_f):
             rel = np.linalg.norm(ws - wf) / max(1.0, np.linalg.norm(ws))
             worst = max(worst, rel)
             assert rel <= 1e-8
@@ -144,13 +145,13 @@ def test_criterion_4_communication_accounting_exact():
         cfg = SolverConfig(lam=0.15, mu=0.15, tau=tau, theta=1e-4, outer_tol=1e-9,
                            partition_mode=mode)
         cl = Cluster(m)
-        res = disco_outer(cl, ds, cfg, record_iterates=True)
+        res, steps, _ = recorded_solve(cl, ds, cfg)
         assert res.converged and res.updates >= 2
-        counts[mode] = (res, cl.snapshot_stats())
+        counts[mode] = (res, steps, cl.snapshot_stats())
 
     # sample layout: per inner iteration 1 broadcast + 1 reduce_all of 8d
     # bytes; per gradient evaluation the same pair once more
-    res, stats = counts[PartitionMode.SAMPLES]
+    res, _, stats = counts[PartitionMode.SAMPLES]
     T, GE = res.inner_iters_total, res.grad_evals
     assert stats.broadcast_rounds == T + GE
     assert stats.reduceall_rounds == T + GE
@@ -162,16 +163,16 @@ def test_criterion_4_communication_accounting_exact():
     # scalar reduce_alls; one length-n margin round per gradient evaluation;
     # one concatenating reduce per update. Scalar bytes: the curvature round
     # carries 2 values at t=0 and 1 afterwards, the beta round always 3.
-    res, stats = counts[PartitionMode.FEATURES]
+    res, steps, stats = counts[PartitionMode.FEATURES]
     T, GE, U = res.inner_iters_total, res.grad_evals, res.updates
     assert stats.broadcast_rounds == 0 and stats.broadcast_bytes == 0
     assert stats.reduceall_rounds == 3 * T + GE
     assert stats.reduce_rounds == U
     assert stats.reduce_bytes == 8 * d * U
-    scalar_bytes = sum(16 + 8 * (step.inner_iters - 1) + 24 * step.inner_iters for step in res.steps)
+    scalar_bytes = sum(16 + 8 * (step.inner_iters - 1) + 24 * step.inner_iters for step in steps)
     assert stats.reduceall_bytes == 8 * n * (T + GE) + scalar_bytes
     report(4, f"round and byte counters match the analytic formulas exactly "
-              f"(samples: {counts[PartitionMode.SAMPLES][1].total_rounds} rounds, "
+              f"(samples: {counts[PartitionMode.SAMPLES][2].total_rounds} rounds, "
               f"features: {stats.total_rounds} rounds)")
 
 
@@ -264,15 +265,15 @@ def test_criterion_7_determinism(tmp_path):
 def test_criterion_8_delta_certificate(outer_runs):
     ds3 = gen_synthetic(12, 30, density=0.9, noise=0.05, seed=7)
     cfg3 = SolverConfig(lam=0.1, mu=0.1, theta=1e-6, outer_tol=1e-10)
-    run3 = disco_outer(Cluster(2), ds3, cfg3, record_iterates=True)
+    _, steps3, _ = recorded_solve(Cluster(2), ds3, cfg3)
 
     checked = 0
-    cases = [(ds, lam, run) for ds, lam, m, per_mode in outer_runs for run in per_mode.values()]
-    cases.append((ds3, 0.1, run3))
-    for ds, lam, run in cases:
+    cases = [(ds, lam, steps) for ds, lam, m, per_mode in outer_runs for _, steps, _ in per_mode.values()]
+    cases.append((ds3, 0.1, steps3))
+    for ds, lam, steps in cases:
         obj = Objective(loss=LossKind.SQUARE, lam=lam, n=ds.n, d=ds.d)
         H = DenseNewtonOracle(ds, obj).hessian(np.zeros(ds.d))  # constant for square loss
-        for step in run.steps:
+        for step in steps:
             expected = float(step.direction @ H @ step.direction)
             assert step.delta**2 == pytest.approx(expected, rel=1e-8)
             checked += 1

@@ -144,6 +144,12 @@ class TestErrors:
         assert run_cli("--synthetic", "20,50,0.3,0.1,1", "--nodes", "2", "--tol", "inf") == 1
         assert "outer_tol must be finite" in capsys.readouterr().err
 
+    def test_theta_of_one_rejected(self, capsys):
+        # before, eps_k = ||grad|| accepted the zero direction at every step:
+        # 50 outer iterations that changed nothing, and exit code 0
+        assert run_cli("--synthetic", "20,40,0.5,0.1,1", "--nodes", "2", "--theta", "1") == 1
+        assert "theta must be below 1" in capsys.readouterr().err
+
     def test_bad_synthetic_spec(self, capsys):
         assert run_cli("--synthetic", "10,20") == 1
         assert "error" in capsys.readouterr().err

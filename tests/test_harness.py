@@ -22,7 +22,7 @@ from disco.harness import (
     write_libsvm,
 )
 
-from conftest import make_dense_instance
+from conftest import make_dense_instance, recorded_solve
 
 
 class TestReadLibsvm:
@@ -248,7 +248,7 @@ class TestTraceAccounting:
     def test_samples_mode_rows(self):
         ds, _ = make_dense_instance(d=14, n=42, seed=180, lam=0.2)
         cfg = SolverConfig(lam=0.2, mu=0.2, tau=14, theta=1e-4, outer_tol=1e-9)
-        res = disco_outer(Cluster(3), ds, cfg, record_iterates=True)
+        res = disco_outer(Cluster(3), ds, cfg)
         assert res.converged
         d = ds.d
         for k, row in enumerate(res.trace):
@@ -264,7 +264,7 @@ class TestTraceAccounting:
             lam=0.2, mu=0.2, tau=14, theta=1e-4, outer_tol=1e-9,
             partition_mode=PartitionMode.FEATURES,
         )
-        res = disco_outer(Cluster(3), ds, cfg, record_iterates=True)
+        res, steps, _ = recorded_solve(Cluster(3), ds, cfg)
         assert res.converged
         d, n = ds.d, ds.n
         for k, row in enumerate(res.trace):
@@ -272,7 +272,7 @@ class TestTraceAccounting:
             # vector rounds: margins (k+1) + Hu products; scalar rounds: 2 per
             # inner iteration; concatenating reduce: one per completed update
             assert row.rounds_cum == 3 * T_cum + (k + 1) + k
-            scalar_bytes = sum(8 + 32 * step.inner_iters for step in res.steps[:k])
+            scalar_bytes = sum(8 + 32 * step.inner_iters for step in steps[:k])
             assert row.bytes_cum == 8 * n * (T_cum + k + 1) + scalar_bytes + 8 * d * k
 
 

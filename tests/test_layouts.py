@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from disco import (
     Cluster,
-    CommStats,
     Dataset,
     LossKind,
     Objective,
@@ -34,9 +33,7 @@ from disco import solver
 from disco.harness import gen_synthetic
 from disco.partition import balanced_sizes
 
-from conftest import make_dense_instance
-
-BYTES = 8
+from conftest import make_dense_instance, recorded_solve
 
 
 def random_instance(data, d, n, loss):
@@ -81,26 +78,9 @@ def load_discobench(name):
     return module
 
 
-# discobench/costmodel.py: the counters every benchmark solve is gated on
+# discobench/costmodel.py: the README's collective counts, which every
+# benchmark solve is gated on
 COSTMODEL = load_discobench("costmodel")
-
-
-def cost_model(mode, d, n, result):
-    """The README's collective counts for one ``disco_outer`` run."""
-    cum = [row.inner_iters_cum for row in result.trace]
-    per_step = [b - a for a, b in zip(cum, cum[1:])]
-    T, GE = sum(per_step), result.grad_evals
-    if mode is PartitionMode.SAMPLES:
-        return CommStats(
-            broadcast_rounds=T + GE, reduceall_rounds=T + GE,
-            broadcast_bytes=BYTES * d * (T + GE), reduceall_bytes=BYTES * d * (T + GE),
-        )
-    steps = [t for t in per_step if t > 0]
-    scalars = sum(2 + (t - 1) + 3 * t for t in steps)
-    return CommStats(
-        reduce_rounds=len(steps), reduceall_rounds=3 * T + GE,
-        reduce_bytes=BYTES * d * len(steps), reduceall_bytes=BYTES * (n * (T + GE) + scalars),
-    )
 
 
 LOSSES = st.sampled_from([LossKind.SQUARE, LossKind.LOGISTIC])
@@ -149,8 +129,6 @@ def test_comm_stats_match_cost_model(data, d, n, loss, mode):
     cluster = Cluster(m)
     result = disco_outer(cluster, ds, cfg)
     stats = cluster.snapshot_stats()
-    assert stats == cost_model(mode, d, n, result)
-    # the gate every benchmark solve must pass
     assert stats == COSTMODEL.expected_stats(mode, d, n, result.grad_evals, COSTMODEL.inner_iters_per_step(result))
 
 
@@ -190,7 +168,8 @@ def test_byte_ratio_sweep_crosses_where_the_cost_model_puts_it():
     for d, runs in byte_ratio_sweep():
         for mode, (result, stats) in runs.items():
             assert result.converged
-            assert stats == cost_model(mode, d, SWEEP_N, result)
+            per_step = COSTMODEL.inner_iters_per_step(result)
+            assert stats == COSTMODEL.expected_stats(mode, d, SWEEP_N, result.grad_evals, per_step)
         (res_s, stats_s), (res_f, stats_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
         assert COSTMODEL.inner_iters_per_step(res_s) == COSTMODEL.inner_iters_per_step(res_f)
         above.append(per_inner_byte_ratio(d, SWEEP_N) > 1)
@@ -216,11 +195,11 @@ def test_damped_newton_converges_monotonically(data, d, n, loss, mode):
     tau, mu = draw_tau_mu(data, d, n, m, mode)
     theta = 10.0 ** data.draw(st.floats(-8.0, math.log10(0.5)), label="log10 theta")
     cfg = SolverConfig(lam=lam, mu=mu, tau=tau, loss=loss, theta=theta, partition_mode=mode)
-    result = disco_outer(Cluster(m), ds, cfg, record_iterates=True)
+    result, _, iterates = recorded_solve(Cluster(m), ds, cfg)
 
     assert result.converged
     obj = Objective(loss=loss, lam=lam, n=n, d=d)
-    values = [objective_value(obj, ds.X, ds.y, w) for w in [np.zeros(d)] + result.iterates]
+    values = [objective_value(obj, ds.X, ds.y, w) for w in [np.zeros(d)] + iterates]
     for f_prev, f_next in zip(values, values[1:]):
         assert f_next <= f_prev * (1 + 1e-12)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import importlib
 import math
 import weakref
 from types import SimpleNamespace
@@ -43,7 +44,7 @@ from disco.solver import (
     damped_update,
 )
 
-from conftest import make_dense_instance
+from conftest import inner_steps, make_dense_instance, preconditioned_residuals, recorded_solve
 
 
 def ridge_config(lam=0.1, mu=1e-3, tau=None, theta=1e-4, mode=PartitionMode.SAMPLES, **kw):
@@ -552,14 +553,21 @@ class TestPcgFeatures:
         w = rng.standard_normal(10)
         spart = partition_by_samples(ds.X, ds.y, 1)
         fpart = partition_by_features(ds.X, ds.y, 1)
-        step_s = pcg_samples(Cluster(1), spart, w, eps_k=1e-9, config=cfg, record_history=True)
-        step_f = pcg_features(Cluster(1), fpart, [w], eps_k=1e-9, config=cfg, record_history=True)
+        pcgs = (
+            lambda c: pcg_samples(Cluster(1), spart, w, eps_k=1e-9, config=c),
+            lambda c: pcg_features(Cluster(1), fpart, [w], eps_k=1e-9, config=c),
+        )
+        (step_s, res_s), (step_f, res_f) = (preconditioned_residuals(lambda: pcg(cfg)) for pcg in pcgs)
         assert step_s.inner_iters == step_f.inner_iters
         assert np.array_equal(step_s.direction, step_f.direction)
         assert step_s.delta == step_f.delta
-        for it_s, it_f in zip(step_s.history, step_f.history):
+        assert len(res_s) == len(res_f) == step_s.inner_iters + 1
+        for r_s, r_f in zip(res_s, res_f):
+            assert np.array_equal(r_s, r_f)
+        its_s, its_f = (inner_steps(pcg, cfg) for pcg in pcgs)
+        assert len(its_s) == len(its_f) == step_s.inner_iters
+        for it_s, it_f in zip(its_s, its_f):
             assert np.array_equal(it_s.direction, it_f.direction)
-            assert np.array_equal(it_s.residual, it_f.residual)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_dense_solve_and_cross_layout(self, m):
@@ -601,6 +609,29 @@ class TestPcgFeatures:
         # (curvature round widened with <r,s>) and 8+24 afterwards
         expected_scalar = (16 + 24) + (8 + 24) * (T - 1)
         assert stats.reduceall_bytes == 8 * 18 * T + expected_scalar
+
+    def test_gradient_without_margins_adds_only_the_margin_exchange(self):
+        # given grad_blocks alone, pcg_features recomputes the margins X'w
+        # with one length-n reduce_all and otherwise runs the same solve
+        ds, _ = make_dense_instance(d=12, n=18, seed=124, lam=0.1, loss=LossKind.LOGISTIC, labels="sign")
+        cfg = SolverConfig(lam=0.1, mu=1e-3, tau=10, loss=LossKind.LOGISTIC)
+        fpart = partition_by_features(ds.X, ds.y, 3)
+        cl = Cluster(3)
+        w_blocks = [0.1 * np.ones(s) for s in fpart.sizes]
+        grad_blocks, margins = _FeatureLayout(cl, fpart, cfg).gradient(w_blocks)
+        precond = build_preconditioner_features(cfg, fpart, margins)
+        runs = []
+        for given in (margins, None):
+            cl.reset_stats()
+            step = pcg_features(cl, fpart, w_blocks, 1e-8, cfg, grad_blocks=grad_blocks, margins=given,
+                                precond=precond)
+            runs.append((step, cl.snapshot_stats()))
+        (with_margins, stats), (without, stats_without) = runs
+        assert without.direction.tobytes() == with_margins.direction.tobytes()
+        assert (without.delta, without.inner_iters) == (with_margins.delta, with_margins.inner_iters)
+        assert (stats.reduceall_rounds, stats.reduceall_bytes) == (39, 2296)
+        assert (stats_without.reduceall_rounds, stats_without.reduceall_bytes) == (40, 2296 + 8 * 18)
+        assert dataclasses.replace(stats_without, reduceall_rounds=39, reduceall_bytes=2296) == stats
 
     def test_single_iteration_costs_three_reducealls(self):
         ds, obj = make_dense_instance(d=8, n=10, seed=125, lam=0.1)
@@ -698,15 +729,17 @@ def test_every_logistic_entry_point_rejects_labels_outside_plus_minus_one(call):
 
 class TestPcgInvariants:
     @staticmethod
-    def run_with_history(ds, cfg, m, mode, eps_k):
+    def pcg_at_random_w(ds, m, mode, eps_k):
+        """A random iterate w and the ``mode`` PCG solve at w as a function
+        of the config."""
         rng = np.random.default_rng(130)
         w = rng.standard_normal(ds.d)
         if mode is PartitionMode.SAMPLES:
             spart = partition_by_samples(ds.X, ds.y, m)
-            return w, pcg_samples(Cluster(m), spart, w, eps_k, cfg, record_history=True)
+            return w, lambda cfg: pcg_samples(Cluster(m), spart, w, eps_k, cfg)
         fpart = partition_by_features(ds.X, ds.y, m)
         w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-        return w, pcg_features(Cluster(m), fpart, w_blocks, eps_k, cfg, record_history=True)
+        return w, lambda cfg: pcg_features(Cluster(m), fpart, w_blocks, eps_k, cfg)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("mode,method,per_apply", [
@@ -735,31 +768,40 @@ class TestPcgInvariants:
             return out
 
         monkeypatch.setattr(BlockPreconditioner, method, poisoned)
+        _, pcg = self.pcg_at_random_w(ds, 2, mode, eps_k=1e-10)
         with pytest.raises(error, match=message):
-            self.run_with_history(ds, cfg, 2, mode, eps_k=1e-10)
+            pcg(cfg)
 
     @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
     def test_residual_and_hv_recomputable(self, mode):
+        # r_t as handed to the preconditioner equals grad - H v_t, and delta_t
+        # of the solve stopped at t equals sqrt(v_t' H v_t): the running Hv
+        # the recurrence keeps is seen through delta
         ds, obj = make_dense_instance(d=12, n=30, seed=131, lam=0.2)
         cfg = ridge_config(lam=0.2, mu=0.02, tau=10)
-        w, step = self.run_with_history(ds, cfg, 2, mode, eps_k=1e-10)
+        w, pcg = self.pcg_at_random_w(ds, 2, mode, eps_k=1e-10)
+        step, residuals = preconditioned_residuals(lambda: pcg(cfg))
+        its = inner_steps(pcg, cfg)
+        assert len(residuals) == len(its) + 1 == step.inner_iters + 1
         oracle = DenseNewtonOracle(ds, obj)
         H = oracle.hessian(w)
         grad = oracle.gradient(w)
-        for it in step.history:
+        assert np.linalg.norm(residuals[0] - grad) <= 5e-9 * max(1.0, np.linalg.norm(grad))
+        for r, it in zip(residuals[1:], its):
             hv = H @ it.direction
-            assert np.linalg.norm(it.residual - (grad - hv)) <= 5e-9 * max(1.0, np.linalg.norm(grad))
-            assert np.linalg.norm(it.hessian_direction - hv) <= 5e-9 * max(1.0, np.linalg.norm(hv))
+            assert np.linalg.norm(r - (grad - hv)) <= 5e-9 * max(1.0, np.linalg.norm(grad))
+            assert it.residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-12)
+            assert it.delta**2 == pytest.approx(float(it.direction @ hv), rel=1e-9)
 
     @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
     def test_monotone_energy_norm(self, mode):
         ds, obj = make_dense_instance(d=14, n=35, seed=132, lam=0.15)
         cfg = ridge_config(lam=0.15, mu=0.01, tau=12)
-        w, step = self.run_with_history(ds, cfg, 2, mode, eps_k=1e-11)
+        w, pcg = self.pcg_at_random_w(ds, 2, mode, eps_k=1e-11)
         oracle = DenseNewtonOracle(ds, obj)
         H = oracle.hessian(w)
         v_star = oracle.newton_direction(w)
-        energies = [float((it.direction - v_star) @ H @ (it.direction - v_star)) for it in step.history]
+        energies = [float((it.direction - v_star) @ H @ (it.direction - v_star)) for it in inner_steps(pcg, cfg)]
         for prev, cur in zip(energies, energies[1:]):
             assert cur <= prev * (1 + 1e-10) + 1e-15
 
@@ -769,7 +811,8 @@ class TestPcgInvariants:
         # so the deep tolerance is reached within d iterations despite float
         ds, _ = make_dense_instance(d=20, n=80, seed=133, lam=0.5)
         cfg = ridge_config(lam=0.5, mu=0.5, tau=40, max_inner=20)
-        w, step = self.run_with_history(ds, cfg, 2, mode, eps_k=1e-13)
+        _, pcg = self.pcg_at_random_w(ds, 2, mode, eps_k=1e-13)
+        step = pcg(cfg)
         assert step.converged and step.inner_iters <= 20
 
     @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
@@ -778,7 +821,8 @@ class TestPcgInvariants:
         ds, obj = make_dense_instance(d=15, n=40, seed=134, lam=0.2)
         cfg = ridge_config(lam=0.2, mu=0.02, tau=12)
         eps_k = 1e-6
-        w, step = self.run_with_history(ds, cfg, 3, mode, eps_k=eps_k)
+        w, pcg = self.pcg_at_random_w(ds, 3, mode, eps_k=eps_k)
+        step = pcg(cfg)
         oracle = DenseNewtonOracle(ds, obj)
         resid = oracle.hessian(w) @ step.direction - oracle.gradient(w)
         assert np.linalg.norm(resid) <= eps_k + 1e-9
@@ -787,7 +831,8 @@ class TestPcgInvariants:
     def test_delta_certificate(self, mode):
         ds, obj = make_dense_instance(d=11, n=28, seed=135, lam=0.25)
         cfg = ridge_config(lam=0.25, mu=0.02, tau=9)
-        w, step = self.run_with_history(ds, cfg, 2, mode, eps_k=1e-8)
+        w, pcg = self.pcg_at_random_w(ds, 2, mode, eps_k=1e-8)
+        step = pcg(cfg)
         H = DenseNewtonOracle(ds, obj).hessian(w)
         expected = float(step.direction @ H @ step.direction)
         assert step.delta**2 == pytest.approx(expected, rel=1e-8)
@@ -825,10 +870,10 @@ class TestDiscoOuter:
         # gradient by exactly delta/(1+delta)
         ds, obj = make_dense_instance(d=8, n=24, seed=142, lam=0.2)
         cfg = ridge_config(lam=0.2, mu=0.02, tau=12, theta=1e-12, max_outer=1)
-        res = disco_outer(Cluster(2), ds, cfg, record_iterates=True)
+        res, steps, _ = recorded_solve(Cluster(2), ds, cfg)
         g0 = res.trace[0].grad_norm
         g1 = res.trace[1].grad_norm
-        delta0 = res.steps[0].delta
+        delta0 = steps[0].delta
         assert g1 <= (delta0 / (1 + delta0)) * g0 + 1e-9 * g0
 
     @pytest.mark.parametrize("m", [1, 2, 4])
@@ -838,10 +883,10 @@ class TestDiscoOuter:
         runs = {}
         for mode in (PartitionMode.SAMPLES, PartitionMode.FEATURES):
             cfg = ridge_config(lam=0.15, mu=0.02, tau=tau, theta=1e-4, outer_tol=1e-9, mode=mode)
-            runs[mode] = disco_outer(Cluster(m), ds, cfg, record_iterates=True)
-        rs, rf = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
+            runs[mode] = recorded_solve(Cluster(m), ds, cfg)
+        (rs, _, iterates_s), (rf, _, iterates_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
         assert rs.updates == rf.updates
-        for ws, wf in zip(rs.iterates, rf.iterates):
+        for ws, wf in zip(iterates_s, iterates_f):
             assert np.linalg.norm(ws - wf) <= 1e-8 * max(1.0, np.linalg.norm(ws))
 
     def test_logistic_converges_both_modes(self):
@@ -898,6 +943,7 @@ class TestDiscoOuter:
     @pytest.mark.parametrize("field, value, message", [
         ("lam", -1.0, "lam must be positive"),
         ("theta", 0.0, "theta must be positive"),
+        ("theta", 1.0, "theta must be below 1"),
         ("tau", 0, "tau must be >= 1"),
         ("mu", -1e-3, "mu must be non-negative"),
         ("outer_tol", 0.0, "outer_tol must be positive"),
@@ -951,3 +997,14 @@ class TestDiscoOuter:
         setattr(cfg, field, value)
         with pytest.raises(ValueError, match=f"expected one of {allowed}"):
             cfg.validate()
+
+
+@pytest.mark.parametrize("module", [
+    "disco", "disco.comm", "disco.linalg", "disco.losses", "disco.partition", "disco.solver",
+    "disco.harness", "disco.harness.cli", "disco.harness.datasets", "disco.harness.oracles",
+    "disco.harness.trace",
+])
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its definition goes breaks ``import *``
+    module = importlib.import_module(module)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
