@@ -58,6 +58,8 @@ class Cluster:
     the master."""
 
     def __init__(self, m: int):
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"node count must be an integer, got {m!r}")
         if m < 1:
             raise ValueError(f"node count must be >= 1, got {m}")
         self.m = m

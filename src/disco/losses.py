@@ -70,7 +70,9 @@ class Objective:
             raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
 
 
-def _check_margins(margins: np.ndarray):
+def _check_margins(margins: np.ndarray, labels: np.ndarray):
+    if margins.shape != labels.shape:  # numpy would broadcast a mismatch silently
+        raise ValueError(f"margins have shape {margins.shape}, labels {labels.shape}")
     if not np.all(np.isfinite(margins)):
         raise ValueError("non-finite margin encountered")
 
@@ -88,7 +90,7 @@ def grad_coeffs(loss: LossKind, margins: np.ndarray, labels: np.ndarray) -> np.n
     loss = LossKind(loss)
     margins = np.asarray(margins, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
-    _check_margins(margins)
+    _check_margins(margins, labels)
     if loss is LossKind.SQUARE:
         return 2.0 * (margins - labels)
     _check_sign_labels(labels)
@@ -109,7 +111,7 @@ def hess_coeffs(loss: LossKind, margins: np.ndarray | None, labels: np.ndarray) 
     if margins is None:
         raise ValueError("logistic Hessian coefficients need the margins of the current iterate")
     margins = np.asarray(margins, dtype=np.float64)
-    _check_margins(margins)
+    _check_margins(margins, labels)
     z = labels * margins
     return expit(z) * expit(-z)
 
@@ -131,7 +133,7 @@ def objective_value(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray
     # not spmv/spmv_transpose, so that these one-off products leave no
     # transposed copy cached on X.
     margins = X.matrix.T @ w
-    _check_margins(margins)
+    _check_margins(margins, y)
     if obj.loss is LossKind.SQUARE:
         resid = y - margins
         data_term = float(np.dot(resid, resid)) / obj.n

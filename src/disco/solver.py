@@ -57,6 +57,8 @@ columns through its CSR matrix and its CSC view.
 A solve is described once: the partition gives the data, n and the feature
 block split, ``SolverConfig`` the loss, lam and every solver parameter; a
 layout validates the config, and that tau fits the data, when it is built.
+Each PCG solve is handed what the outer loop already holds: the gradient and
+margins from its metered exchange, and the preconditioner.
 
 The layout objects call the public entry points (``pcg_*``,
 ``build_preconditioner*``), the partitioners and the kernels through this
@@ -137,6 +139,11 @@ class SolverConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("tau", "max_inner", "max_outer"):
+            value = getattr(self, name)
+            optional = () if name == "max_outer" else (type(None),)  # None picks a default
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer, *optional)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.mu < 0:
@@ -440,11 +447,6 @@ class _SampleLayout(_Layout):
         """<a, b> for each pair; free either way, the master holds both."""
         return [float(np.dot(a[0], b[0])) for a, b in pairs]
 
-    def margins_of(self, w: list) -> list:
-        """Per-node margins X_j'w; local work (nodes hold w from the gradient
-        broadcast)."""
-        return self.cluster.map_nodes(lambda j: spmv_transpose(self.part.shards[j], w[0]))
-
     def curvature(self, margins: list) -> list:
         """Per-node Hessian coefficients from per-node margins; local work."""
         part, loss = self.part, self.config.loss
@@ -483,10 +485,8 @@ class _SampleLayout(_Layout):
     def preconditioner(self, margins: list) -> BlockPreconditioner:
         return build_preconditioner(self.config, self.part, margins[0])
 
-    def newton_step(self, w, eps_k, grad, margins, precond) -> NewtonStepResult:
-        return pcg_samples(
-            self.cluster, self.part, w[0], eps_k, self.config, grad=grad[0], margins=margins, precond=precond,
-        )
+    def newton_step(self, eps_k, grad, margins, precond) -> NewtonStepResult:
+        return pcg_samples(self.cluster, self.part, eps_k, self.config, grad=grad[0], margins=margins, precond=precond)
 
 
 class _FeatureLayout(_Layout):
@@ -513,24 +513,19 @@ class _FeatureLayout(_Layout):
         local = self.cluster.map_nodes(lambda i: np.array([float(np.dot(a[i], b[i])) for a, b in pairs]))
         return [float(x) for x in self.cluster.reduce_all(local)]
 
-    def margins_of(self, w: list) -> np.ndarray:
-        """Sample margins X'w summed from the per-node partial products: one
-        length-n reduce_all."""
-        part = self.part
-        return self.cluster.reduce_all(self.cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], w[i])))
-
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:
         """Hessian coefficients of the shared margins (any value, or None, for
         the square loss); local work."""
         return hess_coeffs(self.config.loss, margins, self.part.y)
 
     def gradient(self, w: list) -> tuple:
-        """Per-node gradient blocks from the shared margins, which cost one
-        length-n reduce_all. Returns blocks and margins."""
-        part, lam = self.part, self.config.lam
-        margins = self.margins_of(w)
+        """Per-node gradient blocks from the shared margins X'w, which cost one
+        length-n reduce_all of the per-node partial products. Returns blocks
+        and margins."""
+        cluster, part, lam = self.cluster, self.part, self.config.lam
+        margins = cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], w[i])))
         coeffs = grad_coeffs(self.config.loss, margins, part.y)
-        return self.cluster.map_nodes(lambda i: spmv(part.shards[i], coeffs) / part.n + lam * w[i]), margins
+        return cluster.map_nodes(lambda i: spmv(part.shards[i], coeffs) / part.n + lam * w[i]), margins
 
     def hess_vec(self, u: list, h: np.ndarray) -> list:
         """One metered Hu: a single length-n reduce_all of the partial
@@ -548,10 +543,9 @@ class _FeatureLayout(_Layout):
     def preconditioner(self, margins: np.ndarray) -> BlockPreconditioner:
         return build_preconditioner_features(self.config, self.part, margins)
 
-    def newton_step(self, w, eps_k, grad, margins, precond) -> NewtonStepResult:
-        return pcg_features(
-            self.cluster, self.part, w, eps_k, self.config, grad_blocks=grad, margins=margins, precond=precond,
-        )
+    def newton_step(self, eps_k, grad, margins, precond) -> NewtonStepResult:
+        return pcg_features(self.cluster, self.part, eps_k, self.config, grad_blocks=grad, margins=margins,
+                            precond=precond)
 
 
 # ---------------------------------------------------------------------------
@@ -559,32 +553,14 @@ class _FeatureLayout(_Layout):
 # ---------------------------------------------------------------------------
 
 
-def _pcg(
-    layout: _Layout,
-    w: list,
-    eps_k: float,
-    grad: list | None,
-    margins: list | None,
-    precond: BlockPreconditioner | None,
-) -> NewtonStepResult:
-    """PCG on H v = grad at the iterate ``w`` (all vectors in layout blocks).
-
-    Missing inputs are computed here: the gradient with its metered exchange
-    (which also yields the margins), the margins alone when only the gradient
-    is given, the preconditioner. Margins without a gradient are rejected.
-    Every dot product goes through ``layout.dots``, batched so that the
-    feature layout pays two scalar rounds per iteration.
+def _pcg(layout: _Layout, eps_k: float, grad: list, margins, precond: BlockPreconditioner) -> NewtonStepResult:
+    """PCG on H v = grad, where H is the Hessian at the iterate for which
+    ``layout.gradient`` returned ``grad`` and ``margins``. Every dot product
+    goes through ``layout.dots``, batched so that the feature layout pays two
+    scalar rounds per iteration.
     """
     if not eps_k > 0:  # also catches a NaN
         raise ValueError(f"eps_k must be positive, got {eps_k}")
-    if grad is None:
-        if margins is not None:
-            raise ValueError("margins were given without the gradient they come from; pass both or neither")
-        grad, margins = layout.gradient(w)
-    elif margins is None:
-        margins = layout.margins_of(w)
-    if precond is None:
-        precond = layout.preconditioner(margins)
     h = layout.curvature(margins)
     max_inner = layout.config.resolved_max_inner(layout.part.d)
 
@@ -638,63 +614,52 @@ def _pcg(
 def pcg_samples(
     cluster: Cluster,
     spart: SamplePartition,
-    w: np.ndarray,
     eps_k: float,
     config: SolverConfig,
     *,
-    grad: np.ndarray | None = None,
-    margins: list | None = None,
-    precond: BlockPreconditioner | None = None,
+    grad: np.ndarray,
+    margins: list,
+    precond: BlockPreconditioner,
 ) -> NewtonStepResult:
     """PCG on the sample partition; the master owns all full-length vectors.
 
-    Per inner iteration: one broadcast of the search direction and one
-    reduce_all of the Hessian-product contributions, both of length d; dot
-    products are free on the master.
-
-    When ``grad`` is omitted the initial exchange (broadcast w, reduce_all of
-    local gradient terms) runs here; the outer loop normally performs it
-    itself and passes the result in, which costs the same rounds either way.
-    ``margins`` are the per-node margins X_j'w from that exchange and are
-    accepted only with ``grad``; given ``grad`` alone, the nodes recompute
-    them locally.
+    ``grad`` is the full gradient and ``margins`` the per-node margins X_j'w
+    that the outer loop's gradient exchange leaves; ``precond`` comes from
+    ``build_preconditioner``. Per inner iteration: one broadcast of the search
+    direction and one reduce_all of the Hessian-product contributions, both
+    of length d; dot products are free on the master.
     """
-    w = [np.asarray(w, dtype=np.float64)]
-    grad = None if grad is None else [np.asarray(grad, dtype=np.float64)]
-    return _pcg(_SampleLayout(cluster, spart, config), w, eps_k, grad, margins, precond)
+    grad = [np.asarray(grad, dtype=np.float64)]
+    return _pcg(_SampleLayout(cluster, spart, config), eps_k, grad, margins, precond)
 
 
 def pcg_features(
     cluster: Cluster,
     fpart: FeaturePartition,
-    w_blocks: list,
     eps_k: float,
     config: SolverConfig,
     *,
-    grad_blocks: list | None = None,
-    margins: np.ndarray | None = None,
-    precond: BlockPreconditioner | None = None,
+    grad_blocks: list,
+    margins: np.ndarray,
+    precond: BlockPreconditioner,
 ) -> NewtonStepResult:
     """PCG on the feature partition; every vector lives as per-node blocks.
 
-    Per inner iteration: one length-n reduce_all (for Hu), one scalar
+    ``grad_blocks`` are the per-node gradient blocks and ``margins`` the one
+    length-n array X'w that every node holds after the outer loop's gradient
+    exchange; ``precond`` comes from ``build_preconditioner_features``. Per
+    inner iteration: one length-n reduce_all (for Hu), one scalar
     reduce_all for the u'Hu curvature term (widened to carry r's at t=0, the
     only iteration where it is not already known from the previous beta
     round), and one scalar reduce_all carrying (r's, ||r||^2, v'Hv) -- the
     beta numerator, the stopping test and the damping certificate ride one
     round. A step that runs at least one inner iteration ends with a
     concatenating reduce that assembles the direction on the master; when the
-    gradient already meets ``eps_k`` (a standalone call with a loose tolerance;
-    the outer loop's theta < 1 never allows it) the step returns the zero
-    direction after 0 iterations and sends nothing.
-
-    When ``grad_blocks`` is omitted, the margin exchange (one length-n
-    reduce_all) runs here and the gradient blocks are formed locally; given
-    ``grad_blocks`` alone, only the margin exchange runs. The outer loop
-    normally passes both in. ``margins`` is the one length-n array X'w that
-    every node holds and is accepted only with ``grad_blocks``.
+    gradient already meets ``eps_k`` (a loose tolerance; the outer loop's
+    theta < 1 never allows it) the step returns the zero direction after 0
+    iterations and sends nothing.
     """
-    return _pcg(_FeatureLayout(cluster, fpart, config), w_blocks, eps_k, grad_blocks, margins, precond)
+    return _pcg(_FeatureLayout(cluster, fpart, config), eps_k, grad_blocks, margins, precond)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +725,7 @@ def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
         eps_k = config.theta * gnorm
         if precond is None or config.loss is LossKind.LOGISTIC:
             precond = layout.preconditioner(margins)
-        step = layout.newton_step(w, eps_k, grad, margins, precond)
+        step = layout.newton_step(eps_k, grad, margins, precond)
         w = layout.map(lambda i: damped_update(w[i], step.direction_blocks[i], step.delta))
         inner_cum += step.inner_iters
         inner_unconverged += not step.converged

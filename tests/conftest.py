@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from disco import Dataset, LossKind, Objective, SparseBlock, solver
+from disco.partition import SamplePartition
 from disco.solver import BlockPreconditioner, damped_update
 
 
@@ -58,6 +59,20 @@ def recorded_solve(cluster, ds, cfg):
     assert len(steps) == result.updates
     assert w.tobytes() == result.w.tobytes()
     return result, steps, iterates
+
+
+def newton_step(cluster, part, w, eps_k, config, grad=None):
+    """One Newton step at the full-length iterate ``w``, as ``disco_outer``
+    takes it: the layout's metered gradient exchange (which also yields the
+    margins), its preconditioner build and its PCG call, each looked up at
+    call time. A full-length ``grad``, when given, replaces the exchanged
+    gradient."""
+    layout_type = solver._SampleLayout if isinstance(part, SamplePartition) else solver._FeatureLayout
+    layout = layout_type(cluster, part, config)
+    split = np.cumsum(layout.sizes)[:-1]
+    exchanged, margins = layout.gradient(np.split(np.asarray(w, dtype=np.float64), split))
+    grad = exchanged if grad is None else np.split(np.asarray(grad, dtype=np.float64), split)
+    return layout.newton_step(eps_k, grad, margins, layout.preconditioner(margins))
 
 
 def inner_steps(pcg, cfg):

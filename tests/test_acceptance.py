@@ -19,14 +19,12 @@ from disco import (
     objective_value,
     partition_by_features,
     partition_by_samples,
-    pcg_features,
-    pcg_samples,
 )
 from disco.harness import DenseNewtonOracle, gen_synthetic, ridge_closed_form
 from disco.harness.cli import main as cli_main
 from disco.harness.trace import TRACE_HEADER
 
-from conftest import make_dense_instance, recorded_solve
+from conftest import make_dense_instance, newton_step, recorded_solve
 
 
 def report(num, text):
@@ -92,13 +90,12 @@ def test_criterion_1_inner_solver_oracle_equivalence(ridge_suite):
         scale = np.linalg.norm(expected)
 
         spart = partition_by_samples(ds.X, ds.y, m)
-        step_s = pcg_samples(Cluster(m), spart, w, eps_k=1e-12, config=cfg)
+        step_s = newton_step(Cluster(m), spart, w, 1e-12, cfg)
         assert step_s.converged
         assert np.linalg.norm(step_s.direction - expected) <= 1e-8 * scale
 
         fpart = partition_by_features(ds.X, ds.y, m)
-        w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-        step_f = pcg_features(Cluster(m), fpart, w_blocks, eps_k=1e-12, config=cfg)
+        step_f = newton_step(Cluster(m), fpart, w, 1e-12, cfg)
         assert step_f.converged
         assert np.linalg.norm(step_f.direction - expected) <= 1e-8 * scale
         checked += 1

@@ -145,5 +145,12 @@ def test_cluster_takes_only_m():
 
 
 def test_cluster_validates_m():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="node count must be >= 1"):
         Cluster(0)
+
+
+@pytest.mark.parametrize("m", [2.0, 2.5, True, "2", None])
+def test_cluster_rejects_a_node_count_that_is_not_an_integer(m):
+    # Cluster(2.0) used to build and fail only at its first map_nodes
+    with pytest.raises(ValueError, match="node count must be an integer"):
+        Cluster(m)

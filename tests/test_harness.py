@@ -12,7 +12,6 @@ from disco import (
     disco_outer,
     full_gradient,
     partition_by_samples,
-    pcg_samples,
 )
 from disco.harness import (
     DenseNewtonOracle,
@@ -22,7 +21,7 @@ from disco.harness import (
     write_libsvm,
 )
 
-from conftest import make_dense_instance, recorded_solve
+from conftest import make_dense_instance, newton_step, recorded_solve
 
 
 class TestReadLibsvm:
@@ -217,7 +216,7 @@ class TestDenseNewtonOracle:
         spart = partition_by_samples(ds.X, ds.y, 2)
         rng = np.random.default_rng(163)
         w = rng.standard_normal(10)
-        step = pcg_samples(Cluster(2), spart, w, eps_k=1e-13, config=cfg)
+        step = newton_step(Cluster(2), spart, w, 1e-13, cfg)
         expected = DenseNewtonOracle(ds, obj).newton_direction(w)
         assert np.linalg.norm(step.direction - expected) <= 1e-8 * np.linalg.norm(expected)
 

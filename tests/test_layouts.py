@@ -26,14 +26,12 @@ from disco import (
     objective_value,
     partition_by_features,
     partition_by_samples,
-    pcg_features,
-    pcg_samples,
 )
 from disco import solver
 from disco.harness import gen_synthetic
 from disco.partition import balanced_sizes
 
-from conftest import make_dense_instance, recorded_solve
+from conftest import make_dense_instance, newton_step, recorded_solve
 
 
 def random_instance(data, d, n, loss):
@@ -99,10 +97,8 @@ def test_pcg_layouts_agree(data, d, n, loss):
     w = 0.5 * np.random.default_rng(d * 100 + n).standard_normal(d)
     eps_k = 1e-10 * max(np.linalg.norm(full_gradient(obj, ds.X, ds.y, w)), 1e-300)
 
-    step_s = pcg_samples(Cluster(m), partition_by_samples(ds.X, ds.y, m), w, eps_k, cfg)
-    fpart = partition_by_features(ds.X, ds.y, m)
-    w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-    step_f = pcg_features(Cluster(m), fpart, w_blocks, eps_k, cfg)
+    step_s = newton_step(Cluster(m), partition_by_samples(ds.X, ds.y, m), w, eps_k, cfg)
+    step_f = newton_step(Cluster(m), partition_by_features(ds.X, ds.y, m), w, eps_k, cfg)
     if m == 1:
         assert np.array_equal(step_s.direction, step_f.direction)
         assert (step_s.delta, step_s.inner_iters) == (step_f.delta, step_f.inner_iters)
@@ -134,6 +130,7 @@ def test_comm_stats_match_cost_model(data, d, n, loss, mode):
 
 SWEEP_N = 1000
 SWEEP_D_OVER_N = (0.125, 0.5, 1, 4, 8)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def byte_ratio_sweep():
@@ -159,13 +156,30 @@ def per_inner_byte_ratio(d, n):
     return (8 * n + 24) / (16 * d)
 
 
+def sweep_table(sweep):
+    """The README's sweep table, line by line, from ``byte_ratio_sweep()``."""
+    lines = [
+        "| d/n | d | inner (both) | rounds s / f | bytes s / f | byte ratio f/s | (8n+24)/(16d) |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for d, runs in sweep:
+        (res_s, stats_s), (_, stats_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
+        lines.append(f"| {d / SWEEP_N:g} | {d} | {res_s.inner_iters_total} "
+                     f"| {stats_s.total_rounds} / {stats_f.total_rounds} "
+                     f"| {stats_s.total_bytes:,} / {stats_f.total_bytes:,} "
+                     f"| {stats_f.total_bytes / stats_s.total_bytes:.3f} | {per_inner_byte_ratio(d, SWEEP_N):.3f} |")
+    return lines
+
+
 def test_byte_ratio_sweep_crosses_where_the_cost_model_puts_it():
     """The paper's claim as a curve: across d/n from 1/8 to 8 both layouts
     take the same inner iterations and meet the cost model exactly, and the
     feature layout moves more bytes than the sample layout exactly where the
-    cost model's per-iteration ratio exceeds 1 (d below about n/2)."""
+    cost model's per-iteration ratio exceeds 1 (d below about n/2). Every
+    line of the README's table of this sweep is what the sweep prints."""
     above = []
-    for d, runs in byte_ratio_sweep():
+    sweep = byte_ratio_sweep()
+    for d, runs in sweep:
         for mode, (result, stats) in runs.items():
             assert result.converged
             per_step = COSTMODEL.inner_iters_per_step(result)
@@ -175,6 +189,9 @@ def test_byte_ratio_sweep_crosses_where_the_cost_model_puts_it():
         above.append(per_inner_byte_ratio(d, SWEEP_N) > 1)
         assert (stats_f.total_bytes > stats_s.total_bytes) == above[-1]
     assert any(above) and not all(above)  # the sweep spans the crossover
+    readme = set(README.read_text().splitlines())
+    for line in sweep_table(sweep):
+        assert line in readme, line
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,11 +286,4 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_layouts.py prints the README's sweep table
-    print("| d/n | d | inner (both) | rounds s / f | bytes s / f | byte ratio f/s | (8n+24)/(16d) |")
-    print("|---|---|---|---|---|---|---|")
-    for d, runs in byte_ratio_sweep():
-        (res_s, stats_s), (_, stats_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
-        print(f"| {d / SWEEP_N:g} | {d} | {res_s.inner_iters_total} "
-              f"| {stats_s.total_rounds} / {stats_f.total_rounds} "
-              f"| {stats_s.total_bytes:,} / {stats_f.total_bytes:,} "
-              f"| {stats_f.total_bytes / stats_s.total_bytes:.3f} | {per_inner_byte_ratio(d, SWEEP_N):.3f} |")
+    print("\n".join(sweep_table(byte_ratio_sweep())))

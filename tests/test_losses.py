@@ -76,6 +76,19 @@ class TestScalarOps:
         with pytest.raises(ValueError, match="non-finite"):
             fn(obj, float("nan"), 1.0)
 
+    @pytest.mark.parametrize("fn,loss", [
+        (grad_coeffs, LossKind.SQUARE), (grad_coeffs, LossKind.LOGISTIC), (hess_coeffs, LossKind.LOGISTIC),
+    ])
+    @pytest.mark.parametrize("shape", [(1,), (4,), (6,), (1, 5), (5, 1)])
+    def test_margins_of_the_wrong_shape_rejected(self, fn, loss, shape):
+        # numpy would broadcast these against the 5 labels without a word
+        with pytest.raises(ValueError, match=r"margins have shape .* labels \(5,\)"):
+            fn(loss, np.full(shape, 0.3), np.ones(5))
+
+    def test_square_hess_ignores_the_margins(self):
+        for margins in (None, np.array([0.3]), np.zeros((1, 5))):
+            assert np.array_equal(hess_coeffs(LossKind.SQUARE, margins, np.ones(5)), np.full(5, 2.0))
+
     def test_logistic_hess_needs_margins(self):
         with pytest.raises(ValueError, match="need the margins"):
             hess_coeffs(LossKind.LOGISTIC, None, np.array([1.0]))

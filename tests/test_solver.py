@@ -14,6 +14,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from disco import (
     Cluster,
+    CommStats,
     Dataset,
     LossKind,
     Objective,
@@ -44,7 +45,7 @@ from disco.solver import (
     damped_update,
 )
 
-from conftest import inner_steps, make_dense_instance, preconditioned_residuals, recorded_solve
+from conftest import inner_steps, make_dense_instance, newton_step, preconditioned_residuals, recorded_solve
 
 
 def ridge_config(lam=0.1, mu=1e-3, tau=None, theta=1e-4, mode=PartitionMode.SAMPLES, **kw):
@@ -389,7 +390,7 @@ class TestHessianVecSamples:
         rng = np.random.default_rng(91)
         w, u = rng.standard_normal(8), rng.standard_normal(8)
         layout = _SampleLayout(Cluster(1), spart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        got = layout.hess_vec([u], layout.curvature(layout.margins_of([w])))[0]
+        got = layout.hess_vec([u], layout.curvature(layout.gradient([w])[1]))[0]
         assert np.array_equal(got, hess_vec_dense(obj, ds.X, ds.y, w, u))
 
     @pytest.mark.parametrize("loss,labels", [(LossKind.SQUARE, "regression"), (LossKind.LOGISTIC, "sign")])
@@ -399,7 +400,7 @@ class TestHessianVecSamples:
         rng = np.random.default_rng(93)
         w, u = rng.standard_normal(8), rng.standard_normal(8)
         layout = _SampleLayout(Cluster(3), spart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        got = layout.hess_vec([u], layout.curvature(layout.margins_of([w])))[0]
+        got = layout.hess_vec([u], layout.curvature(layout.gradient([w])[1]))[0]
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
@@ -408,7 +409,9 @@ class TestHessianVecSamples:
         spart = partition_by_samples(ds.X, ds.y, 3)
         cl = Cluster(3)
         layout = _SampleLayout(cl, spart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        got = layout.hess_vec([np.zeros(6)], layout.curvature(layout.margins_of([np.zeros(6)])))[0]
+        h = layout.curvature(layout.gradient([np.zeros(6)])[1])
+        cl.reset_stats()
+        got = layout.hess_vec([np.zeros(6)], h)[0]
         assert np.array_equal(got, np.zeros(6))
         stats = cl.snapshot_stats()
         assert stats.broadcast_rounds == 1 and stats.reduceall_rounds == 1
@@ -436,7 +439,7 @@ class TestHessianVecFeatures:
         w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
         u_blocks = [u[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
         layout = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        got = np.concatenate(layout.hess_vec(u_blocks, layout.curvature(layout.margins_of(w_blocks))))
+        got = np.concatenate(layout.hess_vec(u_blocks, layout.curvature(layout.gradient(w_blocks)[1])))
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
@@ -470,7 +473,7 @@ class TestPcgSamples:
         spart = partition_by_samples(ds.X, ds.y, 1)
         rng = np.random.default_rng(111)
         w = rng.standard_normal(6)
-        step = pcg_samples(Cluster(1), spart, w, eps_k=1e-10, config=cfg)
+        step = newton_step(Cluster(1), spart, w, 1e-10, cfg)
         assert step.converged and step.inner_iters == 1
 
     def test_hand_case_2x2(self):
@@ -480,10 +483,7 @@ class TestPcgSamples:
         ds = Dataset(X=X, y=y, d=2, n=2, source="hand")
         cfg = ridge_config(lam=1.0, mu=1.0, tau=2)
         spart = partition_by_samples(X, y, 1)
-        step = pcg_samples(
-            Cluster(1), spart, np.zeros(2), eps_k=1e-12, config=cfg,
-            grad=np.array([2.0, 0.0]),
-        )
+        step = newton_step(Cluster(1), spart, np.zeros(2), 1e-12, cfg, grad=np.array([2.0, 0.0]))
         assert np.allclose(step.direction, [1.0, 0.0], atol=1e-12)
         assert step.delta == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
@@ -494,22 +494,21 @@ class TestPcgSamples:
         spart = partition_by_samples(ds.X, ds.y, m)
         rng = np.random.default_rng(113)
         w = rng.standard_normal(10)
-        step = pcg_samples(Cluster(m), spart, w, eps_k=1e-12, config=cfg)
+        step = newton_step(Cluster(m), spart, w, 1e-12, cfg)
         expected = DenseNewtonOracle(ds, obj).newton_direction(w)
         assert step.converged
         assert np.linalg.norm(step.direction - expected) <= 1e-8 * np.linalg.norm(expected)
 
     def test_comm_pattern_per_iteration(self):
-        ds, obj = make_dense_instance(d=12, n=30, seed=114, lam=0.1)
+        ds, _ = make_dense_instance(d=12, n=30, seed=114, lam=0.1)
         cfg = ridge_config(tau=8)
         m = 3
         spart = partition_by_samples(ds.X, ds.y, m)
         cl = Cluster(m)
-        w = np.zeros(12)
-        grad = full_gradient(obj, ds.X, ds.y, w)
-        precond = build_preconditioner(cfg, spart)
+        grad, margins = _SampleLayout(cl, spart, cfg).gradient([np.zeros(12)])
+        precond = build_preconditioner(cfg, spart, margins[0])
         cl.reset_stats()
-        step = pcg_samples(cl, spart, w, eps_k=1e-10, config=cfg, grad=grad, precond=precond)
+        step = pcg_samples(cl, spart, 1e-10, cfg, grad=grad[0], margins=margins, precond=precond)
         stats = cl.snapshot_stats()
         T = step.inner_iters
         assert stats.broadcast_rounds == T and stats.reduceall_rounds == T
@@ -522,7 +521,7 @@ class TestPcgSamples:
         m = 2
         spart = partition_by_samples(ds.X, ds.y, m)
         cl = Cluster(m)
-        step = pcg_samples(cl, spart, np.zeros(9), eps_k=1e-10, config=cfg)
+        step = newton_step(cl, spart, np.zeros(9), 1e-10, cfg)
         stats = cl.snapshot_stats()
         T = step.inner_iters
         assert stats.broadcast_rounds == T + 1 and stats.reduceall_rounds == T + 1
@@ -531,18 +530,8 @@ class TestPcgSamples:
         ds, _ = make_dense_instance(d=10, n=20, seed=116, lam=1e-3)
         cfg = ridge_config(lam=1e-3, mu=1.0, tau=4, max_inner=2)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        step = pcg_samples(Cluster(1), spart, np.zeros(10), eps_k=1e-14, config=cfg)
+        step = newton_step(Cluster(1), spart, np.zeros(10), 1e-14, cfg)
         assert not step.converged and step.inner_iters == 2
-
-    def test_zero_gradient_returns_zero_step(self):
-        ds, _ = make_dense_instance(d=5, n=9, seed=118)
-        spart = partition_by_samples(ds.X, ds.y, 1)
-        step = pcg_samples(
-            Cluster(1), spart, np.zeros(5), eps_k=1e-8, config=ridge_config(tau=5),
-            grad=np.zeros(5),
-        )
-        assert step.inner_iters == 0 and step.delta == 0.0
-        assert np.array_equal(step.direction, np.zeros(5))
 
 
 class TestPcgFeatures:
@@ -554,8 +543,8 @@ class TestPcgFeatures:
         spart = partition_by_samples(ds.X, ds.y, 1)
         fpart = partition_by_features(ds.X, ds.y, 1)
         pcgs = (
-            lambda c: pcg_samples(Cluster(1), spart, w, eps_k=1e-9, config=c),
-            lambda c: pcg_features(Cluster(1), fpart, [w], eps_k=1e-9, config=c),
+            lambda c: newton_step(Cluster(1), spart, w, 1e-9, c),
+            lambda c: newton_step(Cluster(1), fpart, w, 1e-9, c),
         )
         (step_s, res_s), (step_f, res_f) = (preconditioned_residuals(lambda: pcg(cfg)) for pcg in pcgs)
         assert step_s.inner_iters == step_f.inner_iters
@@ -575,13 +564,10 @@ class TestPcgFeatures:
         cfg = ridge_config(lam=0.2, mu=0.01, tau=6)
         rng = np.random.default_rng(123)
         w = rng.standard_normal(10)
-        fpart = partition_by_features(ds.X, ds.y, m)
-        w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-        step_f = pcg_features(Cluster(m), fpart, w_blocks, eps_k=1e-12, config=cfg)
+        step_f = newton_step(Cluster(m), partition_by_features(ds.X, ds.y, m), w, 1e-12, cfg)
         expected = DenseNewtonOracle(ds, obj).newton_direction(w)
         assert np.linalg.norm(step_f.direction - expected) <= 1e-8 * np.linalg.norm(expected)
-        spart = partition_by_samples(ds.X, ds.y, m)
-        step_s = pcg_samples(Cluster(m), spart, w, eps_k=1e-12, config=cfg)
+        step_s = newton_step(Cluster(m), partition_by_samples(ds.X, ds.y, m), w, 1e-12, cfg)
         assert np.linalg.norm(step_f.direction - step_s.direction) <= 1e-8 * np.linalg.norm(step_s.direction)
 
     def test_comm_pattern_per_iteration(self):
@@ -596,10 +582,7 @@ class TestPcgFeatures:
         grad_blocks, margins = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(w_blocks)
         precond = build_preconditioner_features(cfg, fpart, margins)
         cl.reset_stats()
-        step = pcg_features(
-            cl, fpart, w_blocks, eps_k=1e-10, config=cfg,
-            grad_blocks=grad_blocks, margins=margins, precond=precond,
-        )
+        step = pcg_features(cl, fpart, 1e-10, cfg, grad_blocks=grad_blocks, margins=margins, precond=precond)
         stats = cl.snapshot_stats()
         T = step.inner_iters
         assert stats.reduceall_rounds == 3 * T
@@ -610,29 +593,6 @@ class TestPcgFeatures:
         expected_scalar = (16 + 24) + (8 + 24) * (T - 1)
         assert stats.reduceall_bytes == 8 * 18 * T + expected_scalar
 
-    def test_gradient_without_margins_adds_only_the_margin_exchange(self):
-        # given grad_blocks alone, pcg_features recomputes the margins X'w
-        # with one length-n reduce_all and otherwise runs the same solve
-        ds, _ = make_dense_instance(d=12, n=18, seed=124, lam=0.1, loss=LossKind.LOGISTIC, labels="sign")
-        cfg = SolverConfig(lam=0.1, mu=1e-3, tau=10, loss=LossKind.LOGISTIC)
-        fpart = partition_by_features(ds.X, ds.y, 3)
-        cl = Cluster(3)
-        w_blocks = [0.1 * np.ones(s) for s in fpart.sizes]
-        grad_blocks, margins = _FeatureLayout(cl, fpart, cfg).gradient(w_blocks)
-        precond = build_preconditioner_features(cfg, fpart, margins)
-        runs = []
-        for given in (margins, None):
-            cl.reset_stats()
-            step = pcg_features(cl, fpart, w_blocks, 1e-8, cfg, grad_blocks=grad_blocks, margins=given,
-                                precond=precond)
-            runs.append((step, cl.snapshot_stats()))
-        (with_margins, stats), (without, stats_without) = runs
-        assert without.direction.tobytes() == with_margins.direction.tobytes()
-        assert (without.delta, without.inner_iters) == (with_margins.delta, with_margins.inner_iters)
-        assert (stats.reduceall_rounds, stats.reduceall_bytes) == (39, 2296)
-        assert (stats_without.reduceall_rounds, stats_without.reduceall_bytes) == (40, 2296 + 8 * 18)
-        assert dataclasses.replace(stats_without, reduceall_rounds=39, reduceall_bytes=2296) == stats
-
     def test_single_iteration_costs_three_reducealls(self):
         ds, obj = make_dense_instance(d=8, n=10, seed=125, lam=0.1)
         cfg = ridge_config(tau=6, max_inner=1)
@@ -642,28 +602,33 @@ class TestPcgFeatures:
         grad_blocks, margins = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(w_blocks)
         precond = build_preconditioner_features(cfg, fpart, margins)
         cl.reset_stats()
-        pcg_features(cl, fpart, w_blocks, eps_k=1e-14, config=cfg,
-                     grad_blocks=grad_blocks, margins=margins, precond=precond)
+        pcg_features(cl, fpart, 1e-14, cfg, grad_blocks=grad_blocks, margins=margins, precond=precond)
         assert cl.snapshot_stats().reduceall_rounds == 3
 
 
 class TestStandaloneEntryPoints:
     @staticmethod
-    def entry_points(mode, cfg, m=2, eps_k=1e-8, **pcg_kw):
-        """The pcg and preconditioner-build calls of ``mode`` at w = 0 on a
-        d=6, n=12 instance, as zero-argument callables."""
+    def entry_points(mode, cfg, cluster, eps_k=1e-8, zero_gradient=False):
+        """The PCG and preconditioner-build calls of ``mode`` on a d=6, n=12
+        instance, as zero-argument callables. PCG runs on ``cluster`` and is
+        handed the gradient (or zeros), margins and preconditioner at w = 0
+        under a valid config, so only ``cfg`` and ``eps_k`` can be at fault."""
         ds, _ = make_dense_instance(d=6, n=12, seed=150)
-        if mode is PartitionMode.SAMPLES:
-            spart = partition_by_samples(ds.X, ds.y, m)
+        samples = mode is PartitionMode.SAMPLES
+        part = (partition_by_samples if samples else partition_by_features)(ds.X, ds.y, cluster.m)
+        layout_type = _SampleLayout if samples else _FeatureLayout
+        layout = layout_type(Cluster(cluster.m), part, ridge_config(mu=0.1, tau=4, mode=mode))
+        grad, margins = layout.gradient(layout.zeros())
+        grad = layout.zeros() if zero_gradient else grad
+        inputs = dict(margins=margins, precond=layout.preconditioner(margins))
+        if samples:
             return (
-                lambda: pcg_samples(Cluster(m), spart, np.zeros(6), eps_k, cfg, **pcg_kw),
-                lambda: build_preconditioner(cfg, spart),
+                lambda: pcg_samples(cluster, part, eps_k, cfg, grad=grad[0], **inputs),
+                lambda: build_preconditioner(cfg, part),
             )
-        fpart = partition_by_features(ds.X, ds.y, m)
-        w_blocks = [np.zeros(s) for s in fpart.sizes]
         return (
-            lambda: pcg_features(Cluster(m), fpart, w_blocks, eps_k, cfg, **pcg_kw),
-            lambda: build_preconditioner_features(cfg, fpart),
+            lambda: pcg_features(cluster, part, eps_k, cfg, grad_blocks=grad, **inputs),
+            lambda: build_preconditioner_features(cfg, part),
         )
 
     @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
@@ -672,7 +637,7 @@ class TestStandaloneEntryPoints:
         # max_inner=0 would leave v'Hv unset, and tau=0 would build P = mu*I
         # from no samples
         cfg = dataclasses.replace(ridge_config(mu=0.1, tau=4, mode=mode), **{field: 0})
-        for call in self.entry_points(mode, cfg):
+        for call in self.entry_points(mode, cfg, Cluster(2)):
             with pytest.raises(ValueError, match=f"{field} must be >= 1"):
                 call()
 
@@ -680,16 +645,40 @@ class TestStandaloneEntryPoints:
     @pytest.mark.parametrize("eps_k", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_eps(self, mode, eps_k):
         # a NaN tolerance fails every comparison, so "eps_k <= 0" lets it by
-        pcg, _ = self.entry_points(mode, ridge_config(tau=4, mode=mode), eps_k=eps_k)
+        pcg, _ = self.entry_points(mode, ridge_config(tau=4, mode=mode), Cluster(2), eps_k=eps_k)
         with pytest.raises(ValueError, match="eps_k must be positive"):
             pcg()
 
     @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
-    def test_margins_without_gradient_rejected(self, mode):
-        margins = [np.zeros(6), np.zeros(6)] if mode is PartitionMode.SAMPLES else np.zeros(12)
-        pcg, _ = self.entry_points(mode, ridge_config(mu=0.1, tau=4, mode=mode), margins=margins)
-        with pytest.raises(ValueError, match="margins were given without the gradient"):
-            pcg()
+    def test_zero_gradient_returns_zero_step(self, mode):
+        # a gradient that already meets eps_k: the zero direction after 0
+        # iterations, and nothing sent -- the cost model counts only steps
+        # with t > 0
+        cluster = Cluster(2)
+        pcg, _ = self.entry_points(mode, ridge_config(mu=0.1, tau=4, mode=mode), cluster, zero_gradient=True)
+        step = pcg()
+        assert step.inner_iters == 0 and step.delta == 0.0 and step.converged
+        assert np.array_equal(step.direction, np.zeros(6))
+        assert cluster.snapshot_stats() == CommStats()
+
+
+@pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
+def test_margins_of_the_wrong_shape_rejected(mode):
+    # length-1 margins once broadcast against the labels: the feature layout
+    # built its preconditioner and returned a direction 0.01 off the true one
+    ds, _ = make_dense_instance(d=8, n=12, seed=126, loss=LossKind.LOGISTIC, labels="sign")
+    cfg = SolverConfig(lam=0.1, mu=0.1, tau=4, loss=LossKind.LOGISTIC, partition_mode=mode)
+    if mode is PartitionMode.SAMPLES:
+        layout = _SampleLayout(Cluster(2), partition_by_samples(ds.X, ds.y, 2), cfg)
+    else:
+        layout = _FeatureLayout(Cluster(2), partition_by_features(ds.X, ds.y, 2), cfg)
+    grad, margins = layout.gradient(layout.map(lambda i: np.full(layout.sizes[i], 0.1)))
+    precond = layout.preconditioner(margins)
+    short = [node[:1] for node in margins] if mode is PartitionMode.SAMPLES else margins[:1]
+    with pytest.raises(ValueError, match=r"margins have shape \(1,\), labels \(\d+,\)"):
+        layout.preconditioner(short)
+    with pytest.raises(ValueError, match=r"margins have shape \(1,\), labels \(\d+,\)"):
+        layout.newton_step(1e-8, grad, short, precond)
 
 
 def zero_one_problem():
@@ -715,9 +704,8 @@ def zero_one_problem():
     pytest.param(lambda p: hess_vec_dense(p.obj, p.ds.X, p.ds.y, p.w, p.w), id="hess_vec_dense"),
     pytest.param(lambda p: DenseNewtonOracle(p.ds, p.obj).gradient(p.w), id="oracle_gradient"),
     pytest.param(lambda p: DenseNewtonOracle(p.ds, p.obj).hessian(p.w), id="oracle_hessian"),
-    pytest.param(lambda p: pcg_samples(Cluster(2), p.spart, p.w, 1e-8, p.cfg), id="pcg_samples"),
-    pytest.param(lambda p: pcg_features(Cluster(2), p.fpart, [np.zeros(3), np.zeros(2)], 1e-8, p.cfg),
-                 id="pcg_features"),
+    pytest.param(lambda p: newton_step(Cluster(2), p.spart, p.w, 1e-8, p.cfg), id="pcg_samples"),
+    pytest.param(lambda p: newton_step(Cluster(2), p.fpart, p.w, 1e-8, p.cfg), id="pcg_features"),
     pytest.param(lambda p: build_preconditioner(p.cfg, p.spart, np.zeros(6)), id="build_preconditioner"),
     pytest.param(lambda p: build_preconditioner_features(p.cfg, p.fpart, np.zeros(12)),
                  id="build_preconditioner_features"),
@@ -734,12 +722,9 @@ class TestPcgInvariants:
         of the config."""
         rng = np.random.default_rng(130)
         w = rng.standard_normal(ds.d)
-        if mode is PartitionMode.SAMPLES:
-            spart = partition_by_samples(ds.X, ds.y, m)
-            return w, lambda cfg: pcg_samples(Cluster(m), spart, w, eps_k, cfg)
-        fpart = partition_by_features(ds.X, ds.y, m)
-        w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-        return w, lambda cfg: pcg_features(Cluster(m), fpart, w_blocks, eps_k, cfg)
+        partition = partition_by_samples if mode is PartitionMode.SAMPLES else partition_by_features
+        part = partition(ds.X, ds.y, m)
+        return w, lambda cfg: newton_step(Cluster(m), part, w, eps_k, cfg)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("mode,method,per_apply", [
@@ -949,10 +934,30 @@ class TestDiscoOuter:
         ("outer_tol", 0.0, "outer_tol must be positive"),
         ("max_outer", -1, "max_outer must be >= 0"),
         ("max_inner", 0, "max_inner must be >= 1"),
+        # counts that are not integers once failed deep inside the solve, and
+        # tau=True ran as tau=1
+        ("tau", 2.5, "tau must be an integer"),
+        ("tau", 2.0, "tau must be an integer"),
+        ("tau", True, "tau must be an integer"),
+        ("max_inner", 2.5, "max_inner must be an integer"),
+        ("max_inner", False, "max_inner must be an integer"),
+        ("max_outer", 2.5, "max_outer must be an integer"),
+        ("max_outer", True, "max_outer must be an integer"),
+        ("max_outer", None, "max_outer must be an integer"),
     ])
     def test_config_validation(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(SolverConfig(lam=1.0), **{field: value}).validate()
+
+    def test_numpy_integer_counts_solve_as_ints(self):
+        ds, _ = make_dense_instance(d=6, n=12, seed=148)
+        runs = []
+        for as_count in (int, np.int64):
+            cfg = ridge_config(tau=as_count(4), max_inner=as_count(20), max_outer=as_count(5))
+            cluster = Cluster(as_count(2))
+            result = disco_outer(cluster, ds, cfg)
+            runs.append((result.w.tobytes(), cluster.snapshot_stats(), result.inner_iters_total, result.updates))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("field", ["lam", "mu", "theta", "outer_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
