@@ -88,17 +88,18 @@ class Cluster:
         if len(contributions) != self.m:
             raise ValueError(f"expected {self.m} contributions, got {len(contributions)}")
         arrays = [np.asarray(c, dtype=np.float64) for c in contributions]
-        length = arrays[0].shape[0]
         for i, a in enumerate(arrays):
-            if a.ndim != 1 or a.shape[0] != length:
+            if a.ndim != 1:
+                raise ValueError(f"reduce_all takes vectors: node {i} has shape {a.shape}")
+            if a.shape[0] != arrays[0].shape[0]:
                 raise ValueError(
-                    f"reduce_all length mismatch: node 0 has {length}, node {i} has {a.shape}"
+                    f"reduce_all length mismatch: node 0 has {arrays[0].shape[0]}, node {i} has {a.shape[0]}"
                 )
-        total = arrays[0].copy()
-        for a in arrays[1:]:
+        total = arrays[0] + arrays[1] if self.m > 1 else arrays[0].copy()
+        for a in arrays[2:]:
             total += a
         self._stats.reduceall_rounds += 1
-        self._stats.reduceall_bytes += BYTES_PER_ELEMENT * length
+        self._stats.reduceall_bytes += BYTES_PER_ELEMENT * total.size
         total.flags.writeable = False
         return total
 

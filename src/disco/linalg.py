@@ -2,16 +2,19 @@
 
 Everything is float64. The same small set of kernels backs the serial
 reference computations and the per-node work inside the simulated cluster, so
-that a one-node run reproduces the unpartitioned computation bit for bit.
-Matrix-vector products go through scipy's CSR/CSC kernels, which accumulate
-in storage order (ascending index) and are therefore deterministic from run
-to run. Both products loop over the block's shorter side. A block with no
-more rows than columns multiplies by its CSR matrix and, transposed, by the
-CSC view over the same arrays, so it holds no copy. A taller one keeps a CSR
-copy of its transpose, built on its first product of either kind, and
-multiplies transposed by that copy and forward by the CSC view over the
-copy's arrays. The loss functions on the unpartitioned data matrix multiply
-through its CSR matrix and CSC view directly, so that it never holds one.
+that a one-node run reproduces the unpartitioned computation bit for bit. The
+products of a solve (``spmv``, ``spmv_transpose`` and the preconditioner's,
+all through ``matvec``) call scipy's compiled CSR/CSC kernels directly: the
+routines that ``operand @ x`` ends in after scipy's Python dispatch, which
+costs more than the product at these sizes. The bits are the same. The kernels
+accumulate in storage order (ascending index) and are therefore deterministic
+from run to run. Both products loop over the block's shorter side. A block
+with no more rows than columns multiplies by its CSR matrix and, transposed,
+by the CSC view over the same arrays, so it holds no copy. A taller one keeps
+a CSR copy of its transpose, built on its first product of either kind, and
+multiplies transposed by that copy and forward by the CSC view over the copy's
+arrays. The loss functions on the unpartitioned data matrix multiply through
+its CSR matrix and CSC view with scipy's ``@``, so that it never holds one.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "SparseBlock",
     "as_vec",
+    "matvec",
     "spmv",
     "spmv_transpose",
 ]
@@ -120,6 +125,25 @@ class SparseBlock:
         return SparseBlock(self.matrix[start:stop, :])
 
 
+# scipy's compiled matrix-vector kernels by operand format. The module is
+# private to scipy, so it is imported here alone: a scipy that moves it fails
+# at import, not mid-solve.
+_MATVEC = {"csr": _sparsetools.csr_matvec, "csc": _sparsetools.csc_matvec}
+
+
+def matvec(operand, x: np.ndarray) -> np.ndarray:
+    """Return ``operand @ x`` for a float64 CSR or CSC ``operand`` and a
+    vector ``x`` of length ``operand.shape[1]``. It runs the kernel that
+    scipy's ``operand @ x`` runs, on a fresh zero vector, so the bits are the
+    same."""
+    rows, cols = operand.shape
+    if x.shape != (cols,):  # the kernel reads x unchecked, past its end if short
+        raise ValueError(f"matvec dimension mismatch: operand is {rows}x{cols}, vector has shape {x.shape}")
+    out = np.zeros(rows)
+    _MATVEC[operand.format](rows, cols, operand.indptr, operand.indices, operand.data, x, out)
+    return out
+
+
 def spmv(block: SparseBlock, x: np.ndarray) -> np.ndarray:
     """Return ``block @ x`` (length ``block.rows``)."""
     x = np.asarray(x, dtype=np.float64)
@@ -128,7 +152,7 @@ def spmv(block: SparseBlock, x: np.ndarray) -> np.ndarray:
             f"spmv dimension mismatch: block is {block.rows}x{block.cols}, "
             f"vector has length {x.shape[0] if x.ndim == 1 else x.shape}"
         )
-    return block.matrix_fwd @ x
+    return matvec(block.matrix_fwd, x)
 
 
 def spmv_transpose(block: SparseBlock, x: np.ndarray) -> np.ndarray:
@@ -139,4 +163,4 @@ def spmv_transpose(block: SparseBlock, x: np.ndarray) -> np.ndarray:
             f"spmv_transpose dimension mismatch: block is {block.rows}x{block.cols}, "
             f"vector has length {x.shape[0] if x.ndim == 1 else x.shape}"
         )
-    return block.matrix_t @ x
+    return matvec(block.matrix_t, x)

@@ -64,6 +64,8 @@ class Objective:
 
     def __post_init__(self):
         object.__setattr__(self, "loss", LossKind(self.loss))
+        if not np.isfinite(self.lam):  # nan passes the sign check below
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.n < 1 or self.d < 1:

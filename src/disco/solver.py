@@ -81,7 +81,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .comm import Cluster
-from .linalg import spmv, spmv_transpose
+from .linalg import matvec, spmv, spmv_transpose
 from .losses import Choice, LossKind, grad_coeffs, hess_coeffs
 from .partition import (
     FeaturePartition,
@@ -258,7 +258,8 @@ class _LowRankBlock(NamedTuple):
 
     The block holds the unscaled sparse d_b x tau slice ``x`` and its
     transpose ``xt`` (both CSR, kept by the partition), s and the Cholesky
-    factor of K, so a solve costs O(nnz_b + tau^2)."""
+    factor of K, so a solve costs O(nnz_b + tau^2). Its two products call the
+    compiled CSR kernel directly (``linalg.matvec``)."""
 
     x: sparse.csr_array
     xt: sparse.csr_array
@@ -267,8 +268,8 @@ class _LowRankBlock(NamedTuple):
     mu: float
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        z = _cho_solve(self.cho, self.s * (self.xt @ r))
-        return (r - self.x @ (self.s * z)) / self.mu
+        z = _cho_solve(self.cho, self.s * matvec(self.xt, r))
+        return (r - matvec(self.x, self.s * z)) / self.mu
 
 
 @dataclass

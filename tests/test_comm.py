@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ class TestReduceAll:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             Cluster(2).reduce_all([np.zeros(2), np.zeros(3)])
+
+    @pytest.mark.parametrize("bad", [np.float64(1.0), np.zeros((2, 2))])
+    @pytest.mark.parametrize("node", [0, 1])
+    def test_non_vector_contribution_named_with_its_shape(self, bad, node):
+        contributions = [np.zeros(2), np.zeros(2)]
+        contributions[node] = bad
+        with pytest.raises(ValueError, match=re.escape(f"node {node} has shape {bad.shape}")):
+            Cluster(2).reduce_all(contributions)
+
+    def test_single_node_returns_a_read_only_copy(self):
+        contribution = np.array([1.0, 2.0])
+        got = Cluster(1).reduce_all([contribution])
+        assert np.array_equal(got, [1.0, 2.0])
+        assert_read_only(got)
+        assert not np.shares_memory(got, contribution)
 
 
 @pytest.mark.parametrize("op", ["reduce_all", "reduce_concat"])

@@ -7,9 +7,11 @@ from scipy import sparse
 from disco.linalg import (
     SparseBlock,
     as_vec,
+    matvec,
     spmv,
     spmv_transpose,
 )
+from disco.solver import _GramSlice, _kept_slice
 
 
 def random_sparse(d, n, nnz, seed):
@@ -242,6 +244,56 @@ class TestSparseBlock:
         assert (cols.rows, cols.cols) == (6, 4)
         assert np.array_equal(rows.toarray(), block.toarray()[2:5, :])
         assert np.array_equal(cols.toarray(), block.toarray()[:, 3:7])
+
+
+def vectors(length, rng):
+    """A contiguous, a strided and an integer-typed vector of ``length``."""
+    return (rng.standard_normal(length), rng.standard_normal(2 * length)[::2],
+            rng.integers(-3, 4, length))
+
+
+@pytest.mark.parametrize("d, n", [(7, 11), (11, 7), (0, 5), (5, 0)])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_matvec_is_the_scipy_product_bitwise(d, n, index_dtype):
+    """The direct kernel call equals scipy's ``operand @ x`` bitwise for every
+    operand kind the code multiplies by: a CSR matrix and its CSC view, with
+    either index width, including blocks with no rows or no columns, and
+    contiguous, strided and integer-typed vectors; so do the block products
+    built on it."""
+    rng = np.random.default_rng(d * 100 + n)
+    dense = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.4)
+    m = sparse.csr_array(dense)
+    m = sparse.csr_array((m.data, m.indices.astype(index_dtype), m.indptr.astype(index_dtype)), shape=m.shape)
+    for op in (m, m.T):
+        assert op.indices.dtype == index_dtype
+        for x in vectors(op.shape[1], rng):
+            got = matvec(op, x)
+            assert got.dtype == np.float64 and got.shape == (op.shape[0],)
+            assert got.tobytes() == (op @ x).tobytes()
+    block = SparseBlock(m)
+    for x in vectors(n, rng):
+        assert spmv(block, x).tobytes() == (m @ x).tobytes()
+    for x in vectors(d, rng):
+        assert spmv_transpose(block, x).tobytes() == (m.T @ x).tobytes()
+
+
+@pytest.mark.parametrize("x", [np.ones(3), np.ones(5), np.ones((4, 1)), np.ones((4, 2))])
+def test_matvec_rejects_a_vector_of_the_wrong_shape(x):
+    op = sparse.csr_array(np.ones((2, 4)))
+    with pytest.raises(ValueError, match=r"operand is 2x4, vector has shape"):
+        matvec(op, x)
+
+
+def test_matvec_on_a_kept_low_rank_slice_is_the_scipy_product_bitwise():
+    """Both operands of a low-rank preconditioner block, as the partition
+    keeps them: the d_b x tau column slice of a block and its CSR transpose."""
+    rng = np.random.default_rng(17)
+    block = SparseBlock.from_dense(rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.3))
+    kept = _kept_slice(block.matrix[:, :6])
+    assert isinstance(kept, _GramSlice)
+    for op in (kept.x, kept.xt):
+        for x in vectors(op.shape[1], rng):
+            assert matvec(op, x).tobytes() == (op @ x).tobytes()
 
 
 def test_as_vec_rejects_matrix():

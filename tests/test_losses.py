@@ -99,6 +99,11 @@ class TestObjectiveType:
         with pytest.raises(ValueError):
             Objective(loss=LossKind.SQUARE, lam=0.0, n=1, d=1)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            Objective(loss=LossKind.SQUARE, lam=lam, n=1, d=1)
+
     def test_rejects_empty_dims(self):
         with pytest.raises(ValueError):
             Objective(loss=LossKind.SQUARE, lam=1.0, n=0, d=1)

@@ -29,6 +29,7 @@ from disco import (
     partition_by_samples,
     pcg_features,
     pcg_samples,
+    solver,
 )
 from disco.harness import DenseNewtonOracle, gen_synthetic, ridge_closed_form
 from disco.losses import grad_coeffs, hess_coeffs
@@ -381,6 +382,30 @@ def test_alternating_solves_repeat_each_datasets_first_solve(mode):
             got = (result.w.tobytes(), cluster.snapshot_stats(), result.inner_iters_total, result.updates)
             assert first.setdefault(j, got) == got
     assert first[0] != first[1]
+
+
+@pytest.mark.parametrize("mode", list(PartitionMode))
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_solve_through_scipy_products_is_bitwise_the_same(monkeypatch, mode, loss):
+    """A solve whose products all go through scipy's ``operand @ x`` -- the
+    data products and both low-rank preconditioner products -- gives the same
+    ``w`` bytes and counters as one through the direct kernel calls."""
+    ds, _ = make_dense_instance(d=40, n=30, seed=5, loss=loss,
+                                labels="sign" if loss is LossKind.LOGISTIC else "regression")
+    cfg = SolverConfig(lam=0.1, mu=0.1, tau=6, loss=loss, partition_mode=mode)
+
+    def solve():
+        cluster = Cluster(2)
+        result = disco_outer(cluster, ds, cfg)
+        return result.w.tobytes(), cluster.snapshot_stats(), result.inner_iters_total, result.updates
+
+    direct = solve()
+    low_rank = []
+    monkeypatch.setattr(solver, "spmv", lambda block, x: block.matrix_fwd @ x)
+    monkeypatch.setattr(solver, "spmv_transpose", lambda block, x: block.matrix_t @ x)
+    monkeypatch.setattr(solver, "matvec", lambda op, x: low_rank.append(op) or op @ x)
+    assert solve() == direct
+    assert low_rank  # the preconditioner blocks are low-rank (tau < d_b), so their products were swapped too
 
 
 class TestHessianVecSamples:
