@@ -82,15 +82,22 @@ class Cluster:
         self._stats.broadcast_bytes += BYTES_PER_ELEMENT * received.size
         return received
 
+    def _node_vectors(self, op: str, parts: list, what: str) -> list:
+        """``parts`` as float64 arrays, after checking that there is one per
+        node and that each is a vector."""
+        if len(parts) != self.m:
+            raise ValueError(f"expected {self.m} {what}, got {len(parts)}")
+        arrays = [np.asarray(p, dtype=np.float64) for p in parts]
+        for i, a in enumerate(arrays):
+            if a.ndim != 1:
+                raise ValueError(f"{op} takes vectors: node {i} has shape {a.shape}")
+        return arrays
+
     def reduce_all(self, contributions: list) -> np.ndarray:
         """Sum per-node vectors in ascending node order; returns the read-only
         sum every node holds."""
-        if len(contributions) != self.m:
-            raise ValueError(f"expected {self.m} contributions, got {len(contributions)}")
-        arrays = [np.asarray(c, dtype=np.float64) for c in contributions]
+        arrays = self._node_vectors("reduce_all", contributions, "contributions")
         for i, a in enumerate(arrays):
-            if a.ndim != 1:
-                raise ValueError(f"reduce_all takes vectors: node {i} has shape {a.shape}")
             if a.shape[0] != arrays[0].shape[0]:
                 raise ValueError(
                     f"reduce_all length mismatch: node 0 has {arrays[0].shape[0]}, node {i} has {a.shape[0]}"
@@ -105,9 +112,7 @@ class Cluster:
 
     def reduce_concat(self, blocks: list) -> np.ndarray:
         """Concatenate per-node blocks, in node order, on the master."""
-        if len(blocks) != self.m:
-            raise ValueError(f"expected {self.m} blocks, got {len(blocks)}")
-        total = np.concatenate([np.asarray(b, dtype=np.float64) for b in blocks])
+        total = np.concatenate(self._node_vectors("reduce_concat", blocks, "blocks"))
         self._stats.reduce_rounds += 1
         self._stats.reduce_bytes += BYTES_PER_ELEMENT * total.size
         return total

@@ -113,8 +113,8 @@ def gen_synthetic(d: int, n: int, density: float, noise: float, seed: int) -> Da
         raise ValueError(f"density must be in (0, 1], got {density}")
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    if noise < 0:
-        raise ValueError(f"noise must be non-negative, got {noise}")
+    if not 0 <= noise < math.inf:  # also catches a NaN, which would run as no noise
+        raise ValueError(f"noise must be non-negative and finite, got {noise}")
     rng = np.random.default_rng(seed)
     per_col = max(1, round(density * d))
     rows = np.empty((n, per_col), dtype=np.int64)

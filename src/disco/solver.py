@@ -6,18 +6,20 @@ the damped update w <- w - v / (1 + delta) with delta = sqrt(v'Hv). The inner
 tolerance follows the relative rule eps_k = theta * ||grad||, 0 < theta < 1.
 
 The recurrence, the preconditioner build and the outer loop are written once,
-over a small layout object that says where vectors live and what combining
-them costs:
+over a small layout object. In both layouts a vector (w, grad, r, s, u, v, Hu,
+Hv) is one length-d float64 array; the layouts differ only in where the
+per-node work runs and what combining it costs:
 
-* ``_SampleLayout``: each vector is one full-length block on the master, so
-  dot products are free; each Hessian product broadcasts the search direction
-  (R^d) and reduce-alls the per-node contributions (R^d).
-* ``_FeatureLayout``: each vector is one coordinate block per node; each
-  Hessian product costs one length-n reduce_all (the sample-space product
-  X'u), the dot products ride two scalar reduce_alls per inner iteration
-  (the first also carries the initial <r, s>; the second carries r's,
-  ||r||^2 and v'Hv), and a step that ran any inner iteration ends with a
-  concatenating reduce that assembles the direction on the master.
+* ``_SampleLayout``: the master holds every vector whole, so dot products are
+  free; each Hessian product broadcasts the search direction (R^d) and
+  reduce-alls the per-node contributions (R^d).
+* ``_FeatureLayout``: node i works on its slice of each vector, its feature
+  block; each Hessian product costs one length-n reduce_all (the
+  sample-space product X'u), the dot products ride two scalar reduce_alls
+  per inner iteration (the first also carries the initial <r, s>; the second
+  carries r's, ||r||^2 and v'Hv), and a step that ran any inner iteration
+  ends with a concatenating reduce that assembles the direction on the
+  master.
 
 A broadcast or reduce_all returns the one read-only array that every node
 then holds, so no layout keeps per-node replicas; PCG never writes into an
@@ -137,6 +139,8 @@ class SolverConfig:
         self.__post_init__()  # also coerces, or rejects, a kind assigned after construction
         for name in ("lam", "mu", "theta", "outer_tol"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         for name in ("tau", "max_inner", "max_outer"):
@@ -178,17 +182,13 @@ class SolverConfig:
 
 @dataclass
 class NewtonStepResult:
-    """Inexact Newton direction and its damping certificate.
-
-    ``direction_blocks`` holds the direction as the layout stores it: one
-    full-length block (samples) or one block per node (features)."""
+    """Inexact Newton direction and its damping certificate."""
 
     direction: np.ndarray
     delta: float
     inner_iters: int
     residual_norm: float
     converged: bool
-    direction_blocks: list
 
 
 @dataclass(frozen=True)
@@ -212,10 +212,18 @@ class DiscoResult:
     w: np.ndarray
     trace: list
     converged: bool
-    updates: int
-    grad_evals: int
     inner_iters_total: int
     inner_unconverged: int
+
+    @property
+    def grad_evals(self) -> int:
+        """One trace row per gradient evaluation."""
+        return len(self.trace)
+
+    @property
+    def updates(self) -> int:
+        """Every gradient evaluation but the last is followed by an update."""
+        return len(self.trace) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -420,133 +428,128 @@ def build_preconditioner_features(
 
 
 class _Layout:
-    """A vector is a list of blocks, block i of length ``sizes[i]``. The
-    partition and ``config`` describe the whole problem; ``config`` is
-    validated here, and subclasses set ``sizes`` and check that tau fits the
-    samples their preconditioner draws from."""
+    """A vector is one length-d float64 array; node i works on its slice in
+    the feature layout. ``config`` is validated here, and subclasses check
+    that tau fits the samples their preconditioner draws from."""
 
     def __init__(self, cluster: Cluster, part, config: SolverConfig):
         config.validate()
         self.cluster, self.part, self.config = cluster, part, config
 
-    def zeros(self) -> list:
-        return self.map(lambda i: np.zeros(self.sizes[i]))
-
 
 class _SampleLayout(_Layout):
-    """Sample partition: each vector is one full-length block on the master."""
+    """Sample partition: the master holds every vector whole."""
 
     def __init__(self, cluster: Cluster, part: SamplePartition, config: SolverConfig):
         super().__init__(cluster, part, config)
-        self.sizes = (part.d,)
         config.resolved_tau(part.sizes[0])
-
-    def map(self, fn) -> list:
-        return [fn(0)]
 
     def dots(self, *pairs, metered: bool = True) -> list:
         """<a, b> for each pair; free either way, the master holds both."""
-        return [float(np.dot(a[0], b[0])) for a, b in pairs]
+        return [float(np.dot(a, b)) for a, b in pairs]
 
     def curvature(self, margins: list) -> list:
         """Per-node Hessian coefficients from per-node margins; local work."""
         part, loss = self.part, self.config.loss
         return self.cluster.map_nodes(lambda j: hess_coeffs(loss, margins[j], part.labels[j]))
 
-    def gradient(self, w: list) -> tuple:
+    def gradient(self, w: np.ndarray) -> tuple:
         """Broadcast w, reduce-all the per-node data terms, add lam*w.
         Returns the gradient and the per-node margins."""
         cluster, part, config = self.cluster, self.part, self.config
-        w_all = cluster.broadcast(w[0])
+        w_all = cluster.broadcast(w)
 
         def local_term(j):
             margins_j = spmv_transpose(part.shards[j], w_all)
             return margins_j, spmv(part.shards[j], grad_coeffs(config.loss, margins_j, part.labels[j])) / part.n
 
         node_margins, parts = zip(*cluster.map_nodes(local_term))
-        return [cluster.reduce_all(list(parts)) + config.lam * w_all], list(node_margins)
+        return cluster.reduce_all(list(parts)) + config.lam * w_all, list(node_margins)
 
-    def hess_vec(self, u: list, h: list) -> list:
+    def hess_vec(self, u: np.ndarray, h: list) -> np.ndarray:
         """One metered Hu: broadcast u, reduce-all the data terms, add lam*u."""
         cluster, part = self.cluster, self.part
-        u_all = cluster.broadcast(u[0])
+        u_all = cluster.broadcast(u)
 
         def local_term(j):
             z = spmv_transpose(part.shards[j], u_all)
             return spmv(part.shards[j], h[j] * z) / part.n
 
-        return [cluster.reduce_all(cluster.map_nodes(local_term)) + self.config.lam * u_all]
+        return cluster.reduce_all(cluster.map_nodes(local_term)) + self.config.lam * u_all
 
-    def precondition(self, precond: BlockPreconditioner, r: list) -> list:
-        return [precond.apply(r[0])]
+    def precondition(self, precond: BlockPreconditioner, r: np.ndarray) -> np.ndarray:
+        return precond.apply(r)
 
-    def assemble(self, v: list) -> np.ndarray:
-        return v[0]
+    def assemble(self, v: np.ndarray) -> np.ndarray:
+        return v
 
     def preconditioner(self, margins: list) -> BlockPreconditioner:
         return build_preconditioner(self.config, self.part, margins[0])
 
     def newton_step(self, eps_k, grad, margins, precond) -> NewtonStepResult:
-        return pcg_samples(self.cluster, self.part, eps_k, self.config, grad=grad[0], margins=margins, precond=precond)
+        return pcg_samples(self.cluster, self.part, eps_k, self.config, grad=grad, margins=margins, precond=precond)
 
 
 class _FeatureLayout(_Layout):
-    """Feature partition: each vector is one coordinate block per node. The
-    sample margins X'w and the coefficients derived from them are one
-    length-n array that every node holds."""
+    """Feature partition: node i holds and works on its slice ``x[blocks[i]]``
+    of every vector. The sample margins X'w and the coefficients derived from
+    them are one length-n array that every node holds."""
 
     def __init__(self, cluster: Cluster, part: FeaturePartition, config: SolverConfig):
         super().__init__(cluster, part, config)
-        self.sizes = part.sizes
+        self.blocks = tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
         config.resolved_tau(part.n)
 
-    def map(self, fn) -> list:
-        return self.cluster.map_nodes(fn)
+    def _join(self, fn) -> np.ndarray:
+        """The length-d vector whose slice i is ``fn(i)``, run on node i."""
+        return np.concatenate(self.cluster.map_nodes(fn))
 
     def dots(self, *pairs, metered: bool = True) -> list:
-        """Global <a, b> for each pair, all riding one scalar reduce_all. With
-        ``metered=False`` the driver sums the per-node terms instead: a control
-        scalar that stands in for a piggybacked value and is deliberately not
-        counted as a round."""
-        m = self.cluster.m
+        """Global <a, b> for each pair: per-node slice terms, all riding one
+        scalar reduce_all. With ``metered=False`` the per-node terms are summed
+        without a collective: a control scalar that stands in for a piggybacked
+        value and is deliberately not counted as a round."""
+
+        def local(i):
+            node = self.blocks[i]
+            return [float(np.dot(a[node], b[node])) for a, b in pairs]
+
         if not metered:
-            return [sum(float(np.dot(a[i], b[i])) for i in range(m)) for a, b in pairs]
-        local = self.cluster.map_nodes(lambda i: np.array([float(np.dot(a[i], b[i])) for a, b in pairs]))
-        return [float(x) for x in self.cluster.reduce_all(local)]
+            return [sum(terms) for terms in zip(*map(local, range(self.cluster.m)))]
+        return [float(x) for x in self.cluster.reduce_all(self.cluster.map_nodes(lambda i: np.array(local(i))))]
 
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:
         """Hessian coefficients of the shared margins (any value, or None, for
         the square loss); local work."""
         return hess_coeffs(self.config.loss, margins, self.part.y)
 
-    def gradient(self, w: list) -> tuple:
-        """Per-node gradient blocks from the shared margins X'w, which cost one
-        length-n reduce_all of the per-node partial products. Returns blocks
-        and margins."""
-        cluster, part, lam = self.cluster, self.part, self.config.lam
-        margins = cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], w[i])))
+    def gradient(self, w: np.ndarray) -> tuple:
+        """Per-node gradient slices from the shared margins X'w, which cost one
+        length-n reduce_all of the per-node partial products. Returns the
+        gradient and the margins."""
+        cluster, part, lam, blocks = self.cluster, self.part, self.config.lam, self.blocks
+        margins = cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], w[blocks[i]])))
         coeffs = grad_coeffs(self.config.loss, margins, part.y)
-        return cluster.map_nodes(lambda i: spmv(part.shards[i], coeffs) / part.n + lam * w[i]), margins
+        return self._join(lambda i: spmv(part.shards[i], coeffs) / part.n + lam * w[blocks[i]]), margins
 
-    def hess_vec(self, u: list, h: np.ndarray) -> list:
+    def hess_vec(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
         """One metered Hu: a single length-n reduce_all of the partial
-        products X_i'u_i, then local block work."""
-        cluster, part, lam = self.cluster, self.part, self.config.lam
-        hz = h * cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], u[i])))
-        return cluster.map_nodes(lambda i: spmv(part.shards[i], hz) / part.n + lam * u[i])
+        products X_i'u_i, then local slice work."""
+        cluster, part, lam, blocks = self.cluster, self.part, self.config.lam, self.blocks
+        hz = h * cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], u[blocks[i]])))
+        return self._join(lambda i: spmv(part.shards[i], hz) / part.n + lam * u[blocks[i]])
 
-    def precondition(self, precond: BlockPreconditioner, r: list) -> list:
-        return self.cluster.map_nodes(lambda i: precond.apply_block(i, r[i]))
+    def precondition(self, precond: BlockPreconditioner, r: np.ndarray) -> np.ndarray:
+        return self._join(lambda i: precond.apply_block(i, r[self.blocks[i]]))
 
-    def assemble(self, v: list) -> np.ndarray:
-        return self.cluster.reduce_concat(v)
+    def assemble(self, v: np.ndarray) -> np.ndarray:
+        return self.cluster.reduce_concat([v[b] for b in self.blocks])
 
     def preconditioner(self, margins: np.ndarray) -> BlockPreconditioner:
         return build_preconditioner_features(self.config, self.part, margins)
 
     def newton_step(self, eps_k, grad, margins, precond) -> NewtonStepResult:
-        return pcg_features(self.cluster, self.part, eps_k, self.config, grad_blocks=grad, margins=margins,
-                            precond=precond)
+        return pcg_features(self.cluster, self.part, eps_k, self.config, grad=grad, margins=margins, precond=precond)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +557,7 @@ class _FeatureLayout(_Layout):
 # ---------------------------------------------------------------------------
 
 
-def _pcg(layout: _Layout, eps_k: float, grad: list, margins, precond: BlockPreconditioner) -> NewtonStepResult:
+def _pcg(layout: _Layout, eps_k: float, grad: np.ndarray, margins, precond: BlockPreconditioner) -> NewtonStepResult:
     """PCG on H v = grad, where H is the Hessian at the iterate for which
     ``layout.gradient`` returned ``grad`` and ``margins``. Every dot product
     goes through ``layout.dots``, batched so that the feature layout pays two
@@ -563,19 +566,19 @@ def _pcg(layout: _Layout, eps_k: float, grad: list, margins, precond: BlockPreco
     if not eps_k > 0:  # also catches a NaN
         raise ValueError(f"eps_k must be positive, got {eps_k}")
     h = layout.curvature(margins)
-    max_inner = layout.config.resolved_max_inner(layout.part.d)
+    d = layout.part.d
+    max_inner = layout.config.resolved_max_inner(d)
 
-    r = grad
+    r = np.asarray(grad, dtype=np.float64)
     # Driver-side control scalar; the metered path learns ||r|| from the
     # first beta batch below.
     resnorm = math.sqrt(layout.dots((r, r), metered=False)[0])
     if resnorm <= eps_k:
-        zero = layout.zeros()
-        return NewtonStepResult(np.concatenate(zero), 0.0, 0, resnorm, True, zero)
+        return NewtonStepResult(np.zeros(d), 0.0, 0, resnorm, True)
     s = layout.precondition(precond, r)
     u = s
-    v = layout.zeros()
-    Hv = layout.zeros()
+    v = np.zeros(d)
+    Hv = np.zeros(d)
     for t in range(max_inner):
         Hu = layout.hess_vec(u, h)
         if t == 0:  # <r, s> is first needed here; later it comes from the beta batch
@@ -585,9 +588,9 @@ def _pcg(layout: _Layout, eps_k: float, grad: list, margins, precond: BlockPreco
         if not uHu > 0:  # also catches a NaN
             raise RuntimeError(f"PCG breakdown at inner iteration {t}: u'Hu = {uHu} is not positive")
         alpha = rs / uHu
-        v = layout.map(lambda i: v[i] + alpha * u[i])
-        Hv = layout.map(lambda i: Hv[i] + alpha * Hu[i])
-        r = layout.map(lambda i: r[i] - alpha * Hu[i])
+        v = v + alpha * u
+        Hv = Hv + alpha * Hu
+        r = r - alpha * Hu
         s = layout.precondition(precond, r)
         rs_next, rnorm2, vHv = layout.dots((r, s), (r, r), (v, Hv))
         # The block solves skip scipy's per-call finiteness scan; a NaN or
@@ -600,7 +603,7 @@ def _pcg(layout: _Layout, eps_k: float, grad: list, margins, precond: BlockPreco
         if resnorm <= eps_k:
             break
         beta = rs_next / rs
-        u = layout.map(lambda i: s[i] + beta * u[i])
+        u = s + beta * u
         rs = rs_next
     return NewtonStepResult(
         direction=layout.assemble(v),
@@ -608,7 +611,6 @@ def _pcg(layout: _Layout, eps_k: float, grad: list, margins, precond: BlockPreco
         inner_iters=t + 1,
         residual_norm=resnorm,
         converged=resnorm <= eps_k,
-        direction_blocks=v,
     )
 
 
@@ -630,7 +632,6 @@ def pcg_samples(
     direction and one reduce_all of the Hessian-product contributions, both
     of length d; dot products are free on the master.
     """
-    grad = [np.asarray(grad, dtype=np.float64)]
     return _pcg(_SampleLayout(cluster, spart, config), eps_k, grad, margins, precond)
 
 
@@ -640,27 +641,28 @@ def pcg_features(
     eps_k: float,
     config: SolverConfig,
     *,
-    grad_blocks: list,
+    grad: np.ndarray,
     margins: np.ndarray,
     precond: BlockPreconditioner,
 ) -> NewtonStepResult:
-    """PCG on the feature partition; every vector lives as per-node blocks.
+    """PCG on the feature partition: a vector is one length-d array and node
+    i works on its slice, its feature block.
 
-    ``grad_blocks`` are the per-node gradient blocks and ``margins`` the one
-    length-n array X'w that every node holds after the outer loop's gradient
-    exchange; ``precond`` comes from ``build_preconditioner_features``. Per
-    inner iteration: one length-n reduce_all (for Hu), one scalar
-    reduce_all for the u'Hu curvature term (widened to carry r's at t=0, the
-    only iteration where it is not already known from the previous beta
-    round), and one scalar reduce_all carrying (r's, ||r||^2, v'Hv) -- the
-    beta numerator, the stopping test and the damping certificate ride one
-    round. A step that runs at least one inner iteration ends with a
-    concatenating reduce that assembles the direction on the master; when the
-    gradient already meets ``eps_k`` (a loose tolerance; the outer loop's
-    theta < 1 never allows it) the step returns the zero direction after 0
-    iterations and sends nothing.
+    ``grad`` is the full gradient and ``margins`` the one length-n array X'w
+    that every node holds after the outer loop's gradient exchange; ``precond``
+    comes from ``build_preconditioner_features``; the arguments are those of
+    ``pcg_samples``. Per inner iteration: one length-n reduce_all (for Hu),
+    one scalar reduce_all for the u'Hu curvature term (widened to carry r's
+    at t=0, the only iteration where it is not already known from the
+    previous beta round), and one scalar reduce_all carrying (r's, ||r||^2,
+    v'Hv) -- the beta numerator, the stopping test and the damping
+    certificate ride one round. A step that runs at least one inner iteration
+    ends with a concatenating reduce that assembles the direction on the
+    master; when the gradient already meets ``eps_k`` (a loose tolerance; the
+    outer loop's theta < 1 never allows it) the step returns the zero
+    direction after 0 iterations and sends nothing.
     """
-    return _pcg(_FeatureLayout(cluster, fpart, config), eps_k, grad_blocks, margins, precond)
+    return _pcg(_FeatureLayout(cluster, fpart, config), eps_k, grad, margins, precond)
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +671,7 @@ def pcg_features(
 
 
 def damped_update(w: np.ndarray, direction: np.ndarray, delta: float) -> np.ndarray:
-    """w - direction / (1 + delta).
-
-    Written as a multiply by the reciprocal so that the full-vector update
-    (sample layout) and the per-block update (feature layout) perform
-    bit-identical arithmetic.
-    """
+    """w - direction / (1 + delta), applied as a multiply by the reciprocal."""
     return w - (1.0 / (1.0 + delta)) * direction
 
 
@@ -696,7 +693,7 @@ def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
     else:
         layout = _FeatureLayout(cluster, partition_by_features(dataset.X, dataset.y, cluster.m), config)
 
-    w = layout.zeros()
+    w = np.zeros(layout.part.d)
     precond: BlockPreconditioner | None = None
     trace: list = []
     inner_cum = 0
@@ -708,7 +705,7 @@ def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
         gnorm = math.sqrt(layout.dots((grad, grad), metered=False)[0])
         if not math.isfinite(gnorm):
             raise FloatingPointError(
-                f"non-finite gradient at outer iteration {k}; iterate head: {np.concatenate(w)[:8]}"
+                f"non-finite gradient at outer iteration {k}; iterate head: {w[:8]}"
             )
         stats = cluster.snapshot_stats()
         trace.append(
@@ -727,16 +724,14 @@ def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
         if precond is None or config.loss is LossKind.LOGISTIC:
             precond = layout.preconditioner(margins)
         step = layout.newton_step(eps_k, grad, margins, precond)
-        w = layout.map(lambda i: damped_update(w[i], step.direction_blocks[i], step.delta))
+        w = damped_update(w, step.direction, step.delta)
         inner_cum += step.inner_iters
         inner_unconverged += not step.converged
 
     return DiscoResult(
-        w=np.concatenate(w),
+        w=w,
         trace=trace,
         converged=trace[-1].grad_norm <= config.outer_tol,
-        updates=len(trace) - 1,
-        grad_evals=len(trace),
         inner_iters_total=inner_cum,
         inner_unconverged=inner_unconverged,
     )

@@ -69,9 +69,8 @@ def newton_step(cluster, part, w, eps_k, config, grad=None):
     gradient."""
     layout_type = solver._SampleLayout if isinstance(part, SamplePartition) else solver._FeatureLayout
     layout = layout_type(cluster, part, config)
-    split = np.cumsum(layout.sizes)[:-1]
-    exchanged, margins = layout.gradient(np.split(np.asarray(w, dtype=np.float64), split))
-    grad = exchanged if grad is None else np.split(np.asarray(grad, dtype=np.float64), split)
+    exchanged, margins = layout.gradient(np.asarray(w, dtype=np.float64))
+    grad = exchanged if grad is None else grad
     return layout.newton_step(eps_k, grad, margins, layout.preconditioner(margins))
 
 

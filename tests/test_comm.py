@@ -118,6 +118,17 @@ class TestReduceConcat:
         stats = cl.snapshot_stats()
         assert stats.reduce_bytes == 8 * 9 and stats.reduce_rounds == 1
 
+    @pytest.mark.parametrize("bad", [np.float64(1.0), np.ones((2, 2))])
+    @pytest.mark.parametrize("node", [0, 1])
+    def test_non_vector_block_named_with_its_shape(self, bad, node):
+        # 2-D blocks once came back stacked as a (3, 2) array, metered as 48 B
+        blocks = [np.zeros(2), np.zeros(2)]
+        blocks[node] = bad
+        cl = Cluster(2)
+        with pytest.raises(ValueError, match=re.escape(f"node {node} has shape {bad.shape}")):
+            cl.reduce_concat(blocks)
+        assert cl.snapshot_stats() == CommStats()
+
 
 class TestStats:
     def test_reset_zeroes_everything(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,10 @@ class TestGenSynthetic:
         (4, 4, 0.0, 0.0, "density must be in"),
         (0, 4, 0.5, 0.0, "need d >= 1 and n >= 1, got d=0"),
         (4, 4, 0.5, -0.1, "noise must be non-negative"),
-    ], ids=["density", "d", "noise"])
+        # a NaN noise level once ran as no noise
+        (4, 4, 0.5, math.nan, "noise must be non-negative and finite, got nan"),
+        (4, 4, 0.5, math.inf, "noise must be non-negative and finite, got inf"),
+    ], ids=["density", "d", "noise", "noise-nan", "noise-inf"])
     def test_invalid_arguments(self, d, n, density, noise, message):
         with pytest.raises(ValueError, match=message):
             gen_synthetic(d, n, density, noise, seed=0)

@@ -415,7 +415,7 @@ class TestHessianVecSamples:
         rng = np.random.default_rng(91)
         w, u = rng.standard_normal(8), rng.standard_normal(8)
         layout = _SampleLayout(Cluster(1), spart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        got = layout.hess_vec([u], layout.curvature(layout.gradient([w])[1]))[0]
+        got = layout.hess_vec(u, layout.curvature(layout.gradient(w)[1]))
         assert np.array_equal(got, hess_vec_dense(obj, ds.X, ds.y, w, u))
 
     @pytest.mark.parametrize("loss,labels", [(LossKind.SQUARE, "regression"), (LossKind.LOGISTIC, "sign")])
@@ -425,7 +425,7 @@ class TestHessianVecSamples:
         rng = np.random.default_rng(93)
         w, u = rng.standard_normal(8), rng.standard_normal(8)
         layout = _SampleLayout(Cluster(3), spart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        got = layout.hess_vec([u], layout.curvature(layout.gradient([w])[1]))[0]
+        got = layout.hess_vec(u, layout.curvature(layout.gradient(w)[1]))
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
@@ -434,9 +434,9 @@ class TestHessianVecSamples:
         spart = partition_by_samples(ds.X, ds.y, 3)
         cl = Cluster(3)
         layout = _SampleLayout(cl, spart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        h = layout.curvature(layout.gradient([np.zeros(6)])[1])
+        h = layout.curvature(layout.gradient(np.zeros(6))[1])
         cl.reset_stats()
-        got = layout.hess_vec([np.zeros(6)], h)[0]
+        got = layout.hess_vec(np.zeros(6), h)
         assert np.array_equal(got, np.zeros(6))
         stats = cl.snapshot_stats()
         assert stats.broadcast_rounds == 1 and stats.reduceall_rounds == 1
@@ -450,8 +450,8 @@ class TestHessianVecFeatures:
         rng = np.random.default_rng(96)
         u = rng.standard_normal(7)
         layout = _FeatureLayout(Cluster(1), fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        got = layout.hess_vec([u], layout.curvature(None))
-        assert np.array_equal(got[0], hess_vec_dense(obj, ds.X, ds.y, np.zeros(7), u))
+        got = layout.hess_vec(u, layout.curvature(None))
+        assert np.array_equal(got, hess_vec_dense(obj, ds.X, ds.y, np.zeros(7), u))
 
     @pytest.mark.parametrize("loss,labels", [(LossKind.SQUARE, "regression"), (LossKind.LOGISTIC, "sign")])
     def test_multi_node_matches_dense(self, loss, labels):
@@ -461,10 +461,8 @@ class TestHessianVecFeatures:
         cl = Cluster(m)
         rng = np.random.default_rng(98)
         w, u = rng.standard_normal(20), rng.standard_normal(20)
-        w_blocks = [w[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
-        u_blocks = [u[o:o + s] for o, s in zip(fpart.offsets, fpart.sizes)]
         layout = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        got = np.concatenate(layout.hess_vec(u_blocks, layout.curvature(layout.gradient(w_blocks)[1])))
+        got = layout.hess_vec(u, layout.curvature(layout.gradient(w)[1]))
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
@@ -472,9 +470,8 @@ class TestHessianVecFeatures:
         ds, obj = make_dense_instance(d=8, n=13, seed=99)
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
-        u_blocks = [np.zeros(s) for s in fpart.sizes]
         layout = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        layout.hess_vec(u_blocks, layout.curvature(None))
+        layout.hess_vec(np.zeros(8), layout.curvature(None))
         stats = cl.snapshot_stats()
         assert stats.reduceall_rounds == 1 and stats.reduceall_bytes == 8 * 13
         assert stats.broadcast_rounds == 0
@@ -485,10 +482,11 @@ class TestHessianVecFeatures:
         ds, obj = make_dense_instance(d=6, n=9, seed=100, lam=0.5)
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
-        u_blocks = [np.ones(fpart.sizes[0]), np.zeros(fpart.sizes[1])]
+        u = np.zeros(6)
+        u[:fpart.sizes[0]] = 1.0
         layout = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
-        got = layout.hess_vec(u_blocks, layout.curvature(None))
-        assert np.linalg.norm(got[1]) > 0  # data coupling, lam * 0 = 0
+        got = layout.hess_vec(u, layout.curvature(None))
+        assert np.linalg.norm(got[fpart.sizes[0]:]) > 0  # data coupling, lam * 0 = 0
 
 
 class TestPcgSamples:
@@ -530,10 +528,10 @@ class TestPcgSamples:
         m = 3
         spart = partition_by_samples(ds.X, ds.y, m)
         cl = Cluster(m)
-        grad, margins = _SampleLayout(cl, spart, cfg).gradient([np.zeros(12)])
+        grad, margins = _SampleLayout(cl, spart, cfg).gradient(np.zeros(12))
         precond = build_preconditioner(cfg, spart, margins[0])
         cl.reset_stats()
-        step = pcg_samples(cl, spart, 1e-10, cfg, grad=grad[0], margins=margins, precond=precond)
+        step = pcg_samples(cl, spart, 1e-10, cfg, grad=grad, margins=margins, precond=precond)
         stats = cl.snapshot_stats()
         T = step.inner_iters
         assert stats.broadcast_rounds == T and stats.reduceall_rounds == T
@@ -603,11 +601,10 @@ class TestPcgFeatures:
         m = 3
         fpart = partition_by_features(ds.X, ds.y, m)
         cl = Cluster(m)
-        w_blocks = [np.zeros(s) for s in fpart.sizes]
-        grad_blocks, margins = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(w_blocks)
+        grad, margins = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(np.zeros(12))
         precond = build_preconditioner_features(cfg, fpart, margins)
         cl.reset_stats()
-        step = pcg_features(cl, fpart, 1e-10, cfg, grad_blocks=grad_blocks, margins=margins, precond=precond)
+        step = pcg_features(cl, fpart, 1e-10, cfg, grad=grad, margins=margins, precond=precond)
         stats = cl.snapshot_stats()
         T = step.inner_iters
         assert stats.reduceall_rounds == 3 * T
@@ -623,11 +620,10 @@ class TestPcgFeatures:
         cfg = ridge_config(tau=6, max_inner=1)
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
-        w_blocks = [np.zeros(s) for s in fpart.sizes]
-        grad_blocks, margins = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(w_blocks)
+        grad, margins = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(np.zeros(8))
         precond = build_preconditioner_features(cfg, fpart, margins)
         cl.reset_stats()
-        pcg_features(cl, fpart, 1e-14, cfg, grad_blocks=grad_blocks, margins=margins, precond=precond)
+        pcg_features(cl, fpart, 1e-14, cfg, grad=grad, margins=margins, precond=precond)
         assert cl.snapshot_stats().reduceall_rounds == 3
 
 
@@ -643,16 +639,16 @@ class TestStandaloneEntryPoints:
         part = (partition_by_samples if samples else partition_by_features)(ds.X, ds.y, cluster.m)
         layout_type = _SampleLayout if samples else _FeatureLayout
         layout = layout_type(Cluster(cluster.m), part, ridge_config(mu=0.1, tau=4, mode=mode))
-        grad, margins = layout.gradient(layout.zeros())
-        grad = layout.zeros() if zero_gradient else grad
+        grad, margins = layout.gradient(np.zeros(6))
+        grad = np.zeros(6) if zero_gradient else grad
         inputs = dict(margins=margins, precond=layout.preconditioner(margins))
         if samples:
             return (
-                lambda: pcg_samples(cluster, part, eps_k, cfg, grad=grad[0], **inputs),
+                lambda: pcg_samples(cluster, part, eps_k, cfg, grad=grad, **inputs),
                 lambda: build_preconditioner(cfg, part),
             )
         return (
-            lambda: pcg_features(cluster, part, eps_k, cfg, grad_blocks=grad, **inputs),
+            lambda: pcg_features(cluster, part, eps_k, cfg, grad=grad, **inputs),
             lambda: build_preconditioner_features(cfg, part),
         )
 
@@ -697,7 +693,7 @@ def test_margins_of_the_wrong_shape_rejected(mode):
         layout = _SampleLayout(Cluster(2), partition_by_samples(ds.X, ds.y, 2), cfg)
     else:
         layout = _FeatureLayout(Cluster(2), partition_by_features(ds.X, ds.y, 2), cfg)
-    grad, margins = layout.gradient(layout.map(lambda i: np.full(layout.sizes[i], 0.1)))
+    grad, margins = layout.gradient(np.full(8, 0.1))
     precond = layout.preconditioner(margins)
     short = [node[:1] for node in margins] if mode is PartitionMode.SAMPLES else margins[:1]
     with pytest.raises(ValueError, match=r"margins have shape \(1,\), labels \(\d+,\)"):
@@ -865,6 +861,13 @@ class TestDiscoOuter:
         assert res.converged and res.updates == 0 and res.grad_evals == 1
         assert np.array_equal(res.w, np.zeros(4))
 
+    def test_counts_read_from_the_trace(self):
+        ds, _ = make_dense_instance(d=6, n=12, seed=141)
+        res = disco_outer(Cluster(2), ds, ridge_config(tau=4))
+        assert res.grad_evals == len(res.trace) and res.updates == len(res.trace) - 1 > 0
+        with pytest.raises(AttributeError):
+            res.updates = 0
+
     def test_synthetic_ridge_matches_closed_form(self):
         from disco.harness import gen_synthetic
 
@@ -989,6 +992,13 @@ class TestDiscoOuter:
     def test_config_rejects_non_finite(self, field, value):
         # every comparison with NaN is false, so a sign check alone lets it by
         with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(SolverConfig(lam=1.0), **{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["lam", "mu", "theta", "outer_tol"])
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_config_rejects_non_real(self, field, value):
+        # lam=True once solved with lam = 1, and a string failed inside math.isfinite
+        with pytest.raises(ValueError, match=f"{field} must be a real number, got {value!r}"):
             dataclasses.replace(SolverConfig(lam=1.0), **{field: value}).validate()
 
     def test_string_kinds_solve_as_their_enum_members(self):
