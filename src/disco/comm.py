@@ -74,9 +74,11 @@ class Cluster:
     # -- collectives --------------------------------------------------------
 
     def broadcast(self, payload: np.ndarray) -> np.ndarray:
-        """Send the master's ``payload`` to every node; returns the read-only
-        copy they all hold."""
+        """Send the master's ``payload``, a vector, to every node; returns the
+        read-only copy they all hold."""
         received = np.array(payload, dtype=np.float64)
+        if received.ndim != 1:
+            raise ValueError(f"broadcast takes a vector: the payload has shape {received.shape}")
         received.flags.writeable = False
         self._stats.broadcast_rounds += 1
         self._stats.broadcast_bytes += BYTES_PER_ELEMENT * received.size

@@ -109,6 +109,9 @@ def gen_synthetic(d: int, n: int, density: float, noise: float, seed: int) -> Da
     noise. Everything is drawn from one seeded generator, so a seed fully
     determines the dataset.
     """
+    for name, value in (("d", d), ("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 < density <= 1:
         raise ValueError(f"density must be in (0, 1], got {density}")
     if d < 1 or n < 1:

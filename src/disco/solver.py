@@ -49,6 +49,16 @@ one extra tau x tau array per low-rank block for the life of the partition,
 two layouts produce the same iterates up to roundoff, so layout only changes
 communication cost, not the optimization path.
 
+A low-rank block inverts K once per build, from its Cholesky factor (LAPACK
+``potri``), and keeps C = diag(s) K^{-1} diag(s), s = sqrt(h), in place of
+the factor, so each apply is (r - X_b C X_b' r) / mu: one BLAS symmetric
+matvec on C's lower triangle instead of a triangular solve pair and two
+diagonal scalings. The inverse costs O(tau^3) once per build, about what
+a few dozen applies save, so it pays back over the PCG solve that follows a
+build, once per solve for the square loss and at every Newton step for the
+logistic loss. Dense blocks (tau >= d_b) keep their factor and solve with
+``potrs``.
+
 Every Hessian product multiplies each shard transposed (``spmv_transpose``)
 and then forward (``spmv``), both looping over the shard's shorter side: a
 shard with more rows than columns, such as a d x n_j sample shard with
@@ -80,6 +90,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_factor
+from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .comm import Cluster
@@ -233,8 +244,12 @@ class DiscoResult:
 
 # The LAPACK routine behind scipy's cho_solve, looked up once. Calling it
 # directly skips the wrapper's per-call lookup and argument checks; the
-# finiteness checks in _pcg cover what check_finite would have scanned.
+# finiteness checks in _pcg cover what check_finite would have scanned. The
+# same goes for potri (the inverse from a Cholesky factor) and the BLAS
+# symmetric matvec that applies a low-rank block.
 _potrs = get_lapack_funcs("potrs", dtype=np.float64)
+_potri = get_lapack_funcs("potri", dtype=np.float64)
+_symv = get_blas_funcs("symv", dtype=np.float64)
 
 
 def _cho_solve(cho: tuple, b: np.ndarray) -> np.ndarray:
@@ -260,24 +275,25 @@ class _DenseBlock(NamedTuple):
 class _LowRankBlock(NamedTuple):
     """P_b = mu*I + (1/tau) U U' with U = X_b S, S = diag(s), s = sqrt(h),
     solved by the Woodbury identity through the tau x tau matrix
-    K = mu*tau*I + S X_b'X_b S:
+    K = mu*tau*I + S X_b'X_b S, inverted once with S folded in on both
+    sides, C = S K^{-1} S:
 
-        P_b^{-1} r = (r - X_b S K^{-1} S X_b' r) / mu.
+        P_b^{-1} r = (r - X_b C X_b' r) / mu.
 
     The block holds the unscaled sparse d_b x tau slice ``x`` and its
-    transpose ``xt`` (both CSR, kept by the partition), s and the Cholesky
-    factor of K, so a solve costs O(nnz_b + tau^2). Its two products call the
-    compiled CSR kernel directly (``linalg.matvec``)."""
+    transpose ``xt`` (both CSR, kept by the partition) and C, a
+    Fortran-ordered tau x tau array of which only the lower triangle is
+    read, so a solve costs O(nnz_b + tau^2): two calls of the compiled CSR
+    kernel (``linalg.matvec``) and one BLAS ``dsymv`` that reads C in
+    place."""
 
     x: sparse.csr_array
     xt: sparse.csr_array
-    s: np.ndarray
-    cho: tuple
+    c: np.ndarray
     mu: float
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        z = _cho_solve(self.cho, self.s * matvec(self.xt, r))
-        return (r - matvec(self.x, self.s * z)) / self.mu
+        return (r - matvec(self.x, _symv(1.0, self.c, matvec(self.xt, r), lower=1))) / self.mu
 
 
 @dataclass
@@ -335,7 +351,8 @@ def _factor_curvature_block(i: int, kept, h_tau: np.ndarray, mu: float):
     """Factor (1/tau) * Xb diag(h) Xb' + mu*I for one feature block from its
     kept slice (see ``_kept_slice``): a ``_GramSlice`` through the tau x tau
     Woodbury matrix K = diag(s) x'x diag(s) + mu*tau*I, s = sqrt(h), which
-    costs an O(tau^2) scaling and one Cholesky; a dense slice as a dense
+    costs an O(tau^2) scaling, one Cholesky and its inverse (``potri``,
+    O(tau^3)), kept as C = diag(s) K^{-1} diag(s); a dense slice as a dense
     d_b x d_b Cholesky."""
     low_rank = isinstance(kept, _GramSlice)
     tau = len(h_tau)
@@ -349,7 +366,12 @@ def _factor_curvature_block(i: int, kept, h_tau: np.ndarray, mu: float):
             s = np.sqrt(h_tau)
             k = (s[:, None] * kept.gram) * s
             k[np.diag_indices_from(k)] += mu * tau
-            return _LowRankBlock(kept.x, kept.xt, s, cho_factor(k, lower=True), mu)
+            c, info = _potri(cho_factor(k, lower=True)[0], lower=1, overwrite_c=1)
+            if info != 0:
+                raise ValueError(f"internal potri failed with info={info}")
+            c *= s[:, None]
+            c *= s
+            return _LowRankBlock(kept.x, kept.xt, c, mu)
         gram = (kept * h_tau) @ kept.T / tau
         gram[np.diag_indices_from(gram)] += mu
         return _DenseBlock(cho_factor(gram, lower=True))

@@ -40,6 +40,20 @@ class TestBroadcast:
         src[0] = -5.0  # a later write to the source does not reach the nodes
         assert np.array_equal(got, [1.0, 2.0])
 
+    def test_matrix_payload_named_with_its_shape(self):
+        # a (2, 2) payload was once metered as 32 B of traffic
+        cl = Cluster(2)
+        with pytest.raises(ValueError, match=re.escape("broadcast takes a vector: the payload has shape (2, 2)")):
+            cl.broadcast(np.ones((2, 2)))
+        assert cl.snapshot_stats() == CommStats()
+
+    def test_scalar_payload_named_with_its_shape(self):
+        # a scalar was once metered as 8 B of traffic
+        cl = Cluster(2)
+        with pytest.raises(ValueError, match=re.escape("broadcast takes a vector: the payload has shape ()")):
+            cl.broadcast(3.0)
+        assert cl.snapshot_stats() == CommStats()
+
 
 class TestReduceAll:
     def test_scalar_sum(self):

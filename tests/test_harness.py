@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,17 @@ class TestGenSynthetic:
     def test_invalid_arguments(self, d, n, density, noise, message):
         with pytest.raises(ValueError, match=message):
             gen_synthetic(d, n, density, noise, seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        # 4.5 once failed inside rng.choice, a seed of 1.5 inside numpy's SeedSequence
+        ("d", 4.5), ("n", 4.5), ("seed", 1.5),
+        ("d", True), ("n", True), ("seed", False),
+        ("d", "4"), ("seed", None),
+    ])
+    def test_non_integer_sizes_and_seed_rejected(self, field, value):
+        args = {"d": 4, "n": 4, "density": 0.5, "noise": 0.1, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            gen_synthetic(**args)
 
     def test_noiseless_planted_solution_recovered(self):
         # with no noise and vanishing regularization the ridge solution is

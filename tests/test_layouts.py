@@ -194,6 +194,70 @@ def test_byte_ratio_sweep_crosses_where_the_cost_model_puts_it():
         assert line in readme, line
 
 
+NODE_SWEEP_M = (1, 2, 4, 8)
+
+
+def node_sweep():
+    """(m, {mode: (result, stats)}) for both layouts of gen_synthetic(4000,
+    500, 0.02, 0.1, 42) at each m in ``NODE_SWEEP_M``: lam=mu=1e-2, tau=31
+    (which fits the master's sample shard up to m=16). Nothing is timed."""
+    ds = gen_synthetic(4000, 500, 0.02, 0.1, 42)
+    rows = []
+    for m in NODE_SWEEP_M:
+        runs = {}
+        for mode in PartitionMode:
+            cluster = Cluster(m)
+            result = disco_outer(cluster, ds, SolverConfig(lam=1e-2, mu=1e-2, tau=31, partition_mode=mode))
+            runs[mode] = (result, cluster.snapshot_stats())
+        rows.append((m, runs))
+    return rows
+
+
+def node_sweep_table(sweep):
+    """The README's node-count table, line by line, from ``node_sweep()``."""
+    lines = [
+        "| m | inner s / f | rounds s / f | bytes s / f | byte ratio f/s |",
+        "|---|---|---|---|---|",
+    ]
+    for m, runs in sweep:
+        (res_s, stats_s), (res_f, stats_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
+        lines.append(f"| {m} | {res_s.inner_iters_total} / {res_f.inner_iters_total} "
+                     f"| {stats_s.total_rounds} / {stats_f.total_rounds} "
+                     f"| {stats_s.total_bytes:,} / {stats_f.total_bytes:,} "
+                     f"| {stats_f.total_bytes / stats_s.total_bytes:.3f} |")
+    return lines
+
+
+def test_node_sweep_meets_the_cost_model_at_every_m():
+    """The paper's claim across the node count, at d = 8n: at every m both
+    layouts converge in the same Newton steps, meet the cost model exactly
+    and the feature layout moves fewer bytes. m reaches the counters only
+    through the inner iterations, which grow with the number of
+    preconditioner blocks. The layouts' PCG recurrences round differently
+    (dot products and Hessian products are summed over other splits), and
+    after ~90 inner iterations their residual norms differ by several
+    percent, so a stopping test that lands that close to eps_k can end one
+    layout's solve one iteration before the other's. That happens at m=8,
+    where the first step takes 103 and 104, so there the per-step inner
+    counts may differ by one; at every other m they are equal. Every line of
+    the README's table of this sweep is what the sweep prints."""
+    sweep = node_sweep()
+    for m, runs in sweep:
+        for mode, (result, stats) in runs.items():
+            assert result.converged
+            per_step = COSTMODEL.inner_iters_per_step(result)
+            assert stats == COSTMODEL.expected_stats(mode, 4000, 500, result.grad_evals, per_step)
+        (res_s, stats_s), (res_f, stats_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
+        steps_s, steps_f = COSTMODEL.inner_iters_per_step(res_s), COSTMODEL.inner_iters_per_step(res_f)
+        assert len(steps_s) == len(steps_f)
+        slack = 1 if m == 8 else 0
+        assert all(abs(a - b) <= slack for a, b in zip(steps_s, steps_f)), (m, steps_s, steps_f)
+        assert stats_f.total_bytes < stats_s.total_bytes
+    readme = set(README.read_text().splitlines())
+    for line in node_sweep_table(sweep):
+        assert line in readme, line
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -285,5 +349,7 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
 
 
 if __name__ == "__main__":
-    # PYTHONPATH=src python tests/test_layouts.py prints the README's sweep table
+    # PYTHONPATH=src python tests/test_layouts.py prints the README's two sweep tables
     print("\n".join(sweep_table(byte_ratio_sweep())))
+    print()
+    print("\n".join(node_sweep_table(node_sweep())))

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import importlib
+import itertools
 import math
 import weakref
 from types import SimpleNamespace
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dpotri
 
 from disco import (
     Cluster,
@@ -135,30 +138,40 @@ class TestPreconditioner:
     def test_sample_and_feature_builds_agree_blockwise(self):
         # tau must not exceed the master shard so both layouts see the same
         # subsample (the first tau global samples)
-        ds, _ = make_dense_instance(d=9, n=12, seed=79, lam=0.2)
+        ds, _ = make_dense_instance(d=9, n=12, seed=79, lam=0.2, labels="sign")
         m = 3
         spart = partition_by_samples(ds.X, ds.y, m)
         fpart = partition_by_features(ds.X, ds.y, m)
-        r = np.random.default_rng(80).standard_normal(9)
-        for tau in (4, 2):  # d_b = 3: the dense and the low-rank path
-            cfg = ridge_config(lam=0.2, mu=0.05, tau=tau)
-            Ps = build_preconditioner(cfg, spart)
-            Pf = build_preconditioner_features(cfg, fpart)
+        rng = np.random.default_rng(80)
+        r = rng.standard_normal(9)
+        # the shared margins, and the master's share of them in the sample layout
+        margins = rng.standard_normal(12)
+        # d_b = 3: the dense and the low-rank path of either loss
+        for loss, tau in itertools.product(LossKind, (4, 2)):
+            cfg = ridge_config(lam=0.2, mu=0.05, tau=tau, loss=loss)
+            Ps = build_preconditioner(cfg, spart, margins[:spart.sizes[0]])
+            Pf = build_preconditioner_features(cfg, fpart, margins)
             got = np.concatenate(
                 [Pf.apply_block(i, r[o:o + s]) for i, (o, s) in enumerate(zip(Pf.offsets, Pf.sizes))]
             )
             assert np.array_equal(Ps.apply(r), got)
-            assert all(isinstance(b, _LowRankBlock) == (tau < 3) for b in Ps.blocks + Pf.blocks)
+            assert all(type(b) is (_LowRankBlock if tau < 3 else _DenseBlock) for b in Ps.blocks + Pf.blocks)
+            for bs, bf in zip(Ps.blocks, Pf.blocks, strict=True):
+                for a, b in zip(block_arrays(bs), block_arrays(bf), strict=True):
+                    assert np.array_equal(a, b)
 
-    def test_low_rank_block_stores_no_square_array(self):
-        ds, _ = make_dense_instance(d=40, n=12, seed=83)
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_low_rank_block_stores_no_square_array(self, loss):
+        labels = "sign" if loss is LossKind.LOGISTIC else "regression"
+        ds, _ = make_dense_instance(d=40, n=12, seed=83, loss=loss, labels=labels)
         spart = partition_by_samples(ds.X, ds.y, 1)
-        P = build_preconditioner(ridge_config(mu=0.1, tau=5), spart)
+        margins = np.random.default_rng(83).standard_normal(12)
+        P = build_preconditioner(ridge_config(mu=0.1, tau=5, loss=loss), spart, margins)
         (block,) = P.blocks
         assert isinstance(block, _LowRankBlock)
-        shapes = [np.shape(block.x), np.shape(block.xt), np.shape(block.s), np.shape(block.cho[0])]
-        assert shapes == [(40, 5), (5, 40), (5,), (5, 5)]
-        expected = brute_force_curvature(ds.X.toarray(), np.full(12, 2.0), tau=5, mu=0.1)
+        shapes = [np.shape(block.x), np.shape(block.xt), np.shape(block.c)]
+        assert shapes == [(40, 5), (5, 40), (5, 5)]
+        expected = brute_force_curvature(ds.X.toarray(), hess_coeffs(loss, margins, ds.y), tau=5, mu=0.1)
         r = np.random.default_rng(84).standard_normal(40)
         assert np.linalg.norm(P.apply(r) - np.linalg.solve(expected, r)) <= 1e-12 * np.linalg.norm(r) / 0.1
 
@@ -181,20 +194,30 @@ def curvature_slice(Xd):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), d_b=st.integers(2, 30), mu=st.floats(1e-3, 10.0))
 def test_low_rank_apply_matches_dense_solve(data, d_b, mu):
-    """The Woodbury block solve equals a dense solve of P_b, also when some
-    curvature coefficients are exactly zero (logistic underflow)."""
+    """The Woodbury block solve, (r - X_b C X_b' r)/mu with C = S K^{-1} S,
+    equals a dense solve of P_b to 1e-10 and a solve through K's Cholesky
+    factor to 1e-12, also when some curvature coefficients are exactly zero
+    (logistic underflow); r is left untouched."""
     tau = data.draw(st.integers(1, d_b - 1), label="tau")
     h = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]) | st.floats(0.0, 4.0),
                                     min_size=tau, max_size=tau), label="h"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     density = data.draw(st.sampled_from([0.1, 0.5, 1.0]), label="density")
     Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < density)
-    block = _factor_curvature_block(0, curvature_slice(Xd), h, mu)
+    kept = curvature_slice(Xd)
+    block = _factor_curvature_block(0, kept, h, mu)
     assert isinstance(block, _LowRankBlock)
     P = BlockPreconditioner((block,), (d_b,), (0,))
     r = rng.standard_normal(d_b)
+    r_before = r.copy()
+    got = P.apply(r)
+    assert np.array_equal(r, r_before)
     expected = np.linalg.solve((Xd * h) @ Xd.T / tau + mu * np.eye(d_b), r)
-    assert np.linalg.norm(P.apply(r) - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    s = np.sqrt(h)
+    k = (s[:, None] * kept.gram) * s + mu * tau * np.eye(tau)
+    via_factor = (r - Xd @ (s * cho_solve(cho_factor(k, lower=True), s * (Xd.T @ r)))) / mu
+    assert np.linalg.norm(got - via_factor) <= 1e-12 * np.linalg.norm(via_factor)
 
 
 def sparse_curvature_block(d_b, tau, seed, mu=0.05):
@@ -221,17 +244,89 @@ def test_low_rank_block_solve_matches_woodbury_bitwise(d_b, tau):
     assert isinstance(block, _LowRankBlock)
     r = rng.standard_normal(d_b)
     r_before = r.copy()
-    z = cho_solve(block.cho, block.s * (block.xt @ r), check_finite=False)
-    assert np.array_equal(block.solve(r), (r - block.x @ (block.s * z)) / block.mu)
+    z = dsymv(1.0, block.c, block.xt @ r, lower=1)
+    assert np.array_equal(block.solve(r), (r - block.x @ z) / block.mu)
     assert np.array_equal(r, r_before)
+
+
+def low_rank_blocks(loss, mode, tau):
+    """The blocks of a layout's build on a d=40, m=2 problem (d_b = 20) at
+    the given loss and tau, with the kept slices they were built from."""
+    labels = "sign" if loss is LossKind.LOGISTIC else "regression"
+    ds, _ = make_dense_instance(d=40, n=60, seed=94, loss=loss, labels=labels)
+    margins = np.random.default_rng(95).standard_normal(60)
+    cfg = ridge_config(mu=0.1, tau=tau, loss=loss, mode=mode)
+    if mode is PartitionMode.SAMPLES:
+        part = partition_by_samples(ds.X, ds.y, 2)
+        P = build_preconditioner(cfg, part, margins[:part.sizes[0]])
+    else:
+        part = partition_by_features(ds.X, ds.y, 2)
+        P = build_preconditioner_features(cfg, part, margins)
+    (kept,) = part.cache.values()
+    return P.blocks, kept, hess_coeffs(loss, margins[:tau], ds.y[:tau])
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+@pytest.mark.parametrize("mode", list(PartitionMode))
+def test_low_rank_blocks_keep_the_inverse_not_the_factor(mode, loss):
+    """Each low-rank block of either loss's build keeps C = S K^{-1} S in
+    place of K's Cholesky factor: its lower triangle, the only one the solve
+    reads, is that of the inverse of K to 1e-12, and it is Fortran-ordered,
+    so that ``dsymv`` reads it in place."""
+    blocks, kept, h = low_rank_blocks(loss, mode, tau=6)
+    s = np.sqrt(h)
+    for block, sliced in zip(blocks, kept, strict=True):
+        assert type(block) is _LowRankBlock and "cho" not in block._fields
+        assert block.x is sliced.x and block.xt is sliced.xt
+        k = (s[:, None] * sliced.gram) * s + 0.1 * 6 * np.eye(6)
+        want = np.tril(s[:, None] * np.linalg.inv(k) * s)
+        assert np.linalg.norm(np.tril(block.c) - want) <= 1e-12 * np.linalg.norm(want)
+        assert block.c.flags.f_contiguous
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+@pytest.mark.parametrize("mode", list(PartitionMode))
+def test_dense_blocks_keep_their_factor(mode, loss):
+    """tau >= d_b: each block keeps the Cholesky factor of the d_b x d_b P_b."""
+    blocks, _, _ = low_rank_blocks(loss, mode, tau=25)
+    for block in blocks:
+        assert type(block) is _DenseBlock
+        assert block.cho[0].shape == (20, 20)
+
+
+@pytest.mark.parametrize("loss, builds", [(LossKind.SQUARE, 1), (LossKind.LOGISTIC, None)])
+@pytest.mark.parametrize("mode", list(PartitionMode))
+def test_one_build_serves_a_square_solve(monkeypatch, loss, builds, mode):
+    """``disco_outer`` builds the square loss's preconditioner once per solve
+    and the logistic one before every Newton step."""
+    name = "build_preconditioner" if mode is PartitionMode.SAMPLES else "build_preconditioner_features"
+    built = []
+    build = getattr(solver, name)
+
+    def counting(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solver, name, counting)
+    labels = "sign" if loss is LossKind.LOGISTIC else "regression"
+    ds, _ = make_dense_instance(d=12, n=20, seed=96, loss=loss, labels=labels)
+    result = disco_outer(Cluster(2), ds, ridge_config(mu=0.1, tau=4, loss=loss, mode=mode))
+    assert result.updates > 1
+    assert len(built) == (result.updates if builds is None else builds)
+
+
+def test_low_rank_build_raises_on_potri_error(monkeypatch):
+    monkeypatch.setattr("disco.solver._potri", lambda c, lower, overwrite_c: (c, -1))
+    Xd = np.random.default_rng(97).standard_normal((40, 5))
+    with pytest.raises(ValueError, match="internal potri failed with info=-1"):
+        _factor_curvature_block(0, curvature_slice(Xd), np.full(5, 2.0), 0.05)
 
 
 def test_block_solve_raises_on_potrs_error(monkeypatch):
     monkeypatch.setattr("disco.solver._potrs", lambda c, b, lower: (b.copy(), -1))
-    for d_b, tau in ((5, 8), (40, 5)):  # dense, low-rank
-        block, rng = sparse_curvature_block(d_b, tau, seed=d_b)
-        with pytest.raises(ValueError, match="argument 1 of internal potrs"):
-            block.solve(rng.standard_normal(d_b))
+    block, rng = sparse_curvature_block(5, 8, seed=5)  # dense: low-rank blocks do not call potrs
+    with pytest.raises(ValueError, match="argument 1 of internal potrs"):
+        block.solve(rng.standard_normal(5))
 
 
 def test_empty_preconditioner_block_solves():
@@ -247,9 +342,10 @@ def test_empty_preconditioner_block_solves():
 
 @pytest.mark.parametrize("d_b, tau", [(2, 1), (40, 5), (200, 63), (1000, 125)])
 def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
-    """The block holds the kept slice, s = sqrt(h) and, bitwise, the factor
-    of K = (s * G) * s + mu*tau*I, where G = (x'x).toarray() is the sparse
-    Gram the partition keeps; also with zero curvature coefficients. K agrees
+    """The block holds the kept slice and, bitwise, C = S K^{-1} S inverted
+    from the factor of K = (s * G) * s + mu*tau*I, s = sqrt(h), where
+    G = (x'x).toarray() is the sparse Gram the partition keeps; also with
+    zero curvature coefficients. K agrees
     with the Gram of the scaled slice U = x @ diags(s), formed as
     (U'U).toarray() + mu*tau*I, to 1e-14 relative in Frobenius norm: the two
     differ only in where the sqrt(h) factors are rounded in (at most 8.2e-16
@@ -264,12 +360,13 @@ def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
     assert isinstance(block, _LowRankBlock)
     assert block.x is kept.x and block.xt is kept.xt and block.mu == mu
     s = np.sqrt(h)
-    assert np.array_equal(block.s, s)
     x = SparseBlock.from_dense(Xd).matrix
     assert np.array_equal(kept.gram, (x.T.tocsr() @ x).toarray())
     k = (s[:, None] * kept.gram) * s
     k[np.diag_indices_from(k)] += mu * tau
-    assert np.array_equal(block.cho[0], cho_factor(k, lower=True)[0])
+    inv, info = dpotri(cho_factor(k, lower=True)[0], lower=1)
+    assert info == 0
+    assert np.array_equal(block.c, inv * s[:, None] * s)
     u = x @ sparse.diags_array(s)
     scaled = (u.T.tocsr() @ u).toarray()
     scaled[np.diag_indices_from(scaled)] += mu * tau
@@ -296,11 +393,12 @@ def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
 
 def block_arrays(block):
     """Every array a factored preconditioner block holds."""
-    if isinstance(block, _LowRankBlock):
-        for m in (block.x, block.xt):
-            yield from (m.data, m.indices, m.indptr)
-        yield block.s
-    yield block.cho[0]
+    if isinstance(block, _DenseBlock):
+        yield block.cho[0]
+        return
+    for m in (block.x, block.xt):
+        yield from (m.data, m.indices, m.indptr)
+    yield block.c
 
 
 @pytest.mark.parametrize("mode", list(PartitionMode))
@@ -1005,7 +1103,7 @@ class TestDiscoOuter:
         """A string partition mode and loss, given at construction or assigned
         later, run the sample layout, exactly as the enum members do: one
         broadcast and one reduce_all per gradient evaluation and per inner
-        iteration, 253 of each here."""
+        iteration, 255 of each here."""
         ds = gen_synthetic(20, 40, 0.5, 0.1, 1)
         by_string = SolverConfig(lam=0.1, tau=5)
         by_string.partition_mode, by_string.loss = "samples", "square"
@@ -1019,7 +1117,7 @@ class TestDiscoOuter:
             result = disco_outer(cluster, ds, cfg)
             stats = cluster.snapshot_stats()
             rounds = result.inner_iters_total + result.grad_evals
-            assert stats.broadcast_rounds == stats.reduceall_rounds == rounds == 253
+            assert stats.broadcast_rounds == stats.reduceall_rounds == rounds == 255
             runs.append((result.w.tobytes(), stats, result.inner_iters_total, result.updates))
             assert cfg.partition_mode is PartitionMode.SAMPLES and cfg.loss is LossKind.SQUARE
         assert runs[0] == runs[1] == runs[2]
