@@ -35,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=1, help="simulated node count m")
     p.add_argument("--loss", choices=["square", "logistic"], default="square")
     p.add_argument("--lambda", dest="lam", type=float, default=1e-3, help="l2 weight (default 1e-3)")
-    p.add_argument("--mu", type=float, default=SolverConfig.mu, help="preconditioner ridge (default %(default)g)")
+    p.add_argument("--mu", type=float, default=SolverConfig.mu,
+                   help="preconditioner ridge, must be positive (default %(default)g)")
     p.add_argument("--tau", type=int, default=None, help="preconditioner samples (default min(1000, master's sample shard))")
     p.add_argument("--theta", type=float, default=SolverConfig.theta,
                    help="inner tolerance multiplier, in (0, 1) (default %(default)g)")

@@ -36,6 +36,8 @@ def read_libsvm(path, dim: int | None = None) -> Dataset:
     """Parse LIBSVM text: one sample per line, ``label idx:val ...`` with
     1-based strictly increasing indices. The feature count is the largest
     index seen unless ``dim`` overrides it (it may only enlarge)."""
+    if dim is not None and (isinstance(dim, bool) or not isinstance(dim, (int, np.integer))):
+        raise ValueError(f"dim must be an integer, got {dim!r}")  # 3.7 would run as d=3
     path = Path(path)
     labels: list = []
     rows: list = []

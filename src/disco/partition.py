@@ -71,6 +71,8 @@ class FeaturePartition:
 def _contiguous_split(X: SparseBlock, y, m: int, total: int, what: str) -> tuple:
     """Validated labels plus the sizes and offsets of a balanced split of
     ``total`` rows or columns over m nodes."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):  # True would run as one node
+        raise ValueError(f"node count m must be an integer, got {m!r}")
     y = as_vec(y)
     if y.shape[0] != X.cols:
         raise ValueError(f"labels have length {y.shape[0]}, data has {X.cols} samples")

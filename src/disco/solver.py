@@ -30,34 +30,35 @@ matrix estimated from the first tau samples,
 
     P_b = (1/tau) * sum_{j<tau} h_j x_j^(b) (x_j^(b))' + mu * I
 
-per feature block b, factored once per build. Each block factors the smaller
-of two Gram matrices: when mu > 0 and tau < d_b, P_b is mu*I plus a rank-tau
-term, so the block keeps its sparse d_b x tau slice and the Cholesky factor
-of a tau x tau matrix and solves by the Woodbury identity; otherwise it keeps
-the Cholesky factor of the dense d_b x d_b P_b. With mu = 0 and tau < d_b the
-estimate is singular and the build raises. A partition's first build slices
-each block's first tau samples and keeps in the partition's ``cache`` what
-every later build reads: for a low-rank block the sparse slice X_b, its
-transpose and their dense tau x tau Gram X_b'X_b (one sparse product per
-block per solve); for a dense block the dense d_b x tau slice. Only the
-sqrt(h) scaling depends on the iterate, so a logistic rebuild at every Newton
-step slices nothing and creates no sparse matrix: a low-rank block scales the
-kept Gram by sqrt(h) on both sides, an O(tau^2) pass, adds mu*tau*I and
-factors it; a dense block forms and factors its d_b x d_b Gram. The price is
-one extra tau x tau array per low-rank block for the life of the partition,
-8 MB per block at the default tau = 1000. With identical preconditioners the
-two layouts produce the same iterates up to roundoff, so layout only changes
-communication cost, not the optimization path.
+per feature block b, inverted once per build. DiSCO takes mu > 0, and so
+does ``SolverConfig``, so every P_b is positive definite. Each block inverts
+the smaller of two matrices from its Cholesky factor (LAPACK ``potri``) and
+applies the inverse with one BLAS symmetric matvec (``dsymv``):
 
-A low-rank block inverts K once per build, from its Cholesky factor (LAPACK
-``potri``), and keeps C = diag(s) K^{-1} diag(s), s = sqrt(h), in place of
-the factor, so each apply is (r - X_b C X_b' r) / mu: one BLAS symmetric
-matvec on C's lower triangle instead of a triangular solve pair and two
-diagonal scalings. The inverse costs O(tau^3) once per build, about what
-a few dozen applies save, so it pays back over the PCG solve that follows a
-build, once per solve for the square loss and at every Newton step for the
-logistic loss. Dense blocks (tau >= d_b) keep their factor and solve with
-``potrs``.
+* tau < d_b: P_b is mu*I plus a rank-tau term; the block keeps its sparse
+  d_b x tau slice X_b and C = diag(s) K^{-1} diag(s), s = sqrt(h),
+  K = mu*tau*I + diag(s) X_b'X_b diag(s), and solves by the Woodbury
+  identity, (r - X_b C X_b' r) / mu;
+* tau >= d_b: the block keeps the inverse of the dense d_b x d_b P_b, the
+  smaller matrix (on a 12-feature test problem at m <= 4 the layouts'
+  iterates drift apart by up to 2e-7 relative through Woodbury, by 4e-10
+  through the dense inverse).
+
+The O(size^3) inverse, once per build, pays back over the PCG solve that
+follows: a build runs once per solve for the square loss and at every Newton
+step for the logistic loss. A partition's first build slices each block's
+first tau samples and keeps in the partition's ``cache`` what every later
+build reads: for a low-rank block the sparse slice X_b, its transpose and
+their dense tau x tau Gram X_b'X_b (one sparse product per block per solve);
+for a dense block the dense d_b x tau slice. Only the sqrt(h) scaling depends
+on the iterate, so a logistic rebuild at every Newton step slices nothing and
+creates no sparse matrix: a low-rank block scales the kept Gram by sqrt(h) on
+both sides, an O(tau^2) pass, adds mu*tau*I and inverts it; a dense block
+forms and inverts its d_b x d_b Gram. The price is one extra tau x tau array
+per low-rank block for the life of the partition, 8 MB per block at the
+default tau = 1000. With identical preconditioners the two layouts produce
+the same iterates up to roundoff, so layout only changes communication cost,
+not the optimization path.
 
 Every Hessian product multiplies each shard transposed (``spmv_transpose``)
 and then forward (``spmv``), both looping over the shard's shorter side: a
@@ -161,8 +162,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be non-negative, got {self.mu}")
+        if self.mu <= 0:  # mu > 0 makes P_b = curvature + mu*I positive definite for any curvature
+            raise ValueError(f"mu must be positive, got {self.mu}")
         if self.tau is not None and self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.theta <= 0:
@@ -242,34 +243,34 @@ class DiscoResult:
 # ---------------------------------------------------------------------------
 
 
-# The LAPACK routine behind scipy's cho_solve, looked up once. Calling it
-# directly skips the wrapper's per-call lookup and argument checks; the
-# finiteness checks in _pcg cover what check_finite would have scanned. The
-# same goes for potri (the inverse from a Cholesky factor) and the BLAS
-# symmetric matvec that applies a low-rank block.
-_potrs = get_lapack_funcs("potrs", dtype=np.float64)
+# The LAPACK routine that inverts a matrix from its Cholesky factor and the
+# BLAS symmetric matvec that applies the inverse, looked up once. Calling them
+# directly skips scipy's per-call lookup and argument checks; the finiteness
+# checks in _pcg cover what check_finite would have scanned.
 _potri = get_lapack_funcs("potri", dtype=np.float64)
 _symv = get_blas_funcs("symv", dtype=np.float64)
 
 
-def _cho_solve(cho: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given ``cho = cho_factor(A)``; b is left untouched."""
-    if b.shape[0] == 0:  # an empty block (m > d in the sample layout); f2py rejects it
-        return np.empty_like(b)
-    c, lower = cho
-    x, info = _potrs(c, b, lower=lower)
+def _spd_inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of the symmetric positive definite ``a``, from its
+    Cholesky factor (``potri``): a Fortran-ordered array whose lower triangle
+    holds the inverse and whose upper triangle is not read. Raises
+    ``LinAlgError`` when ``a`` is not numerically positive definite."""
+    c, info = _potri(cho_factor(a, lower=True)[0], lower=1, overwrite_c=1)
     if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of internal potrs")
-    return x
+        raise ValueError(f"internal potri failed with info={info}")
+    return c
 
 
 class _DenseBlock(NamedTuple):
-    """Cholesky factor of the d_b x d_b block P_b."""
+    """The d_b x d_b block P_b held as its inverse ``c`` (see
+    ``_spd_inverse``), so a solve is one BLAS ``dsymv`` on c's lower
+    triangle."""
 
-    cho: tuple
+    c: np.ndarray
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        return _cho_solve(self.cho, r)
+        return _symv(1.0, self.c, r, lower=1)
 
 
 class _LowRankBlock(NamedTuple):
@@ -298,7 +299,7 @@ class _LowRankBlock(NamedTuple):
 
 @dataclass
 class BlockPreconditioner:
-    """Factored per-feature-block subsampled curvature matrices, one
+    """Inverted per-feature-block subsampled curvature matrices, one
     ``_DenseBlock`` or ``_LowRankBlock`` per block."""
 
     blocks: tuple
@@ -316,7 +317,7 @@ class BlockPreconditioner:
         return self.blocks[i].solve(r)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """Solve P s = r with the stored factorizations."""
+        """Solve P s = r with the stored inverses."""
         r = np.asarray(r, dtype=np.float64)
         if r.shape[0] != self.dim:
             raise ValueError(f"P solve: vector has length {r.shape[0]}, P is {self.dim}x{self.dim}")
@@ -348,33 +349,27 @@ def _kept_slice(block: sparse.csr_array):
 
 
 def _factor_curvature_block(i: int, kept, h_tau: np.ndarray, mu: float):
-    """Factor (1/tau) * Xb diag(h) Xb' + mu*I for one feature block from its
+    """Invert (1/tau) * Xb diag(h) Xb' + mu*I for one feature block from its
     kept slice (see ``_kept_slice``): a ``_GramSlice`` through the tau x tau
     Woodbury matrix K = diag(s) x'x diag(s) + mu*tau*I, s = sqrt(h), which
-    costs an O(tau^2) scaling, one Cholesky and its inverse (``potri``,
-    O(tau^3)), kept as C = diag(s) K^{-1} diag(s); a dense slice as a dense
-    d_b x d_b Cholesky."""
-    low_rank = isinstance(kept, _GramSlice)
+    costs an O(tau^2) scaling and one O(tau^3) inverse, kept as
+    C = diag(s) K^{-1} diag(s); a dense slice through the inverse of the
+    d_b x d_b P_b. mu > 0 makes both matrices positive definite; one that
+    roundoff leaves indefinite (mu far below the curvature's scale) raises an
+    error naming mu."""
     tau = len(h_tau)
-    if low_rank and mu == 0:
-        raise np.linalg.LinAlgError(
-            f"preconditioner block {i} has rank at most tau={tau} < {kept.x.shape[0]} features "
-            f"and is singular with mu=0; increase mu"
-        )
     try:
-        if low_rank:
+        if isinstance(kept, _GramSlice):
             s = np.sqrt(h_tau)
             k = (s[:, None] * kept.gram) * s
             k[np.diag_indices_from(k)] += mu * tau
-            c, info = _potri(cho_factor(k, lower=True)[0], lower=1, overwrite_c=1)
-            if info != 0:
-                raise ValueError(f"internal potri failed with info={info}")
+            c = _spd_inverse(k)
             c *= s[:, None]
             c *= s
             return _LowRankBlock(kept.x, kept.xt, c, mu)
         gram = (kept * h_tau) @ kept.T / tau
         gram[np.diag_indices_from(gram)] += mu
-        return _DenseBlock(cho_factor(gram, lower=True))
+        return _DenseBlock(_spd_inverse(gram))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"preconditioner block {i} is not positive definite; "
@@ -394,7 +389,7 @@ def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int, cut) -
 
 def _block_preconditioner(config: SolverConfig, tau: int, kept: tuple, labels: np.ndarray,
                           margins: np.ndarray | None, sizes, offsets) -> BlockPreconditioner:
-    """Factor each feature block from its kept first-tau-samples slice with
+    """Invert each feature block from its kept first-tau-samples slice with
     the curvature of the first tau ``margins`` and ``labels``."""
     config.validate()
     h_tau = hess_coeffs(config.loss, None if margins is None else margins[:tau], labels[:tau])
@@ -412,14 +407,15 @@ def build_preconditioner(
     The first tau samples of the master's shard (node 0: all d features, its
     n_1 samples) feed the estimate, split into the m balanced feature blocks
     that the feature layout's nodes hold, so that both layouts build the same
-    preconditioner; the partition's first build slices them and keeps them.
+    preconditioner (min(d, m) blocks, so that none is empty when m > d); the
+    partition's first build slices them and keeps them.
     The logistic curvature reads ``margins``, the master's margins X_1'w of
     the current iterate (as the gradient exchange leaves them); the square
     loss needs none.
     """
     shard = spart.shards[0]
     tau = config.resolved_tau(shard.cols)
-    sizes = balanced_sizes(spart.d, len(spart.shards))
+    sizes = balanced_sizes(spart.d, min(spart.d, len(spart.shards)))
     offsets = [sum(sizes[:i]) for i in range(len(sizes))]
 
     def cut():
@@ -435,7 +431,7 @@ def build_preconditioner_features(
     fpart: FeaturePartition,
     margins: np.ndarray | None = None,
 ) -> BlockPreconditioner:
-    """Feature-layout build: node i factors its own block from the first tau
+    """Feature-layout build: node i inverts its own block from the first tau
     columns of its feature slice, which the partition's first build slices
     and keeps. ``margins`` are the shared sample margins X'w of the current
     iterate (any value, or None, for the square loss)."""

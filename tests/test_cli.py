@@ -150,6 +150,11 @@ class TestErrors:
         assert run_cli("--synthetic", "20,40,0.5,0.1,1", "--nodes", "2", "--theta", "1") == 1
         assert "theta must be below 1" in capsys.readouterr().err
 
+    def test_mu_of_zero_rejected(self, capsys):
+        # DiSCO's preconditioner is curvature plus mu*I with mu > 0
+        assert run_cli("--synthetic", "20,40,0.5,0.1,1", "--nodes", "2", "--mu", "0") == 1
+        assert "mu must be positive" in capsys.readouterr().err
+
     def test_nan_noise_rejected(self, capsys):
         # before, a NaN noise level solved the noise-free problem
         assert run_cli("--synthetic", "40,30,0.2,nan,1") == 1

@@ -107,6 +107,15 @@ class TestReadLibsvm:
         assert read_libsvm(p, dim=10).d == 10
         with pytest.raises(ValueError, match="dim"):
             read_libsvm(p, dim=1)
+        assert read_libsvm(p, dim=np.int64(10)).d == 10
+
+    @pytest.mark.parametrize("dim", [3.7, 3.0, True, "3"])
+    def test_dim_must_be_an_integer(self, tmp_path, dim):
+        # dim=3.7 once ran silently with d=3, and dim=True failed as "dim=1"
+        p = tmp_path / "g.txt"
+        p.write_text("1 2:1.0\n")
+        with pytest.raises(ValueError, match=f"dim must be an integer, got {dim!r}"):
+            read_libsvm(p, dim=dim)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "h.txt"

@@ -35,6 +35,16 @@ def test_rejects_bad_labels(partition, labels, message):
         partition(ds.X, np.array(labels), 2)
 
 
+@pytest.mark.parametrize("partition", [partition_by_samples, partition_by_features])
+@pytest.mark.parametrize("m", [True, 2.0, 1.5, "2", None])
+def test_rejects_a_node_count_that_is_not_an_integer(partition, m):
+    # m=True once ran as one node, and a float failed inside numpy with a
+    # message that named neither m nor the node count
+    ds, _ = make_dense_instance(d=4, n=5, seed=0)
+    with pytest.raises(ValueError, match=f"node count m must be an integer, got {m!r}"):
+        partition(ds.X, ds.y, m)
+
+
 class TestSamplePartition:
     def test_sizes_and_offsets(self):
         ds, _ = make_dense_instance(d=4, n=5, seed=0)

@@ -106,34 +106,16 @@ class TestPreconditioner:
         r = np.random.default_rng(77).standard_normal(6)
         assert np.linalg.norm(dense @ P.apply(r) - r) <= 1e-10 * np.linalg.norm(r)
 
-    @pytest.mark.parametrize("tau, zero_row, message", [
-        # tau < d with mu = 0 leaves the estimate rank-deficient
-        (3, False, "rank at most tau=3 .* increase mu"),
-        # tau >= d takes the dense path; a feature no sample touches leaves a
-        # zero row, which the Cholesky factorization rejects
-        (8, True, "not positive definite; increase mu"),
-    ])
-    def test_non_pd_failure_names_mu(self, tau, zero_row, message):
+    def test_non_pd_failure_names_mu(self):
+        # mu > 0 makes every block positive definite in exact arithmetic, but
+        # a duplicated feature row at a mu far below the curvature's scale
+        # leaves a pivot that roundoff makes non-positive
         ds, _ = make_dense_instance(d=8, n=8, seed=78)
         Xd = ds.X.toarray()
-        if zero_row:
-            Xd[2] = 0.0
+        Xd[3] = Xd[2]
         spart = partition_by_samples(SparseBlock.from_dense(Xd), ds.y, 1)
-        with pytest.raises(np.linalg.LinAlgError, match=message):
-            build_preconditioner(ridge_config(mu=0.0, tau=tau), spart)
-
-    def test_mu_zero_below_full_rank_rejected_before_factoring(self):
-        # a rank-3 estimate of a 4x4 block that cho_factor accepts: roundoff
-        # leaves its last pivot slightly positive
-        ds, _ = make_dense_instance(d=4, n=6, seed=2)
-        spart = partition_by_samples(ds.X, ds.y, 1)
-        with pytest.raises(np.linalg.LinAlgError, match="mu=0"):
-            build_preconditioner(ridge_config(mu=0.0, tau=3), spart)
-        # at tau >= d_b the dense path still accepts mu = 0 when the block is full rank
-        P = build_preconditioner(ridge_config(mu=0.0, tau=6), spart)
-        r = np.random.default_rng(82).standard_normal(4)
-        expected = brute_force_curvature(ds.X.toarray(), np.full(6, 2.0), tau=6, mu=0.0)
-        assert np.linalg.norm(expected @ P.apply(r) - r) <= 1e-10 * np.linalg.norm(r)
+        with pytest.raises(np.linalg.LinAlgError, match=r"not positive definite; increase mu \(currently mu=1e-30\)"):
+            build_preconditioner(ridge_config(mu=1e-30, tau=8), spart)
 
     def test_sample_and_feature_builds_agree_blockwise(self):
         # tau must not exceed the master shard so both layouts see the same
@@ -230,11 +212,20 @@ def sparse_curvature_block(d_b, tau, seed, mu=0.05):
 
 @pytest.mark.parametrize("d_b, tau", [(1, 1), (5, 8), (63, 63), (125, 200)])
 def test_dense_block_solve_matches_cho_solve_bitwise(d_b, tau):
-    block, rng = sparse_curvature_block(d_b, tau, seed=d_b)
+    """A dense block's solve is, bitwise, scipy's ``dsymv`` on the inverse
+    that ``dpotri`` forms from ``cho_factor(P_b)``; r is left untouched."""
+    block, _ = sparse_curvature_block(d_b, tau, seed=d_b)
     assert isinstance(block, _DenseBlock)
+    rng = np.random.default_rng(d_b)  # redraw the slice and h the block was built from
+    Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < 0.3)
+    h = rng.uniform(0.0, 2.0, tau)
+    p_b = (Xd * h) @ Xd.T / tau
+    p_b[np.diag_indices_from(p_b)] += 0.05
+    inv, info = dpotri(cho_factor(p_b, lower=True)[0], lower=1)
+    assert info == 0
     r = rng.standard_normal(d_b)
     r_before = r.copy()
-    assert np.array_equal(block.solve(r), cho_solve(block.cho, r, check_finite=False))
+    assert np.array_equal(block.solve(r), dsymv(1.0, inv, r, lower=1))
     assert np.array_equal(r, r_before)
 
 
@@ -287,11 +278,17 @@ def test_low_rank_blocks_keep_the_inverse_not_the_factor(mode, loss):
 @pytest.mark.parametrize("loss", list(LossKind))
 @pytest.mark.parametrize("mode", list(PartitionMode))
 def test_dense_blocks_keep_their_factor(mode, loss):
-    """tau >= d_b: each block keeps the Cholesky factor of the d_b x d_b P_b."""
-    blocks, _, _ = low_rank_blocks(loss, mode, tau=25)
-    for block in blocks:
-        assert type(block) is _DenseBlock
-        assert block.cho[0].shape == (20, 20)
+    """tau >= d_b: each block keeps the inverse of the d_b x d_b P_b in place
+    of its Cholesky factor: the lower triangle, the only one the solve reads,
+    is that of inv(P_b) to 1e-12, and it is Fortran-ordered, so that
+    ``dsymv`` reads it in place."""
+    blocks, kept, h = low_rank_blocks(loss, mode, tau=25)
+    for block, sliced in zip(blocks, kept, strict=True):
+        assert type(block) is _DenseBlock and "cho" not in block._fields
+        p_b = (sliced * h) @ sliced.T / 25 + 0.1 * np.eye(20)
+        want = np.tril(np.linalg.inv(p_b))
+        assert np.linalg.norm(np.tril(block.c) - want) <= 1e-12 * np.linalg.norm(want)
+        assert block.c.flags.f_contiguous
 
 
 @pytest.mark.parametrize("loss, builds", [(LossKind.SQUARE, 1), (LossKind.LOGISTIC, None)])
@@ -315,29 +312,25 @@ def test_one_build_serves_a_square_solve(monkeypatch, loss, builds, mode):
     assert len(built) == (result.updates if builds is None else builds)
 
 
-def test_low_rank_build_raises_on_potri_error(monkeypatch):
+@pytest.mark.parametrize("d_b, tau, kind", [(40, 5, _LowRankBlock), (5, 8, _DenseBlock)])
+def test_low_rank_build_raises_on_potri_error(monkeypatch, d_b, tau, kind):
     monkeypatch.setattr("disco.solver._potri", lambda c, lower, overwrite_c: (c, -1))
-    Xd = np.random.default_rng(97).standard_normal((40, 5))
+    Xd = np.random.default_rng(97).standard_normal((d_b, tau))
     with pytest.raises(ValueError, match="internal potri failed with info=-1"):
-        _factor_curvature_block(0, curvature_slice(Xd), np.full(5, 2.0), 0.05)
-
-
-def test_block_solve_raises_on_potrs_error(monkeypatch):
-    monkeypatch.setattr("disco.solver._potrs", lambda c, b, lower: (b.copy(), -1))
-    block, rng = sparse_curvature_block(5, 8, seed=5)  # dense: low-rank blocks do not call potrs
-    with pytest.raises(ValueError, match="argument 1 of internal potrs"):
-        block.solve(rng.standard_normal(5))
+        _factor_curvature_block(0, curvature_slice(Xd), np.full(tau, 2.0), 0.05)
+    monkeypatch.undo()
+    assert type(_factor_curvature_block(0, curvature_slice(Xd), np.full(tau, 2.0), 0.05)) is kind
 
 
 def test_empty_preconditioner_block_solves():
-    # the sample layout splits d < m features into some empty blocks
+    # the sample layout splits d < m features into min(d, m) blocks, none empty
     ds, _ = make_dense_instance(d=2, n=12, seed=85)
     spart = partition_by_samples(ds.X, ds.y, 3)
     P = build_preconditioner(ridge_config(mu=0.1, tau=4), spart)
-    assert P.sizes == (1, 1, 0)
+    assert P.sizes == (1, 1)
     r = np.random.default_rng(86).standard_normal(2)
-    assert P.apply_block(2, np.empty(0)).shape == (0,)
-    assert np.array_equal(P.apply(r), np.concatenate([P.apply_block(0, r[:1]), P.apply_block(1, r[1:])]))
+    expected = brute_force_curvature(spart.shards[0].matrix.toarray(), np.full(4, 2.0), tau=4, mu=0.1)
+    assert np.linalg.norm(P.apply(r) - np.linalg.solve(np.diag(np.diag(expected)), r)) <= 1e-12 * np.linalg.norm(r)
 
 
 @pytest.mark.parametrize("d_b, tau", [(2, 1), (40, 5), (200, 63), (1000, 125)])
@@ -394,7 +387,7 @@ def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
 def block_arrays(block):
     """Every array a factored preconditioner block holds."""
     if isinstance(block, _DenseBlock):
-        yield block.cho[0]
+        yield block.c
         return
     for m in (block.x, block.xt):
         yield from (m.data, m.indices, m.indptr)
@@ -1056,7 +1049,9 @@ class TestDiscoOuter:
         ("theta", 0.0, "theta must be positive"),
         ("theta", 1.0, "theta must be below 1"),
         ("tau", 0, "tau must be >= 1"),
-        ("mu", -1e-3, "mu must be non-negative"),
+        ("mu", -1e-3, "mu must be positive"),
+        # mu = 0 leaves a block with tau < d_b singular
+        ("mu", 0.0, "mu must be positive"),
         ("outer_tol", 0.0, "outer_tol must be positive"),
         ("max_outer", -1, "max_outer must be >= 0"),
         ("max_inner", 0, "max_inner must be >= 1"),
