@@ -3,7 +3,7 @@
 Two layouts:
 
 * sample partition -- node j stores a contiguous group of columns (all d
-  features of its samples) plus the matching labels;
+  features of its samples) and works on the matching slice of the labels;
 * feature partition -- node i stores a contiguous group of rows (its feature
   slice of *all* n samples) and every node keeps the full label vector,
   which it needs to turn exchanged margins into loss coefficients.
@@ -43,11 +43,12 @@ def balanced_sizes(total: int, m: int) -> list:
 
 
 @dataclass(frozen=True)
-class SamplePartition:
-    """Column shards: shard j is d x n_j with its own label slice."""
+class _Partition:
+    """Shard i holds part ``offsets[i]:+sizes[i]`` of the split dimension;
+    ``y`` is the full label vector in both layouts."""
 
-    shards: tuple          # SparseBlock, all d rows, n_j columns
-    labels: tuple          # per-shard label vectors
+    shards: tuple          # SparseBlock
+    y: np.ndarray
     sizes: tuple
     offsets: tuple
     d: int
@@ -56,16 +57,13 @@ class SamplePartition:
 
 
 @dataclass(frozen=True)
-class FeaturePartition:
-    """Row shards: shard i is d_i x n; labels are replicated to every node."""
+class SamplePartition(_Partition):
+    """Column shards: shard j is d x n_j, samples offsets[j]:+sizes[j]."""
 
-    shards: tuple          # SparseBlock, d_i rows, all n columns
-    y: np.ndarray
-    sizes: tuple
-    offsets: tuple
-    d: int
-    n: int
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+@dataclass(frozen=True)
+class FeaturePartition(_Partition):
+    """Row shards: shard i is d_i x n, features offsets[i]:+sizes[i]."""
 
 
 def _contiguous_split(X: SparseBlock, y, m: int, total: int, what: str) -> tuple:
@@ -85,8 +83,7 @@ def _contiguous_split(X: SparseBlock, y, m: int, total: int, what: str) -> tuple
 def partition_by_samples(X: SparseBlock, y: np.ndarray, m: int) -> SamplePartition:
     y, sizes, offsets = _contiguous_split(X, y, m, X.cols, "samples")
     shards = tuple(X.column_slice(off, off + size) for off, size in zip(offsets, sizes))
-    labels = tuple(y[off:off + size].copy() for off, size in zip(offsets, sizes))
-    return SamplePartition(shards, labels, sizes, offsets, X.rows, X.cols)
+    return SamplePartition(shards, y.copy(), sizes, offsets, X.rows, X.cols)
 
 
 def partition_by_features(X: SparseBlock, y: np.ndarray, m: int) -> FeaturePartition:

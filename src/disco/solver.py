@@ -5,17 +5,20 @@ H v = grad approximately with preconditioned conjugate gradient, then apply
 the damped update w <- w - v / (1 + delta) with delta = sqrt(v'Hv). The inner
 tolerance follows the relative rule eps_k = theta * ||grad||, 0 < theta < 1.
 
-The recurrence, the preconditioner build and the outer loop are written once,
-over a small layout object. In both layouts a vector (w, grad, r, s, u, v, Hu,
-Hv) is one length-d float64 array; the layouts differ only in where the
-per-node work runs and what combining it costs:
+The recurrence, the preconditioner build, the outer loop and both products
+(gradient and Hessian) are written once, over a small layout object. In both
+layouts a solver vector (w, grad, r, s, u, v, Hu, Hv) is one length-d float64
+array and a sample-space vector (margins X'w, curvature h, labels) one
+length-n array; the layouts differ only in where the per-node work runs and
+what combining it costs:
 
-* ``_SampleLayout``: the master holds every vector whole, so dot products are
-  free; each Hessian product broadcasts the search direction (R^d) and
-  reduce-alls the per-node contributions (R^d).
-* ``_FeatureLayout``: node i works on its slice of each vector, its feature
-  block; each Hessian product costs one length-n reduce_all (the
-  sample-space product X'u), the dot products ride two scalar reduce_alls
+* ``_SampleLayout``: node j works on its samples' slice of a sample-space
+  vector and the master holds every solver vector whole, so dot products are
+  free; each product broadcasts its direction and reduce-alls the per-node
+  contributions (R^d each).
+* ``_FeatureLayout``: node i works on its feature block's slice of a solver
+  vector and holds every sample-space vector whole; each product costs one
+  length-n reduce_all (X'u), the dot products ride two scalar reduce_alls
   per inner iteration (the first also carries the initial <r, s>; the second
   carries r's, ||r||^2 and v'Hv), and a step that ran any inner iteration
   ends with a concatenating reduce that assembles the direction on the
@@ -251,11 +254,16 @@ _potri = get_lapack_funcs("potri", dtype=np.float64)
 _symv = get_blas_funcs("symv", dtype=np.float64)
 
 
-def _spd_inverse(a: np.ndarray) -> np.ndarray:
-    """The inverse of the symmetric positive definite ``a``, from its
-    Cholesky factor (``potri``): a Fortran-ordered array whose lower triangle
-    holds the inverse and whose upper triangle is not read. Raises
-    ``LinAlgError`` when ``a`` is not numerically positive definite."""
+def _spd_inverse(a: np.ndarray, ridge: float) -> np.ndarray:
+    """The inverse of the symmetric a + ridge*I (written into ``a``), from
+    its Cholesky factor (``potri``): a Fortran-ordered array whose lower
+    triangle holds the inverse and whose upper triangle is not read. Raises
+    ``LinAlgError`` when the sum is not numerically positive definite or the
+    ridge is lost to rounding (at most eps times a's largest diagonal entry),
+    which would leave the sign of a pivot to roundoff."""
+    if ridge <= np.finfo(np.float64).eps * a.diagonal().max():
+        raise np.linalg.LinAlgError(f"ridge {ridge} is lost to rounding")
+    a[np.diag_indices_from(a)] += ridge
     c, info = _potri(cho_factor(a, lower=True)[0], lower=1, overwrite_c=1)
     if info != 0:
         raise ValueError(f"internal potri failed with info={info}")
@@ -355,21 +363,19 @@ def _factor_curvature_block(i: int, kept, h_tau: np.ndarray, mu: float):
     costs an O(tau^2) scaling and one O(tau^3) inverse, kept as
     C = diag(s) K^{-1} diag(s); a dense slice through the inverse of the
     d_b x d_b P_b. mu > 0 makes both matrices positive definite; one that
-    roundoff leaves indefinite (mu far below the curvature's scale) raises an
-    error naming mu."""
+    rounding leaves singular or indefinite (mu far below the curvature's
+    scale) raises an error naming mu."""
     tau = len(h_tau)
     try:
         if isinstance(kept, _GramSlice):
             s = np.sqrt(h_tau)
             k = (s[:, None] * kept.gram) * s
-            k[np.diag_indices_from(k)] += mu * tau
-            c = _spd_inverse(k)
+            c = _spd_inverse(k, mu * tau)
             c *= s[:, None]
             c *= s
             return _LowRankBlock(kept.x, kept.xt, c, mu)
         gram = (kept * h_tau) @ kept.T / tau
-        gram[np.diag_indices_from(gram)] += mu
-        return _DenseBlock(_spd_inverse(gram))
+        return _DenseBlock(_spd_inverse(gram, mu))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"preconditioner block {i} is not positive definite; "
@@ -387,12 +393,12 @@ def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int, cut) -
     return part.cache[key]
 
 
-def _block_preconditioner(config: SolverConfig, tau: int, kept: tuple, labels: np.ndarray,
+def _block_preconditioner(config: SolverConfig, part: SamplePartition | FeaturePartition, tau: int, kept: tuple,
                           margins: np.ndarray | None, sizes, offsets) -> BlockPreconditioner:
     """Invert each feature block from its kept first-tau-samples slice with
-    the curvature of the first tau ``margins`` and ``labels``."""
+    the curvature of the first tau ``margins`` and labels."""
     config.validate()
-    h_tau = hess_coeffs(config.loss, None if margins is None else margins[:tau], labels[:tau])
+    h_tau = hess_coeffs(config.loss, None if margins is None else margins[:tau], part.y[:tau])
     blocks = tuple(_factor_curvature_block(i, b, h_tau, config.mu) for i, b in enumerate(kept))
     return BlockPreconditioner(blocks, tuple(sizes), tuple(offsets))
 
@@ -408,10 +414,9 @@ def build_preconditioner(
     n_1 samples) feed the estimate, split into the m balanced feature blocks
     that the feature layout's nodes hold, so that both layouts build the same
     preconditioner (min(d, m) blocks, so that none is empty when m > d); the
-    partition's first build slices them and keeps them.
-    The logistic curvature reads ``margins``, the master's margins X_1'w of
-    the current iterate (as the gradient exchange leaves them); the square
-    loss needs none.
+    partition's first build slices them and keeps them. ``margins`` are as
+    for ``build_preconditioner_features``; the first tau of them lie on the
+    master.
     """
     shard = spart.shards[0]
     tau = config.resolved_tau(shard.cols)
@@ -423,7 +428,7 @@ def build_preconditioner(
         return [sub[off:off + size, :] for off, size in zip(offsets, sizes)]
 
     blocks = _curvature_slices(spart, tau, cut)
-    return _block_preconditioner(config, tau, blocks, spart.labels[0], margins, sizes, offsets)
+    return _block_preconditioner(config, spart, tau, blocks, margins, sizes, offsets)
 
 
 def build_preconditioner_features(
@@ -433,11 +438,11 @@ def build_preconditioner_features(
 ) -> BlockPreconditioner:
     """Feature-layout build: node i inverts its own block from the first tau
     columns of its feature slice, which the partition's first build slices
-    and keeps. ``margins`` are the shared sample margins X'w of the current
+    and keeps. ``margins`` are the length-n sample margins X'w of the current
     iterate (any value, or None, for the square loss)."""
     tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.shards))[0])
     blocks = _curvature_slices(fpart, tau, lambda: [shard.matrix[:, :tau] for shard in fpart.shards])
-    return _block_preconditioner(config, tau, blocks, fpart.y, margins, fpart.sizes, fpart.offsets)
+    return _block_preconditioner(config, fpart, tau, blocks, margins, fpart.sizes, fpart.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +451,40 @@ def build_preconditioner_features(
 
 
 class _Layout:
-    """A vector is one length-d float64 array; node i works on its slice in
-    the feature layout. ``config`` is validated here, and subclasses check
-    that tau fits the samples their preconditioner draws from."""
+    """Node i works on slice ``nodes[i]`` of the dimension its layout
+    splits. ``config`` is validated here, and subclasses check that tau fits
+    the samples their preconditioner draws from. A subclass's ``_product(u,
+    coeffs)`` returns (X c)/n + lam*u, c = coeffs(X'u), and X'u, where
+    ``coeffs(z, idx)`` maps the margins z of samples idx elementwise."""
 
     def __init__(self, cluster: Cluster, part, config: SolverConfig):
         config.validate()
+        if cluster.m != len(part.shards):
+            raise ValueError(f"cluster has {cluster.m} nodes, partition has {len(part.shards)} shards")
         self.cluster, self.part, self.config = cluster, part, config
+        self.nodes = tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
+
+    def _join(self, fn) -> np.ndarray:
+        """The vector whose slice i is ``fn(i)``, run on node i."""
+        return np.concatenate(self.cluster.map_nodes(fn))
+
+    def curvature(self, margins: np.ndarray | None) -> np.ndarray:
+        """Hessian coefficients of the margins (any value, or None, for the
+        square loss); local work."""
+        return hess_coeffs(self.config.loss, margins, self.part.y)
+
+    def gradient(self, w: np.ndarray) -> tuple:
+        """One metered exchange; returns the gradient and the margins X'w."""
+        loss, y = self.config.loss, self.part.y
+        return self._product(w, lambda z, idx: grad_coeffs(loss, z, y[idx]))
+
+    def hess_vec(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """One metered Hu."""
+        return self._product(u, lambda z, idx: h[idx] * z)[0]
 
 
 class _SampleLayout(_Layout):
-    """Sample partition: the master holds every vector whole."""
+    """Sample partition: the master holds every solver vector whole."""
 
     def __init__(self, cluster: Cluster, part: SamplePartition, config: SolverConfig):
         super().__init__(cluster, part, config)
@@ -466,34 +494,18 @@ class _SampleLayout(_Layout):
         """<a, b> for each pair; free either way, the master holds both."""
         return [float(np.dot(a, b)) for a, b in pairs]
 
-    def curvature(self, margins: list) -> list:
-        """Per-node Hessian coefficients from per-node margins; local work."""
-        part, loss = self.part, self.config.loss
-        return self.cluster.map_nodes(lambda j: hess_coeffs(loss, margins[j], part.labels[j]))
-
-    def gradient(self, w: np.ndarray) -> tuple:
-        """Broadcast w, reduce-all the per-node data terms, add lam*w.
-        Returns the gradient and the per-node margins."""
-        cluster, part, config = self.cluster, self.part, self.config
-        w_all = cluster.broadcast(w)
-
-        def local_term(j):
-            margins_j = spmv_transpose(part.shards[j], w_all)
-            return margins_j, spmv(part.shards[j], grad_coeffs(config.loss, margins_j, part.labels[j])) / part.n
-
-        node_margins, parts = zip(*cluster.map_nodes(local_term))
-        return cluster.reduce_all(list(parts)) + config.lam * w_all, list(node_margins)
-
-    def hess_vec(self, u: np.ndarray, h: list) -> np.ndarray:
-        """One metered Hu: broadcast u, reduce-all the data terms, add lam*u."""
+    def _product(self, u: np.ndarray, coeffs) -> tuple:
+        """Broadcast u; node j forms its slice of X'u and its data term, and
+        the data terms are reduce-alled."""
         cluster, part = self.cluster, self.part
         u_all = cluster.broadcast(u)
 
         def local_term(j):
             z = spmv_transpose(part.shards[j], u_all)
-            return spmv(part.shards[j], h[j] * z) / part.n
+            return z, spmv(part.shards[j], coeffs(z, self.nodes[j])) / part.n
 
-        return cluster.reduce_all(cluster.map_nodes(local_term)) + self.config.lam * u_all
+        z, terms = zip(*cluster.map_nodes(local_term))
+        return cluster.reduce_all(list(terms)) + self.config.lam * u_all, np.concatenate(z)
 
     def precondition(self, precond: BlockPreconditioner, r: np.ndarray) -> np.ndarray:
         return precond.apply(r)
@@ -501,26 +513,21 @@ class _SampleLayout(_Layout):
     def assemble(self, v: np.ndarray) -> np.ndarray:
         return v
 
-    def preconditioner(self, margins: list) -> BlockPreconditioner:
-        return build_preconditioner(self.config, self.part, margins[0])
+    def preconditioner(self, margins: np.ndarray) -> BlockPreconditioner:
+        return build_preconditioner(self.config, self.part, margins)
 
     def newton_step(self, eps_k, grad, margins, precond) -> NewtonStepResult:
         return pcg_samples(self.cluster, self.part, eps_k, self.config, grad=grad, margins=margins, precond=precond)
 
 
 class _FeatureLayout(_Layout):
-    """Feature partition: node i holds and works on its slice ``x[blocks[i]]``
-    of every vector. The sample margins X'w and the coefficients derived from
-    them are one length-n array that every node holds."""
+    """Feature partition: node i holds and works on its slice ``x[nodes[i]]``
+    of every solver vector, and every node holds each sample-space vector
+    whole."""
 
     def __init__(self, cluster: Cluster, part: FeaturePartition, config: SolverConfig):
         super().__init__(cluster, part, config)
-        self.blocks = tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
         config.resolved_tau(part.n)
-
-    def _join(self, fn) -> np.ndarray:
-        """The length-d vector whose slice i is ``fn(i)``, run on node i."""
-        return np.concatenate(self.cluster.map_nodes(fn))
 
     def dots(self, *pairs, metered: bool = True) -> list:
         """Global <a, b> for each pair: per-node slice terms, all riding one
@@ -529,39 +536,26 @@ class _FeatureLayout(_Layout):
         value and is deliberately not counted as a round."""
 
         def local(i):
-            node = self.blocks[i]
+            node = self.nodes[i]
             return [float(np.dot(a[node], b[node])) for a, b in pairs]
 
         if not metered:
             return [sum(terms) for terms in zip(*map(local, range(self.cluster.m)))]
         return [float(x) for x in self.cluster.reduce_all(self.cluster.map_nodes(lambda i: np.array(local(i))))]
 
-    def curvature(self, margins: np.ndarray | None) -> np.ndarray:
-        """Hessian coefficients of the shared margins (any value, or None, for
-        the square loss); local work."""
-        return hess_coeffs(self.config.loss, margins, self.part.y)
-
-    def gradient(self, w: np.ndarray) -> tuple:
-        """Per-node gradient slices from the shared margins X'w, which cost one
-        length-n reduce_all of the per-node partial products. Returns the
-        gradient and the margins."""
-        cluster, part, lam, blocks = self.cluster, self.part, self.config.lam, self.blocks
-        margins = cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], w[blocks[i]])))
-        coeffs = grad_coeffs(self.config.loss, margins, part.y)
-        return self._join(lambda i: spmv(part.shards[i], coeffs) / part.n + lam * w[blocks[i]]), margins
-
-    def hess_vec(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """One metered Hu: a single length-n reduce_all of the partial
-        products X_i'u_i, then local slice work."""
-        cluster, part, lam, blocks = self.cluster, self.part, self.config.lam, self.blocks
-        hz = h * cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], u[blocks[i]])))
-        return self._join(lambda i: spmv(part.shards[i], hz) / part.n + lam * u[blocks[i]])
+    def _product(self, u: np.ndarray, coeffs) -> tuple:
+        """One length-n reduce_all of the partial products X_i'u_i, then
+        local slice work."""
+        cluster, part, lam, nodes = self.cluster, self.part, self.config.lam, self.nodes
+        z = cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], u[nodes[i]])))
+        c = coeffs(z, slice(None))
+        return self._join(lambda i: spmv(part.shards[i], c) / part.n + lam * u[nodes[i]]), z
 
     def precondition(self, precond: BlockPreconditioner, r: np.ndarray) -> np.ndarray:
-        return self._join(lambda i: precond.apply_block(i, r[self.blocks[i]]))
+        return self._join(lambda i: precond.apply_block(i, r[self.nodes[i]]))
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
-        return self.cluster.reduce_concat([v[b] for b in self.blocks])
+        return self.cluster.reduce_concat([v[node] for node in self.nodes])
 
     def preconditioner(self, margins: np.ndarray) -> BlockPreconditioner:
         return build_preconditioner_features(self.config, self.part, margins)
@@ -639,16 +633,16 @@ def pcg_samples(
     config: SolverConfig,
     *,
     grad: np.ndarray,
-    margins: list,
+    margins: np.ndarray,
     precond: BlockPreconditioner,
 ) -> NewtonStepResult:
     """PCG on the sample partition; the master owns all full-length vectors.
 
-    ``grad`` is the full gradient and ``margins`` the per-node margins X_j'w
-    that the outer loop's gradient exchange leaves; ``precond`` comes from
-    ``build_preconditioner``. Per inner iteration: one broadcast of the search
-    direction and one reduce_all of the Hessian-product contributions, both
-    of length d; dot products are free on the master.
+    Both PCG entry points take ``grad``, the length-d gradient, ``margins``,
+    the length-n X'w that the outer loop's gradient exchange leaves, and
+    ``precond`` from the layout's builder. Per inner iteration: one broadcast
+    of the search direction and one reduce_all of the Hessian-product
+    contributions, both of length d; dot products are free on the master.
     """
     return _pcg(_SampleLayout(cluster, spart, config), eps_k, grad, margins, precond)
 
@@ -666,11 +660,9 @@ def pcg_features(
     """PCG on the feature partition: a vector is one length-d array and node
     i works on its slice, its feature block.
 
-    ``grad`` is the full gradient and ``margins`` the one length-n array X'w
-    that every node holds after the outer loop's gradient exchange; ``precond``
-    comes from ``build_preconditioner_features``; the arguments are those of
-    ``pcg_samples``. Per inner iteration: one length-n reduce_all (for Hu),
-    one scalar reduce_all for the u'Hu curvature term (widened to carry r's
+    The arguments are those of ``pcg_samples``; every node holds the
+    margins. Per inner iteration: one length-n reduce_all (for Hu), one
+    scalar reduce_all for the u'Hu curvature term (widened to carry r's
     at t=0, the only iteration where it is not already known from the
     previous beta round), and one scalar reduce_all carrying (r's, ||r||^2,
     v'Hv) -- the beta numerator, the stopping test and the damping

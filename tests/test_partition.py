@@ -58,7 +58,7 @@ class TestSamplePartition:
         ds, _ = make_dense_instance(d=4, n=6, seed=1)
         part = partition_by_samples(ds.X, ds.y, 1)
         assert np.array_equal(part.shards[0].toarray(), ds.X.toarray())
-        assert np.array_equal(part.labels[0], ds.y)
+        assert np.array_equal(part.y, ds.y)
 
     def test_even_split_offsets(self):
         ds, _ = make_dense_instance(d=3, n=6, seed=2)
@@ -70,7 +70,7 @@ class TestSamplePartition:
         part = partition_by_samples(ds.X, ds.y, 4)
         rebuilt = np.hstack([s.toarray() for s in part.shards])
         assert np.array_equal(rebuilt, ds.X.toarray())
-        assert np.array_equal(np.concatenate(part.labels), ds.y)
+        assert np.array_equal(np.concatenate([part.y[o:o + s] for o, s in zip(part.offsets, part.sizes)]), ds.y)
         # sparsity structure preserved, not just values
         assert sum(s.nnz for s in part.shards) == ds.X.nnz
 
@@ -123,7 +123,8 @@ class TestObjectiveEquivalence:
         part = partition_by_samples(ds.X, ds.y, m)
         # manual weighted assembly: each shard contributes (1/n) X_j g_j
         total = np.zeros(6)
-        for shard, yj in zip(part.shards, part.labels):
+        for shard, off, size in zip(part.shards, part.offsets, part.sizes):
+            yj = part.y[off:off + size]
             margins = spmv_transpose(shard, w)
             total += spmv(shard, grad_coeffs(obj.loss, margins, yj)) / obj.n
         total += obj.lam * w

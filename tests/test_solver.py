@@ -106,11 +106,13 @@ class TestPreconditioner:
         r = np.random.default_rng(77).standard_normal(6)
         assert np.linalg.norm(dense @ P.apply(r) - r) <= 1e-10 * np.linalg.norm(r)
 
-    def test_non_pd_failure_names_mu(self):
+    @pytest.mark.parametrize("seed", [2, 3, 78])
+    def test_non_pd_failure_names_mu(self, seed):
         # mu > 0 makes every block positive definite in exact arithmetic, but
         # a duplicated feature row at a mu far below the curvature's scale
-        # leaves a pivot that roundoff makes non-positive
-        ds, _ = make_dense_instance(d=8, n=8, seed=78)
+        # leaves a pivot whose sign roundoff picks: seed 78 once raised while
+        # seeds 2 and 3 built inverses with entries of 9e15 and 4.5e15
+        ds, _ = make_dense_instance(d=8, n=8, seed=seed)
         Xd = ds.X.toarray()
         Xd[3] = Xd[2]
         spart = partition_by_samples(SparseBlock.from_dense(Xd), ds.y, 1)
@@ -126,12 +128,12 @@ class TestPreconditioner:
         fpart = partition_by_features(ds.X, ds.y, m)
         rng = np.random.default_rng(80)
         r = rng.standard_normal(9)
-        # the shared margins, and the master's share of them in the sample layout
+        # both builders take the same length-n margins
         margins = rng.standard_normal(12)
         # d_b = 3: the dense and the low-rank path of either loss
         for loss, tau in itertools.product(LossKind, (4, 2)):
             cfg = ridge_config(lam=0.2, mu=0.05, tau=tau, loss=loss)
-            Ps = build_preconditioner(cfg, spart, margins[:spart.sizes[0]])
+            Ps = build_preconditioner(cfg, spart, margins)
             Pf = build_preconditioner_features(cfg, fpart, margins)
             got = np.concatenate(
                 [Pf.apply_block(i, r[o:o + s]) for i, (o, s) in enumerate(zip(Pf.offsets, Pf.sizes))]
@@ -249,7 +251,7 @@ def low_rank_blocks(loss, mode, tau):
     cfg = ridge_config(mu=0.1, tau=tau, loss=loss, mode=mode)
     if mode is PartitionMode.SAMPLES:
         part = partition_by_samples(ds.X, ds.y, 2)
-        P = build_preconditioner(cfg, part, margins[:part.sizes[0]])
+        P = build_preconditioner(cfg, part, margins)
     else:
         part = partition_by_features(ds.X, ds.y, 2)
         P = build_preconditioner_features(cfg, part, margins)
@@ -520,6 +522,17 @@ class TestHessianVecSamples:
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_gradient_margins_are_one_length_n_array(self, m):
+        # node j forms its slice of X'w, so the sample layout hands PCG and
+        # its builder the same length-n array as the feature layout
+        ds, obj = make_dense_instance(d=6, n=7, seed=96)
+        w = np.random.default_rng(97).standard_normal(6)
+        layout = _SampleLayout(Cluster(m), partition_by_samples(ds.X, ds.y, m), SolverConfig(lam=obj.lam))
+        margins = layout.gradient(w)[1]
+        assert margins.shape == (7,) and margins.dtype == np.float64
+        assert margins.tobytes() == (ds.X.matrix.T @ w).tobytes()
+
     def test_zero_direction_still_costs_two_rounds(self):
         ds, obj = make_dense_instance(d=6, n=9, seed=94)
         spart = partition_by_samples(ds.X, ds.y, 3)
@@ -620,7 +633,7 @@ class TestPcgSamples:
         spart = partition_by_samples(ds.X, ds.y, m)
         cl = Cluster(m)
         grad, margins = _SampleLayout(cl, spart, cfg).gradient(np.zeros(12))
-        precond = build_preconditioner(cfg, spart, margins[0])
+        precond = build_preconditioner(cfg, spart, margins)
         cl.reset_stats()
         step = pcg_samples(cl, spart, 1e-10, cfg, grad=grad, margins=margins, precond=precond)
         stats = cl.snapshot_stats()
@@ -775,6 +788,23 @@ class TestStandaloneEntryPoints:
 
 
 @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
+@pytest.mark.parametrize("m", [2, 4])
+def test_cluster_of_another_node_count_rejected(mode, m):
+    # a 2-node cluster on a 3-node sample partition once returned a direction
+    # 2.7 off in max-abs; the other mismatches failed with an IndexError or a
+    # numpy broadcast error
+    ds, _ = make_dense_instance(d=6, n=12, seed=150)
+    cfg = ridge_config(tau=2, mode=mode)
+    samples = mode is PartitionMode.SAMPLES
+    part = (partition_by_samples if samples else partition_by_features)(ds.X, ds.y, 3)
+    layout = (_SampleLayout if samples else _FeatureLayout)(Cluster(3), part, cfg)
+    grad, margins = layout.gradient(np.zeros(6))
+    inputs = dict(grad=grad, margins=margins, precond=layout.preconditioner(margins))
+    with pytest.raises(ValueError, match=f"cluster has {m} nodes, partition has 3 shards"):
+        (pcg_samples if samples else pcg_features)(Cluster(m), part, 1e-8, cfg, **inputs)
+
+
+@pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
 def test_margins_of_the_wrong_shape_rejected(mode):
     # length-1 margins once broadcast against the labels: the feature layout
     # built its preconditioner and returned a direction 0.01 off the true one
@@ -786,7 +816,7 @@ def test_margins_of_the_wrong_shape_rejected(mode):
         layout = _FeatureLayout(Cluster(2), partition_by_features(ds.X, ds.y, 2), cfg)
     grad, margins = layout.gradient(np.full(8, 0.1))
     precond = layout.preconditioner(margins)
-    short = [node[:1] for node in margins] if mode is PartitionMode.SAMPLES else margins[:1]
+    short = margins[:1]
     with pytest.raises(ValueError, match=r"margins have shape \(1,\), labels \(\d+,\)"):
         layout.preconditioner(short)
     with pytest.raises(ValueError, match=r"margins have shape \(1,\), labels \(\d+,\)"):
@@ -818,7 +848,7 @@ def zero_one_problem():
     pytest.param(lambda p: DenseNewtonOracle(p.ds, p.obj).hessian(p.w), id="oracle_hessian"),
     pytest.param(lambda p: newton_step(Cluster(2), p.spart, p.w, 1e-8, p.cfg), id="pcg_samples"),
     pytest.param(lambda p: newton_step(Cluster(2), p.fpart, p.w, 1e-8, p.cfg), id="pcg_features"),
-    pytest.param(lambda p: build_preconditioner(p.cfg, p.spart, np.zeros(6)), id="build_preconditioner"),
+    pytest.param(lambda p: build_preconditioner(p.cfg, p.spart, np.zeros(12)), id="build_preconditioner"),
     pytest.param(lambda p: build_preconditioner_features(p.cfg, p.fpart, np.zeros(12)),
                  id="build_preconditioner_features"),
 ])
