@@ -7,14 +7,16 @@ features (all vectors block-partitioned across nodes). The two layouts run
 the same mathematics and differ only in what they communicate, which is the
 point: the cost counters make the layout tradeoff directly measurable.
 
-The names below are the entry points; everything else is imported from its
+The names below are the entry points, plus ``Objective``,
+``objective_value`` and ``full_gradient``, which evaluate f and its gradient
+on unpartitioned data to check a solve. Everything else is imported from its
 submodule (``disco.linalg``, ``disco.losses``, ``disco.partition``,
 ``disco.solver``, ``disco.harness``).
 """
 
 from .comm import Cluster, CommStats
 from .linalg import SparseBlock
-from .losses import LossKind, Objective, full_gradient, hess_vec_dense, objective_value
+from .losses import LossKind, Objective, full_gradient, objective_value
 from .partition import partition_by_features, partition_by_samples
 from .solver import PartitionMode, SolverConfig, disco_outer, pcg_features, pcg_samples
 from .harness import Dataset
@@ -28,7 +30,6 @@ __all__ = [
     "LossKind",
     "Objective",
     "full_gradient",
-    "hess_vec_dense",
     "objective_value",
     "partition_by_samples",
     "partition_by_features",

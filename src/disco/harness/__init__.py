@@ -1,7 +1,6 @@
-"""Dataset ingestion, synthetic generators, dense test oracles and the CLI."""
+"""Dataset ingestion, synthetic generators, the trace CSV writer and the CLI."""
 
 from .datasets import Dataset, gen_synthetic, read_libsvm, write_libsvm
-from .oracles import DenseNewtonOracle, ridge_closed_form
 from .trace import write_trace_csv
 
 __all__ = [
@@ -9,7 +8,5 @@ __all__ = [
     "gen_synthetic",
     "read_libsvm",
     "write_libsvm",
-    "DenseNewtonOracle",
-    "ridge_closed_form",
     "write_trace_csv",
 ]

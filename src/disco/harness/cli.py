@@ -49,14 +49,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_SYNTHETIC_FIELDS = (("d", int), ("n", int), ("density", float), ("noise", float), ("seed", int))
+
+
 def _parse_synthetic(spec: str):
     parts = spec.split(",")
     if len(parts) not in (4, 5):
         raise ValueError(f"--synthetic expects d,n,density,noise[,seed], got {spec!r}")
-    d, n = int(parts[0]), int(parts[1])
-    density, noise = float(parts[2]), float(parts[3])
-    seed = int(parts[4]) if len(parts) == 5 else 0
-    return gen_synthetic(d, n, density, noise, seed)
+    fields = {"seed": 0}
+    for (name, kind), text in zip(_SYNTHETIC_FIELDS, parts):
+        try:
+            fields[name] = kind(text)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ValueError(f"--synthetic field {name} must be {expected}, got {text!r}") from None
+    return gen_synthetic(**fields)
 
 
 def run_experiment(args) -> int:

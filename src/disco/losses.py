@@ -34,7 +34,6 @@ __all__ = [
     "hess_coeffs",
     "objective_value",
     "full_gradient",
-    "hess_vec_dense",
 ]
 
 
@@ -153,23 +152,3 @@ def full_gradient(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray) 
     margins = X.matrix.T @ w
     coeffs = grad_coeffs(obj.loss, margins, y)
     return X.matrix @ coeffs / obj.n + obj.lam * w
-
-
-def hess_vec_dense(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Hessian-vector product (1/n) * X (h * X'u) + lam * u on unpartitioned data.
-
-    For the square loss the coefficients are constant, so the result never
-    touches ``w`` and is bitwise independent of it.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    _check_full_dims(obj, X, y, w)
-    if u.shape[0] != obj.d:
-        raise ValueError(f"direction has length {u.shape[0]}, expected {obj.d}")
-    if obj.loss is LossKind.SQUARE:
-        h = np.full(obj.n, 2.0)
-    else:
-        h = hess_coeffs(obj.loss, X.matrix.T @ w, y)
-    z = X.matrix.T @ u
-    return X.matrix @ (h * z) / obj.n + obj.lam * u

@@ -454,8 +454,9 @@ class _Layout:
     """Node i works on slice ``nodes[i]`` of the dimension its layout
     splits. ``config`` is validated here, and subclasses check that tau fits
     the samples their preconditioner draws from. A subclass's ``_product(u,
-    coeffs)`` returns (X c)/n + lam*u, c = coeffs(X'u), and X'u, where
-    ``coeffs(z, idx)`` maps the margins z of samples idx elementwise."""
+    coeffs)`` returns (X c)/n + lam*u, c = coeffs(X'u), and X'u as pieces
+    that concatenate to the length-n array, where ``coeffs(z, idx)`` maps the
+    margins z of samples idx elementwise."""
 
     def __init__(self, cluster: Cluster, part, config: SolverConfig):
         config.validate()
@@ -476,7 +477,8 @@ class _Layout:
     def gradient(self, w: np.ndarray) -> tuple:
         """One metered exchange; returns the gradient and the margins X'w."""
         loss, y = self.config.loss, self.part.y
-        return self._product(w, lambda z, idx: grad_coeffs(loss, z, y[idx]))
+        grad, z = self._product(w, lambda z, idx: grad_coeffs(loss, z, y[idx]))
+        return grad, np.concatenate(z)
 
     def hess_vec(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
         """One metered Hu."""
@@ -505,7 +507,7 @@ class _SampleLayout(_Layout):
             return z, spmv(part.shards[j], coeffs(z, self.nodes[j])) / part.n
 
         z, terms = zip(*cluster.map_nodes(local_term))
-        return cluster.reduce_all(list(terms)) + self.config.lam * u_all, np.concatenate(z)
+        return cluster.reduce_all(list(terms)) + self.config.lam * u_all, z
 
     def precondition(self, precond: BlockPreconditioner, r: np.ndarray) -> np.ndarray:
         return precond.apply(r)
@@ -549,7 +551,7 @@ class _FeatureLayout(_Layout):
         cluster, part, lam, nodes = self.cluster, self.part, self.config.lam, self.nodes
         z = cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], u[nodes[i]])))
         c = coeffs(z, slice(None))
-        return self._join(lambda i: spmv(part.shards[i], c) / part.n + lam * u[nodes[i]]), z
+        return self._join(lambda i: spmv(part.shards[i], c) / part.n + lam * u[nodes[i]]), (z,)
 
     def precondition(self, precond: BlockPreconditioner, r: np.ndarray) -> np.ndarray:
         return self._join(lambda i: precond.apply_block(i, r[self.nodes[i]]))

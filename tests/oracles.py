@@ -1,18 +1,14 @@
-"""Dense brute-force oracles used by the test suite.
+"""Dense brute-force oracles for the test suite.
 
 These deliberately assemble full matrices and call dense solvers, staying
 independent of the sparse/distributed code paths they are used to check.
 """
 
-from __future__ import annotations
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from ..losses import LossKind, Objective, grad_coeffs, hess_coeffs
-from .datasets import Dataset
-
-__all__ = ["ridge_closed_form", "DenseNewtonOracle"]
+from disco import Dataset, LossKind, Objective, SparseBlock
+from disco.losses import _check_full_dims, grad_coeffs, hess_coeffs
 
 _MAX_DENSE_DIM = 500
 
@@ -30,8 +26,7 @@ def ridge_closed_form(dataset: Dataset, lam: float) -> np.ndarray:
 
 
 class DenseNewtonOracle:
-    """Exact Newton directions (and, for the square loss, the minimizer)
-    from densely assembled gradients and Hessians."""
+    """Exact Newton directions from densely assembled gradients and Hessians."""
 
     def __init__(self, dataset: Dataset, obj: Objective):
         if dataset.d > _MAX_DENSE_DIM:
@@ -59,8 +54,22 @@ class DenseNewtonOracle:
         H = self.hessian(w)
         return cho_solve(cho_factor(H, lower=True), self.gradient(w))
 
-    def minimizer(self) -> np.ndarray:
-        """Global minimizer; defined for the (quadratic) square loss only."""
-        if self.obj.loss is not LossKind.SQUARE:
-            raise ValueError("closed-form minimizer exists only for the square loss")
-        return ridge_closed_form(self.dataset, self.obj.lam)
+
+def hess_vec_dense(obj: Objective, X: SparseBlock, y: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Hessian-vector product (1/n) * X (h * X'u) + lam * u on unpartitioned data.
+
+    For the square loss the coefficients are constant, so the result never
+    touches ``w`` and is bitwise independent of it.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    _check_full_dims(obj, X, y, w)
+    if u.shape[0] != obj.d:
+        raise ValueError(f"direction has length {u.shape[0]}, expected {obj.d}")
+    if obj.loss is LossKind.SQUARE:
+        h = np.full(obj.n, 2.0)
+    else:
+        h = hess_coeffs(obj.loss, X.matrix.T @ w, y)
+    z = X.matrix.T @ u
+    return X.matrix @ (h * z) / obj.n + obj.lam * u

@@ -15,16 +15,16 @@ from disco import (
     SolverConfig,
     disco_outer,
     full_gradient,
-    hess_vec_dense,
     objective_value,
     partition_by_features,
     partition_by_samples,
 )
-from disco.harness import DenseNewtonOracle, gen_synthetic, ridge_closed_form
+from disco.harness import gen_synthetic
 from disco.harness.cli import main as cli_main
 from disco.harness.trace import TRACE_HEADER
 
 from conftest import make_dense_instance, newton_step, recorded_solve
+from oracles import DenseNewtonOracle, hess_vec_dense, ridge_closed_form
 
 
 def report(num, text):

@@ -164,6 +164,19 @@ class TestErrors:
         assert run_cli("--synthetic", "10,20") == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, field, text", [
+        ("4e1,40,0.5,0.1", "d", "4e1"),
+        ("40,4.5,0.5,0.1", "n", "4.5"),
+        ("40,40,half,0.1", "density", "half"),
+        ("40,40,0.5,,1", "noise", ""),
+        ("40,40,0.5,0.1,x", "seed", "x"),
+    ], ids=["d", "n", "density", "noise", "seed"])
+    def test_bad_synthetic_field_is_named(self, capsys, spec, field, text):
+        # before, "40,4.5,0.5,0.1" printed only int()'s own message
+        assert run_cli("--synthetic", spec) == 1
+        expected = "a number" if field in ("density", "noise") else "an integer"
+        assert f"error: --synthetic field {field} must be {expected}, got {text!r}" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert run_cli("--data", "/nonexistent/file.txt") == 1
         assert "error" in capsys.readouterr().err

@@ -16,15 +16,10 @@ from disco import (
     full_gradient,
     partition_by_samples,
 )
-from disco.harness import (
-    DenseNewtonOracle,
-    gen_synthetic,
-    read_libsvm,
-    ridge_closed_form,
-    write_libsvm,
-)
+from disco.harness import gen_synthetic, read_libsvm, write_libsvm
 
 from conftest import make_dense_instance, newton_step, recorded_solve
+from oracles import DenseNewtonOracle, ridge_closed_form
 
 
 class TestReadLibsvm:
@@ -259,11 +254,6 @@ class TestDenseNewtonOracle:
         ds, _ = make_dense_instance(d=3, n=4, seed=166)
         with pytest.raises(ValueError, match="dataset and objective dimensions disagree"):
             DenseNewtonOracle(ds, Objective(LossKind.SQUARE, 0.1, 5, 3))
-
-    def test_minimizer_requires_square_loss(self):
-        ds, obj = make_dense_instance(d=4, n=8, seed=165, loss=LossKind.LOGISTIC, labels="sign")
-        with pytest.raises(ValueError, match="square"):
-            DenseNewtonOracle(ds, obj).minimizer()
 
 
 class TestTraceAccounting:

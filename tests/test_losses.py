@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from disco import LossKind, Objective, SparseBlock, full_gradient, hess_vec_dense, objective_value
+from disco import LossKind, Objective, SparseBlock, full_gradient, objective_value
 from disco.losses import grad_coeffs, hess_coeffs
-from disco.harness import ridge_closed_form
 
 from conftest import make_dense_instance
+from oracles import hess_vec_dense, ridge_closed_form
 
 
 def sq_obj(n=1, d=1, lam=0.5):

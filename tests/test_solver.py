@@ -26,7 +26,6 @@ from disco import (
     SparseBlock,
     disco_outer,
     full_gradient,
-    hess_vec_dense,
     objective_value,
     partition_by_features,
     partition_by_samples,
@@ -34,7 +33,7 @@ from disco import (
     pcg_samples,
     solver,
 )
-from disco.harness import DenseNewtonOracle, gen_synthetic, ridge_closed_form
+from disco.harness import gen_synthetic
 from disco.losses import grad_coeffs, hess_coeffs
 from disco.solver import (
     BlockPreconditioner,
@@ -50,6 +49,7 @@ from disco.solver import (
 )
 
 from conftest import inner_steps, make_dense_instance, newton_step, preconditioned_residuals, recorded_solve
+from oracles import DenseNewtonOracle, hess_vec_dense, ridge_closed_form
 
 
 def ridge_config(lam=0.1, mu=1e-3, tau=None, theta=1e-4, mode=PartitionMode.SAMPLES, **kw):
@@ -1164,8 +1164,7 @@ class TestDiscoOuter:
 
 @pytest.mark.parametrize("module", [
     "disco", "disco.comm", "disco.linalg", "disco.losses", "disco.partition", "disco.solver",
-    "disco.harness", "disco.harness.cli", "disco.harness.datasets", "disco.harness.oracles",
-    "disco.harness.trace",
+    "disco.harness", "disco.harness.cli", "disco.harness.datasets", "disco.harness.trace",
 ])
 def test_every_exported_name_resolves(module):
     # a name left in __all__ after its definition goes breaks ``import *``
