@@ -1,7 +1,13 @@
 """Simulated collective communication over m lockstep workers, with metering.
 
-The cluster models a barrier-synchronized machine group: a compute phase maps
-a function over all node ids, then a collective moves data between nodes.
+The cluster models a barrier-synchronized machine group: a compute phase does
+every node's local work, then a collective moves data between nodes. A
+compute phase either maps a function over all node ids (``map_nodes``) or,
+as the solver's products and preconditioner do, runs one kernel over an
+operator whose rows each belong to one node and splits the result into the
+per-node contributions; either way each collective receives one
+contribution per node and meters the same rounds and bytes.
+
 Collectives are *logical* single-round operations -- one round and
 8 bytes/element regardless of the node count -- because the cost model counts
 collective invocations and payload volume, not transport-level hops. Counters
@@ -18,8 +24,8 @@ After ``broadcast`` or ``reduce_all`` every node holds the same value, so the
 simulator returns it once, as a read-only array: a copy of the payload, or
 the sum itself. The counters meter the call, not the replicas.
 
-Compute phases run node by node in node order and reductions sum in ascending
-node order, so a run is deterministic.
+``map_nodes`` runs node by node in node order and reductions sum in
+ascending node order, so a run is deterministic.
 """
 
 from __future__ import annotations

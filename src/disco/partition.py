@@ -12,6 +12,15 @@ Splits are contiguous and balanced (sizes differ by at most one, larger
 shards first) so partitioning is deterministic and reassembly is a plain
 concatenation.
 
+Each partition also holds two operators for the solver's node-local
+products, so that each product is one kernel call over all nodes rather than
+one call per node: ``X``, the unsplit data in a wrapper of its own (the
+operands a product builds are cached there, not on the caller's block), and
+``stack``, the block-diagonal stack of the shards, whose every row holds one
+node's entries. In the feature layout the stack is d x (m*n), node i's rows
+in columns i*n:(i+1)*n, over X's own data and row pointers; in the sample
+layout it is (m*d) x n, node j's shard in rows j*d:(j+1)*d.
+
 Each partition carries a ``cache`` dict for what later steps derive from it
 alone (the solver keeps its preconditioner slices there), so that such data
 is made once and lives exactly as long as the partition.
@@ -22,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-from .linalg import SparseBlock, as_vec
+from .linalg import SparseBlock, _index_dtype, as_vec, block_diagonal
 
 __all__ = [
     "SamplePartition",
@@ -45,7 +55,8 @@ def balanced_sizes(total: int, m: int) -> list:
 @dataclass(frozen=True)
 class _Partition:
     """Shard i holds part ``offsets[i]:+sizes[i]`` of the split dimension;
-    ``y`` is the full label vector in both layouts."""
+    ``y`` is the full label vector in both layouts; ``X`` and ``stack`` are
+    the unsplit data and the stacked shards (see the module docstring)."""
 
     shards: tuple          # SparseBlock
     y: np.ndarray
@@ -53,6 +64,8 @@ class _Partition:
     offsets: tuple
     d: int
     n: int
+    X: SparseBlock = field(repr=False, compare=False)
+    stack: SparseBlock = field(repr=False, compare=False)
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -80,13 +93,31 @@ def _contiguous_split(X: SparseBlock, y, m: int, total: int, what: str) -> tuple
     return y, sizes, tuple(sum(sizes[:i]) for i in range(m))
 
 
+def _feature_stack(X: SparseBlock, offsets) -> SparseBlock:
+    """The d x (m*n) stack of X's row blocks starting at ``offsets``: X's
+    data and row pointers, with block i's column indices shifted by i*n."""
+    d, n = X.rows, X.cols
+    shape = (d, len(offsets) * n)
+    idx = _index_dtype(shape, X.nnz)
+    indices = X.matrix.indices.astype(idx)
+    starts = X.matrix.indptr[[*offsets, d]]
+    for i in range(1, len(offsets)):
+        indices[starts[i]:starts[i + 1]] += i * n
+    indptr = X.matrix.indptr.astype(idx, copy=False)
+    return SparseBlock(sparse.csr_array((X.matrix.data, indices, indptr), shape=shape))
+
+
 def partition_by_samples(X: SparseBlock, y: np.ndarray, m: int) -> SamplePartition:
     y, sizes, offsets = _contiguous_split(X, y, m, X.cols, "samples")
     shards = tuple(X.column_slice(off, off + size) for off, size in zip(offsets, sizes))
-    return SamplePartition(shards, y.copy(), sizes, offsets, X.rows, X.cols)
+    d, n = X.rows, X.cols
+    stack = block_diagonal([s.matrix for s in shards], range(0, m * d, d), offsets, (m * d, n))
+    return SamplePartition(shards, y.copy(), sizes, offsets, d, n, SparseBlock(X.matrix), SparseBlock(stack))
 
 
 def partition_by_features(X: SparseBlock, y: np.ndarray, m: int) -> FeaturePartition:
     y, sizes, offsets = _contiguous_split(X, y, m, X.rows, "features")
     shards = tuple(X.row_slice(off, off + size) for off, size in zip(offsets, sizes))
-    return FeaturePartition(shards, y.copy(), sizes, offsets, X.rows, X.cols)
+    return FeaturePartition(
+        shards, y.copy(), sizes, offsets, X.rows, X.cols, SparseBlock(X.matrix), _feature_stack(X, offsets)
+    )

@@ -28,6 +28,14 @@ A broadcast or reduce_all returns the one read-only array that every node
 then holds, so no layout keeps per-node replicas; PCG never writes into an
 array it did not just allocate.
 
+Node-local work runs as one kernel call over all nodes, not one call per
+node: each product multiplies the partition's unsplit X once and its
+block-diagonal stack of shards once, whose every row holds one node's
+terms, and reshapes the stacked result into the m per-node contributions
+that the collective receives, so the collectives, their rounds and their
+bytes are those of a per-node run. The preconditioner applies its low-rank
+blocks the same way, over stacks of their slices.
+
 Both layouts use the same preconditioner: a feature-block-diagonal curvature
 matrix estimated from the first tau samples,
 
@@ -53,22 +61,26 @@ step for the logistic loss. A partition's first build slices each block's
 first tau samples and keeps in the partition's ``cache`` what every later
 build reads: for a low-rank block the sparse slice X_b, its transpose and
 their dense tau x tau Gram X_b'X_b (one sparse product per block per solve);
-for a dense block the dense d_b x tau slice. Only the sqrt(h) scaling depends
-on the iterate, so a logistic rebuild at every Newton step slices nothing and
-creates no sparse matrix: a low-rank block scales the kept Gram by sqrt(h) on
-both sides, an O(tau^2) pass, adds mu*tau*I and inverts it; a dense block
-forms and inverts its d_b x d_b Gram. The price is one extra tau x tau array
-per low-rank block for the life of the partition, 8 MB per block at the
-default tau = 1000. With identical preconditioners the two layouts produce
+for a dense block the dense d_b x tau slice; and the block-diagonal stacks
+of the low-rank slices and of their transposes. Only the sqrt(h) scaling
+depends on the iterate, so a logistic rebuild at every Newton step slices
+nothing and creates no sparse matrix: a low-rank block scales the kept Gram
+by sqrt(h) on both sides, an O(tau^2) pass, adds mu*tau*I and inverts it; a
+dense block forms and inverts its d_b x d_b Gram. The price is one extra
+tau x tau array per low-rank block for the life of the partition, 8 MB per
+block at the default tau = 1000. With identical preconditioners the two layouts produce
 the same iterates up to roundoff, so layout only changes communication cost,
 not the optimization path.
 
-Every Hessian product multiplies each shard transposed (``spmv_transpose``)
-and then forward (``spmv``), both looping over the shard's shorter side: a
-shard with more rows than columns, such as a d x n_j sample shard with
-d > n_j, multiplies through a CSR copy of its transpose built on its first
-product and through the CSC view of that copy; a shard with no more rows than
-columns through its CSR matrix and its CSC view.
+Every Hessian product multiplies transposed (``spmv_transpose``: X in the
+sample layout, the stack in the feature layout) and then forward (``spmv``:
+the stack, or X), both looping over the operand's shorter side: an operand
+with more rows than columns multiplies through a CSR copy of its transpose
+built on its first product and through the CSC view of that copy; one with
+no more rows than columns through its CSR matrix and its CSC view. Both
+kernels add each output element's terms in ascending index order, starting
+from 0.0, so each node's part of a stacked product has the bits of a
+per-node product.
 
 A solve is described once: the partition gives the data, n and the feature
 block split, ``SolverConfig`` the loss, lam and every solver parameter; a
@@ -98,7 +110,7 @@ from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .comm import Cluster
-from .linalg import matvec, spmv, spmv_transpose
+from .linalg import block_diagonal, matvec, spmv, spmv_transpose
 from .losses import Choice, LossKind, grad_coeffs, hess_coeffs
 from .partition import (
     FeaturePartition,
@@ -305,33 +317,62 @@ class _LowRankBlock(NamedTuple):
         return (r - matvec(self.x, _symv(1.0, self.c, matvec(self.xt, r), lower=1))) / self.mu
 
 
+def _vector(r, what: str) -> np.ndarray:
+    """``r`` as a float64 vector; anything else raises, naming its shape."""
+    r = np.asarray(r, dtype=np.float64)
+    if r.ndim != 1:
+        raise ValueError(f"{what} takes a vector: r has shape {r.shape}")
+    return r
+
+
 @dataclass
 class BlockPreconditioner:
     """Inverted per-feature-block subsampled curvature matrices, one
-    ``_DenseBlock`` or ``_LowRankBlock`` per block."""
+    ``_DenseBlock`` or ``_LowRankBlock`` per block. ``x`` (d x k*tau) and
+    ``xt`` (k*tau x d) stack the sparse slices of the k low-rank blocks, in
+    block order, block-diagonally at each block's feature offset (None when
+    no block is low-rank), so that ``apply`` runs each of the Woodbury
+    products once for all blocks."""
 
     blocks: tuple
     sizes: tuple
     offsets: tuple
+    x: sparse.csr_array | None
+    xt: sparse.csr_array | None
 
     @property
     def dim(self) -> int:
         return sum(self.sizes)
 
     def apply_block(self, i: int, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
+        """Solve P_i s = r for block i alone."""
+        r = _vector(r, f"block {i} solve")
+        if not 0 <= i < len(self.blocks):
+            raise ValueError(f"block index {i} is outside 0..{len(self.blocks) - 1}")
         if r.shape[0] != self.sizes[i]:
             raise ValueError(f"block {i} solve: vector has length {r.shape[0]}, block is {self.sizes[i]}")
         return self.blocks[i].solve(r)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """Solve P s = r with the stored inverses."""
-        r = np.asarray(r, dtype=np.float64)
+        """Solve P s = r with the stored inverses: the low-rank blocks
+        together, through one product with ``xt``, one ``dsymv`` per block
+        and one product with ``x``, then each dense block through its own
+        ``dsymv``. Every row of a stack holds one block's entries in that
+        block's order, so each block's result has the bits of its own solve
+        (``apply_block``)."""
+        r = _vector(r, "P solve")
         if r.shape[0] != self.dim:
             raise ValueError(f"P solve: vector has length {r.shape[0]}, P is {self.dim}x{self.dim}")
-        out = np.empty_like(r)
+        low_rank = [b for b in self.blocks if isinstance(b, _LowRankBlock)]
+        if low_rank:
+            q = matvec(self.xt, r).reshape(len(low_rank), -1)
+            z = np.concatenate([_symv(1.0, b.c, q_b, lower=1) for b, q_b in zip(low_rank, q)])
+            out = (r - matvec(self.x, z)) / low_rank[0].mu
+        else:
+            out = np.empty_like(r)
         for block, off, size in zip(self.blocks, self.offsets, self.sizes):
-            out[off:off + size] = block.solve(r[off:off + size])
+            if isinstance(block, _DenseBlock):
+                out[off:off + size] = block.solve(r[off:off + size])
         return out
 
 
@@ -383,24 +424,45 @@ def _factor_curvature_block(i: int, kept, h_tau: np.ndarray, mu: float):
         ) from exc
 
 
-def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int, cut) -> tuple:
-    """The kept slices (see ``_kept_slice``) of the feature blocks' first tau
-    samples: the first call for a partition and tau cuts the sparse slices
-    with ``cut()`` and keeps what the builds read in ``part.cache``."""
+class _KeptSlices(NamedTuple):
+    """What a partition keeps of its feature blocks' first tau samples: one
+    ``_kept_slice`` per block, and the stacks ``x`` and ``xt`` of the
+    low-rank blocks' sparse slices that ``BlockPreconditioner.apply`` reads
+    (None when no block is low-rank)."""
+
+    slices: tuple
+    x: sparse.csr_array | None
+    xt: sparse.csr_array | None
+
+
+def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int, cut, offsets) -> _KeptSlices:
+    """The kept slices of the feature blocks' first tau samples, the blocks
+    starting at feature ``offsets``: the first call for a partition and tau
+    cuts the sparse slices with ``cut()``, stacks the low-rank ones and keeps
+    all of it in ``part.cache``, so that a rebuild stacks nothing."""
     key = ("curvature_slices", tau)
     if key not in part.cache:
-        part.cache[key] = tuple(_kept_slice(b) for b in cut())
+        slices = tuple(_kept_slice(b) for b in cut())
+        low_rank = [(kept, off) for kept, off in zip(slices, offsets) if isinstance(kept, _GramSlice)]
+        x = xt = None
+        if low_rank:
+            pieces, feature_offsets = zip(*low_rank)
+            sample_offsets = [j * tau for j in range(len(low_rank))]
+            width = len(low_rank) * tau
+            x = block_diagonal([k.x for k in pieces], feature_offsets, sample_offsets, (part.d, width))
+            xt = block_diagonal([k.xt for k in pieces], sample_offsets, feature_offsets, (width, part.d))
+        part.cache[key] = _KeptSlices(slices, x, xt)
     return part.cache[key]
 
 
-def _block_preconditioner(config: SolverConfig, part: SamplePartition | FeaturePartition, tau: int, kept: tuple,
-                          margins: np.ndarray | None, sizes, offsets) -> BlockPreconditioner:
+def _block_preconditioner(config: SolverConfig, part: SamplePartition | FeaturePartition, tau: int,
+                          kept: _KeptSlices, margins: np.ndarray | None, sizes, offsets) -> BlockPreconditioner:
     """Invert each feature block from its kept first-tau-samples slice with
     the curvature of the first tau ``margins`` and labels."""
     config.validate()
     h_tau = hess_coeffs(config.loss, None if margins is None else margins[:tau], part.y[:tau])
-    blocks = tuple(_factor_curvature_block(i, b, h_tau, config.mu) for i, b in enumerate(kept))
-    return BlockPreconditioner(blocks, tuple(sizes), tuple(offsets))
+    blocks = tuple(_factor_curvature_block(i, b, h_tau, config.mu) for i, b in enumerate(kept.slices))
+    return BlockPreconditioner(blocks, tuple(sizes), tuple(offsets), kept.x, kept.xt)
 
 
 def build_preconditioner(
@@ -427,8 +489,8 @@ def build_preconditioner(
         sub = shard.matrix[:, :tau]
         return [sub[off:off + size, :] for off, size in zip(offsets, sizes)]
 
-    blocks = _curvature_slices(spart, tau, cut)
-    return _block_preconditioner(config, spart, tau, blocks, margins, sizes, offsets)
+    kept = _curvature_slices(spart, tau, cut, offsets)
+    return _block_preconditioner(config, spart, tau, kept, margins, sizes, offsets)
 
 
 def build_preconditioner_features(
@@ -441,8 +503,8 @@ def build_preconditioner_features(
     and keeps. ``margins`` are the length-n sample margins X'w of the current
     iterate (any value, or None, for the square loss)."""
     tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.shards))[0])
-    blocks = _curvature_slices(fpart, tau, lambda: [shard.matrix[:, :tau] for shard in fpart.shards])
-    return _block_preconditioner(config, fpart, tau, blocks, margins, fpart.sizes, fpart.offsets)
+    kept = _curvature_slices(fpart, tau, lambda: [shard.matrix[:, :tau] for shard in fpart.shards], fpart.offsets)
+    return _block_preconditioner(config, fpart, tau, kept, margins, fpart.sizes, fpart.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +513,20 @@ def build_preconditioner_features(
 
 
 class _Layout:
-    """Node i works on slice ``nodes[i]`` of the dimension its layout
-    splits. ``config`` is validated here, and subclasses check that tau fits
-    the samples their preconditioner draws from. A subclass's ``_product(u,
-    coeffs)`` returns (X c)/n + lam*u, c = coeffs(X'u), and X'u as pieces
-    that concatenate to the length-n array, where ``coeffs(z, idx)`` maps the
-    margins z of samples idx elementwise."""
+    """The per-node work and the collectives of one data layout. ``config``
+    is validated here, and subclasses check that tau fits the samples their
+    preconditioner draws from. A subclass's ``_product(u, coeffs)`` returns
+    (X c)/n + lam*u, c = coeffs(X'u), and the length-n X'u, where
+    ``coeffs`` maps margins elementwise. Node-local work runs as one kernel
+    call over the partition's unsplit ``X`` or its ``stack`` of shards,
+    whose every row holds one node's terms, so each node's part has the bits
+    of a per-node call."""
 
     def __init__(self, cluster: Cluster, part, config: SolverConfig):
         config.validate()
         if cluster.m != len(part.shards):
             raise ValueError(f"cluster has {cluster.m} nodes, partition has {len(part.shards)} shards")
         self.cluster, self.part, self.config = cluster, part, config
-        self.nodes = tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
-
-    def _join(self, fn) -> np.ndarray:
-        """The vector whose slice i is ``fn(i)``, run on node i."""
-        return np.concatenate(self.cluster.map_nodes(fn))
 
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:
         """Hessian coefficients of the margins (any value, or None, for the
@@ -477,12 +536,11 @@ class _Layout:
     def gradient(self, w: np.ndarray) -> tuple:
         """One metered exchange; returns the gradient and the margins X'w."""
         loss, y = self.config.loss, self.part.y
-        grad, z = self._product(w, lambda z, idx: grad_coeffs(loss, z, y[idx]))
-        return grad, np.concatenate(z)
+        return self._product(w, lambda z: grad_coeffs(loss, z, y))
 
     def hess_vec(self, u: np.ndarray, h: np.ndarray) -> np.ndarray:
         """One metered Hu."""
-        return self._product(u, lambda z, idx: h[idx] * z)[0]
+        return self._product(u, lambda z: h * z)[0]
 
 
 class _SampleLayout(_Layout):
@@ -497,20 +555,14 @@ class _SampleLayout(_Layout):
         return [float(np.dot(a, b)) for a, b in pairs]
 
     def _product(self, u: np.ndarray, coeffs) -> tuple:
-        """Broadcast u; node j forms its slice of X'u and its data term, and
-        the data terms are reduce-alled."""
+        """Broadcast u; node j forms its slice of X'u and its data term
+        X_j c_j / n (row block j of the stacked product), and the data terms
+        are reduce-alled."""
         cluster, part = self.cluster, self.part
         u_all = cluster.broadcast(u)
-
-        def local_term(j):
-            z = spmv_transpose(part.shards[j], u_all)
-            return z, spmv(part.shards[j], coeffs(z, self.nodes[j])) / part.n
-
-        z, terms = zip(*cluster.map_nodes(local_term))
+        z = spmv_transpose(part.X, u_all)
+        terms = (spmv(part.stack, coeffs(z)) / part.n).reshape(cluster.m, part.d)
         return cluster.reduce_all(list(terms)) + self.config.lam * u_all, z
-
-    def precondition(self, precond: BlockPreconditioner, r: np.ndarray) -> np.ndarray:
-        return precond.apply(r)
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         return v
@@ -530,6 +582,7 @@ class _FeatureLayout(_Layout):
     def __init__(self, cluster: Cluster, part: FeaturePartition, config: SolverConfig):
         super().__init__(cluster, part, config)
         config.resolved_tau(part.n)
+        self.nodes = tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
 
     def dots(self, *pairs, metered: bool = True) -> list:
         """Global <a, b> for each pair: per-node slice terms, all riding one
@@ -546,15 +599,11 @@ class _FeatureLayout(_Layout):
         return [float(x) for x in self.cluster.reduce_all(self.cluster.map_nodes(lambda i: np.array(local(i))))]
 
     def _product(self, u: np.ndarray, coeffs) -> tuple:
-        """One length-n reduce_all of the partial products X_i'u_i, then
-        local slice work."""
-        cluster, part, lam, nodes = self.cluster, self.part, self.config.lam, self.nodes
-        z = cluster.reduce_all(cluster.map_nodes(lambda i: spmv_transpose(part.shards[i], u[nodes[i]])))
-        c = coeffs(z, slice(None))
-        return self._join(lambda i: spmv(part.shards[i], c) / part.n + lam * u[nodes[i]]), (z,)
-
-    def precondition(self, precond: BlockPreconditioner, r: np.ndarray) -> np.ndarray:
-        return self._join(lambda i: precond.apply_block(i, r[self.nodes[i]]))
+        """One length-n reduce_all of the partial products X_i'u_i (row i of
+        the stacked product), then each node's slice of X c / n + lam*u."""
+        cluster, part = self.cluster, self.part
+        z = cluster.reduce_all(list(spmv_transpose(part.stack, u).reshape(cluster.m, part.n)))
+        return spmv(part.X, coeffs(z)) / part.n + self.config.lam * u, z
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         return self.cluster.reduce_concat([v[node] for node in self.nodes])
@@ -589,7 +638,7 @@ def _pcg(layout: _Layout, eps_k: float, grad: np.ndarray, margins, precond: Bloc
     resnorm = math.sqrt(layout.dots((r, r), metered=False)[0])
     if resnorm <= eps_k:
         return NewtonStepResult(np.zeros(d), 0.0, 0, resnorm, True)
-    s = layout.precondition(precond, r)
+    s = precond.apply(r)
     u = s
     v = np.zeros(d)
     Hv = np.zeros(d)
@@ -605,7 +654,7 @@ def _pcg(layout: _Layout, eps_k: float, grad: np.ndarray, margins, precond: Bloc
         v = v + alpha * u
         Hv = Hv + alpha * Hu
         r = r - alpha * Hu
-        s = layout.precondition(precond, r)
+        s = precond.apply(r)
         rs_next, rnorm2, vHv = layout.dots((r, s), (r, r), (v, Hv))
         # The block solves skip scipy's per-call finiteness scan; a NaN or
         # infinity in r or s surfaces in these scalars instead.

@@ -88,25 +88,17 @@ def inner_steps(pcg, cfg):
 
 def preconditioned_residuals(call):
     """Run ``call()`` and return (its result, every residual r it handed the
-    preconditioner, each as one full-length vector). The sample layout passes
-    r whole to ``BlockPreconditioner.apply``; the feature layout passes it one
-    node's block at a time, in node order, to ``apply_block``. A PCG solve of
-    T iterations preconditions r_0 = grad, r_1, ..., r_T."""
+    preconditioner). Both layouts pass r whole to
+    ``BlockPreconditioner.apply``. A PCG solve of T iterations preconditions
+    r_0 = grad, r_1, ..., r_T."""
     residuals = []
-    apply, apply_block = BlockPreconditioner.apply, BlockPreconditioner.apply_block
+    apply = BlockPreconditioner.apply
 
-    def whole(precond, r):
-        residuals.append([np.array(r)])
+    def recording(precond, r):
+        residuals.append(np.array(r))
         return apply(precond, r)
 
-    def block(precond, i, r):
-        if i == 0:
-            residuals.append([])
-        residuals[-1].append(np.array(r))
-        return apply_block(precond, i, r)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BlockPreconditioner, "apply", whole)
-        mp.setattr(BlockPreconditioner, "apply_block", block)
+        mp.setattr(BlockPreconditioner, "apply", recording)
         result = call()
-    return result, [np.concatenate(blocks) for blocks in residuals]
+    return result, residuals

@@ -29,7 +29,9 @@ from disco import (
 )
 from disco import solver
 from disco.harness import gen_synthetic
-from disco.partition import balanced_sizes
+from disco.linalg import spmv, spmv_transpose
+from disco.losses import grad_coeffs
+from disco.partition import SamplePartition, balanced_sizes
 
 from conftest import make_dense_instance, newton_step, recorded_solve
 
@@ -285,18 +287,88 @@ def test_damped_newton_converges_monotonically(data, d, n, loss, mode):
         assert f_next <= f_prev * (1 + 1e-12)
 
 
+def per_shard_product(part, u, coeffs, lam):
+    """(X c)/n + lam*u and X'u, c = coeffs(X'u), with one kernel call per
+    shard and the collectives' summation order (ascending node order): the
+    reference that the layouts' stacked products must match bit for bit."""
+    nodes = [slice(off, off + size) for off, size in zip(part.offsets, part.sizes)]
+    if isinstance(part, SamplePartition):
+        z = np.concatenate([spmv_transpose(shard, u) for shard in part.shards])
+        c = coeffs(z)
+        terms = [spmv(shard, c[node]) / part.n for shard, node in zip(part.shards, nodes)]
+        return sum(terms[1:], terms[0]) + lam * u, z
+    partials = [spmv_transpose(shard, u[node]) for shard, node in zip(part.shards, nodes)]
+    z = sum(partials[1:], partials[0])
+    c = coeffs(z)
+    return np.concatenate([spmv(shard, c) / part.n + lam * u[node] for shard, node in zip(part.shards, nodes)]), z
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+@pytest.mark.parametrize("mode", list(PartitionMode))
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("d, n", [(23, 7), (7, 23)])
+def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss):
+    """The gradient, margins and Hessian product that each layout computes
+    with one kernel call over the unsplit X or the stacked shards equal a
+    per-shard loop bit for bit: on uneven splits, on shards with more rows
+    than columns and with no more (the two shapes swap which layout has
+    which), and with an empty row, an all-empty feature shard at m=5 and an
+    empty column."""
+    rng = np.random.default_rng(d * 100 + m)
+    Xd = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.5)
+    Xd[[3, 4]] = 0.0
+    Xd[:, 4] = 0.0
+    y = Xd.T @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n)
+    if loss is LossKind.LOGISTIC:
+        y = np.where(y > 0, 1.0, -1.0)
+    X = SparseBlock.from_dense(Xd)
+    cfg = SolverConfig(lam=0.3, mu=0.3, tau=1, loss=loss, partition_mode=mode)
+    if mode is PartitionMode.SAMPLES:
+        layout = solver._SampleLayout(Cluster(m), partition_by_samples(X, y, m), cfg)
+    else:
+        layout = solver._FeatureLayout(Cluster(m), partition_by_features(X, y, m), cfg)
+    w, u = rng.standard_normal(d), rng.standard_normal(d)
+
+    grad, margins = layout.gradient(w)
+    want_grad, want_margins = per_shard_product(layout.part, w, lambda z: grad_coeffs(loss, z, y), 0.3)
+    assert grad.tobytes() == want_grad.tobytes() and margins.tobytes() == want_margins.tobytes()
+    h = layout.curvature(margins)
+    want_hu, _ = per_shard_product(layout.part, u, lambda z: h * z, 0.3)
+    assert layout.hess_vec(u, h).tobytes() == want_hu.tobytes()
+
+
+def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
+    """A feature-layout solve multiplies through its partition's X and stack
+    alone: no shard builds a product operand, the caller's data block caches
+    no transposed copy, and the stack holds the data array of X itself."""
+    parts = []
+    partition = solver.partition_by_features
+    monkeypatch.setattr(solver, "partition_by_features", lambda *args: parts.append(partition(*args)) or parts[-1])
+    ds = gen_synthetic(120, 20, 0.2, 0.1, 3)  # 40 x 20 shards: a transposed product would copy one
+    cfg = SolverConfig(lam=0.1, mu=0.1, tau=5, partition_mode=PartitionMode.FEATURES)
+    assert disco_outer(Cluster(3), ds, cfg).converged
+    (part,) = parts
+    for block in (*part.shards, ds.X):
+        assert "matrix_t" not in vars(block) and "matrix_fwd" not in vars(block)
+    assert "matrix_t" in vars(part.X) and "matrix_t" in vars(part.stack)
+    assert np.shares_memory(part.stack.matrix.data, ds.X.matrix.data)
+
+
 BENCH_DIR = Path(__file__).resolve().parents[1] / "discobench"
 
 
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
 @pytest.mark.parametrize(
     "workload", [w["name"] for w in json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())["workloads"]]
 )
-def test_benchmark_gate_passes_in_process(monkeypatch, workload):
+def test_benchmark_gate_passes_in_process(monkeypatch, workload, trace):
     """Each benchmark workload, at a tenth of its size, passes the gate every
     benchmark solve is held to: convergence, the gradient norm recomputed on
     the full data, the README cost model and counters repeated across the
-    solves of one dataset. The benchmark's modules are imported from their
-    directory without writing to it, and unloaded afterwards."""
+    solves of one dataset. The traced run also wraps every name the tracer
+    lists and checks that the layers' self times add up to the solve. The
+    benchmark's modules are imported from their directory without writing to
+    it, and unloaded afterwards."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # the value run.py sets on import; the old state comes back on exit
     modules = ("run", "workloads", "costmodel", "reference", "tracer")
@@ -307,7 +379,7 @@ def test_benchmark_gate_passes_in_process(monkeypatch, workload):
     try:
         import run
 
-        _, result = run.run(workload, 3, 1.0, False, scale=0.1)
+        _, result = run.run(workload, 3, 1.0, trace, scale=0.1)
     finally:
         for name in modules:
             sys.modules.pop(name, None)
@@ -343,9 +415,12 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
     # the logistic preconditioner is rebuilt before every Newton step
     assert calls[pcg] == calls[build] == result.updates
     assert calls["disco_outer"] == calls[partition] == 1
-    apply = "apply" if mode is PartitionMode.SAMPLES else "apply_block"
-    for name in ("spmv", "spmv_transpose", "grad_coeffs", "hess_coeffs", apply, "reduce_all", "map_nodes"):
+    for name in ("spmv", "spmv_transpose", "grad_coeffs", "hess_coeffs", "apply", "reduce_all"):
         assert calls[name] > 0, name
+    # the products and the preconditioner run over the stacked shards; only
+    # the feature layout's metered dot products still map over the nodes
+    assert (calls["map_nodes"] > 0) == (mode is PartitionMode.FEATURES)
+    assert calls["apply_block"] == 0
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from scipy import sparse
 from disco.linalg import (
     SparseBlock,
     as_vec,
+    block_diagonal,
     matvec,
     spmv,
     spmv_transpose,
@@ -299,3 +300,32 @@ def test_matvec_on_a_kept_low_rank_slice_is_the_scipy_product_bitwise():
 def test_as_vec_rejects_matrix():
     with pytest.raises(ValueError):
         as_vec(np.ones((2, 2)))
+
+
+def test_block_diagonal_places_each_piece_and_multiplies_as_it_does():
+    """Pieces land at their row and column offsets, rows between them stay
+    empty, and a product with the stack gives each piece's rows the bits of
+    the piece's own product; pieces with an empty row and with no entries
+    at all included."""
+    pieces = [random_sparse(3, 4, 6, seed=1).matrix, sparse.csr_array((2, 3)), random_sparse(4, 2, 5, seed=2).matrix]
+    pieces[0].data[pieces[0].indptr[1]:pieces[0].indptr[2]] = 0.0
+    pieces[0].eliminate_zeros()  # row 1 of the first piece is empty
+    rows, cols, shape = [0, 4, 6], [2, 0, 6], (11, 9)
+    stack = block_diagonal(pieces, rows, cols, shape)
+    want = np.zeros(shape)
+    for p, r, c in zip(pieces, rows, cols):
+        want[r:r + p.shape[0], c:c + p.shape[1]] = p.toarray()
+    assert stack.format == "csr" and stack.indices.dtype == stack.indptr.dtype == np.int32
+    assert np.array_equal(stack.toarray(), want)
+    x = np.random.default_rng(3).standard_normal(9)
+    got = matvec(stack, x)
+    for p, r, c in zip(pieces, rows, cols):
+        assert got[r:r + p.shape[0]].tobytes() == matvec(p, x[c:c + p.shape[1]]).tobytes()
+    assert not got[[3, 4, 5, 10]].any()  # uncovered rows and the empty piece
+
+
+def test_block_diagonal_picks_int64_indices_when_the_shape_needs_them():
+    piece = random_sparse(2, 3, 4, seed=4).matrix
+    stack = block_diagonal([piece], [1], [2**31], (3, 2**31 + 3))
+    assert stack.indices.dtype == stack.indptr.dtype == np.int64
+    assert stack.indices.tolist() == [int(i) + 2**31 for i in piece.indices]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from disco import full_gradient, partition_by_features, partition_by_samples
+from disco import SparseBlock, full_gradient, partition_by_features, partition_by_samples
 from disco.linalg import spmv, spmv_transpose
 from disco.losses import grad_coeffs
-from disco.partition import balanced_sizes
+from disco.partition import _feature_stack, balanced_sizes
 
 from conftest import make_dense_instance
 
@@ -146,3 +146,36 @@ class TestObjectiveEquivalence:
             blocks.append(spmv(shard, coeffs) / obj.n + obj.lam * w[off:off + di])
         got = np.concatenate(blocks)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("partition", [partition_by_samples, partition_by_features])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stack_holds_each_shard_block_diagonally(partition, m):
+    """Shard i sits at row and column block i of the stack: (m*d) x n by
+    samples, d x (m*n) by features. ``X`` wraps the caller's arrays in a
+    block of its own, so its cached operands never land on the caller's."""
+    ds, _ = make_dense_instance(d=5, n=7, seed=14)
+    part = partition(ds.X, ds.y, m)
+    by_samples = partition is partition_by_samples
+    want = np.zeros((m * 5, 7) if by_samples else (5, m * 7))
+    for i, (shard, off) in enumerate(zip(part.shards, part.offsets)):
+        rows, cols = shard.rows, shard.cols
+        r, c = (i * 5, off) if by_samples else (off, i * 7)
+        want[r:r + rows, c:c + cols] = shard.toarray()
+    assert np.array_equal(part.stack.toarray(), want)
+    assert part.X is not ds.X and part.X.matrix is ds.X.matrix
+
+
+def test_feature_stack_picks_int64_indices_when_m_times_n_needs_them():
+    """3 nodes of 2**30 samples: the stack's columns overflow int32 though
+    the data's do not. It is built from the data's arrays, without a
+    product."""
+    n = 2**30
+    X = SparseBlock.from_coo([0, 1, 2, 2], [5, 0, 1, n - 1], [1.0, 2.0, 3.0, 4.0], (3, n))
+    assert X.matrix.indices.dtype == np.int32
+    stack = _feature_stack(X, (0, 1, 2))
+    assert stack.matrix.shape == (3, 3 * n)
+    assert stack.matrix.indices.dtype == stack.matrix.indptr.dtype == np.int64
+    assert stack.matrix.indices.tolist() == [5, n, 2 * n + 1, 3 * n - 1]
+    assert np.shares_memory(stack.matrix.data, X.matrix.data)
+    assert "matrix_t" not in vars(stack) and "matrix_fwd" not in vars(stack)

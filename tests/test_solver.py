@@ -3,6 +3,7 @@ import gc
 import importlib
 import itertools
 import math
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -169,6 +170,52 @@ class TestPreconditioner:
         with pytest.raises(ValueError, match="block 0 solve: vector has length 5, block is 6"):
             P.apply_block(0, np.zeros(5))
 
+    @staticmethod
+    def mixed_preconditioners(m, tau, loss):
+        """Both layouts' builds on a d=7, n=12 problem at m nodes, with the
+        margins they were built at."""
+        labels = "sign" if loss is LossKind.LOGISTIC else "regression"
+        ds, _ = make_dense_instance(d=7, n=12, seed=96, loss=loss, labels=labels)
+        margins = np.random.default_rng(97).standard_normal(12)
+        cfg = ridge_config(mu=0.05, tau=tau, loss=loss)
+        return (build_preconditioner(cfg, partition_by_samples(ds.X, ds.y, m), margins),
+                build_preconditioner_features(cfg, partition_by_features(ds.X, ds.y, m), margins))
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    @pytest.mark.parametrize("m, tau, kinds", [
+        (2, 3, "LD"),  # blocks of 4 and 3 features: one of each kind
+        (3, 2, "LDD"),
+        (3, 1, "LLL"),
+        (2, 5, "DD"),
+        (1, 6, "L"),
+    ])
+    def test_stacked_apply_is_the_per_block_solves_bitwise(self, m, tau, kinds, loss):
+        """``apply`` runs the low-rank blocks through the stacks of their
+        slices and the dense blocks one by one; each block's part of the
+        result has the bits of ``apply_block``, whatever the mix of kinds."""
+        r = np.random.default_rng(98).standard_normal(7)
+        r_before = r.copy()
+        for P in self.mixed_preconditioners(m, tau, loss):
+            assert "".join("L" if isinstance(b, _LowRankBlock) else "D" for b in P.blocks) == kinds
+            per_block = [P.apply_block(i, r[o:o + s]) for i, (o, s) in enumerate(zip(P.offsets, P.sizes))]
+            assert P.apply(r).tobytes() == np.concatenate(per_block).tobytes()
+            assert (P.x is None) == ("L" not in kinds)
+            assert np.array_equal(r, r_before)
+
+    def test_non_vector_and_unknown_block_rejected(self):
+        # unchecked, a dense block's dsymv would solve a matrix's column 0
+        # and index -1 would pick the last block
+        P, _ = self.mixed_preconditioners(2, 3, LossKind.SQUARE)
+        for i, size in enumerate(P.sizes):  # a low-rank and a dense block
+            with pytest.raises(ValueError, match=rf"block {i} solve takes a vector: r has shape \({size}, 2\)"):
+                P.apply_block(i, np.ones((size, 2)))
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=rf"block index {i} is outside 0\.\.1"):
+                P.apply_block(i, np.ones(3))
+        for r in (np.ones((7, 2)), np.ones((1, 7)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=rf"P solve takes a vector: r has shape {re.escape(str(np.shape(r)))}"):
+                P.apply(r)
+
 
 def curvature_slice(Xd):
     """A dense first-tau-samples slice as a partition keeps it."""
@@ -191,7 +238,7 @@ def test_low_rank_apply_matches_dense_solve(data, d_b, mu):
     kept = curvature_slice(Xd)
     block = _factor_curvature_block(0, kept, h, mu)
     assert isinstance(block, _LowRankBlock)
-    P = BlockPreconditioner((block,), (d_b,), (0,))
+    P = BlockPreconditioner((block,), (d_b,), (0,), block.x, block.xt)  # one block is its own stack
     r = rng.standard_normal(d_b)
     r_before = r.copy()
     got = P.apply(r)
@@ -256,7 +303,7 @@ def low_rank_blocks(loss, mode, tau):
         part = partition_by_features(ds.X, ds.y, 2)
         P = build_preconditioner_features(cfg, part, margins)
     (kept,) = part.cache.values()
-    return P.blocks, kept, hess_coeffs(loss, margins[:tau], ds.y[:tau])
+    return P.blocks, kept.slices, hess_coeffs(loss, margins[:tau], ds.y[:tau])
 
 
 @pytest.mark.parametrize("loss", list(LossKind))
@@ -445,13 +492,14 @@ def test_logistic_rebuild_slices_nothing(monkeypatch, mode, tau):
         for a, b in zip(block_arrays(got), block_arrays(want), strict=True):
             assert np.array_equal(a, b)
     # what the partition keeps (the slice, its transpose and their Gram, or
-    # the dense slice) lives exactly as long as the partition and the
-    # preconditioners built from it
+    # the dense slice, and the stacks of the low-rank slices) lives exactly as
+    # long as the partition and the preconditioners built from it
     (kept,) = part.cache.values()
-    kept = [weakref.ref(a) for a in (kept[0] if tau < 4 else [kept[0]])]
+    assert again.x is kept.x and again.xt is kept.xt and (kept.x is None) == (tau >= 4)
+    kept = [weakref.ref(a) for a in ((*kept.slices[0], kept.x, kept.xt) if tau < 4 else [kept.slices[0]])]
     del part, again
     gc.collect()
-    assert [ref() for ref in kept] == [None] * (3 if tau < 4 else 1)
+    assert [ref() for ref in kept] == [None] * (5 if tau < 4 else 1)
 
 
 @pytest.mark.parametrize("mode", list(PartitionMode))
@@ -869,32 +917,30 @@ class TestPcgInvariants:
         return w, lambda cfg: newton_step(Cluster(m), part, w, eps_k, cfg)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("mode,method,per_apply", [
-        (PartitionMode.SAMPLES, "apply", 1), (PartitionMode.FEATURES, "apply_block", 2),
-    ])
+    @pytest.mark.parametrize("mode", list(PartitionMode))
     @pytest.mark.parametrize("poisoned_apply,error,message", [
         (1, RuntimeError, "breakdown at inner iteration 0"),  # the initial s: u'Hu is not positive
         (2, FloatingPointError, "non-finite PCG state at inner iteration 0"),
         (3, FloatingPointError, "non-finite PCG state at inner iteration 1"),
     ])
     def test_non_finite_preconditioned_residual_fails_loudly(
-        self, monkeypatch, value, mode, method, per_apply, poisoned_apply, error, message,
+        self, monkeypatch, value, mode, poisoned_apply, error, message,
     ):
         # the block solves skip scipy's finiteness scan; the per-iteration
         # scalar checks must stop the same inner solve instead
         ds, _ = make_dense_instance(d=12, n=30, seed=133, lam=0.2)
         cfg = ridge_config(lam=0.2, mu=0.02, tau=10)
-        original = getattr(BlockPreconditioner, method)
+        original = BlockPreconditioner.apply
         calls = []
 
-        def poisoned(precond, *args):
-            out = original(precond, *args)
+        def poisoned(precond, r):
+            out = original(precond, r)
             calls.append(None)
-            if len(calls) == (poisoned_apply - 1) * per_apply + 1:
+            if len(calls) == poisoned_apply:
                 out[0] = value
             return out
 
-        monkeypatch.setattr(BlockPreconditioner, method, poisoned)
+        monkeypatch.setattr(BlockPreconditioner, "apply", poisoned)
         _, pcg = self.pcg_at_random_w(ds, 2, mode, eps_k=1e-10)
         with pytest.raises(error, match=message):
             pcg(cfg)
