@@ -125,12 +125,6 @@ class SparseBlock:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def column_slice(self, start: int, stop: int) -> "SparseBlock":
-        return SparseBlock(self.matrix[:, start:stop])
-
-    def row_slice(self, start: int, stop: int) -> "SparseBlock":
-        return SparseBlock(self.matrix[start:stop, :])
-
 
 def block_diagonal(pieces, row_offsets, col_offsets, shape) -> sparse.csr_array:
     """The CSR matrix of ``shape`` holding CSR piece p at rows

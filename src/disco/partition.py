@@ -9,17 +9,18 @@ Two layouts:
   which it needs to turn exchanged margins into loss coefficients.
 
 Splits are contiguous and balanced (sizes differ by at most one, larger
-shards first) so partitioning is deterministic and reassembly is a plain
-concatenation.
+shards first), so partitioning is deterministic.
 
-Each partition also holds two operators for the solver's node-local
+A partition keeps no per-node copy of the data. It holds the split's
+``sizes`` and ``offsets`` and two operators for the solver's node-local
 products, so that each product is one kernel call over all nodes rather than
 one call per node: ``X``, the unsplit data in a wrapper of its own (the
 operands a product builds are cached there, not on the caller's block), and
 ``stack``, the block-diagonal stack of the shards, whose every row holds one
 node's entries. In the feature layout the stack is d x (m*n), node i's rows
 in columns i*n:(i+1)*n, over X's own data and row pointers; in the sample
-layout it is (m*d) x n, node j's shard in rows j*d:(j+1)*d.
+layout it is (m*d) x n, node j's columns in rows j*d:(j+1)*d, built from
+column slices of X that it does not keep.
 
 Each partition carries a ``cache`` dict for what later steps derive from it
 alone (the solver keeps its preconditioner slices there), so that such data
@@ -54,11 +55,10 @@ def balanced_sizes(total: int, m: int) -> list:
 
 @dataclass(frozen=True)
 class _Partition:
-    """Shard i holds part ``offsets[i]:+sizes[i]`` of the split dimension;
+    """Node i holds part ``offsets[i]:+sizes[i]`` of the split dimension;
     ``y`` is the full label vector in both layouts; ``X`` and ``stack`` are
     the unsplit data and the stacked shards (see the module docstring)."""
 
-    shards: tuple          # SparseBlock
     y: np.ndarray
     sizes: tuple
     offsets: tuple
@@ -71,12 +71,12 @@ class _Partition:
 
 @dataclass(frozen=True)
 class SamplePartition(_Partition):
-    """Column shards: shard j is d x n_j, samples offsets[j]:+sizes[j]."""
+    """Column shards: node j holds all d features of samples offsets[j]:+sizes[j]."""
 
 
 @dataclass(frozen=True)
 class FeaturePartition(_Partition):
-    """Row shards: shard i is d_i x n, features offsets[i]:+sizes[i]."""
+    """Row shards: node i holds features offsets[i]:+sizes[i] of all n samples."""
 
 
 def _contiguous_split(X: SparseBlock, y, m: int, total: int, what: str) -> tuple:
@@ -109,15 +109,12 @@ def _feature_stack(X: SparseBlock, offsets) -> SparseBlock:
 
 def partition_by_samples(X: SparseBlock, y: np.ndarray, m: int) -> SamplePartition:
     y, sizes, offsets = _contiguous_split(X, y, m, X.cols, "samples")
-    shards = tuple(X.column_slice(off, off + size) for off, size in zip(offsets, sizes))
     d, n = X.rows, X.cols
-    stack = block_diagonal([s.matrix for s in shards], range(0, m * d, d), offsets, (m * d, n))
-    return SamplePartition(shards, y.copy(), sizes, offsets, d, n, SparseBlock(X.matrix), SparseBlock(stack))
+    columns = [X.matrix[:, off:off + size] for off, size in zip(offsets, sizes)]
+    stack = block_diagonal(columns, range(0, m * d, d), offsets, (m * d, n))
+    return SamplePartition(y.copy(), sizes, offsets, d, n, SparseBlock(X.matrix), SparseBlock(stack))
 
 
 def partition_by_features(X: SparseBlock, y: np.ndarray, m: int) -> FeaturePartition:
     y, sizes, offsets = _contiguous_split(X, y, m, X.rows, "features")
-    shards = tuple(X.row_slice(off, off + size) for off, size in zip(offsets, sizes))
-    return FeaturePartition(
-        shards, y.copy(), sizes, offsets, X.rows, X.cols, SparseBlock(X.matrix), _feature_stack(X, offsets)
-    )
+    return FeaturePartition(y.copy(), sizes, offsets, X.rows, X.cols, SparseBlock(X.matrix), _feature_stack(X, offsets))

@@ -33,7 +33,7 @@ node: each product multiplies the partition's unsplit X once and its
 block-diagonal stack of shards once, whose every row holds one node's
 terms, and reshapes the stacked result into the m per-node contributions
 that the collective receives, so the collectives, their rounds and their
-bytes are those of a per-node run. The preconditioner applies its low-rank
+bytes are those of a per-node run. A Woodbury preconditioner applies its
 blocks the same way, over stacks of their slices.
 
 Both layouts use the same preconditioner: a feature-block-diagonal curvature
@@ -41,36 +41,39 @@ matrix estimated from the first tau samples,
 
     P_b = (1/tau) * sum_{j<tau} h_j x_j^(b) (x_j^(b))' + mu * I
 
-per feature block b, inverted once per build. DiSCO takes mu > 0, and so
-does ``SolverConfig``, so every P_b is positive definite. Each block inverts
-the smaller of two matrices from its Cholesky factor (LAPACK ``potri``) and
-applies the inverse with one BLAS symmetric matvec (``dsymv``):
+per block b of the balanced split of the d features into min(d, m) blocks
+(the feature layout's own split), inverted once per build. DiSCO takes
+mu > 0, and so does ``SolverConfig``, so every P_b is positive definite. A
+build inverts one kind of matrix for every block, from its Cholesky factor
+(LAPACK ``potri``), and applies each inverse with one BLAS symmetric matvec
+(``dsymv``):
 
-* tau < d_b: P_b is mu*I plus a rank-tau term; the block keeps its sparse
-  d_b x tau slice X_b and C = diag(s) K^{-1} diag(s), s = sqrt(h),
-  K = mu*tau*I + diag(s) X_b'X_b diag(s), and solves by the Woodbury
-  identity, (r - X_b C X_b' r) / mu;
-* tau >= d_b: the block keeps the inverse of the dense d_b x d_b P_b, the
-  smaller matrix (on a 12-feature test problem at m <= 4 the layouts'
-  iterates drift apart by up to 2e-7 relative through Woodbury, by 4e-10
-  through the dense inverse).
+* tau below every block's size: P_b is mu*I plus a rank-tau term; block b
+  keeps C_b = diag(s) K^{-1} diag(s), s = sqrt(h),
+  K = mu*tau*I + diag(s) X_b'X_b diag(s), over its sparse d_b x tau slice
+  X_b, and solves by the Woodbury identity, (r - X_b C_b X_b' r) / mu;
+* otherwise every block keeps the inverse of the dense d_b x d_b P_b (on a
+  12-feature test problem at m <= 4 the layouts' iterates drift apart by up
+  to 2e-7 relative through Woodbury, by 4e-10 through the dense inverse).
+  Block sizes differ by at most one, so no dense block is larger than
+  (tau + 1) x (tau + 1).
 
-The O(size^3) inverse, once per build, pays back over the PCG solve that
+The O(size^3) inverses, once per build, pay back over the PCG solve that
 follows: a build runs once per solve for the square loss and at every Newton
-step for the logistic loss. A partition's first build slices each block's
-first tau samples and keeps in the partition's ``cache`` what every later
-build reads: for a low-rank block the sparse slice X_b, its transpose and
-their dense tau x tau Gram X_b'X_b (one sparse product per block per solve);
-for a dense block the dense d_b x tau slice; and the block-diagonal stacks
-of the low-rank slices and of their transposes. Only the sqrt(h) scaling
-depends on the iterate, so a logistic rebuild at every Newton step slices
-nothing and creates no sparse matrix: a low-rank block scales the kept Gram
-by sqrt(h) on both sides, an O(tau^2) pass, adds mu*tau*I and inverts it; a
-dense block forms and inverts its d_b x d_b Gram. The price is one extra
-tau x tau array per low-rank block for the life of the partition, 8 MB per
-block at the default tau = 1000. With identical preconditioners the two layouts produce
-the same iterates up to roundoff, so layout only changes communication cost,
-not the optimization path.
+step for the logistic loss. A partition's first build cuts the first tau
+columns of X into the blocks and keeps in the partition's ``cache`` what
+every later build reads: for Woodbury, each block's dense tau x tau Gram
+X_b'X_b (one sparse product per block per solve) and the block-diagonal
+stacks of the slices and of their transposes; otherwise each block's dense
+d_b x tau slice. Only the sqrt(h) scaling depends on the iterate, so a
+logistic rebuild at every Newton step slices nothing and creates no sparse
+matrix: Woodbury scales each kept Gram by sqrt(h) on both sides, an
+O(tau^2) pass, adds mu*tau*I and inverts it; a dense build forms and
+inverts each d_b x d_b Gram. The price is one extra tau x tau array per
+block for the life of the partition, 8 MB per block at the default
+tau = 1000. With identical preconditioners the two layouts produce the same
+iterates up to roundoff, so layout only changes communication cost, not the
+optimization path.
 
 Every Hessian product multiplies transposed (``spmv_transpose``: X in the
 sample layout, the stack in the feature layout) and then forward (``spmv``:
@@ -282,41 +285,6 @@ def _spd_inverse(a: np.ndarray, ridge: float) -> np.ndarray:
     return c
 
 
-class _DenseBlock(NamedTuple):
-    """The d_b x d_b block P_b held as its inverse ``c`` (see
-    ``_spd_inverse``), so a solve is one BLAS ``dsymv`` on c's lower
-    triangle."""
-
-    c: np.ndarray
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        return _symv(1.0, self.c, r, lower=1)
-
-
-class _LowRankBlock(NamedTuple):
-    """P_b = mu*I + (1/tau) U U' with U = X_b S, S = diag(s), s = sqrt(h),
-    solved by the Woodbury identity through the tau x tau matrix
-    K = mu*tau*I + S X_b'X_b S, inverted once with S folded in on both
-    sides, C = S K^{-1} S:
-
-        P_b^{-1} r = (r - X_b C X_b' r) / mu.
-
-    The block holds the unscaled sparse d_b x tau slice ``x`` and its
-    transpose ``xt`` (both CSR, kept by the partition) and C, a
-    Fortran-ordered tau x tau array of which only the lower triangle is
-    read, so a solve costs O(nnz_b + tau^2): two calls of the compiled CSR
-    kernel (``linalg.matvec``) and one BLAS ``dsymv`` that reads C in
-    place."""
-
-    x: sparse.csr_array
-    xt: sparse.csr_array
-    c: np.ndarray
-    mu: float
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        return (r - matvec(self.x, _symv(1.0, self.c, matvec(self.xt, r), lower=1))) / self.mu
-
-
 def _vector(r, what: str) -> np.ndarray:
     """``r`` as a float64 vector; anything else raises, naming its shape."""
     r = np.asarray(r, dtype=np.float64)
@@ -327,142 +295,134 @@ def _vector(r, what: str) -> np.ndarray:
 
 @dataclass
 class BlockPreconditioner:
-    """Inverted per-feature-block subsampled curvature matrices, one
-    ``_DenseBlock`` or ``_LowRankBlock`` per block. ``x`` (d x k*tau) and
-    ``xt`` (k*tau x d) stack the sparse slices of the k low-rank blocks, in
-    block order, block-diagonally at each block's feature offset (None when
-    no block is low-rank), so that ``apply`` runs each of the Woodbury
-    products once for all blocks."""
+    """The inverted per-feature-block subsampled curvature matrices of one
+    build. Block b covers features ``offsets[b]:+sizes[b]`` and applies
+    ``c[b]``, a Fortran-ordered array whose lower triangle alone is read,
+    with one ``dsymv``. A Woodbury build holds ``x`` (d x k*tau) and ``xt``
+    (k*tau x d), the block-diagonal stacks of the k blocks' sparse d_b x tau
+    slices X_b and of their transposes, block b in sample columns
+    b*tau:(b+1)*tau, and c[b] = C_b; a dense build holds no stacks (None) and
+    c[b] = P_b^{-1}."""
 
-    blocks: tuple
     sizes: tuple
     offsets: tuple
+    c: tuple
     x: sparse.csr_array | None
     xt: sparse.csr_array | None
+    mu: float
 
     @property
     def dim(self) -> int:
         return sum(self.sizes)
 
     def apply_block(self, i: int, r: np.ndarray) -> np.ndarray:
-        """Solve P_i s = r for block i alone."""
+        """Solve P_i s = r for block i alone: ``apply`` on r placed at the
+        block's features in a zero vector, sliced back. No other block's
+        entries reach the block's rows, so this has the bits of the block's
+        own solve."""
         r = _vector(r, f"block {i} solve")
-        if not 0 <= i < len(self.blocks):
-            raise ValueError(f"block index {i} is outside 0..{len(self.blocks) - 1}")
+        if not 0 <= i < len(self.c):
+            raise ValueError(f"block index {i} is outside 0..{len(self.c) - 1}")
         if r.shape[0] != self.sizes[i]:
             raise ValueError(f"block {i} solve: vector has length {r.shape[0]}, block is {self.sizes[i]}")
-        return self.blocks[i].solve(r)
+        rows = slice(self.offsets[i], self.offsets[i] + self.sizes[i])
+        padded = np.zeros(self.dim)
+        padded[rows] = r
+        return self.apply(padded)[rows]
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """Solve P s = r with the stored inverses: the low-rank blocks
-        together, through one product with ``xt``, one ``dsymv`` per block
-        and one product with ``x``, then each dense block through its own
-        ``dsymv``. Every row of a stack holds one block's entries in that
-        block's order, so each block's result has the bits of its own solve
-        (``apply_block``)."""
+        """Solve P s = r with the stored inverses: a Woodbury build through
+        one product with ``xt``, one ``dsymv`` per block and one product with
+        ``x``, (r - X_b C_b X_b' r) / mu for every block at once; a dense
+        build through one ``dsymv`` per block. Every row of a stack holds one
+        block's entries in that block's order, so each block's part of the
+        result has the bits of its own solve."""
         r = _vector(r, "P solve")
         if r.shape[0] != self.dim:
             raise ValueError(f"P solve: vector has length {r.shape[0]}, P is {self.dim}x{self.dim}")
-        low_rank = [b for b in self.blocks if isinstance(b, _LowRankBlock)]
-        if low_rank:
-            q = matvec(self.xt, r).reshape(len(low_rank), -1)
-            z = np.concatenate([_symv(1.0, b.c, q_b, lower=1) for b, q_b in zip(low_rank, q)])
-            out = (r - matvec(self.x, z)) / low_rank[0].mu
-        else:
+        if self.x is None:
             out = np.empty_like(r)
-        for block, off, size in zip(self.blocks, self.offsets, self.sizes):
-            if isinstance(block, _DenseBlock):
-                out[off:off + size] = block.solve(r[off:off + size])
-        return out
-
-
-class _GramSlice(NamedTuple):
-    """What every build reads of a low-rank block's (tau < d_b) first tau
-    samples: the sparse d_b x tau slice ``x`` and its transpose ``xt``, both
-    CSR with sorted indices, and their dense tau x tau Gram ``gram`` = x'x,
-    which no curvature changes."""
-
-    x: sparse.csr_array
-    xt: sparse.csr_array
-    gram: np.ndarray
-
-
-def _kept_slice(block: sparse.csr_array):
-    """What a partition keeps of one feature block's sparse first-tau-samples
-    slice (d_b x tau): a ``_GramSlice`` when tau < d_b, else the dense slice."""
-    d_b, tau = block.shape
-    if tau < d_b:
-        block_t = block.T.tocsr()
-        return _GramSlice(block, block_t, (block_t @ block).toarray())
-    return block.toarray()
-
-
-def _factor_curvature_block(i: int, kept, h_tau: np.ndarray, mu: float):
-    """Invert (1/tau) * Xb diag(h) Xb' + mu*I for one feature block from its
-    kept slice (see ``_kept_slice``): a ``_GramSlice`` through the tau x tau
-    Woodbury matrix K = diag(s) x'x diag(s) + mu*tau*I, s = sqrt(h), which
-    costs an O(tau^2) scaling and one O(tau^3) inverse, kept as
-    C = diag(s) K^{-1} diag(s); a dense slice through the inverse of the
-    d_b x d_b P_b. mu > 0 makes both matrices positive definite; one that
-    rounding leaves singular or indefinite (mu far below the curvature's
-    scale) raises an error naming mu."""
-    tau = len(h_tau)
-    try:
-        if isinstance(kept, _GramSlice):
-            s = np.sqrt(h_tau)
-            k = (s[:, None] * kept.gram) * s
-            c = _spd_inverse(k, mu * tau)
-            c *= s[:, None]
-            c *= s
-            return _LowRankBlock(kept.x, kept.xt, c, mu)
-        gram = (kept * h_tau) @ kept.T / tau
-        return _DenseBlock(_spd_inverse(gram, mu))
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"preconditioner block {i} is not positive definite; "
-            f"increase mu (currently mu={mu})"
-        ) from exc
+            for c, off, size in zip(self.c, self.offsets, self.sizes):
+                out[off:off + size] = _symv(1.0, c, r[off:off + size], lower=1)
+            return out
+        q = matvec(self.xt, r).reshape(len(self.c), -1)
+        z = np.concatenate([_symv(1.0, c, q_b, lower=1) for c, q_b in zip(self.c, q)])
+        return (r - matvec(self.x, z)) / self.mu
 
 
 class _KeptSlices(NamedTuple):
-    """What a partition keeps of its feature blocks' first tau samples: one
-    ``_kept_slice`` per block, and the stacks ``x`` and ``xt`` of the
-    low-rank blocks' sparse slices that ``BlockPreconditioner.apply`` reads
-    (None when no block is low-rank)."""
+    """What a partition keeps of X's first tau columns, cut into the feature
+    blocks at ``offsets``/``sizes``. A Woodbury cut (tau below every block's
+    size) keeps each block's dense tau x tau Gram X_b'X_b in ``arrays``, which
+    no curvature changes, and the stacks ``x`` and ``xt`` that
+    ``BlockPreconditioner.apply`` reads; a dense cut keeps each block's dense
+    d_b x tau slice and no stacks (None)."""
 
-    slices: tuple
+    sizes: tuple
+    offsets: tuple
+    arrays: tuple
     x: sparse.csr_array | None
     xt: sparse.csr_array | None
 
 
-def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int, cut, offsets) -> _KeptSlices:
-    """The kept slices of the feature blocks' first tau samples, the blocks
-    starting at feature ``offsets``: the first call for a partition and tau
-    cuts the sparse slices with ``cut()``, stacks the low-rank ones and keeps
-    all of it in ``part.cache``, so that a rebuild stacks nothing."""
+def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int) -> _KeptSlices:
+    """X's first tau columns cut into ``balanced_sizes(d, min(d, m))``
+    feature blocks (none empty when m > d), the feature layout's split in
+    both layouts. The first call for a partition and tau cuts and keeps them
+    in ``part.cache``, so that a rebuild slices nothing."""
     key = ("curvature_slices", tau)
     if key not in part.cache:
-        slices = tuple(_kept_slice(b) for b in cut())
-        low_rank = [(kept, off) for kept, off in zip(slices, offsets) if isinstance(kept, _GramSlice)]
-        x = xt = None
-        if low_rank:
-            pieces, feature_offsets = zip(*low_rank)
-            sample_offsets = [j * tau for j in range(len(low_rank))]
-            width = len(low_rank) * tau
-            x = block_diagonal([k.x for k in pieces], feature_offsets, sample_offsets, (part.d, width))
-            xt = block_diagonal([k.xt for k in pieces], sample_offsets, feature_offsets, (width, part.d))
-        part.cache[key] = _KeptSlices(slices, x, xt)
+        sizes = tuple(balanced_sizes(part.d, min(part.d, len(part.sizes))))
+        offsets = tuple(sum(sizes[:b]) for b in range(len(sizes)))
+        first = part.X.matrix[:, :tau]
+        blocks = [first[off:off + size] for off, size in zip(offsets, sizes)]
+        if tau < min(sizes):
+            transposed = [b.T.tocsr() for b in blocks]
+            grams = tuple((bt @ b).toarray() for b, bt in zip(blocks, transposed))
+            width = len(sizes) * tau
+            columns = range(0, width, tau)
+            x = block_diagonal(blocks, offsets, columns, (part.d, width))
+            xt = block_diagonal(transposed, columns, offsets, (width, part.d))
+            part.cache[key] = _KeptSlices(sizes, offsets, grams, x, xt)
+        else:
+            part.cache[key] = _KeptSlices(sizes, offsets, tuple(b.toarray() for b in blocks), None, None)
     return part.cache[key]
 
 
+def _invert_blocks(kept: _KeptSlices, h_tau: np.ndarray, mu: float) -> BlockPreconditioner:
+    """Invert every block of a kept cut at the curvature ``h_tau`` of its
+    tau samples: a Woodbury cut through K = diag(s) X_b'X_b diag(s) +
+    mu*tau*I, s = sqrt(h), an O(tau^2) scaling of the kept Gram and one
+    O(tau^3) inverse, kept as C_b = diag(s) K^{-1} diag(s); a dense cut
+    through P_b^{-1}. mu > 0 makes every matrix positive definite; one that
+    rounding leaves singular or indefinite (mu far below the curvature's
+    scale) raises an error naming mu."""
+    tau = len(h_tau)
+    s = np.sqrt(h_tau)
+    inverses = []
+    for b, a in enumerate(kept.arrays):
+        try:
+            if kept.x is None:
+                c = _spd_inverse((a * h_tau) @ a.T / tau, mu)
+            else:
+                c = _spd_inverse((s[:, None] * a) * s, mu * tau)
+                c *= s[:, None]
+                c *= s
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"preconditioner block {b} is not positive definite; increase mu (currently mu={mu})"
+            ) from exc
+        inverses.append(c)
+    return BlockPreconditioner(kept.sizes, kept.offsets, tuple(inverses), kept.x, kept.xt, mu)
+
+
 def _block_preconditioner(config: SolverConfig, part: SamplePartition | FeaturePartition, tau: int,
-                          kept: _KeptSlices, margins: np.ndarray | None, sizes, offsets) -> BlockPreconditioner:
-    """Invert each feature block from its kept first-tau-samples slice with
-    the curvature of the first tau ``margins`` and labels."""
+                          margins: np.ndarray | None) -> BlockPreconditioner:
+    """Invert each feature block of X's first tau columns with the curvature
+    of the first tau ``margins`` and labels."""
     config.validate()
     h_tau = hess_coeffs(config.loss, None if margins is None else margins[:tau], part.y[:tau])
-    blocks = tuple(_factor_curvature_block(i, b, h_tau, config.mu) for i, b in enumerate(kept.slices))
-    return BlockPreconditioner(blocks, tuple(sizes), tuple(offsets), kept.x, kept.xt)
+    return _invert_blocks(_curvature_slices(part, tau), h_tau, config.mu)
 
 
 def build_preconditioner(
@@ -470,27 +430,13 @@ def build_preconditioner(
     spart: SamplePartition,
     margins: np.ndarray | None = None,
 ) -> BlockPreconditioner:
-    """Master-side build for the sample layout.
-
-    The first tau samples of the master's shard (node 0: all d features, its
-    n_1 samples) feed the estimate, split into the m balanced feature blocks
+    """Master-side build for the sample layout: the first tau samples, all
+    on the master (node 0), feed the estimate, cut into the feature blocks
     that the feature layout's nodes hold, so that both layouts build the same
-    preconditioner (min(d, m) blocks, so that none is empty when m > d); the
-    partition's first build slices them and keeps them. ``margins`` are as
-    for ``build_preconditioner_features``; the first tau of them lie on the
-    master.
+    preconditioner. ``margins`` are as for ``build_preconditioner_features``;
+    the first tau of them lie on the master.
     """
-    shard = spart.shards[0]
-    tau = config.resolved_tau(shard.cols)
-    sizes = balanced_sizes(spart.d, min(spart.d, len(spart.shards)))
-    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-
-    def cut():
-        sub = shard.matrix[:, :tau]
-        return [sub[off:off + size, :] for off, size in zip(offsets, sizes)]
-
-    kept = _curvature_slices(spart, tau, cut, offsets)
-    return _block_preconditioner(config, spart, tau, kept, margins, sizes, offsets)
+    return _block_preconditioner(config, spart, config.resolved_tau(spart.sizes[0]), margins)
 
 
 def build_preconditioner_features(
@@ -499,12 +445,10 @@ def build_preconditioner_features(
     margins: np.ndarray | None = None,
 ) -> BlockPreconditioner:
     """Feature-layout build: node i inverts its own block from the first tau
-    columns of its feature slice, which the partition's first build slices
-    and keeps. ``margins`` are the length-n sample margins X'w of the current
-    iterate (any value, or None, for the square loss)."""
-    tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.shards))[0])
-    kept = _curvature_slices(fpart, tau, lambda: [shard.matrix[:, :tau] for shard in fpart.shards], fpart.offsets)
-    return _block_preconditioner(config, fpart, tau, kept, margins, fpart.sizes, fpart.offsets)
+    columns of its feature rows. ``margins`` are the length-n sample margins
+    X'w of the current iterate (any value, or None, for the square loss)."""
+    tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.sizes))[0])
+    return _block_preconditioner(config, fpart, tau, margins)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +468,8 @@ class _Layout:
 
     def __init__(self, cluster: Cluster, part, config: SolverConfig):
         config.validate()
-        if cluster.m != len(part.shards):
-            raise ValueError(f"cluster has {cluster.m} nodes, partition has {len(part.shards)} shards")
+        if cluster.m != len(part.sizes):
+            raise ValueError(f"cluster has {cluster.m} nodes, partition has {len(part.sizes)} shards")
         self.cluster, self.part, self.config = cluster, part, config
 
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Properties of the two data layouts over random small instances, and the
 module-global lookups that let an outside tracer see the solver's layers."""
 
+import dataclasses
+import gc
 import importlib.util
 import json
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from disco import (
     Cluster,
@@ -287,20 +290,23 @@ def test_damped_newton_converges_monotonically(data, d, n, loss, mode):
         assert f_next <= f_prev * (1 + 1e-12)
 
 
-def per_shard_product(part, u, coeffs, lam):
+def per_shard_product(X, part, u, coeffs, lam):
     """(X c)/n + lam*u and X'u, c = coeffs(X'u), with one kernel call per
-    shard and the collectives' summation order (ascending node order): the
-    reference that the layouts' stacked products must match bit for bit."""
+    node on its shard, cut from X at the partition's offsets, and the
+    collectives' summation order (ascending node order): the reference that
+    the layouts' stacked products must match bit for bit."""
     nodes = [slice(off, off + size) for off, size in zip(part.offsets, part.sizes)]
     if isinstance(part, SamplePartition):
-        z = np.concatenate([spmv_transpose(shard, u) for shard in part.shards])
+        shards = [SparseBlock(X.matrix[:, node]) for node in nodes]
+        z = np.concatenate([spmv_transpose(shard, u) for shard in shards])
         c = coeffs(z)
-        terms = [spmv(shard, c[node]) / part.n for shard, node in zip(part.shards, nodes)]
+        terms = [spmv(shard, c[node]) / part.n for shard, node in zip(shards, nodes)]
         return sum(terms[1:], terms[0]) + lam * u, z
-    partials = [spmv_transpose(shard, u[node]) for shard, node in zip(part.shards, nodes)]
+    shards = [SparseBlock(X.matrix[node, :]) for node in nodes]
+    partials = [spmv_transpose(shard, u[node]) for shard, node in zip(shards, nodes)]
     z = sum(partials[1:], partials[0])
     c = coeffs(z)
-    return np.concatenate([spmv(shard, c) / part.n + lam * u[node] for shard, node in zip(part.shards, nodes)]), z
+    return np.concatenate([spmv(shard, c) / part.n + lam * u[node] for shard, node in zip(shards, nodes)]), z
 
 
 @pytest.mark.parametrize("loss", list(LossKind))
@@ -330,28 +336,54 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     w, u = rng.standard_normal(d), rng.standard_normal(d)
 
     grad, margins = layout.gradient(w)
-    want_grad, want_margins = per_shard_product(layout.part, w, lambda z: grad_coeffs(loss, z, y), 0.3)
+    want_grad, want_margins = per_shard_product(X, layout.part, w, lambda z: grad_coeffs(loss, z, y), 0.3)
     assert grad.tobytes() == want_grad.tobytes() and margins.tobytes() == want_margins.tobytes()
     h = layout.curvature(margins)
-    want_hu, _ = per_shard_product(layout.part, u, lambda z: h * z, 0.3)
+    want_hu, _ = per_shard_product(X, layout.part, u, lambda z: h * z, 0.3)
     assert layout.hess_vec(u, h).tobytes() == want_hu.tobytes()
 
 
+def sparse_objects():
+    """Every live scipy sparse array and ``SparseBlock``."""
+    gc.collect()
+    return [o for o in gc.get_objects() if isinstance(o, (sparse.sparray, SparseBlock))]
+
+
 def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
-    """A feature-layout solve multiplies through its partition's X and stack
-    alone: no shard builds a product operand, the caller's data block caches
-    no transposed copy, and the stack holds the data array of X itself."""
-    parts = []
-    partition = solver.partition_by_features
-    monkeypatch.setattr(solver, "partition_by_features", lambda *args: parts.append(partition(*args)) or parts[-1])
-    ds = gen_synthetic(120, 20, 0.2, 0.1, 3)  # 40 x 20 shards: a transposed product would copy one
-    cfg = SolverConfig(lam=0.1, mu=0.1, tau=5, partition_mode=PartitionMode.FEATURES)
-    assert disco_outer(Cluster(3), ds, cfg).converged
-    (part,) = parts
-    for block in (*part.shards, ds.X):
-        assert "matrix_t" not in vars(block) and "matrix_fwd" not in vars(block)
-    assert "matrix_t" in vars(part.X) and "matrix_t" in vars(part.stack)
-    assert np.shares_memory(part.stack.matrix.data, ds.X.matrix.data)
+    """A solve in either layout multiplies through its partition's X and
+    stack alone. The partition's fields hold no sparse matrix besides those
+    two, the caller's data block caches no product operand, and the sparse
+    arrays a solve leaves alive are X's and the stack's wrappers and the
+    operands cached on them, plus the stacks of the preconditioner's slices
+    that the partition's cache keeps. The feature stack holds the data array
+    of X itself."""
+    ds = gen_synthetic(120, 20, 0.2, 0.1, 3)  # every operand is taller than wide: a product copies its transpose
+    for mode, name in ((PartitionMode.FEATURES, "partition_by_features"),
+                       (PartitionMode.SAMPLES, "partition_by_samples")):
+        parts = []
+        partition = getattr(solver, name)
+        before = sparse_objects()  # held, so that no new object reuses an id
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, name, lambda *args: parts.append(partition(*args)) or parts[-1])
+            assert disco_outer(Cluster(3), ds, SolverConfig(lam=0.1, mu=0.1, tau=5, partition_mode=mode)).converged
+        (part,) = parts
+        fields = {f.name: getattr(part, f.name) for f in dataclasses.fields(part)}
+        held = [k for k, v in fields.items() if any(isinstance(o, (sparse.sparray, SparseBlock))
+                                                     for o in (v if isinstance(v, tuple) else (v,)))]
+        assert held == ["X", "stack"], mode
+        assert "matrix_t" not in vars(ds.X) and "matrix_fwd" not in vars(ds.X)
+        assert "matrix_t" in vars(part.X) and "matrix_t" in vars(part.stack)
+        (kept,) = part.cache.values()
+        assert kept.x is not None and kept.xt is not None  # tau = 5 is below every 40-feature block
+        allowed = [kept.x, kept.xt]
+        for block in (part.X, part.stack):
+            allowed += [block, block.matrix, *(vars(block).get(op) for op in ("matrix_t", "matrix_fwd"))]
+        seen = {id(o) for o in before}
+        new = [o for o in sparse_objects() if id(o) not in seen]
+        assert {id(o) for o in new} <= {id(o) for o in allowed}, (mode, [type(o) for o in new])
+        assert {id(kept.x), id(kept.xt), id(part.stack)} <= {id(o) for o in new}
+        if mode is PartitionMode.FEATURES:
+            assert np.shares_memory(part.stack.matrix.data, ds.X.matrix.data)
 
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "discobench"

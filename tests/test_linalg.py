@@ -12,7 +12,8 @@ from disco.linalg import (
     spmv,
     spmv_transpose,
 )
-from disco.solver import _GramSlice, _kept_slice
+from disco.partition import partition_by_features
+from disco.solver import _curvature_slices
 
 
 def random_sparse(d, n, nnz, seed):
@@ -160,17 +161,17 @@ def blocks(draw):
     mask = np.array(draw(st.lists(st.booleans(), min_size=d * n, max_size=d * n))).reshape(d, n)
     values = np.random.default_rng(draw(st.integers(0, 10_000))).standard_normal((d, n))
     dense = np.where(mask, values, 0.0)
-    how = draw(st.sampled_from(["from_dense", "from_coo", "row_slice", "column_slice"]))
+    how = draw(st.sampled_from(["from_dense", "from_coo", "rows", "columns"]))
     if how == "from_dense":
         return SparseBlock.from_dense(dense)
     if how == "from_coo":
         rows, cols = np.nonzero(dense)
         return SparseBlock.from_coo(rows, cols, dense[rows, cols], shape=(d, n))
-    whole = SparseBlock.from_dense(dense)
-    size = d if how == "row_slice" else n
+    whole = SparseBlock.from_dense(dense).matrix
+    size = d if how == "rows" else n
     start = draw(st.integers(0, size - 1))
     stop = draw(st.integers(start + 1, size))
-    return getattr(whole, how)(start, stop)
+    return SparseBlock(whole[start:stop, :] if how == "rows" else whole[:, start:stop])
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,8 +240,8 @@ class TestSparseBlock:
 
     def test_slicing_tracks_offsets(self):
         block = random_sparse(6, 8, nnz=12, seed=7)
-        rows = block.row_slice(2, 5)
-        cols = block.column_slice(3, 7)
+        rows = SparseBlock(block.matrix[2:5, :])
+        cols = SparseBlock(block.matrix[:, 3:7])
         assert (rows.rows, rows.cols) == (3, 8)
         assert (cols.rows, cols.cols) == (6, 4)
         assert np.array_equal(rows.toarray(), block.toarray()[2:5, :])
@@ -286,12 +287,12 @@ def test_matvec_rejects_a_vector_of_the_wrong_shape(x):
 
 
 def test_matvec_on_a_kept_low_rank_slice_is_the_scipy_product_bitwise():
-    """Both operands of a low-rank preconditioner block, as the partition
-    keeps them: the d_b x tau column slice of a block and its CSR transpose."""
+    """Both operands of a Woodbury preconditioner, as the partition keeps
+    them: the stack of the blocks' d_b x tau slices and its transpose."""
     rng = np.random.default_rng(17)
     block = SparseBlock.from_dense(rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.3))
-    kept = _kept_slice(block.matrix[:, :6])
-    assert isinstance(kept, _GramSlice)
+    kept = _curvature_slices(partition_by_features(block, np.zeros(30), 2), 6)
+    assert kept.x.shape == (40, 2 * 6) and kept.xt.shape == (2 * 6, 40)
     for op in (kept.x, kept.xt):
         for x in vectors(op.shape[1], rng):
             assert matvec(op, x).tobytes() == (op @ x).tobytes()

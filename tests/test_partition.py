@@ -9,6 +9,24 @@ from disco.partition import _feature_stack, balanced_sizes
 from conftest import make_dense_instance
 
 
+def node_blocks(X, part, by_samples):
+    """Each node's part of the data, cut from X at the partition's offsets:
+    its columns by samples, its rows by features."""
+    cuts = [(slice(None), slice(off, off + size)) if by_samples else (slice(off, off + size), slice(None))
+            for off, size in zip(part.offsets, part.sizes)]
+    return [SparseBlock(X.matrix[cut]) for cut in cuts]
+
+
+def stacked_block(part, i, by_samples):
+    """Node i's block of the partition's stack: rows i*d:(i+1)*d and the
+    node's columns by samples, the node's rows and columns i*n:(i+1)*n by
+    features."""
+    off, size = part.offsets[i], part.sizes[i]
+    if by_samples:
+        return part.stack.matrix[i * part.d:(i + 1) * part.d, off:off + size]
+    return part.stack.matrix[off:off + size, i * part.n:(i + 1) * part.n]
+
+
 class TestBalancedSizes:
     def test_uneven(self):
         assert balanced_sizes(5, 2) == [3, 2]
@@ -51,13 +69,14 @@ class TestSamplePartition:
         part = partition_by_samples(ds.X, ds.y, 2)
         assert part.sizes == (3, 2)
         assert part.offsets == (0, 3)
-        assert [s.cols for s in part.shards] == [3, 2]
-        assert all(s.rows == 4 for s in part.shards)
+        assert part.stack.matrix.shape == (2 * 4, 5)
+        assert [stacked_block(part, j, True).shape for j in range(2)] == [(4, 3), (4, 2)]
 
     def test_single_node_is_identity(self):
         ds, _ = make_dense_instance(d=4, n=6, seed=1)
         part = partition_by_samples(ds.X, ds.y, 1)
-        assert np.array_equal(part.shards[0].toarray(), ds.X.toarray())
+        assert np.array_equal(part.stack.toarray(), ds.X.toarray())
+        assert np.array_equal(part.X.toarray(), ds.X.toarray())
         assert np.array_equal(part.y, ds.y)
 
     def test_even_split_offsets(self):
@@ -68,11 +87,13 @@ class TestSamplePartition:
     def test_round_trip_reassembly(self):
         ds, _ = make_dense_instance(d=7, n=11, seed=3)
         part = partition_by_samples(ds.X, ds.y, 4)
-        rebuilt = np.hstack([s.toarray() for s in part.shards])
-        assert np.array_equal(rebuilt, ds.X.toarray())
+        blocks = [stacked_block(part, j, True) for j in range(4)]
+        for got, want in zip(blocks, node_blocks(ds.X, part, True), strict=True):
+            assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(np.hstack([b.toarray() for b in blocks]), ds.X.toarray())
         assert np.array_equal(np.concatenate([part.y[o:o + s] for o, s in zip(part.offsets, part.sizes)]), ds.y)
         # sparsity structure preserved, not just values
-        assert sum(s.nnz for s in part.shards) == ds.X.nnz
+        assert sum(b.nnz for b in blocks) == part.stack.nnz == ds.X.nnz
 
     def test_too_many_nodes(self):
         ds, _ = make_dense_instance(d=4, n=3, seed=4)
@@ -85,19 +106,23 @@ class TestFeaturePartition:
         ds, _ = make_dense_instance(d=4, n=6, seed=5)
         part = partition_by_features(ds.X, ds.y, 2)
         assert part.sizes == (2, 2)
-        assert all(s.cols == 6 for s in part.shards)
+        assert part.stack.matrix.shape == (4, 2 * 6)
+        assert [stacked_block(part, i, False).shape for i in range(2)] == [(2, 6), (2, 6)]
 
     def test_single_node_is_identity(self):
         ds, _ = make_dense_instance(d=5, n=6, seed=6)
         part = partition_by_features(ds.X, ds.y, 1)
-        assert np.array_equal(part.shards[0].toarray(), ds.X.toarray())
+        assert np.array_equal(part.stack.toarray(), ds.X.toarray())
+        assert np.array_equal(part.X.toarray(), ds.X.toarray())
 
     def test_round_trip_reassembly(self):
         ds, _ = make_dense_instance(d=9, n=5, seed=7)
         part = partition_by_features(ds.X, ds.y, 4)
-        rebuilt = np.vstack([s.toarray() for s in part.shards])
-        assert np.array_equal(rebuilt, ds.X.toarray())
-        assert sum(s.nnz for s in part.shards) == ds.X.nnz
+        blocks = [stacked_block(part, i, False) for i in range(4)]
+        for got, want in zip(blocks, node_blocks(ds.X, part, False), strict=True):
+            assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(np.vstack([b.toarray() for b in blocks]), ds.X.toarray())
+        assert sum(b.nnz for b in blocks) == part.stack.nnz == ds.X.nnz
 
     def test_labels_replicated_fully(self):
         ds, _ = make_dense_instance(d=6, n=8, seed=8)
@@ -111,8 +136,9 @@ class TestFeaturePartition:
 
 
 class TestObjectiveEquivalence:
-    """The gradient assembled from either partition reproduces the
-    unpartitioned gradient, including for uneven shard sizes."""
+    """The gradient assembled from each node's part of the data, cut at either
+    partition's offsets, reproduces the unpartitioned gradient, including for
+    uneven shard sizes."""
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_sample_partition_gradient(self, m):
@@ -123,7 +149,7 @@ class TestObjectiveEquivalence:
         part = partition_by_samples(ds.X, ds.y, m)
         # manual weighted assembly: each shard contributes (1/n) X_j g_j
         total = np.zeros(6)
-        for shard, off, size in zip(part.shards, part.offsets, part.sizes):
+        for shard, off, size in zip(node_blocks(ds.X, part, True), part.offsets, part.sizes):
             yj = part.y[off:off + size]
             margins = spmv_transpose(shard, w)
             total += spmv(shard, grad_coeffs(obj.loss, margins, yj)) / obj.n
@@ -139,10 +165,11 @@ class TestObjectiveEquivalence:
         part = partition_by_features(ds.X, ds.y, m)
         margins = np.zeros(7)
         blocks = []
-        for shard, off, di in zip(part.shards, part.offsets, part.sizes):
+        shards = node_blocks(ds.X, part, False)
+        for shard, off, di in zip(shards, part.offsets, part.sizes):
             margins += spmv_transpose(shard, w[off:off + di])
         coeffs = grad_coeffs(obj.loss, margins, part.y)
-        for shard, off, di in zip(part.shards, part.offsets, part.sizes):
+        for shard, off, di in zip(shards, part.offsets, part.sizes):
             blocks.append(spmv(shard, coeffs) / obj.n + obj.lam * w[off:off + di])
         got = np.concatenate(blocks)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
@@ -158,10 +185,9 @@ def test_stack_holds_each_shard_block_diagonally(partition, m):
     part = partition(ds.X, ds.y, m)
     by_samples = partition is partition_by_samples
     want = np.zeros((m * 5, 7) if by_samples else (5, m * 7))
-    for i, (shard, off) in enumerate(zip(part.shards, part.offsets)):
-        rows, cols = shard.rows, shard.cols
+    for i, (shard, off) in enumerate(zip(node_blocks(ds.X, part, by_samples), part.offsets)):
         r, c = (i * 5, off) if by_samples else (off, i * 7)
-        want[r:r + rows, c:c + cols] = shard.toarray()
+        want[r:r + shard.rows, c:c + shard.cols] = shard.toarray()
     assert np.array_equal(part.stack.toarray(), want)
     assert part.X is not ds.X and part.X.matrix is ds.X.matrix
 

@@ -38,12 +38,10 @@ from disco.harness import gen_synthetic
 from disco.losses import grad_coeffs, hess_coeffs
 from disco.solver import (
     BlockPreconditioner,
-    _DenseBlock,
     _FeatureLayout,
-    _LowRankBlock,
     _SampleLayout,
-    _factor_curvature_block,
-    _kept_slice,
+    _curvature_slices,
+    _invert_blocks,
     build_preconditioner,
     build_preconditioner_features,
     damped_update,
@@ -140,10 +138,9 @@ class TestPreconditioner:
                 [Pf.apply_block(i, r[o:o + s]) for i, (o, s) in enumerate(zip(Pf.offsets, Pf.sizes))]
             )
             assert np.array_equal(Ps.apply(r), got)
-            assert all(type(b) is (_LowRankBlock if tau < 3 else _DenseBlock) for b in Ps.blocks + Pf.blocks)
-            for bs, bf in zip(Ps.blocks, Pf.blocks, strict=True):
-                for a, b in zip(block_arrays(bs), block_arrays(bf), strict=True):
-                    assert np.array_equal(a, b)
+            assert (Ps.x is None) == (Pf.x is None) == (tau >= 3)
+            for a, b in zip(preconditioner_arrays(Ps), preconditioner_arrays(Pf), strict=True):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_low_rank_block_stores_no_square_array(self, loss):
@@ -152,10 +149,9 @@ class TestPreconditioner:
         spart = partition_by_samples(ds.X, ds.y, 1)
         margins = np.random.default_rng(83).standard_normal(12)
         P = build_preconditioner(ridge_config(mu=0.1, tau=5, loss=loss), spart, margins)
-        (block,) = P.blocks
-        assert isinstance(block, _LowRankBlock)
-        shapes = [np.shape(block.x), np.shape(block.xt), np.shape(block.c)]
-        assert shapes == [(40, 5), (5, 40), (5, 5)]
+        (c,) = P.c
+        assert P.x is not None
+        assert [P.x.shape, P.xt.shape, c.shape] == [(40, 5), (5, 40), (5, 5)]
         expected = brute_force_curvature(ds.X.toarray(), hess_coeffs(loss, margins, ds.y), tau=5, mu=0.1)
         r = np.random.default_rng(84).standard_normal(40)
         assert np.linalg.norm(P.apply(r) - np.linalg.solve(expected, r)) <= 1e-12 * np.linalg.norm(r) / 0.1
@@ -171,55 +167,106 @@ class TestPreconditioner:
             P.apply_block(0, np.zeros(5))
 
     @staticmethod
-    def mixed_preconditioners(m, tau, loss):
-        """Both layouts' builds on a d=7, n=12 problem at m nodes, with the
-        margins they were built at."""
+    def seven_features(loss):
+        """A d=7, n=12 problem and the margins the builds below use."""
         labels = "sign" if loss is LossKind.LOGISTIC else "regression"
         ds, _ = make_dense_instance(d=7, n=12, seed=96, loss=loss, labels=labels)
-        margins = np.random.default_rng(97).standard_normal(12)
+        return ds, np.random.default_rng(97).standard_normal(12)
+
+    @classmethod
+    def mixed_preconditioners(cls, m, tau, loss):
+        """Both layouts' builds on the d=7 problem at m nodes."""
+        ds, margins = cls.seven_features(loss)
         cfg = ridge_config(mu=0.05, tau=tau, loss=loss)
         return (build_preconditioner(cfg, partition_by_samples(ds.X, ds.y, m), margins),
                 build_preconditioner_features(cfg, partition_by_features(ds.X, ds.y, m), margins))
 
     @pytest.mark.parametrize("loss", list(LossKind))
     @pytest.mark.parametrize("m, tau, kinds", [
-        (2, 3, "LD"),  # blocks of 4 and 3 features: one of each kind
+        (2, 3, "LD"),  # blocks of 4 and 3 features: tau is below the first only
         (3, 2, "LDD"),
         (3, 1, "LLL"),
         (2, 5, "DD"),
         (1, 6, "L"),
     ])
     def test_stacked_apply_is_the_per_block_solves_bitwise(self, m, tau, kinds, loss):
-        """``apply`` runs the low-rank blocks through the stacks of their
-        slices and the dense blocks one by one; each block's part of the
-        result has the bits of ``apply_block``, whatever the mix of kinds."""
+        """``kinds`` marks each block L when tau is below its size, else D. A
+        build runs Woodbury only when every block is L, all blocks at once
+        through the stacks of their slices, and otherwise inverts every block
+        dense and applies them one by one; each block's part of the result
+        has the bits of ``apply_block``."""
         r = np.random.default_rng(98).standard_normal(7)
         r_before = r.copy()
         for P in self.mixed_preconditioners(m, tau, loss):
-            assert "".join("L" if isinstance(b, _LowRankBlock) else "D" for b in P.blocks) == kinds
+            assert "".join("L" if tau < size else "D" for size in P.sizes) == kinds
+            assert (P.x is not None) == (P.xt is not None) == (set(kinds) == {"L"})
             per_block = [P.apply_block(i, r[o:o + s]) for i, (o, s) in enumerate(zip(P.offsets, P.sizes))]
             assert P.apply(r).tobytes() == np.concatenate(per_block).tobytes()
-            assert (P.x is None) == ("L" not in kinds)
             assert np.array_equal(r, r_before)
 
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_a_build_is_all_woodbury_or_all_dense(self, loss):
+        """Woodbury only when tau is below every block's size. At d=7, m=2
+        (blocks of 4 and 3 features) tau=3 builds both blocks dense in both
+        layouts, bitwise equal to each other and within 1e-12 of the inverse
+        of P assembled by brute force; tau=2 builds both through Woodbury."""
+        ds, margins = self.seven_features(loss)
+        r = np.random.default_rng(99).standard_normal(7)
+        for tau, woodbury in ((3, False), (2, True)):
+            Ps, Pf = self.mixed_preconditioners(2, tau, loss)
+            assert (Ps.x is not None) == (Pf.x is not None) == woodbury
+            assert len(Ps.c) == len(Pf.c) == 2
+            for a, b in zip(preconditioner_arrays(Ps), preconditioner_arrays(Pf), strict=True):
+                assert np.array_equal(a, b)
+            h = hess_coeffs(loss, margins[:tau], ds.y[:tau])
+            full = brute_force_curvature(ds.X.toarray(), h, tau=tau, mu=0.05)
+            P = np.zeros((7, 7))
+            P[:4, :4], P[4:, 4:] = full[:4, :4], full[4:, 4:]
+            want = np.linalg.solve(P, r)
+            for got in (Ps.apply(r), Pf.apply(r)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    @pytest.mark.parametrize("m, tau", [(2, 2), (2, 3), (3, 1), (1, 6)])
+    def test_block_solve_is_its_own_inverse_applied(self, m, tau, loss):
+        """``apply_block(i, r)`` is bitwise the block's own solve, written here
+        from ``c[i]``: one ``dsymv`` for a dense block, and for a Woodbury
+        block (r - X_i (C_i (X_i' r))) / mu over the block's d_i x tau slice
+        X_i, cut from X."""
+        ds, _ = self.seven_features(loss)
+        rng = np.random.default_rng(100)
+        for P in self.mixed_preconditioners(m, tau, loss):
+            for i, (off, size) in enumerate(zip(P.offsets, P.sizes)):
+                r = rng.standard_normal(size)
+                if P.x is None:
+                    want = dsymv(1.0, P.c[i], r, lower=1)
+                else:
+                    x_i = ds.X.matrix[off:off + size, :tau]
+                    want = (r - x_i @ dsymv(1.0, P.c[i], x_i.T.tocsr() @ r, lower=1)) / P.mu
+                assert P.apply_block(i, r).tobytes() == want.tobytes()
+
     def test_non_vector_and_unknown_block_rejected(self):
-        # unchecked, a dense block's dsymv would solve a matrix's column 0
-        # and index -1 would pick the last block
-        P, _ = self.mixed_preconditioners(2, 3, LossKind.SQUARE)
-        for i, size in enumerate(P.sizes):  # a low-rank and a dense block
-            with pytest.raises(ValueError, match=rf"block {i} solve takes a vector: r has shape \({size}, 2\)"):
-                P.apply_block(i, np.ones((size, 2)))
-        for i in (-1, 2):
-            with pytest.raises(ValueError, match=rf"block index {i} is outside 0\.\.1"):
-                P.apply_block(i, np.ones(3))
-        for r in (np.ones((7, 2)), np.ones((1, 7)), np.float64(1.0)):
-            with pytest.raises(ValueError, match=rf"P solve takes a vector: r has shape {re.escape(str(np.shape(r)))}"):
-                P.apply(r)
+        # unchecked, a block solve would take a matrix's column 0 or fail in
+        # numpy, and index -1 would pick the last block
+        for tau in (2, 3):  # a Woodbury and a dense build
+            P, _ = self.mixed_preconditioners(2, tau, LossKind.SQUARE)
+            for i, size in enumerate(P.sizes):
+                with pytest.raises(ValueError, match=rf"block {i} solve takes a vector: r has shape \({size}, 2\)"):
+                    P.apply_block(i, np.ones((size, 2)))
+            for i in (-1, 2):
+                with pytest.raises(ValueError, match=rf"block index {i} is outside 0\.\.1"):
+                    P.apply_block(i, np.ones(3))
+            for r in (np.ones((7, 2)), np.ones((1, 7)), np.float64(1.0)):
+                shape = re.escape(str(np.shape(r)))
+                with pytest.raises(ValueError, match=rf"P solve takes a vector: r has shape {shape}"):
+                    P.apply(r)
 
 
 def curvature_slice(Xd):
-    """A dense first-tau-samples slice as a partition keeps it."""
-    return _kept_slice(SparseBlock.from_dense(Xd).matrix)
+    """What a partition keeps of the dense d_b x tau slice ``Xd`` as its one
+    feature block: the cut of a one-node partition of the slice itself."""
+    tau = Xd.shape[1]
+    return _curvature_slices(partition_by_samples(SparseBlock.from_dense(Xd), np.zeros(tau), 1), tau)
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,9 +283,8 @@ def test_low_rank_apply_matches_dense_solve(data, d_b, mu):
     density = data.draw(st.sampled_from([0.1, 0.5, 1.0]), label="density")
     Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < density)
     kept = curvature_slice(Xd)
-    block = _factor_curvature_block(0, kept, h, mu)
-    assert isinstance(block, _LowRankBlock)
-    P = BlockPreconditioner((block,), (d_b,), (0,), block.x, block.xt)  # one block is its own stack
+    P = _invert_blocks(kept, h, mu)
+    assert P.x is not None
     r = rng.standard_normal(d_b)
     r_before = r.copy()
     got = P.apply(r)
@@ -246,25 +292,27 @@ def test_low_rank_apply_matches_dense_solve(data, d_b, mu):
     expected = np.linalg.solve((Xd * h) @ Xd.T / tau + mu * np.eye(d_b), r)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
     s = np.sqrt(h)
-    k = (s[:, None] * kept.gram) * s + mu * tau * np.eye(tau)
+    (gram,) = kept.arrays
+    k = (s[:, None] * gram) * s + mu * tau * np.eye(tau)
     via_factor = (r - Xd @ (s * cho_solve(cho_factor(k, lower=True), s * (Xd.T @ r)))) / mu
     assert np.linalg.norm(got - via_factor) <= 1e-12 * np.linalg.norm(via_factor)
 
 
 def sparse_curvature_block(d_b, tau, seed, mu=0.05):
-    """A factored block from a random 30%-dense d_b x tau slice, plus the rng."""
+    """The one-block preconditioner of a random 30%-dense d_b x tau slice,
+    plus the rng."""
     rng = np.random.default_rng(seed)
     Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < 0.3)
     h = rng.uniform(0.0, 2.0, tau)
-    return _factor_curvature_block(0, curvature_slice(Xd), h, mu), rng
+    return _invert_blocks(curvature_slice(Xd), h, mu), rng
 
 
 @pytest.mark.parametrize("d_b, tau", [(1, 1), (5, 8), (63, 63), (125, 200)])
 def test_dense_block_solve_matches_cho_solve_bitwise(d_b, tau):
     """A dense block's solve is, bitwise, scipy's ``dsymv`` on the inverse
     that ``dpotri`` forms from ``cho_factor(P_b)``; r is left untouched."""
-    block, _ = sparse_curvature_block(d_b, tau, seed=d_b)
-    assert isinstance(block, _DenseBlock)
+    P, _ = sparse_curvature_block(d_b, tau, seed=d_b)
+    assert P.x is None
     rng = np.random.default_rng(d_b)  # redraw the slice and h the block was built from
     Xd = rng.standard_normal((d_b, tau)) * (rng.random((d_b, tau)) < 0.3)
     h = rng.uniform(0.0, 2.0, tau)
@@ -274,24 +322,24 @@ def test_dense_block_solve_matches_cho_solve_bitwise(d_b, tau):
     assert info == 0
     r = rng.standard_normal(d_b)
     r_before = r.copy()
-    assert np.array_equal(block.solve(r), dsymv(1.0, inv, r, lower=1))
+    assert np.array_equal(P.apply(r), dsymv(1.0, inv, r, lower=1))
     assert np.array_equal(r, r_before)
 
 
 @pytest.mark.parametrize("d_b, tau", [(2, 1), (40, 5), (200, 63), (1000, 125)])
 def test_low_rank_block_solve_matches_woodbury_bitwise(d_b, tau):
-    block, rng = sparse_curvature_block(d_b, tau, seed=d_b)
-    assert isinstance(block, _LowRankBlock)
+    P, rng = sparse_curvature_block(d_b, tau, seed=d_b)
+    assert P.x is not None
     r = rng.standard_normal(d_b)
     r_before = r.copy()
-    z = dsymv(1.0, block.c, block.xt @ r, lower=1)
-    assert np.array_equal(block.solve(r), (r - block.x @ z) / block.mu)
+    z = dsymv(1.0, P.c[0], P.xt @ r, lower=1)
+    assert np.array_equal(P.apply(r), (r - P.x @ z) / P.mu)
     assert np.array_equal(r, r_before)
 
 
 def low_rank_blocks(loss, mode, tau):
-    """The blocks of a layout's build on a d=40, m=2 problem (d_b = 20) at
-    the given loss and tau, with the kept slices they were built from."""
+    """A layout's build on a d=40, m=2 problem (d_b = 20) at the given loss
+    and tau, with the kept cut it was built from and the curvature."""
     labels = "sign" if loss is LossKind.LOGISTIC else "regression"
     ds, _ = make_dense_instance(d=40, n=60, seed=94, loss=loss, labels=labels)
     margins = np.random.default_rng(95).standard_normal(60)
@@ -303,25 +351,26 @@ def low_rank_blocks(loss, mode, tau):
         part = partition_by_features(ds.X, ds.y, 2)
         P = build_preconditioner_features(cfg, part, margins)
     (kept,) = part.cache.values()
-    return P.blocks, kept.slices, hess_coeffs(loss, margins[:tau], ds.y[:tau])
+    return P, kept, hess_coeffs(loss, margins[:tau], ds.y[:tau])
 
 
 @pytest.mark.parametrize("loss", list(LossKind))
 @pytest.mark.parametrize("mode", list(PartitionMode))
 def test_low_rank_blocks_keep_the_inverse_not_the_factor(mode, loss):
-    """Each low-rank block of either loss's build keeps C = S K^{-1} S in
+    """Each Woodbury block of either loss's build keeps C = S K^{-1} S in
     place of K's Cholesky factor: its lower triangle, the only one the solve
     reads, is that of the inverse of K to 1e-12, and it is Fortran-ordered,
-    so that ``dsymv`` reads it in place."""
-    blocks, kept, h = low_rank_blocks(loss, mode, tau=6)
+    so that ``dsymv`` reads it in place. The build holds the partition's
+    stacks and no factor."""
+    P, kept, h = low_rank_blocks(loss, mode, tau=6)
+    assert [f.name for f in dataclasses.fields(P)] == ["sizes", "offsets", "c", "x", "xt", "mu"]
+    assert P.x is kept.x and P.xt is kept.xt and P.x is not None
     s = np.sqrt(h)
-    for block, sliced in zip(blocks, kept, strict=True):
-        assert type(block) is _LowRankBlock and "cho" not in block._fields
-        assert block.x is sliced.x and block.xt is sliced.xt
-        k = (s[:, None] * sliced.gram) * s + 0.1 * 6 * np.eye(6)
+    for c, gram in zip(P.c, kept.arrays, strict=True):
+        k = (s[:, None] * gram) * s + 0.1 * 6 * np.eye(6)
         want = np.tril(s[:, None] * np.linalg.inv(k) * s)
-        assert np.linalg.norm(np.tril(block.c) - want) <= 1e-12 * np.linalg.norm(want)
-        assert block.c.flags.f_contiguous
+        assert np.linalg.norm(np.tril(c) - want) <= 1e-12 * np.linalg.norm(want)
+        assert c.flags.f_contiguous
 
 
 @pytest.mark.parametrize("loss", list(LossKind))
@@ -331,13 +380,13 @@ def test_dense_blocks_keep_their_factor(mode, loss):
     of its Cholesky factor: the lower triangle, the only one the solve reads,
     is that of inv(P_b) to 1e-12, and it is Fortran-ordered, so that
     ``dsymv`` reads it in place."""
-    blocks, kept, h = low_rank_blocks(loss, mode, tau=25)
-    for block, sliced in zip(blocks, kept, strict=True):
-        assert type(block) is _DenseBlock and "cho" not in block._fields
+    P, kept, h = low_rank_blocks(loss, mode, tau=25)
+    assert P.x is None and P.xt is None and kept.x is None
+    for c, sliced in zip(P.c, kept.arrays, strict=True):
         p_b = (sliced * h) @ sliced.T / 25 + 0.1 * np.eye(20)
         want = np.tril(np.linalg.inv(p_b))
-        assert np.linalg.norm(np.tril(block.c) - want) <= 1e-12 * np.linalg.norm(want)
-        assert block.c.flags.f_contiguous
+        assert np.linalg.norm(np.tril(c) - want) <= 1e-12 * np.linalg.norm(want)
+        assert c.flags.f_contiguous
 
 
 @pytest.mark.parametrize("loss, builds", [(LossKind.SQUARE, 1), (LossKind.LOGISTIC, None)])
@@ -361,30 +410,31 @@ def test_one_build_serves_a_square_solve(monkeypatch, loss, builds, mode):
     assert len(built) == (result.updates if builds is None else builds)
 
 
-@pytest.mark.parametrize("d_b, tau, kind", [(40, 5, _LowRankBlock), (5, 8, _DenseBlock)])
-def test_low_rank_build_raises_on_potri_error(monkeypatch, d_b, tau, kind):
+@pytest.mark.parametrize("d_b, tau", [(40, 5), (5, 8)])  # a Woodbury and a dense block
+def test_low_rank_build_raises_on_potri_error(monkeypatch, d_b, tau):
     monkeypatch.setattr("disco.solver._potri", lambda c, lower, overwrite_c: (c, -1))
     Xd = np.random.default_rng(97).standard_normal((d_b, tau))
     with pytest.raises(ValueError, match="internal potri failed with info=-1"):
-        _factor_curvature_block(0, curvature_slice(Xd), np.full(tau, 2.0), 0.05)
+        _invert_blocks(curvature_slice(Xd), np.full(tau, 2.0), 0.05)
     monkeypatch.undo()
-    assert type(_factor_curvature_block(0, curvature_slice(Xd), np.full(tau, 2.0), 0.05)) is kind
+    assert (_invert_blocks(curvature_slice(Xd), np.full(tau, 2.0), 0.05).x is None) == (tau >= d_b)
 
 
-def test_empty_preconditioner_block_solves():
-    # the sample layout splits d < m features into min(d, m) blocks, none empty
+def test_more_nodes_than_features_give_one_feature_blocks():
+    # the sample layout splits d < m features into min(d, m) one-feature blocks
     ds, _ = make_dense_instance(d=2, n=12, seed=85)
     spart = partition_by_samples(ds.X, ds.y, 3)
     P = build_preconditioner(ridge_config(mu=0.1, tau=4), spart)
-    assert P.sizes == (1, 1)
+    assert P.sizes == (1, 1) and P.offsets == (0, 1)
     r = np.random.default_rng(86).standard_normal(2)
-    expected = brute_force_curvature(spart.shards[0].matrix.toarray(), np.full(4, 2.0), tau=4, mu=0.1)
+    master = ds.X.matrix[:, :spart.sizes[0]].toarray()  # the master's samples
+    expected = brute_force_curvature(master, np.full(4, 2.0), tau=4, mu=0.1)
     assert np.linalg.norm(P.apply(r) - np.linalg.solve(np.diag(np.diag(expected)), r)) <= 1e-12 * np.linalg.norm(r)
 
 
 @pytest.mark.parametrize("d_b, tau", [(2, 1), (40, 5), (200, 63), (1000, 125)])
 def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
-    """The block holds the kept slice and, bitwise, C = S K^{-1} S inverted
+    """The build holds the kept stacks and, bitwise, C = S K^{-1} S inverted
     from the factor of K = (s * G) * s + mu*tau*I, s = sqrt(h), where
     G = (x'x).toarray() is the sparse Gram the partition keeps; also with
     zero curvature coefficients. K agrees
@@ -398,17 +448,17 @@ def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
     h[0] = 0.0
     mu = 0.05
     kept = curvature_slice(Xd)
-    block = _factor_curvature_block(0, kept, h, mu)
-    assert isinstance(block, _LowRankBlock)
-    assert block.x is kept.x and block.xt is kept.xt and block.mu == mu
+    P = _invert_blocks(kept, h, mu)
+    assert P.x is kept.x and P.xt is kept.xt and P.x is not None and P.mu == mu
     s = np.sqrt(h)
     x = SparseBlock.from_dense(Xd).matrix
-    assert np.array_equal(kept.gram, (x.T.tocsr() @ x).toarray())
-    k = (s[:, None] * kept.gram) * s
+    (gram,) = kept.arrays
+    assert np.array_equal(gram, (x.T.tocsr() @ x).toarray())
+    k = (s[:, None] * gram) * s
     k[np.diag_indices_from(k)] += mu * tau
     inv, info = dpotri(cho_factor(k, lower=True)[0], lower=1)
     assert info == 0
-    assert np.array_equal(block.c, inv * s[:, None] * s)
+    assert np.array_equal(P.c[0], inv * s[:, None] * s)
     u = x @ sparse.diags_array(s)
     scaled = (u.T.tocsr() @ u).toarray()
     scaled[np.diag_indices_from(scaled)] += mu * tau
@@ -420,7 +470,7 @@ def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
     spart = partition_by_samples(ds.X, ds.y, 2)
     w = np.random.default_rng(88).standard_normal(12)
     cfg = ridge_config(mu=0.1, tau=3, loss=LossKind.LOGISTIC)
-    margins = spart.shards[0].matrix.T @ w  # the master's margins, as the gradient exchange leaves them
+    margins = ds.X.matrix.T @ w  # the margins X'w, as the gradient exchange leaves them
     built = []
     init = SparseBlock.__post_init__
 
@@ -433,14 +483,12 @@ def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
     assert built == []
 
 
-def block_arrays(block):
-    """Every array a factored preconditioner block holds."""
-    if isinstance(block, _DenseBlock):
-        yield block.c
-        return
-    for m in (block.x, block.xt):
-        yield from (m.data, m.indices, m.indptr)
-    yield block.c
+def preconditioner_arrays(P):
+    """Every array a built preconditioner holds."""
+    yield from P.c
+    for m in (P.x, P.xt):
+        if m is not None:
+            yield from (m.data, m.indices, m.indptr)
 
 
 @pytest.mark.parametrize("mode", list(PartitionMode))
@@ -487,19 +535,18 @@ def test_logistic_rebuild_slices_nothing(monkeypatch, mode, tau):
     assert created == []
     fresh = build(cfg, part_of(ds.X, ds.y, 2), second)
     assert (again.sizes, again.offsets) == (fresh.sizes, fresh.offsets)
-    for got, want in zip(again.blocks, fresh.blocks):
-        assert type(got) is type(want) and isinstance(got, _LowRankBlock) == (tau < 4)
-        for a, b in zip(block_arrays(got), block_arrays(want), strict=True):
-            assert np.array_equal(a, b)
-    # what the partition keeps (the slice, its transpose and their Gram, or
-    # the dense slice, and the stacks of the low-rank slices) lives exactly as
-    # long as the partition and the preconditioners built from it
+    assert (again.x is None) == (fresh.x is None) == (tau >= 4)
+    for a, b in zip(preconditioner_arrays(again), preconditioner_arrays(fresh), strict=True):
+        assert np.array_equal(a, b)
+    # what the partition keeps (each block's Gram and the stacks of the
+    # slices, or each block's dense slice) lives exactly as long as the
+    # partition and the preconditioners built from it
     (kept,) = part.cache.values()
-    assert again.x is kept.x and again.xt is kept.xt and (kept.x is None) == (tau >= 4)
-    kept = [weakref.ref(a) for a in ((*kept.slices[0], kept.x, kept.xt) if tau < 4 else [kept.slices[0]])]
+    assert again.x is kept.x and again.xt is kept.xt
+    kept = [weakref.ref(a) for a in (*kept.arrays, kept.x, kept.xt) if a is not None]
     del part, again
     gc.collect()
-    assert [ref() for ref in kept] == [None] * (5 if tau < 4 else 1)
+    assert [ref() for ref in kept] == [None] * (4 if tau < 4 else 2)
 
 
 @pytest.mark.parametrize("mode", list(PartitionMode))
