@@ -2,11 +2,19 @@
 
 The cluster models a barrier-synchronized machine group: a compute phase does
 every node's local work, then a collective moves data between nodes. A
-compute phase either maps a function over all node ids (``map_nodes``) or,
-as the solver's products and preconditioner do, runs one kernel over an
-operator whose rows each belong to one node and splits the result into the
-per-node contributions; either way each collective receives one
-contribution per node and meters the same rounds and bytes.
+compute phase takes one of three forms:
+
+* it maps a function over all node ids (``map_nodes``);
+* it runs one kernel over an operator whose rows each belong to one node and
+  splits the result into the per-node contributions, as most of the
+  solver's products and its preconditioner do;
+* it hands ``reduce_all`` the per-node contributions as an iterable that
+  produces node i's when asked, and the collective consumes each as it is
+  produced, adding it while it is still in cache, as the feature layout's
+  partial margins do when every node's block is no taller than wide.
+
+Whatever the form, each collective receives one contribution per node and
+meters the same rounds and bytes.
 
 Collectives are *logical* single-round operations -- one round and
 8 bytes/element regardless of the node count -- because the cost model counts
@@ -90,29 +98,45 @@ class Cluster:
         self._stats.broadcast_bytes += BYTES_PER_ELEMENT * received.size
         return received
 
-    def _node_vectors(self, op: str, parts: list, what: str) -> list:
-        """``parts`` as float64 arrays, after checking that there is one per
-        node and that each is a vector."""
-        if len(parts) != self.m:
-            raise ValueError(f"expected {self.m} {what}, got {len(parts)}")
-        arrays = [np.asarray(p, dtype=np.float64) for p in parts]
-        for i, a in enumerate(arrays):
-            if a.ndim != 1:
-                raise ValueError(f"{op} takes vectors: node {i} has shape {a.shape}")
-        return arrays
+    def _node_vectors(self, op: str, parts, what: str):
+        """Yield ``parts`` as float64 vectors in node order, each one as the
+        caller asks for it; raises on a part that is not a vector, and, once
+        ``parts`` runs out, unless there was exactly one per node."""
+        count = 0
+        for i, p in enumerate(parts):
+            count = i + 1
+            if i < self.m:
+                a = np.asarray(p, dtype=np.float64)
+                if a.ndim != 1:
+                    raise ValueError(f"{op} takes vectors: node {i} has shape {a.shape}")
+                yield a
+        if count != self.m:
+            raise ValueError(f"expected {self.m} {what}, got {count}")
 
-    def reduce_all(self, contributions: list) -> np.ndarray:
-        """Sum per-node vectors in ascending node order; returns the read-only
-        sum every node holds."""
-        arrays = self._node_vectors("reduce_all", contributions, "contributions")
-        for i, a in enumerate(arrays):
-            if a.shape[0] != arrays[0].shape[0]:
+    def reduce_all(self, contributions) -> np.ndarray:
+        """Sum per-node vectors in ascending node order, (c0 + c1) + c2 ...;
+        returns the read-only sum every node holds.
+
+        ``contributions`` may be any iterable, such as a generator that
+        computes node i's vector when asked. Each contribution after the
+        first is added as soon as it arrives, while it is still in cache, and
+        the next is asked for only then. The first is held until the second
+        arrives, so each one yielded must be a fresh array, never a buffer
+        that the generator refills."""
+        vectors = self._node_vectors("reduce_all", contributions, "contributions")
+        first = next(vectors)
+        total = None
+        for i, a in enumerate(vectors, 1):
+            if a.shape[0] != first.shape[0]:
                 raise ValueError(
-                    f"reduce_all length mismatch: node 0 has {arrays[0].shape[0]}, node {i} has {a.shape[0]}"
+                    f"reduce_all length mismatch: node 0 has {first.shape[0]}, node {i} has {a.shape[0]}"
                 )
-        total = arrays[0] + arrays[1] if self.m > 1 else arrays[0].copy()
-        for a in arrays[2:]:
-            total += a
+            if total is None:
+                total = first + a
+            else:
+                total += a
+        if total is None:  # one node: the sum is a copy of its contribution
+            total = first.copy()
         self._stats.reduceall_rounds += 1
         self._stats.reduceall_bytes += BYTES_PER_ELEMENT * total.size
         total.flags.writeable = False
@@ -120,7 +144,7 @@ class Cluster:
 
     def reduce_concat(self, blocks: list) -> np.ndarray:
         """Concatenate per-node blocks, in node order, on the master."""
-        total = np.concatenate(self._node_vectors("reduce_concat", blocks, "blocks"))
+        total = np.concatenate(list(self._node_vectors("reduce_concat", blocks, "blocks")))
         self._stats.reduce_rounds += 1
         self._stats.reduce_bytes += BYTES_PER_ELEMENT * total.size
         return total

@@ -11,7 +11,9 @@ costs more than the product at these sizes. The bits are the same. The kernels
 accumulate in storage order (ascending index) and are therefore deterministic
 from run to run. Both products loop over the block's shorter side. A block
 with no more rows than columns multiplies by its CSR matrix and, transposed,
-by the CSC view over the same arrays, so it holds no copy. A taller one keeps
+by the CSC view over the same arrays, so it holds no copy, even when those
+arrays are themselves views into a larger matrix's (``compressed_view``,
+which a feature partition's row blocks also use). A taller one keeps
 a CSR copy of its transpose, built on its first product of either kind, and
 multiplies transposed by that copy and forward by the CSC view over the copy's
 arrays. The loss functions on the unpartitioned data matrix multiply through
@@ -31,6 +33,7 @@ __all__ = [
     "SparseBlock",
     "as_vec",
     "block_diagonal",
+    "compressed_view",
     "matvec",
     "spmv",
     "spmv_transpose",
@@ -50,6 +53,16 @@ def as_vec(values) -> np.ndarray:
 def _index_dtype(shape, nnz: int):
     """int32 when the shape and nnz fit, else int64."""
     return np.int32 if max(*shape, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def compressed_view(fmt: str, data, indices, indptr, shape):
+    """The CSR or CSC (``fmt``) array of ``shape`` over exactly these
+    canonical arrays, views included. scipy's constructor copies an array
+    that views less than half of another, so the arrays are assigned to an
+    empty array of the shape instead."""
+    view = (sparse.csr_array if fmt == "csr" else sparse.csc_array)(shape)
+    view.data, view.indices, view.indptr = data, indices, indptr
+    return view
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,9 @@ class SparseBlock:
         over the shorter side. Both kernels add each output element's terms in
         ascending index order, starting from 0.0, so the bits are the same."""
         m = self.matrix
-        return m.T if m.shape[0] <= m.shape[1] else m.tocsc().T
+        if m.shape[0] <= m.shape[1]:
+            return compressed_view("csc", m.data, m.indices, m.indptr, m.shape[::-1])
+        return m.tocsc().T
 
     @cached_property
     def matrix_fwd(self):

@@ -12,15 +12,19 @@ Splits are contiguous and balanced (sizes differ by at most one, larger
 shards first), so partitioning is deterministic.
 
 A partition keeps no per-node copy of the data. It holds the split's
-``sizes`` and ``offsets`` and two operators for the solver's node-local
-products, so that each product is one kernel call over all nodes rather than
-one call per node: ``X``, the unsplit data in a wrapper of its own (the
-operands a product builds are cached there, not on the caller's block), and
+``sizes`` and ``offsets``, ``X``, the unsplit data in a wrapper of its own
+(the operands a product builds are cached there, not on the caller's block),
+and what the solver's node-local products run over besides X, so that most
+products are one kernel call over all nodes rather than one call per node:
 ``stack``, the block-diagonal stack of the shards, whose every row holds one
-node's entries. In the feature layout the stack is d x (m*n), node i's rows
-in columns i*n:(i+1)*n, over X's own data and row pointers; in the sample
-layout it is (m*d) x n, node j's columns in rows j*d:(j+1)*d, built from
-column slices of X that it does not keep.
+node's entries. In the sample layout it is (m*d) x n, node j's columns in
+rows j*d:(j+1)*d, built from column slices of X that it does not keep. In
+the feature layout it is d x (m*n), node i's rows in columns i*n:(i+1)*n,
+over X's own data and row pointers, and is built on first use: a product
+reads it only when some node's block is taller than wide. Otherwise each
+node's partial margins come from its own row block, ``blocks[i]``, a
+``SparseBlock`` over X's data and index arrays (no copy), also built on
+first use.
 
 Each partition carries a ``cache`` dict for what later steps derive from it
 alone (the solver keeps its preconditioner slices there), so that such data
@@ -30,11 +34,12 @@ is made once and lives exactly as long as the partition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .linalg import SparseBlock, _index_dtype, as_vec, block_diagonal
+from .linalg import SparseBlock, _index_dtype, as_vec, block_diagonal, compressed_view
 
 __all__ = [
     "SamplePartition",
@@ -56,8 +61,8 @@ def balanced_sizes(total: int, m: int) -> list:
 @dataclass(frozen=True)
 class _Partition:
     """Node i holds part ``offsets[i]:+sizes[i]`` of the split dimension;
-    ``y`` is the full label vector in both layouts; ``X`` and ``stack`` are
-    the unsplit data and the stacked shards (see the module docstring)."""
+    ``y`` is the full label vector in both layouts; ``X`` is the unsplit
+    data (see the module docstring)."""
 
     y: np.ndarray
     sizes: tuple
@@ -65,7 +70,6 @@ class _Partition:
     d: int
     n: int
     X: SparseBlock = field(repr=False, compare=False)
-    stack: SparseBlock = field(repr=False, compare=False)
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -73,10 +77,30 @@ class _Partition:
 class SamplePartition(_Partition):
     """Column shards: node j holds all d features of samples offsets[j]:+sizes[j]."""
 
+    stack: SparseBlock = field(repr=False, compare=False)
+
 
 @dataclass(frozen=True)
 class FeaturePartition(_Partition):
     """Row shards: node i holds features offsets[i]:+sizes[i] of all n samples."""
+
+    @cached_property
+    def stack(self) -> SparseBlock:
+        """The d x (m*n) stack of the row blocks, built on first use."""
+        return _feature_stack(self.X, self.offsets)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """Node i's rows of X as a ``SparseBlock`` over slices of X's data
+        and index arrays, built on first use."""
+        x = self.X.matrix
+        blocks = []
+        for off, size in zip(self.offsets, self.sizes):
+            rows = x.indptr[off:off + size + 1]
+            start, stop = rows[0], rows[-1]
+            view = compressed_view("csr", x.data[start:stop], x.indices[start:stop], rows - start, (size, self.n))
+            blocks.append(SparseBlock(view))
+        return tuple(blocks)
 
 
 def _contiguous_split(X: SparseBlock, y, m: int, total: int, what: str) -> tuple:
@@ -112,9 +136,9 @@ def partition_by_samples(X: SparseBlock, y: np.ndarray, m: int) -> SamplePartiti
     d, n = X.rows, X.cols
     columns = [X.matrix[:, off:off + size] for off, size in zip(offsets, sizes)]
     stack = block_diagonal(columns, range(0, m * d, d), offsets, (m * d, n))
-    return SamplePartition(y.copy(), sizes, offsets, d, n, SparseBlock(X.matrix), SparseBlock(stack))
+    return SamplePartition(y.copy(), sizes, offsets, d, n, SparseBlock(X.matrix), stack=SparseBlock(stack))
 
 
 def partition_by_features(X: SparseBlock, y: np.ndarray, m: int) -> FeaturePartition:
     y, sizes, offsets = _contiguous_split(X, y, m, X.rows, "features")
-    return FeaturePartition(y.copy(), sizes, offsets, X.rows, X.cols, SparseBlock(X.matrix), _feature_stack(X, offsets))
+    return FeaturePartition(y.copy(), sizes, offsets, X.rows, X.cols, SparseBlock(X.matrix))

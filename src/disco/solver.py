@@ -28,13 +28,18 @@ A broadcast or reduce_all returns the one read-only array that every node
 then holds, so no layout keeps per-node replicas; PCG never writes into an
 array it did not just allocate.
 
-Node-local work runs as one kernel call over all nodes, not one call per
-node: each product multiplies the partition's unsplit X once and its
+Node-local work mostly runs as one kernel call over all nodes, not one call
+per node: each product multiplies the partition's unsplit X once and its
 block-diagonal stack of shards once, whose every row holds one node's
 terms, and reshapes the stacked result into the m per-node contributions
-that the collective receives, so the collectives, their rounds and their
-bytes are those of a per-node run. A Woodbury preconditioner applies its
-blocks the same way, over stacks of their slices.
+that the collective receives. The exception is the feature layout's
+transposed product when every feature block is no taller than wide: it is a
+scatter whose m length-n results together outgrow the cache (8 x 50,000
+doubles on the tall benchmark workload), so node i's X_i'u_i is computed
+from its own row block only when the reduce_all asks for it, and is added
+while it is still in cache. Either way the collectives, their rounds and
+their bytes are those of a per-node run. A Woodbury preconditioner applies
+its blocks as one call, over stacks of their slices.
 
 Both layouts use the same preconditioner: a feature-block-diagonal curvature
 matrix estimated from the first tau samples,
@@ -76,8 +81,9 @@ iterates up to roundoff, so layout only changes communication cost, not the
 optimization path.
 
 Every Hessian product multiplies transposed (``spmv_transpose``: X in the
-sample layout, the stack in the feature layout) and then forward (``spmv``:
-the stack, or X), both looping over the operand's shorter side: an operand
+sample layout, each node's row block or the stack in the feature layout)
+and then forward (``spmv``: the stack, or X), both looping over the
+operand's shorter side: an operand
 with more rows than columns multiplies through a CSR copy of its transpose
 built on its first product and through the CSC view of that copy; one with
 no more rows than columns through its CSR matrix and its CSC view. Both
@@ -464,7 +470,8 @@ class _Layout:
     ``coeffs`` maps margins elementwise. Node-local work runs as one kernel
     call over the partition's unsplit ``X`` or its ``stack`` of shards,
     whose every row holds one node's terms, so each node's part has the bits
-    of a per-node call."""
+    of a per-node call, or, for the feature layout's partial margins on
+    blocks no taller than wide, as that per-node call itself."""
 
     def __init__(self, cluster: Cluster, part, config: SolverConfig):
         config.validate()
@@ -506,7 +513,7 @@ class _SampleLayout(_Layout):
         u_all = cluster.broadcast(u)
         z = spmv_transpose(part.X, u_all)
         terms = (spmv(part.stack, coeffs(z)) / part.n).reshape(cluster.m, part.d)
-        return cluster.reduce_all(list(terms)) + self.config.lam * u_all, z
+        return cluster.reduce_all(terms) + self.config.lam * u_all, z
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         return v
@@ -527,6 +534,12 @@ class _FeatureLayout(_Layout):
         super().__init__(cluster, part, config)
         config.resolved_tau(part.n)
         self.nodes = tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
+        # Every block no taller than wide: the transposed products are
+        # scatters, run node by node into the reduce (see _product). Taller
+        # blocks keep one gather over the stack: on wide_features_square
+        # (n = 500) the m partial products fit in cache anyway, and m calls
+        # made a solve about 4% slower than one call.
+        self.streamed = max(part.sizes) <= part.n
 
     def dots(self, *pairs, metered: bool = True) -> list:
         """Global <a, b> for each pair: per-node slice terms, all riding one
@@ -543,10 +556,17 @@ class _FeatureLayout(_Layout):
         return [float(x) for x in self.cluster.reduce_all(self.cluster.map_nodes(lambda i: np.array(local(i))))]
 
     def _product(self, u: np.ndarray, coeffs) -> tuple:
-        """One length-n reduce_all of the partial products X_i'u_i (row i of
-        the stacked product), then each node's slice of X c / n + lam*u."""
+        """One length-n reduce_all of the partial products X_i'u_i, then
+        each node's slice of X c / n + lam*u. When every block is no taller
+        than wide, node i's partial product is computed from its own block
+        only when the reduce asks for it, so each is added while it is still
+        in cache; otherwise node i's is row i of one product with the stack."""
         cluster, part = self.cluster, self.part
-        z = cluster.reduce_all(list(spmv_transpose(part.stack, u).reshape(cluster.m, part.n)))
+        if self.streamed:
+            partials = (spmv_transpose(block, u[node]) for block, node in zip(part.blocks, self.nodes))
+        else:
+            partials = spmv_transpose(part.stack, u).reshape(cluster.m, part.n)
+        z = cluster.reduce_all(partials)
         return spmv(part.X, coeffs(z)) / part.n + self.config.lam * u, z
 
     def assemble(self, v: np.ndarray) -> np.ndarray:

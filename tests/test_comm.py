@@ -108,6 +108,76 @@ class TestReduceAll:
         assert not np.shares_memory(got, contribution)
 
 
+def streamed(contributions, log=None):
+    """Yield a fresh copy of each contribution in turn, appending each copy
+    to ``log`` before it is handed over."""
+    for c in contributions:
+        fresh = np.array(c, dtype=np.float64)
+        if log is not None:
+            log.append(fresh)
+        yield fresh
+
+
+class TestReduceAllStreamed:
+    """``reduce_all`` on a generator: it asks for node i's contribution only
+    when it gets to it, with the list form's sum, checks and metering."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_sum_is_the_list_form_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        contributions = [rng.standard_normal(7) * 10.0 ** rng.integers(-8, 9, 7) for _ in range(m)]
+        want = Cluster(m).reduce_all(contributions)
+        cl = Cluster(m)
+        got = cl.reduce_all(streamed(contributions))
+        assert got.tobytes() == want.tobytes()
+        assert_read_only(got)
+        assert cl.snapshot_stats() == CommStats(reduceall_rounds=1, reduceall_bytes=8 * 7)
+
+    def test_each_contribution_is_added_before_the_next_is_asked_for(self):
+        """When node i + 1's contribution is asked for (i >= 1), node i's is
+        already in the sum: overwriting it then leaves the sum unchanged.
+        Node 0's is held until node 1's arrives, so it is left alone."""
+        contributions = [np.array([1e16, 1.0]), np.array([1.0, 2.0]), np.array([-1e16, 3.0]), np.array([4.0, 5.0])]
+        yielded = []
+
+        def overwriting():
+            for c in streamed(contributions, yielded):
+                if len(yielded) > 2:
+                    yielded[-2][:] = np.nan
+                yield c
+
+        got = Cluster(4).reduce_all(overwriting())
+        assert got.tobytes() == Cluster(4).reduce_all(contributions).tobytes()
+        assert np.isnan(yielded[1]).all() and np.isnan(yielded[2]).all()
+
+    @pytest.mark.parametrize("parts", [0, 1, 3])
+    def test_one_contribution_per_node(self, parts):
+        cl = Cluster(2)
+        with pytest.raises(ValueError, match=f"^expected 2 contributions, got {parts}$"):
+            cl.reduce_all(streamed([np.zeros(2)] * parts))
+        assert cl.snapshot_stats() == CommStats()
+
+    @pytest.mark.parametrize("contributions, message", [
+        ([np.zeros(2), np.zeros((2, 2))], "reduce_all takes vectors: node 1 has shape (2, 2)"),
+        ([np.zeros(2), np.zeros(3)], "reduce_all length mismatch: node 0 has 2, node 1 has 3"),
+    ], ids=["matrix", "length"])
+    def test_bad_contribution_raises_and_meters_nothing(self, contributions, message):
+        cl = Cluster(2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cl.reduce_all(streamed(contributions))
+        assert cl.snapshot_stats() == CommStats()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_result_never_aliases_a_contribution(self, m):
+        yielded = []
+        got = Cluster(m).reduce_all(streamed([np.full(3, i + 1.0) for i in range(m)], yielded))
+        assert np.array_equal(got, np.full(3, m * (m + 1) / 2))
+        assert len(yielded) == m
+        for c in yielded:
+            assert not np.shares_memory(got, c)
+        assert_read_only(got)
+
+
 @pytest.mark.parametrize("op", ["reduce_all", "reduce_concat"])
 @pytest.mark.parametrize("parts", [1, 3])
 def test_one_part_per_node(op, parts):

@@ -18,6 +18,7 @@ from scipy import sparse
 
 from disco import (
     Cluster,
+    CommStats,
     Dataset,
     LossKind,
     Objective,
@@ -312,14 +313,16 @@ def per_shard_product(X, part, u, coeffs, lam):
 @pytest.mark.parametrize("loss", list(LossKind))
 @pytest.mark.parametrize("mode", list(PartitionMode))
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
-@pytest.mark.parametrize("d, n", [(23, 7), (7, 23)])
+@pytest.mark.parametrize("d, n", [(23, 7), (7, 23), (12, 12)])
 def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss):
     """The gradient, margins and Hessian product that each layout computes
-    with one kernel call over the unsplit X or the stacked shards equal a
-    per-shard loop bit for bit: on uneven splits, on shards with more rows
-    than columns and with no more (the two shapes swap which layout has
-    which), and with an empty row, an all-empty feature shard at m=5 and an
-    empty column."""
+    with one kernel call over the unsplit X or the stacked shards, or, in the
+    feature layout when every block is no taller than wide, one call per
+    node streamed into the reduce, equal a per-shard loop bit for bit: on
+    uneven splits, on shards with more rows than columns and with no more
+    (the two shapes swap which layout has which; at m=3 on 23 x 7 the
+    feature blocks are 8, 8 and 7 rows, and at 12 x 12 square), and with an
+    empty row, an all-empty feature shard at m=5 and an empty column."""
     rng = np.random.default_rng(d * 100 + m)
     Xd = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.5)
     Xd[[3, 4]] = 0.0
@@ -341,6 +344,31 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     h = layout.curvature(margins)
     want_hu, _ = per_shard_product(X, layout.part, u, lambda z: h * z, 0.3)
     assert layout.hess_vec(u, h).tobytes() == want_hu.tobytes()
+    if mode is PartitionMode.FEATURES:  # the products built only the operands of their own path
+        streamed = max(layout.part.sizes) <= n
+        assert layout.streamed == streamed
+        assert ("blocks" in vars(layout.part), "stack" in vars(layout.part)) == (streamed, not streamed)
+
+
+# A feature-layout solve whose every block (3 x 24) is no taller than wide:
+# its iterate, bit for bit, and its counters, as the product with the
+# stacked shards computed them. Node-by-node products must keep every bit.
+STREAMED_SOLVE_W = [
+    "-0x1.f463e82c72161p-3", "-0x1.470a5fd8a1a0cp-1", "0x1.16440ab6d19ebp-3",
+    "0x1.6ff68dffec606p-2", "0x1.a5ee5321cbf15p-4", "0x1.40b7972901f01p-2",
+    "0x1.d99034fdd6b7ep-2", "0x1.7cad6a8ddc368p-4", "-0x1.4063608d85671p-3",
+]
+STREAMED_SOLVE_STATS = CommStats(reduce_rounds=7, reduceall_rounds=197, reduce_bytes=504, reduceall_bytes=15704)
+
+
+def test_streamed_feature_solve_keeps_the_stacked_bits():
+    ds, _ = make_dense_instance(d=9, n=24, seed=231)
+    cluster = Cluster(3)
+    result = disco_outer(cluster, ds, SolverConfig(lam=0.1, mu=0.1, tau=2, partition_mode=PartitionMode.FEATURES))
+    assert result.converged
+    assert [x.hex() for x in result.w] == STREAMED_SOLVE_W
+    assert cluster.snapshot_stats() == STREAMED_SOLVE_STATS
+    assert (result.inner_iters_total, result.updates) == (63, 7)
 
 
 def sparse_objects():
@@ -351,15 +379,21 @@ def sparse_objects():
 
 def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
     """A solve in either layout multiplies through its partition's X and
-    stack alone. The partition's fields hold no sparse matrix besides those
-    two, the caller's data block caches no product operand, and the sparse
-    arrays a solve leaves alive are X's and the stack's wrappers and the
-    operands cached on them, plus the stacks of the preconditioner's slices
-    that the partition's cache keeps. The feature stack holds the data array
-    of X itself."""
-    ds = gen_synthetic(120, 20, 0.2, 0.1, 3)  # every operand is taller than wide: a product copies its transpose
-    for mode, name in ((PartitionMode.FEATURES, "partition_by_features"),
-                       (PartitionMode.SAMPLES, "partition_by_samples")):
+    the operands a product needs besides it, built on first use: the stack
+    of the shards by samples, and by features the stack when a block is
+    taller than wide, else each node's row block. The partition's fields
+    hold no sparse matrix besides X and the sample stack, the caller's data
+    block caches no product operand, and the sparse arrays a solve leaves
+    alive are those operands, their wrappers and the operands cached on
+    them, plus the stacks of the preconditioner's slices that the
+    partition's cache keeps. The feature stack holds the data array of X
+    itself; the row blocks hold slices of X's data and index arrays, so that
+    a solve on blocks no taller than wide copies no nonzero of X."""
+    tall = gen_synthetic(120, 20, 0.2, 0.1, 3)  # every operand is taller than wide: a product copies its transpose
+    wide = gen_synthetic(20, 120, 0.2, 0.1, 3)  # feature blocks of 7, 7 and 6 rows: each node's own product
+    for mode, name, ds in ((PartitionMode.FEATURES, "partition_by_features", tall),
+                           (PartitionMode.FEATURES, "partition_by_features", wide),
+                           (PartitionMode.SAMPLES, "partition_by_samples", tall)):
         parts = []
         partition = getattr(solver, name)
         before = sparse_objects()  # held, so that no new object reuses an id
@@ -370,20 +404,30 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
         fields = {f.name: getattr(part, f.name) for f in dataclasses.fields(part)}
         held = [k for k, v in fields.items() if any(isinstance(o, (sparse.sparray, SparseBlock))
                                                      for o in (v if isinstance(v, tuple) else (v,)))]
-        assert held == ["X", "stack"], mode
+        streamed = ds is wide
+        assert held == (["X"] if mode is PartitionMode.FEATURES else ["X", "stack"]), mode
         assert "matrix_t" not in vars(ds.X) and "matrix_fwd" not in vars(ds.X)
-        assert "matrix_t" in vars(part.X) and "matrix_t" in vars(part.stack)
+        operands = [part.X, *part.blocks] if streamed else [part.X, part.stack]
+        assert ("stack" in vars(part)) != streamed and ("blocks" in vars(part)) == streamed
+        assert all("matrix_t" in vars(block) for block in operands[streamed:])
         (kept,) = part.cache.values()
-        assert kept.x is not None and kept.xt is not None  # tau = 5 is below every 40-feature block
+        assert kept.x is not None and kept.xt is not None  # tau = 5 is below every block
         allowed = [kept.x, kept.xt]
-        for block in (part.X, part.stack):
+        for block in operands:
             allowed += [block, block.matrix, *(vars(block).get(op) for op in ("matrix_t", "matrix_fwd"))]
         seen = {id(o) for o in before}
         new = [o for o in sparse_objects() if id(o) not in seen]
         assert {id(o) for o in new} <= {id(o) for o in allowed}, (mode, [type(o) for o in new])
-        assert {id(kept.x), id(kept.xt), id(part.stack)} <= {id(o) for o in new}
+        assert {id(kept.x), id(kept.xt), *map(id, operands[1:])} <= {id(o) for o in new}
         if mode is PartitionMode.FEATURES:
-            assert np.shares_memory(part.stack.matrix.data, ds.X.matrix.data)
+            assert np.shares_memory(operands[1].matrix.data, ds.X.matrix.data)
+        if streamed:
+            for block in part.blocks:
+                assert np.shares_memory(block.matrix.data, ds.X.matrix.data)
+                assert np.shares_memory(block.matrix.indices, ds.X.matrix.indices)
+            copies = [o for o in new if isinstance(o, sparse.sparray) and o is not kept.x and o is not kept.xt
+                      and not np.shares_memory(o.data, ds.X.matrix.data)]
+            assert copies == []
 
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "discobench"
@@ -449,10 +493,35 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
     assert calls["disco_outer"] == calls[partition] == 1
     for name in ("spmv", "spmv_transpose", "grad_coeffs", "hess_coeffs", "apply", "reduce_all"):
         assert calls[name] > 0, name
-    # the products and the preconditioner run over the stacked shards; only
-    # the feature layout's metered dot products still map over the nodes
+    # no product or preconditioner apply maps over the nodes; only the
+    # feature layout's metered dot products do
     assert (calls["map_nodes"] > 0) == (mode is PartitionMode.FEATURES)
     assert calls["apply_block"] == 0
+
+
+@pytest.mark.parametrize("d, n, streamed", [(9, 24, True), (30, 9, False)], ids=["streamed", "stacked"])
+def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, streamed):
+    """The benchmark tracer times ``linalg.spmv_transpose`` by wrapping
+    ``solver.spmv_transpose``. A feature-layout solve whose blocks are all
+    no taller than wide calls that name once per node per product, on the
+    node's own block in node order; otherwise once per product, on the
+    stack. Either way the calls' nonzeros add up to X's per product."""
+    m = 3
+    ds, _ = make_dense_instance(d=d, n=n, seed=231)
+    parts, operands = [], []
+    tracer = load_tracer().Tracer()
+    with tracer.installed(), monkeypatch.context() as patch:
+        traced, partition = solver.spmv_transpose, solver.partition_by_features
+        patch.setattr(solver, "spmv_transpose", lambda block, x: operands.append(block) or traced(block, x))
+        patch.setattr(solver, "partition_by_features", lambda *args: parts.append(partition(*args)) or parts[-1])
+        result = solver.disco_outer(Cluster(m), ds, SolverConfig(lam=0.1, mu=0.1, tau=2, partition_mode="features"))
+    assert result.converged
+    products = result.grad_evals + result.inner_iters_total
+    (part,) = parts
+    assert list(map(id, operands)) == [id(o) for o in (part.blocks if streamed else [part.stack])] * products
+    assert tracer.calls["linalg.spmv_transpose"] == len(operands) == (m if streamed else 1) * products
+    assert tracer.nnz["linalg.spmv_transpose"] == products * ds.X.nnz
+    assert tracer.calls["linalg.spmv"] == products and tracer.nnz["linalg.spmv"] == products * ds.X.nnz
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from disco.linalg import (
     SparseBlock,
     as_vec,
     block_diagonal,
+    compressed_view,
     matvec,
     spmv,
     spmv_transpose,
@@ -193,6 +194,24 @@ def test_cached_transpose_view_is_exact_and_shares_storage(block, seed):
         assert op.format == "csr"
         assert all(np.all(np.diff(op.indices[a:b]) > 0) for a, b in zip(op.indptr[:-1], op.indptr[1:]))
         assert np.array_equal(op.toarray(), block.toarray().T)
+
+
+def test_a_row_block_over_views_of_the_arrays_copies_nothing():
+    """Rows 6:9 of a 20-row CSR matrix over slices of its arrays: scipy's
+    constructor copies slices that small, ``compressed_view`` keeps them,
+    and so does the transposed operand of a block over the view, whose
+    product has the bits of the product with the copied rows."""
+    m = random_sparse(20, 30, 120, 7).matrix
+    rows = m.indptr[6:10]
+    start, stop = rows[0], rows[-1]
+    arrays = (m.data[start:stop], m.indices[start:stop], rows - start)
+    assert not np.shares_memory(sparse.csr_array(arrays, shape=(3, 30)).data, m.data)
+    block = SparseBlock(compressed_view("csr", *arrays, (3, 30)))
+    assert np.array_equal(block.toarray(), m.toarray()[6:9])
+    for matrix in (block.matrix, block.matrix_t):
+        assert np.shares_memory(matrix.data, m.data) and np.shares_memory(matrix.indices, m.indices)
+    x = np.random.default_rng(0).standard_normal(3)
+    assert spmv_transpose(block, x).tobytes() == (m[6:9].T @ x).tobytes()
 
 
 class TestSparseBlock:
