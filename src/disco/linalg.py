@@ -3,11 +3,14 @@
 Everything is float64. The same small set of kernels backs the serial
 reference computations and the node-local work inside the simulated cluster,
 so that a one-node run reproduces the unpartitioned computation bit for bit.
-``block_diagonal`` stacks CSR blocks so that one product serves every node. The
-products of a solve (``spmv``, ``spmv_transpose`` and the preconditioner's,
-all through ``matvec``) call scipy's compiled CSR/CSC kernels directly: the
-routines that ``operand @ x`` ends in after scipy's Python dispatch, which
-costs more than the product at these sizes. The bits are the same. The kernels
+``stack_row_blocks`` places the row blocks of a CSR matrix side by side, over
+its own data and row pointers, so that one product serves every node (or
+every preconditioner block); it builds each partition's stack and the
+Woodbury preconditioner's stack of slices. The products of a solve
+(``spmv``, ``spmv_transpose`` and the preconditioner's, all through
+``matvec``) call scipy's compiled CSR/CSC kernels directly: the routines
+that ``operand @ x`` ends in after scipy's Python dispatch, which costs
+more than the product at these sizes. The bits are the same. The kernels
 accumulate in storage order (ascending index) and are therefore deterministic
 from run to run. Both products loop over the block's shorter side. A block
 with no more rows than columns multiplies by its CSR matrix and, transposed,
@@ -32,11 +35,11 @@ from scipy.sparse import _sparsetools
 __all__ = [
     "SparseBlock",
     "as_vec",
-    "block_diagonal",
     "compressed_view",
     "matvec",
     "spmv",
     "spmv_transpose",
+    "stack_row_blocks",
 ]
 
 
@@ -141,22 +144,22 @@ class SparseBlock:
         return self.matrix.toarray()
 
 
-def block_diagonal(pieces, row_offsets, col_offsets, shape) -> sparse.csr_array:
-    """The CSR matrix of ``shape`` holding CSR piece p at rows
-    ``row_offsets[p]`` and columns ``col_offsets[p]`` onward. The pieces'
-    row ranges must be disjoint and ascending; rows no piece covers are empty.
-    It is built from the pieces' arrays with O(nnz) array operations (scipy's
-    ``block_diag`` and ``vstack`` cost more than a solve's products here), and
-    keeps each row's entries in the piece's order, so a product with it adds
-    each output element's terms as the piece's own product does."""
-    idx = _index_dtype(shape, sum(p.nnz for p in pieces))
-    row_nnz = np.zeros(shape[0] + 1, dtype=idx)  # row r's count at r + 1
-    for p, row in zip(pieces, row_offsets):
-        row_nnz[row + 1:row + 1 + p.shape[0]] = np.diff(p.indptr)
-    indptr = np.cumsum(row_nnz, dtype=idx)
-    data = np.concatenate([p.data for p in pieces])
-    indices = np.concatenate([np.add(p.indices, col, dtype=idx) for p, col in zip(pieces, col_offsets)])
-    return sparse.csr_array((data, indices, indptr), shape=shape)
+def stack_row_blocks(matrix, offsets) -> sparse.csr_array:
+    """The CSR matrix of shape (rows, k*cols) holding row block i of the
+    canonical CSR ``matrix`` (rows ``offsets[i]`` up to the next offset, the
+    last block up to the end) in columns i*cols:(i+1)*cols, so that one
+    product with it serves every block. It shares ``matrix``'s data and row
+    pointers and writes only new column indices, int64 when the width needs
+    it. Every row keeps its entries in order, so a product with the stack
+    adds each output element's terms as the block's own product does."""
+    rows, cols = matrix.shape
+    shape = (rows, len(offsets) * cols)
+    idx = _index_dtype(shape, matrix.nnz)
+    indices = matrix.indices.astype(idx)
+    starts = matrix.indptr[[*offsets, rows]]
+    for i in range(1, len(offsets)):
+        indices[starts[i]:starts[i + 1]] += i * cols
+    return compressed_view("csr", matrix.data, indices, matrix.indptr.astype(idx, copy=False), shape)
 
 
 # scipy's compiled matrix-vector kernels by operand format. The module is

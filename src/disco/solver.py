@@ -39,7 +39,8 @@ doubles on the tall benchmark workload), so node i's X_i'u_i is computed
 from its own row block only when the reduce_all asks for it, and is added
 while it is still in cache. Either way the collectives, their rounds and
 their bytes are those of a per-node run. A Woodbury preconditioner applies
-its blocks as one call, over stacks of their slices.
+its blocks as one call each way, over one stack of their slices and its
+transpose.
 
 Both layouts use the same preconditioner: a feature-block-diagonal curvature
 matrix estimated from the first tau samples,
@@ -68,9 +69,10 @@ follows: a build runs once per solve for the square loss and at every Newton
 step for the logistic loss. A partition's first build cuts the first tau
 columns of X into the blocks and keeps in the partition's ``cache`` what
 every later build reads: for Woodbury, each block's dense tau x tau Gram
-X_b'X_b (one sparse product per block per solve) and the block-diagonal
-stacks of the slices and of their transposes; otherwise each block's dense
-d_b x tau slice. Only the sqrt(h) scaling depends on the iterate, so a
+X_b'X_b (one sparse product per block per solve) and the d x k*tau stack of
+the slices, block b in columns b*tau:(b+1)*tau, whose transpose (built once
+and cached on it) serves the apply's first product; otherwise each block's
+dense d_b x tau slice. Only the sqrt(h) scaling depends on the iterate, so a
 logistic rebuild at every Newton step slices nothing and creates no sparse
 matrix: Woodbury scales each kept Gram by sqrt(h) on both sides, an
 O(tau^2) pass, adds mu*tau*I and inverts it; a dense build forms and
@@ -113,13 +115,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import cho_factor
 from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .comm import Cluster
-from .linalg import block_diagonal, matvec, spmv, spmv_transpose
+from .linalg import SparseBlock, matvec, spmv, spmv_transpose, stack_row_blocks
 from .losses import Choice, LossKind, grad_coeffs, hess_coeffs
 from .partition import (
     FeaturePartition,
@@ -304,17 +305,15 @@ class BlockPreconditioner:
     """The inverted per-feature-block subsampled curvature matrices of one
     build. Block b covers features ``offsets[b]:+sizes[b]`` and applies
     ``c[b]``, a Fortran-ordered array whose lower triangle alone is read,
-    with one ``dsymv``. A Woodbury build holds ``x`` (d x k*tau) and ``xt``
-    (k*tau x d), the block-diagonal stacks of the k blocks' sparse d_b x tau
-    slices X_b and of their transposes, block b in sample columns
-    b*tau:(b+1)*tau, and c[b] = C_b; a dense build holds no stacks (None) and
+    with one ``dsymv``. A Woodbury build holds ``x``, the d x k*tau stack of
+    the k blocks' sparse d_b x tau slices X_b, block b in sample columns
+    b*tau:(b+1)*tau, and c[b] = C_b; a dense build holds no stack (None) and
     c[b] = P_b^{-1}."""
 
     sizes: tuple
     offsets: tuple
     c: tuple
-    x: sparse.csr_array | None
-    xt: sparse.csr_array | None
+    x: SparseBlock | None
     mu: float
 
     @property
@@ -338,8 +337,9 @@ class BlockPreconditioner:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Solve P s = r with the stored inverses: a Woodbury build through
-        one product with ``xt``, one ``dsymv`` per block and one product with
-        ``x``, (r - X_b C_b X_b' r) / mu for every block at once; a dense
+        one product with ``x``'s transpose (its cached ``matrix_t``), one
+        ``dsymv`` per block and one product with ``x``,
+        (r - X_b C_b X_b' r) / mu for every block at once; a dense
         build through one ``dsymv`` per block. Every row of a stack holds one
         block's entries in that block's order, so each block's part of the
         result has the bits of its own solve."""
@@ -351,24 +351,23 @@ class BlockPreconditioner:
             for c, off, size in zip(self.c, self.offsets, self.sizes):
                 out[off:off + size] = _symv(1.0, c, r[off:off + size], lower=1)
             return out
-        q = matvec(self.xt, r).reshape(len(self.c), -1)
+        q = matvec(self.x.matrix_t, r).reshape(len(self.c), -1)
         z = np.concatenate([_symv(1.0, c, q_b, lower=1) for c, q_b in zip(self.c, q)])
-        return (r - matvec(self.x, z)) / self.mu
+        return (r - matvec(self.x.matrix, z)) / self.mu
 
 
 class _KeptSlices(NamedTuple):
     """What a partition keeps of X's first tau columns, cut into the feature
     blocks at ``offsets``/``sizes``. A Woodbury cut (tau below every block's
     size) keeps each block's dense tau x tau Gram X_b'X_b in ``arrays``, which
-    no curvature changes, and the stacks ``x`` and ``xt`` that
-    ``BlockPreconditioner.apply`` reads; a dense cut keeps each block's dense
-    d_b x tau slice and no stacks (None)."""
+    no curvature changes, and the stack ``x`` that ``BlockPreconditioner.apply``
+    reads; a dense cut keeps each block's dense d_b x tau slice and no stack
+    (None)."""
 
     sizes: tuple
     offsets: tuple
     arrays: tuple
-    x: sparse.csr_array | None
-    xt: sparse.csr_array | None
+    x: SparseBlock | None
 
 
 def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int) -> _KeptSlices:
@@ -381,17 +380,16 @@ def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int) -> _Ke
         sizes = tuple(balanced_sizes(part.d, min(part.d, len(part.sizes))))
         offsets = tuple(sum(sizes[:b]) for b in range(len(sizes)))
         first = part.X.matrix[:, :tau]
-        blocks = [first[off:off + size] for off, size in zip(offsets, sizes)]
         if tau < min(sizes):
-            transposed = [b.T.tocsr() for b in blocks]
-            grams = tuple((bt @ b).toarray() for b, bt in zip(blocks, transposed))
-            width = len(sizes) * tau
-            columns = range(0, width, tau)
-            x = block_diagonal(blocks, offsets, columns, (part.d, width))
-            xt = block_diagonal(transposed, columns, offsets, (width, part.d))
-            part.cache[key] = _KeptSlices(sizes, offsets, grams, x, xt)
+            # Rows b*tau:(b+1)*tau of x's transpose hold block b's slice alone,
+            # so their product with x is X_b'X_b in columns b*tau:(b+1)*tau.
+            x = SparseBlock(stack_row_blocks(first, offsets))
+            grams = tuple((x.matrix_t[c:c + tau] @ x.matrix)[:, c:c + tau].toarray()
+                          for c in range(0, x.cols, tau))
+            part.cache[key] = _KeptSlices(sizes, offsets, grams, x)
         else:
-            part.cache[key] = _KeptSlices(sizes, offsets, tuple(b.toarray() for b in blocks), None, None)
+            slices = (first[off:off + size].toarray() for off, size in zip(offsets, sizes))
+            part.cache[key] = _KeptSlices(sizes, offsets, tuple(slices), None)
     return part.cache[key]
 
 
@@ -419,7 +417,7 @@ def _invert_blocks(kept: _KeptSlices, h_tau: np.ndarray, mu: float) -> BlockPrec
                 f"preconditioner block {b} is not positive definite; increase mu (currently mu={mu})"
             ) from exc
         inverses.append(c)
-    return BlockPreconditioner(kept.sizes, kept.offsets, tuple(inverses), kept.x, kept.xt, mu)
+    return BlockPreconditioner(kept.sizes, kept.offsets, tuple(inverses), kept.x, mu)
 
 
 def _block_preconditioner(config: SolverConfig, part: SamplePartition | FeaturePartition, tau: int,
@@ -534,12 +532,6 @@ class _FeatureLayout(_Layout):
         super().__init__(cluster, part, config)
         config.resolved_tau(part.n)
         self.nodes = tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
-        # Every block no taller than wide: the transposed products are
-        # scatters, run node by node into the reduce (see _product). Taller
-        # blocks keep one gather over the stack: on wide_features_square
-        # (n = 500) the m partial products fit in cache anyway, and m calls
-        # made a solve about 4% slower than one call.
-        self.streamed = max(part.sizes) <= part.n
 
     def dots(self, *pairs, metered: bool = True) -> list:
         """Global <a, b> for each pair: per-node slice terms, all riding one
@@ -558,11 +550,12 @@ class _FeatureLayout(_Layout):
     def _product(self, u: np.ndarray, coeffs) -> tuple:
         """One length-n reduce_all of the partial products X_i'u_i, then
         each node's slice of X c / n + lam*u. When every block is no taller
-        than wide, node i's partial product is computed from its own block
-        only when the reduce asks for it, so each is added while it is still
-        in cache; otherwise node i's is row i of one product with the stack."""
+        than wide (the partition holds no stack), node i's partial product is
+        computed from its own block only when the reduce asks for it, so each
+        is added while it is still in cache; otherwise node i's is row i of
+        one product with the stack."""
         cluster, part = self.cluster, self.part
-        if self.streamed:
+        if part.stack is None:
             partials = (spmv_transpose(block, u[node]) for block, node in zip(part.blocks, self.nodes))
         else:
             partials = spmv_transpose(part.stack, u).reshape(cluster.m, part.n)

@@ -344,10 +344,8 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     h = layout.curvature(margins)
     want_hu, _ = per_shard_product(X, layout.part, u, lambda z: h * z, 0.3)
     assert layout.hess_vec(u, h).tobytes() == want_hu.tobytes()
-    if mode is PartitionMode.FEATURES:  # the products built only the operands of their own path
-        streamed = max(layout.part.sizes) <= n
-        assert layout.streamed == streamed
-        assert ("blocks" in vars(layout.part), "stack" in vars(layout.part)) == (streamed, not streamed)
+    if mode is PartitionMode.FEATURES:  # the partition built the stack only for a block taller than wide
+        assert (layout.part.stack is None) == (max(layout.part.sizes) <= n)
 
 
 # A feature-layout solve whose every block (3 x 24) is no taller than wide:
@@ -379,16 +377,18 @@ def sparse_objects():
 
 def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
     """A solve in either layout multiplies through its partition's X and
-    the operands a product needs besides it, built on first use: the stack
-    of the shards by samples, and by features the stack when a block is
-    taller than wide, else each node's row block. The partition's fields
-    hold no sparse matrix besides X and the sample stack, the caller's data
-    block caches no product operand, and the sparse arrays a solve leaves
-    alive are those operands, their wrappers and the operands cached on
-    them, plus the stacks of the preconditioner's slices that the
-    partition's cache keeps. The feature stack holds the data array of X
-    itself; the row blocks hold slices of X's data and index arrays, so that
-    a solve on blocks no taller than wide copies no nonzero of X."""
+    the operands a product needs besides it, built with the partition: the
+    stack of the shards by samples, and by features the stack when a block
+    is taller than wide, else each node's row block (the partition holds
+    the row blocks either way). The partition's fields hold no sparse matrix
+    besides X, the row blocks and the stack, the caller's data block caches
+    no product operand, and the sparse arrays a solve leaves alive are those
+    operands, their wrappers and the operands cached on them, plus exactly
+    one stack of the preconditioner's slices and its transposed operand,
+    which the partition's cache keeps. The feature stack holds the data
+    array of X itself; the row blocks hold slices of X's data and index
+    arrays, so that a solve on blocks no taller than wide copies no nonzero
+    of X."""
     tall = gen_synthetic(120, 20, 0.2, 0.1, 3)  # every operand is taller than wide: a product copies its transpose
     wide = gen_synthetic(20, 120, 0.2, 0.1, 3)  # feature blocks of 7, 7 and 6 rows: each node's own product
     for mode, name, ds in ((PartitionMode.FEATURES, "partition_by_features", tall),
@@ -405,27 +405,33 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
         held = [k for k, v in fields.items() if any(isinstance(o, (sparse.sparray, SparseBlock))
                                                      for o in (v if isinstance(v, tuple) else (v,)))]
         streamed = ds is wide
-        assert held == (["X"] if mode is PartitionMode.FEATURES else ["X", "stack"]), mode
+        if mode is PartitionMode.FEATURES:
+            assert held == (["X", "blocks"] if streamed else ["X", "blocks", "stack"]), mode
+        else:
+            assert held == ["X", "stack"], mode
         assert "matrix_t" not in vars(ds.X) and "matrix_fwd" not in vars(ds.X)
         operands = [part.X, *part.blocks] if streamed else [part.X, part.stack]
-        assert ("stack" in vars(part)) != streamed and ("blocks" in vars(part)) == streamed
+        assert (part.stack is None) == streamed
         assert all("matrix_t" in vars(block) for block in operands[streamed:])
         (kept,) = part.cache.values()
-        assert kept.x is not None and kept.xt is not None  # tau = 5 is below every block
-        allowed = [kept.x, kept.xt]
-        for block in operands:
+        assert kept.x is not None  # tau = 5 is below every block
+        assert set(vars(kept.x)) == {"matrix", "matrix_t"}  # one stack and its transposed operand
+        stack = [kept.x, kept.x.matrix, kept.x.matrix_t]
+        allowed = []
+        for block in [*operands, *getattr(part, "blocks", ())]:
             allowed += [block, block.matrix, *(vars(block).get(op) for op in ("matrix_t", "matrix_fwd"))]
         seen = {id(o) for o in before}
         new = [o for o in sparse_objects() if id(o) not in seen]
-        assert {id(o) for o in new} <= {id(o) for o in allowed}, (mode, [type(o) for o in new])
-        assert {id(kept.x), id(kept.xt), *map(id, operands[1:])} <= {id(o) for o in new}
+        # nothing else: what is new besides the partition's operands is the one stack
+        assert {id(o) for o in new} - {id(o) for o in allowed} == {id(o) for o in stack}, (mode, [type(o) for o in new])
+        assert {*map(id, operands[1:])} <= {id(o) for o in new}
         if mode is PartitionMode.FEATURES:
             assert np.shares_memory(operands[1].matrix.data, ds.X.matrix.data)
         if streamed:
             for block in part.blocks:
                 assert np.shares_memory(block.matrix.data, ds.X.matrix.data)
                 assert np.shares_memory(block.matrix.indices, ds.X.matrix.indices)
-            copies = [o for o in new if isinstance(o, sparse.sparray) and o is not kept.x and o is not kept.xt
+            copies = [o for o in new if isinstance(o, sparse.sparray) and not any(o is k for k in stack)
                       and not np.shares_memory(o.data, ds.X.matrix.data)]
             assert copies == []
 

@@ -7,13 +7,13 @@ from scipy import sparse
 from disco.linalg import (
     SparseBlock,
     as_vec,
-    block_diagonal,
     compressed_view,
     matvec,
     spmv,
     spmv_transpose,
+    stack_row_blocks,
 )
-from disco.partition import partition_by_features
+from disco.partition import partition_by_features, partition_by_samples
 from disco.solver import _curvature_slices
 
 
@@ -307,12 +307,13 @@ def test_matvec_rejects_a_vector_of_the_wrong_shape(x):
 
 def test_matvec_on_a_kept_low_rank_slice_is_the_scipy_product_bitwise():
     """Both operands of a Woodbury preconditioner, as the partition keeps
-    them: the stack of the blocks' d_b x tau slices and its transpose."""
+    them: the stack of the blocks' d_b x tau slices and its cached
+    transpose."""
     rng = np.random.default_rng(17)
     block = SparseBlock.from_dense(rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.3))
     kept = _curvature_slices(partition_by_features(block, np.zeros(30), 2), 6)
-    assert kept.x.shape == (40, 2 * 6) and kept.xt.shape == (2 * 6, 40)
-    for op in (kept.x, kept.xt):
+    assert kept.x.matrix.shape == (40, 2 * 6) and kept.x.matrix_t.shape == (2 * 6, 40)
+    for op in (kept.x.matrix, kept.x.matrix_t):
         for x in vectors(op.shape[1], rng):
             assert matvec(op, x).tobytes() == (op @ x).tobytes()
 
@@ -322,30 +323,75 @@ def test_as_vec_rejects_matrix():
         as_vec(np.ones((2, 2)))
 
 
-def test_block_diagonal_places_each_piece_and_multiplies_as_it_does():
-    """Pieces land at their row and column offsets, rows between them stay
-    empty, and a product with the stack gives each piece's rows the bits of
-    the piece's own product; pieces with an empty row and with no entries
-    at all included."""
-    pieces = [random_sparse(3, 4, 6, seed=1).matrix, sparse.csr_array((2, 3)), random_sparse(4, 2, 5, seed=2).matrix]
-    pieces[0].data[pieces[0].indptr[1]:pieces[0].indptr[2]] = 0.0
-    pieces[0].eliminate_zeros()  # row 1 of the first piece is empty
-    rows, cols, shape = [0, 4, 6], [2, 0, 6], (11, 9)
-    stack = block_diagonal(pieces, rows, cols, shape)
-    want = np.zeros(shape)
-    for p, r, c in zip(pieces, rows, cols):
-        want[r:r + p.shape[0], c:c + p.shape[1]] = p.toarray()
-    assert stack.format == "csr" and stack.indices.dtype == stack.indptr.dtype == np.int32
-    assert np.array_equal(stack.toarray(), want)
-    x = np.random.default_rng(3).standard_normal(9)
-    got = matvec(stack, x)
-    for p, r, c in zip(pieces, rows, cols):
-        assert got[r:r + p.shape[0]].tobytes() == matvec(p, x[c:c + p.shape[1]]).tobytes()
-    assert not got[[3, 4, 5, 10]].any()  # uncovered rows and the empty piece
+CALLERS = ["features", "samples", "woodbury"]
 
 
-def test_block_diagonal_picks_int64_indices_when_the_shape_needs_them():
-    piece = random_sparse(2, 3, 4, seed=4).matrix
-    stack = block_diagonal([piece], [1], [2**31], (3, 2**31 + 3))
+def stacked_by(caller, X, m, tau=2):
+    """What ``caller`` hands ``stack_row_blocks`` for the data X at m nodes,
+    the matrix and its row-block offsets (X itself at the feature split, X'
+    in CSR at the sample split, X's first tau columns at the preconditioner's
+    block split), and the stack the caller keeps, in that orientation."""
+    y = np.zeros(X.cols)
+    if caller == "features":
+        part = partition_by_features(X, y, m)
+        return X.matrix, part.offsets, part.stack.matrix
+    if caller == "samples":
+        part = partition_by_samples(X, y, m)
+        return X.matrix.T.tocsr(), part.offsets, part.stack.matrix.T.tocsr()
+    kept = _curvature_slices(partition_by_features(X, y, m), tau)
+    return X.matrix[:, :tau], kept.offsets, kept.x.matrix
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("caller", CALLERS)
+def test_stack_row_blocks_places_each_block_and_multiplies_as_it_does(caller, m):
+    """Row block i lands in columns i*cols:(i+1)*cols and nowhere else, over
+    the source's own data and row pointers, and a product with the stack,
+    either way, gives each block's part the bits of the block's own product;
+    for each caller's source, with an empty row and, at m=3, an all-empty
+    feature block. The stack equals the one the caller keeps."""
+    rng = np.random.default_rng(m)
+    Xd = rng.standard_normal((30, 9)) * (rng.random((30, 9)) < 0.4)
+    Xd[[4, *range(20, 30)]] = 0.0
+    source, offsets, kept = stacked_by(caller, SparseBlock.from_dense(Xd), m)
+    stack = stack_row_blocks(source, offsets)
+    rows, cols = source.shape
+    bounds = [*offsets, rows]
+    want = np.zeros((rows, m * cols))
+    for i in range(m):
+        want[bounds[i]:bounds[i + 1], i * cols:(i + 1) * cols] = source[bounds[i]:bounds[i + 1]].toarray()
+    assert stack.format == "csr" and np.array_equal(stack.toarray(), want)
+    assert stack.indices.dtype == stack.indptr.dtype == np.int32
+    assert np.shares_memory(stack.data, source.data) and np.shares_memory(stack.indptr, source.indptr)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(kept, name), getattr(stack, name)), name
+    x, r = rng.standard_normal(m * cols), rng.standard_normal(rows)
+    forward, transposed = matvec(stack, x), spmv_transpose(SparseBlock(stack), r)
+    for i in range(m):
+        block, part = source[bounds[i]:bounds[i + 1]], slice(i * cols, (i + 1) * cols)
+        assert forward[bounds[i]:bounds[i + 1]].tobytes() == matvec(block, x[part]).tobytes()
+        assert transposed[part].tobytes() == spmv_transpose(SparseBlock(block), r[bounds[i]:bounds[i + 1]]).tobytes()
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+def test_stack_row_blocks_picks_int64_indices_when_the_width_needs_them(caller):
+    """Three one-row blocks of 2**30 columns: the stack's columns overflow
+    int32 though the source's do not. It is built from the source's arrays,
+    without a product. Each caller's source is a 3 x 2**30 CSR matrix: X
+    itself; X' built from a CSC X, as a CSR X of 2**30 features would need a
+    row-pointer array of 2**30 + 1 entries; X's first 2**30 columns."""
+    n = 2**30
+    rows, cols, values = [0, 1, 2, 2], [5, 0, 1, n - 1], [1.0, 2.0, 3.0, 4.0]
+    if caller == "features":
+        source = SparseBlock.from_coo(rows, cols, values, (3, n)).matrix
+    elif caller == "samples":
+        indptr = np.array([0, 1, 2, 4], dtype=np.int32)  # sample j's features in CSC column j
+        source = sparse.csc_array((values, np.array(cols, dtype=np.int32), indptr), shape=(n, 3)).T
+    else:
+        source = SparseBlock.from_coo(rows, cols, values, (3, n + 5)).matrix[:, :n]
+    assert source.format == "csr" and source.shape == (3, n) and source.indices.dtype == np.int32
+    stack = stack_row_blocks(source, (0, 1, 2))
+    assert stack.shape == (3, 3 * n)
     assert stack.indices.dtype == stack.indptr.dtype == np.int64
-    assert stack.indices.tolist() == [int(i) + 2**31 for i in piece.indices]
+    assert stack.indices.tolist() == [5, n, 2 * n + 1, 3 * n - 1]
+    assert np.shares_memory(stack.data, source.data)

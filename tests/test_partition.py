@@ -4,7 +4,7 @@ import pytest
 from disco import SparseBlock, full_gradient, partition_by_features, partition_by_samples
 from disco.linalg import spmv, spmv_transpose
 from disco.losses import grad_coeffs
-from disco.partition import _feature_stack, balanced_sizes
+from disco.partition import balanced_sizes
 
 from conftest import make_dense_instance
 
@@ -18,12 +18,15 @@ def node_blocks(X, part, by_samples):
 
 
 def stacked_block(part, i, by_samples):
-    """Node i's block of the partition's stack: rows i*d:(i+1)*d and the
-    node's columns by samples, the node's rows and columns i*n:(i+1)*n by
-    features."""
+    """Node i's block of the partition's product operands: rows i*d:(i+1)*d
+    and the node's columns of the stack by samples; by features the node's
+    rows and columns i*n:(i+1)*n of the stack, or its row block when the
+    partition has no stack."""
     off, size = part.offsets[i], part.sizes[i]
     if by_samples:
         return part.stack.matrix[i * part.d:(i + 1) * part.d, off:off + size]
+    if part.stack is None:
+        return part.blocks[i].matrix
     return part.stack.matrix[off:off + size, i * part.n:(i + 1) * part.n]
 
 
@@ -106,13 +109,13 @@ class TestFeaturePartition:
         ds, _ = make_dense_instance(d=4, n=6, seed=5)
         part = partition_by_features(ds.X, ds.y, 2)
         assert part.sizes == (2, 2)
-        assert part.stack.matrix.shape == (4, 2 * 6)
+        assert part.stack is None  # no block is taller than wide
         assert [stacked_block(part, i, False).shape for i in range(2)] == [(2, 6), (2, 6)]
 
     def test_single_node_is_identity(self):
         ds, _ = make_dense_instance(d=5, n=6, seed=6)
         part = partition_by_features(ds.X, ds.y, 1)
-        assert np.array_equal(part.stack.toarray(), ds.X.toarray())
+        assert np.array_equal(stacked_block(part, 0, False).toarray(), ds.X.toarray())
         assert np.array_equal(part.X.toarray(), ds.X.toarray())
 
     def test_round_trip_reassembly(self):
@@ -122,7 +125,7 @@ class TestFeaturePartition:
         for got, want in zip(blocks, node_blocks(ds.X, part, False), strict=True):
             assert np.array_equal(got.toarray(), want.toarray())
         assert np.array_equal(np.vstack([b.toarray() for b in blocks]), ds.X.toarray())
-        assert sum(b.nnz for b in blocks) == part.stack.nnz == ds.X.nnz
+        assert sum(b.nnz for b in blocks) == ds.X.nnz
 
     def test_labels_replicated_fully(self):
         ds, _ = make_dense_instance(d=6, n=8, seed=8)
@@ -179,29 +182,16 @@ class TestObjectiveEquivalence:
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_stack_holds_each_shard_block_diagonally(partition, m):
     """Shard i sits at row and column block i of the stack: (m*d) x n by
-    samples, d x (m*n) by features. ``X`` wraps the caller's arrays in a
-    block of its own, so its cached operands never land on the caller's."""
-    ds, _ = make_dense_instance(d=5, n=7, seed=14)
+    samples, d x (m*n) by features, where every feature block of this 12 x 3
+    problem is taller than wide. ``X`` wraps the caller's arrays in a block
+    of its own, so its cached operands never land on the caller's."""
+    ds, _ = make_dense_instance(d=12, n=3, seed=14)
     part = partition(ds.X, ds.y, m)
     by_samples = partition is partition_by_samples
-    want = np.zeros((m * 5, 7) if by_samples else (5, m * 7))
+    want = np.zeros((m * 12, 3) if by_samples else (12, m * 3))
     for i, (shard, off) in enumerate(zip(node_blocks(ds.X, part, by_samples), part.offsets)):
-        r, c = (i * 5, off) if by_samples else (off, i * 7)
+        r, c = (i * 12, off) if by_samples else (off, i * 3)
         want[r:r + shard.rows, c:c + shard.cols] = shard.toarray()
     assert np.array_equal(part.stack.toarray(), want)
     assert part.X is not ds.X and part.X.matrix is ds.X.matrix
 
-
-def test_feature_stack_picks_int64_indices_when_m_times_n_needs_them():
-    """3 nodes of 2**30 samples: the stack's columns overflow int32 though
-    the data's do not. It is built from the data's arrays, without a
-    product."""
-    n = 2**30
-    X = SparseBlock.from_coo([0, 1, 2, 2], [5, 0, 1, n - 1], [1.0, 2.0, 3.0, 4.0], (3, n))
-    assert X.matrix.indices.dtype == np.int32
-    stack = _feature_stack(X, (0, 1, 2))
-    assert stack.matrix.shape == (3, 3 * n)
-    assert stack.matrix.indices.dtype == stack.matrix.indptr.dtype == np.int64
-    assert stack.matrix.indices.tolist() == [5, n, 2 * n + 1, 3 * n - 1]
-    assert np.shares_memory(stack.matrix.data, X.matrix.data)
-    assert "matrix_t" not in vars(stack) and "matrix_fwd" not in vars(stack)

@@ -151,7 +151,7 @@ class TestPreconditioner:
         P = build_preconditioner(ridge_config(mu=0.1, tau=5, loss=loss), spart, margins)
         (c,) = P.c
         assert P.x is not None
-        assert [P.x.shape, P.xt.shape, c.shape] == [(40, 5), (5, 40), (5, 5)]
+        assert [P.x.matrix.shape, P.x.matrix_t.shape, c.shape] == [(40, 5), (5, 40), (5, 5)]
         expected = brute_force_curvature(ds.X.toarray(), hess_coeffs(loss, margins, ds.y), tau=5, mu=0.1)
         r = np.random.default_rng(84).standard_normal(40)
         assert np.linalg.norm(P.apply(r) - np.linalg.solve(expected, r)) <= 1e-12 * np.linalg.norm(r) / 0.1
@@ -199,7 +199,7 @@ class TestPreconditioner:
         r_before = r.copy()
         for P in self.mixed_preconditioners(m, tau, loss):
             assert "".join("L" if tau < size else "D" for size in P.sizes) == kinds
-            assert (P.x is not None) == (P.xt is not None) == (set(kinds) == {"L"})
+            assert (P.x is not None) == (set(kinds) == {"L"})
             per_block = [P.apply_block(i, r[o:o + s]) for i, (o, s) in enumerate(zip(P.offsets, P.sizes))]
             assert P.apply(r).tobytes() == np.concatenate(per_block).tobytes()
             assert np.array_equal(r, r_before)
@@ -332,8 +332,8 @@ def test_low_rank_block_solve_matches_woodbury_bitwise(d_b, tau):
     assert P.x is not None
     r = rng.standard_normal(d_b)
     r_before = r.copy()
-    z = dsymv(1.0, P.c[0], P.xt @ r, lower=1)
-    assert np.array_equal(P.apply(r), (r - P.x @ z) / P.mu)
+    z = dsymv(1.0, P.c[0], P.x.matrix_t @ r, lower=1)
+    assert np.array_equal(P.apply(r), (r - P.x.matrix @ z) / P.mu)
     assert np.array_equal(r, r_before)
 
 
@@ -361,10 +361,10 @@ def test_low_rank_blocks_keep_the_inverse_not_the_factor(mode, loss):
     place of K's Cholesky factor: its lower triangle, the only one the solve
     reads, is that of the inverse of K to 1e-12, and it is Fortran-ordered,
     so that ``dsymv`` reads it in place. The build holds the partition's
-    stacks and no factor."""
+    stack and no factor."""
     P, kept, h = low_rank_blocks(loss, mode, tau=6)
-    assert [f.name for f in dataclasses.fields(P)] == ["sizes", "offsets", "c", "x", "xt", "mu"]
-    assert P.x is kept.x and P.xt is kept.xt and P.x is not None
+    assert [f.name for f in dataclasses.fields(P)] == ["sizes", "offsets", "c", "x", "mu"]
+    assert P.x is kept.x and P.x is not None
     s = np.sqrt(h)
     for c, gram in zip(P.c, kept.arrays, strict=True):
         k = (s[:, None] * gram) * s + 0.1 * 6 * np.eye(6)
@@ -381,7 +381,7 @@ def test_dense_blocks_keep_their_factor(mode, loss):
     is that of inv(P_b) to 1e-12, and it is Fortran-ordered, so that
     ``dsymv`` reads it in place."""
     P, kept, h = low_rank_blocks(loss, mode, tau=25)
-    assert P.x is None and P.xt is None and kept.x is None
+    assert P.x is None and kept.x is None
     for c, sliced in zip(P.c, kept.arrays, strict=True):
         p_b = (sliced * h) @ sliced.T / 25 + 0.1 * np.eye(20)
         want = np.tril(np.linalg.inv(p_b))
@@ -434,7 +434,7 @@ def test_more_nodes_than_features_give_one_feature_blocks():
 
 @pytest.mark.parametrize("d_b, tau", [(2, 1), (40, 5), (200, 63), (1000, 125)])
 def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
-    """The build holds the kept stacks and, bitwise, C = S K^{-1} S inverted
+    """The build holds the kept stack and, bitwise, C = S K^{-1} S inverted
     from the factor of K = (s * G) * s + mu*tau*I, s = sqrt(h), where
     G = (x'x).toarray() is the sparse Gram the partition keeps; also with
     zero curvature coefficients. K agrees
@@ -449,7 +449,7 @@ def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
     mu = 0.05
     kept = curvature_slice(Xd)
     P = _invert_blocks(kept, h, mu)
-    assert P.x is kept.x and P.xt is kept.xt and P.x is not None and P.mu == mu
+    assert P.x is kept.x and P.x is not None and P.mu == mu
     s = np.sqrt(h)
     x = SparseBlock.from_dense(Xd).matrix
     (gram,) = kept.arrays
@@ -465,7 +465,31 @@ def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
     assert np.linalg.norm(k - scaled) <= 1e-14 * np.linalg.norm(scaled)
 
 
-def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
+@pytest.mark.parametrize("mode", list(PartitionMode))
+@pytest.mark.parametrize("d, n, m, tau", [(40, 30, 2, 6), (23, 12, 3, 5), (9, 4, 4, 1), (30, 20, 1, 17)])
+def test_kept_grams_are_the_per_block_sparse_grams_bitwise(mode, d, n, m, tau):
+    """Each Woodbury block's kept Gram, cut from the product of the kept
+    stack's transpose with the stack, has the bits of the block's own sparse
+    Gram ``b.T.tocsr() @ b`` over its d_b x tau slice b (the oracle below);
+    on uneven blocks, with an empty feature row and an empty sample column."""
+    rng = np.random.default_rng(d * n + m)
+    Xd = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.4)
+    Xd[2] = 0.0
+    Xd[:, 0] = 0.0
+    X = SparseBlock.from_dense(Xd)
+    part = (partition_by_samples if mode is PartitionMode.SAMPLES else partition_by_features)(X, np.zeros(n), m)
+    kept = _curvature_slices(part, tau)
+    assert kept.x is not None and len(kept.arrays) == min(d, m)
+    first = X.matrix[:, :tau]
+    for gram, off, size in zip(kept.arrays, kept.offsets, kept.sizes, strict=True):
+        b = first[off:off + size]
+        assert gram.tobytes() == (b.T.tocsr() @ b).toarray().tobytes()
+
+
+def test_build_preconditioner_constructs_only_the_kept_stack(monkeypatch):
+    """A partition's first Woodbury build constructs one ``SparseBlock``,
+    the stack of its slices that the partition keeps; a rebuild constructs
+    none."""
     ds, _ = make_dense_instance(d=12, n=10, seed=87, lam=0.1, loss=LossKind.LOGISTIC, labels="sign")
     spart = partition_by_samples(ds.X, ds.y, 2)
     w = np.random.default_rng(88).standard_normal(12)
@@ -479,15 +503,17 @@ def test_build_preconditioner_constructs_no_sparse_block(monkeypatch):
         init(self)
 
     monkeypatch.setattr(SparseBlock, "__post_init__", counting_init)
-    build_preconditioner(cfg, spart, margins)
-    assert built == []
+    P = build_preconditioner(cfg, spart, margins)
+    assert built == [P.x] and P.x is not None
+    build_preconditioner(cfg, spart, -margins)
+    assert built == [P.x]
 
 
 def preconditioner_arrays(P):
     """Every array a built preconditioner holds."""
     yield from P.c
-    for m in (P.x, P.xt):
-        if m is not None:
+    if P.x is not None:
+        for m in (P.x.matrix, P.x.matrix_t):
             yield from (m.data, m.indices, m.indptr)
 
 
@@ -538,12 +564,12 @@ def test_logistic_rebuild_slices_nothing(monkeypatch, mode, tau):
     assert (again.x is None) == (fresh.x is None) == (tau >= 4)
     for a, b in zip(preconditioner_arrays(again), preconditioner_arrays(fresh), strict=True):
         assert np.array_equal(a, b)
-    # what the partition keeps (each block's Gram and the stacks of the
-    # slices, or each block's dense slice) lives exactly as long as the
-    # partition and the preconditioners built from it
+    # what the partition keeps (each block's Gram and the stack of the
+    # slices with its transpose, or each block's dense slice) lives exactly
+    # as long as the partition and the preconditioners built from it
     (kept,) = part.cache.values()
-    assert again.x is kept.x and again.xt is kept.xt
-    kept = [weakref.ref(a) for a in (*kept.arrays, kept.x, kept.xt) if a is not None]
+    assert again.x is kept.x
+    kept = [weakref.ref(a) for a in (*kept.arrays, *(() if kept.x is None else (kept.x, kept.x.matrix_t)))]
     del part, again
     gc.collect()
     assert [ref() for ref in kept] == [None] * (4 if tau < 4 else 2)
