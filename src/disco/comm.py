@@ -6,12 +6,13 @@ compute phase takes one of three forms:
 
 * it maps a function over all node ids (``map_nodes``);
 * it runs one kernel over an operator whose rows each belong to one node and
-  splits the result into the per-node contributions, as most of the
-  solver's products and its preconditioner do;
+  splits the result into the per-node contributions, as the preconditioner
+  and both layouts' partial products do when some node's block is taller
+  than wide;
 * it hands ``reduce_all`` the per-node contributions as an iterable that
   produces node i's when asked, and the collective consumes each as it is
-  produced, adding it while it is still in cache, as the feature layout's
-  partial margins do when every node's block is no taller than wide.
+  produced, adding it while it is still in cache, as both layouts' partial
+  products do when every node's block is no taller than wide.
 
 Whatever the form, each collective receives one contribution per node and
 meters the same rounds and bytes.

@@ -16,7 +16,7 @@ from run to run. Both products loop over the block's shorter side. A block
 with no more rows than columns multiplies by its CSR matrix and, transposed,
 by the CSC view over the same arrays, so it holds no copy, even when those
 arrays are themselves views into a larger matrix's (``compressed_view``,
-which a feature partition's row blocks also use). A taller one keeps
+which every partition's row blocks also use). A taller one keeps
 a CSR copy of its transpose, built on its first product of either kind, and
 multiplies transposed by that copy and forward by the CSC view over the copy's
 arrays. The loss functions on the unpartitioned data matrix multiply through

@@ -28,19 +28,18 @@ A broadcast or reduce_all returns the one read-only array that every node
 then holds, so no layout keeps per-node replicas; PCG never writes into an
 array it did not just allocate.
 
-Node-local work mostly runs as one kernel call over all nodes, not one call
-per node: each product multiplies the partition's unsplit X once and its
-block-diagonal stack of shards once, whose every row holds one node's
-terms, and reshapes the stacked result into the m per-node contributions
-that the collective receives. The exception is the feature layout's
-transposed product when every feature block is no taller than wide: it is a
-scatter whose m length-n results together outgrow the cache (8 x 50,000
-doubles on the tall benchmark workload), so node i's X_i'u_i is computed
-from its own row block only when the reduce_all asks for it, and is added
-while it is still in cache. Either way the collectives, their rounds and
-their bytes are those of a per-node run. A Woodbury preconditioner applies
-its blocks as one call each way, over one stack of their slices and its
-transpose.
+Both layouts run the same pair of products: one with the unsplit X
+(``spmv``, X c, by features; ``spmv_transpose``, X'u, by samples) and the
+per-node transposed products of the split matrix's row blocks (X by
+features, X' by samples), reduced over the nodes. Those run as one kernel
+call over the partition's stack of the blocks, whose every row holds one
+node's terms, or, when every block is no taller than wide, as a scatter
+whose m results can together outgrow the cache (8 x 50,000 doubles on the
+tall benchmark workload), so node i's is computed from its own block only
+when the reduce_all asks for it, and is added while it is still in cache.
+Either way the collectives, their rounds and their bytes are those of a
+per-node run. A Woodbury preconditioner applies its blocks as one call each
+way, over one stack of their slices and its transpose.
 
 Both layouts use the same preconditioner: a feature-block-diagonal curvature
 matrix estimated from the first tau samples,
@@ -82,16 +81,12 @@ tau = 1000. With identical preconditioners the two layouts produce the same
 iterates up to roundoff, so layout only changes communication cost, not the
 optimization path.
 
-Every Hessian product multiplies transposed (``spmv_transpose``: X in the
-sample layout, each node's row block or the stack in the feature layout)
-and then forward (``spmv``: the stack, or X), both looping over the
-operand's shorter side: an operand
-with more rows than columns multiplies through a CSR copy of its transpose
-built on its first product and through the CSC view of that copy; one with
-no more rows than columns through its CSR matrix and its CSC view. Both
-kernels add each output element's terms in ascending index order, starting
-from 0.0, so each node's part of a stacked product has the bits of a
-per-node product.
+Every product loops over the operand's shorter side: an operand with more
+rows than columns multiplies through a CSR copy of its transpose built on
+its first product and through the CSC view of that copy; one with no more
+rows than columns through its CSR matrix and its CSC view. Both kernels add
+each output element's terms in ascending index order, starting from 0.0, so
+each node's part of a stacked product has the bits of a per-node product.
 
 A solve is described once: the partition gives the data, n and the feature
 block split, ``SolverConfig`` the loss, lam and every solver parameter; a
@@ -461,21 +456,33 @@ def build_preconditioner_features(
 
 
 class _Layout:
-    """The per-node work and the collectives of one data layout. ``config``
-    is validated here, and subclasses check that tau fits the samples their
-    preconditioner draws from. A subclass's ``_product(u, coeffs)`` returns
-    (X c)/n + lam*u, c = coeffs(X'u), and the length-n X'u, where
-    ``coeffs`` maps margins elementwise. Node-local work runs as one kernel
-    call over the partition's unsplit ``X`` or its ``stack`` of shards,
-    whose every row holds one node's terms, so each node's part has the bits
-    of a per-node call, or, for the feature layout's partial margins on
-    blocks no taller than wide, as that per-node call itself."""
+    """The per-node work and the collectives of one data layout; node i
+    holds ``nodes[i]`` of the split dimension. ``config`` is validated here,
+    and subclasses check that tau fits the samples their preconditioner
+    draws from. A subclass's ``_product(u, coeffs)`` returns
+    (X c)/n + lam*u, c = coeffs(X'u), and the length-n X'u, where ``coeffs``
+    maps margins elementwise: one product with the unsplit ``X`` and the
+    per-node partial products of ``_partials``, reduced over the nodes."""
 
     def __init__(self, cluster: Cluster, part, config: SolverConfig):
         config.validate()
         if cluster.m != len(part.sizes):
             raise ValueError(f"cluster has {cluster.m} nodes, partition has {len(part.sizes)} shards")
         self.cluster, self.part, self.config = cluster, part, config
+        self.nodes = tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
+
+    def _partials(self, v: np.ndarray):
+        """Node i's transposed product of its rows of the split matrix with
+        ``v[nodes[i]]``, in node order. When every block is no taller than
+        wide (the partition holds no stack), node i's is computed from its
+        own block only when asked for, so that a reduce adds each while it
+        is still in cache; otherwise node i's is row i of one product with
+        the stack, whose every row holds one node's terms in that node's
+        order, so each has the bits of its own product."""
+        part = self.part
+        if part.stack is None:
+            return (spmv_transpose(block, v[node]) for block, node in zip(part.blocks, self.nodes))
+        return spmv_transpose(part.stack, v).reshape(len(part.blocks), -1)
 
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:
         """Hessian coefficients of the margins (any value, or None, for the
@@ -505,13 +512,12 @@ class _SampleLayout(_Layout):
 
     def _product(self, u: np.ndarray, coeffs) -> tuple:
         """Broadcast u; node j forms its slice of X'u and its data term
-        X_j c_j / n (row block j of the stacked product), and the data terms
-        are reduce-alled."""
+        X_j c_j / n, the partial product of its rows of X', and the data
+        terms are reduce-alled."""
         cluster, part = self.cluster, self.part
         u_all = cluster.broadcast(u)
         z = spmv_transpose(part.X, u_all)
-        terms = (spmv(part.stack, coeffs(z)) / part.n).reshape(cluster.m, part.d)
-        return cluster.reduce_all(terms) + self.config.lam * u_all, z
+        return cluster.reduce_all(p / part.n for p in self._partials(coeffs(z))) + self.config.lam * u_all, z
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         return v
@@ -531,7 +537,6 @@ class _FeatureLayout(_Layout):
     def __init__(self, cluster: Cluster, part: FeaturePartition, config: SolverConfig):
         super().__init__(cluster, part, config)
         config.resolved_tau(part.n)
-        self.nodes = tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
 
     def dots(self, *pairs, metered: bool = True) -> list:
         """Global <a, b> for each pair: per-node slice terms, all riding one
@@ -549,17 +554,9 @@ class _FeatureLayout(_Layout):
 
     def _product(self, u: np.ndarray, coeffs) -> tuple:
         """One length-n reduce_all of the partial products X_i'u_i, then
-        each node's slice of X c / n + lam*u. When every block is no taller
-        than wide (the partition holds no stack), node i's partial product is
-        computed from its own block only when the reduce asks for it, so each
-        is added while it is still in cache; otherwise node i's is row i of
-        one product with the stack."""
-        cluster, part = self.cluster, self.part
-        if part.stack is None:
-            partials = (spmv_transpose(block, u[node]) for block, node in zip(part.blocks, self.nodes))
-        else:
-            partials = spmv_transpose(part.stack, u).reshape(cluster.m, part.n)
-        z = cluster.reduce_all(partials)
+        each node's slice of X c / n + lam*u."""
+        part = self.part
+        z = self.cluster.reduce_all(self._partials(u))
         return spmv(part.X, coeffs(z)) / part.n + self.config.lam * u, z
 
     def assemble(self, v: np.ndarray) -> np.ndarray:

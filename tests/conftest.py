@@ -3,6 +3,13 @@ ways to watch a solve from outside through the names the solver looks up at
 call time."""
 
 import dataclasses
+import os
+
+# BLAS on one thread, as the benchmark runs it, set before numpy loads
+# OpenBLAS: its dsymv and potri round differently at one thread and at two,
+# which moves the iterates, and by one the inner counts, that tests pin.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

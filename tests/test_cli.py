@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from disco import SolverConfig
+from disco import SolverConfig, solver
 from disco.harness import write_libsvm
 from disco.harness.cli import build_parser, main
 from disco.harness.trace import TRACE_HEADER
@@ -72,16 +72,23 @@ class TestRuns:
         ) == 0
         assert "(converged)" in capsys.readouterr().out
 
-    def test_default_tau_shared_by_both_layouts(self, capsys):
+    def test_default_tau_shared_by_both_layouts(self, monkeypatch):
         # tau defaults to min(1000, master's sample shard) in both layouts, so
-        # they build the same preconditioner and take the same inner iterations
-        inner = {}
-        for mode in ("samples", "features"):
+        # they build the same preconditioner: every build of either layout's
+        # builder resolves the master's 25 samples
+        taus = {"samples": [], "features": []}
+        block_preconditioner = solver._block_preconditioner
+
+        def recording(config, part, tau, margins):
+            taus[config.partition_mode.value].append(tau)
+            return block_preconditioner(config, part, tau, margins)
+
+        monkeypatch.setattr(solver, "_block_preconditioner", recording)
+        for mode in taus:
             assert run_cli(
                 "--synthetic", "20,50,0.3,0.1,1", "--loss", "logistic", "--partition", mode, "--nodes", "2",
             ) == 0
-            inner[mode] = int(capsys.readouterr().out.split("total inner iterations: ")[1].split("\n")[0])
-        assert inner["samples"] == inner["features"]
+        assert taus["samples"] and set(taus["samples"]) == set(taus["features"]) == {25}, taus
 
     def test_synthetic_seed_defaults_to_zero(self, capsys):
         assert run_cli("--synthetic", "10,40,0.5,0.1", "--nodes", "2") == 0

@@ -242,11 +242,11 @@ def test_node_sweep_meets_the_cost_model_at_every_m():
     preconditioner blocks. The layouts' PCG recurrences round differently
     (dot products and Hessian products are summed over other splits), and
     after ~90 inner iterations their residual norms differ by several
-    percent, so a stopping test that lands that close to eps_k can end one
-    layout's solve one iteration before the other's. That happens at m=8,
-    where the first step takes 103 and 104, so there the per-step inner
-    counts may differ by one; at every other m they are equal. Every line of
-    the README's table of this sweep is what the sweep prints."""
+    percent, so a stopping test that lands that close to eps_k could end one
+    layout's solve one iteration before the other's. With BLAS on one thread
+    (conftest.py) none does: the per-step inner counts are equal at every m.
+    Every line of the README's table of this sweep is what the sweep
+    prints."""
     sweep = node_sweep()
     for m, runs in sweep:
         for mode, (result, stats) in runs.items():
@@ -256,8 +256,7 @@ def test_node_sweep_meets_the_cost_model_at_every_m():
         (res_s, stats_s), (res_f, stats_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
         steps_s, steps_f = COSTMODEL.inner_iters_per_step(res_s), COSTMODEL.inner_iters_per_step(res_f)
         assert len(steps_s) == len(steps_f)
-        slack = 1 if m == 8 else 0
-        assert all(abs(a - b) <= slack for a, b in zip(steps_s, steps_f)), (m, steps_s, steps_f)
+        assert steps_s == steps_f, (m, steps_s, steps_f)
         assert stats_f.total_bytes < stats_s.total_bytes
     readme = set(README.read_text().splitlines())
     for line in node_sweep_table(sweep):
@@ -316,13 +315,15 @@ def per_shard_product(X, part, u, coeffs, lam):
 @pytest.mark.parametrize("d, n", [(23, 7), (7, 23), (12, 12)])
 def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss):
     """The gradient, margins and Hessian product that each layout computes
-    with one kernel call over the unsplit X or the stacked shards, or, in the
-    feature layout when every block is no taller than wide, one call per
-    node streamed into the reduce, equal a per-shard loop bit for bit: on
-    uneven splits, on shards with more rows than columns and with no more
-    (the two shapes swap which layout has which; at m=3 on 23 x 7 the
-    feature blocks are 8, 8 and 7 rows, and at 12 x 12 square), and with an
-    empty row, an all-empty feature shard at m=5 and an empty column."""
+    with one kernel call over the unsplit X and, for the partial products,
+    one over the stack of the split matrix's row blocks (X' by samples, X by
+    features) or, when every block is no taller than wide, one call per node
+    streamed into the reduce, equal a per-shard loop bit for bit: on uneven
+    splits, on blocks with more rows than columns and with no more (both
+    paths run in both layouts: the sample layout stacks on 7 x 23 at m <= 3,
+    the feature layout on 23 x 7 at m <= 3, where its blocks are 8, 8 and 7
+    rows at m=3, and neither on 12 x 12 square), and with an empty row, an
+    all-empty feature shard at m=5 and an empty column."""
     rng = np.random.default_rng(d * 100 + m)
     Xd = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.5)
     Xd[[3, 4]] = 0.0
@@ -344,8 +345,8 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     h = layout.curvature(margins)
     want_hu, _ = per_shard_product(X, layout.part, u, lambda z: h * z, 0.3)
     assert layout.hess_vec(u, h).tobytes() == want_hu.tobytes()
-    if mode is PartitionMode.FEATURES:  # the partition built the stack only for a block taller than wide
-        assert (layout.part.stack is None) == (max(layout.part.sizes) <= n)
+    # the partition built the stack only for a block taller than wide
+    assert (layout.part.stack is None) == (max(layout.part.sizes) <= layout.part.blocks[0].cols)
 
 
 # A feature-layout solve whose every block (3 x 24) is no taller than wide:
@@ -369,6 +370,38 @@ def test_streamed_feature_solve_keeps_the_stacked_bits():
     assert (result.inner_iters_total, result.updates) == (63, 7)
 
 
+# Sample-layout solves of 9 x 24 data, whose every node holds an 8 x 9 block
+# of X' (no taller than wide: node by node), and of 9 x 30 data (10 x 9
+# blocks: one product with the stack): the iterate, bit for bit, and the
+# counters that the (m*d) x n stack of the shards computed before the sample
+# layout split X' by rows. Both paths must keep every bit.
+SAMPLE_SOLVES = {
+    "streamed": (24, [
+        "-0x1.f463e82c72163p-3", "-0x1.470a5fd8a1a0cp-1", "0x1.16440ab6d19edp-3",
+        "0x1.6ff68dffec607p-2", "0x1.a5ee5321cbf17p-4", "0x1.40b7972901f02p-2",
+        "0x1.d99034fdd6b7fp-2", "0x1.7cad6a8ddc36ap-4", "-0x1.4063608d85670p-3",
+    ], CommStats(broadcast_rounds=71, reduceall_rounds=71, broadcast_bytes=5112, reduceall_bytes=5112), (63, 7)),
+    "stacked": (30, [
+        "-0x1.15669ac38766bp-3", "-0x1.b121d2e1fe628p-4", "-0x1.eba583147373cp-4",
+        "-0x1.8cb4546c09ee7p-5", "0x1.ecce4688705b5p-2", "0x1.eb7fbee99eff2p-6",
+        "0x1.2ca1d279b1de8p-2", "-0x1.49de919c09ecep-2", "-0x1.8a81542b2af10p-7",
+    ], CommStats(broadcast_rounds=61, reduceall_rounds=61, broadcast_bytes=4392, reduceall_bytes=4392), (54, 6)),
+}
+
+
+@pytest.mark.parametrize("path", SAMPLE_SOLVES)
+def test_sample_solve_keeps_the_bits_of_the_sample_stack(path):
+    n, w, stats, iters = SAMPLE_SOLVES[path]
+    ds, _ = make_dense_instance(d=9, n=n, seed=231)
+    assert (partition_by_samples(ds.X, ds.y, 3).stack is None) == (path == "streamed")
+    cluster = Cluster(3)
+    result = disco_outer(cluster, ds, SolverConfig(lam=0.1, mu=0.1, tau=2, partition_mode=PartitionMode.SAMPLES))
+    assert result.converged
+    assert [x.hex() for x in result.w] == w
+    assert cluster.snapshot_stats() == stats
+    assert (result.inner_iters_total, result.updates) == iters
+
+
 def sparse_objects():
     """Every live scipy sparse array and ``SparseBlock``."""
     gc.collect()
@@ -377,24 +410,25 @@ def sparse_objects():
 
 def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
     """A solve in either layout multiplies through its partition's X and
-    the operands a product needs besides it, built with the partition: the
-    stack of the shards by samples, and by features the stack when a block
-    is taller than wide, else each node's row block (the partition holds
-    the row blocks either way). The partition's fields hold no sparse matrix
-    besides X, the row blocks and the stack, the caller's data block caches
-    no product operand, and the sparse arrays a solve leaves alive are those
-    operands, their wrappers and the operands cached on them, plus exactly
-    one stack of the preconditioner's slices and its transposed operand,
-    which the partition's cache keeps. The feature stack holds the data
-    array of X itself; the row blocks hold slices of X's data and index
-    arrays, so that a solve on blocks no taller than wide copies no nonzero
-    of X."""
-    tall = gen_synthetic(120, 20, 0.2, 0.1, 3)  # every operand is taller than wide: a product copies its transpose
+    the operands its partial products need, built with the partition: each
+    node's rows of the split matrix (X' by samples, X by features) and,
+    when a block is taller than wide, their stack. The partition's fields
+    hold no sparse matrix besides X, the row blocks and the stack, the
+    caller's data block caches no product operand, and the sparse arrays a
+    solve leaves alive are those operands, their wrappers and the operands
+    cached on them, plus exactly one stack of the preconditioner's slices
+    and its transposed operand, which the partition's cache keeps. The row
+    blocks and the stack hold the split matrix's own data array, and the
+    row blocks its index arrays too, so that a solve on blocks no taller
+    than wide copies no nonzero of X by features, and by samples only into
+    the one CSR copy of X' that the transposed products with X run over."""
+    tall = gen_synthetic(120, 20, 0.2, 0.1, 3)  # X is taller than wide: its transposed operand is a copy
     wide = gen_synthetic(20, 120, 0.2, 0.1, 3)  # feature blocks of 7, 7 and 6 rows: each node's own product
-    for mode, name, ds in ((PartitionMode.FEATURES, "partition_by_features", tall),
-                           (PartitionMode.FEATURES, "partition_by_features", wide),
-                           (PartitionMode.SAMPLES, "partition_by_samples", tall)):
+    for mode, ds, streamed in ((PartitionMode.FEATURES, tall, False),
+                               (PartitionMode.FEATURES, wide, True),
+                               (PartitionMode.SAMPLES, tall, True)):  # blocks of 7, 7 and 6 rows of X'
         parts = []
+        name = f"partition_by_{mode.value}"
         partition = getattr(solver, name)
         before = sparse_objects()  # held, so that no new object reuses an id
         with monkeypatch.context() as patch:
@@ -404,36 +438,33 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
         fields = {f.name: getattr(part, f.name) for f in dataclasses.fields(part)}
         held = [k for k, v in fields.items() if any(isinstance(o, (sparse.sparray, SparseBlock))
                                                      for o in (v if isinstance(v, tuple) else (v,)))]
-        streamed = ds is wide
-        if mode is PartitionMode.FEATURES:
-            assert held == (["X", "blocks"] if streamed else ["X", "blocks", "stack"]), mode
-        else:
-            assert held == ["X", "stack"], mode
+        assert held == (["X", "blocks"] if streamed else ["X", "blocks", "stack"]), mode
+        assert (part.stack is None) == streamed
         assert "matrix_t" not in vars(ds.X) and "matrix_fwd" not in vars(ds.X)
         operands = [part.X, *part.blocks] if streamed else [part.X, part.stack]
-        assert (part.stack is None) == streamed
         assert all("matrix_t" in vars(block) for block in operands[streamed:])
         (kept,) = part.cache.values()
         assert kept.x is not None  # tau = 5 is below every block
         assert set(vars(kept.x)) == {"matrix", "matrix_t"}  # one stack and its transposed operand
         stack = [kept.x, kept.x.matrix, kept.x.matrix_t]
         allowed = []
-        for block in [*operands, *getattr(part, "blocks", ())]:
+        for block in [*operands, *part.blocks]:
             allowed += [block, block.matrix, *(vars(block).get(op) for op in ("matrix_t", "matrix_fwd"))]
         seen = {id(o) for o in before}
         new = [o for o in sparse_objects() if id(o) not in seen]
         # nothing else: what is new besides the partition's operands is the one stack
         assert {id(o) for o in new} - {id(o) for o in allowed} == {id(o) for o in stack}, (mode, [type(o) for o in new])
         assert {*map(id, operands[1:])} <= {id(o) for o in new}
-        if mode is PartitionMode.FEATURES:
-            assert np.shares_memory(operands[1].matrix.data, ds.X.matrix.data)
+        split = part.X.matrix if mode is PartitionMode.FEATURES else part.X.matrix_t
+        assert split.format == "csr" and np.shares_memory(operands[1].matrix.data, split.data)
+        for block in part.blocks:
+            assert np.shares_memory(block.matrix.data, split.data)
+            assert np.shares_memory(block.matrix.indices, split.indices)
         if streamed:
-            for block in part.blocks:
-                assert np.shares_memory(block.matrix.data, ds.X.matrix.data)
-                assert np.shares_memory(block.matrix.indices, ds.X.matrix.indices)
             copies = [o for o in new if isinstance(o, sparse.sparray) and not any(o is k for k in stack)
                       and not np.shares_memory(o.data, ds.X.matrix.data)]
-            assert copies == []
+            assert all(np.shares_memory(o.data, split.data) for o in copies)
+            assert (copies == []) == (mode is PartitionMode.FEATURES)
 
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "discobench"
@@ -468,6 +499,16 @@ def test_benchmark_gate_passes_in_process(monkeypatch, workload, trace):
     assert result["correct"] and result["failed"] == 0, result
 
 
+def test_the_suite_runs_blas_on_one_thread():
+    """conftest.py pins BLAS to one thread before numpy loads, as the
+    benchmark does: every loaded OpenBLAS reports one thread, so that the
+    iterates and counters that tests pin do not depend on the host's cores."""
+    threads = load_discobench("run").blas_threads()
+    if not threads:
+        pytest.skip("no OpenBLAS is loaded: its thread count is the only one read here")
+    assert set(threads.values()) == {1}, threads
+
+
 def load_tracer():
     """discobench/tracer.py, loaded from its file: its TRACED table lists the
     names it replaces to time the solver's layers."""
@@ -497,8 +538,11 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
     # the logistic preconditioner is rebuilt before every Newton step
     assert calls[pcg] == calls[build] == result.updates
     assert calls["disco_outer"] == calls[partition] == 1
-    for name in ("spmv", "spmv_transpose", "grad_coeffs", "hess_coeffs", "apply", "reduce_all"):
+    for name in ("spmv_transpose", "grad_coeffs", "hess_coeffs", "apply", "reduce_all"):
         assert calls[name] > 0, name
+    # both layouts' partial products are transposed; only the feature
+    # layout's unsplit product, X c, is forward
+    assert (calls["spmv"] > 0) == (mode is PartitionMode.FEATURES)
     # no product or preconditioner apply maps over the nodes; only the
     # feature layout's metered dot products do
     assert (calls["map_nodes"] > 0) == (mode is PartitionMode.FEATURES)
@@ -508,26 +552,36 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
 @pytest.mark.parametrize("d, n, streamed", [(9, 24, True), (30, 9, False)], ids=["streamed", "stacked"])
 def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, streamed):
     """The benchmark tracer times ``linalg.spmv_transpose`` by wrapping
-    ``solver.spmv_transpose``. A feature-layout solve whose blocks are all
-    no taller than wide calls that name once per node per product, on the
-    node's own block in node order; otherwise once per product, on the
-    stack. Either way the calls' nonzeros add up to X's per product."""
+    ``solver.spmv_transpose``. Each layout's partial products, the feature
+    layout's margins on d x n data and the sample layout's data terms on
+    n x d data, whose X' has the same shape, call that name once per node per
+    product, on the node's own block in node order, when every block is no
+    taller than wide; otherwise once per product, on the stack. Either way
+    their nonzeros add up to X's per product, and so do those of the
+    unsplit product: ``spmv`` on X by features, ``spmv_transpose`` on X,
+    before the partial products, by samples."""
     m = 3
-    ds, _ = make_dense_instance(d=d, n=n, seed=231)
-    parts, operands = [], []
-    tracer = load_tracer().Tracer()
-    with tracer.installed(), monkeypatch.context() as patch:
-        traced, partition = solver.spmv_transpose, solver.partition_by_features
-        patch.setattr(solver, "spmv_transpose", lambda block, x: operands.append(block) or traced(block, x))
-        patch.setattr(solver, "partition_by_features", lambda *args: parts.append(partition(*args)) or parts[-1])
-        result = solver.disco_outer(Cluster(m), ds, SolverConfig(lam=0.1, mu=0.1, tau=2, partition_mode="features"))
-    assert result.converged
-    products = result.grad_evals + result.inner_iters_total
-    (part,) = parts
-    assert list(map(id, operands)) == [id(o) for o in (part.blocks if streamed else [part.stack])] * products
-    assert tracer.calls["linalg.spmv_transpose"] == len(operands) == (m if streamed else 1) * products
-    assert tracer.nnz["linalg.spmv_transpose"] == products * ds.X.nnz
-    assert tracer.calls["linalg.spmv"] == products and tracer.nnz["linalg.spmv"] == products * ds.X.nnz
+    for mode, shape in ((PartitionMode.FEATURES, (d, n)), (PartitionMode.SAMPLES, (n, d))):
+        ds, _ = make_dense_instance(*shape, seed=231)
+        name = f"partition_by_{mode.value}"
+        parts, operands = [], []
+        tracer = load_tracer().Tracer()
+        with tracer.installed(), monkeypatch.context() as patch:
+            traced, partition = solver.spmv_transpose, getattr(solver, name)
+            patch.setattr(solver, "spmv_transpose", lambda block, x: operands.append(block) or traced(block, x))
+            patch.setattr(solver, name, lambda *args: parts.append(partition(*args)) or parts[-1])
+            result = solver.disco_outer(Cluster(m), ds, SolverConfig(lam=0.1, mu=0.1, tau=2, partition_mode=mode))
+        assert result.converged
+        products = result.grad_evals + result.inner_iters_total
+        (part,) = parts
+        assert (part.stack is None) == streamed, mode
+        partials = list(part.blocks) if streamed else [part.stack]
+        per_product = partials if mode is PartitionMode.FEATURES else [part.X, *partials]
+        assert list(map(id, operands)) == [id(o) for o in per_product] * products
+        assert tracer.calls["linalg.spmv_transpose"] == len(operands)
+        forward = products if mode is PartitionMode.FEATURES else 0
+        assert tracer.nnz["linalg.spmv_transpose"] == (2 * products - forward) * ds.X.nnz
+        assert tracer.calls["linalg.spmv"] == forward and tracer.nnz["linalg.spmv"] == forward * ds.X.nnz
 
 
 if __name__ == "__main__":

@@ -327,18 +327,18 @@ CALLERS = ["features", "samples", "woodbury"]
 
 
 def stacked_by(caller, X, m, tau=2):
-    """What ``caller`` hands ``stack_row_blocks`` for the data X at m nodes,
-    the matrix and its row-block offsets (X itself at the feature split, X'
-    in CSR at the sample split, X's first tau columns at the preconditioner's
-    block split), and the stack the caller keeps, in that orientation."""
-    y = np.zeros(X.cols)
+    """What ``caller`` hands ``stack_row_blocks`` for the matrix X at m
+    nodes, the matrix and its row-block offsets, and the stack the caller
+    keeps: X itself at the feature split of the data X; X again at the
+    sample split of the data X', whose own transpose, in CSR, is X; X's
+    first tau columns at the preconditioner's block split of the data X."""
     if caller == "features":
-        part = partition_by_features(X, y, m)
+        part = partition_by_features(X, np.zeros(X.cols), m)
         return X.matrix, part.offsets, part.stack.matrix
     if caller == "samples":
-        part = partition_by_samples(X, y, m)
-        return X.matrix.T.tocsr(), part.offsets, part.stack.matrix.T.tocsr()
-    kept = _curvature_slices(partition_by_features(X, y, m), tau)
+        part = partition_by_samples(SparseBlock(X.matrix.T), np.zeros(X.rows), m)
+        return X.matrix, part.offsets, part.stack.matrix
+    kept = _curvature_slices(partition_by_features(X, np.zeros(X.cols), m), tau)
     return X.matrix[:, :tau], kept.offsets, kept.x.matrix
 
 

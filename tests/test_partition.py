@@ -17,17 +17,15 @@ def node_blocks(X, part, by_samples):
     return [SparseBlock(X.matrix[cut]) for cut in cuts]
 
 
-def stacked_block(part, i, by_samples):
-    """Node i's block of the partition's product operands: rows i*d:(i+1)*d
-    and the node's columns of the stack by samples; by features the node's
-    rows and columns i*n:(i+1)*n of the stack, or its row block when the
-    partition has no stack."""
-    off, size = part.offsets[i], part.sizes[i]
-    if by_samples:
-        return part.stack.matrix[i * part.d:(i + 1) * part.d, off:off + size]
+def stacked_block(part, i):
+    """Node i's rows of the partition's split matrix (X' by samples, X by
+    features) as its products read them: its row block when the partition
+    has no stack, else its rows and columns i*w:(i+1)*w of the stack, w the
+    split matrix's width."""
     if part.stack is None:
         return part.blocks[i].matrix
-    return part.stack.matrix[off:off + size, i * part.n:(i + 1) * part.n]
+    off, size, width = part.offsets[i], part.sizes[i], part.blocks[i].cols
+    return part.stack.matrix[off:off + size, i * width:(i + 1) * width]
 
 
 class TestBalancedSizes:
@@ -72,13 +70,15 @@ class TestSamplePartition:
         part = partition_by_samples(ds.X, ds.y, 2)
         assert part.sizes == (3, 2)
         assert part.offsets == (0, 3)
-        assert part.stack.matrix.shape == (2 * 4, 5)
-        assert [stacked_block(part, j, True).shape for j in range(2)] == [(4, 3), (4, 2)]
+        assert part.stack is None  # no block of X' is taller than wide
+        assert [stacked_block(part, j).shape for j in range(2)] == [(3, 4), (2, 4)]
 
     def test_single_node_is_identity(self):
         ds, _ = make_dense_instance(d=4, n=6, seed=1)
         part = partition_by_samples(ds.X, ds.y, 1)
-        assert np.array_equal(part.stack.toarray(), ds.X.toarray())
+        # the one 6 x 4 block of X' is taller than wide: its stack is X' itself
+        assert np.array_equal(part.stack.toarray(), ds.X.toarray().T)
+        assert np.array_equal(part.blocks[0].toarray(), ds.X.toarray().T)
         assert np.array_equal(part.X.toarray(), ds.X.toarray())
         assert np.array_equal(part.y, ds.y)
 
@@ -88,15 +88,19 @@ class TestSamplePartition:
         assert part.sizes == (2, 2, 2) and part.offsets == (0, 2, 4)
 
     def test_round_trip_reassembly(self):
-        ds, _ = make_dense_instance(d=7, n=11, seed=3)
-        part = partition_by_samples(ds.X, ds.y, 4)
-        blocks = [stacked_block(part, j, True) for j in range(4)]
-        for got, want in zip(blocks, node_blocks(ds.X, part, True), strict=True):
-            assert np.array_equal(got.toarray(), want.toarray())
-        assert np.array_equal(np.hstack([b.toarray() for b in blocks]), ds.X.toarray())
-        assert np.array_equal(np.concatenate([part.y[o:o + s] for o, s in zip(part.offsets, part.sizes)]), ds.y)
-        # sparsity structure preserved, not just values
-        assert sum(b.nnz for b in blocks) == part.stack.nnz == ds.X.nnz
+        # shards of 3, 3, 3 and 2 samples: the blocks of X' are no taller than
+        # wide at d=7 and read one by one, taller at d=2 and read from the stack
+        for d in (7, 2):
+            ds, _ = make_dense_instance(d=d, n=11, seed=3)
+            part = partition_by_samples(ds.X, ds.y, 4)
+            assert (part.stack is None) == (d == 7)
+            for blocks in ([b.matrix for b in part.blocks], [stacked_block(part, j) for j in range(4)]):
+                for got, want in zip(blocks, node_blocks(ds.X, part, True), strict=True):
+                    assert np.array_equal(got.toarray(), want.toarray().T)
+                assert np.array_equal(np.vstack([b.toarray() for b in blocks]), ds.X.toarray().T)
+                # sparsity structure preserved, not just values
+                assert sum(b.nnz for b in blocks) == ds.X.nnz
+            assert np.array_equal(np.concatenate([part.y[o:o + s] for o, s in zip(part.offsets, part.sizes)]), ds.y)
 
     def test_too_many_nodes(self):
         ds, _ = make_dense_instance(d=4, n=3, seed=4)
@@ -110,18 +114,18 @@ class TestFeaturePartition:
         part = partition_by_features(ds.X, ds.y, 2)
         assert part.sizes == (2, 2)
         assert part.stack is None  # no block is taller than wide
-        assert [stacked_block(part, i, False).shape for i in range(2)] == [(2, 6), (2, 6)]
+        assert [stacked_block(part, i).shape for i in range(2)] == [(2, 6), (2, 6)]
 
     def test_single_node_is_identity(self):
         ds, _ = make_dense_instance(d=5, n=6, seed=6)
         part = partition_by_features(ds.X, ds.y, 1)
-        assert np.array_equal(stacked_block(part, 0, False).toarray(), ds.X.toarray())
+        assert np.array_equal(stacked_block(part, 0).toarray(), ds.X.toarray())
         assert np.array_equal(part.X.toarray(), ds.X.toarray())
 
     def test_round_trip_reassembly(self):
         ds, _ = make_dense_instance(d=9, n=5, seed=7)
         part = partition_by_features(ds.X, ds.y, 4)
-        blocks = [stacked_block(part, i, False) for i in range(4)]
+        blocks = [stacked_block(part, i) for i in range(4)]
         for got, want in zip(blocks, node_blocks(ds.X, part, False), strict=True):
             assert np.array_equal(got.toarray(), want.toarray())
         assert np.array_equal(np.vstack([b.toarray() for b in blocks]), ds.X.toarray())
@@ -181,17 +185,18 @@ class TestObjectiveEquivalence:
 @pytest.mark.parametrize("partition", [partition_by_samples, partition_by_features])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_stack_holds_each_shard_block_diagonally(partition, m):
-    """Shard i sits at row and column block i of the stack: (m*d) x n by
-    samples, d x (m*n) by features, where every feature block of this 12 x 3
-    problem is taller than wide. ``X`` wraps the caller's arrays in a block
-    of its own, so its cached operands never land on the caller's."""
-    ds, _ = make_dense_instance(d=12, n=3, seed=14)
-    part = partition(ds.X, ds.y, m)
+    """Node i's rows of the split matrix sit at its rows and column block i
+    of the stack: 12 x (m*3) in both layouts, over X' of 3 x 12 data by
+    samples and X of 12 x 3 data by features, whose every block is taller
+    than wide. ``X`` wraps the caller's arrays in a block of its own, so its
+    cached operands never land on the caller's."""
     by_samples = partition is partition_by_samples
-    want = np.zeros((m * 12, 3) if by_samples else (12, m * 3))
+    ds, _ = make_dense_instance(*((3, 12) if by_samples else (12, 3)), seed=14)
+    part = partition(ds.X, ds.y, m)
+    want = np.zeros((12, m * 3))
     for i, (shard, off) in enumerate(zip(node_blocks(ds.X, part, by_samples), part.offsets)):
-        r, c = (i * 12, off) if by_samples else (off, i * 3)
-        want[r:r + shard.rows, c:c + shard.cols] = shard.toarray()
+        rows = shard.toarray().T if by_samples else shard.toarray()
+        want[off:off + len(rows), i * 3:(i + 1) * 3] = rows
     assert np.array_equal(part.stack.toarray(), want)
     assert part.X is not ds.X and part.X.matrix is ds.X.matrix
 
