@@ -6,7 +6,11 @@ so that a one-node run reproduces the unpartitioned computation bit for bit.
 ``stack_row_blocks`` places the row blocks of a CSR matrix side by side, over
 its own data and row pointers, so that one product serves every node (or
 every preconditioner block); it builds each partition's stack and the
-Woodbury preconditioner's stack of slices. The products of a solve
+Woodbury preconditioner's stack of slices. ``cut_rows`` cuts every row of
+a CSR matrix at given column offsets with a new row pointer over its data
+and indices, so that one forward product gives each column block's part of
+every row; a square-loss solve sums its products over the other layout's
+split with it. The products of a solve
 (``spmv``, ``spmv_transpose`` and the preconditioner's, all through
 ``matvec``) call scipy's compiled CSR/CSC kernels directly: the routines
 that ``operand @ x`` ends in after scipy's Python dispatch, which costs
@@ -36,6 +40,7 @@ __all__ = [
     "SparseBlock",
     "as_vec",
     "compressed_view",
+    "cut_rows",
     "matvec",
     "spmv",
     "spmv_transpose",
@@ -160,6 +165,24 @@ def stack_row_blocks(matrix, offsets) -> sparse.csr_array:
     for i in range(1, len(offsets)):
         indices[starts[i]:starts[i + 1]] += i * cols
     return compressed_view("csr", matrix.data, indices, matrix.indptr.astype(idx, copy=False), shape)
+
+
+def cut_rows(matrix, offsets) -> sparse.csr_array:
+    """The CSR matrix of shape (k*rows, cols) whose row i*k + j holds row i
+    of the canonical CSR ``matrix`` in columns ``offsets[j]`` up to the next
+    of the k offsets (the last up to the end): a new row pointer over
+    ``matrix``'s own data and indices. Its product with x holds, at
+    i*k + j, row i's product with x over column block j alone, its terms
+    added in ascending column order from 0.0, as the block's own product
+    adds them."""
+    rows, cols = matrix.shape
+    shape = (rows * len(offsets), cols)
+    # Entry positions of row i's first column at or after each offset: a
+    # search over the entries' (row, column) keys, which CSR order sorts.
+    keys = np.repeat(np.arange(rows, dtype=np.int64) * cols, np.diff(matrix.indptr)) + matrix.indices
+    starts = np.searchsorted(keys, (np.arange(rows, dtype=np.int64)[:, None] * cols + offsets).ravel())
+    indptr = np.append(starts, matrix.nnz).astype(_index_dtype(shape, matrix.nnz))
+    return compressed_view("csr", matrix.data, matrix.indices, indptr, shape)
 
 
 # scipy's compiled matrix-vector kernels by operand format. The module is

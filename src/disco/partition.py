@@ -21,11 +21,14 @@ when some node's block is taller than wide, their ``stack`` built by
 ``stack_row_blocks``: d x (m*n) by features, n x (m*d) by samples, node i's
 rows in columns i*w:(i+1)*w for the split matrix's width w. The sample
 layout's X' is the copy that X's transposed products already run over when
-X has more rows than columns. Both are built with the partition.
+X has more rows than columns. Both are built with the partition, by
+``split_rows``, which a square-loss solve also calls to split the other
+layout's matrix.
 
 Each partition carries a ``cache`` dict for what later steps derive from it
-alone (the solver keeps its preconditioner slices there), so that such data
-is made once and lives exactly as long as the partition.
+alone (the solver keeps its preconditioner slices and the other layout's
+split there), so that such data is made once and lives exactly as long as
+the partition.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "balanced_sizes",
     "partition_by_samples",
     "partition_by_features",
+    "split_rows",
 ]
 
 
@@ -79,15 +83,31 @@ class FeaturePartition(_Partition):
     """Node i holds features offsets[i]:+sizes[i] of all n samples: X split by rows."""
 
 
+def split_rows(split, sizes) -> tuple:
+    """(offsets, blocks, stack) of the canonical CSR matrix ``split`` cut
+    into consecutive row blocks of ``sizes``: node i's rows as a
+    ``SparseBlock`` over ``split``'s data and index arrays (no copy) and,
+    when some block is taller than wide, their stack (else None). Blocks no
+    taller than wide make each partial product a scatter, run node by node
+    into the reduce. Taller blocks take one gather over the stack: on
+    wide_features_square (n = 500) the m partial products fit in cache
+    anyway, and m calls made a solve about 4% slower."""
+    cols = split.shape[1]
+    offsets = tuple(sum(sizes[:i]) for i in range(len(sizes)))
+    blocks = []
+    for off, size in zip(offsets, sizes):
+        rows = split.indptr[off:off + size + 1]
+        start, stop = rows[0], rows[-1]
+        view = compressed_view("csr", split.data[start:stop], split.indices[start:stop], rows - start, (size, cols))
+        blocks.append(SparseBlock(view))
+    stack = None if max(sizes) <= cols else SparseBlock(stack_row_blocks(split, offsets))
+    return offsets, tuple(blocks), stack
+
+
 def _row_split(X: SparseBlock, y, m: int, by_samples: bool) -> _Partition:
     """The partition whose m nodes hold balanced row blocks of the split
     matrix, the canonical CSR matrix that its partial products run over (X
-    by features, X' by samples), as blocks over that matrix's data and index
-    arrays (no copy) and, when some block is taller than wide, their stack.
-    Blocks no taller than wide make each partial product a scatter, run node
-    by node into the reduce. Taller blocks take one gather over the stack: on
-    wide_features_square (n = 500) the m partial products fit in cache
-    anyway, and m calls made a solve about 4% slower."""
+    by features, X' by samples), as ``split_rows`` cuts them."""
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):  # True would run as one node
         raise ValueError(f"node count m must be an integer, got {m!r}")
     X = SparseBlock(X.matrix)
@@ -101,18 +121,10 @@ def _row_split(X: SparseBlock, y, m: int, by_samples: bool) -> _Partition:
     # transposed products run over; otherwise they run over a CSC view, and
     # X' is a copy of its own.
     split = X.matrix_t.tocsr() if by_samples else X.matrix
-    cols = split.shape[1]
     sizes = tuple(balanced_sizes(total, m))
-    offsets = tuple(sum(sizes[:i]) for i in range(m))
-    blocks = []
-    for off, size in zip(offsets, sizes):
-        rows = split.indptr[off:off + size + 1]
-        start, stop = rows[0], rows[-1]
-        view = compressed_view("csr", split.data[start:stop], split.indices[start:stop], rows - start, (size, cols))
-        blocks.append(SparseBlock(view))
-    stack = None if max(sizes) <= cols else SparseBlock(stack_row_blocks(split, offsets))
+    offsets, blocks, stack = split_rows(split, sizes)
     kind = SamplePartition if by_samples else FeaturePartition
-    return kind(y.copy(), sizes, offsets, X.rows, X.cols, X, tuple(blocks), stack)
+    return kind(y.copy(), sizes, offsets, X.rows, X.cols, X, blocks, stack)
 
 
 def partition_by_samples(X: SparseBlock, y: np.ndarray, m: int) -> SamplePartition:

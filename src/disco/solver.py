@@ -5,6 +5,18 @@ H v = grad approximately with preconditioned conjugate gradient, then apply
 the damped update w <- w - v / (1 + delta) with delta = sqrt(v'Hv). The inner
 tolerance follows the relative rule eps_k = theta * ||grad||, 0 < theta < 1.
 
+For the square loss H does not depend on w, and with c = delta/(1 + delta)
+the next gradient is g_{k+1} = g_k - Hv_k/(1 + delta) = r_k + c*Hv_k, so
+g_{k+1} - c*Hv_k is the step's final residual r_k. The next step therefore
+continues the same CG recurrence from v = c*v_k, Hv = c*Hv_k and the carried
+r, s and search direction u (a ``PcgState``), and a solve is one
+unrestarted CG run cut at each eps_k. A step whose carried residual already
+meets eps_k returns c*v_k, which the master already holds, with
+delta = c*delta_k, and sends nothing; a continued step's first curvature
+round still carries r's, so the collectives per inner iteration are those
+of a cold step. The logistic Hessian moves with w, so a logistic step starts
+from v = 0.
+
 The recurrence, the preconditioner build, the outer loop and both products
 (gradient and Hessian) are written once, over a small layout object. In both
 layouts a solver vector (w, grad, r, s, u, v, Hu, Hv) is one length-d float64
@@ -28,18 +40,35 @@ A broadcast or reduce_all returns the one read-only array that every node
 then holds, so no layout keeps per-node replicas; PCG never writes into an
 array it did not just allocate.
 
-Both layouts run the same pair of products: one with the unsplit X
-(``spmv``, X c, by features; ``spmv_transpose``, X'u, by samples) and the
-per-node transposed products of the split matrix's row blocks (X by
-features, X' by samples), reduced over the nodes. Those run as one kernel
-call over the partition's stack of the blocks, whose every row holds one
-node's terms, or, when every block is no taller than wide, as a scatter
-whose m results can together outgrow the cache (8 x 50,000 doubles on the
-tall benchmark workload), so node i's is computed from its own block only
-when the reduce_all asks for it, and is added while it is still in cache.
-Either way the collectives, their rounds and their bytes are those of a
-per-node run. A Woodbury preconditioner applies its blocks as one call each
-way, over one stack of their slices and its transpose.
+Both layouts run the same pair of products: the per-node transposed
+products of the split matrix's row blocks (X by features, X' by samples),
+reduced over the nodes, and the other product (X c by features, X'u by
+samples). The partial products run as one kernel call over the partition's
+stack of the blocks, whose every row holds one node's terms, or, when every
+block is no taller than wide, as a scatter whose m results can together
+outgrow the cache (8 x 50,000 doubles on the tall benchmark workload), so
+node i's is computed from its own block only when the reduce_all asks for
+it, and is added while it is still in cache. Either way the collectives,
+their rounds and their bytes are those of a per-node run. A Woodbury
+preconditioner applies its blocks as one call each way, over one stack of
+their slices and its transpose.
+
+A logistic solve runs the other product as one product with the unsplit X
+(``spmv``, ``spmv_transpose``). A square-loss solve sums it, unmetered,
+over the other layout's split (its ``mirror``, into min(size, m) parts) in
+node order, as that layout's reduce_all sums it, and the sample layout sums
+its dot products over the feature split as the feature layout's scalar
+reduce_alls do. The sample layout's margins come from X's row blocks, or,
+when one is taller than wide, from X' cut at the feature offsets; the
+feature layout's data term, each part divided by n, from X' row blocks when
+X is taller than wide, else from X cut at the sample offsets (``cut_rows``:
+a new row pointer over X's arrays, multiplied forward, each of its rows one
+node's part of one output element). Every other operation is elementwise on
+the same arrays in both layouts, so square-loss iterates are bitwise equal
+across layouts, and a CG run continued over many steps cannot drift
+between them. A logistic solve restarts PCG at every step, and summing its
+products over both splits cost more time than it bought, so it keeps its
+own order.
 
 Both layouts use the same preconditioner: a feature-block-diagonal curvature
 matrix estimated from the first tau samples,
@@ -78,7 +107,8 @@ O(tau^2) pass, adds mu*tau*I and inverts it; a dense build forms and
 inverts each d_b x d_b Gram. The price is one extra tau x tau array per
 block for the life of the partition, 8 MB per block at the default
 tau = 1000. With identical preconditioners the two layouts produce the same
-iterates up to roundoff, so layout only changes communication cost, not the
+iterates, up to roundoff for the logistic loss and bit for bit for the
+square loss, so layout only changes communication cost, not the
 optimization path.
 
 Every product loops over the operand's shorter side: an operand with more
@@ -92,7 +122,8 @@ A solve is described once: the partition gives the data, n and the feature
 block split, ``SolverConfig`` the loss, lam and every solver parameter; a
 layout validates the config, and that tau fits the data, when it is built.
 Each PCG solve is handed what the outer loop already holds: the gradient and
-margins from its metered exchange, and the preconditioner.
+margins from its metered exchange, the preconditioner and, for the square
+loss, the state to continue from.
 
 The layout objects call the public entry points (``pcg_*``,
 ``build_preconditioner*``), the partitioners and the kernels through this
@@ -115,7 +146,7 @@ from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .comm import Cluster
-from .linalg import SparseBlock, matvec, spmv, spmv_transpose, stack_row_blocks
+from .linalg import SparseBlock, cut_rows, matvec, spmv, spmv_transpose, stack_row_blocks
 from .losses import Choice, LossKind, grad_coeffs, hess_coeffs
 from .partition import (
     FeaturePartition,
@@ -123,11 +154,13 @@ from .partition import (
     balanced_sizes,
     partition_by_features,
     partition_by_samples,
+    split_rows,
 )
 
 __all__ = [
     "PartitionMode",
     "SolverConfig",
+    "PcgState",
     "NewtonStepResult",
     "TraceRecord",
     "DiscoResult",
@@ -212,15 +245,35 @@ class SolverConfig:
         return min(5 * d, 10000) if self.max_inner is None else self.max_inner
 
 
+class PcgState(NamedTuple):
+    """Where a PCG run stands, to continue from: the solution v, its product
+    Hv, the residual r = grad - Hv as the recurrence carries it, the
+    preconditioned residual s and the next search direction u (both None
+    before the first iteration), and delta = sqrt(v'Hv)."""
+
+    v: np.ndarray
+    Hv: np.ndarray
+    r: np.ndarray
+    s: np.ndarray | None
+    u: np.ndarray | None
+    delta: float
+
+    def scaled(self, c: float) -> "PcgState":
+        """The state with v, Hv and delta scaled by c."""
+        return self._replace(v=c * self.v, Hv=c * self.Hv, delta=c * self.delta)
+
+
 @dataclass
 class NewtonStepResult:
-    """Inexact Newton direction and its damping certificate."""
+    """Inexact Newton direction and its damping certificate, and the PCG
+    state the step ended in."""
 
     direction: np.ndarray
     delta: float
     inner_iters: int
     residual_norm: float
     converged: bool
+    state: PcgState
 
 
 @dataclass(frozen=True)
@@ -455,34 +508,94 @@ def build_preconditioner_features(
 # ---------------------------------------------------------------------------
 
 
+class _Split(NamedTuple):
+    """The operands of one split's per-node partial products: node i holds
+    part ``nodes[i]`` of a vector and ``blocks[i]``, its rows of the split
+    matrix, multiplied transposed, or their ``stack`` (None when every block
+    is no taller than wide); or, in place of both, ``cut``, every row of the
+    other layout's split matrix cut at the nodes' offsets (``cut_rows``),
+    multiplied forward."""
+
+    nodes: tuple
+    blocks: tuple
+    stack: SparseBlock | None
+    cut: SparseBlock | None = None
+
+
+def _node_slices(offsets, sizes) -> tuple:
+    return tuple(slice(off, off + size) for off, size in zip(offsets, sizes))
+
+
+def _row_blocks(split, sizes) -> _Split:
+    """The row blocks of the CSR matrix ``split`` (views, no copy), and
+    their stack when one is taller than wide."""
+    offsets, blocks, stack = split_rows(split, sizes)
+    return _Split(_node_slices(offsets, sizes), blocks, stack)
+
+
+def _cut(matrix, sizes) -> _Split:
+    """Every row of the CSR ``matrix`` cut where the split of its columns
+    into ``sizes`` puts a node boundary: a new row pointer over its data and
+    indices."""
+    offsets = tuple(sum(sizes[:i]) for i in range(len(sizes)))
+    return _Split(_node_slices(offsets, sizes), (), None, SparseBlock(cut_rows(matrix, offsets)))
+
+
+def _partials(v: np.ndarray, split: _Split):
+    """Node i's partial product with ``v[nodes[i]]``, in node order. When
+    every block is no taller than wide, node i's is computed from its own
+    block only when asked for, so that a sum adds each while it is still in
+    cache; otherwise node i's is row i of one product with the stack (or
+    column i of one with the cut), whose every row holds one node's terms in
+    that node's order, so each has the bits of its own product."""
+    if split.cut is not None:
+        return spmv(split.cut, v).reshape(-1, len(split.nodes)).T
+    if split.stack is not None:
+        return spmv_transpose(split.stack, v).reshape(len(split.nodes), -1)
+    return (spmv_transpose(block, v[node]) for block, node in zip(split.blocks, split.nodes))
+
+
+def _node_sum(parts) -> np.ndarray:
+    """(p0 + p1) + p2 ..., the sum that ``Cluster.reduce_all`` forms, for a
+    sum that no collective meters."""
+    parts = iter(parts)
+    total = next(parts)
+    for p in parts:
+        total = total + p
+    return total
+
+
+def _dot_terms(pairs, node: slice) -> np.ndarray:
+    """One node's terms <a[node], b[node]> of each pair."""
+    return np.array([float(np.dot(a[node], b[node])) for a, b in pairs])
+
+
 class _Layout:
     """The per-node work and the collectives of one data layout; node i
     holds ``nodes[i]`` of the split dimension. ``config`` is validated here,
     and subclasses check that tau fits the samples their preconditioner
     draws from. A subclass's ``_product(u, coeffs)`` returns
     (X c)/n + lam*u, c = coeffs(X'u), and the length-n X'u, where ``coeffs``
-    maps margins elementwise: one product with the unsplit ``X`` and the
-    per-node partial products of ``_partials``, reduced over the nodes."""
+    maps margins elementwise: the partial products of ``split``, the
+    partition's, reduced over the nodes, and the other product.
+
+    For the square loss, ``mirror`` is the other layout's split (into
+    min(size, m) parts, so that it exists at any m), over which the layout
+    forms, unmetered, the sums the other layout meters, in node order, so
+    that both layouts round alike; for the logistic loss it is None."""
 
     def __init__(self, cluster: Cluster, part, config: SolverConfig):
         config.validate()
         if cluster.m != len(part.sizes):
             raise ValueError(f"cluster has {cluster.m} nodes, partition has {len(part.sizes)} shards")
         self.cluster, self.part, self.config = cluster, part, config
-        self.nodes = tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
-
-    def _partials(self, v: np.ndarray):
-        """Node i's transposed product of its rows of the split matrix with
-        ``v[nodes[i]]``, in node order. When every block is no taller than
-        wide (the partition holds no stack), node i's is computed from its
-        own block only when asked for, so that a reduce adds each while it
-        is still in cache; otherwise node i's is row i of one product with
-        the stack, whose every row holds one node's terms in that node's
-        order, so each has the bits of its own product."""
-        part = self.part
-        if part.stack is None:
-            return (spmv_transpose(block, v[node]) for block, node in zip(part.blocks, self.nodes))
-        return spmv_transpose(part.stack, v).reshape(len(part.blocks), -1)
+        self.nodes = _node_slices(part.offsets, part.sizes)
+        self.split = _Split(self.nodes, part.blocks, part.stack)
+        self.mirror = None
+        if config.loss is LossKind.SQUARE:
+            if "mirror" not in part.cache:
+                part.cache["mirror"] = self._mirror()
+            self.mirror = part.cache["mirror"]
 
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:
         """Hessian coefficients of the margins (any value, or None, for the
@@ -506,18 +619,35 @@ class _SampleLayout(_Layout):
         super().__init__(cluster, part, config)
         config.resolved_tau(part.sizes[0])
 
+    def _mirror(self) -> _Split:
+        """The feature split: X's row blocks when none is taller than wide;
+        otherwise X is taller than wide, and the cut of X', the CSR copy
+        that the partition's blocks view, at the feature offsets."""
+        part = self.part
+        sizes = balanced_sizes(part.d, min(part.d, len(part.sizes)))
+        if sizes[0] <= part.n:
+            return _row_blocks(part.X.matrix, sizes)
+        return _cut(part.X.matrix_t, sizes)
+
     def dots(self, *pairs, metered: bool = True) -> list:
-        """<a, b> for each pair; free either way, the master holds both."""
-        return [float(np.dot(a, b)) for a, b in pairs]
+        """<a, b> for each pair; free either way, the master holds both. With
+        a mirror, each is summed over the feature split as the feature
+        layout's reduce_all sums it."""
+        if self.mirror is None:
+            return [float(np.dot(a, b)) for a, b in pairs]
+        return [float(x) for x in _node_sum(_dot_terms(pairs, node) for node in self.mirror.nodes)]
 
     def _product(self, u: np.ndarray, coeffs) -> tuple:
-        """Broadcast u; node j forms its slice of X'u and its data term
-        X_j c_j / n, the partial product of its rows of X', and the data
-        terms are reduce-alled."""
+        """Broadcast u; node j forms its slice of X'u (with a mirror, summed
+        over the feature split) and its data term X_j c_j / n, the partial
+        product of its rows of X', and the data terms are reduce-alled."""
         cluster, part = self.cluster, self.part
         u_all = cluster.broadcast(u)
-        z = spmv_transpose(part.X, u_all)
-        return cluster.reduce_all(p / part.n for p in self._partials(coeffs(z))) + self.config.lam * u_all, z
+        if self.mirror is None:
+            z = spmv_transpose(part.X, u_all)
+        else:
+            z = _node_sum(_partials(u_all, self.mirror))
+        return cluster.reduce_all(p / part.n for p in _partials(coeffs(z), self.split)) + self.config.lam * u_all, z
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         return v
@@ -525,8 +655,9 @@ class _SampleLayout(_Layout):
     def preconditioner(self, margins: np.ndarray) -> BlockPreconditioner:
         return build_preconditioner(self.config, self.part, margins)
 
-    def newton_step(self, eps_k, grad, margins, precond) -> NewtonStepResult:
-        return pcg_samples(self.cluster, self.part, eps_k, self.config, grad=grad, margins=margins, precond=precond)
+    def newton_step(self, eps_k, grad, margins, precond, start=None) -> NewtonStepResult:
+        return pcg_samples(self.cluster, self.part, eps_k, self.config, grad=grad, margins=margins, precond=precond,
+                           start=start)
 
 
 class _FeatureLayout(_Layout):
@@ -538,26 +669,46 @@ class _FeatureLayout(_Layout):
         super().__init__(cluster, part, config)
         config.resolved_tau(part.n)
 
+    def _mirror(self) -> _Split:
+        """The sample split: when X is taller than wide, the row blocks of
+        X' (no taller than wide), over the CSR copy of X' that products with
+        X run over; otherwise the cut of X at the sample offsets (a copy of
+        X' would be needed for its blocks)."""
+        X = self.part.X
+        sizes = balanced_sizes(X.cols, min(X.cols, len(self.part.sizes)))
+        if X.rows > X.cols:
+            return _row_blocks(X.matrix_t, sizes)
+        return _cut(X.matrix, sizes)
+
     def dots(self, *pairs, metered: bool = True) -> list:
         """Global <a, b> for each pair: per-node slice terms, all riding one
         scalar reduce_all. With ``metered=False`` the per-node terms are summed
-        without a collective: a control scalar that stands in for a piggybacked
-        value and is deliberately not counted as a round."""
+        as the collective sums them, without one: a control scalar that stands
+        in for a piggybacked value and is deliberately not counted as a
+        round."""
 
-        def local(i):
-            node = self.nodes[i]
-            return [float(np.dot(a[node], b[node])) for a, b in pairs]
+        def terms(i):
+            return _dot_terms(pairs, self.nodes[i])
 
-        if not metered:
-            return [sum(terms) for terms in zip(*map(local, range(self.cluster.m)))]
-        return [float(x) for x in self.cluster.reduce_all(self.cluster.map_nodes(lambda i: np.array(local(i))))]
+        if metered:
+            total = self.cluster.reduce_all(self.cluster.map_nodes(terms))
+        else:
+            total = _node_sum(map(terms, range(self.cluster.m)))
+        return [float(x) for x in total]
 
     def _product(self, u: np.ndarray, coeffs) -> tuple:
         """One length-n reduce_all of the partial products X_i'u_i, then
-        each node's slice of X c / n + lam*u."""
+        each node's slice of X c / n + lam*u (with a mirror, summed over the
+        sample split, each part divided by n, as the sample layout's
+        reduce_all sums it)."""
         part = self.part
-        z = self.cluster.reduce_all(self._partials(u))
-        return spmv(part.X, coeffs(z)) / part.n + self.config.lam * u, z
+        z = self.cluster.reduce_all(_partials(u, self.split))
+        c = coeffs(z)
+        if self.mirror is None:
+            data = spmv(part.X, c) / part.n
+        else:
+            data = _node_sum(p / part.n for p in _partials(c, self.mirror))
+        return data + self.config.lam * u, z
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         return self.cluster.reduce_concat([v[node] for node in self.nodes])
@@ -565,8 +716,9 @@ class _FeatureLayout(_Layout):
     def preconditioner(self, margins: np.ndarray) -> BlockPreconditioner:
         return build_preconditioner_features(self.config, self.part, margins)
 
-    def newton_step(self, eps_k, grad, margins, precond) -> NewtonStepResult:
-        return pcg_features(self.cluster, self.part, eps_k, self.config, grad=grad, margins=margins, precond=precond)
+    def newton_step(self, eps_k, grad, margins, precond, start=None) -> NewtonStepResult:
+        return pcg_features(self.cluster, self.part, eps_k, self.config, grad=grad, margins=margins, precond=precond,
+                            start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -574,28 +726,36 @@ class _FeatureLayout(_Layout):
 # ---------------------------------------------------------------------------
 
 
-def _pcg(layout: _Layout, eps_k: float, grad: np.ndarray, margins, precond: BlockPreconditioner) -> NewtonStepResult:
+def _pcg(layout: _Layout, eps_k: float, grad: np.ndarray, margins, precond: BlockPreconditioner,
+         start: PcgState | None) -> NewtonStepResult:
     """PCG on H v = grad, where H is the Hessian at the iterate for which
-    ``layout.gradient`` returned ``grad`` and ``margins``. Every dot product
-    goes through ``layout.dots``, batched so that the feature layout pays two
-    scalar rounds per iteration.
+    ``layout.gradient`` returned ``grad`` and ``margins``, from v = 0, or,
+    given ``start``, continuing that run from its state (the square loss
+    only: H must be the one it ran on). Every dot product goes through
+    ``layout.dots``, batched so that the feature layout pays two scalar
+    rounds per iteration.
     """
     if not eps_k > 0:  # also catches a NaN
         raise ValueError(f"eps_k must be positive, got {eps_k}")
-    h = layout.curvature(margins)
     d = layout.part.d
+    if start is None:
+        start = PcgState(np.zeros(d), np.zeros(d), np.asarray(grad, dtype=np.float64), None, None, 0.0)
+    elif layout.config.loss is not LossKind.SQUARE:
+        raise ValueError("only a square-loss PCG run continues: the logistic Hessian changes with the iterate")
+    elif start.v.shape != (d,):
+        raise ValueError(f"the start's v has shape {start.v.shape}, the problem has d = {d}")
+    h = layout.curvature(margins)
     max_inner = layout.config.resolved_max_inner(d)
 
-    r = np.asarray(grad, dtype=np.float64)
+    v, Hv, r, s, u = start.v, start.Hv, start.r, start.s, start.u
     # Driver-side control scalar; the metered path learns ||r|| from the
     # first beta batch below.
     resnorm = math.sqrt(layout.dots((r, r), metered=False)[0])
-    if resnorm <= eps_k:
-        return NewtonStepResult(np.zeros(d), 0.0, 0, resnorm, True)
-    s = precond.apply(r)
-    u = s
-    v = np.zeros(d)
-    Hv = np.zeros(d)
+    if resnorm <= eps_k:  # v is the zero vector, or a continued one the master already holds
+        return NewtonStepResult(v, start.delta, 0, resnorm, True, start)
+    if s is None:
+        s = precond.apply(r)
+        u = s
     for t in range(max_inner):
         Hu = layout.hess_vec(u, h)
         if t == 0:  # <r, s> is first needed here; later it comes from the beta batch
@@ -617,17 +777,19 @@ def _pcg(layout: _Layout, eps_k: float, grad: np.ndarray, margins, precond: Bloc
                 f"non-finite PCG state at inner iteration {t}: r's = {rs_next}, ||r||^2 = {rnorm2}, v'Hv = {vHv}"
             )
         resnorm = math.sqrt(max(rnorm2, 0.0))
+        beta = rs_next / rs
+        u = s + beta * u  # the next search direction, where a continued run starts
+        rs = rs_next
         if resnorm <= eps_k:
             break
-        beta = rs_next / rs
-        u = s + beta * u
-        rs = rs_next
+    delta = math.sqrt(max(vHv, 0.0))
     return NewtonStepResult(
         direction=layout.assemble(v),
-        delta=math.sqrt(max(vHv, 0.0)),
+        delta=delta,
         inner_iters=t + 1,
         residual_norm=resnorm,
         converged=resnorm <= eps_k,
+        state=PcgState(v, Hv, r, s, u, delta),
     )
 
 
@@ -640,16 +802,20 @@ def pcg_samples(
     grad: np.ndarray,
     margins: np.ndarray,
     precond: BlockPreconditioner,
+    start: PcgState | None = None,
 ) -> NewtonStepResult:
     """PCG on the sample partition; the master owns all full-length vectors.
 
     Both PCG entry points take ``grad``, the length-d gradient, ``margins``,
     the length-n X'w that the outer loop's gradient exchange leaves, and
-    ``precond`` from the layout's builder. Per inner iteration: one broadcast
+    ``precond`` from the layout's builder, and, for the square loss only, an
+    optional ``start``: the ``PcgState`` to continue from, which the outer
+    loop makes from the previous step's with v, Hv and delta scaled by
+    delta/(1 + delta); ``grad`` is then unused. Per inner iteration: one broadcast
     of the search direction and one reduce_all of the Hessian-product
     contributions, both of length d; dot products are free on the master.
     """
-    return _pcg(_SampleLayout(cluster, spart, config), eps_k, grad, margins, precond)
+    return _pcg(_SampleLayout(cluster, spart, config), eps_k, grad, margins, precond, start)
 
 
 def pcg_features(
@@ -661,6 +827,7 @@ def pcg_features(
     grad: np.ndarray,
     margins: np.ndarray,
     precond: BlockPreconditioner,
+    start: PcgState | None = None,
 ) -> NewtonStepResult:
     """PCG on the feature partition: a vector is one length-d array and node
     i works on its slice, its feature block.
@@ -673,11 +840,14 @@ def pcg_features(
     v'Hv) -- the beta numerator, the stopping test and the damping
     certificate ride one round. A step that runs at least one inner iteration
     ends with a concatenating reduce that assembles the direction on the
-    master; when the gradient already meets ``eps_k`` (a loose tolerance; the
-    outer loop's theta < 1 never allows it) the step returns the zero
-    direction after 0 iterations and sends nothing.
+    master. A step whose starting residual already meets ``eps_k`` runs 0
+    iterations and sends nothing: from v = 0 (the gradient; the outer loop's
+    theta < 1 rules that out) it returns the zero direction; continuing a
+    square-loss run (``start``), it returns the start's v and delta, which
+    the master already holds, as the outer loop does whenever one step's run
+    overshoots the next step's tolerance.
     """
-    return _pcg(_FeatureLayout(cluster, fpart, config), eps_k, grad, margins, precond)
+    return _pcg(_FeatureLayout(cluster, fpart, config), eps_k, grad, margins, precond, start)
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +880,11 @@ def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
 
     w = np.zeros(layout.part.d)
     precond: BlockPreconditioner | None = None
+    start: PcgState | None = None
     trace: list = []
     inner_cum = 0
     inner_unconverged = 0
-    start = time.perf_counter()
+    began = time.perf_counter()
 
     for k in range(config.max_outer + 1):
         grad, margins = layout.gradient(w)
@@ -730,7 +901,7 @@ def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
                 inner_iters_cum=inner_cum,
                 rounds_cum=stats.total_rounds,
                 bytes_cum=stats.total_bytes,
-                wall_ms=(time.perf_counter() - start) * 1e3,
+                wall_ms=(time.perf_counter() - began) * 1e3,
             )
         )
         if gnorm <= config.outer_tol or k == config.max_outer:
@@ -738,8 +909,12 @@ def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
         eps_k = config.theta * gnorm
         if precond is None or config.loss is LossKind.LOGISTIC:
             precond = layout.preconditioner(margins)
-        step = layout.newton_step(eps_k, grad, margins, precond)
+        step = layout.newton_step(eps_k, grad, margins, precond, start)
         w = damped_update(w, step.direction, step.delta)
+        if config.loss is LossKind.SQUARE:
+            # H is constant, so g_{k+1} - c*Hv_k = r_k for c = delta/(1+delta):
+            # the next step continues this run from c*v_k.
+            start = step.state.scaled(step.delta / (1.0 + step.delta))
         inner_cum += step.inner_iters
         inner_unconverged += not step.converged
 

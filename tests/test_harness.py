@@ -282,13 +282,16 @@ class TestTraceAccounting:
         res, steps, _ = recorded_solve(Cluster(3), ds, cfg)
         assert res.converged
         d, n = ds.d, ds.n
+        assert any(step.inner_iters == 0 for step in steps)  # a continued step that needed no iteration
         for k, row in enumerate(res.trace):
             T_cum = row.inner_iters_cum
+            ran = [step for step in steps[:k] if step.inner_iters > 0]
             # vector rounds: margins (k+1) + Hu products; scalar rounds: 2 per
-            # inner iteration; concatenating reduce: one per completed update
-            assert row.rounds_cum == 3 * T_cum + (k + 1) + k
-            scalar_bytes = sum(8 + 32 * step.inner_iters for step in steps[:k])
-            assert row.bytes_cum == 8 * n * (T_cum + k + 1) + scalar_bytes + 8 * d * k
+            # inner iteration; concatenating reduce: one per update whose step
+            # ran an inner iteration (a step that ran none sends nothing)
+            assert row.rounds_cum == 3 * T_cum + (k + 1) + len(ran)
+            scalar_bytes = sum(8 + 32 * step.inner_iters for step in ran)
+            assert row.bytes_cum == 8 * n * (T_cum + k + 1) + scalar_bytes + 8 * d * len(ran)
 
 
 def test_dataset_validation():

@@ -4,6 +4,7 @@ module-global lookups that let an outside tracer see the solver's layers."""
 import dataclasses
 import gc
 import importlib.util
+import itertools
 import json
 import math
 import sys
@@ -93,7 +94,9 @@ LOSSES = st.sampled_from([LossKind.SQUARE, LossKind.LOGISTIC])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), d=st.integers(1, 12), n=st.integers(1, 16), loss=LOSSES)
 def test_pcg_layouts_agree(data, d, n, loss):
-    """Same Newton direction from both layouts: bitwise at m=1, to 1e-8 otherwise."""
+    """Same Newton direction from both layouts: bitwise at m=1 and for the
+    square loss, whose products and dot products both layouts sum over both
+    splits in node order; to 1e-8 otherwise."""
     ds = random_instance(data, d, n, loss)
     m = draw_m(data, min(d, n))
     lam = data.draw(st.floats(0.1, 1.0), label="lam")
@@ -105,7 +108,7 @@ def test_pcg_layouts_agree(data, d, n, loss):
 
     step_s = newton_step(Cluster(m), partition_by_samples(ds.X, ds.y, m), w, eps_k, cfg)
     step_f = newton_step(Cluster(m), partition_by_features(ds.X, ds.y, m), w, eps_k, cfg)
-    if m == 1:
+    if m == 1 or loss is LossKind.SQUARE:
         assert np.array_equal(step_s.direction, step_f.direction)
         assert (step_s.delta, step_s.inner_iters) == (step_f.delta, step_f.inner_iters)
     else:
@@ -263,6 +266,39 @@ def test_node_sweep_meets_the_cost_model_at_every_m():
         assert line in readme, line
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_square_solves_are_bitwise_equal_in_both_layouts(m):
+    """A square-loss solve continues one CG run across the Newton steps and
+    sums every product and dot product over both layouts' splits in node
+    order, so both layouts take the same steps bit for bit: the same ``w``
+    and the same inner iterations per step, each meeting the cost model
+    exactly. On 30 x 14 and 14 x 30 data, whose splits are uneven at m = 3,
+    4 and 8, the feature layout stacks its blocks of 30 x 14 at m <= 2 and
+    the sample layout its blocks of 14 x 30's X' at m <= 2; every other
+    split is streamed node by node."""
+    streamed = {mode: set() for mode in PartitionMode}
+    for d, n in ((30, 14), (14, 30)):
+        rng = np.random.default_rng(d * 1000 + n * 10 + m)
+        Xd = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.5)
+        ds = Dataset(X=SparseBlock.from_dense(Xd), y=Xd.T @ rng.standard_normal(d) + 0.1 * rng.standard_normal(n),
+                     d=d, n=n, source="square")
+        runs = {}
+        for mode in PartitionMode:
+            cluster, parts = Cluster(m), []
+            partition = getattr(solver, f"partition_by_{mode.value}")
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, f"partition_by_{mode.value}",
+                              lambda *args: parts.append(partition(*args)) or parts[-1])
+                result = disco_outer(cluster, ds, SolverConfig(lam=0.05, mu=0.05, tau=2, partition_mode=mode))
+            assert result.converged
+            per_step = COSTMODEL.inner_iters_per_step(result)
+            assert cluster.snapshot_stats() == COSTMODEL.expected_stats(mode, d, n, result.grad_evals, per_step)
+            runs[mode] = (result.w.tobytes(), per_step)
+            streamed[mode].add(parts[0].stack is None)
+        assert runs[PartitionMode.SAMPLES] == runs[PartitionMode.FEATURES], (d, n)
+    assert streamed == {mode: {False, True} if m <= 2 else {True} for mode in PartitionMode}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -290,23 +326,32 @@ def test_damped_newton_converges_monotonically(data, d, n, loss, mode):
         assert f_next <= f_prev * (1 + 1e-12)
 
 
-def per_shard_product(X, part, u, coeffs, lam):
+def node_slices(total, m):
+    """The balanced split of ``total`` into min(total, m) contiguous parts."""
+    ends = np.cumsum([0, *balanced_sizes(total, min(total, m))])
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def per_shard_product(X, part, u, coeffs, lam, loss):
     """(X c)/n + lam*u and X'u, c = coeffs(X'u), with one kernel call per
-    node on its shard, cut from X at the partition's offsets, and the
-    collectives' summation order (ascending node order): the reference that
-    the layouts' stacked products must match bit for bit."""
-    nodes = [slice(off, off + size) for off, size in zip(part.offsets, part.sizes)]
-    if isinstance(part, SamplePartition):
-        shards = [SparseBlock(X.matrix[:, node]) for node in nodes]
-        z = np.concatenate([spmv_transpose(shard, u) for shard in shards])
-        c = coeffs(z)
-        terms = [spmv(shard, c[node]) / part.n for shard, node in zip(shards, nodes)]
-        return sum(terms[1:], terms[0]) + lam * u, z
-    shards = [SparseBlock(X.matrix[node, :]) for node in nodes]
-    partials = [spmv_transpose(shard, u[node]) for shard, node in zip(shards, nodes)]
-    z = sum(partials[1:], partials[0])
+    shard, cut from X, and the collectives' summation order (ascending node
+    order): the reference that the layouts' products must match bit for bit.
+    A logistic product splits only what its layout's collective sums (X'u
+    over the features, X c over the samples) and makes the other product
+    one whole row or column of X per output element; a square-loss product
+    splits both, in either layout, as the two layouts' collectives do."""
+    m, by_samples = len(part.sizes), isinstance(part, SamplePartition)
+    if loss is LossKind.LOGISTIC and by_samples:
+        z = np.concatenate([spmv_transpose(SparseBlock(X.matrix[:, node]), u) for node in node_slices(X.cols, m)])
+    else:
+        partials = [spmv_transpose(SparseBlock(X.matrix[node, :]), u[node]) for node in node_slices(X.rows, m)]
+        z = sum(partials[1:], partials[0])
     c = coeffs(z)
-    return np.concatenate([spmv(shard, c) / part.n + lam * u[node] for shard, node in zip(shards, nodes)]), z
+    if loss is LossKind.LOGISTIC and not by_samples:
+        return np.concatenate([spmv(SparseBlock(X.matrix[node, :]), c) / part.n + lam * u[node]
+                               for node in node_slices(X.rows, m)]), z
+    terms = [spmv(SparseBlock(X.matrix[:, node]), c[node]) / part.n for node in node_slices(X.cols, m)]
+    return sum(terms[1:], terms[0]) + lam * u, z
 
 
 @pytest.mark.parametrize("loss", list(LossKind))
@@ -315,15 +360,21 @@ def per_shard_product(X, part, u, coeffs, lam):
 @pytest.mark.parametrize("d, n", [(23, 7), (7, 23), (12, 12)])
 def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss):
     """The gradient, margins and Hessian product that each layout computes
-    with one kernel call over the unsplit X and, for the partial products,
-    one over the stack of the split matrix's row blocks (X' by samples, X by
+    equal a per-shard loop bit for bit: its own split's partial products,
+    over the stack of the split matrix's row blocks (X' by samples, X by
     features) or, when every block is no taller than wide, one call per node
-    streamed into the reduce, equal a per-shard loop bit for bit: on uneven
-    splits, on blocks with more rows than columns and with no more (both
-    paths run in both layouts: the sample layout stacks on 7 x 23 at m <= 3,
-    the feature layout on 23 x 7 at m <= 3, where its blocks are 8, 8 and 7
-    rows at m=3, and neither on 12 x 12 square), and with an empty row, an
-    all-empty feature shard at m=5 and an empty column."""
+    streamed into the reduce, and the other product, which a logistic solve
+    runs as one kernel call over the unsplit X and a square-loss solve over
+    the other layout's split: in the sample layout X's row blocks, or, when
+    one is taller than wide, X' cut at the feature offsets; in the feature
+    layout X' row blocks when X is taller than wide, else X cut at the
+    sample offsets.
+    All on uneven splits, on blocks with more rows than columns and with no
+    more (both paths run in both layouts: the sample layout stacks on 7 x 23
+    at m <= 3, the feature layout on 23 x 7 at m <= 3, where its blocks are
+    8, 8 and 7 rows at m=3, and neither on 12 x 12 square; a square-loss
+    sample layout cuts X' on 23 x 7 at m <= 3), and with an
+    empty row, an all-empty feature shard at m=5 and an empty column."""
     rng = np.random.default_rng(d * 100 + m)
     Xd = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.5)
     Xd[[3, 4]] = 0.0
@@ -340,24 +391,31 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     w, u = rng.standard_normal(d), rng.standard_normal(d)
 
     grad, margins = layout.gradient(w)
-    want_grad, want_margins = per_shard_product(X, layout.part, w, lambda z: grad_coeffs(loss, z, y), 0.3)
+    want_grad, want_margins = per_shard_product(X, layout.part, w, lambda z: grad_coeffs(loss, z, y), 0.3, loss)
     assert grad.tobytes() == want_grad.tobytes() and margins.tobytes() == want_margins.tobytes()
     h = layout.curvature(margins)
-    want_hu, _ = per_shard_product(X, layout.part, u, lambda z: h * z, 0.3)
+    want_hu, _ = per_shard_product(X, layout.part, u, lambda z: h * z, 0.3, loss)
     assert layout.hess_vec(u, h).tobytes() == want_hu.tobytes()
     # the partition built the stack only for a block taller than wide
     assert (layout.part.stack is None) == (max(layout.part.sizes) <= layout.part.blocks[0].cols)
+    mirror = layout.mirror
+    if loss is LossKind.LOGISTIC:
+        assert mirror is None
+    elif mode is PartitionMode.SAMPLES:  # the feature split's blocks, or X' cut when one is taller than wide
+        assert mirror.stack is None and (mirror.cut is None) == (balanced_sizes(d, m)[0] <= n)
+    else:  # X' row blocks when X is taller than wide, else X cut at the sample offsets
+        assert mirror.stack is None and (mirror.cut is None) == (d > n)
 
 
 # A feature-layout solve whose every block (3 x 24) is no taller than wide:
-# its iterate, bit for bit, and its counters, as the product with the
-# stacked shards computed them. Node-by-node products must keep every bit.
+# its iterate, bit for bit, and its counters. Node-by-node products must
+# keep every bit.
 STREAMED_SOLVE_W = [
-    "-0x1.f463e82c72161p-3", "-0x1.470a5fd8a1a0cp-1", "0x1.16440ab6d19ebp-3",
-    "0x1.6ff68dffec606p-2", "0x1.a5ee5321cbf15p-4", "0x1.40b7972901f01p-2",
-    "0x1.d99034fdd6b7ep-2", "0x1.7cad6a8ddc368p-4", "-0x1.4063608d85671p-3",
+    "-0x1.f463e82c7227ap-3", "-0x1.470a5fd8a19b6p-1", "0x1.16440ab6d16e0p-3",
+    "0x1.6ff68dffec653p-2", "0x1.a5ee5321cbfb8p-4", "0x1.40b7972901efap-2",
+    "0x1.d99034fdd6b77p-2", "0x1.7cad6a8ddc33ep-4", "-0x1.4063608d85651p-3",
 ]
-STREAMED_SOLVE_STATS = CommStats(reduce_rounds=7, reduceall_rounds=197, reduce_bytes=504, reduceall_bytes=15704)
+STREAMED_SOLVE_STATS = CommStats(reduce_rounds=2, reduceall_rounds=41, reduce_bytes=144, reduceall_bytes=4016)
 
 
 def test_streamed_feature_solve_keeps_the_stacked_bits():
@@ -367,25 +425,22 @@ def test_streamed_feature_solve_keeps_the_stacked_bits():
     assert result.converged
     assert [x.hex() for x in result.w] == STREAMED_SOLVE_W
     assert cluster.snapshot_stats() == STREAMED_SOLVE_STATS
-    assert (result.inner_iters_total, result.updates) == (63, 7)
+    assert (result.inner_iters_total, result.updates) == (11, 7)
 
 
 # Sample-layout solves of 9 x 24 data, whose every node holds an 8 x 9 block
 # of X' (no taller than wide: node by node), and of 9 x 30 data (10 x 9
 # blocks: one product with the stack): the iterate, bit for bit, and the
-# counters that the (m*d) x n stack of the shards computed before the sample
-# layout split X' by rows. Both paths must keep every bit.
+# counters. Both paths must keep every bit; the 9 x 24 solve has the bits of
+# the feature layout's above.
 SAMPLE_SOLVES = {
-    "streamed": (24, [
-        "-0x1.f463e82c72163p-3", "-0x1.470a5fd8a1a0cp-1", "0x1.16440ab6d19edp-3",
-        "0x1.6ff68dffec607p-2", "0x1.a5ee5321cbf17p-4", "0x1.40b7972901f02p-2",
-        "0x1.d99034fdd6b7fp-2", "0x1.7cad6a8ddc36ap-4", "-0x1.4063608d85670p-3",
-    ], CommStats(broadcast_rounds=71, reduceall_rounds=71, broadcast_bytes=5112, reduceall_bytes=5112), (63, 7)),
+    "streamed": (24, STREAMED_SOLVE_W,
+                 CommStats(broadcast_rounds=19, reduceall_rounds=19, broadcast_bytes=1368, reduceall_bytes=1368), (11, 7)),
     "stacked": (30, [
-        "-0x1.15669ac38766bp-3", "-0x1.b121d2e1fe628p-4", "-0x1.eba583147373cp-4",
-        "-0x1.8cb4546c09ee7p-5", "0x1.ecce4688705b5p-2", "0x1.eb7fbee99eff2p-6",
-        "0x1.2ca1d279b1de8p-2", "-0x1.49de919c09ecep-2", "-0x1.8a81542b2af10p-7",
-    ], CommStats(broadcast_rounds=61, reduceall_rounds=61, broadcast_bytes=4392, reduceall_bytes=4392), (54, 6)),
+        "-0x1.15669ac386e37p-3", "-0x1.b121d2e1fae8ep-4", "-0x1.eba58314702afp-4",
+        "-0x1.8cb4546becad3p-5", "0x1.ecce46886dbb0p-2", "0x1.eb7fbee9965bfp-6",
+        "0x1.2ca1d279b4990p-2", "-0x1.49de919c07950p-2", "-0x1.8a81542ad09e4p-7",
+    ], CommStats(broadcast_rounds=18, reduceall_rounds=18, broadcast_bytes=1296, reduceall_bytes=1296), (11, 6)),
 }
 
 
@@ -402,6 +457,42 @@ def test_sample_solve_keeps_the_bits_of_the_sample_stack(path):
     assert (result.inner_iters_total, result.updates) == iters
 
 
+# Logistic solves restart PCG at every Newton step and sum every product in
+# their own layout's order: the iterate, bit for bit, and the counters of a
+# streamed solve in each layout (9 x 24 data) and of a stacked sample-layout
+# solve (9 x 30).
+LOGISTIC_SOLVES = {
+    "samples-streamed": (PartitionMode.SAMPLES, 24, [
+        "-0x1.77aeada9f4f47p-1", "-0x1.b0ef6cbef7670p-1", "0x1.712fc3dc58536p-6",
+        "0x1.fb3d7a092ab40p-3", "-0x1.e502e1b80e667p-3", "0x1.f0bf240607271p-4",
+        "0x1.6649b34c40138p-1", "-0x1.489271734e405p-3", "-0x1.eb7efb9a52eb9p-2",
+    ], CommStats(broadcast_rounds=57, reduceall_rounds=57, broadcast_bytes=4104, reduceall_bytes=4104), (50, 6)),
+    "samples-stacked": (PartitionMode.SAMPLES, 30, [
+        "-0x1.9ba63ac6af7a2p-3", "-0x1.e07d071dd3f3ep-4", "-0x1.53327a84e6b69p-2",
+        "-0x1.02824d24bad27p-2", "0x1.b0072ec242038p-1", "-0x1.70170977bce73p-6",
+        "0x1.4ef03e7c531bap-1", "-0x1.1d0723358cb90p-2", "-0x1.81051103ba549p-5",
+    ], CommStats(broadcast_rounds=51, reduceall_rounds=51, broadcast_bytes=3672, reduceall_bytes=3672), (45, 5)),
+    "features-streamed": (PartitionMode.FEATURES, 24, [
+        "-0x1.77aeada9f4f47p-1", "-0x1.b0ef6cbef766fp-1", "0x1.712fc3dc58539p-6",
+        "0x1.fb3d7a092ab40p-3", "-0x1.e502e1b80e665p-3", "0x1.f0bf240607270p-4",
+        "0x1.6649b34c40138p-1", "-0x1.489271734e406p-3", "-0x1.eb7efb9a52ebap-2",
+    ], CommStats(reduce_rounds=6, reduceall_rounds=157, reduce_bytes=432, reduceall_bytes=12592), (50, 6)),
+}
+
+
+@pytest.mark.parametrize("case", LOGISTIC_SOLVES)
+def test_logistic_solves_keep_their_bits(case):
+    mode, n, w, stats, iters = LOGISTIC_SOLVES[case]
+    ds, _ = make_dense_instance(d=9, n=n, seed=231, loss=LossKind.LOGISTIC, labels="sign")
+    cluster = Cluster(3)
+    cfg = SolverConfig(lam=0.1, mu=0.1, tau=2, loss=LossKind.LOGISTIC, partition_mode=mode)
+    result = disco_outer(cluster, ds, cfg)
+    assert result.converged
+    assert [x.hex() for x in result.w] == w
+    assert cluster.snapshot_stats() == stats
+    assert (result.inner_iters_total, result.updates) == iters
+
+
 def sparse_objects():
     """Every live scipy sparse array and ``SparseBlock``."""
     gc.collect()
@@ -412,21 +503,26 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
     """A solve in either layout multiplies through its partition's X and
     the operands its partial products need, built with the partition: each
     node's rows of the split matrix (X' by samples, X by features) and,
-    when a block is taller than wide, their stack. The partition's fields
-    hold no sparse matrix besides X, the row blocks and the stack, the
-    caller's data block caches no product operand, and the sparse arrays a
-    solve leaves alive are those operands, their wrappers and the operands
-    cached on them, plus exactly one stack of the preconditioner's slices
-    and its transposed operand, which the partition's cache keeps. The row
-    blocks and the stack hold the split matrix's own data array, and the
-    row blocks its index arrays too, so that a solve on blocks no taller
-    than wide copies no nonzero of X by features, and by samples only into
-    the one CSR copy of X' that the transposed products with X run over."""
+    when a block is taller than wide, their stack; a square-loss solve also
+    through the operands of the other layout's split, which the partition's
+    cache keeps (``mirror``): X's row blocks or X' cut at the feature offsets
+    by samples, X' row blocks or X cut at the sample offsets by features.
+    The partition's fields hold no sparse matrix besides X, the row blocks
+    and the stack, the caller's data block caches no product operand, and
+    the sparse arrays a solve leaves alive are those operands, their
+    wrappers and the operands cached on them, plus exactly one stack of the
+    preconditioner's slices and its transposed operand, which the
+    partition's cache keeps. The row blocks, the stack and the other split's
+    operands hold X's own data array or that of the one CSR copy of X' that
+    the partition's X caches when X is taller than wide, and every other
+    sparse array shares one of them, or is the transposed operand of a stack
+    taller than wide: no solve makes a copy of X's nonzeros besides those
+    two, and a feature-layout solve on blocks no taller than wide none."""
     tall = gen_synthetic(120, 20, 0.2, 0.1, 3)  # X is taller than wide: its transposed operand is a copy
     wide = gen_synthetic(20, 120, 0.2, 0.1, 3)  # feature blocks of 7, 7 and 6 rows: each node's own product
-    for mode, ds, streamed in ((PartitionMode.FEATURES, tall, False),
-                               (PartitionMode.FEATURES, wide, True),
-                               (PartitionMode.SAMPLES, tall, True)):  # blocks of 7, 7 and 6 rows of X'
+    for mode, ds, streamed in ((PartitionMode.FEATURES, tall, False),  # X' row blocks of 7, 7 and 6 rows
+                               (PartitionMode.FEATURES, wide, True),  # X cut at the sample offsets
+                               (PartitionMode.SAMPLES, tall, True)):  # blocks of 7, 7 and 6 rows of X'; X' cut
         parts = []
         name = f"partition_by_{mode.value}"
         partition = getattr(solver, name)
@@ -441,30 +537,42 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
         assert held == (["X", "blocks"] if streamed else ["X", "blocks", "stack"]), mode
         assert (part.stack is None) == streamed
         assert "matrix_t" not in vars(ds.X) and "matrix_fwd" not in vars(ds.X)
-        operands = [part.X, *part.blocks] if streamed else [part.X, part.stack]
-        assert all("matrix_t" in vars(block) for block in operands[streamed:])
-        (kept,) = part.cache.values()
+        operands = list(part.blocks) if streamed else [part.stack]
+        assert all("matrix_t" in vars(block) for block in operands)
+        assert set(part.cache) == {("curvature_slices", 5), "mirror"}
+        kept, mirror = part.cache[("curvature_slices", 5)], part.cache["mirror"]
         assert kept.x is not None  # tau = 5 is below every block
         assert set(vars(kept.x)) == {"matrix", "matrix_t"}  # one stack and its transposed operand
         stack = [kept.x, kept.x.matrix, kept.x.matrix_t]
+        other = list(mirror.blocks) if mirror.cut is None else [mirror.cut]
+        assert (mirror.cut is None) == (mode is PartitionMode.FEATURES and ds is tall)
         allowed = []
-        for block in [*operands, *part.blocks]:
+        for block in [part.X, *operands, *part.blocks, *other]:
             allowed += [block, block.matrix, *(vars(block).get(op) for op in ("matrix_t", "matrix_fwd"))]
         seen = {id(o) for o in before}
         new = [o for o in sparse_objects() if id(o) not in seen]
         # nothing else: what is new besides the partition's operands is the one stack
         assert {id(o) for o in new} - {id(o) for o in allowed} == {id(o) for o in stack}, (mode, [type(o) for o in new])
-        assert {*map(id, operands[1:])} <= {id(o) for o in new}
-        split = part.X.matrix if mode is PartitionMode.FEATURES else part.X.matrix_t
-        assert split.format == "csr" and np.shares_memory(operands[1].matrix.data, split.data)
+        assert {*map(id, operands + other)} <= {id(o) for o in new}
+        # X' in CSR, the one copy of X's nonzeros: the sample layout's split
+        # matrix, and the feature layout's when X is taller than wide
+        xt = part.X.matrix_t if ds is tall else None
+        split = part.X.matrix if mode is PartitionMode.FEATURES else xt
+        assert split.format == "csr" and np.shares_memory(operands[0].matrix.data, split.data)
         for block in part.blocks:
             assert np.shares_memory(block.matrix.data, split.data)
             assert np.shares_memory(block.matrix.indices, split.indices)
-        if streamed:
-            copies = [o for o in new if isinstance(o, sparse.sparray) and not any(o is k for k in stack)
-                      and not np.shares_memory(o.data, ds.X.matrix.data)]
-            assert all(np.shares_memory(o.data, split.data) for o in copies)
-            assert (copies == []) == (mode is PartitionMode.FEATURES)
+        source = xt if mode is PartitionMode.FEATURES else ds.X.matrix  # the other split's matrix
+        if mirror.cut is not None:  # the layout's own split matrix, cut
+            source = split
+        for block in other:
+            assert np.shares_memory(block.matrix.data, source.data)
+            assert np.shares_memory(block.matrix.indices, source.indices)
+        sources = [ds.X.matrix.data] + ([] if xt is None else [xt.data])
+        if not streamed and part.stack.rows > part.stack.cols:
+            sources.append(part.stack.matrix_t.data)  # the stack's transposed operand
+        copies = [o for o in new if isinstance(o, sparse.sparray) and not any(o is k for k in stack)]
+        assert all(any(np.shares_memory(o.data, data) for data in sources) for o in copies), mode
 
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "discobench"
@@ -551,37 +659,58 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
 
 @pytest.mark.parametrize("d, n, streamed", [(9, 24, True), (30, 9, False)], ids=["streamed", "stacked"])
 def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, streamed):
-    """The benchmark tracer times ``linalg.spmv_transpose`` by wrapping
-    ``solver.spmv_transpose``. Each layout's partial products, the feature
-    layout's margins on d x n data and the sample layout's data terms on
-    n x d data, whose X' has the same shape, call that name once per node per
-    product, on the node's own block in node order, when every block is no
-    taller than wide; otherwise once per product, on the stack. Either way
-    their nonzeros add up to X's per product, and so do those of the
-    unsplit product: ``spmv`` on X by features, ``spmv_transpose`` on X,
-    before the partial products, by samples."""
+    """The benchmark tracer times ``linalg.spmv`` and ``linalg.spmv_transpose``
+    by wrapping ``solver.spmv`` and ``solver.spmv_transpose``. Each layout's
+    partial products, the feature layout's margins on d x n data and the
+    sample layout's data terms on n x d data, whose X' has the same shape,
+    call ``spmv_transpose`` once per node per product, on the node's own
+    block in node order, when every block is no taller than wide; otherwise
+    once per product, on the stack. The other product of a logistic solve
+    is one call on the unsplit X: ``spmv`` by features, ``spmv_transpose``,
+    before the partial products, by samples. That of a square-loss solve
+    runs over the other layout's split: in the sample layout, before its
+    partial products, ``spmv_transpose`` on each feature block (3 x 30 or
+    8 x 9, no taller than wide); in the feature layout, after them,
+    ``spmv`` on X's rows cut at the sample offsets when X has no more rows
+    than columns (9 x 24), else ``spmv_transpose`` on each row block of X'
+    (3 x 30). Either way the nonzeros of each product add up to X's."""
     m = 3
-    for mode, shape in ((PartitionMode.FEATURES, (d, n)), (PartitionMode.SAMPLES, (n, d))):
-        ds, _ = make_dense_instance(*shape, seed=231)
+    for loss, mode in itertools.product(LossKind, PartitionMode):
+        shape = (d, n) if mode is PartitionMode.FEATURES else (n, d)
+        labels = "sign" if loss is LossKind.LOGISTIC else "regression"
+        ds, _ = make_dense_instance(*shape, seed=231, loss=loss, labels=labels)
         name = f"partition_by_{mode.value}"
         parts, operands = [], []
         tracer = load_tracer().Tracer()
         with tracer.installed(), monkeypatch.context() as patch:
-            traced, partition = solver.spmv_transpose, getattr(solver, name)
-            patch.setattr(solver, "spmv_transpose", lambda block, x: operands.append(block) or traced(block, x))
+            partition = getattr(solver, name)
+            for kernel in ("spmv", "spmv_transpose"):
+                traced = getattr(solver, kernel)
+                patch.setattr(solver, kernel, lambda block, x, traced=traced: operands.append(block) or traced(block, x))
             patch.setattr(solver, name, lambda *args: parts.append(partition(*args)) or parts[-1])
-            result = solver.disco_outer(Cluster(m), ds, SolverConfig(lam=0.1, mu=0.1, tau=2, partition_mode=mode))
+            cfg = SolverConfig(lam=0.1, mu=0.1, tau=2, loss=loss, partition_mode=mode)
+            result = solver.disco_outer(Cluster(m), ds, cfg)
         assert result.converged
         products = result.grad_evals + result.inner_iters_total
         (part,) = parts
         assert (part.stack is None) == streamed, mode
         partials = list(part.blocks) if streamed else [part.stack]
-        per_product = partials if mode is PartitionMode.FEATURES else [part.X, *partials]
-        assert list(map(id, operands)) == [id(o) for o in per_product] * products
-        assert tracer.calls["linalg.spmv_transpose"] == len(operands)
-        forward = products if mode is PartitionMode.FEATURES else 0
-        assert tracer.nnz["linalg.spmv_transpose"] == (2 * products - forward) * ds.X.nnz
-        assert tracer.calls["linalg.spmv"] == forward and tracer.nnz["linalg.spmv"] == forward * ds.X.nnz
+        if loss is LossKind.LOGISTIC:
+            other, forward = [part.X], mode is PartitionMode.FEATURES
+        elif mode is PartitionMode.SAMPLES:
+            mirror = part.cache["mirror"]
+            assert mirror.stack is None and mirror.cut is None and len(mirror.blocks) == m
+            other, forward = list(mirror.blocks), False
+        else:
+            mirror = part.cache["mirror"]
+            assert mirror.stack is None and (mirror.cut is None) == (not streamed)
+            other, forward = ([mirror.cut], True) if streamed else (list(mirror.blocks), False)
+        per_product = partials + other if mode is PartitionMode.FEATURES else other + partials
+        assert list(map(id, operands)) == [id(o) for o in per_product] * products, (loss, mode)
+        spmv_calls = products if forward else 0
+        assert tracer.calls["linalg.spmv_transpose"] == len(operands) - spmv_calls
+        assert tracer.nnz["linalg.spmv_transpose"] == (2 * products - spmv_calls) * ds.X.nnz
+        assert tracer.calls["linalg.spmv"] == spmv_calls and tracer.nnz["linalg.spmv"] == spmv_calls * ds.X.nnz
 
 
 if __name__ == "__main__":

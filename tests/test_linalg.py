@@ -8,6 +8,7 @@ from disco.linalg import (
     SparseBlock,
     as_vec,
     compressed_view,
+    cut_rows,
     matvec,
     spmv,
     spmv_transpose,
@@ -395,3 +396,28 @@ def test_stack_row_blocks_picks_int64_indices_when_the_width_needs_them(caller):
     assert stack.indices.dtype == stack.indptr.dtype == np.int64
     assert stack.indices.tolist() == [5, n, 2 * n + 1, 3 * n - 1]
     assert np.shares_memory(stack.data, source.data)
+
+
+@pytest.mark.parametrize("offsets", [(0,), (0, 4), (0, 3, 6), (0, 2, 2, 9)])
+def test_cut_rows_multiplies_as_each_column_block_does(offsets):
+    """Row i*k + j of the cut holds row i's entries in column block j over
+    the source's own data and indices, and its forward product, for each
+    row and block, has the bits of the block's own product; with an empty
+    row, an empty column block and a block running to the last column."""
+    rng = np.random.default_rng(len(offsets))
+    Xd = rng.standard_normal((7, 11)) * (rng.random((7, 11)) < 0.5)
+    Xd[3] = 0.0
+    source = SparseBlock.from_dense(Xd).matrix
+    cut = cut_rows(source, offsets)
+    k, bounds = len(offsets), [*offsets, 11]
+    assert cut.shape == (7 * k, 11) and cut.indptr.dtype == np.int32
+    assert np.shares_memory(cut.data, source.data) and np.shares_memory(cut.indices, source.indices)
+    want = np.zeros((7, k, 11))
+    for j in range(k):
+        want[:, j, bounds[j]:bounds[j + 1]] = Xd[:, bounds[j]:bounds[j + 1]]
+    assert np.array_equal(cut.toarray(), want.reshape(7 * k, 11))
+    x = rng.standard_normal(11)
+    got = spmv(SparseBlock(cut), x).reshape(7, k)
+    for j in range(k):
+        block = SparseBlock(source[:, bounds[j]:bounds[j + 1]])
+        assert got[:, j].tobytes() == spmv(block, x[bounds[j]:bounds[j + 1]]).tobytes()

@@ -36,6 +36,7 @@ from disco import (
 )
 from disco.harness import gen_synthetic
 from disco.losses import grad_coeffs, hess_coeffs
+from disco.partition import balanced_sizes
 from disco.solver import (
     BlockPreconditioner,
     _FeatureLayout,
@@ -646,13 +647,24 @@ class TestHessianVecSamples:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_gradient_margins_are_one_length_n_array(self, m):
         # node j forms its slice of X'w, so the sample layout hands PCG and
-        # its builder the same length-n array as the feature layout
-        ds, obj = make_dense_instance(d=6, n=7, seed=96)
-        w = np.random.default_rng(97).standard_normal(6)
-        layout = _SampleLayout(Cluster(m), partition_by_samples(ds.X, ds.y, m), SolverConfig(lam=obj.lam))
-        margins = layout.gradient(w)[1]
-        assert margins.shape == (7,) and margins.dtype == np.float64
-        assert margins.tobytes() == (ds.X.matrix.T @ w).tobytes()
+        # its builder the same length-n array as the feature layout: for the
+        # logistic loss X'w itself; for the square loss the per-shard
+        # products of the feature split, X_i'w_i, added in node order, as
+        # the feature layout's reduce_all adds them
+        for loss, labels in ((LossKind.LOGISTIC, "sign"), (LossKind.SQUARE, "regression")):
+            ds, obj = make_dense_instance(d=6, n=7, seed=96, loss=loss, labels=labels)
+            w = np.random.default_rng(97).standard_normal(6)
+            layout = _SampleLayout(Cluster(m), partition_by_samples(ds.X, ds.y, m),
+                                   SolverConfig(lam=obj.lam, loss=loss))
+            margins = layout.gradient(w)[1]
+            assert margins.shape == (7,) and margins.dtype == np.float64
+            if loss is LossKind.LOGISTIC:
+                want = ds.X.matrix.T @ w
+            else:
+                ends = np.cumsum([0, *balanced_sizes(6, m)])
+                parts = [ds.X.matrix[a:b].T @ w[a:b] for a, b in zip(ends, ends[1:])]
+                want = sum(parts[1:], parts[0])
+            assert margins.tobytes() == want.tobytes(), loss
 
     def test_zero_direction_still_costs_two_rounds(self):
         ds, obj = make_dense_instance(d=6, n=9, seed=94)
@@ -908,6 +920,101 @@ class TestStandaloneEntryPoints:
         assert cluster.snapshot_stats() == CommStats()
 
 
+class TestPcgContinuation:
+    """A square-loss PCG run continued from the ``PcgState`` a step ends in."""
+
+    @staticmethod
+    def setup(mode, loss=LossKind.SQUARE):
+        """(call, cluster, ||grad||): ``call(eps_k, start=None)`` runs the
+        layout's PCG entry point on ``cluster`` (m = 2) at w = 0 of a d=10,
+        n=24 instance, with its gradient, margins and preconditioner."""
+        labels = "sign" if loss is LossKind.LOGISTIC else "regression"
+        ds, _ = make_dense_instance(d=10, n=24, seed=152, loss=loss, labels=labels)
+        cfg = SolverConfig(lam=0.1, mu=0.05, tau=3, loss=loss, partition_mode=mode)
+        samples = mode is PartitionMode.SAMPLES
+        part = (partition_by_samples if samples else partition_by_features)(ds.X, ds.y, 2)
+        layout = (_SampleLayout if samples else _FeatureLayout)(Cluster(2), part, cfg)
+        grad, margins = layout.gradient(np.zeros(10))
+        precond = layout.preconditioner(margins)
+        pcg, cluster = (pcg_samples if samples else pcg_features), Cluster(2)
+
+        def call(eps_k, start=None):
+            return pcg(cluster, part, eps_k, cfg, grad=grad, margins=margins, precond=precond, start=start)
+
+        return call, cluster, float(np.linalg.norm(grad))
+
+    @pytest.mark.parametrize("mode", list(PartitionMode))
+    def test_a_continued_run_is_the_unrestarted_run(self, mode):
+        # stopped at a loose tolerance and continued on the same system
+        # (c = 1) to a tight one, a run reaches the iterate of one run to
+        # the tight tolerance, bit for bit, in as many iterations
+        call, _, gnorm = self.setup(mode)
+        whole = call(1e-10 * gnorm)
+        first = call(1e-2 * gnorm)
+        rest = call(1e-10 * gnorm, start=first.state.scaled(1.0))
+        assert 0 < first.inner_iters and 0 < rest.inner_iters
+        assert first.inner_iters + rest.inner_iters == whole.inner_iters
+        assert rest.direction.tobytes() == whole.direction.tobytes()
+        assert (rest.delta, rest.residual_norm) == (whole.delta, whole.residual_norm)
+
+    @pytest.mark.parametrize("mode", list(PartitionMode))
+    def test_a_met_carried_residual_returns_the_scaled_start_and_sends_nothing(self, mode):
+        call, cluster, gnorm = self.setup(mode)
+        step = call(1e-6 * gnorm)
+        start = step.state.scaled(0.25)
+        cluster.reset_stats()
+        again = call(2 * step.residual_norm, start=start)
+        assert again.inner_iters == 0 and again.converged and again.state is start
+        assert again.direction.tobytes() == (0.25 * step.direction).tobytes()
+        assert again.delta == 0.25 * step.delta
+        assert cluster.snapshot_stats() == CommStats()
+
+    @pytest.mark.parametrize("mode", list(PartitionMode))
+    def test_only_a_square_loss_run_continues(self, mode):
+        call, _, gnorm = self.setup(mode)
+        state = call(1e-4 * gnorm).state
+        call, _, gnorm = self.setup(mode, loss=LossKind.LOGISTIC)
+        with pytest.raises(ValueError, match="only a square-loss PCG run continues"):
+            call(1e-4 * gnorm, start=state)
+
+    def test_start_of_the_wrong_length_rejected(self):
+        call, _, gnorm = self.setup(PartitionMode.FEATURES)
+        state = call(1e-4 * gnorm).state
+        with pytest.raises(ValueError, match=r"the start's v has shape \(9,\), the problem has d = 10"):
+            call(1e-4 * gnorm, start=state._replace(v=state.v[:-1]))
+
+    @pytest.mark.parametrize("mode", list(PartitionMode))
+    def test_the_outer_loop_continues_each_square_loss_run(self, mode):
+        # step k+1 starts from step k's state with v, Hv and delta scaled by
+        # c = delta/(1 + delta), since g_{k+1} - c*Hv_k = r_k for the square
+        # loss, up to roundoff; a logistic step starts from v = 0
+        for loss in LossKind:
+            labels = "sign" if loss is LossKind.LOGISTIC else "regression"
+            ds, _ = make_dense_instance(d=10, n=24, seed=153, loss=loss, labels=labels)
+            calls = []
+            pcg = getattr(solver, f"pcg_{mode.value}")
+
+            def recording(*args, **kwargs):
+                calls.append((kwargs, pcg(*args, **kwargs)))
+                return calls[-1][1]
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, f"pcg_{mode.value}", recording)
+                cfg = SolverConfig(lam=0.1, mu=0.05, tau=3, loss=loss, outer_tol=1e-10, partition_mode=mode)
+                assert disco_outer(Cluster(2), ds, cfg).converged
+            assert len(calls) > 2 and calls[0][0]["start"] is None
+            for (_, prev), (kwargs, _) in zip(calls, calls[1:]):
+                start = kwargs["start"]
+                if loss is LossKind.LOGISTIC:
+                    assert start is None
+                    continue
+                c = prev.delta / (1.0 + prev.delta)
+                assert start.v.tobytes() == (c * prev.state.v).tobytes() and start.delta == c * prev.delta
+                assert start.r is prev.state.r and start.u is prev.state.u
+                gap = np.linalg.norm(kwargs["grad"] - c * prev.state.Hv - prev.state.r)
+                assert gap <= 1e-12 * np.linalg.norm(calls[0][0]["grad"])
+
+
 @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
 @pytest.mark.parametrize("m", [2, 4])
 def test_cluster_of_another_node_count_rejected(mode, m):
@@ -1137,10 +1244,13 @@ class TestDiscoOuter:
         for mode in (PartitionMode.SAMPLES, PartitionMode.FEATURES):
             cfg = ridge_config(lam=0.15, mu=0.02, tau=tau, theta=1e-4, outer_tol=1e-9, mode=mode)
             runs[mode] = recorded_solve(Cluster(m), ds, cfg)
-        (rs, _, iterates_s), (rf, _, iterates_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
+        (rs, steps_s, iterates_s), (rf, steps_f, iterates_f) = runs[PartitionMode.SAMPLES], runs[PartitionMode.FEATURES]
+        # a square-loss solve sums each product and dot product over both
+        # layouts' splits in node order, so the iterates agree bit for bit
         assert rs.updates == rf.updates
+        assert [step.inner_iters for step in steps_s] == [step.inner_iters for step in steps_f]
         for ws, wf in zip(iterates_s, iterates_f):
-            assert np.linalg.norm(ws - wf) <= 1e-8 * max(1.0, np.linalg.norm(ws))
+            assert ws.tobytes() == wf.tobytes()
 
     def test_logistic_converges_both_modes(self):
         ds, _ = make_dense_instance(d=6, n=40, seed=144, loss=LossKind.LOGISTIC, labels="sign")
@@ -1247,7 +1357,7 @@ class TestDiscoOuter:
         """A string partition mode and loss, given at construction or assigned
         later, run the sample layout, exactly as the enum members do: one
         broadcast and one reduce_all per gradient evaluation and per inner
-        iteration, 255 of each here."""
+        iteration, 54 of each here."""
         ds = gen_synthetic(20, 40, 0.5, 0.1, 1)
         by_string = SolverConfig(lam=0.1, tau=5)
         by_string.partition_mode, by_string.loss = "samples", "square"
@@ -1261,7 +1371,7 @@ class TestDiscoOuter:
             result = disco_outer(cluster, ds, cfg)
             stats = cluster.snapshot_stats()
             rounds = result.inner_iters_total + result.grad_evals
-            assert stats.broadcast_rounds == stats.reduceall_rounds == rounds == 255
+            assert stats.broadcast_rounds == stats.reduceall_rounds == rounds == 54
             runs.append((result.w.tobytes(), stats, result.inner_iters_total, result.updates))
             assert cfg.partition_mode is PartitionMode.SAMPLES and cfg.loss is LossKind.SQUARE
         assert runs[0] == runs[1] == runs[2]
