@@ -2,17 +2,19 @@
 
 The cluster models a barrier-synchronized machine group: a compute phase does
 every node's local work, then a collective moves data between nodes. A
-compute phase takes one of three forms:
+compute phase takes one of two forms:
 
-* it maps a function over all node ids (``map_nodes``);
-* it runs one kernel over an operator whose rows each belong to one node and
-  splits the result into the per-node contributions, as the preconditioner
-  and both layouts' partial products do when some node's block is taller
-  than wide;
-* it hands ``reduce_all`` the per-node contributions as an iterable that
-  produces node i's when asked, and the collective consumes each as it is
-  produced, adding it while it is still in cache, as both layouts' partial
-  products do when every node's block is no taller than wide.
+* it runs each node's work in turn: over all node ids at once
+  (``map_nodes``, as the feature layout's metered dot products do), or as
+  an iterable handed to ``reduce_all`` that produces node i's contribution
+  when asked, which the collective adds while it is still in cache, as both
+  layouts' partial products do when every node's block is no taller than
+  wide;
+* it runs one kernel over a cut (``linalg.cut_rows``), an operand whose
+  every row holds one node's part of one output element, and splits the
+  result into the per-node contributions, as both layouts' partial products
+  do when some node's block is taller than wide, and as a Woodbury
+  preconditioner applies its blocks.
 
 Whatever the form, each collective receives one contribution per node and
 meters the same rounds and bytes.

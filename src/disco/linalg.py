@@ -3,14 +3,13 @@
 Everything is float64. The same small set of kernels backs the serial
 reference computations and the node-local work inside the simulated cluster,
 so that a one-node run reproduces the unpartitioned computation bit for bit.
-``stack_row_blocks`` places the row blocks of a CSR matrix side by side, over
-its own data and row pointers, so that one product serves every node (or
-every preconditioner block); it builds each partition's stack and the
-Woodbury preconditioner's stack of slices. ``cut_rows`` cuts every row of
-a CSR matrix at given column offsets with a new row pointer over its data
-and indices, so that one forward product gives each column block's part of
-every row; a square-loss solve sums its products over the other layout's
-split with it. The products of a solve
+``cut_rows`` cuts every row of a CSR matrix at given column offsets with a
+new row pointer over its data and indices, so that one forward product gives
+each column block's part of every row. Every split whose row blocks are
+taller than wide is read as such a cut of the split matrix's transpose: a
+partition's, the other layout's split in a square-loss solve, and the
+Woodbury preconditioner's d_b x tau slices. ``row_view`` gives a row block
+of a CSR matrix over its own arrays. The products of a solve
 (``spmv``, ``spmv_transpose`` and the preconditioner's, all through
 ``matvec``) call scipy's compiled CSR/CSC kernels directly: the routines
 that ``operand @ x`` ends in after scipy's Python dispatch, which costs
@@ -20,11 +19,11 @@ from run to run. Both products loop over the block's shorter side. A block
 with no more rows than columns multiplies by its CSR matrix and, transposed,
 by the CSC view over the same arrays, so it holds no copy, even when those
 arrays are themselves views into a larger matrix's (``compressed_view``,
-which every partition's row blocks also use). A taller one keeps
-a CSR copy of its transpose, built on its first product of either kind, and
-multiplies transposed by that copy and forward by the CSC view over the copy's
-arrays. The loss functions on the unpartitioned data matrix multiply through
-its CSR matrix and CSC view with scipy's ``@``, so that it never holds one.
+which every row block and cut also uses). A taller one keeps a CSR copy of
+its transpose, built on its first product of either kind, and multiplies
+transposed by that copy and forward by the CSC view over the copy's arrays.
+The loss functions on the unpartitioned data matrix multiply through its
+CSR matrix and CSC view with scipy's ``@``, so that it never holds one.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ __all__ = [
     "compressed_view",
     "cut_rows",
     "matvec",
+    "row_view",
     "spmv",
     "spmv_transpose",
-    "stack_row_blocks",
 ]
 
 
@@ -149,22 +148,12 @@ class SparseBlock:
         return self.matrix.toarray()
 
 
-def stack_row_blocks(matrix, offsets) -> sparse.csr_array:
-    """The CSR matrix of shape (rows, k*cols) holding row block i of the
-    canonical CSR ``matrix`` (rows ``offsets[i]`` up to the next offset, the
-    last block up to the end) in columns i*cols:(i+1)*cols, so that one
-    product with it serves every block. It shares ``matrix``'s data and row
-    pointers and writes only new column indices, int64 when the width needs
-    it. Every row keeps its entries in order, so a product with the stack
-    adds each output element's terms as the block's own product does."""
-    rows, cols = matrix.shape
-    shape = (rows, len(offsets) * cols)
-    idx = _index_dtype(shape, matrix.nnz)
-    indices = matrix.indices.astype(idx)
-    starts = matrix.indptr[[*offsets, rows]]
-    for i in range(1, len(offsets)):
-        indices[starts[i]:starts[i + 1]] += i * cols
-    return compressed_view("csr", matrix.data, indices, matrix.indptr.astype(idx, copy=False), shape)
+def row_view(matrix, start: int, stop: int) -> sparse.csr_array:
+    """Rows ``start:stop`` of the canonical CSR ``matrix``, over its own data
+    and index arrays (no copy)."""
+    rows = matrix.indptr[start:stop + 1]
+    lo, hi = rows[0], rows[-1]
+    return compressed_view("csr", matrix.data[lo:hi], matrix.indices[lo:hi], rows - lo, (stop - start, matrix.shape[1]))
 
 
 def cut_rows(matrix, offsets) -> sparse.csr_array:

@@ -14,16 +14,20 @@ shards first), so partitioning is deterministic.
 A partition keeps no per-node copy of the data. It holds the split's
 ``sizes`` and ``offsets``, ``X``, the unsplit data in a wrapper of its own
 (the operands a product builds are cached there, not on the caller's block),
-and what the solver's partial products run over: node i's rows of the split
-matrix, X by features and X' in CSR by samples, as ``blocks[i]``, a
-``SparseBlock`` over that matrix's data and index arrays (no copy), and,
-when some node's block is taller than wide, their ``stack`` built by
-``stack_row_blocks``: d x (m*n) by features, n x (m*d) by samples, node i's
-rows in columns i*w:(i+1)*w for the split matrix's width w. The sample
-layout's X' is the copy that X's transposed products already run over when
-X has more rows than columns. Both are built with the partition, by
-``split_rows``, which a square-loss solve also calls to split the other
-layout's matrix.
+and the operand of the solver's partial products, which ``split_rows``
+picks from the block shape alone. The split matrix is X by features and X'
+by samples. When no node's block of it is taller than wide, ``blocks[i]``
+is node i's rows of it in CSR, a ``SparseBlock`` over the matrix's data and
+index arrays (no copy), multiplied transposed. Otherwise ``cut`` is the
+split matrix's transpose, X by samples and X' by features (then X is
+taller than wide, and X' is the CSR copy that X's own products run over),
+with every row cut at the node offsets (``cut_rows``), multiplied forward.
+A block taller than wide means more split rows than the node count times
+the width, so the cut is no taller than wide and needs no copy of its own. Blocks by
+samples view X' in CSR: the very copy that X's transposed products run
+over when X has more rows than columns, else a copy of its own. A
+square-loss solve also calls ``split_rows`` to split the other layout's
+matrix.
 
 Each partition carries a ``cache`` dict for what later steps derive from it
 alone (the solver keeps its preconditioner slices and the other layout's
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SparseBlock, as_vec, compressed_view, stack_row_blocks
+from .linalg import SparseBlock, as_vec, cut_rows, row_view
 
 __all__ = [
     "SamplePartition",
@@ -61,8 +65,9 @@ def balanced_sizes(total: int, m: int) -> list:
 class _Partition:
     """Node i holds part ``offsets[i]:+sizes[i]`` of the split dimension;
     ``y`` is the full label vector in both layouts; ``X`` is the unsplit
-    data; ``blocks`` and ``stack`` are node i's rows of the split matrix and
-    their stack, or None (see the module docstring)."""
+    data; ``blocks`` are node i's rows of the split matrix, or, in their
+    place, ``cut`` is its transpose cut at the node offsets (see the module
+    docstring)."""
 
     y: np.ndarray
     sizes: tuple
@@ -71,7 +76,7 @@ class _Partition:
     n: int
     X: SparseBlock = field(repr=False, compare=False)
     blocks: tuple = field(repr=False, compare=False)
-    stack: SparseBlock | None = field(repr=False, compare=False)
+    cut: SparseBlock | None = field(repr=False, compare=False)
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -83,31 +88,28 @@ class FeaturePartition(_Partition):
     """Node i holds features offsets[i]:+sizes[i] of all n samples: X split by rows."""
 
 
-def split_rows(split, sizes) -> tuple:
-    """(offsets, blocks, stack) of the canonical CSR matrix ``split`` cut
-    into consecutive row blocks of ``sizes``: node i's rows as a
-    ``SparseBlock`` over ``split``'s data and index arrays (no copy) and,
-    when some block is taller than wide, their stack (else None). Blocks no
-    taller than wide make each partial product a scatter, run node by node
-    into the reduce. Taller blocks take one gather over the stack: on
-    wide_features_square (n = 500) the m partial products fit in cache
-    anyway, and m calls made a solve about 4% slower."""
-    cols = split.shape[1]
+def split_rows(X: SparseBlock, sizes, by_samples: bool) -> tuple:
+    """(offsets, blocks, cut) of the split matrix, X' ``by_samples`` and X
+    otherwise, split into consecutive row blocks of ``sizes``. When no block
+    is taller than wide, node i's rows in CSR, a ``SparseBlock`` over the
+    split matrix's data and index arrays (no copy), and no cut (None): each
+    partial product is a scatter, run node by node into the reduce. Otherwise
+    no blocks, and the cut (``cut_rows``) of the split matrix's transpose at
+    the offsets, X by samples, X' in CSR by features (X is then taller than
+    wide, so ``matrix_t`` is that CSR copy): one gather gives every node's
+    partial product, and on wide_features_square (n = 500) m calls made a
+    solve about 4% slower."""
     offsets = tuple(sum(sizes[:i]) for i in range(len(sizes)))
-    blocks = []
-    for off, size in zip(offsets, sizes):
-        rows = split.indptr[off:off + size + 1]
-        start, stop = rows[0], rows[-1]
-        view = compressed_view("csr", split.data[start:stop], split.indices[start:stop], rows - start, (size, cols))
-        blocks.append(SparseBlock(view))
-    stack = None if max(sizes) <= cols else SparseBlock(stack_row_blocks(split, offsets))
-    return offsets, tuple(blocks), stack
+    cols = X.rows if by_samples else X.cols
+    if max(sizes) > cols:
+        return offsets, (), SparseBlock(cut_rows(X.matrix if by_samples else X.matrix_t, offsets))
+    split = X.matrix_t.tocsr() if by_samples else X.matrix
+    return offsets, tuple(SparseBlock(row_view(split, off, off + size)) for off, size in zip(offsets, sizes)), None
 
 
 def _row_split(X: SparseBlock, y, m: int, by_samples: bool) -> _Partition:
     """The partition whose m nodes hold balanced row blocks of the split
-    matrix, the canonical CSR matrix that its partial products run over (X
-    by features, X' by samples), as ``split_rows`` cuts them."""
+    matrix (X by features, X' by samples), as ``split_rows`` splits it."""
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):  # True would run as one node
         raise ValueError(f"node count m must be an integer, got {m!r}")
     X = SparseBlock(X.matrix)
@@ -117,14 +119,10 @@ def _row_split(X: SparseBlock, y, m: int, by_samples: bool) -> _Partition:
     total, what = (X.cols, "samples") if by_samples else (X.rows, "features")
     if m > total:
         raise ValueError(f"cannot split {total} {what} over {m} nodes: empty shard")
-    # X' in CSR: when X has more rows than columns, the very copy that its
-    # transposed products run over; otherwise they run over a CSC view, and
-    # X' is a copy of its own.
-    split = X.matrix_t.tocsr() if by_samples else X.matrix
     sizes = tuple(balanced_sizes(total, m))
-    offsets, blocks, stack = split_rows(split, sizes)
+    offsets, blocks, cut = split_rows(X, sizes, by_samples)
     kind = SamplePartition if by_samples else FeaturePartition
-    return kind(y.copy(), sizes, offsets, X.rows, X.cols, X, blocks, stack)
+    return kind(y.copy(), sizes, offsets, X.rows, X.cols, X, blocks, cut)
 
 
 def partition_by_samples(X: SparseBlock, y: np.ndarray, m: int) -> SamplePartition:

@@ -40,35 +40,33 @@ A broadcast or reduce_all returns the one read-only array that every node
 then holds, so no layout keeps per-node replicas; PCG never writes into an
 array it did not just allocate.
 
-Both layouts run the same pair of products: the per-node transposed
-products of the split matrix's row blocks (X by features, X' by samples),
-reduced over the nodes, and the other product (X c by features, X'u by
-samples). The partial products run as one kernel call over the partition's
-stack of the blocks, whose every row holds one node's terms, or, when every
-block is no taller than wide, as a scatter whose m results can together
-outgrow the cache (8 x 50,000 doubles on the tall benchmark workload), so
-node i's is computed from its own block only when the reduce_all asks for
-it, and is added while it is still in cache. Either way the collectives,
-their rounds and their bytes are those of a per-node run. A Woodbury
-preconditioner applies its blocks as one call each way, over one stack of
-their slices and its transpose.
+Both layouts run the same pair of products: the per-node partial products
+of the split matrix (X by features, X' by samples), reduced over the nodes,
+and the other product (X c by features, X'u by samples). Every split, the
+partition's and the other layout's (below), has one of two operands, picked
+by ``split_rows`` from the block shape alone. When every block is no taller
+than wide, the partials are a scatter whose m results can together outgrow
+the cache (8 x 50,000 doubles on the tall benchmark workload), so node i's
+is computed from its own row block, transposed, only when the reduce_all
+asks for it, and is added while it is still in cache. Otherwise they are
+one forward product with the split matrix's transpose cut at the node
+offsets (``cut_rows``), whose every row holds one node's part of one output
+element. Either way the collectives, their rounds and their bytes are those
+of a per-node run. A Woodbury preconditioner applies its blocks through the
+same kind of cut of its slices, one product each way.
 
 A logistic solve runs the other product as one product with the unsplit X
 (``spmv``, ``spmv_transpose``). A square-loss solve sums it, unmetered,
-over the other layout's split (its ``mirror``, into min(size, m) parts) in
-node order, as that layout's reduce_all sums it, and the sample layout sums
-its dot products over the feature split as the feature layout's scalar
-reduce_alls do. The sample layout's margins come from X's row blocks, or,
-when one is taller than wide, from X' cut at the feature offsets; the
-feature layout's data term, each part divided by n, from X' row blocks when
-X is taller than wide, else from X cut at the sample offsets (``cut_rows``:
-a new row pointer over X's arrays, multiplied forward, each of its rows one
-node's part of one output element). Every other operation is elementwise on
-the same arrays in both layouts, so square-loss iterates are bitwise equal
-across layouts, and a CG run continued over many steps cannot drift
-between them. A logistic solve restarts PCG at every step, and summing its
-products over both splits cost more time than it bought, so it keeps its
-own order.
+over the other layout's split (its ``mirror``, into min(size, m) parts,
+made by the same ``split_rows``) in node order, as that layout's reduce_all
+sums it, and the sample layout sums its dot products over the feature split
+as the feature layout's scalar reduce_alls do; the feature layout divides
+each part of its data term by n, as the sample layout does. Every other
+operation is elementwise on the same arrays in both layouts, so square-loss
+iterates are bitwise equal across layouts, and a CG run continued over many
+steps cannot drift between them. A logistic solve restarts PCG at every
+step, and summing its products over both splits cost more time than it
+bought, so it keeps its own order.
 
 Both layouts use the same preconditioner: a feature-block-diagonal curvature
 matrix estimated from the first tau samples,
@@ -97,16 +95,16 @@ follows: a build runs once per solve for the square loss and at every Newton
 step for the logistic loss. A partition's first build cuts the first tau
 columns of X into the blocks and keeps in the partition's ``cache`` what
 every later build reads: for Woodbury, each block's dense tau x tau Gram
-X_b'X_b (one sparse product per block per solve) and the d x k*tau stack of
-the slices, block b in columns b*tau:(b+1)*tau, whose transpose (built once
-and cached on it) serves the apply's first product; otherwise each block's
-dense d_b x tau slice. Only the sqrt(h) scaling depends on the iterate, so a
-logistic rebuild at every Newton step slices nothing and creates no sparse
-matrix: Woodbury scales each kept Gram by sqrt(h) on both sides, an
-O(tau^2) pass, adds mu*tau*I and inverts it; a dense build forms and
-inverts each d_b x d_b Gram. The price is one extra tau x tau array per
-block for the life of the partition, 8 MB per block at the default
-tau = 1000. With identical preconditioners the two layouts produce the same
+X_b'X_b (one sparse product per block per solve) and the k*tau x d cut of
+the slices' transpose, whose row t*k + b holds sample t's entries in block
+b, and whose CSC view serves the apply's second product; otherwise each
+block's dense d_b x tau slice. Only the sqrt(h) scaling depends on the
+iterate, so a logistic rebuild at every Newton step slices nothing and
+creates no sparse matrix: Woodbury scales each kept Gram by sqrt(h) on
+both sides, an O(tau^2) pass, adds mu*tau*I and inverts it; a dense build
+forms and inverts each d_b x d_b Gram. The price is one extra tau x tau
+array per block for the life of the partition, 8 MB per block at the
+default tau = 1000. With identical preconditioners the two layouts produce the same
 iterates, up to roundoff for the logistic loss and bit for bit for the
 square loss, so layout only changes communication cost, not the
 optimization path.
@@ -114,9 +112,10 @@ optimization path.
 Every product loops over the operand's shorter side: an operand with more
 rows than columns multiplies through a CSR copy of its transpose built on
 its first product and through the CSC view of that copy; one with no more
-rows than columns through its CSR matrix and its CSC view. Both kernels add
-each output element's terms in ascending index order, starting from 0.0, so
-each node's part of a stacked product has the bits of a per-node product.
+rows than columns through its CSR matrix and its CSC view. No row block or
+cut is taller than wide, so none holds a copy. Both kernels add each output
+element's terms in ascending index order, starting from 0.0, so each node's
+part of a product with a cut has the bits of a per-node product.
 
 A solve is described once: the partition gives the data, n and the feature
 block split, ``SolverConfig`` the loss, lam and every solver parameter; a
@@ -146,7 +145,7 @@ from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .comm import Cluster
-from .linalg import SparseBlock, cut_rows, matvec, spmv, spmv_transpose, stack_row_blocks
+from .linalg import SparseBlock, cut_rows, matvec, row_view, spmv, spmv_transpose
 from .losses import Choice, LossKind, grad_coeffs, hess_coeffs
 from .partition import (
     FeaturePartition,
@@ -353,10 +352,10 @@ class BlockPreconditioner:
     """The inverted per-feature-block subsampled curvature matrices of one
     build. Block b covers features ``offsets[b]:+sizes[b]`` and applies
     ``c[b]``, a Fortran-ordered array whose lower triangle alone is read,
-    with one ``dsymv``. A Woodbury build holds ``x``, the d x k*tau stack of
-    the k blocks' sparse d_b x tau slices X_b, block b in sample columns
-    b*tau:(b+1)*tau, and c[b] = C_b; a dense build holds no stack (None) and
-    c[b] = P_b^{-1}."""
+    with one ``dsymv``. A Woodbury build holds ``x``, the k*tau x d cut of
+    the k blocks' sparse d_b x tau slices X_b, transposed: row t*k + b holds
+    sample t's entries in block b's features; and c[b] = C_b. A dense build
+    holds no cut (None) and c[b] = P_b^{-1}."""
 
     sizes: tuple
     offsets: tuple
@@ -385,12 +384,12 @@ class BlockPreconditioner:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """Solve P s = r with the stored inverses: a Woodbury build through
-        one product with ``x``'s transpose (its cached ``matrix_t``), one
-        ``dsymv`` per block and one product with ``x``,
+        one forward product with the cut ``x``, one ``dsymv`` per block and
+        one product with the cut's CSC view (its ``matrix_t``),
         (r - X_b C_b X_b' r) / mu for every block at once; a dense
-        build through one ``dsymv`` per block. Every row of a stack holds one
-        block's entries in that block's order, so each block's part of the
-        result has the bits of its own solve."""
+        build through one ``dsymv`` per block. Every row of the cut holds
+        one block's entries in that block's order, so each block's part of
+        the result has the bits of its own solve."""
         r = _vector(r, "P solve")
         if r.shape[0] != self.dim:
             raise ValueError(f"P solve: vector has length {r.shape[0]}, P is {self.dim}x{self.dim}")
@@ -399,18 +398,18 @@ class BlockPreconditioner:
             for c, off, size in zip(self.c, self.offsets, self.sizes):
                 out[off:off + size] = _symv(1.0, c, r[off:off + size], lower=1)
             return out
-        q = matvec(self.x.matrix_t, r).reshape(len(self.c), -1)
-        z = np.concatenate([_symv(1.0, c, q_b, lower=1) for c, q_b in zip(self.c, q)])
-        return (r - matvec(self.x.matrix, z)) / self.mu
+        q = matvec(self.x.matrix, r).reshape(-1, len(self.c)).T
+        z = np.column_stack([_symv(1.0, c, q_b, lower=1) for c, q_b in zip(self.c, q)]).ravel()
+        return (r - matvec(self.x.matrix_t, z)) / self.mu
 
 
 class _KeptSlices(NamedTuple):
     """What a partition keeps of X's first tau columns, cut into the feature
     blocks at ``offsets``/``sizes``. A Woodbury cut (tau below every block's
     size) keeps each block's dense tau x tau Gram X_b'X_b in ``arrays``, which
-    no curvature changes, and the stack ``x`` that ``BlockPreconditioner.apply``
-    reads; a dense cut keeps each block's dense d_b x tau slice and no stack
-    (None)."""
+    no curvature changes, and the cut ``x`` that ``BlockPreconditioner.apply``
+    reads; a dense cut keeps each block's dense d_b x tau slice and no
+    sparse cut (None)."""
 
     sizes: tuple
     offsets: tuple
@@ -427,15 +426,17 @@ def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int) -> _Ke
     if key not in part.cache:
         sizes = tuple(balanced_sizes(part.d, min(part.d, len(part.sizes))))
         offsets = tuple(sum(sizes[:b]) for b in range(len(sizes)))
-        first = part.X.matrix[:, :tau]
         if tau < min(sizes):
-            # Rows b*tau:(b+1)*tau of x's transpose hold block b's slice alone,
-            # so their product with x is X_b'X_b in columns b*tau:(b+1)*tau.
-            x = SparseBlock(stack_row_blocks(first, offsets))
-            grams = tuple((x.matrix_t[c:c + tau] @ x.matrix)[:, c:c + tau].toarray()
-                          for c in range(0, x.cols, tau))
+            # x cuts the first tau rows of X' in CSR: a view of the copy that X
+            # caches when it is taller than wide, else a copy of those rows.
+            # Rows b, b+k, ... of x hold block b's slice alone, transposed, so
+            # their product with their transpose is X_b'X_b.
+            xt, k = part.X.matrix_t, len(sizes)
+            x = SparseBlock(cut_rows(row_view(xt, 0, tau) if xt.format == "csr" else xt[:tau].tocsr(), offsets))
+            grams = tuple((x.matrix[b::k] @ x.matrix[b::k].T).toarray() for b in range(k))
             part.cache[key] = _KeptSlices(sizes, offsets, grams, x)
         else:
+            first = part.X.matrix[:, :tau]
             slices = (first[off:off + size].toarray() for off, size in zip(offsets, sizes))
             part.cache[key] = _KeptSlices(sizes, offsets, tuple(slices), None)
     return part.cache[key]
@@ -509,49 +510,29 @@ def build_preconditioner_features(
 
 
 class _Split(NamedTuple):
-    """The operands of one split's per-node partial products: node i holds
-    part ``nodes[i]`` of a vector and ``blocks[i]``, its rows of the split
-    matrix, multiplied transposed, or their ``stack`` (None when every block
-    is no taller than wide); or, in place of both, ``cut``, every row of the
-    other layout's split matrix cut at the nodes' offsets (``cut_rows``),
-    multiplied forward."""
+    """The operand of one split's per-node partial products, as
+    ``split_rows`` picks it: node i holds part ``nodes[i]`` of a vector and
+    ``blocks[i]``, its rows of the split matrix, multiplied transposed; or, in
+    place of the blocks, ``cut``, the split matrix's transpose cut at the
+    nodes' offsets, multiplied forward."""
 
     nodes: tuple
     blocks: tuple
-    stack: SparseBlock | None
-    cut: SparseBlock | None = None
+    cut: SparseBlock | None
 
 
 def _node_slices(offsets, sizes) -> tuple:
     return tuple(slice(off, off + size) for off, size in zip(offsets, sizes))
 
 
-def _row_blocks(split, sizes) -> _Split:
-    """The row blocks of the CSR matrix ``split`` (views, no copy), and
-    their stack when one is taller than wide."""
-    offsets, blocks, stack = split_rows(split, sizes)
-    return _Split(_node_slices(offsets, sizes), blocks, stack)
-
-
-def _cut(matrix, sizes) -> _Split:
-    """Every row of the CSR ``matrix`` cut where the split of its columns
-    into ``sizes`` puts a node boundary: a new row pointer over its data and
-    indices."""
-    offsets = tuple(sum(sizes[:i]) for i in range(len(sizes)))
-    return _Split(_node_slices(offsets, sizes), (), None, SparseBlock(cut_rows(matrix, offsets)))
-
-
 def _partials(v: np.ndarray, split: _Split):
-    """Node i's partial product with ``v[nodes[i]]``, in node order. When
-    every block is no taller than wide, node i's is computed from its own
-    block only when asked for, so that a sum adds each while it is still in
-    cache; otherwise node i's is row i of one product with the stack (or
-    column i of one with the cut), whose every row holds one node's terms in
-    that node's order, so each has the bits of its own product."""
+    """Node i's partial product with ``v[nodes[i]]``, in node order: computed
+    from its own block only when asked for, so that a sum adds each while it
+    is still in cache, or column i of one product with the cut, whose every
+    row holds one node's terms in that node's order, so each has the bits of
+    its own product."""
     if split.cut is not None:
         return spmv(split.cut, v).reshape(-1, len(split.nodes)).T
-    if split.stack is not None:
-        return spmv_transpose(split.stack, v).reshape(len(split.nodes), -1)
     return (spmv_transpose(block, v[node]) for block, node in zip(split.blocks, split.nodes))
 
 
@@ -580,9 +561,10 @@ class _Layout:
     partition's, reduced over the nodes, and the other product.
 
     For the square loss, ``mirror`` is the other layout's split (into
-    min(size, m) parts, so that it exists at any m), over which the layout
-    forms, unmetered, the sums the other layout meters, in node order, so
-    that both layouts round alike; for the logistic loss it is None."""
+    min(size, m) parts, so that it exists at any m, made by ``split_rows``
+    as the partition's is), over which the layout forms, unmetered, the sums
+    the other layout meters, in node order, so that both layouts round
+    alike; for the logistic loss it is None."""
 
     def __init__(self, cluster: Cluster, part, config: SolverConfig):
         config.validate()
@@ -590,11 +572,15 @@ class _Layout:
             raise ValueError(f"cluster has {cluster.m} nodes, partition has {len(part.sizes)} shards")
         self.cluster, self.part, self.config = cluster, part, config
         self.nodes = _node_slices(part.offsets, part.sizes)
-        self.split = _Split(self.nodes, part.blocks, part.stack)
+        self.split = _Split(self.nodes, part.blocks, part.cut)
         self.mirror = None
         if config.loss is LossKind.SQUARE:
             if "mirror" not in part.cache:
-                part.cache["mirror"] = self._mirror()
+                by_samples = isinstance(part, FeaturePartition)  # the other layout's split
+                total = part.n if by_samples else part.d
+                sizes = balanced_sizes(total, min(total, len(part.sizes)))
+                offsets, blocks, cut = split_rows(part.X, sizes, by_samples)
+                part.cache["mirror"] = _Split(_node_slices(offsets, sizes), blocks, cut)
             self.mirror = part.cache["mirror"]
 
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:
@@ -618,16 +604,6 @@ class _SampleLayout(_Layout):
     def __init__(self, cluster: Cluster, part: SamplePartition, config: SolverConfig):
         super().__init__(cluster, part, config)
         config.resolved_tau(part.sizes[0])
-
-    def _mirror(self) -> _Split:
-        """The feature split: X's row blocks when none is taller than wide;
-        otherwise X is taller than wide, and the cut of X', the CSR copy
-        that the partition's blocks view, at the feature offsets."""
-        part = self.part
-        sizes = balanced_sizes(part.d, min(part.d, len(part.sizes)))
-        if sizes[0] <= part.n:
-            return _row_blocks(part.X.matrix, sizes)
-        return _cut(part.X.matrix_t, sizes)
 
     def dots(self, *pairs, metered: bool = True) -> list:
         """<a, b> for each pair; free either way, the master holds both. With
@@ -668,17 +644,6 @@ class _FeatureLayout(_Layout):
     def __init__(self, cluster: Cluster, part: FeaturePartition, config: SolverConfig):
         super().__init__(cluster, part, config)
         config.resolved_tau(part.n)
-
-    def _mirror(self) -> _Split:
-        """The sample split: when X is taller than wide, the row blocks of
-        X' (no taller than wide), over the CSR copy of X' that products with
-        X run over; otherwise the cut of X at the sample offsets (a copy of
-        X' would be needed for its blocks)."""
-        X = self.part.X
-        sizes = balanced_sizes(X.cols, min(X.cols, len(self.part.sizes)))
-        if X.rows > X.cols:
-            return _row_blocks(X.matrix_t, sizes)
-        return _cut(X.matrix, sizes)
 
     def dots(self, *pairs, metered: bool = True) -> list:
         """Global <a, b> for each pair: per-node slice terms, all riding one

@@ -273,9 +273,9 @@ def test_square_solves_are_bitwise_equal_in_both_layouts(m):
     order, so both layouts take the same steps bit for bit: the same ``w``
     and the same inner iterations per step, each meeting the cost model
     exactly. On 30 x 14 and 14 x 30 data, whose splits are uneven at m = 3,
-    4 and 8, the feature layout stacks its blocks of 30 x 14 at m <= 2 and
-    the sample layout its blocks of 14 x 30's X' at m <= 2; every other
-    split is streamed node by node."""
+    4 and 8, the feature layout cuts X' of 30 x 14 at m <= 2 and the sample
+    layout X of 14 x 30 at m <= 2; every other split is streamed node by
+    node."""
     streamed = {mode: set() for mode in PartitionMode}
     for d, n in ((30, 14), (14, 30)):
         rng = np.random.default_rng(d * 1000 + n * 10 + m)
@@ -294,7 +294,7 @@ def test_square_solves_are_bitwise_equal_in_both_layouts(m):
             per_step = COSTMODEL.inner_iters_per_step(result)
             assert cluster.snapshot_stats() == COSTMODEL.expected_stats(mode, d, n, result.grad_evals, per_step)
             runs[mode] = (result.w.tobytes(), per_step)
-            streamed[mode].add(parts[0].stack is None)
+            streamed[mode].add(parts[0].cut is None)
         assert runs[PartitionMode.SAMPLES] == runs[PartitionMode.FEATURES], (d, n)
     assert streamed == {mode: {False, True} if m <= 2 else {True} for mode in PartitionMode}
 
@@ -357,24 +357,27 @@ def per_shard_product(X, part, u, coeffs, lam, loss):
 @pytest.mark.parametrize("loss", list(LossKind))
 @pytest.mark.parametrize("mode", list(PartitionMode))
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
-@pytest.mark.parametrize("d, n", [(23, 7), (7, 23), (12, 12)])
+@pytest.mark.parametrize("d, n", [(23, 7), (7, 23), (12, 12), (16, 20)])
 def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss):
     """The gradient, margins and Hessian product that each layout computes
     equal a per-shard loop bit for bit: its own split's partial products,
-    over the stack of the split matrix's row blocks (X' by samples, X by
-    features) or, when every block is no taller than wide, one call per node
-    streamed into the reduce, and the other product, which a logistic solve
-    runs as one kernel call over the unsplit X and a square-loss solve over
-    the other layout's split: in the sample layout X's row blocks, or, when
-    one is taller than wide, X' cut at the feature offsets; in the feature
-    layout X' row blocks when X is taller than wide, else X cut at the
-    sample offsets.
+    one call per node's row block of the split matrix (X' by samples, X by
+    features) streamed into the reduce or, when a block is taller than wide,
+    one forward product with the split matrix's transpose cut at the node
+    offsets, and the other product, which a logistic solve runs as one
+    kernel call over the unsplit X and a square-loss solve over the other
+    layout's split, by the same rule: in the sample layout X's row blocks,
+    or X' cut at the feature offsets; in the feature layout X' row blocks,
+    or X cut at the sample offsets.
     All on uneven splits, on blocks with more rows than columns and with no
-    more (both paths run in both layouts: the sample layout stacks on 7 x 23
-    at m <= 3, the feature layout on 23 x 7 at m <= 3, where its blocks are
-    8, 8 and 7 rows at m=3, and neither on 12 x 12 square; a square-loss
-    sample layout cuts X' on 23 x 7 at m <= 3), and with an
-    empty row, an all-empty feature shard at m=5 and an empty column."""
+    more (both paths run in both layouts: the sample layout cuts X on 7 x 23
+    at m <= 3 and on 16 x 20 at m = 1, the feature layout cuts X' on 23 x 7
+    at m <= 3, where its blocks are 8, 8 and 7 rows at m=3, and neither on
+    12 x 12 square; a square-loss sample layout cuts X' on 23 x 7 at
+    m <= 3, and on 16 x 20, where n/m < d <= n at m >= 2, a square-loss
+    feature layout streams X' row blocks), and with an empty row, an
+    all-empty feature shard at m=5 and an empty column. No cut is taller
+    than wide, so none builds a transposed operand."""
     rng = np.random.default_rng(d * 100 + m)
     Xd = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.5)
     Xd[[3, 4]] = 0.0
@@ -396,15 +399,19 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     h = layout.curvature(margins)
     want_hu, _ = per_shard_product(X, layout.part, u, lambda z: h * z, 0.3, loss)
     assert layout.hess_vec(u, h).tobytes() == want_hu.tobytes()
-    # the partition built the stack only for a block taller than wide
-    assert (layout.part.stack is None) == (max(layout.part.sizes) <= layout.part.blocks[0].cols)
-    mirror = layout.mirror
+    # each split, the partition's and the other layout's, cuts only for a
+    # block taller than wide: X by samples, X' by features
+    splits = [(layout.part.sizes, layout.part.blocks, layout.part.cut, mode is PartitionMode.SAMPLES)]
     if loss is LossKind.LOGISTIC:
-        assert mirror is None
-    elif mode is PartitionMode.SAMPLES:  # the feature split's blocks, or X' cut when one is taller than wide
-        assert mirror.stack is None and (mirror.cut is None) == (balanced_sizes(d, m)[0] <= n)
-    else:  # X' row blocks when X is taller than wide, else X cut at the sample offsets
-        assert mirror.stack is None and (mirror.cut is None) == (d > n)
+        assert layout.mirror is None
+    else:
+        mirror = layout.mirror
+        splits.append(([node.stop - node.start for node in mirror.nodes], mirror.blocks, mirror.cut,
+                       mode is PartitionMode.FEATURES))
+    for sizes, blocks, cut, by_samples in splits:
+        assert (cut is None) == (max(sizes) <= (d if by_samples else n)) == (blocks != ())
+        if cut is not None:
+            assert cut.rows <= cut.cols and "matrix_t" not in vars(cut)
 
 
 # A feature-layout solve whose every block (3 x 24) is no taller than wide:
@@ -430,8 +437,8 @@ def test_streamed_feature_solve_keeps_the_stacked_bits():
 
 # Sample-layout solves of 9 x 24 data, whose every node holds an 8 x 9 block
 # of X' (no taller than wide: node by node), and of 9 x 30 data (10 x 9
-# blocks: one product with the stack): the iterate, bit for bit, and the
-# counters. Both paths must keep every bit; the 9 x 24 solve has the bits of
+# blocks: one forward product with X cut at the sample offsets): the
+# iterate, bit for bit, and the counters. Both paths must keep every bit; the 9 x 24 solve has the bits of
 # the feature layout's above.
 SAMPLE_SOLVES = {
     "streamed": (24, STREAMED_SOLVE_W,
@@ -448,7 +455,7 @@ SAMPLE_SOLVES = {
 def test_sample_solve_keeps_the_bits_of_the_sample_stack(path):
     n, w, stats, iters = SAMPLE_SOLVES[path]
     ds, _ = make_dense_instance(d=9, n=n, seed=231)
-    assert (partition_by_samples(ds.X, ds.y, 3).stack is None) == (path == "streamed")
+    assert (partition_by_samples(ds.X, ds.y, 3).cut is None) == (path == "streamed")
     cluster = Cluster(3)
     result = disco_outer(cluster, ds, SolverConfig(lam=0.1, mu=0.1, tau=2, partition_mode=PartitionMode.SAMPLES))
     assert result.converged
@@ -459,8 +466,8 @@ def test_sample_solve_keeps_the_bits_of_the_sample_stack(path):
 
 # Logistic solves restart PCG at every Newton step and sum every product in
 # their own layout's order: the iterate, bit for bit, and the counters of a
-# streamed solve in each layout (9 x 24 data) and of a stacked sample-layout
-# solve (9 x 30).
+# streamed solve in each layout (9 x 24 data) and of a sample-layout solve
+# over X cut at the sample offsets (9 x 30).
 LOGISTIC_SOLVES = {
     "samples-streamed": (PartitionMode.SAMPLES, 24, [
         "-0x1.77aeada9f4f47p-1", "-0x1.b0ef6cbef7670p-1", "0x1.712fc3dc58536p-6",
@@ -501,28 +508,28 @@ def sparse_objects():
 
 def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
     """A solve in either layout multiplies through its partition's X and
-    the operands its partial products need, built with the partition: each
-    node's rows of the split matrix (X' by samples, X by features) and,
-    when a block is taller than wide, their stack; a square-loss solve also
-    through the operands of the other layout's split, which the partition's
-    cache keeps (``mirror``): X's row blocks or X' cut at the feature offsets
-    by samples, X' row blocks or X cut at the sample offsets by features.
-    The partition's fields hold no sparse matrix besides X, the row blocks
-    and the stack, the caller's data block caches no product operand, and
-    the sparse arrays a solve leaves alive are those operands, their
-    wrappers and the operands cached on them, plus exactly one stack of the
-    preconditioner's slices and its transposed operand, which the
-    partition's cache keeps. The row blocks, the stack and the other split's
-    operands hold X's own data array or that of the one CSR copy of X' that
-    the partition's X caches when X is taller than wide, and every other
-    sparse array shares one of them, or is the transposed operand of a stack
-    taller than wide: no solve makes a copy of X's nonzeros besides those
-    two, and a feature-layout solve on blocks no taller than wide none."""
+    the operand of its partial products, built with the partition by
+    ``split_rows``: each node's rows of the split matrix (X' by samples, X by
+    features) or, when a block is taller than wide, the split matrix's
+    transpose cut at the node offsets; a square-loss solve also through the
+    other layout's split, made by the same rule, and through the Woodbury
+    cut of the preconditioner's slices, both kept in the partition's cache.
+    The partition's fields hold no sparse matrix besides X and its blocks or
+    cut, the caller's data block caches no product operand, and the sparse
+    arrays a solve leaves alive are those operands, their wrappers and the
+    operands cached on them; no cut is taller than wide or builds a
+    transposed operand. The blocks and cuts hold the data and index arrays
+    of X or of the one CSR copy of X' that the partition's X caches when X is
+    taller than wide, and so does every other sparse array, but for the
+    Woodbury cut of wider data, which holds its own CSR copy of X's first
+    tau columns, transposed: no solve makes another copy of X's nonzeros,
+    and none on data no taller than wide."""
     tall = gen_synthetic(120, 20, 0.2, 0.1, 3)  # X is taller than wide: its transposed operand is a copy
     wide = gen_synthetic(20, 120, 0.2, 0.1, 3)  # feature blocks of 7, 7 and 6 rows: each node's own product
-    for mode, ds, streamed in ((PartitionMode.FEATURES, tall, False),  # X' row blocks of 7, 7 and 6 rows
-                               (PartitionMode.FEATURES, wide, True),  # X cut at the sample offsets
-                               (PartitionMode.SAMPLES, tall, True)):  # blocks of 7, 7 and 6 rows of X'; X' cut
+    for mode, ds in ((PartitionMode.FEATURES, tall),  # X' cut at the feature offsets; X' row blocks of 7, 7, 6
+                     (PartitionMode.FEATURES, wide),  # X row blocks of 7, 7 and 6; X cut at the sample offsets
+                     (PartitionMode.SAMPLES, tall),  # X' row blocks of 7, 7 and 6; X' cut at the feature offsets
+                     (PartitionMode.SAMPLES, wide)):  # X cut at the sample offsets; X row blocks of 7, 7 and 6
         parts = []
         name = f"partition_by_{mode.value}"
         partition = getattr(solver, name)
@@ -531,47 +538,51 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
             patch.setattr(solver, name, lambda *args: parts.append(partition(*args)) or parts[-1])
             assert disco_outer(Cluster(3), ds, SolverConfig(lam=0.1, mu=0.1, tau=5, partition_mode=mode)).converged
         (part,) = parts
+        by_samples, cut = mode is PartitionMode.SAMPLES, part.cut is not None
+        assert cut == ((mode is PartitionMode.FEATURES) == (ds is tall))
         fields = {f.name: getattr(part, f.name) for f in dataclasses.fields(part)}
         held = [k for k, v in fields.items() if any(isinstance(o, (sparse.sparray, SparseBlock))
                                                      for o in (v if isinstance(v, tuple) else (v,)))]
-        assert held == (["X", "blocks"] if streamed else ["X", "blocks", "stack"]), mode
-        assert (part.stack is None) == streamed
+        assert held == (["X", "cut"] if cut else ["X", "blocks"]), mode
         assert "matrix_t" not in vars(ds.X) and "matrix_fwd" not in vars(ds.X)
-        operands = list(part.blocks) if streamed else [part.stack]
-        assert all("matrix_t" in vars(block) for block in operands)
         assert set(part.cache) == {("curvature_slices", 5), "mirror"}
         kept, mirror = part.cache[("curvature_slices", 5)], part.cache["mirror"]
         assert kept.x is not None  # tau = 5 is below every block
-        assert set(vars(kept.x)) == {"matrix", "matrix_t"}  # one stack and its transposed operand
-        stack = [kept.x, kept.x.matrix, kept.x.matrix_t]
-        other = list(mirror.blocks) if mirror.cut is None else [mirror.cut]
-        assert (mirror.cut is None) == (mode is PartitionMode.FEATURES and ds is tall)
+        assert (mirror.cut is None) == cut
+        operands = [part.cut] if cut else list(part.blocks)
+        other = [mirror.cut] if mirror.cut is not None else list(mirror.blocks)
+        for block in operands + other:  # blocks multiply transposed, cuts forward
+            assert ("matrix_t" in vars(block)) != (block is part.cut or block is mirror.cut), mode
+        assert kept.x.rows <= kept.x.cols and set(vars(kept.x)) == {"matrix", "matrix_t"}
+        for block in [*operands, *other, kept.x]:
+            assert block.rows <= block.cols
         allowed = []
-        for block in [part.X, *operands, *part.blocks, *other]:
+        for block in [part.X, *operands, *other, kept.x]:
             allowed += [block, block.matrix, *(vars(block).get(op) for op in ("matrix_t", "matrix_fwd"))]
         seen = {id(o) for o in before}
         new = [o for o in sparse_objects() if id(o) not in seen]
-        # nothing else: what is new besides the partition's operands is the one stack
-        assert {id(o) for o in new} - {id(o) for o in allowed} == {id(o) for o in stack}, (mode, [type(o) for o in new])
-        assert {*map(id, operands + other)} <= {id(o) for o in new}
-        # X' in CSR, the one copy of X's nonzeros: the sample layout's split
-        # matrix, and the feature layout's when X is taller than wide
+        # nothing else: what is new is the partition's operands and the Woodbury cut
+        assert {id(o) for o in new} <= {id(o) for o in allowed}, (mode, [type(o) for o in new])
+        assert {*map(id, operands + other + [kept.x])} <= {id(o) for o in new}
+        # X' in CSR, the one copy of X's nonzeros, when X is taller than wide
         xt = part.X.matrix_t if ds is tall else None
-        split = part.X.matrix if mode is PartitionMode.FEATURES else xt
-        assert split.format == "csr" and np.shares_memory(operands[0].matrix.data, split.data)
-        for block in part.blocks:
-            assert np.shares_memory(block.matrix.data, split.data)
-            assert np.shares_memory(block.matrix.indices, split.indices)
-        source = xt if mode is PartitionMode.FEATURES else ds.X.matrix  # the other split's matrix
-        if mirror.cut is not None:  # the layout's own split matrix, cut
-            source = split
-        for block in other:
-            assert np.shares_memory(block.matrix.data, source.data)
-            assert np.shares_memory(block.matrix.indices, source.indices)
-        sources = [ds.X.matrix.data] + ([] if xt is None else [xt.data])
-        if not streamed and part.stack.rows > part.stack.cols:
-            sources.append(part.stack.matrix_t.data)  # the stack's transposed operand
-        copies = [o for o in new if isinstance(o, sparse.sparray) and not any(o is k for k in stack)]
+        assert xt is None or xt.format == "csr"
+
+        def source(by_samples, cut):
+            """X for a cut by samples or row blocks by features, else X'."""
+            return ds.X.matrix if by_samples == cut else xt
+
+        shared = [(block, source(by_samples, cut)) for block in operands]
+        shared += [(block, source(not by_samples, mirror.cut is not None)) for block in other]
+        if ds is tall:
+            shared.append((kept.x, xt))
+        else:
+            assert kept.x.nnz == ds.X.matrix[:, :5].nnz
+        for block, matrix in shared:
+            assert np.shares_memory(block.matrix.data, matrix.data), mode
+            assert np.shares_memory(block.matrix.indices, matrix.indices), mode
+        sources = [ds.X.matrix.data] + ([kept.x.matrix.data] if xt is None else [xt.data])
+        copies = [o for o in new if isinstance(o, sparse.sparray)]
         assert all(any(np.shares_memory(o.data, data) for data in sources) for o in copies), mode
 
 
@@ -648,9 +659,10 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
     assert calls["disco_outer"] == calls[partition] == 1
     for name in ("spmv_transpose", "grad_coeffs", "hess_coeffs", "apply", "reduce_all"):
         assert calls[name] > 0, name
-    # both layouts' partial products are transposed; only the feature
-    # layout's unsplit product, X c, is forward
-    assert (calls["spmv"] > 0) == (mode is PartitionMode.FEATURES)
+    # forward: the feature layout's unsplit product, X c, and the sample
+    # layout's partial products, over X cut at the sample offsets (X' has
+    # blocks of 10 x 8)
+    assert calls["spmv"] > 0
     # no product or preconditioner apply maps over the nodes; only the
     # feature layout's metered dot products do
     assert (calls["map_nodes"] > 0) == (mode is PartitionMode.FEATURES)
@@ -665,15 +677,16 @@ def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, str
     sample layout's data terms on n x d data, whose X' has the same shape,
     call ``spmv_transpose`` once per node per product, on the node's own
     block in node order, when every block is no taller than wide; otherwise
-    once per product, on the stack. The other product of a logistic solve
-    is one call on the unsplit X: ``spmv`` by features, ``spmv_transpose``,
-    before the partial products, by samples. That of a square-loss solve
-    runs over the other layout's split: in the sample layout, before its
-    partial products, ``spmv_transpose`` on each feature block (3 x 30 or
-    8 x 9, no taller than wide); in the feature layout, after them,
-    ``spmv`` on X's rows cut at the sample offsets when X has no more rows
-    than columns (9 x 24), else ``spmv_transpose`` on each row block of X'
-    (3 x 30). Either way the nonzeros of each product add up to X's."""
+    ``spmv`` once per product, on the split matrix's transpose cut at the
+    node offsets. The other product of a logistic solve is one call on the
+    unsplit X: ``spmv`` by features, ``spmv_transpose``, before the partial
+    products, by samples. That of a square-loss solve runs over the other
+    layout's split, whose blocks are no taller than wide here: in the sample
+    layout, before its partial products, ``spmv_transpose`` on each feature
+    block (3 x 30 or 8 x 9); in the feature layout, after them,
+    ``spmv_transpose`` on each row block of X' (8 x 9 or 3 x 30). Either way
+    the nonzeros of each product add up to X's, and those of ``spmv`` and
+    ``spmv_transpose`` together to twice X's per product."""
     m = 3
     for loss, mode in itertools.product(LossKind, PartitionMode):
         shape = (d, n) if mode is PartitionMode.FEATURES else (n, d)
@@ -693,24 +706,20 @@ def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, str
         assert result.converged
         products = result.grad_evals + result.inner_iters_total
         (part,) = parts
-        assert (part.stack is None) == streamed, mode
-        partials = list(part.blocks) if streamed else [part.stack]
+        assert (part.cut is None) == streamed, mode
+        partials = list(part.blocks) if streamed else [part.cut]
         if loss is LossKind.LOGISTIC:
             other, forward = [part.X], mode is PartitionMode.FEATURES
-        elif mode is PartitionMode.SAMPLES:
-            mirror = part.cache["mirror"]
-            assert mirror.stack is None and mirror.cut is None and len(mirror.blocks) == m
-            other, forward = list(mirror.blocks), False
         else:
             mirror = part.cache["mirror"]
-            assert mirror.stack is None and (mirror.cut is None) == (not streamed)
-            other, forward = ([mirror.cut], True) if streamed else (list(mirror.blocks), False)
+            assert mirror.cut is None and len(mirror.blocks) == m
+            other, forward = list(mirror.blocks), False
         per_product = partials + other if mode is PartitionMode.FEATURES else other + partials
         assert list(map(id, operands)) == [id(o) for o in per_product] * products, (loss, mode)
-        spmv_calls = products if forward else 0
-        assert tracer.calls["linalg.spmv_transpose"] == len(operands) - spmv_calls
-        assert tracer.nnz["linalg.spmv_transpose"] == (2 * products - spmv_calls) * ds.X.nnz
+        spmv_calls = (forward + (not streamed)) * products  # each over all of X's nonzeros
         assert tracer.calls["linalg.spmv"] == spmv_calls and tracer.nnz["linalg.spmv"] == spmv_calls * ds.X.nnz
+        assert tracer.calls["linalg.spmv_transpose"] == len(operands) - spmv_calls
+        assert tracer.nnz["linalg.spmv"] + tracer.nnz["linalg.spmv_transpose"] == 2 * products * ds.X.nnz
 
 
 if __name__ == "__main__":

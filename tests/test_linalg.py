@@ -12,7 +12,6 @@ from disco.linalg import (
     matvec,
     spmv,
     spmv_transpose,
-    stack_row_blocks,
 )
 from disco.partition import partition_by_features, partition_by_samples
 from disco.solver import _curvature_slices
@@ -308,12 +307,12 @@ def test_matvec_rejects_a_vector_of_the_wrong_shape(x):
 
 def test_matvec_on_a_kept_low_rank_slice_is_the_scipy_product_bitwise():
     """Both operands of a Woodbury preconditioner, as the partition keeps
-    them: the stack of the blocks' d_b x tau slices and its cached
-    transpose."""
+    them: the cut of the blocks' d_b x tau slices, transposed, and its CSC
+    view."""
     rng = np.random.default_rng(17)
     block = SparseBlock.from_dense(rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.3))
     kept = _curvature_slices(partition_by_features(block, np.zeros(30), 2), 6)
-    assert kept.x.matrix.shape == (40, 2 * 6) and kept.x.matrix_t.shape == (2 * 6, 40)
+    assert kept.x.matrix.shape == (2 * 6, 40) and kept.x.matrix_t.shape == (40, 2 * 6)
     for op in (kept.x.matrix, kept.x.matrix_t):
         for x in vectors(op.shape[1], rng):
             assert matvec(op, x).tobytes() == (op @ x).tobytes()
@@ -327,97 +326,53 @@ def test_as_vec_rejects_matrix():
 CALLERS = ["features", "samples", "woodbury"]
 
 
-def stacked_by(caller, X, m, tau=2):
-    """What ``caller`` hands ``stack_row_blocks`` for the matrix X at m
-    nodes, the matrix and its row-block offsets, and the stack the caller
-    keeps: X itself at the feature split of the data X; X again at the
-    sample split of the data X', whose own transpose, in CSR, is X; X's
-    first tau columns at the preconditioner's block split of the data X."""
+def cut_by(caller, Xd):
+    """The matrix that ``caller`` cuts for the 3 x 11 array ``Xd``, its
+    offsets, and the cut the caller keeps, at two nodes or blocks of 6 and 5:
+    the partition by features of the 11 x 3 data Xd' cuts X' (the data's CSR
+    ``matrix_t``); the partition by samples of the data Xd cuts X itself;
+    the Woodbury preconditioner of 11 x 9 data whose first 3 columns are Xd'
+    cuts those columns' CSR transpose."""
     if caller == "features":
-        part = partition_by_features(X, np.zeros(X.cols), m)
-        return X.matrix, part.offsets, part.stack.matrix
+        part = partition_by_features(SparseBlock.from_dense(Xd.T), np.zeros(3), 2)
+        return part.X.matrix_t, part.offsets, part.cut.matrix
     if caller == "samples":
-        part = partition_by_samples(SparseBlock(X.matrix.T), np.zeros(X.rows), m)
-        return X.matrix, part.offsets, part.stack.matrix
-    kept = _curvature_slices(partition_by_features(X, np.zeros(X.cols), m), tau)
-    return X.matrix[:, :tau], kept.offsets, kept.x.matrix
+        part = partition_by_samples(SparseBlock.from_dense(Xd), np.zeros(11), 2)
+        return part.X.matrix, part.offsets, part.cut.matrix
+    X = SparseBlock.from_dense(np.hstack([Xd.T, np.ones((11, 6))]))
+    kept = _curvature_slices(partition_by_features(X, np.zeros(9), 2), 3)
+    return X.matrix[:, :3].T.tocsr(), kept.offsets, kept.x.matrix
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("caller", CALLERS)
-def test_stack_row_blocks_places_each_block_and_multiplies_as_it_does(caller, m):
-    """Row block i lands in columns i*cols:(i+1)*cols and nowhere else, over
-    the source's own data and row pointers, and a product with the stack,
-    either way, gives each block's part the bits of the block's own product;
-    for each caller's source, with an empty row and, at m=3, an all-empty
-    feature block. The stack equals the one the caller keeps."""
-    rng = np.random.default_rng(m)
-    Xd = rng.standard_normal((30, 9)) * (rng.random((30, 9)) < 0.4)
-    Xd[[4, *range(20, 30)]] = 0.0
-    source, offsets, kept = stacked_by(caller, SparseBlock.from_dense(Xd), m)
-    stack = stack_row_blocks(source, offsets)
-    rows, cols = source.shape
-    bounds = [*offsets, rows]
-    want = np.zeros((rows, m * cols))
-    for i in range(m):
-        want[bounds[i]:bounds[i + 1], i * cols:(i + 1) * cols] = source[bounds[i]:bounds[i + 1]].toarray()
-    assert stack.format == "csr" and np.array_equal(stack.toarray(), want)
-    assert stack.indices.dtype == stack.indptr.dtype == np.int32
-    assert np.shares_memory(stack.data, source.data) and np.shares_memory(stack.indptr, source.indptr)
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(kept, name), getattr(stack, name)), name
-    x, r = rng.standard_normal(m * cols), rng.standard_normal(rows)
-    forward, transposed = matvec(stack, x), spmv_transpose(SparseBlock(stack), r)
-    for i in range(m):
-        block, part = source[bounds[i]:bounds[i + 1]], slice(i * cols, (i + 1) * cols)
-        assert forward[bounds[i]:bounds[i + 1]].tobytes() == matvec(block, x[part]).tobytes()
-        assert transposed[part].tobytes() == spmv_transpose(SparseBlock(block), r[bounds[i]:bounds[i + 1]]).tobytes()
-
-
-@pytest.mark.parametrize("caller", CALLERS)
-def test_stack_row_blocks_picks_int64_indices_when_the_width_needs_them(caller):
-    """Three one-row blocks of 2**30 columns: the stack's columns overflow
-    int32 though the source's do not. It is built from the source's arrays,
-    without a product. Each caller's source is a 3 x 2**30 CSR matrix: X
-    itself; X' built from a CSC X, as a CSR X of 2**30 features would need a
-    row-pointer array of 2**30 + 1 entries; X's first 2**30 columns."""
-    n = 2**30
-    rows, cols, values = [0, 1, 2, 2], [5, 0, 1, n - 1], [1.0, 2.0, 3.0, 4.0]
-    if caller == "features":
-        source = SparseBlock.from_coo(rows, cols, values, (3, n)).matrix
-    elif caller == "samples":
-        indptr = np.array([0, 1, 2, 4], dtype=np.int32)  # sample j's features in CSC column j
-        source = sparse.csc_array((values, np.array(cols, dtype=np.int32), indptr), shape=(n, 3)).T
-    else:
-        source = SparseBlock.from_coo(rows, cols, values, (3, n + 5)).matrix[:, :n]
-    assert source.format == "csr" and source.shape == (3, n) and source.indices.dtype == np.int32
-    stack = stack_row_blocks(source, (0, 1, 2))
-    assert stack.shape == (3, 3 * n)
-    assert stack.indices.dtype == stack.indptr.dtype == np.int64
-    assert stack.indices.tolist() == [5, n, 2 * n + 1, 3 * n - 1]
-    assert np.shares_memory(stack.data, source.data)
-
-
-@pytest.mark.parametrize("offsets", [(0,), (0, 4), (0, 3, 6), (0, 2, 2, 9)])
+@pytest.mark.parametrize("offsets", [(0,), (0, 4), (0, 3, 6), (0, 2, 2, 9), *CALLERS])
 def test_cut_rows_multiplies_as_each_column_block_does(offsets):
     """Row i*k + j of the cut holds row i's entries in column block j over
     the source's own data and indices, and its forward product, for each
     row and block, has the bits of the block's own product; with an empty
-    row, an empty column block and a block running to the last column."""
+    row, an empty column block and a block running to the last column. For
+    each caller's source (``cut_by``), the cut equals the one the caller
+    keeps."""
     rng = np.random.default_rng(len(offsets))
-    Xd = rng.standard_normal((7, 11)) * (rng.random((7, 11)) < 0.5)
-    Xd[3] = 0.0
-    source = SparseBlock.from_dense(Xd).matrix
+    rows = 3 if offsets in CALLERS else 7
+    Xd = rng.standard_normal((rows, 11)) * (rng.random((rows, 11)) < 0.5)
+    Xd[rows // 2] = 0.0
+    if offsets in CALLERS:
+        source, offsets, kept = cut_by(offsets, Xd)
+    else:
+        source, kept = SparseBlock.from_dense(Xd).matrix, None
     cut = cut_rows(source, offsets)
     k, bounds = len(offsets), [*offsets, 11]
-    assert cut.shape == (7 * k, 11) and cut.indptr.dtype == np.int32
+    assert cut.shape == (rows * k, 11) and cut.indptr.dtype == np.int32
     assert np.shares_memory(cut.data, source.data) and np.shares_memory(cut.indices, source.indices)
-    want = np.zeros((7, k, 11))
+    want = np.zeros((rows, k, 11))
     for j in range(k):
         want[:, j, bounds[j]:bounds[j + 1]] = Xd[:, bounds[j]:bounds[j + 1]]
-    assert np.array_equal(cut.toarray(), want.reshape(7 * k, 11))
+    assert np.array_equal(cut.toarray(), want.reshape(rows * k, 11))
+    if kept is not None:
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(kept, name), getattr(cut, name)), name
     x = rng.standard_normal(11)
-    got = spmv(SparseBlock(cut), x).reshape(7, k)
+    got = spmv(SparseBlock(cut), x).reshape(rows, k)
     for j in range(k):
         block = SparseBlock(source[:, bounds[j]:bounds[j + 1]])
         assert got[:, j].tobytes() == spmv(block, x[bounds[j]:bounds[j + 1]]).tobytes()

@@ -17,15 +17,14 @@ def node_blocks(X, part, by_samples):
     return [SparseBlock(X.matrix[cut]) for cut in cuts]
 
 
-def stacked_block(part, i):
+def node_rows(part, i):
     """Node i's rows of the partition's split matrix (X' by samples, X by
     features) as its products read them: its row block when the partition
-    has no stack, else its rows and columns i*w:(i+1)*w of the stack, w the
-    split matrix's width."""
-    if part.stack is None:
+    has no cut, else its columns of the cut's rows i, i+m, ..., transposed."""
+    if part.cut is None:
         return part.blocks[i].matrix
-    off, size, width = part.offsets[i], part.sizes[i], part.blocks[i].cols
-    return part.stack.matrix[off:off + size, i * width:(i + 1) * width]
+    off, size, m = part.offsets[i], part.sizes[i], len(part.sizes)
+    return part.cut.matrix[i::m][:, off:off + size].T
 
 
 class TestBalancedSizes:
@@ -70,15 +69,15 @@ class TestSamplePartition:
         part = partition_by_samples(ds.X, ds.y, 2)
         assert part.sizes == (3, 2)
         assert part.offsets == (0, 3)
-        assert part.stack is None  # no block of X' is taller than wide
-        assert [stacked_block(part, j).shape for j in range(2)] == [(3, 4), (2, 4)]
+        assert part.cut is None  # no block of X' is taller than wide
+        assert [node_rows(part, j).shape for j in range(2)] == [(3, 4), (2, 4)]
 
     def test_single_node_is_identity(self):
         ds, _ = make_dense_instance(d=4, n=6, seed=1)
         part = partition_by_samples(ds.X, ds.y, 1)
-        # the one 6 x 4 block of X' is taller than wide: its stack is X' itself
-        assert np.array_equal(part.stack.toarray(), ds.X.toarray().T)
-        assert np.array_equal(part.blocks[0].toarray(), ds.X.toarray().T)
+        # the one 6 x 4 block of X' is taller than wide: its cut is X itself
+        assert np.array_equal(part.cut.toarray(), ds.X.toarray())
+        assert part.blocks == () and np.array_equal(node_rows(part, 0).toarray(), ds.X.toarray().T)
         assert np.array_equal(part.X.toarray(), ds.X.toarray())
         assert np.array_equal(part.y, ds.y)
 
@@ -89,17 +88,17 @@ class TestSamplePartition:
 
     def test_round_trip_reassembly(self):
         # shards of 3, 3, 3 and 2 samples: the blocks of X' are no taller than
-        # wide at d=7 and read one by one, taller at d=2 and read from the stack
+        # wide at d=7 and read one by one, taller at d=2 and read from the cut
         for d in (7, 2):
             ds, _ = make_dense_instance(d=d, n=11, seed=3)
             part = partition_by_samples(ds.X, ds.y, 4)
-            assert (part.stack is None) == (d == 7)
-            for blocks in ([b.matrix for b in part.blocks], [stacked_block(part, j) for j in range(4)]):
-                for got, want in zip(blocks, node_blocks(ds.X, part, True), strict=True):
-                    assert np.array_equal(got.toarray(), want.toarray().T)
-                assert np.array_equal(np.vstack([b.toarray() for b in blocks]), ds.X.toarray().T)
-                # sparsity structure preserved, not just values
-                assert sum(b.nnz for b in blocks) == ds.X.nnz
+            assert (part.cut is None) == (d == 7) and (part.blocks == ()) == (d == 2)
+            blocks = [node_rows(part, j) for j in range(4)]
+            for got, want in zip(blocks, node_blocks(ds.X, part, True), strict=True):
+                assert np.array_equal(got.toarray(), want.toarray().T)
+            assert np.array_equal(np.vstack([b.toarray() for b in blocks]), ds.X.toarray().T)
+            # sparsity structure preserved, not just values
+            assert sum(b.nnz for b in blocks) == ds.X.nnz
             assert np.array_equal(np.concatenate([part.y[o:o + s] for o, s in zip(part.offsets, part.sizes)]), ds.y)
 
     def test_too_many_nodes(self):
@@ -113,19 +112,19 @@ class TestFeaturePartition:
         ds, _ = make_dense_instance(d=4, n=6, seed=5)
         part = partition_by_features(ds.X, ds.y, 2)
         assert part.sizes == (2, 2)
-        assert part.stack is None  # no block is taller than wide
-        assert [stacked_block(part, i).shape for i in range(2)] == [(2, 6), (2, 6)]
+        assert part.cut is None  # no block is taller than wide
+        assert [node_rows(part, i).shape for i in range(2)] == [(2, 6), (2, 6)]
 
     def test_single_node_is_identity(self):
         ds, _ = make_dense_instance(d=5, n=6, seed=6)
         part = partition_by_features(ds.X, ds.y, 1)
-        assert np.array_equal(stacked_block(part, 0).toarray(), ds.X.toarray())
+        assert np.array_equal(node_rows(part, 0).toarray(), ds.X.toarray())
         assert np.array_equal(part.X.toarray(), ds.X.toarray())
 
     def test_round_trip_reassembly(self):
         ds, _ = make_dense_instance(d=9, n=5, seed=7)
         part = partition_by_features(ds.X, ds.y, 4)
-        blocks = [stacked_block(part, i) for i in range(4)]
+        blocks = [node_rows(part, i) for i in range(4)]
         for got, want in zip(blocks, node_blocks(ds.X, part, False), strict=True):
             assert np.array_equal(got.toarray(), want.toarray())
         assert np.array_equal(np.vstack([b.toarray() for b in blocks]), ds.X.toarray())
@@ -185,18 +184,19 @@ class TestObjectiveEquivalence:
 @pytest.mark.parametrize("partition", [partition_by_samples, partition_by_features])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_stack_holds_each_shard_block_diagonally(partition, m):
-    """Node i's rows of the split matrix sit at its rows and column block i
-    of the stack: 12 x (m*3) in both layouts, over X' of 3 x 12 data by
-    samples and X of 12 x 3 data by features, whose every block is taller
-    than wide. ``X`` wraps the caller's arrays in a block of its own, so its
-    cached operands never land on the caller's."""
+    """Node i's rows of the split matrix, transposed, sit in the cut's rows
+    i, i+m, ... and node i's columns: (3*m) x 12 in both layouts, over X of
+    3 x 12 data by samples and X' of 12 x 3 data by features, the transposes
+    of split matrices whose every block is taller than wide. ``X`` wraps the
+    caller's arrays in a block of its own, so its cached operands never land
+    on the caller's."""
     by_samples = partition is partition_by_samples
     ds, _ = make_dense_instance(*((3, 12) if by_samples else (12, 3)), seed=14)
     part = partition(ds.X, ds.y, m)
-    want = np.zeros((12, m * 3))
+    want = np.zeros((3 * m, 12))
     for i, (shard, off) in enumerate(zip(node_blocks(ds.X, part, by_samples), part.offsets)):
         rows = shard.toarray().T if by_samples else shard.toarray()
-        want[off:off + len(rows), i * 3:(i + 1) * 3] = rows
-    assert np.array_equal(part.stack.toarray(), want)
+        want[i::m, off:off + len(rows)] = rows.T
+    assert np.array_equal(part.cut.toarray(), want) and part.blocks == ()
     assert part.X is not ds.X and part.X.matrix is ds.X.matrix
 

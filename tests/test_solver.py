@@ -152,7 +152,7 @@ class TestPreconditioner:
         P = build_preconditioner(ridge_config(mu=0.1, tau=5, loss=loss), spart, margins)
         (c,) = P.c
         assert P.x is not None
-        assert [P.x.matrix.shape, P.x.matrix_t.shape, c.shape] == [(40, 5), (5, 40), (5, 5)]
+        assert [P.x.matrix.shape, P.x.matrix_t.shape, c.shape] == [(5, 40), (40, 5), (5, 5)]
         expected = brute_force_curvature(ds.X.toarray(), hess_coeffs(loss, margins, ds.y), tau=5, mu=0.1)
         r = np.random.default_rng(84).standard_normal(40)
         assert np.linalg.norm(P.apply(r) - np.linalg.solve(expected, r)) <= 1e-12 * np.linalg.norm(r) / 0.1
@@ -193,7 +193,7 @@ class TestPreconditioner:
     def test_stacked_apply_is_the_per_block_solves_bitwise(self, m, tau, kinds, loss):
         """``kinds`` marks each block L when tau is below its size, else D. A
         build runs Woodbury only when every block is L, all blocks at once
-        through the stacks of their slices, and otherwise inverts every block
+        through the cut of their slices, and otherwise inverts every block
         dense and applies them one by one; each block's part of the result
         has the bits of ``apply_block``."""
         r = np.random.default_rng(98).standard_normal(7)
@@ -333,8 +333,8 @@ def test_low_rank_block_solve_matches_woodbury_bitwise(d_b, tau):
     assert P.x is not None
     r = rng.standard_normal(d_b)
     r_before = r.copy()
-    z = dsymv(1.0, P.c[0], P.x.matrix_t @ r, lower=1)
-    assert np.array_equal(P.apply(r), (r - P.x.matrix @ z) / P.mu)
+    z = dsymv(1.0, P.c[0], P.x.matrix @ r, lower=1)
+    assert np.array_equal(P.apply(r), (r - P.x.matrix_t @ z) / P.mu)
     assert np.array_equal(r, r_before)
 
 
@@ -362,7 +362,7 @@ def test_low_rank_blocks_keep_the_inverse_not_the_factor(mode, loss):
     place of K's Cholesky factor: its lower triangle, the only one the solve
     reads, is that of the inverse of K to 1e-12, and it is Fortran-ordered,
     so that ``dsymv`` reads it in place. The build holds the partition's
-    stack and no factor."""
+    cut of the slices and no factor."""
     P, kept, h = low_rank_blocks(loss, mode, tau=6)
     assert [f.name for f in dataclasses.fields(P)] == ["sizes", "offsets", "c", "x", "mu"]
     assert P.x is kept.x and P.x is not None
@@ -435,7 +435,7 @@ def test_more_nodes_than_features_give_one_feature_blocks():
 
 @pytest.mark.parametrize("d_b, tau", [(2, 1), (40, 5), (200, 63), (1000, 125)])
 def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
-    """The build holds the kept stack and, bitwise, C = S K^{-1} S inverted
+    """The build holds the kept cut and, bitwise, C = S K^{-1} S inverted
     from the factor of K = (s * G) * s + mu*tau*I, s = sqrt(h), where
     G = (x'x).toarray() is the sparse Gram the partition keeps; also with
     zero curvature coefficients. K agrees
@@ -469,8 +469,8 @@ def test_low_rank_factor_matches_sparse_gram_bitwise(d_b, tau):
 @pytest.mark.parametrize("mode", list(PartitionMode))
 @pytest.mark.parametrize("d, n, m, tau", [(40, 30, 2, 6), (23, 12, 3, 5), (9, 4, 4, 1), (30, 20, 1, 17)])
 def test_kept_grams_are_the_per_block_sparse_grams_bitwise(mode, d, n, m, tau):
-    """Each Woodbury block's kept Gram, cut from the product of the kept
-    stack's transpose with the stack, has the bits of the block's own sparse
+    """Each Woodbury block's kept Gram, the product of the kept cut's rows
+    b, b+k, ... with their transpose, has the bits of the block's own sparse
     Gram ``b.T.tocsr() @ b`` over its d_b x tau slice b (the oracle below);
     on uneven blocks, with an empty feature row and an empty sample column."""
     rng = np.random.default_rng(d * n + m)
@@ -489,7 +489,7 @@ def test_kept_grams_are_the_per_block_sparse_grams_bitwise(mode, d, n, m, tau):
 
 def test_build_preconditioner_constructs_only_the_kept_stack(monkeypatch):
     """A partition's first Woodbury build constructs one ``SparseBlock``,
-    the stack of its slices that the partition keeps; a rebuild constructs
+    the cut of its slices that the partition keeps; a rebuild constructs
     none."""
     ds, _ = make_dense_instance(d=12, n=10, seed=87, lam=0.1, loss=LossKind.LOGISTIC, labels="sign")
     spart = partition_by_samples(ds.X, ds.y, 2)
@@ -506,6 +506,9 @@ def test_build_preconditioner_constructs_only_the_kept_stack(monkeypatch):
     monkeypatch.setattr(SparseBlock, "__post_init__", counting_init)
     P = build_preconditioner(cfg, spart, margins)
     assert built == [P.x] and P.x is not None
+    # the 12 x 10 data is taller than wide: the cut of the two blocks' 6 x 3
+    # slices, 6 x 12, views the CSR copy of X' that X caches
+    assert P.x.matrix.shape == (2 * 3, 12) and np.shares_memory(P.x.matrix.data, spart.X.matrix_t.data)
     build_preconditioner(cfg, spart, -margins)
     assert built == [P.x]
 
@@ -565,8 +568,8 @@ def test_logistic_rebuild_slices_nothing(monkeypatch, mode, tau):
     assert (again.x is None) == (fresh.x is None) == (tau >= 4)
     for a, b in zip(preconditioner_arrays(again), preconditioner_arrays(fresh), strict=True):
         assert np.array_equal(a, b)
-    # what the partition keeps (each block's Gram and the stack of the
-    # slices with its transpose, or each block's dense slice) lives exactly
+    # what the partition keeps (each block's Gram and the cut of the
+    # slices with its CSC view, or each block's dense slice) lives exactly
     # as long as the partition and the preconditioners built from it
     (kept,) = part.cache.values()
     assert again.x is kept.x
