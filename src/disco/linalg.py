@@ -5,25 +5,26 @@ reference computations and the node-local work inside the simulated cluster,
 so that a one-node run reproduces the unpartitioned computation bit for bit.
 ``cut_rows`` cuts every row of a CSR matrix at given column offsets with a
 new row pointer over its data and indices, so that one forward product gives
-each column block's part of every row. Every split whose row blocks are
-taller than wide is read as such a cut of the split matrix's transpose: a
-partition's, the other layout's split in a square-loss solve, and the
-Woodbury preconditioner's d_b x tau slices. ``row_view`` gives a row block
-of a CSR matrix over its own arrays. The products of a solve
-(``spmv``, ``spmv_transpose`` and the preconditioner's, all through
+each column block's part of every row. Every split whose row blocks would be
+taller than wide (or, by samples, all square) is read as such a cut of the
+split matrix's transpose: a partition's, the other layout's split of a
+solve, and the Woodbury preconditioner's d_b x tau slices. ``row_view``
+gives a row block of a CSR matrix over its own arrays. The products of a
+solve (``spmv``, ``spmv_transpose`` and the preconditioner's, all through
 ``matvec``) call scipy's compiled CSR/CSC kernels directly: the routines
-that ``operand @ x`` ends in after scipy's Python dispatch, which costs
-more than the product at these sizes. The bits are the same. The kernels
-accumulate in storage order (ascending index) and are therefore deterministic
-from run to run. Both products loop over the block's shorter side. A block
-with no more rows than columns multiplies by its CSR matrix and, transposed,
-by the CSC view over the same arrays, so it holds no copy, even when those
-arrays are themselves views into a larger matrix's (``compressed_view``,
-which every row block and cut also uses). A taller one keeps a CSR copy of
-its transpose, built on its first product of either kind, and multiplies
-transposed by that copy and forward by the CSC view over the copy's arrays.
-The loss functions on the unpartitioned data matrix multiply through its
-CSR matrix and CSC view with scipy's ``@``, so that it never holds one.
+that ``operand @ x`` ends in after scipy's Python dispatch, which costs more
+than the product at these sizes; the bits are the same, and the kernels
+accumulate in storage order (ascending index), deterministic from run to
+run. ``spmv`` multiplies by the block's CSR matrix and ``spmv_transpose``
+by ``matrix_t``, for a block no taller than wide the CSC view over the same
+arrays: no copy, even when those arrays are views into a larger matrix's
+(``compressed_view``, which every row block and cut also uses). No block
+that a solve multiplies is taller than wide, so both products loop over its
+shorter side. A taller block's ``matrix_t`` is a CSR copy of its transpose,
+built on first use: the partition's X keeps it as X' in CSR, which the
+splits of a taller X read. The loss functions on the unpartitioned data
+matrix multiply through its CSR matrix and CSC view with scipy's ``@``, so
+that it never holds one.
 """
 
 from __future__ import annotations
@@ -76,9 +77,8 @@ def compressed_view(fmt: str, data, indices, indptr, shape):
 class SparseBlock:
     """A CSR block of the feature-by-sample data matrix: rows index features,
     columns index samples. Indices are int32 when the shape and nnz fit.
-    ``matrix_t`` and ``matrix_fwd``, the operands of transposed and forward
-    products, loop over the shorter side; a taller block's pair shares one
-    copy of the transpose, built on first use."""
+    ``matrix`` is the operand of forward products and ``matrix_t``, built on
+    first use, that of transposed ones."""
 
     matrix: sparse.csr_array
 
@@ -111,16 +111,6 @@ class SparseBlock:
         if m.shape[0] <= m.shape[1]:
             return compressed_view("csc", m.data, m.indices, m.indptr, m.shape[::-1])
         return m.tocsc().T
-
-    @cached_property
-    def matrix_fwd(self):
-        """The operand of ``block @ x``: the CSR matrix when rows <= cols, else
-        the CSC view over ``matrix_t``'s arrays (no copy), so that the product's
-        outer loop runs over the columns. Both kernels add each output
-        element's terms in ascending column order, starting from 0.0, so the
-        bits are the same."""
-        m = self.matrix
-        return m if m.shape[0] <= m.shape[1] else self.matrix_t.T
 
     @property
     def rows(self) -> int:
@@ -164,6 +154,8 @@ def cut_rows(matrix, offsets) -> sparse.csr_array:
     i*k + j, row i's product with x over column block j alone, its terms
     added in ascending column order from 0.0, as the block's own product
     adds them."""
+    if len(offsets) == 1 and offsets[0] == 0:
+        return matrix  # one block: the matrix itself
     rows, cols = matrix.shape
     shape = (rows * len(offsets), cols)
     # Entry positions of row i's first column at or after each offset: a
@@ -201,7 +193,7 @@ def spmv(block: SparseBlock, x: np.ndarray) -> np.ndarray:
             f"spmv dimension mismatch: block is {block.rows}x{block.cols}, "
             f"vector has length {x.shape[0] if x.ndim == 1 else x.shape}"
         )
-    return matvec(block.matrix_fwd, x)
+    return matvec(block.matrix, x)
 
 
 def spmv_transpose(block: SparseBlock, x: np.ndarray) -> np.ndarray:

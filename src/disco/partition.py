@@ -14,20 +14,21 @@ shards first), so partitioning is deterministic.
 A partition keeps no per-node copy of the data. It holds the split's
 ``sizes`` and ``offsets``, ``X``, the unsplit data in a wrapper of its own
 (the operands a product builds are cached there, not on the caller's block),
-and the operand of the solver's partial products, which ``split_rows``
-picks from the block shape alone. The split matrix is X by features and X'
-by samples. When no node's block of it is taller than wide, ``blocks[i]``
-is node i's rows of it in CSR, a ``SparseBlock`` over the matrix's data and
+and the operand of the solver's partial products, which ``split_rows`` picks
+from the block shape alone. The split matrix is X by features and X' by
+samples. When no node's block of it is taller than wide, ``blocks[i]`` is
+node i's rows of it in CSR, a ``SparseBlock`` over the matrix's data and
 index arrays (no copy), multiplied transposed. Otherwise ``cut`` is the
-split matrix's transpose, X by samples and X' by features (then X is
-taller than wide, and X' is the CSR copy that X's own products run over),
-with every row cut at the node offsets (``cut_rows``), multiplied forward.
-A block taller than wide means more split rows than the node count times
-the width, so the cut is no taller than wide and needs no copy of its own. Blocks by
-samples view X' in CSR: the very copy that X's transposed products run
-over when X has more rows than columns, else a copy of its own. A
-square-loss solve also calls ``split_rows`` to split the other layout's
-matrix.
+split matrix's transpose, X by samples and X' by features (then X is taller
+than wide, and X' is the CSR copy that X's own products run over), with
+every row cut at the node offsets (``cut_rows``), multiplied forward. A
+block taller than wide means more split rows than the node count times the
+width, so the cut is no taller than wide and needs no copy of its own. When
+every block is square, so is the cut, and the split takes whichever reads
+X's own arrays: blocks by features, the cut by samples. Blocks by samples
+view X' in CSR: the very copy that X's transposed products run over when X
+has more rows than columns, else a copy of its own. Every solve also calls
+``split_rows`` to split the other layout's matrix.
 
 Each partition carries a ``cache`` dict for what later steps derive from it
 alone (the solver keeps its preconditioner slices and the other layout's
@@ -98,10 +99,12 @@ def split_rows(X: SparseBlock, sizes, by_samples: bool) -> tuple:
     the offsets, X by samples, X' in CSR by features (X is then taller than
     wide, so ``matrix_t`` is that CSR copy): one gather gives every node's
     partial product, and on wide_features_square (n = 500) m calls made a
-    solve about 4% slower."""
+    solve about 4% slower. When every block is square, so is the cut, and
+    the split is the one over X's own arrays: blocks by features, the cut by
+    samples."""
     offsets = tuple(sum(sizes[:i]) for i in range(len(sizes)))
     cols = X.rows if by_samples else X.cols
-    if max(sizes) > cols:
+    if (min(sizes) >= cols) if by_samples else (max(sizes) > cols):
         return offsets, (), SparseBlock(cut_rows(X.matrix if by_samples else X.matrix_t, offsets))
     split = X.matrix_t.tocsr() if by_samples else X.matrix
     return offsets, tuple(SparseBlock(row_view(split, off, off + size)) for off, size in zip(offsets, sizes)), None

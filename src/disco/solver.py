@@ -40,33 +40,34 @@ A broadcast or reduce_all returns the one read-only array that every node
 then holds, so no layout keeps per-node replicas; PCG never writes into an
 array it did not just allocate.
 
-Both layouts run the same pair of products: the per-node partial products
-of the split matrix (X by features, X' by samples), reduced over the nodes,
-and the other product (X c by features, X'u by samples). Every split, the
-partition's and the other layout's (below), has one of two operands, picked
-by ``split_rows`` from the block shape alone. When every block is no taller
-than wide, the partials are a scatter whose m results can together outgrow
-the cache (8 x 50,000 doubles on the tall benchmark workload), so node i's
-is computed from its own row block, transposed, only when the reduce_all
-asks for it, and is added while it is still in cache. Otherwise they are
-one forward product with the split matrix's transpose cut at the node
-offsets (``cut_rows``), whose every row holds one node's part of one output
-element. Either way the collectives, their rounds and their bytes are those
-of a per-node run. A Woodbury preconditioner applies its blocks through the
-same kind of cut of its slices, one product each way.
+Both layouts run the same pair of products, written once in
+``_Layout._product``: X'u summed over the feature split, then X c / n over
+the sample split. A sum over the layout's own split, its partition's (X by
+features, X' by samples), is its metered reduce_all; one over its
+``mirror``, the other layout's split, is unmetered; the sample layout adds
+only its broadcast of u. ``split_rows`` makes every split and picks its
+operand from the block shape alone. When every block is no taller than wide,
+the partials are a scatter whose m results can together outgrow the cache
+(8 x 50,000 doubles on the tall benchmark workload), so node i's is computed
+from its own row block, transposed, only when the sum asks for it, and is
+added while it is still in cache. Otherwise they are one forward product
+with the split matrix's transpose cut at the node offsets (``cut_rows``),
+whose every row holds one node's part of one output element. Either way the
+collectives, their rounds and their bytes are those of a per-node run. A
+Woodbury preconditioner applies its blocks through the same kind of cut of
+its slices, one product each way.
 
-A logistic solve runs the other product as one product with the unsplit X
-(``spmv``, ``spmv_transpose``). A square-loss solve sums it, unmetered,
-over the other layout's split (its ``mirror``, into min(size, m) parts,
-made by the same ``split_rows``) in node order, as that layout's reduce_all
-sums it, and the sample layout sums its dot products over the feature split
-as the feature layout's scalar reduce_alls do; the feature layout divides
-each part of its data term by n, as the sample layout does. Every other
-operation is elementwise on the same arrays in both layouts, so square-loss
-iterates are bitwise equal across layouts, and a CG run continued over many
-steps cannot drift between them. A logistic solve restarts PCG at every
-step, and summing its products over both splits cost more time than it
-bought, so it keeps its own order.
+A square-loss mirror has min(size, m) parts, so both layouts sum every
+product in node order, as the other layout's reduce_all sums it, and the
+sample layout sums its dot products over the feature split as the feature
+layout's scalar reduce_alls do; the feature layout divides each part of its
+data term by n, as the sample layout does. Every other operation is
+elementwise on the same arrays in both layouts, so square-loss iterates are
+bitwise equal across layouts, and a CG run continued over many steps cannot
+drift between them. A logistic solve restarts PCG at every step, and summing
+its products over both splits cost more time than it bought, so its mirror
+has one part: one kernel call over all of X or X', on the arrays that X's
+own products read, and the layouts round differently.
 
 Both layouts use the same preconditioner: a feature-block-diagonal curvature
 matrix estimated from the first tau samples,
@@ -109,13 +110,11 @@ iterates, up to roundoff for the logistic loss and bit for bit for the
 square loss, so layout only changes communication cost, not the
 optimization path.
 
-Every product loops over the operand's shorter side: an operand with more
-rows than columns multiplies through a CSR copy of its transpose built on
-its first product and through the CSC view of that copy; one with no more
-rows than columns through its CSR matrix and its CSC view. No row block or
-cut is taller than wide, so none holds a copy. Both kernels add each output
-element's terms in ascending index order, starting from 0.0, so each node's
-part of a product with a cut has the bits of a per-node product.
+No row block or cut is taller than wide, so each multiplies over its
+shorter side, forward through its CSR matrix and transposed through the CSC
+view over the same arrays (no copy). Both kernels add each output element's
+terms in ascending index order from 0.0, so each node's part of a product
+with a cut has the bits of a per-node product.
 
 A solve is described once: the partition gives the data, n and the feature
 block split, ``SolverConfig`` the loss, lam and every solver parameter; a
@@ -134,7 +133,9 @@ itself does not keep.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -347,6 +348,12 @@ def _vector(r, what: str) -> np.ndarray:
     return r
 
 
+def _check_kind(part, kind: type):
+    """Raise, naming both kinds, unless ``part`` is a ``kind`` partition."""
+    if not isinstance(part, kind):
+        raise TypeError(f"expected a {kind.__name__}, got a {type(part).__name__}")
+
+
 @dataclass
 class BlockPreconditioner:
     """The inverted per-feature-block subsampled curvature matrices of one
@@ -489,6 +496,7 @@ def build_preconditioner(
     preconditioner. ``margins`` are as for ``build_preconditioner_features``;
     the first tau of them lie on the master.
     """
+    _check_kind(spart, SamplePartition)
     return _block_preconditioner(config, spart, config.resolved_tau(spart.sizes[0]), margins)
 
 
@@ -500,6 +508,7 @@ def build_preconditioner_features(
     """Feature-layout build: node i inverts its own block from the first tau
     columns of its feature rows. ``margins`` are the length-n sample margins
     X'w of the current iterate (any value, or None, for the square loss)."""
+    _check_kind(fpart, FeaturePartition)
     tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.sizes))[0])
     return _block_preconditioner(config, fpart, tau, margins)
 
@@ -536,52 +545,41 @@ def _partials(v: np.ndarray, split: _Split):
     return (spmv_transpose(block, v[node]) for block, node in zip(split.blocks, split.nodes))
 
 
-def _node_sum(parts) -> np.ndarray:
+def _node_sum(parts):
     """(p0 + p1) + p2 ..., the sum that ``Cluster.reduce_all`` forms, for a
     sum that no collective meters."""
-    parts = iter(parts)
-    total = next(parts)
-    for p in parts:
-        total = total + p
-    return total
-
-
-def _dot_terms(pairs, node: slice) -> np.ndarray:
-    """One node's terms <a[node], b[node]> of each pair."""
-    return np.array([float(np.dot(a[node], b[node])) for a, b in pairs])
+    return functools.reduce(operator.add, parts)
 
 
 class _Layout:
-    """The per-node work and the collectives of one data layout; node i
-    holds ``nodes[i]`` of the split dimension. ``config`` is validated here,
-    and subclasses check that tau fits the samples their preconditioner
-    draws from. A subclass's ``_product(u, coeffs)`` returns
-    (X c)/n + lam*u, c = coeffs(X'u), and the length-n X'u, where ``coeffs``
-    maps margins elementwise: the partial products of ``split``, the
-    partition's, reduced over the nodes, and the other product.
+    """The per-node work and the collectives of one data layout, over a
+    ``partition`` of its kind; node i holds ``nodes[i]`` of the split
+    dimension. ``config`` is validated here, and subclasses check that tau
+    fits the samples their preconditioner draws from.
 
-    For the square loss, ``mirror`` is the other layout's split (into
-    min(size, m) parts, so that it exists at any m, made by ``split_rows``
-    as the partition's is), over which the layout forms, unmetered, the sums
-    the other layout meters, in node order, so that both layouts round
-    alike; for the logistic loss it is None."""
+    ``mirror`` is the other layout's split, made by ``split_rows`` as the
+    partition's is, into min(size, m) parts for the square loss, so that both
+    layouts sum every product in the same order, and into one for the
+    logistic loss, whose solve restarts at every step; ``features`` is the
+    split of X by rows and ``samples`` that of X' by rows."""
 
     def __init__(self, cluster: Cluster, part, config: SolverConfig):
         config.validate()
+        _check_kind(part, self.partition)
         if cluster.m != len(part.sizes):
             raise ValueError(f"cluster has {cluster.m} nodes, partition has {len(part.sizes)} shards")
         self.cluster, self.part, self.config = cluster, part, config
         self.nodes = _node_slices(part.offsets, part.sizes)
         self.split = _Split(self.nodes, part.blocks, part.cut)
-        self.mirror = None
-        if config.loss is LossKind.SQUARE:
-            if "mirror" not in part.cache:
-                by_samples = isinstance(part, FeaturePartition)  # the other layout's split
-                total = part.n if by_samples else part.d
-                sizes = balanced_sizes(total, min(total, len(part.sizes)))
-                offsets, blocks, cut = split_rows(part.X, sizes, by_samples)
-                part.cache["mirror"] = _Split(_node_slices(offsets, sizes), blocks, cut)
-            self.mirror = part.cache["mirror"]
+        by_samples = isinstance(part, FeaturePartition)  # the other layout's split
+        total = part.n if by_samples else part.d
+        parts = 1 if config.loss is LossKind.LOGISTIC else min(total, len(part.sizes))
+        if ("mirror", parts) not in part.cache:
+            sizes = balanced_sizes(total, parts)
+            offsets, blocks, cut = split_rows(part.X, sizes, by_samples)
+            part.cache["mirror", parts] = _Split(_node_slices(offsets, sizes), blocks, cut)
+        self.mirror = part.cache["mirror", parts]
+        self.features, self.samples = (self.split, self.mirror) if by_samples else (self.mirror, self.split)
 
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:
         """Hessian coefficients of the margins (any value, or None, for the
@@ -597,33 +595,50 @@ class _Layout:
         """One metered Hu."""
         return self._product(u, lambda z: h * z)[0]
 
+    def _share(self, u: np.ndarray) -> np.ndarray:
+        """u as the nodes hold it: node i works on its slice, sent nowhere."""
+        return u
+
+    def _sum(self, split: _Split, parts) -> np.ndarray:
+        """The node-order sum of ``split``'s partial products: the layout's
+        reduce_all over its own split, unmetered over the mirror."""
+        return self.cluster.reduce_all(parts) if split is self.split else _node_sum(parts)
+
+    def _product(self, u: np.ndarray, coeffs) -> tuple:
+        """(X c)/n + lam*u, c = coeffs(X'u), and the length-n X'u, where
+        ``coeffs`` maps margins elementwise: X'u summed over the feature
+        split, X c over the sample split, each part divided by n."""
+        u, n = self._share(u), self.part.n
+        z = self._sum(self.features, _partials(u, self.features))
+        data = self._sum(self.samples, (p / n for p in _partials(coeffs(z), self.samples)))
+        return data + self.config.lam * u, z
+
 
 class _SampleLayout(_Layout):
     """Sample partition: the master holds every solver vector whole."""
+
+    partition = SamplePartition
 
     def __init__(self, cluster: Cluster, part: SamplePartition, config: SolverConfig):
         super().__init__(cluster, part, config)
         config.resolved_tau(part.sizes[0])
 
     def dots(self, *pairs, metered: bool = True) -> list:
-        """<a, b> for each pair; free either way, the master holds both. With
-        a mirror, each is summed over the feature split as the feature
-        layout's reduce_all sums it."""
-        if self.mirror is None:
-            return [float(np.dot(a, b)) for a, b in pairs]
-        return [float(x) for x in _node_sum(_dot_terms(pairs, node) for node in self.mirror.nodes)]
+        """<a, b> for each pair; free either way, the master holds both. Each
+        is summed over the feature split (the mirror), node by node as Python
+        floats, as the feature layout's reduce_all sums it."""
+        sums = []
+        for a, b in pairs:
+            total = None
+            for node in self.mirror.nodes:
+                term = float(np.dot(a[node], b[node]))
+                total = term if total is None else total + term
+            sums.append(total)
+        return sums
 
-    def _product(self, u: np.ndarray, coeffs) -> tuple:
-        """Broadcast u; node j forms its slice of X'u (with a mirror, summed
-        over the feature split) and its data term X_j c_j / n, the partial
-        product of its rows of X', and the data terms are reduce-alled."""
-        cluster, part = self.cluster, self.part
-        u_all = cluster.broadcast(u)
-        if self.mirror is None:
-            z = spmv_transpose(part.X, u_all)
-        else:
-            z = _node_sum(_partials(u_all, self.mirror))
-        return cluster.reduce_all(p / part.n for p in _partials(coeffs(z), self.split)) + self.config.lam * u_all, z
+    def _share(self, u: np.ndarray) -> np.ndarray:
+        """The master broadcasts u to every node."""
+        return self.cluster.broadcast(u)
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         return v
@@ -641,6 +656,8 @@ class _FeatureLayout(_Layout):
     of every solver vector, and every node holds each sample-space vector
     whole."""
 
+    partition = FeaturePartition
+
     def __init__(self, cluster: Cluster, part: FeaturePartition, config: SolverConfig):
         super().__init__(cluster, part, config)
         config.resolved_tau(part.n)
@@ -653,27 +670,14 @@ class _FeatureLayout(_Layout):
         round."""
 
         def terms(i):
-            return _dot_terms(pairs, self.nodes[i])
+            node = self.nodes[i]
+            return np.array([float(np.dot(a[node], b[node])) for a, b in pairs])
 
         if metered:
             total = self.cluster.reduce_all(self.cluster.map_nodes(terms))
         else:
             total = _node_sum(map(terms, range(self.cluster.m)))
         return [float(x) for x in total]
-
-    def _product(self, u: np.ndarray, coeffs) -> tuple:
-        """One length-n reduce_all of the partial products X_i'u_i, then
-        each node's slice of X c / n + lam*u (with a mirror, summed over the
-        sample split, each part divided by n, as the sample layout's
-        reduce_all sums it)."""
-        part = self.part
-        z = self.cluster.reduce_all(_partials(u, self.split))
-        c = coeffs(z)
-        if self.mirror is None:
-            data = spmv(part.X, c) / part.n
-        else:
-            data = _node_sum(p / part.n for p in _partials(c, self.mirror))
-        return data + self.config.lam * u, z
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         return self.cluster.reduce_concat([v[node] for node in self.nodes])

@@ -1,9 +1,12 @@
-"""Shared helpers: small random problem instances with frozen seeds, and
-ways to watch a solve from outside through the names the solver looks up at
-call time."""
+"""Shared helpers: small random problem instances with frozen seeds, ways
+to watch a solve from outside through the names the solver looks up at call
+time, and the benchmark's modules loaded from their files."""
 
 import dataclasses
+import importlib.util
 import os
+import sys
+from pathlib import Path
 
 # BLAS on one thread, as the benchmark runs it, set before numpy loads
 # OpenBLAS: its dsymv and potri round differently at one thread and at two,
@@ -17,6 +20,17 @@ import pytest
 from disco import Dataset, LossKind, Objective, SparseBlock, solver
 from disco.partition import SamplePartition
 from disco.solver import BlockPreconditioner, damped_update
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "discobench"
+
+
+def load_discobench(name):
+    """discobench/<name>.py, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location(f"discobench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up while it is built
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_dense_instance(d, n, seed, lam=0.1, loss=LossKind.SQUARE, labels="regression"):

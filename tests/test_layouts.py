@@ -3,7 +3,6 @@ module-global lookups that let an outside tracer see the solver's layers."""
 
 import dataclasses
 import gc
-import importlib.util
 import itertools
 import json
 import math
@@ -38,7 +37,7 @@ from disco.linalg import spmv, spmv_transpose
 from disco.losses import grad_coeffs
 from disco.partition import SamplePartition, balanced_sizes
 
-from conftest import make_dense_instance, newton_step, recorded_solve
+from conftest import BENCH_DIR, load_discobench, make_dense_instance, newton_step, recorded_solve
 
 
 def random_instance(data, d, n, loss):
@@ -72,15 +71,6 @@ def draw_tau_mu(data, d, n, m, mode):
     else:
         tau = data.draw(st.integers(1, available), label="tau")
     return tau, data.draw(st.floats(0.01, 1.0), label="mu")
-
-
-def load_discobench(name):
-    """discobench/<name>.py, loaded read-only from its file."""
-    path = Path(__file__).resolve().parents[1] / "discobench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"discobench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 # discobench/costmodel.py: the README's collective counts, which every
@@ -364,20 +354,23 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     one call per node's row block of the split matrix (X' by samples, X by
     features) streamed into the reduce or, when a block is taller than wide,
     one forward product with the split matrix's transpose cut at the node
-    offsets, and the other product, which a logistic solve runs as one
-    kernel call over the unsplit X and a square-loss solve over the other
-    layout's split, by the same rule: in the sample layout X's row blocks,
-    or X' cut at the feature offsets; in the feature layout X' row blocks,
-    or X cut at the sample offsets.
+    offsets, and the other product, over the other layout's split (the
+    ``mirror``) by the same rule: in the sample layout X's row blocks, or X'
+    cut at the feature offsets; in the feature layout X' row blocks, or X
+    cut at the sample offsets. A square-loss mirror has min(size, m) parts,
+    a logistic one a single part: one kernel call over all of X or X'.
     All on uneven splits, on blocks with more rows than columns and with no
     more (both paths run in both layouts: the sample layout cuts X on 7 x 23
     at m <= 3 and on 16 x 20 at m = 1, the feature layout cuts X' on 23 x 7
     at m <= 3, where its blocks are 8, 8 and 7 rows at m=3, and neither on
-    12 x 12 square; a square-loss sample layout cuts X' on 23 x 7 at
-    m <= 3, and on 16 x 20, where n/m < d <= n at m >= 2, a square-loss
+    12 x 12 square at m >= 2; a square-loss sample layout cuts X' on 23 x 7
+    at m <= 3, and on 16 x 20, where n/m < d <= n at m >= 2, a square-loss
     feature layout streams X' row blocks), and with an empty row, an
-    all-empty feature shard at m=5 and an empty column. No cut is taller
-    than wide, so none builds a transposed operand."""
+    all-empty feature shard at m=5 and an empty column. Where every block of
+    a split by samples would be square (12 x 12 at m = 1, a logistic mirror
+    by samples on 12 x 12), the split is the cut of X, which reads X's own
+    arrays. No block or cut is taller than wide, so none builds a transposed
+    copy."""
     rng = np.random.default_rng(d * 100 + m)
     Xd = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.5)
     Xd[[3, 4]] = 0.0
@@ -400,18 +393,20 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     want_hu, _ = per_shard_product(X, layout.part, u, lambda z: h * z, 0.3, loss)
     assert layout.hess_vec(u, h).tobytes() == want_hu.tobytes()
     # each split, the partition's and the other layout's, cuts only for a
-    # block taller than wide: X by samples, X' by features
-    splits = [(layout.part.sizes, layout.part.blocks, layout.part.cut, mode is PartitionMode.SAMPLES)]
-    if loss is LossKind.LOGISTIC:
-        assert layout.mirror is None
-    else:
-        mirror = layout.mirror
-        splits.append(([node.stop - node.start for node in mirror.nodes], mirror.blocks, mirror.cut,
-                       mode is PartitionMode.FEATURES))
-    for sizes, blocks, cut, by_samples in splits:
-        assert (cut is None) == (max(sizes) <= (d if by_samples else n)) == (blocks != ())
+    # block taller than wide, or by samples for blocks all square: X by
+    # samples, X' by features
+    mirror, by_samples = layout.mirror, mode is PartitionMode.SAMPLES
+    total = d if by_samples else n
+    assert len(mirror.nodes) == (1 if loss is LossKind.LOGISTIC else min(total, m))
+    splits = [(layout.part.sizes, layout.part.blocks, layout.part.cut, by_samples),
+              ([node.stop - node.start for node in mirror.nodes], mirror.blocks, mirror.cut, not by_samples)]
+    for sizes, blocks, cut, samples in splits:
+        cols = d if samples else n
+        assert (cut is None) == (min(sizes) < cols if samples else max(sizes) <= cols) == (blocks != ())
+        for block in [cut] if cut is not None else blocks:
+            assert block.rows <= block.cols
         if cut is not None:
-            assert cut.rows <= cut.cols and "matrix_t" not in vars(cut)
+            assert "matrix_t" not in vars(cut)
 
 
 # A feature-layout solve whose every block (3 x 24) is no taller than wide:
@@ -506,87 +501,109 @@ def sparse_objects():
     return [o for o in gc.get_objects() if isinstance(o, (sparse.sparray, SparseBlock))]
 
 
+def data_root(array):
+    """The array that owns ``array``'s memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
 def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
-    """A solve in either layout multiplies through its partition's X and
-    the operand of its partial products, built with the partition by
-    ``split_rows``: each node's rows of the split matrix (X' by samples, X by
-    features) or, when a block is taller than wide, the split matrix's
-    transpose cut at the node offsets; a square-loss solve also through the
-    other layout's split, made by the same rule, and through the Woodbury
-    cut of the preconditioner's slices, both kept in the partition's cache.
-    The partition's fields hold no sparse matrix besides X and its blocks or
-    cut, the caller's data block caches no product operand, and the sparse
-    arrays a solve leaves alive are those operands, their wrappers and the
-    operands cached on them; no cut is taller than wide or builds a
-    transposed operand. The blocks and cuts hold the data and index arrays
-    of X or of the one CSR copy of X' that the partition's X caches when X is
-    taller than wide, and so does every other sparse array, but for the
-    Woodbury cut of wider data, which holds its own CSR copy of X's first
-    tau columns, transposed: no solve makes another copy of X's nonzeros,
-    and none on data no taller than wide."""
-    tall = gen_synthetic(120, 20, 0.2, 0.1, 3)  # X is taller than wide: its transposed operand is a copy
-    wide = gen_synthetic(20, 120, 0.2, 0.1, 3)  # feature blocks of 7, 7 and 6 rows: each node's own product
-    for mode, ds in ((PartitionMode.FEATURES, tall),  # X' cut at the feature offsets; X' row blocks of 7, 7, 6
-                     (PartitionMode.FEATURES, wide),  # X row blocks of 7, 7 and 6; X cut at the sample offsets
-                     (PartitionMode.SAMPLES, tall),  # X' row blocks of 7, 7 and 6; X' cut at the feature offsets
-                     (PartitionMode.SAMPLES, wide)):  # X cut at the sample offsets; X row blocks of 7, 7 and 6
+    """A solve in either layout and with either loss multiplies through its
+    partition's X and the operand of its partial products, built with the
+    partition by ``split_rows``: each node's rows of the split matrix (X' by
+    samples, X by features) or, when a block is taller than wide or, by
+    samples, when every block is square, the split matrix's transpose cut at
+    the node offsets; and through the other layout's split, made by the same
+    rule (into m parts for the square loss, one for the logistic loss), and
+    the Woodbury cut of the preconditioner's slices, both kept in the
+    partition's cache. The partition's fields hold no sparse matrix besides X
+    and its blocks or cut, the caller's data block caches no product
+    operand, and the sparse arrays a solve leaves alive are those operands,
+    their wrappers and the operands cached on them; no block or cut is
+    taller than wide, and no cut builds a transposed operand. The blocks and
+    cuts hold the data and index arrays of X or of X' in CSR, and so does
+    every other sparse array, but for the Woodbury cut of data no taller than
+    wide, which holds its own CSR copy of X's first tau columns, transposed.
+    X' in CSR is the one copy of X's nonzeros a solve may make: X's cached
+    transposed operand when X is taller than wide, and, at d == n, what the
+    row blocks of a split of the 30 samples into 3 parts view (the sample
+    partition's, the square-loss feature layout's mirror). A logistic
+    solve's one-part split of the samples at d == n is X itself, cut once:
+    no copy."""
+    data = {
+        "tall": gen_synthetic(120, 20, 0.2, 0.1, 3),  # X is taller than wide: its transposed operand is a copy
+        "wide": gen_synthetic(20, 120, 0.2, 0.1, 3),  # feature blocks of 7, 7 and 6 rows: each node's own product
+        "square": gen_synthetic(30, 30, 0.2, 0.1, 3),  # row blocks of 10 x 30 of X by features, of X' by samples
+    }
+    for loss, mode, shape in itertools.product(LossKind, PartitionMode, data):
+        ds, logistic, by_samples = data[shape], loss is LossKind.LOGISTIC, mode is PartitionMode.SAMPLES
+        if logistic:
+            ds = Dataset(X=ds.X, y=np.where(ds.y > 0, 1.0, -1.0), d=ds.d, n=ds.n, source=ds.source)
+        case = (loss, mode, shape)
         parts = []
         name = f"partition_by_{mode.value}"
         partition = getattr(solver, name)
         before = sparse_objects()  # held, so that no new object reuses an id
         with monkeypatch.context() as patch:
             patch.setattr(solver, name, lambda *args: parts.append(partition(*args)) or parts[-1])
-            assert disco_outer(Cluster(3), ds, SolverConfig(lam=0.1, mu=0.1, tau=5, partition_mode=mode)).converged
+            cfg = SolverConfig(lam=0.1, mu=0.1, tau=5, loss=loss, partition_mode=mode)
+            assert disco_outer(Cluster(3), ds, cfg).converged, case
         (part,) = parts
-        by_samples, cut = mode is PartitionMode.SAMPLES, part.cut is not None
-        assert cut == ((mode is PartitionMode.FEATURES) == (ds is tall))
+        cut = part.cut is not None
+        assert cut == (shape == ("wide" if by_samples else "tall")), case
         fields = {f.name: getattr(part, f.name) for f in dataclasses.fields(part)}
         held = [k for k, v in fields.items() if any(isinstance(o, (sparse.sparray, SparseBlock))
                                                      for o in (v if isinstance(v, tuple) else (v,)))]
-        assert held == (["X", "cut"] if cut else ["X", "blocks"]), mode
-        assert "matrix_t" not in vars(ds.X) and "matrix_fwd" not in vars(ds.X)
-        assert set(part.cache) == {("curvature_slices", 5), "mirror"}
-        kept, mirror = part.cache[("curvature_slices", 5)], part.cache["mirror"]
+        assert held == (["X", "cut"] if cut else ["X", "blocks"]), case
+        assert "matrix_t" not in vars(ds.X)
+        key = ("mirror", 1 if logistic else 3)
+        assert set(part.cache) == {("curvature_slices", 5), key}, case
+        kept, mirror = part.cache[("curvature_slices", 5)], part.cache[key]
         assert kept.x is not None  # tau = 5 is below every block
-        assert (mirror.cut is None) == cut
         operands = [part.cut] if cut else list(part.blocks)
         other = [mirror.cut] if mirror.cut is not None else list(mirror.blocks)
         for block in operands + other:  # blocks multiply transposed, cuts forward
-            assert ("matrix_t" in vars(block)) != (block is part.cut or block is mirror.cut), mode
+            assert ("matrix_t" in vars(block)) != (block is part.cut or block is mirror.cut), case
         assert kept.x.rows <= kept.x.cols and set(vars(kept.x)) == {"matrix", "matrix_t"}
         for block in [*operands, *other, kept.x]:
             assert block.rows <= block.cols
         allowed = []
         for block in [part.X, *operands, *other, kept.x]:
-            allowed += [block, block.matrix, *(vars(block).get(op) for op in ("matrix_t", "matrix_fwd"))]
+            allowed += [block, block.matrix, vars(block).get("matrix_t")]
         seen = {id(o) for o in before}
         new = [o for o in sparse_objects() if id(o) not in seen]
         # nothing else: what is new is the partition's operands and the Woodbury cut
-        assert {id(o) for o in new} <= {id(o) for o in allowed}, (mode, [type(o) for o in new])
+        assert {id(o) for o in new} <= {id(o) for o in allowed}, (case, [type(o) for o in new])
         assert {*map(id, operands + other + [kept.x])} <= {id(o) for o in new}
-        # X' in CSR, the one copy of X's nonzeros, when X is taller than wide
-        xt = part.X.matrix_t if ds is tall else None
-        assert xt is None or xt.format == "csr"
 
-        def source(by_samples, cut):
-            """X for a cut by samples or row blocks by features, else X'."""
-            return ds.X.matrix if by_samples == cut else xt
-
-        shared = [(block, source(by_samples, cut)) for block in operands]
-        shared += [(block, source(not by_samples, mirror.cut is not None)) for block in other]
-        if ds is tall:
-            shared.append((kept.x, xt))
+        # X for a cut by samples or row blocks by features, else X' in CSR
+        reads_x = [(block, by_samples == cut) for block in operands]
+        reads_x += [(block, (not by_samples) == (mirror.cut is not None)) for block in other]
+        for block, from_x in reads_x:
+            if from_x:
+                assert np.shares_memory(block.matrix.data, ds.X.matrix.data), case
+                assert np.shares_memory(block.matrix.indices, ds.X.matrix.indices), case
+        reads_xt = [block for block, from_x in reads_x if not from_x]
+        assert bool(reads_xt) == (shape == "tall" or shape == "square" and (by_samples or not logistic)), case
+        sources = [ds.X.matrix.data]
+        if shape == "tall":
+            xt = part.X.matrix_t  # X' in CSR, X's transposed operand
+            assert xt.format == "csr"
+            reads_xt.append(kept.x)
         else:
             assert kept.x.nnz == ds.X.matrix[:, :5].nnz
-        for block, matrix in shared:
-            assert np.shares_memory(block.matrix.data, matrix.data), mode
-            assert np.shares_memory(block.matrix.indices, matrix.indices), mode
-        sources = [ds.X.matrix.data] + ([kept.x.matrix.data] if xt is None else [xt.data])
+            sources.append(kept.x.matrix.data)
+            xt = reads_xt[0].matrix if reads_xt else None  # a row block of X' in CSR
+        if reads_xt:  # all of them over the data and index arrays of one X' in CSR
+            xt_data, xt_indices = data_root(xt.data), data_root(xt.indices)
+            assert xt_data.size == xt_indices.size == ds.X.nnz, case
+            for block in reads_xt:
+                assert np.shares_memory(block.matrix.data, xt_data), case
+                assert np.shares_memory(block.matrix.indices, xt_indices), case
+            sources.append(xt_data)
         copies = [o for o in new if isinstance(o, sparse.sparray)]
-        assert all(any(np.shares_memory(o.data, data) for data in sources) for o in copies), mode
-
-
-BENCH_DIR = Path(__file__).resolve().parents[1] / "discobench"
+        assert all(any(np.shares_memory(o.data, data) for data in sources) for o in copies), case
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
@@ -659,9 +676,9 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
     assert calls["disco_outer"] == calls[partition] == 1
     for name in ("spmv_transpose", "grad_coeffs", "hess_coeffs", "apply", "reduce_all"):
         assert calls[name] > 0, name
-    # forward: the feature layout's unsplit product, X c, and the sample
-    # layout's partial products, over X cut at the sample offsets (X' has
-    # blocks of 10 x 8)
+    # forward: the feature layout's X c, over its one-part split of the
+    # samples (X cut at one offset), and the sample layout's partial
+    # products, over X cut at the sample offsets (X' has blocks of 10 x 8)
     assert calls["spmv"] > 0
     # no product or preconditioner apply maps over the nodes; only the
     # feature layout's metered dot products do
@@ -678,15 +695,18 @@ def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, str
     call ``spmv_transpose`` once per node per product, on the node's own
     block in node order, when every block is no taller than wide; otherwise
     ``spmv`` once per product, on the split matrix's transpose cut at the
-    node offsets. The other product of a logistic solve is one call on the
-    unsplit X: ``spmv`` by features, ``spmv_transpose``, before the partial
-    products, by samples. That of a square-loss solve runs over the other
-    layout's split, whose blocks are no taller than wide here: in the sample
-    layout, before its partial products, ``spmv_transpose`` on each feature
-    block (3 x 30 or 8 x 9); in the feature layout, after them,
-    ``spmv_transpose`` on each row block of X' (8 x 9 or 3 x 30). Either way
-    the nonzeros of each product add up to X's, and those of ``spmv`` and
-    ``spmv_transpose`` together to twice X's per product."""
+    node offsets. The other product runs over the other layout's split, in
+    the sample layout before its partial products and in the feature layout
+    after them. A logistic solve splits it into one part: ``spmv`` once on
+    X cut at its one offset (9 x 24 data by features) or on X' so cut
+    (24 x 9 data by samples), ``spmv_transpose`` once on X' as one row block
+    (30 x 9 data by features) or on X so (9 x 30 data by samples). A
+    square-loss solve splits it
+    into m parts, whose blocks are no taller than wide here:
+    ``spmv_transpose`` on each feature block (3 x 30 or 8 x 9) in the sample
+    layout, on each row block of X' (8 x 9 or 3 x 30) in the feature layout.
+    Either way the nonzeros of each product add up to X's, and those of
+    ``spmv`` and ``spmv_transpose`` together to twice X's per product."""
     m = 3
     for loss, mode in itertools.product(LossKind, PartitionMode):
         shape = (d, n) if mode is PartitionMode.FEATURES else (n, d)
@@ -708,12 +728,11 @@ def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, str
         (part,) = parts
         assert (part.cut is None) == streamed, mode
         partials = list(part.blocks) if streamed else [part.cut]
-        if loss is LossKind.LOGISTIC:
-            other, forward = [part.X], mode is PartitionMode.FEATURES
-        else:
-            mirror = part.cache["mirror"]
-            assert mirror.cut is None and len(mirror.blocks) == m
-            other, forward = list(mirror.blocks), False
+        parts_other = 1 if loss is LossKind.LOGISTIC else m
+        mirror = part.cache[("mirror", parts_other)]
+        assert len(mirror.nodes) == parts_other and (mirror.cut is not None) == (parts_other == 1 and streamed)
+        forward = mirror.cut is not None
+        other = [mirror.cut] if forward else list(mirror.blocks)
         per_product = partials + other if mode is PartitionMode.FEATURES else other + partials
         assert list(map(id, operands)) == [id(o) for o in per_product] * products, (loss, mode)
         spmv_calls = (forward + (not streamed)) * products  # each over all of X's nonzeros

@@ -619,7 +619,7 @@ def test_solve_through_scipy_products_is_bitwise_the_same(monkeypatch, mode, los
 
     direct = solve()
     low_rank = []
-    monkeypatch.setattr(solver, "spmv", lambda block, x: block.matrix_fwd @ x)
+    monkeypatch.setattr(solver, "spmv", lambda block, x: block.matrix @ x)
     monkeypatch.setattr(solver, "spmv_transpose", lambda block, x: block.matrix_t @ x)
     monkeypatch.setattr(solver, "matvec", lambda op, x: low_rank.append(op) or op @ x)
     assert solve() == direct
@@ -1033,6 +1033,29 @@ def test_cluster_of_another_node_count_rejected(mode, m):
     inputs = dict(grad=grad, margins=margins, precond=layout.preconditioner(margins))
     with pytest.raises(ValueError, match=f"cluster has {m} nodes, partition has 3 shards"):
         (pcg_samples if samples else pcg_features)(Cluster(m), part, 1e-8, cfg, **inputs)
+
+
+@pytest.mark.parametrize("entry", [pcg_samples, pcg_features, build_preconditioner, build_preconditioner_features],
+                         ids=lambda f: f.__name__)
+def test_a_partition_of_the_other_kind_is_rejected(entry):
+    # at d == n a partition of the other kind has every shape an entry point
+    # checks: on this data at m = 4, pcg_samples over the feature partition
+    # once returned a direction 28 off pcg_features' in max-abs, after 104
+    # inner iterations against 96, and each builder read the default tau off
+    # the other dimension
+    ds, _ = make_dense_instance(d=40, n=40, seed=7)
+    cfg = ridge_config(tau=None)
+    samples = entry in (pcg_samples, build_preconditioner)
+    right = (partition_by_samples if samples else partition_by_features)(ds.X, ds.y, 4)
+    wrong = (partition_by_features if samples else partition_by_samples)(ds.X, ds.y, 4)
+    want, got = ("SamplePartition", "FeaturePartition") if samples else ("FeaturePartition", "SamplePartition")
+    with pytest.raises(TypeError, match=f"expected a {want}, got a {got}"):
+        if entry in (pcg_samples, pcg_features):
+            layout = (_SampleLayout if samples else _FeatureLayout)(Cluster(4), right, cfg)
+            grad, margins = layout.gradient(np.ones(40))
+            entry(Cluster(4), wrong, 1e-8, cfg, grad=grad, margins=margins, precond=layout.preconditioner(margins))
+        else:
+            entry(cfg, wrong)
 
 
 @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
