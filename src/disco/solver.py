@@ -17,18 +17,19 @@ round still carries r's, so the collectives per inner iteration are those
 of a cold step. The logistic Hessian moves with w, so a logistic step starts
 from v = 0.
 
-The recurrence, the preconditioner build, the outer loop and both products
-(gradient and Hessian) are written once, over a small layout object. In both
-layouts a solver vector (w, grad, r, s, u, v, Hu, Hv) is one length-d float64
-array and a sample-space vector (margins X'w, curvature h, labels) one
-length-n array; the layouts differ only in where the per-node work runs and
-what combining it costs:
+The recurrence, the preconditioner build, the outer loop, both products
+(gradient and Hessian) and the dot products are written once, over one
+layout object, ``_Layout``, which reads its kind from the partition's type.
+In both layouts a solver vector (w, grad, r, s, u, v, Hu, Hv) is one
+length-d float64 array and a sample-space vector (margins X'w, curvature h,
+labels) one length-n array; the layouts differ only in where the per-node
+work runs and what combining it costs:
 
-* ``_SampleLayout``: node j works on its samples' slice of a sample-space
+* split by samples, node j works on its samples' slice of a sample-space
   vector and the master holds every solver vector whole, so dot products are
   free; each product broadcasts its direction and reduce-alls the per-node
   contributions (R^d each).
-* ``_FeatureLayout``: node i works on its feature block's slice of a solver
+* split by features, node i works on its feature block's slice of a solver
   vector and holds every sample-space vector whole; each product costs one
   length-n reduce_all (X'u), the dot products ride two scalar reduce_alls
   per inner iteration (the first also carries the initial <r, s>; the second
@@ -116,19 +117,20 @@ view over the same arrays (no copy). Both kernels add each output element's
 terms in ascending index order from 0.0, so each node's part of a product
 with a cut has the bits of a per-node product.
 
-A solve is described once: the partition gives the data, n and the feature
-block split, ``SolverConfig`` the loss, lam and every solver parameter; a
-layout validates the config, and that tau fits the data, when it is built.
-Each PCG solve is handed what the outer loop already holds: the gradient and
-margins from its metered exchange, the preconditioner and, for the square
-loss, the state to continue from.
+A solve is described once: the partition gives the data, n, the feature
+block split and, by its type, the layout; ``SolverConfig`` gives the loss,
+lam and every solver parameter. A layout validates the config, and that tau
+fits the data, when it is built; each entry point first checks that its
+partition is of its kind. Each PCG solve is handed what the outer loop
+already holds: the gradient and margins from its metered exchange, the
+preconditioner and, for the square loss, the state to continue from.
 
-The layout objects call the public entry points (``pcg_*``,
-``build_preconditioner*``), the partitioners and the kernels through this
-module's globals at call time, so replacing one of those names catches every
-call: the benchmark's tracer times the layers that way, and the tests record
-the Newton steps and preconditioned residuals of a solve, which the solver
-itself does not keep.
+The layout calls its kind's public entry points (``pcg_*``,
+``build_preconditioner*``), the outer loop its partitioner and the products
+the kernels, all through this module's globals at call time, so replacing
+one of those names catches every call: the benchmark's tracer times the
+layers that way, and the tests record the Newton steps and preconditioned
+residuals of a solve, which the solver itself does not keep.
 """
 
 from __future__ import annotations
@@ -230,13 +232,11 @@ class SolverConfig:
         if self.max_inner is not None and self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
 
-    def resolved_tau(self, available: int, master_shard: int | None = None) -> int:
-        """tau, checked against the ``available`` samples. The default is
-        min(1000, master_shard) in both layouts, so that they share one
-        preconditioner; ``master_shard`` defaults to ``available``, as in the
-        sample layout, where the two coincide."""
+    def resolved_tau(self, available: int, master_shard: int) -> int:
+        """tau, checked against the ``available`` samples; the default is
+        min(1000, master_shard)."""
         if self.tau is None:
-            return min(1000, available if master_shard is None else master_shard)
+            return min(1000, master_shard)
         if self.tau > available:
             raise ValueError(f"tau={self.tau} exceeds the {available} samples available for the preconditioner")
         return self.tau
@@ -476,6 +476,15 @@ def _invert_blocks(kept: _KeptSlices, h_tau: np.ndarray, mu: float) -> BlockPrec
     return BlockPreconditioner(kept.sizes, kept.offsets, tuple(inverses), kept.x, mu)
 
 
+def _resolved_tau(config: SolverConfig, part: SamplePartition | FeaturePartition) -> int:
+    """tau, checked against the samples that the preconditioner can draw
+    from: the master's shard when ``part`` splits samples, all n when it
+    splits features. The default is min(1000, the master's balanced sample
+    shard) in both, so that both layouts build one preconditioner."""
+    available = part.sizes[0] if isinstance(part, SamplePartition) else part.n
+    return config.resolved_tau(available, balanced_sizes(part.n, len(part.sizes))[0])
+
+
 def _block_preconditioner(config: SolverConfig, part: SamplePartition | FeaturePartition, tau: int,
                           margins: np.ndarray | None) -> BlockPreconditioner:
     """Invert each feature block of X's first tau columns with the curvature
@@ -497,7 +506,7 @@ def build_preconditioner(
     the first tau of them lie on the master.
     """
     _check_kind(spart, SamplePartition)
-    return _block_preconditioner(config, spart, config.resolved_tau(spart.sizes[0]), margins)
+    return _block_preconditioner(config, spart, _resolved_tau(config, spart), margins)
 
 
 def build_preconditioner_features(
@@ -509,8 +518,7 @@ def build_preconditioner_features(
     columns of its feature rows. ``margins`` are the length-n sample margins
     X'w of the current iterate (any value, or None, for the square loss)."""
     _check_kind(fpart, FeaturePartition)
-    tau = config.resolved_tau(fpart.n, balanced_sizes(fpart.n, len(fpart.sizes))[0])
-    return _block_preconditioner(config, fpart, tau, margins)
+    return _block_preconditioner(config, fpart, _resolved_tau(config, fpart), margins)
 
 
 # ---------------------------------------------------------------------------
@@ -552,34 +560,43 @@ def _node_sum(parts):
 
 
 class _Layout:
-    """The per-node work and the collectives of one data layout, over a
-    ``partition`` of its kind; node i holds ``nodes[i]`` of the split
-    dimension. ``config`` is validated here, and subclasses check that tau
-    fits the samples their preconditioner draws from.
+    """The per-node work and the collectives of the layout of ``part``, a
+    sample or a feature partition, whose kind alone sets every difference;
+    node i holds ``nodes[i]`` of the split dimension. ``config`` is
+    validated here, and tau checked against the samples the preconditioner
+    draws from.
 
     ``mirror`` is the other layout's split, made by ``split_rows`` as the
     partition's is, into min(size, m) parts for the square loss, so that both
     layouts sum every product in the same order, and into one for the
     logistic loss, whose solve restarts at every step; ``features`` is the
-    split of X by rows and ``samples`` that of X' by rows."""
+    split of X by rows and ``samples`` that of X' by rows. A sum over the
+    layout's own split is metered, and one over the mirror is not.
 
-    def __init__(self, cluster: Cluster, part, config: SolverConfig):
+    By samples, the master holds every solver vector whole: each product
+    first broadcasts its direction, and the direction a step returns is
+    already on the master. By features, node i holds and works on its slice
+    ``x[nodes[i]]`` of every solver vector, every node holds each
+    sample-space vector whole, and a step's direction is gathered on the
+    master."""
+
+    def __init__(self, cluster: Cluster, part: SamplePartition | FeaturePartition, config: SolverConfig):
         config.validate()
-        _check_kind(part, self.partition)
         if cluster.m != len(part.sizes):
             raise ValueError(f"cluster has {cluster.m} nodes, partition has {len(part.sizes)} shards")
+        _resolved_tau(config, part)
         self.cluster, self.part, self.config = cluster, part, config
+        self.by_samples = isinstance(part, SamplePartition)
         self.nodes = _node_slices(part.offsets, part.sizes)
         self.split = _Split(self.nodes, part.blocks, part.cut)
-        by_samples = isinstance(part, FeaturePartition)  # the other layout's split
-        total = part.n if by_samples else part.d
+        total = part.d if self.by_samples else part.n
         parts = 1 if config.loss is LossKind.LOGISTIC else min(total, len(part.sizes))
         if ("mirror", parts) not in part.cache:
             sizes = balanced_sizes(total, parts)
-            offsets, blocks, cut = split_rows(part.X, sizes, by_samples)
+            offsets, blocks, cut = split_rows(part.X, sizes, not self.by_samples)
             part.cache["mirror", parts] = _Split(_node_slices(offsets, sizes), blocks, cut)
         self.mirror = part.cache["mirror", parts]
-        self.features, self.samples = (self.split, self.mirror) if by_samples else (self.mirror, self.split)
+        self.features, self.samples = (self.mirror, self.split) if self.by_samples else (self.split, self.mirror)
 
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:
         """Hessian coefficients of the margins (any value, or None, for the
@@ -595,9 +612,30 @@ class _Layout:
         """One metered Hu."""
         return self._product(u, lambda z: h * z)[0]
 
-    def _share(self, u: np.ndarray) -> np.ndarray:
-        """u as the nodes hold it: node i works on its slice, sent nowhere."""
-        return u
+    def dots(self, *pairs, metered: bool = True) -> list:
+        """<a, b> for each pair, from per-node terms over the feature split in
+        node order. By features, and ``metered``, the terms ride one scalar
+        reduce_all. Otherwise they are summed as Python floats, as the
+        collective sums them, without one: by samples the master holds both
+        vectors, so a dot product is free, and by features an unmetered one
+        is a control scalar that stands in for a piggybacked value and is
+        deliberately not counted as a round."""
+        nodes = self.features.nodes
+        if metered and not self.by_samples:
+
+            def terms(i):
+                node = nodes[i]
+                return np.array([float(np.dot(a[node], b[node])) for a, b in pairs])
+
+            return [float(x) for x in self.cluster.reduce_all(self.cluster.map_nodes(terms))]
+        sums = []
+        for a, b in pairs:
+            total = None
+            for node in nodes:
+                term = float(np.dot(a[node], b[node]))
+                total = term if total is None else total + term
+            sums.append(total)
+        return sums
 
     def _sum(self, split: _Split, parts) -> np.ndarray:
         """The node-order sum of ``split``'s partial products: the layout's
@@ -607,87 +645,28 @@ class _Layout:
     def _product(self, u: np.ndarray, coeffs) -> tuple:
         """(X c)/n + lam*u, c = coeffs(X'u), and the length-n X'u, where
         ``coeffs`` maps margins elementwise: X'u summed over the feature
-        split, X c over the sample split, each part divided by n."""
-        u, n = self._share(u), self.part.n
+        split, X c over the sample split, each part divided by n. By samples
+        the master first broadcasts u to every node."""
+        if self.by_samples:
+            u = self.cluster.broadcast(u)
+        n = self.part.n
         z = self._sum(self.features, _partials(u, self.features))
         data = self._sum(self.samples, (p / n for p in _partials(coeffs(z), self.samples)))
         return data + self.config.lam * u, z
 
-
-class _SampleLayout(_Layout):
-    """Sample partition: the master holds every solver vector whole."""
-
-    partition = SamplePartition
-
-    def __init__(self, cluster: Cluster, part: SamplePartition, config: SolverConfig):
-        super().__init__(cluster, part, config)
-        config.resolved_tau(part.sizes[0])
-
-    def dots(self, *pairs, metered: bool = True) -> list:
-        """<a, b> for each pair; free either way, the master holds both. Each
-        is summed over the feature split (the mirror), node by node as Python
-        floats, as the feature layout's reduce_all sums it."""
-        sums = []
-        for a, b in pairs:
-            total = None
-            for node in self.mirror.nodes:
-                term = float(np.dot(a[node], b[node]))
-                total = term if total is None else total + term
-            sums.append(total)
-        return sums
-
-    def _share(self, u: np.ndarray) -> np.ndarray:
-        """The master broadcasts u to every node."""
-        return self.cluster.broadcast(u)
-
     def assemble(self, v: np.ndarray) -> np.ndarray:
-        return v
+        """The direction on the master: gathered by features, held already by
+        samples."""
+        return v if self.by_samples else self.cluster.reduce_concat([v[node] for node in self.nodes])
 
     def preconditioner(self, margins: np.ndarray) -> BlockPreconditioner:
-        return build_preconditioner(self.config, self.part, margins)
+        build = build_preconditioner if self.by_samples else build_preconditioner_features
+        return build(self.config, self.part, margins)
 
     def newton_step(self, eps_k, grad, margins, precond, start=None) -> NewtonStepResult:
-        return pcg_samples(self.cluster, self.part, eps_k, self.config, grad=grad, margins=margins, precond=precond,
-                           start=start)
-
-
-class _FeatureLayout(_Layout):
-    """Feature partition: node i holds and works on its slice ``x[nodes[i]]``
-    of every solver vector, and every node holds each sample-space vector
-    whole."""
-
-    partition = FeaturePartition
-
-    def __init__(self, cluster: Cluster, part: FeaturePartition, config: SolverConfig):
-        super().__init__(cluster, part, config)
-        config.resolved_tau(part.n)
-
-    def dots(self, *pairs, metered: bool = True) -> list:
-        """Global <a, b> for each pair: per-node slice terms, all riding one
-        scalar reduce_all. With ``metered=False`` the per-node terms are summed
-        as the collective sums them, without one: a control scalar that stands
-        in for a piggybacked value and is deliberately not counted as a
-        round."""
-
-        def terms(i):
-            node = self.nodes[i]
-            return np.array([float(np.dot(a[node], b[node])) for a, b in pairs])
-
-        if metered:
-            total = self.cluster.reduce_all(self.cluster.map_nodes(terms))
-        else:
-            total = _node_sum(map(terms, range(self.cluster.m)))
-        return [float(x) for x in total]
-
-    def assemble(self, v: np.ndarray) -> np.ndarray:
-        return self.cluster.reduce_concat([v[node] for node in self.nodes])
-
-    def preconditioner(self, margins: np.ndarray) -> BlockPreconditioner:
-        return build_preconditioner_features(self.config, self.part, margins)
-
-    def newton_step(self, eps_k, grad, margins, precond, start=None) -> NewtonStepResult:
-        return pcg_features(self.cluster, self.part, eps_k, self.config, grad=grad, margins=margins, precond=precond,
-                            start=start)
+        pcg = pcg_samples if self.by_samples else pcg_features
+        return pcg(self.cluster, self.part, eps_k, self.config, grad=grad, margins=margins, precond=precond,
+                   start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +763,8 @@ def pcg_samples(
     of the search direction and one reduce_all of the Hessian-product
     contributions, both of length d; dot products are free on the master.
     """
-    return _pcg(_SampleLayout(cluster, spart, config), eps_k, grad, margins, precond, start)
+    _check_kind(spart, SamplePartition)
+    return _pcg(_Layout(cluster, spart, config), eps_k, grad, margins, precond, start)
 
 
 def pcg_features(
@@ -816,7 +796,8 @@ def pcg_features(
     the master already holds, as the outer loop does whenever one step's run
     overshoots the next step's tolerance.
     """
-    return _pcg(_FeatureLayout(cluster, fpart, config), eps_k, grad, margins, precond, start)
+    _check_kind(fpart, FeaturePartition)
+    return _pcg(_Layout(cluster, fpart, config), eps_k, grad, margins, precond, start)
 
 
 # ---------------------------------------------------------------------------
@@ -842,10 +823,9 @@ def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
     eps_k) are aggregated by the driver; in the feature layout this stands in
     for a piggybacked scalar and is deliberately not metered as a round.
     """
-    if config.partition_mode == PartitionMode.SAMPLES:  # the layout validates config.partition_mode
-        layout = _SampleLayout(cluster, partition_by_samples(dataset.X, dataset.y, cluster.m), config)
-    else:
-        layout = _FeatureLayout(cluster, partition_by_features(dataset.X, dataset.y, cluster.m), config)
+    config.validate()
+    partition = partition_by_samples if config.partition_mode is PartitionMode.SAMPLES else partition_by_features
+    layout = _Layout(cluster, partition(dataset.X, dataset.y, cluster.m), config)
 
     w = np.zeros(layout.part.d)
     precond: BlockPreconditioner | None = None

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from disco import Dataset, LossKind, Objective, SparseBlock, solver
-from disco.partition import SamplePartition
 from disco.solver import BlockPreconditioner, damped_update
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "discobench"
@@ -88,8 +87,7 @@ def newton_step(cluster, part, w, eps_k, config, grad=None):
     margins), its preconditioner build and its PCG call, each looked up at
     call time. A full-length ``grad``, when given, replaces the exchanged
     gradient."""
-    layout_type = solver._SampleLayout if isinstance(part, SamplePartition) else solver._FeatureLayout
-    layout = layout_type(cluster, part, config)
+    layout = solver._Layout(cluster, part, config)
     exchanged, margins = layout.gradient(np.asarray(w, dtype=np.float64))
     grad = exchanged if grad is None else grad
     return layout.newton_step(eps_k, grad, margins, layout.preconditioner(margins))

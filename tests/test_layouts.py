@@ -381,9 +381,9 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     X = SparseBlock.from_dense(Xd)
     cfg = SolverConfig(lam=0.3, mu=0.3, tau=1, loss=loss, partition_mode=mode)
     if mode is PartitionMode.SAMPLES:
-        layout = solver._SampleLayout(Cluster(m), partition_by_samples(X, y, m), cfg)
+        layout = solver._Layout(Cluster(m), partition_by_samples(X, y, m), cfg)
     else:
-        layout = solver._FeatureLayout(Cluster(m), partition_by_features(X, y, m), cfg)
+        layout = solver._Layout(Cluster(m), partition_by_features(X, y, m), cfg)
     w, u = rng.standard_normal(d), rng.standard_normal(d)
 
     grad, margins = layout.gradient(w)

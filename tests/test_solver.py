@@ -39,8 +39,7 @@ from disco.losses import grad_coeffs, hess_coeffs
 from disco.partition import balanced_sizes
 from disco.solver import (
     BlockPreconditioner,
-    _FeatureLayout,
-    _SampleLayout,
+    _Layout,
     _curvature_slices,
     _invert_blocks,
     build_preconditioner,
@@ -632,7 +631,7 @@ class TestHessianVecSamples:
         spart = partition_by_samples(ds.X, ds.y, 1)
         rng = np.random.default_rng(91)
         w, u = rng.standard_normal(8), rng.standard_normal(8)
-        layout = _SampleLayout(Cluster(1), spart, SolverConfig(lam=obj.lam, loss=obj.loss))
+        layout = _Layout(Cluster(1), spart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = layout.hess_vec(u, layout.curvature(layout.gradient(w)[1]))
         assert np.array_equal(got, hess_vec_dense(obj, ds.X, ds.y, w, u))
 
@@ -642,7 +641,7 @@ class TestHessianVecSamples:
         spart = partition_by_samples(ds.X, ds.y, 3)
         rng = np.random.default_rng(93)
         w, u = rng.standard_normal(8), rng.standard_normal(8)
-        layout = _SampleLayout(Cluster(3), spart, SolverConfig(lam=obj.lam, loss=obj.loss))
+        layout = _Layout(Cluster(3), spart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = layout.hess_vec(u, layout.curvature(layout.gradient(w)[1]))
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
@@ -657,7 +656,7 @@ class TestHessianVecSamples:
         for loss, labels in ((LossKind.LOGISTIC, "sign"), (LossKind.SQUARE, "regression")):
             ds, obj = make_dense_instance(d=6, n=7, seed=96, loss=loss, labels=labels)
             w = np.random.default_rng(97).standard_normal(6)
-            layout = _SampleLayout(Cluster(m), partition_by_samples(ds.X, ds.y, m),
+            layout = _Layout(Cluster(m), partition_by_samples(ds.X, ds.y, m),
                                    SolverConfig(lam=obj.lam, loss=loss))
             margins = layout.gradient(w)[1]
             assert margins.shape == (7,) and margins.dtype == np.float64
@@ -673,7 +672,7 @@ class TestHessianVecSamples:
         ds, obj = make_dense_instance(d=6, n=9, seed=94)
         spart = partition_by_samples(ds.X, ds.y, 3)
         cl = Cluster(3)
-        layout = _SampleLayout(cl, spart, SolverConfig(lam=obj.lam, loss=obj.loss))
+        layout = _Layout(cl, spart, SolverConfig(lam=obj.lam, loss=obj.loss))
         h = layout.curvature(layout.gradient(np.zeros(6))[1])
         cl.reset_stats()
         got = layout.hess_vec(np.zeros(6), h)
@@ -689,7 +688,7 @@ class TestHessianVecFeatures:
         fpart = partition_by_features(ds.X, ds.y, 1)
         rng = np.random.default_rng(96)
         u = rng.standard_normal(7)
-        layout = _FeatureLayout(Cluster(1), fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
+        layout = _Layout(Cluster(1), fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = layout.hess_vec(u, layout.curvature(None))
         assert np.array_equal(got, hess_vec_dense(obj, ds.X, ds.y, np.zeros(7), u))
 
@@ -701,7 +700,7 @@ class TestHessianVecFeatures:
         cl = Cluster(m)
         rng = np.random.default_rng(98)
         w, u = rng.standard_normal(20), rng.standard_normal(20)
-        layout = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
+        layout = _Layout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = layout.hess_vec(u, layout.curvature(layout.gradient(w)[1]))
         expected = hess_vec_dense(obj, ds.X, ds.y, w, u)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
@@ -710,7 +709,7 @@ class TestHessianVecFeatures:
         ds, obj = make_dense_instance(d=8, n=13, seed=99)
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
-        layout = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
+        layout = _Layout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
         layout.hess_vec(np.zeros(8), layout.curvature(None))
         stats = cl.snapshot_stats()
         assert stats.reduceall_rounds == 1 and stats.reduceall_bytes == 8 * 13
@@ -724,9 +723,41 @@ class TestHessianVecFeatures:
         cl = Cluster(2)
         u = np.zeros(6)
         u[:fpart.sizes[0]] = 1.0
-        layout = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
+        layout = _Layout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss))
         got = layout.hess_vec(u, layout.curvature(None))
         assert np.linalg.norm(got[fpart.sizes[0]:]) > 0  # data coupling, lam * 0 = 0
+
+
+@pytest.mark.parametrize("metered", [True, False])
+def test_dots_sum_the_feature_split_in_node_order(metered):
+    # both layouts add per-node terms over the feature split (3, 3, 2 of
+    # d = 8 at m = 3) in node order, so a square-loss dot product has the
+    # same bits in both; only a metered feature-layout call is a collective,
+    # one scalar reduce_all carrying every pair
+    ds, obj = make_dense_instance(d=8, n=12, seed=127)
+    cfg = SolverConfig(lam=obj.lam, loss=obj.loss)
+    a, b, c = np.random.default_rng(128).standard_normal((3, 8))
+    ends = np.cumsum([0, *balanced_sizes(8, 3)])
+    got = {}
+    for samples in (True, False):
+        cl = Cluster(3)
+        layout = _Layout(cl, (partition_by_samples if samples else partition_by_features)(ds.X, ds.y, 3), cfg)
+        for pairs in (((a, b),), ((a, b), (b, c), (c, c))):
+            before = cl.snapshot_stats()
+            got[samples, len(pairs)] = np.array(layout.dots(*pairs, metered=metered))
+            after = cl.snapshot_stats()
+            sent = metered and not samples
+            assert after.reduceall_rounds - before.reduceall_rounds == after.total_rounds - before.total_rounds == sent
+            assert after.total_bytes - before.total_bytes == 8 * len(pairs) * sent
+    for count in (1, 3):
+        assert got[True, count].tobytes() == got[False, count].tobytes()
+    terms = [float(np.dot(a[lo:hi], b[lo:hi])) for lo, hi in zip(ends, ends[1:])]
+    assert got[True, 3][0] == got[True, 1][0] == (terms[0] + terms[1]) + terms[2]
+    # a logistic mirror has one part: the sample layout's dot product is np.dot's
+    ds, obj = make_dense_instance(d=8, n=12, seed=127, loss=LossKind.LOGISTIC, labels="sign")
+    layout = _Layout(Cluster(3), partition_by_samples(ds.X, ds.y, 3), SolverConfig(lam=obj.lam, loss=obj.loss))
+    (dot,) = layout.dots((a, b), metered=metered)
+    assert np.float64(dot).tobytes() == np.float64(np.dot(a, b)).tobytes()
 
 
 class TestPcgSamples:
@@ -768,7 +799,7 @@ class TestPcgSamples:
         m = 3
         spart = partition_by_samples(ds.X, ds.y, m)
         cl = Cluster(m)
-        grad, margins = _SampleLayout(cl, spart, cfg).gradient(np.zeros(12))
+        grad, margins = _Layout(cl, spart, cfg).gradient(np.zeros(12))
         precond = build_preconditioner(cfg, spart, margins)
         cl.reset_stats()
         step = pcg_samples(cl, spart, 1e-10, cfg, grad=grad, margins=margins, precond=precond)
@@ -841,7 +872,7 @@ class TestPcgFeatures:
         m = 3
         fpart = partition_by_features(ds.X, ds.y, m)
         cl = Cluster(m)
-        grad, margins = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(np.zeros(12))
+        grad, margins = _Layout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(np.zeros(12))
         precond = build_preconditioner_features(cfg, fpart, margins)
         cl.reset_stats()
         step = pcg_features(cl, fpart, 1e-10, cfg, grad=grad, margins=margins, precond=precond)
@@ -860,7 +891,7 @@ class TestPcgFeatures:
         cfg = ridge_config(tau=6, max_inner=1)
         fpart = partition_by_features(ds.X, ds.y, 2)
         cl = Cluster(2)
-        grad, margins = _FeatureLayout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(np.zeros(8))
+        grad, margins = _Layout(cl, fpart, SolverConfig(lam=obj.lam, loss=obj.loss)).gradient(np.zeros(8))
         precond = build_preconditioner_features(cfg, fpart, margins)
         cl.reset_stats()
         pcg_features(cl, fpart, 1e-14, cfg, grad=grad, margins=margins, precond=precond)
@@ -877,8 +908,7 @@ class TestStandaloneEntryPoints:
         ds, _ = make_dense_instance(d=6, n=12, seed=150)
         samples = mode is PartitionMode.SAMPLES
         part = (partition_by_samples if samples else partition_by_features)(ds.X, ds.y, cluster.m)
-        layout_type = _SampleLayout if samples else _FeatureLayout
-        layout = layout_type(Cluster(cluster.m), part, ridge_config(mu=0.1, tau=4, mode=mode))
+        layout = _Layout(Cluster(cluster.m), part, ridge_config(mu=0.1, tau=4, mode=mode))
         grad, margins = layout.gradient(np.zeros(6))
         grad = np.zeros(6) if zero_gradient else grad
         inputs = dict(margins=margins, precond=layout.preconditioner(margins))
@@ -936,7 +966,7 @@ class TestPcgContinuation:
         cfg = SolverConfig(lam=0.1, mu=0.05, tau=3, loss=loss, partition_mode=mode)
         samples = mode is PartitionMode.SAMPLES
         part = (partition_by_samples if samples else partition_by_features)(ds.X, ds.y, 2)
-        layout = (_SampleLayout if samples else _FeatureLayout)(Cluster(2), part, cfg)
+        layout = _Layout(Cluster(2), part, cfg)
         grad, margins = layout.gradient(np.zeros(10))
         precond = layout.preconditioner(margins)
         pcg, cluster = (pcg_samples if samples else pcg_features), Cluster(2)
@@ -1028,7 +1058,7 @@ def test_cluster_of_another_node_count_rejected(mode, m):
     cfg = ridge_config(tau=2, mode=mode)
     samples = mode is PartitionMode.SAMPLES
     part = (partition_by_samples if samples else partition_by_features)(ds.X, ds.y, 3)
-    layout = (_SampleLayout if samples else _FeatureLayout)(Cluster(3), part, cfg)
+    layout = _Layout(Cluster(3), part, cfg)
     grad, margins = layout.gradient(np.zeros(6))
     inputs = dict(grad=grad, margins=margins, precond=layout.preconditioner(margins))
     with pytest.raises(ValueError, match=f"cluster has {m} nodes, partition has 3 shards"):
@@ -1051,7 +1081,7 @@ def test_a_partition_of_the_other_kind_is_rejected(entry):
     want, got = ("SamplePartition", "FeaturePartition") if samples else ("FeaturePartition", "SamplePartition")
     with pytest.raises(TypeError, match=f"expected a {want}, got a {got}"):
         if entry in (pcg_samples, pcg_features):
-            layout = (_SampleLayout if samples else _FeatureLayout)(Cluster(4), right, cfg)
+            layout = _Layout(Cluster(4), right, cfg)
             grad, margins = layout.gradient(np.ones(40))
             entry(Cluster(4), wrong, 1e-8, cfg, grad=grad, margins=margins, precond=layout.preconditioner(margins))
         else:
@@ -1065,9 +1095,9 @@ def test_margins_of_the_wrong_shape_rejected(mode):
     ds, _ = make_dense_instance(d=8, n=12, seed=126, loss=LossKind.LOGISTIC, labels="sign")
     cfg = SolverConfig(lam=0.1, mu=0.1, tau=4, loss=LossKind.LOGISTIC, partition_mode=mode)
     if mode is PartitionMode.SAMPLES:
-        layout = _SampleLayout(Cluster(2), partition_by_samples(ds.X, ds.y, 2), cfg)
+        layout = _Layout(Cluster(2), partition_by_samples(ds.X, ds.y, 2), cfg)
     else:
-        layout = _FeatureLayout(Cluster(2), partition_by_features(ds.X, ds.y, 2), cfg)
+        layout = _Layout(Cluster(2), partition_by_features(ds.X, ds.y, 2), cfg)
     grad, margins = layout.gradient(np.full(8, 0.1))
     precond = layout.preconditioner(margins)
     short = margins[:1]
