@@ -9,12 +9,14 @@ compute phase takes one of two forms:
   an iterable handed to ``reduce_all`` that produces node i's contribution
   when asked, which the collective adds while it is still in cache, as both
   layouts' partial products do when every node's block is no taller than
-  wide;
+  wide (over node i's rows of a tiled copy, ``linalg.tile_rows``, when the
+  solver keeps one);
 * it runs one kernel over a cut (``linalg.cut_rows``), an operand whose
   every row holds one node's part of one output element, and splits the
   result into the per-node contributions, as both layouts' partial products
   do when some node's block is taller than wide, and as a Woodbury
-  preconditioner applies its blocks.
+  preconditioner applies its blocks; over a tiled copy, whose rows run node
+  by node, an index fixed when the copy is built splits the result.
 
 Whatever the form, each collective receives one contribution per node and
 meters the same rounds and bytes.

@@ -8,8 +8,11 @@ new row pointer over its data and indices, so that one forward product gives
 each column block's part of every row. Every split whose row blocks would be
 taller than wide (or, by samples, all square) is read as such a cut of the
 split matrix's transpose: a partition's, the other layout's split of a
-solve, and the Woodbury preconditioner's d_b x tau slices. ``row_view``
-gives a row block of a CSR matrix over its own arrays. The products of a
+solve, and the Woodbury preconditioner's d_b x tau slices. ``tile_rows``
+copies such a cut with its rows reordered row block by row block, so that
+one copy serves a split's row blocks and the other split's cut (a
+square-loss solve with long segments). ``row_view`` gives a row block of a
+CSR matrix over its own arrays. The products of a
 solve (``spmv``, ``spmv_transpose`` and the preconditioner's, all through
 ``matvec``) call scipy's compiled CSR/CSC kernels directly: the routines
 that ``operand @ x`` ends in after scipy's Python dispatch, which costs more
@@ -45,6 +48,7 @@ __all__ = [
     "row_view",
     "spmv",
     "spmv_transpose",
+    "tile_rows",
 ]
 
 
@@ -164,6 +168,26 @@ def cut_rows(matrix, offsets) -> sparse.csr_array:
     starts = np.searchsorted(keys, (np.arange(rows, dtype=np.int64)[:, None] * cols + offsets).ravel())
     indptr = np.append(starts, matrix.nnz).astype(_index_dtype(shape, matrix.nnz))
     return compressed_view("csr", matrix.data, matrix.indices, indptr, shape)
+
+
+def tile_rows(cut, offsets, k: int) -> tuple:
+    """(tiled, order) for ``cut``, a matrix's ``cut_rows`` at k column
+    offsets (the tiles), whose row r*k + j holds row r in tile j: ``tiled``
+    is a CSR copy of it with the rows reordered by the row blocks that start
+    at ``offsets``, block by block, then tile by tile, so that block i's
+    rows in tile j are rows offsets[i]*k + j*size_i onward, and ``order`` is
+    the (k, rows) index array of each row's tile j in ``tiled``. Each row
+    keeps its entries in column order, so a product with ``tiled`` adds each
+    output element's terms in the order of the cut's product."""
+    rows = cut.shape[0] // k
+    bounds = (*offsets, rows)
+    order = np.empty((k, rows), dtype=np.intp)
+    for start, stop in zip(bounds, bounds[1:]):
+        size = stop - start
+        order[:, start:stop] = start * k + np.arange(k)[:, None] * size + np.arange(size)
+    source = np.empty(rows * k, dtype=np.intp)
+    source[order.T.ravel()] = np.arange(rows * k)  # the cut's row r*k + j is row order[j, r] of the copy
+    return cut[source], order
 
 
 # scipy's compiled matrix-vector kernels by operand format. The module is

@@ -58,6 +58,19 @@ collectives, their rounds and their bytes are those of a per-node run. A
 Woodbury preconditioner applies its blocks through the same kind of cut of
 its slices, one product each way.
 
+When one split streams its row blocks and the other is a cut, a
+square-loss solve whose streamed matrix averages at least ``TILE_MIN_NNZ``
+nonzeros per (row, tile) segment, the tiles being the cut's node offsets,
+runs both through one tiled copy of the streamed matrix (``tile_split``,
+kept in the partition's cache beside the mirror; on tall data, in either
+layout, X cut at the 8 sample offsets). Node i's partial is one transposed
+product over its rows of the copy with ``v[node]`` repeated once per tile,
+so that its scatter writes inside one tile at a time, and the other split's
+partials are one forward product over the whole copy, put into node order
+by an index fixed when the copy is built. Every output element adds the
+same terms in the same order, so the bits are those of the untiled
+products; a logistic solve, whose mirror has one part, has no tiles.
+
 A square-loss mirror has min(size, m) parts, so both layouts sum every
 product in node order, as the other layout's reduce_all sums it, and the
 sample layout sums its dot products over the feature split as the feature
@@ -157,6 +170,7 @@ from .partition import (
     partition_by_features,
     partition_by_samples,
     split_rows,
+    tile_split,
 )
 
 __all__ = [
@@ -531,15 +545,42 @@ class _Split(NamedTuple):
     ``split_rows`` picks it: node i holds part ``nodes[i]`` of a vector and
     ``blocks[i]``, its rows of the split matrix, multiplied transposed; or, in
     place of the blocks, ``cut``, the split matrix's transpose cut at the
-    nodes' offsets, multiplied forward."""
+    nodes' offsets, multiplied forward. Through a tiled copy (``tile_split``)
+    a streamed block's rows repeat the node's part once per tile, which it
+    reads as ``v[reads[i]]``, and a cut's product holds node i's part in
+    positions ``order[i]``."""
 
     nodes: tuple
     blocks: tuple
     cut: SparseBlock | None
+    reads: tuple | None = None
+    order: np.ndarray | None = None
 
 
 def _node_slices(offsets, sizes) -> tuple:
     return tuple(slice(off, off + size) for off, size in zip(offsets, sizes))
+
+
+def _tiled(part: SamplePartition | FeaturePartition, split: _Split, mirror: _Split) -> tuple:
+    """(split, mirror), the layout's own split and its mirror, both through
+    one tiled copy of the streamed matrix when the mirror has more than one
+    part (a square-loss solve), one of them streams its row blocks, the other
+    is a cut, and ``tile_split`` builds the copy with the cut's node offsets
+    as tiles; else as they are. The copy is kept in ``part.cache`` beside the
+    mirror."""
+    key = ("tiled", len(mirror.nodes))
+    if key not in part.cache:
+        if len(mirror.nodes) == 1 or (split.cut is None) == (mirror.cut is None):
+            return split, mirror
+        streamed, tiles = (split, mirror) if split.cut is None else (mirror, split)
+        tiled = tile_split(tiles.cut, [node.start for node in streamed.nodes], len(tiles.nodes))
+        if tiled is None:
+            return split, mirror
+        blocks, copy, order = tiled
+        reads = tuple(np.tile(np.arange(node.start, node.stop), len(tiles.nodes)) for node in streamed.nodes)
+        pair = (streamed._replace(blocks=blocks, reads=reads), tiles._replace(cut=copy, order=order))
+        part.cache[key] = pair if streamed is split else pair[::-1]
+    return part.cache[key]
 
 
 def _partials(v: np.ndarray, split: _Split):
@@ -549,8 +590,9 @@ def _partials(v: np.ndarray, split: _Split):
     row holds one node's terms in that node's order, so each has the bits of
     its own product."""
     if split.cut is not None:
-        return spmv(split.cut, v).reshape(-1, len(split.nodes)).T
-    return (spmv_transpose(block, v[node]) for block, node in zip(split.blocks, split.nodes))
+        z = spmv(split.cut, v)
+        return z.reshape(-1, len(split.nodes)).T if split.order is None else z[split.order]
+    return (spmv_transpose(block, v[read]) for block, read in zip(split.blocks, split.reads or split.nodes))
 
 
 def _node_sum(parts):
@@ -571,7 +613,8 @@ class _Layout:
     layouts sum every product in the same order, and into one for the
     logistic loss, whose solve restarts at every step; ``features`` is the
     split of X by rows and ``samples`` that of X' by rows. A sum over the
-    layout's own split is metered, and one over the mirror is not.
+    layout's own split is metered, and one over the mirror is not. Where
+    ``_tiled`` finds long segments, both splits read one tiled copy.
 
     By samples, the master holds every solver vector whole: each product
     first broadcasts its direction, and the direction a step returns is
@@ -595,7 +638,7 @@ class _Layout:
             sizes = balanced_sizes(total, parts)
             offsets, blocks, cut = split_rows(part.X, sizes, not self.by_samples)
             part.cache["mirror", parts] = _Split(_node_slices(offsets, sizes), blocks, cut)
-        self.mirror = part.cache["mirror", parts]
+        self.split, self.mirror = _tiled(part, self.split, part.cache["mirror", parts])
         self.features, self.samples = (self.mirror, self.split) if self.by_samples else (self.split, self.mirror)
 
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:

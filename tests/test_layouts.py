@@ -35,7 +35,7 @@ from disco import solver
 from disco.harness import gen_synthetic
 from disco.linalg import spmv, spmv_transpose
 from disco.losses import grad_coeffs
-from disco.partition import SamplePartition, balanced_sizes
+from disco.partition import TILE_MIN_NNZ, SamplePartition, balanced_sizes
 
 from conftest import BENCH_DIR, load_discobench, make_dense_instance, newton_step, recorded_solve
 
@@ -347,7 +347,7 @@ def per_shard_product(X, part, u, coeffs, lam, loss):
 @pytest.mark.parametrize("loss", list(LossKind))
 @pytest.mark.parametrize("mode", list(PartitionMode))
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
-@pytest.mark.parametrize("d, n", [(23, 7), (7, 23), (12, 12), (16, 20)])
+@pytest.mark.parametrize("d, n", [(23, 7), (7, 23), (12, 12), (16, 20), (8, 600)])
 def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss):
     """The gradient, margins and Hessian product that each layout computes
     equal a per-shard loop bit for bit: its own split's partial products,
@@ -370,7 +370,10 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     a split by samples would be square (12 x 12 at m = 1, a logistic mirror
     by samples on 12 x 12), the split is the cut of X, which reads X's own
     arrays. No block or cut is taller than wide, so none builds a transposed
-    copy."""
+    copy. On 8 x 600, whose X averages 45 or more nonzeros per (row, sample
+    node) segment, a square-loss solve at m >= 2 streams X's row blocks and
+    cuts X at the sample offsets in either layout, so both products run
+    through one tiled copy of X, some of whose segments are empty."""
     rng = np.random.default_rng(d * 100 + m)
     Xd = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.5)
     Xd[[3, 4]] = 0.0
@@ -407,6 +410,44 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
             assert block.rows <= block.cols
         if cut is not None:
             assert "matrix_t" not in vars(cut)
+    tiled = layout.part.cache.get(("tiled", len(mirror.nodes)))
+    assert (tiled is not None) == ((d, n) == (8, 600) and m > 1 and loss is LossKind.SQUARE)
+    if tiled is not None:  # the streamed split's blocks view the other's cut: one copy of X
+        assert tiled[0] is layout.split and tiled[1] is mirror
+        streamed, copy = (mirror, layout.split.cut) if by_samples else (layout.split, mirror.cut)
+        assert copy.nnz == X.nnz and copy.rows == d * m
+        for block in streamed.blocks:
+            assert np.shares_memory(block.matrix.data, copy.matrix.data)
+
+
+@pytest.mark.parametrize("mode", list(PartitionMode))
+def test_tiled_copy_only_for_long_segments(mode):
+    """A square-loss layout tiles X (``tile_split``) when one split streams
+    row blocks of X, the other cuts X at the sample offsets, and X averages
+    at least ``TILE_MIN_NNZ`` nonzeros per (row, sample node) segment: on
+    4 x 64 dense data at m = 2, exactly at the threshold, and not with one
+    nonzero fewer. A logistic layout, whose mirror has one part, never
+    tiles; nor does either layout on wide_features_square's data, whose
+    streamed X' averages 20 nonzeros per (sample, feature node) segment."""
+    assert TILE_MIN_NNZ == 32  # 4 rows x 2 tiles x 32 = 256 = 4 x 64
+    partition = partition_by_samples if mode is PartitionMode.SAMPLES else partition_by_features
+    ds, _ = make_dense_instance(4, 64, seed=5)
+    sparser = ds.X.toarray()
+    sparser[0, 0] = 0.0
+    wide = load_discobench("workloads").WORKLOADS["wide_features_square"]
+    cases = [
+        (ds.X, ds.y, 2, LossKind.SQUARE, True),
+        (SparseBlock.from_dense(sparser), ds.y, 2, LossKind.SQUARE, False),
+        (ds.X, np.where(ds.y > 0, 1.0, -1.0), 2, LossKind.LOGISTIC, False),
+    ]
+    big = gen_synthetic(wide.d, wide.n, wide.density, wide.noise, wide.default_seed)
+    assert big.X.nnz == 20 * wide.n * wide.m
+    cases.append((big.X, big.y, wide.m, LossKind.SQUARE, False))
+    for X, y, m, loss, tiled in cases:
+        part = partition(X, y, m)
+        layout = solver._Layout(Cluster(m), part, SolverConfig(lam=0.1, mu=0.1, tau=2, loss=loss, partition_mode=mode))
+        assert (("tiled", len(layout.mirror.nodes)) in part.cache) == tiled, (X.shape, X.nnz, loss)
+        assert ((layout.split.reads or layout.mirror.reads) is not None) == tiled
 
 
 # A feature-layout solve whose every block (3 x 24) is no taller than wide:
@@ -530,11 +571,18 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
     row blocks of a split of the 30 samples into 3 parts view (the sample
     partition's, the square-loss feature layout's mirror). A logistic
     solve's one-part split of the samples at d == n is X itself, cut once:
-    no copy."""
+    no copy. On "long" data, whose X averages 40 nonzeros per (feature,
+    sample node) segment, a square-loss solve in either layout runs both
+    products through one tiled copy of X, kept in the partition's cache
+    (``tile_split``): its data and index arrays hold nnz(X) entries each,
+    the streamed split's blocks view it, and it is the one copy of X's
+    nonzeros the solve makes; the partition's own operands and the untiled
+    mirror read X's arrays and are never multiplied."""
     data = {
         "tall": gen_synthetic(120, 20, 0.2, 0.1, 3),  # X is taller than wide: its transposed operand is a copy
         "wide": gen_synthetic(20, 120, 0.2, 0.1, 3),  # feature blocks of 7, 7 and 6 rows: each node's own product
         "square": gen_synthetic(30, 30, 0.2, 0.1, 3),  # row blocks of 10 x 30 of X by features, of X' by samples
+        "long": gen_synthetic(18, 240, 0.5, 0.1, 3),  # 9 nonzeros per sample: X tiled for the square loss
     }
     for loss, mode, shape in itertools.product(LossKind, PartitionMode, data):
         ds, logistic, by_samples = data[shape], loss is LossKind.LOGISTIC, mode is PartitionMode.SAMPLES
@@ -551,31 +599,35 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
             assert disco_outer(Cluster(3), ds, cfg).converged, case
         (part,) = parts
         cut = part.cut is not None
-        assert cut == (shape == ("wide" if by_samples else "tall")), case
+        assert cut == (shape in (("wide", "long") if by_samples else ("tall",))), case
         fields = {f.name: getattr(part, f.name) for f in dataclasses.fields(part)}
         held = [k for k, v in fields.items() if any(isinstance(o, (sparse.sparray, SparseBlock))
                                                      for o in (v if isinstance(v, tuple) else (v,)))]
         assert held == (["X", "cut"] if cut else ["X", "blocks"]), case
         assert "matrix_t" not in vars(ds.X)
         key = ("mirror", 1 if logistic else 3)
-        assert set(part.cache) == {("curvature_slices", 5), key}, case
+        tiles = shape == "long" and not logistic
+        assert set(part.cache) == {("curvature_slices", 5), key, *[("tiled", 3)] * tiles}, case
         kept, mirror = part.cache[("curvature_slices", 5)], part.cache[key]
         assert kept.x is not None  # tau = 5 is below every block
         operands = [part.cut] if cut else list(part.blocks)
         other = [mirror.cut] if mirror.cut is not None else list(mirror.blocks)
-        for block in operands + other:  # blocks multiply transposed, cuts forward
-            assert ("matrix_t" in vars(block)) != (block is part.cut or block is mirror.cut), case
+        # the splits the solve multiplies through: the tiled pair, or the partition's and the mirror
+        split, other_split = part.cache[("tiled", 3)] if tiles else (part, mirror)
+        products = [o for s in (split, other_split) for o in ([s.cut] if s.cut is not None else s.blocks)]
+        for block in products:  # blocks multiply transposed, cuts forward
+            assert ("matrix_t" in vars(block)) != (block is split.cut or block is other_split.cut), case
         assert kept.x.rows <= kept.x.cols and set(vars(kept.x)) == {"matrix", "matrix_t"}
-        for block in [*operands, *other, kept.x]:
+        for block in [*products, kept.x]:
             assert block.rows <= block.cols
         allowed = []
-        for block in [part.X, *operands, *other, kept.x]:
+        for block in [part.X, *operands, *other, *products, kept.x]:
             allowed += [block, block.matrix, vars(block).get("matrix_t")]
         seen = {id(o) for o in before}
         new = [o for o in sparse_objects() if id(o) not in seen]
-        # nothing else: what is new is the partition's operands and the Woodbury cut
+        # nothing else: what is new is the partition's operands, the tiled copy and the Woodbury cut
         assert {id(o) for o in new} <= {id(o) for o in allowed}, (case, [type(o) for o in new])
-        assert {*map(id, operands + other + [kept.x])} <= {id(o) for o in new}
+        assert {*map(id, operands + other + products + [kept.x])} <= {id(o) for o in new}
 
         # X for a cut by samples or row blocks by features, else X' in CSR
         reads_x = [(block, by_samples == cut) for block in operands]
@@ -602,22 +654,24 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
                 assert np.shares_memory(block.matrix.data, xt_data), case
                 assert np.shares_memory(block.matrix.indices, xt_indices), case
             sources.append(xt_data)
+        if tiles:  # the one copy of X's nonzeros, which both splits read
+            copy = split.cut if split.cut is not None else other_split.cut
+            copy_data, copy_indices = data_root(copy.matrix.data), data_root(copy.matrix.indices)
+            assert copy_data.size == copy_indices.size == ds.X.nnz, case
+            assert not np.shares_memory(copy_data, ds.X.matrix.data), case
+            for block in (*split.blocks, *other_split.blocks):
+                assert np.shares_memory(block.matrix.data, copy_data), case
+                assert np.shares_memory(block.matrix.indices, copy_indices), case
+            sources.append(copy_data)
         copies = [o for o in new if isinstance(o, sparse.sparray)]
         assert all(any(np.shares_memory(o.data, data) for data in sources) for o in copies), case
 
 
-@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
-@pytest.mark.parametrize(
-    "workload", [w["name"] for w in json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())["workloads"]]
-)
-def test_benchmark_gate_passes_in_process(monkeypatch, workload, trace):
-    """Each benchmark workload, at a tenth of its size, passes the gate every
-    benchmark solve is held to: convergence, the gradient norm recomputed on
-    the full data, the README cost model and counters repeated across the
-    solves of one dataset. The traced run also wraps every name the tracer
-    lists and checks that the layers' self times add up to the solve. The
-    benchmark's modules are imported from their directory without writing to
-    it, and unloaded afterwards."""
+@pytest.fixture
+def bench_run(monkeypatch):
+    """discobench/run.py, imported from its directory, as it imports its
+    siblings, without writing to it; it and its siblings are unloaded
+    afterwards."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")  # the value run.py sets on import; the old state comes back on exit
     modules = ("run", "workloads", "costmodel", "reference", "tracer")
@@ -628,11 +682,42 @@ def test_benchmark_gate_passes_in_process(monkeypatch, workload, trace):
     try:
         import run
 
-        _, result = run.run(workload, 3, 1.0, trace, scale=0.1)
+        yield run
     finally:
         for name in modules:
             sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize(
+    "workload", [w["name"] for w in json.loads((BENCH_DIR.parent / "BENCHMARK.json").read_text())["workloads"]]
+)
+def test_benchmark_gate_passes_in_process(bench_run, workload, trace):
+    """Each benchmark workload, at a tenth of its size, passes the gate every
+    benchmark solve is held to: convergence, the gradient norm recomputed on
+    the full data, the README cost model and counters repeated across the
+    solves of one dataset. The traced run also wraps every name the tracer
+    lists and checks that the layers' self times add up to the solve."""
+    _, result = bench_run.run(workload, 3, 1.0, trace, scale=0.1)
     assert result["correct"] and result["failed"] == 0, result
+
+
+def test_benchmark_gate_passes_a_full_size_tiled_solve(bench_run, monkeypatch):
+    """tall_features_square's instance 0 at full size passes the check every
+    benchmark solve is held to (``run.check_solve``). At a tenth of its size
+    X has one nonzero per sample, far below ``TILE_MIN_NNZ`` per (feature,
+    sample node) segment; at full size it has 125, so both products run
+    through the tiled copy of X."""
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS["tall_features_square"]
+    ds = workload.map_labels(workload.generate(workload.default_seed))
+    config, parts, partition = workload.config(), [], solver.partition_by_features
+    monkeypatch.setattr(solver, "partition_by_features", lambda *args: parts.append(partition(*args)) or parts[-1])
+    cluster = Cluster(workload.m)
+    result = solver.disco_outer(cluster, ds, config)
+    assert ("tiled", workload.m) in parts[0].cache
+    assert bench_run.check_solve(workload, ds, config, result, cluster.snapshot_stats()) is None
 
 
 def test_the_suite_runs_blas_on_one_thread():
@@ -686,8 +771,9 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
     assert calls["apply_block"] == 0
 
 
-@pytest.mark.parametrize("d, n, streamed", [(9, 24, True), (30, 9, False)], ids=["streamed", "stacked"])
-def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, streamed):
+@pytest.mark.parametrize("d, n, streamed, tiles", [(9, 24, True, False), (30, 9, False, False), (9, 96, True, True)],
+                         ids=["streamed", "stacked", "tiled"])
+def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, streamed, tiles):
     """The benchmark tracer times ``linalg.spmv`` and ``linalg.spmv_transpose``
     by wrapping ``solver.spmv`` and ``solver.spmv_transpose``. Each layout's
     partial products, the feature layout's margins on d x n data and the
@@ -705,8 +791,14 @@ def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, str
     into m parts, whose blocks are no taller than wide here:
     ``spmv_transpose`` on each feature block (3 x 30 or 8 x 9) in the sample
     layout, on each row block of X' (8 x 9 or 3 x 30) in the feature layout.
-    Either way the nonzeros of each product add up to X's, and those of
-    ``spmv`` and ``spmv_transpose`` together to twice X's per product."""
+    On 9 x 96 data by features (96 x 9 by samples) the other layout's blocks
+    are taller than wide, so a logistic solve cuts X' (X by samples) at its
+    one offset, and a square-loss solve, whose streamed matrix averages 32
+    nonzeros per (row, tile) segment, runs both products through one tiled
+    copy of it: ``spmv_transpose`` once per node on the node's rows of the
+    copy and ``spmv`` once on the whole copy. Either way the nonzeros of
+    each product add up to X's, and those of ``spmv`` and ``spmv_transpose``
+    together to twice X's per product."""
     m = 3
     for loss, mode in itertools.product(LossKind, PartitionMode):
         shape = (d, n) if mode is PartitionMode.FEATURES else (n, d)
@@ -727,10 +819,16 @@ def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, str
         products = result.grad_evals + result.inner_iters_total
         (part,) = parts
         assert (part.cut is None) == streamed, mode
-        partials = list(part.blocks) if streamed else [part.cut]
         parts_other = 1 if loss is LossKind.LOGISTIC else m
         mirror = part.cache[("mirror", parts_other)]
-        assert len(mirror.nodes) == parts_other and (mirror.cut is not None) == (parts_other == 1 and streamed)
+        assert len(mirror.nodes) == parts_other and (mirror.cut is not None) == (streamed and (parts_other == 1 or tiles))
+        tiled = ("tiled", parts_other) in part.cache
+        assert tiled == (tiles and parts_other > 1)
+        own, mirror = part.cache[("tiled", parts_other)] if tiled else (part, mirror)
+        partials = list(own.blocks) if streamed else [own.cut]
+        if tiled:  # node i's rows of the copy: its feature block once per sample tile
+            assert [block.rows for block in partials] == [size * m for size in part.sizes]
+            assert all(np.shares_memory(block.matrix.data, mirror.cut.matrix.data) for block in partials)
         forward = mirror.cut is not None
         other = [mirror.cut] if forward else list(mirror.blocks)
         per_product = partials + other if mode is PartitionMode.FEATURES else other + partials
