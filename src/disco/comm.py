@@ -1,44 +1,15 @@
 """Simulated collective communication over m lockstep workers, with metering.
 
-The cluster models a barrier-synchronized machine group: a compute phase does
-every node's local work, then a collective moves data between nodes. A
-compute phase takes one of two forms:
-
-* it runs each node's work in turn: over all node ids at once
-  (``map_nodes``, as the feature layout's metered dot products do), or as
-  an iterable handed to ``reduce_all`` that produces node i's contribution
-  when asked, which the collective adds while it is still in cache, as both
-  layouts' partial products do when every node's block is no taller than
-  wide (over node i's rows of a tiled copy, ``linalg.tile_rows``, when the
-  solver keeps one);
-* it runs one kernel over a cut (``linalg.cut_rows``), an operand whose
-  every row holds one node's part of one output element, and splits the
-  result into the per-node contributions, as both layouts' partial products
-  do when some node's block is taller than wide, and as a Woodbury
-  preconditioner applies its blocks; over a tiled copy, whose rows run node
-  by node, an index fixed when the copy is built splits the result.
-
-Whatever the form, each collective receives one contribution per node and
-meters the same rounds and bytes.
-
-Collectives are *logical* single-round operations -- one round and
-8 bytes/element regardless of the node count -- because the cost model counts
-collective invocations and payload volume, not transport-level hops. Counters
-never reset on their own; ``reset_stats``/``snapshot_stats`` bracket the
-region being measured.
-
-Three collectives exist and they are the only way data crosses nodes:
-
-* ``broadcast``   -- send the master's payload to every node.
-* ``reduce_all``  -- element-wise sum of per-node payloads, held by every node.
-* ``reduce_concat`` -- concatenate per-node blocks onto the master.
-
-After ``broadcast`` or ``reduce_all`` every node holds the same value, so the
-simulator returns it once, as a read-only array: a copy of the payload, or
-the sum itself. The counters meter the call, not the replicas.
-
-``map_nodes`` runs node by node in node order and reductions sum in
-ascending node order, so a run is deterministic.
+Three collectives are the only way data crosses nodes: ``broadcast`` (the
+master's payload to every node), ``reduce_all`` (the elementwise sum of
+per-node payloads, held by every node) and ``reduce_concat`` (per-node blocks
+concatenated on the master). Each is one logical round of 8 bytes per
+element, whatever the node count: the cost model counts invocations and
+payload volume, not transport hops. A collective's result is returned once,
+as the one read-only array every node holds, not as per-node replicas.
+Counters never reset on their own; ``reset_stats``/``snapshot_stats``
+bracket the region being measured. ``map_nodes`` runs in node order and
+reductions sum in ascending node order, so a run is deterministic.
 """
 
 from __future__ import annotations
@@ -120,14 +91,9 @@ class Cluster:
 
     def reduce_all(self, contributions) -> np.ndarray:
         """Sum per-node vectors in ascending node order, (c0 + c1) + c2 ...;
-        returns the read-only sum every node holds.
-
-        ``contributions`` may be any iterable, such as a generator that
-        computes node i's vector when asked. Each contribution after the
-        first is added as soon as it arrives, while it is still in cache, and
-        the next is asked for only then. The first is held until the second
-        arrives, so each one yielded must be a fresh array, never a buffer
-        that the generator refills."""
+        returns the read-only sum every node holds. ``contributions`` may be
+        a generator: each is added as it arrives, before the next is asked
+        for, so each must be a fresh array, not a buffer it refills."""
         vectors = self._node_vectors("reduce_all", contributions, "contributions")
         first = next(vectors)
         total = None

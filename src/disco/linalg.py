@@ -1,33 +1,11 @@
 """Sparse blocks and dense-vector primitives shared by both partition layouts.
 
-Everything is float64. The same small set of kernels backs the serial
-reference computations and the node-local work inside the simulated cluster,
-so that a one-node run reproduces the unpartitioned computation bit for bit.
-``cut_rows`` cuts every row of a CSR matrix at given column offsets with a
-new row pointer over its data and indices, so that one forward product gives
-each column block's part of every row. Every split whose row blocks would be
-taller than wide (or, by samples, all square) is read as such a cut of the
-split matrix's transpose: a partition's, the other layout's split of a
-solve, and the Woodbury preconditioner's d_b x tau slices. ``tile_rows``
-copies such a cut with its rows reordered row block by row block, so that
-one copy serves a split's row blocks and the other split's cut (a
-square-loss solve with long segments). ``row_view`` gives a row block of a
-CSR matrix over its own arrays. The products of a
-solve (``spmv``, ``spmv_transpose`` and the preconditioner's, all through
-``matvec``) call scipy's compiled CSR/CSC kernels directly: the routines
-that ``operand @ x`` ends in after scipy's Python dispatch, which costs more
-than the product at these sizes; the bits are the same, and the kernels
-accumulate in storage order (ascending index), deterministic from run to
-run. ``spmv`` multiplies by the block's CSR matrix and ``spmv_transpose``
-by ``matrix_t``, for a block no taller than wide the CSC view over the same
-arrays: no copy, even when those arrays are views into a larger matrix's
-(``compressed_view``, which every row block and cut also uses). No block
-that a solve multiplies is taller than wide, so both products loop over its
-shorter side. A taller block's ``matrix_t`` is a CSR copy of its transpose,
-built on first use: the partition's X keeps it as X' in CSR, which the
-splits of a taller X read. The loss functions on the unpartitioned data
-matrix multiply through its CSR matrix and CSC view with scipy's ``@``, so
-that it never holds one.
+Everything is float64. ``SparseBlock`` wraps a canonical CSR matrix;
+``row_view``, ``cut_rows`` and ``compressed_view`` give views over a CSR
+matrix's own arrays. ``spmv`` and ``spmv_transpose`` (through ``matvec``)
+call scipy's compiled CSR/CSC kernels directly, which add each output
+element's terms in ascending index order from 0.0, so results are
+deterministic and have the bits of ``operand @ x``.
 """
 
 from __future__ import annotations
@@ -48,7 +26,6 @@ __all__ = [
     "row_view",
     "spmv",
     "spmv_transpose",
-    "tile_rows",
 ]
 
 
@@ -69,9 +46,8 @@ def _index_dtype(shape, nnz: int):
 
 def compressed_view(fmt: str, data, indices, indptr, shape):
     """The CSR or CSC (``fmt``) array of ``shape`` over exactly these
-    canonical arrays, views included. scipy's constructor copies an array
-    that views less than half of another, so the arrays are assigned to an
-    empty array of the shape instead."""
+    canonical arrays, views included (scipy's constructor would copy a small
+    view, so they are assigned to an empty array)."""
     view = (sparse.csr_array if fmt == "csr" else sparse.csc_array)(shape)
     view.data, view.indices, view.indptr = data, indices, indptr
     return view
@@ -106,11 +82,9 @@ class SparseBlock:
 
     @cached_property
     def matrix_t(self):
-        """The operand of ``block.T @ x``, built on the first transposed
-        product: the CSC view over the CSR arrays when rows <= cols, else a CSR
-        matrix over sorted CSC arrays, so that the product's outer loop runs
-        over the shorter side. Both kernels add each output element's terms in
-        ascending index order, starting from 0.0, so the bits are the same."""
+        """The operand of ``block.T @ x``, built on first use: the CSC view
+        over the CSR arrays when rows <= cols, else a CSR copy of the
+        transpose, so that the product loops over the shorter side."""
         m = self.matrix
         if m.shape[0] <= m.shape[1]:
             return compressed_view("csc", m.data, m.indices, m.indptr, m.shape[::-1])
@@ -151,13 +125,12 @@ def row_view(matrix, start: int, stop: int) -> sparse.csr_array:
 
 
 def cut_rows(matrix, offsets) -> sparse.csr_array:
-    """The CSR matrix of shape (k*rows, cols) whose row i*k + j holds row i
-    of the canonical CSR ``matrix`` in columns ``offsets[j]`` up to the next
-    of the k offsets (the last up to the end): a new row pointer over
-    ``matrix``'s own data and indices. Its product with x holds, at
-    i*k + j, row i's product with x over column block j alone, its terms
-    added in ascending column order from 0.0, as the block's own product
-    adds them."""
+    """The CSR matrix of shape (k*rows, cols), a new row pointer over the
+    canonical CSR ``matrix``'s own data and indices, whose row i*k + j holds
+    row i in columns ``offsets[j]`` up to the next of the k offsets (the
+    last to the end). Its
+    product with x holds at i*k + j the bits of row i's product over column
+    block j alone."""
     if len(offsets) == 1 and offsets[0] == 0:
         return matrix  # one block: the matrix itself
     rows, cols = matrix.shape
@@ -170,26 +143,6 @@ def cut_rows(matrix, offsets) -> sparse.csr_array:
     return compressed_view("csr", matrix.data, matrix.indices, indptr, shape)
 
 
-def tile_rows(cut, offsets, k: int) -> tuple:
-    """(tiled, order) for ``cut``, a matrix's ``cut_rows`` at k column
-    offsets (the tiles), whose row r*k + j holds row r in tile j: ``tiled``
-    is a CSR copy of it with the rows reordered by the row blocks that start
-    at ``offsets``, block by block, then tile by tile, so that block i's
-    rows in tile j are rows offsets[i]*k + j*size_i onward, and ``order`` is
-    the (k, rows) index array of each row's tile j in ``tiled``. Each row
-    keeps its entries in column order, so a product with ``tiled`` adds each
-    output element's terms in the order of the cut's product."""
-    rows = cut.shape[0] // k
-    bounds = (*offsets, rows)
-    order = np.empty((k, rows), dtype=np.intp)
-    for start, stop in zip(bounds, bounds[1:]):
-        size = stop - start
-        order[:, start:stop] = start * k + np.arange(k)[:, None] * size + np.arange(size)
-    source = np.empty(rows * k, dtype=np.intp)
-    source[order.T.ravel()] = np.arange(rows * k)  # the cut's row r*k + j is row order[j, r] of the copy
-    return cut[source], order
-
-
 # scipy's compiled matrix-vector kernels by operand format. The module is
 # private to scipy, so it is imported here alone: a scipy that moves it fails
 # at import, not mid-solve.
@@ -197,10 +150,8 @@ _MATVEC = {"csr": _sparsetools.csr_matvec, "csc": _sparsetools.csc_matvec}
 
 
 def matvec(operand, x: np.ndarray) -> np.ndarray:
-    """Return ``operand @ x`` for a float64 CSR or CSC ``operand`` and a
-    vector ``x`` of length ``operand.shape[1]``. It runs the kernel that
-    scipy's ``operand @ x`` runs, on a fresh zero vector, so the bits are the
-    same."""
+    """``operand @ x``, with its bits, for a float64 CSR or CSC ``operand``
+    and a vector ``x`` of length ``operand.shape[1]``."""
     rows, cols = operand.shape
     if x.shape != (cols,):  # the kernel reads x unchecked, past its end if short
         raise ValueError(f"matvec dimension mismatch: operand is {rows}x{cols}, vector has shape {x.shape}")

@@ -1,149 +1,15 @@
-"""Damped inexact-Newton outer loop: one PCG recurrence, two data layouts.
+"""Damped inexact-Newton outer loop: one PCG recurrence over two data layouts.
 
-The outer loop repeats: evaluate the gradient, solve the Newton system
-H v = grad approximately with preconditioned conjugate gradient, then apply
-the damped update w <- w - v / (1 + delta) with delta = sqrt(v'Hv). The inner
-tolerance follows the relative rule eps_k = theta * ||grad||, 0 < theta < 1.
+``disco_outer`` runs the loop over the layout that ``config.partition_mode``
+picks. ``pcg_samples``/``pcg_features`` take one Newton step and
+``build_preconditioner``/``build_preconditioner_features`` build the
+feature-block preconditioner, each for its kind of partition; the two
+layouts run the same mathematics and differ only in what they communicate,
+and their square-loss iterates are bitwise equal. README describes how.
 
-For the square loss H does not depend on w, and with c = delta/(1 + delta)
-the next gradient is g_{k+1} = g_k - Hv_k/(1 + delta) = r_k + c*Hv_k, so
-g_{k+1} - c*Hv_k is the step's final residual r_k. The next step therefore
-continues the same CG recurrence from v = c*v_k, Hv = c*Hv_k and the carried
-r, s and search direction u (a ``PcgState``), and a solve is one
-unrestarted CG run cut at each eps_k. A step whose carried residual already
-meets eps_k returns c*v_k, which the master already holds, with
-delta = c*delta_k, and sends nothing; a continued step's first curvature
-round still carries r's, so the collectives per inner iteration are those
-of a cold step. The logistic Hessian moves with w, so a logistic step starts
-from v = 0.
-
-The recurrence, the preconditioner build, the outer loop, both products
-(gradient and Hessian) and the dot products are written once, over one
-layout object, ``_Layout``, which reads its kind from the partition's type.
-In both layouts a solver vector (w, grad, r, s, u, v, Hu, Hv) is one
-length-d float64 array and a sample-space vector (margins X'w, curvature h,
-labels) one length-n array; the layouts differ only in where the per-node
-work runs and what combining it costs:
-
-* split by samples, node j works on its samples' slice of a sample-space
-  vector and the master holds every solver vector whole, so dot products are
-  free; each product broadcasts its direction and reduce-alls the per-node
-  contributions (R^d each).
-* split by features, node i works on its feature block's slice of a solver
-  vector and holds every sample-space vector whole; each product costs one
-  length-n reduce_all (X'u), the dot products ride two scalar reduce_alls
-  per inner iteration (the first also carries the initial <r, s>; the second
-  carries r's, ||r||^2 and v'Hv), and a step that ran any inner iteration
-  ends with a concatenating reduce that assembles the direction on the
-  master.
-
-A broadcast or reduce_all returns the one read-only array that every node
-then holds, so no layout keeps per-node replicas; PCG never writes into an
-array it did not just allocate.
-
-Both layouts run the same pair of products, written once in
-``_Layout._product``: X'u summed over the feature split, then X c / n over
-the sample split. A sum over the layout's own split, its partition's (X by
-features, X' by samples), is its metered reduce_all; one over its
-``mirror``, the other layout's split, is unmetered; the sample layout adds
-only its broadcast of u. ``split_rows`` makes every split and picks its
-operand from the block shape alone. When every block is no taller than wide,
-the partials are a scatter whose m results can together outgrow the cache
-(8 x 50,000 doubles on the tall benchmark workload), so node i's is computed
-from its own row block, transposed, only when the sum asks for it, and is
-added while it is still in cache. Otherwise they are one forward product
-with the split matrix's transpose cut at the node offsets (``cut_rows``),
-whose every row holds one node's part of one output element. Either way the
-collectives, their rounds and their bytes are those of a per-node run. A
-Woodbury preconditioner applies its blocks through the same kind of cut of
-its slices, one product each way.
-
-When one split streams its row blocks and the other is a cut, a
-square-loss solve whose streamed matrix averages at least ``TILE_MIN_NNZ``
-nonzeros per (row, tile) segment, the tiles being the cut's node offsets,
-runs both through one tiled copy of the streamed matrix (``tile_split``,
-kept in the partition's cache beside the mirror; on tall data, in either
-layout, X cut at the 8 sample offsets). Node i's partial is one transposed
-product over its rows of the copy with ``v[node]`` repeated once per tile,
-so that its scatter writes inside one tile at a time, and the other split's
-partials are one forward product over the whole copy, put into node order
-by an index fixed when the copy is built. Every output element adds the
-same terms in the same order, so the bits are those of the untiled
-products; a logistic solve, whose mirror has one part, has no tiles.
-
-A square-loss mirror has min(size, m) parts, so both layouts sum every
-product in node order, as the other layout's reduce_all sums it, and the
-sample layout sums its dot products over the feature split as the feature
-layout's scalar reduce_alls do; the feature layout divides each part of its
-data term by n, as the sample layout does. Every other operation is
-elementwise on the same arrays in both layouts, so square-loss iterates are
-bitwise equal across layouts, and a CG run continued over many steps cannot
-drift between them. A logistic solve restarts PCG at every step, and summing
-its products over both splits cost more time than it bought, so its mirror
-has one part: one kernel call over all of X or X', on the arrays that X's
-own products read, and the layouts round differently.
-
-Both layouts use the same preconditioner: a feature-block-diagonal curvature
-matrix estimated from the first tau samples,
-
-    P_b = (1/tau) * sum_{j<tau} h_j x_j^(b) (x_j^(b))' + mu * I
-
-per block b of the balanced split of the d features into min(d, m) blocks
-(the feature layout's own split), inverted once per build. DiSCO takes
-mu > 0, and so does ``SolverConfig``, so every P_b is positive definite. A
-build inverts one kind of matrix for every block, from its Cholesky factor
-(LAPACK ``potri``), and applies each inverse with one BLAS symmetric matvec
-(``dsymv``):
-
-* tau below every block's size: P_b is mu*I plus a rank-tau term; block b
-  keeps C_b = diag(s) K^{-1} diag(s), s = sqrt(h),
-  K = mu*tau*I + diag(s) X_b'X_b diag(s), over its sparse d_b x tau slice
-  X_b, and solves by the Woodbury identity, (r - X_b C_b X_b' r) / mu;
-* otherwise every block keeps the inverse of the dense d_b x d_b P_b (on a
-  12-feature test problem at m <= 4 the layouts' iterates drift apart by up
-  to 2e-7 relative through Woodbury, by 4e-10 through the dense inverse).
-  Block sizes differ by at most one, so no dense block is larger than
-  (tau + 1) x (tau + 1).
-
-The O(size^3) inverses, once per build, pay back over the PCG solve that
-follows: a build runs once per solve for the square loss and at every Newton
-step for the logistic loss. A partition's first build cuts the first tau
-columns of X into the blocks and keeps in the partition's ``cache`` what
-every later build reads: for Woodbury, each block's dense tau x tau Gram
-X_b'X_b (one sparse product per block per solve) and the k*tau x d cut of
-the slices' transpose, whose row t*k + b holds sample t's entries in block
-b, and whose CSC view serves the apply's second product; otherwise each
-block's dense d_b x tau slice. Only the sqrt(h) scaling depends on the
-iterate, so a logistic rebuild at every Newton step slices nothing and
-creates no sparse matrix: Woodbury scales each kept Gram by sqrt(h) on
-both sides, an O(tau^2) pass, adds mu*tau*I and inverts it; a dense build
-forms and inverts each d_b x d_b Gram. The price is one extra tau x tau
-array per block for the life of the partition, 8 MB per block at the
-default tau = 1000. With identical preconditioners the two layouts produce the same
-iterates, up to roundoff for the logistic loss and bit for bit for the
-square loss, so layout only changes communication cost, not the
-optimization path.
-
-No row block or cut is taller than wide, so each multiplies over its
-shorter side, forward through its CSR matrix and transposed through the CSC
-view over the same arrays (no copy). Both kernels add each output element's
-terms in ascending index order from 0.0, so each node's part of a product
-with a cut has the bits of a per-node product.
-
-A solve is described once: the partition gives the data, n, the feature
-block split and, by its type, the layout; ``SolverConfig`` gives the loss,
-lam and every solver parameter. A layout validates the config, and that tau
-fits the data, when it is built; each entry point first checks that its
-partition is of its kind. Each PCG solve is handed what the outer loop
-already holds: the gradient and margins from its metered exchange, the
-preconditioner and, for the square loss, the state to continue from.
-
-The layout calls its kind's public entry points (``pcg_*``,
-``build_preconditioner*``), the outer loop its partitioner and the products
-the kernels, all through this module's globals at call time, so replacing
-one of those names catches every call: the benchmark's tracer times the
-layers that way, and the tests record the Newton steps and preconditioned
-residuals of a solve, which the solver itself does not keep.
+The layout calls those entry points, the outer loop its partitioner and the
+products their kernels through this module's globals at call time, so
+replacing one of those names here catches every call.
 """
 
 from __future__ import annotations
@@ -246,15 +112,6 @@ class SolverConfig:
         if self.max_inner is not None and self.max_inner < 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
 
-    def resolved_tau(self, available: int, master_shard: int) -> int:
-        """tau, checked against the ``available`` samples; the default is
-        min(1000, master_shard)."""
-        if self.tau is None:
-            return min(1000, master_shard)
-        if self.tau > available:
-            raise ValueError(f"tau={self.tau} exceeds the {available} samples available for the preconditioner")
-        return self.tau
-
     def resolved_max_inner(self, d: int) -> int:
         return min(5 * d, 10000) if self.max_inner is None else self.max_inner
 
@@ -339,12 +196,10 @@ _symv = get_blas_funcs("symv", dtype=np.float64)
 
 
 def _spd_inverse(a: np.ndarray, ridge: float) -> np.ndarray:
-    """The inverse of the symmetric a + ridge*I (written into ``a``), from
-    its Cholesky factor (``potri``): a Fortran-ordered array whose lower
-    triangle holds the inverse and whose upper triangle is not read. Raises
-    ``LinAlgError`` when the sum is not numerically positive definite or the
-    ridge is lost to rounding (at most eps times a's largest diagonal entry),
-    which would leave the sign of a pivot to roundoff."""
+    """The inverse of the symmetric a + ridge*I (written into ``a``) in the
+    lower triangle of a Fortran-ordered array whose upper triangle is not
+    read. Raises ``LinAlgError`` when the sum is not numerically positive
+    definite or the ridge is at most eps times a's largest diagonal entry."""
     if ridge <= np.finfo(np.float64).eps * a.diagonal().max():
         raise np.linalg.LinAlgError(f"ridge {ridge} is lost to rounding")
     a[np.diag_indices_from(a)] += ridge
@@ -370,13 +225,11 @@ def _check_kind(part, kind: type):
 
 @dataclass
 class BlockPreconditioner:
-    """The inverted per-feature-block subsampled curvature matrices of one
-    build. Block b covers features ``offsets[b]:+sizes[b]`` and applies
-    ``c[b]``, a Fortran-ordered array whose lower triangle alone is read,
-    with one ``dsymv``. A Woodbury build holds ``x``, the k*tau x d cut of
-    the k blocks' sparse d_b x tau slices X_b, transposed: row t*k + b holds
-    sample t's entries in block b's features; and c[b] = C_b. A dense build
-    holds no cut (None) and c[b] = P_b^{-1}."""
+    """One build's inverted feature-block curvature matrices P_b. Block b
+    covers features ``offsets[b]:+sizes[b]``; the lower triangle of ``c[b]``
+    is P_b^{-1} in a dense build (``x`` None), and C_b in a Woodbury build,
+    whose ``x`` is the k*tau x d cut of the blocks' d_b x tau slices X_b,
+    transposed: row t*k + b holds sample t's entries in block b."""
 
     sizes: tuple
     offsets: tuple
@@ -389,10 +242,8 @@ class BlockPreconditioner:
         return sum(self.sizes)
 
     def apply_block(self, i: int, r: np.ndarray) -> np.ndarray:
-        """Solve P_i s = r for block i alone: ``apply`` on r placed at the
-        block's features in a zero vector, sliced back. No other block's
-        entries reach the block's rows, so this has the bits of the block's
-        own solve."""
+        """Solve P_i s = r for block i alone, with the bits of ``apply``'s
+        block i."""
         r = _vector(r, f"block {i} solve")
         if not 0 <= i < len(self.c):
             raise ValueError(f"block index {i} is outside 0..{len(self.c) - 1}")
@@ -404,13 +255,9 @@ class BlockPreconditioner:
         return self.apply(padded)[rows]
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """Solve P s = r with the stored inverses: a Woodbury build through
-        one forward product with the cut ``x``, one ``dsymv`` per block and
-        one product with the cut's CSC view (its ``matrix_t``),
-        (r - X_b C_b X_b' r) / mu for every block at once; a dense
-        build through one ``dsymv`` per block. Every row of the cut holds
-        one block's entries in that block's order, so each block's part of
-        the result has the bits of its own solve."""
+        """Solve P s = r: (r - X_b C_b X_b' r) / mu per Woodbury block,
+        P_b^{-1} r_b per dense block. Each block's part of the result has the
+        bits of its own solve."""
         r = _vector(r, "P solve")
         if r.shape[0] != self.dim:
             raise ValueError(f"P solve: vector has length {r.shape[0]}, P is {self.dim}x{self.dim}")
@@ -425,12 +272,11 @@ class BlockPreconditioner:
 
 
 class _KeptSlices(NamedTuple):
-    """What a partition keeps of X's first tau columns, cut into the feature
-    blocks at ``offsets``/``sizes``. A Woodbury cut (tau below every block's
-    size) keeps each block's dense tau x tau Gram X_b'X_b in ``arrays``, which
-    no curvature changes, and the cut ``x`` that ``BlockPreconditioner.apply``
-    reads; a dense cut keeps each block's dense d_b x tau slice and no
-    sparse cut (None)."""
+    """X's first tau columns cut into the feature blocks at
+    ``offsets``/``sizes``: for Woodbury (tau below every block's size) each
+    block's dense tau x tau Gram X_b'X_b and the cut ``x`` of
+    ``BlockPreconditioner``; otherwise each block's dense d_b x tau slice and
+    no cut (None)."""
 
     sizes: tuple
     offsets: tuple
@@ -440,9 +286,8 @@ class _KeptSlices(NamedTuple):
 
 def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int) -> _KeptSlices:
     """X's first tau columns cut into ``balanced_sizes(d, min(d, m))``
-    feature blocks (none empty when m > d), the feature layout's split in
-    both layouts. The first call for a partition and tau cuts and keeps them
-    in ``part.cache``, so that a rebuild slices nothing."""
+    feature blocks in both layouts; made once per partition and tau, and
+    kept in ``part.cache``."""
     key = ("curvature_slices", tau)
     if key not in part.cache:
         sizes = tuple(balanced_sizes(part.d, min(part.d, len(part.sizes))))
@@ -464,13 +309,10 @@ def _curvature_slices(part: SamplePartition | FeaturePartition, tau: int) -> _Ke
 
 
 def _invert_blocks(kept: _KeptSlices, h_tau: np.ndarray, mu: float) -> BlockPreconditioner:
-    """Invert every block of a kept cut at the curvature ``h_tau`` of its
-    tau samples: a Woodbury cut through K = diag(s) X_b'X_b diag(s) +
-    mu*tau*I, s = sqrt(h), an O(tau^2) scaling of the kept Gram and one
-    O(tau^3) inverse, kept as C_b = diag(s) K^{-1} diag(s); a dense cut
-    through P_b^{-1}. mu > 0 makes every matrix positive definite; one that
-    rounding leaves singular or indefinite (mu far below the curvature's
-    scale) raises an error naming mu."""
+    """Invert every block of ``kept`` at the curvature ``h_tau`` of its tau
+    samples: C_b = diag(s) K^{-1} diag(s), K = diag(s) X_b'X_b diag(s) +
+    mu*tau*I, s = sqrt(h), for Woodbury, else P_b^{-1}. A block that
+    rounding leaves not positive definite raises an error naming mu."""
     tau = len(h_tau)
     s = np.sqrt(h_tau)
     inverses = []
@@ -491,12 +333,16 @@ def _invert_blocks(kept: _KeptSlices, h_tau: np.ndarray, mu: float) -> BlockPrec
 
 
 def _resolved_tau(config: SolverConfig, part: SamplePartition | FeaturePartition) -> int:
-    """tau, checked against the samples that the preconditioner can draw
-    from: the master's shard when ``part`` splits samples, all n when it
-    splits features. The default is min(1000, the master's balanced sample
-    shard) in both, so that both layouts build one preconditioner."""
+    """``config.tau``, or by default min(1000, the master's balanced sample
+    shard) in both layouts; raises when it exceeds the samples the
+    preconditioner draws from, the master's shard by samples and all n by
+    features."""
+    if config.tau is None:
+        return min(1000, balanced_sizes(part.n, len(part.sizes))[0])
     available = part.sizes[0] if isinstance(part, SamplePartition) else part.n
-    return config.resolved_tau(available, balanced_sizes(part.n, len(part.sizes))[0])
+    if config.tau > available:
+        raise ValueError(f"tau={config.tau} exceeds the {available} samples available for the preconditioner")
+    return config.tau
 
 
 def _block_preconditioner(config: SolverConfig, part: SamplePartition | FeaturePartition, tau: int,
@@ -513,12 +359,9 @@ def build_preconditioner(
     spart: SamplePartition,
     margins: np.ndarray | None = None,
 ) -> BlockPreconditioner:
-    """Master-side build for the sample layout: the first tau samples, all
-    on the master (node 0), feed the estimate, cut into the feature blocks
-    that the feature layout's nodes hold, so that both layouts build the same
-    preconditioner. ``margins`` are as for ``build_preconditioner_features``;
-    the first tau of them lie on the master.
-    """
+    """The sample layout's build, on the master from its first tau samples;
+    the same preconditioner as ``build_preconditioner_features``, whose
+    ``margins`` it takes."""
     _check_kind(spart, SamplePartition)
     return _block_preconditioner(config, spart, _resolved_tau(config, spart), margins)
 
@@ -528,9 +371,9 @@ def build_preconditioner_features(
     fpart: FeaturePartition,
     margins: np.ndarray | None = None,
 ) -> BlockPreconditioner:
-    """Feature-layout build: node i inverts its own block from the first tau
-    columns of its feature rows. ``margins`` are the length-n sample margins
-    X'w of the current iterate (any value, or None, for the square loss)."""
+    """The feature layout's build: node i inverts its own block from the
+    first tau samples. ``margins`` are the length-n X'w of the current
+    iterate (any value, or None, for the square loss)."""
     _check_kind(fpart, FeaturePartition)
     return _block_preconditioner(config, fpart, _resolved_tau(config, fpart), margins)
 
@@ -541,14 +384,11 @@ def build_preconditioner_features(
 
 
 class _Split(NamedTuple):
-    """The operand of one split's per-node partial products, as
-    ``split_rows`` picks it: node i holds part ``nodes[i]`` of a vector and
-    ``blocks[i]``, its rows of the split matrix, multiplied transposed; or, in
-    place of the blocks, ``cut``, the split matrix's transpose cut at the
-    nodes' offsets, multiplied forward. Through a tiled copy (``tile_split``)
-    a streamed block's rows repeat the node's part once per tile, which it
-    reads as ``v[reads[i]]``, and a cut's product holds node i's part in
-    positions ``order[i]``."""
+    """The operand of one split's per-node partial products: node i holds
+    part ``nodes[i]`` of a vector and multiplies ``blocks[i]`` transposed by
+    ``v[reads[i]]`` (``v[nodes[i]]`` when ``reads`` is None); or, in place
+    of the blocks, one forward product with ``cut`` holds node i's part in
+    column i of its (rows, nodes) reshape, or in positions ``order[i]``."""
 
     nodes: tuple
     blocks: tuple
@@ -561,67 +401,56 @@ def _node_slices(offsets, sizes) -> tuple:
     return tuple(slice(off, off + size) for off, size in zip(offsets, sizes))
 
 
-def _tiled(part: SamplePartition | FeaturePartition, split: _Split, mirror: _Split) -> tuple:
-    """(split, mirror), the layout's own split and its mirror, both through
-    one tiled copy of the streamed matrix when the mirror has more than one
-    part (a square-loss solve), one of them streams its row blocks, the other
-    is a cut, and ``tile_split`` builds the copy with the cut's node offsets
-    as tiles; else as they are. The copy is kept in ``part.cache`` beside the
-    mirror."""
-    key = ("tiled", len(mirror.nodes))
+def _operands(part: SamplePartition | FeaturePartition, config: SolverConfig) -> tuple:
+    """(split, mirror) of a solve on ``part``: the partition's split and the
+    other layout's, which ``split_rows`` makes into min(size, m) parts for
+    the square loss and one for the logistic loss; or, when one of them
+    streams its row blocks, the other is a cut of more than one part and
+    ``tile_split`` tiles the cut, both through that one copy. Made once per
+    partition and part count, and kept in ``part.cache``."""
+    by_samples = isinstance(part, SamplePartition)
+    total = part.d if by_samples else part.n
+    parts = 1 if config.loss is LossKind.LOGISTIC else min(total, len(part.sizes))
+    key = ("operands", parts)
     if key not in part.cache:
-        if len(mirror.nodes) == 1 or (split.cut is None) == (mirror.cut is None):
-            return split, mirror
-        streamed, tiles = (split, mirror) if split.cut is None else (mirror, split)
-        tiled = tile_split(tiles.cut, [node.start for node in streamed.nodes], len(tiles.nodes))
-        if tiled is None:
-            return split, mirror
-        blocks, copy, order = tiled
-        reads = tuple(np.tile(np.arange(node.start, node.stop), len(tiles.nodes)) for node in streamed.nodes)
-        pair = (streamed._replace(blocks=blocks, reads=reads), tiles._replace(cut=copy, order=order))
-        part.cache[key] = pair if streamed is split else pair[::-1]
+        sizes = balanced_sizes(total, parts)
+        own = _Split(_node_slices(part.offsets, part.sizes), part.blocks, part.cut)
+        offsets, blocks, cut = split_rows(part.X, sizes, not by_samples)
+        mirror = _Split(_node_slices(offsets, sizes), blocks, cut)
+        tiled = None
+        if parts > 1 and (own.cut is None) != (cut is None):
+            streamed, tiles = (own, mirror) if cut is not None else (mirror, own)
+            tiled = tile_split(tiles.cut, [node.start for node in streamed.nodes], len(tiles.nodes))
+        if tiled is not None:
+            blocks, reads, copy, order = tiled
+            streamed, tiles = streamed._replace(blocks=blocks, reads=reads), tiles._replace(cut=copy, order=order)
+            own, mirror = (streamed, tiles) if cut is not None else (tiles, streamed)
+        part.cache[key] = own, mirror
     return part.cache[key]
 
 
 def _partials(v: np.ndarray, split: _Split):
-    """Node i's partial product with ``v[nodes[i]]``, in node order: computed
-    from its own block only when asked for, so that a sum adds each while it
-    is still in cache, or column i of one product with the cut, whose every
-    row holds one node's terms in that node's order, so each has the bits of
-    its own product."""
+    """Node i's partial product with its part of ``v``, in node order; a
+    streamed block's only when asked for, so that a sum adds each while it is
+    still in cache. Each has the bits of the node's own product."""
     if split.cut is not None:
         z = spmv(split.cut, v)
         return z.reshape(-1, len(split.nodes)).T if split.order is None else z[split.order]
     return (spmv_transpose(block, v[read]) for block, read in zip(split.blocks, split.reads or split.nodes))
 
 
-def _node_sum(parts):
-    """(p0 + p1) + p2 ..., the sum that ``Cluster.reduce_all`` forms, for a
-    sum that no collective meters."""
-    return functools.reduce(operator.add, parts)
-
-
 class _Layout:
-    """The per-node work and the collectives of the layout of ``part``, a
-    sample or a feature partition, whose kind alone sets every difference;
-    node i holds ``nodes[i]`` of the split dimension. ``config`` is
-    validated here, and tau checked against the samples the preconditioner
-    draws from.
+    """The per-node work and the collectives of the layout of ``part``, whose
+    kind (samples or features) alone sets every difference. Building one
+    validates ``config`` and checks tau against the data.
 
-    ``mirror`` is the other layout's split, made by ``split_rows`` as the
-    partition's is, into min(size, m) parts for the square loss, so that both
-    layouts sum every product in the same order, and into one for the
-    logistic loss, whose solve restarts at every step; ``features`` is the
-    split of X by rows and ``samples`` that of X' by rows. A sum over the
-    layout's own split is metered, and one over the mirror is not. Where
-    ``_tiled`` finds long segments, both splits read one tiled copy.
-
-    By samples, the master holds every solver vector whole: each product
-    first broadcasts its direction, and the direction a step returns is
-    already on the master. By features, node i holds and works on its slice
-    ``x[nodes[i]]`` of every solver vector, every node holds each
-    sample-space vector whole, and a step's direction is gathered on the
-    master."""
+    ``split`` is the partition's split and ``mirror`` the other layout's
+    (``_operands``); ``features`` is whichever splits X by rows and
+    ``samples`` whichever splits X' by rows. A sum over ``split`` is the
+    layout's metered reduce_all, one over ``mirror`` an unmetered sum in
+    node order. By samples the master holds every solver vector whole; by
+    features node i holds its slice ``x[split.nodes[i]]`` and every node
+    holds each sample-space vector whole."""
 
     def __init__(self, cluster: Cluster, part: SamplePartition | FeaturePartition, config: SolverConfig):
         config.validate()
@@ -630,15 +459,7 @@ class _Layout:
         _resolved_tau(config, part)
         self.cluster, self.part, self.config = cluster, part, config
         self.by_samples = isinstance(part, SamplePartition)
-        self.nodes = _node_slices(part.offsets, part.sizes)
-        self.split = _Split(self.nodes, part.blocks, part.cut)
-        total = part.d if self.by_samples else part.n
-        parts = 1 if config.loss is LossKind.LOGISTIC else min(total, len(part.sizes))
-        if ("mirror", parts) not in part.cache:
-            sizes = balanced_sizes(total, parts)
-            offsets, blocks, cut = split_rows(part.X, sizes, not self.by_samples)
-            part.cache["mirror", parts] = _Split(_node_slices(offsets, sizes), blocks, cut)
-        self.split, self.mirror = _tiled(part, self.split, part.cache["mirror", parts])
+        self.split, self.mirror = _operands(part, config)
         self.features, self.samples = (self.mirror, self.split) if self.by_samples else (self.split, self.mirror)
 
     def curvature(self, margins: np.ndarray | None) -> np.ndarray:
@@ -656,13 +477,10 @@ class _Layout:
         return self._product(u, lambda z: h * z)[0]
 
     def dots(self, *pairs, metered: bool = True) -> list:
-        """<a, b> for each pair, from per-node terms over the feature split in
-        node order. By features, and ``metered``, the terms ride one scalar
-        reduce_all. Otherwise they are summed as Python floats, as the
-        collective sums them, without one: by samples the master holds both
-        vectors, so a dot product is free, and by features an unmetered one
-        is a control scalar that stands in for a piggybacked value and is
-        deliberately not counted as a round."""
+        """<a, b> for each pair, summed over the feature split in node order:
+        by features and ``metered``, in one scalar reduce_all; otherwise as
+        Python floats without a collective (free on the master by samples; a
+        driver-side control scalar by features)."""
         nodes = self.features.nodes
         if metered and not self.by_samples:
 
@@ -681,15 +499,14 @@ class _Layout:
         return sums
 
     def _sum(self, split: _Split, parts) -> np.ndarray:
-        """The node-order sum of ``split``'s partial products: the layout's
-        reduce_all over its own split, unmetered over the mirror."""
-        return self.cluster.reduce_all(parts) if split is self.split else _node_sum(parts)
+        """The node-order sum (p0 + p1) + p2 ... of ``split``'s partial
+        products: metered over the layout's own split, unmetered over the
+        mirror."""
+        return self.cluster.reduce_all(parts) if split is self.split else functools.reduce(operator.add, parts)
 
     def _product(self, u: np.ndarray, coeffs) -> tuple:
-        """(X c)/n + lam*u, c = coeffs(X'u), and the length-n X'u, where
-        ``coeffs`` maps margins elementwise: X'u summed over the feature
-        split, X c over the sample split, each part divided by n. By samples
-        the master first broadcasts u to every node."""
+        """(X c)/n + lam*u, c = coeffs(X'u) elementwise, and the length-n
+        X'u. By samples the master first broadcasts u."""
         if self.by_samples:
             u = self.cluster.broadcast(u)
         n = self.part.n
@@ -700,7 +517,7 @@ class _Layout:
     def assemble(self, v: np.ndarray) -> np.ndarray:
         """The direction on the master: gathered by features, held already by
         samples."""
-        return v if self.by_samples else self.cluster.reduce_concat([v[node] for node in self.nodes])
+        return v if self.by_samples else self.cluster.reduce_concat([v[node] for node in self.split.nodes])
 
     def preconditioner(self, margins: np.ndarray) -> BlockPreconditioner:
         build = build_preconditioner if self.by_samples else build_preconditioner_features
@@ -719,13 +536,9 @@ class _Layout:
 
 def _pcg(layout: _Layout, eps_k: float, grad: np.ndarray, margins, precond: BlockPreconditioner,
          start: PcgState | None) -> NewtonStepResult:
-    """PCG on H v = grad, where H is the Hessian at the iterate for which
-    ``layout.gradient`` returned ``grad`` and ``margins``, from v = 0, or,
-    given ``start``, continuing that run from its state (the square loss
-    only: H must be the one it ran on). Every dot product goes through
-    ``layout.dots``, batched so that the feature layout pays two scalar
-    rounds per iteration.
-    """
+    """PCG on H v = grad at the iterate whose gradient exchange returned
+    ``grad`` and ``margins``, from v = 0 or, for the square loss, continuing
+    from ``start``."""
     if not eps_k > 0:  # also catches a NaN
         raise ValueError(f"eps_k must be positive, got {eps_k}")
     d = layout.part.d
@@ -795,17 +608,13 @@ def pcg_samples(
     precond: BlockPreconditioner,
     start: PcgState | None = None,
 ) -> NewtonStepResult:
-    """PCG on the sample partition; the master owns all full-length vectors.
-
-    Both PCG entry points take ``grad``, the length-d gradient, ``margins``,
-    the length-n X'w that the outer loop's gradient exchange leaves, and
-    ``precond`` from the layout's builder, and, for the square loss only, an
-    optional ``start``: the ``PcgState`` to continue from, which the outer
-    loop makes from the previous step's with v, Hv and delta scaled by
-    delta/(1 + delta); ``grad`` is then unused. Per inner iteration: one broadcast
-    of the search direction and one reduce_all of the Hessian-product
-    contributions, both of length d; dot products are free on the master.
-    """
+    """One Newton step on the sample partition. Both PCG entry points take
+    the length-d ``grad`` and length-n ``margins`` X'w of the current
+    iterate, ``precond`` from the layout's builder and, for the square loss
+    only, an optional ``start``, the ``PcgState`` to continue from (``grad``
+    is then unused). A step whose starting residual meets ``eps_k`` runs no
+    inner iteration, sends nothing and returns the start's v and delta (the
+    zero direction from v = 0). README's cost model gives the collectives."""
     _check_kind(spart, SamplePartition)
     return _pcg(_Layout(cluster, spart, config), eps_k, grad, margins, precond, start)
 
@@ -821,24 +630,7 @@ def pcg_features(
     precond: BlockPreconditioner,
     start: PcgState | None = None,
 ) -> NewtonStepResult:
-    """PCG on the feature partition: a vector is one length-d array and node
-    i works on its slice, its feature block.
-
-    The arguments are those of ``pcg_samples``; every node holds the
-    margins. Per inner iteration: one length-n reduce_all (for Hu), one
-    scalar reduce_all for the u'Hu curvature term (widened to carry r's
-    at t=0, the only iteration where it is not already known from the
-    previous beta round), and one scalar reduce_all carrying (r's, ||r||^2,
-    v'Hv) -- the beta numerator, the stopping test and the damping
-    certificate ride one round. A step that runs at least one inner iteration
-    ends with a concatenating reduce that assembles the direction on the
-    master. A step whose starting residual already meets ``eps_k`` runs 0
-    iterations and sends nothing: from v = 0 (the gradient; the outer loop's
-    theta < 1 rules that out) it returns the zero direction; continuing a
-    square-loss run (``start``), it returns the start's v and delta, which
-    the master already holds, as the outer loop does whenever one step's run
-    overshoots the next step's tolerance.
-    """
+    """One Newton step on the feature partition; as ``pcg_samples``."""
     _check_kind(fpart, FeaturePartition)
     return _pcg(_Layout(cluster, fpart, config), eps_k, grad, margins, precond, start)
 
@@ -854,18 +646,10 @@ def damped_update(w: np.ndarray, direction: np.ndarray, delta: float) -> np.ndar
 
 
 def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
-    """Run the damped inexact-Newton loop on ``dataset`` over ``cluster``.
-
-    Partitions the data per ``config.partition_mode``, starts from w = 0 and
-    iterates until the gradient norm drops to ``outer_tol`` or ``max_outer``
-    updates have been applied. Each outer iteration evaluates the gradient
-    (metered), records a trace row, then runs the layout's PCG solver with
-    eps_k = theta * ||grad||. The logistic loss requires labels in {-1, +1}.
-
-    Control scalars (the gradient norm used for the stopping test and
-    eps_k) are aggregated by the driver; in the feature layout this stands in
-    for a piggybacked scalar and is deliberately not metered as a round.
-    """
+    """Run the damped inexact-Newton loop on ``dataset`` over ``cluster``
+    from w = 0 until ||grad|| <= ``outer_tol`` or ``max_outer`` updates, with
+    eps_k = theta * ||grad||. One trace row per gradient evaluation. The
+    logistic loss requires labels in {-1, +1}."""
     config.validate()
     partition = partition_by_samples if config.partition_mode is PartitionMode.SAMPLES else partition_by_features
     layout = _Layout(cluster, partition(dataset.X, dataset.y, cluster.m), config)

@@ -4,14 +4,21 @@ with BLAS on one thread.
 
     PYTHONPATH=src python tests/bench_bits.py
 
+The solves are the 3 instances of each benchmark workload, made as
+``discobench/run.py`` makes them; tall_features_square's data in the sample
+layout (m = 8, tau = 100); wide_features_square's data in the sample layout
+(m = 4, tau = 125); and gen_synthetic(500, 1000, 0.02, 0.1, 5) in both
+layouts (m = 4, tau = 125, lam = mu = 1e-2). The benchmark's modules are
+loaded from their files without writing to their directory.
+
 A change that must keep every bit of a solve prints the same table before
-and after it. The solves are the 3 instances of each benchmark workload,
-made as ``discobench/run.py`` makes them; tall_features_square's data in the
-sample layout (m = 8, tau = 100); wide_features_square's data in the sample
-layout (m = 4, tau = 125); and gen_synthetic(500, 1000, 0.02, 0.1, 5) in
-both layouts (m = 4, tau = 125, lam = mu = 1e-2). The benchmark's modules
-are loaded from their files without writing to their directory. pytest does
-not collect this file.
+and after it. ``tests/bench_bits.txt`` holds the expected table, and CI
+fails on any other output, so a change that moves an iterate or a counter
+edits that file too:
+
+    diff tests/bench_bits.txt <(PYTHONPATH=src python tests/bench_bits.py)
+
+pytest does not collect this file.
 """
 
 import dataclasses

@@ -10,6 +10,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+# conftest pins BLAS to one thread before numpy loads OpenBLAS, also when
+# this file runs as a script
+from conftest import BENCH_DIR, load_discobench, make_dense_instance, newton_step, recorded_solve
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,8 +40,6 @@ from disco.harness import gen_synthetic
 from disco.linalg import spmv, spmv_transpose
 from disco.losses import grad_coeffs
 from disco.partition import TILE_MIN_NNZ, SamplePartition, balanced_sizes
-
-from conftest import BENCH_DIR, load_discobench, make_dense_instance, newton_step, recorded_solve
 
 
 def random_instance(data, d, n, loss):
@@ -410,11 +412,14 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
             assert block.rows <= block.cols
         if cut is not None:
             assert "matrix_t" not in vars(cut)
-    tiled = layout.part.cache.get(("tiled", len(mirror.nodes)))
-    assert (tiled is not None) == ((d, n) == (8, 600) and m > 1 and loss is LossKind.SQUARE)
-    if tiled is not None:  # the streamed split's blocks view the other's cut: one copy of X
-        assert tiled[0] is layout.split and tiled[1] is mirror
+    # the pair is the partition's one operand entry; a tiled one keeps no untiled operand
+    ((key, pair),) = layout.part.cache.items()
+    assert key == ("operands", len(mirror.nodes)) and pair[0] is layout.split and pair[1] is mirror
+    tiled = layout.split.order is not None or mirror.order is not None
+    assert tiled == ((d, n) == (8, 600) and m > 1 and loss is LossKind.SQUARE)
+    if tiled:  # the streamed split's blocks view the other's cut: one copy of X
         streamed, copy = (mirror, layout.split.cut) if by_samples else (layout.split, mirror.cut)
+        assert streamed.reads is not None and copy is not layout.part.cut
         assert copy.nnz == X.nnz and copy.rows == d * m
         for block in streamed.blocks:
             assert np.shares_memory(block.matrix.data, copy.matrix.data)
@@ -446,8 +451,9 @@ def test_tiled_copy_only_for_long_segments(mode):
     for X, y, m, loss, tiled in cases:
         part = partition(X, y, m)
         layout = solver._Layout(Cluster(m), part, SolverConfig(lam=0.1, mu=0.1, tau=2, loss=loss, partition_mode=mode))
-        assert (("tiled", len(layout.mirror.nodes)) in part.cache) == tiled, (X.shape, X.nnz, loss)
-        assert ((layout.split.reads or layout.mirror.reads) is not None) == tiled
+        assert set(part.cache) == {("operands", len(layout.mirror.nodes))}
+        assert ((layout.split.reads or layout.mirror.reads) is not None) == tiled, (X.shape, X.nnz, loss)
+        assert (layout.split.order is not None or layout.mirror.order is not None) == tiled
 
 
 # A feature-layout solve whose every block (3 x 24) is no taller than wide:
@@ -557,10 +563,11 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
     samples, when every block is square, the split matrix's transpose cut at
     the node offsets; and through the other layout's split, made by the same
     rule (into m parts for the square loss, one for the logistic loss), and
-    the Woodbury cut of the preconditioner's slices, both kept in the
-    partition's cache. The partition's fields hold no sparse matrix besides X
-    and its blocks or cut, the caller's data block caches no product
-    operand, and the sparse arrays a solve leaves alive are those operands,
+    the Woodbury cut of the preconditioner's slices, kept in the partition's
+    cache under one entry each: the pair of splits a solve multiplies
+    through, and the preconditioner's slices. The partition's fields hold no
+    sparse matrix besides X and its blocks or cut, the caller's data block
+    caches no product operand, and the sparse arrays a solve leaves alive are those operands,
     their wrappers and the operands cached on them; no block or cut is
     taller than wide, and no cut builds a transposed operand. The blocks and
     cuts hold the data and index arrays of X or of X' in CSR, and so does
@@ -576,8 +583,9 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
     products through one tiled copy of X, kept in the partition's cache
     (``tile_split``): its data and index arrays hold nnz(X) entries each,
     the streamed split's blocks view it, and it is the one copy of X's
-    nonzeros the solve makes; the partition's own operands and the untiled
-    mirror read X's arrays and are never multiplied."""
+    nonzeros the solve makes. The cached pair is then the tiled one alone,
+    and no untiled mirror stays alive; the partition's own operands read
+    X's arrays and are never multiplied."""
     data = {
         "tall": gen_synthetic(120, 20, 0.2, 0.1, 3),  # X is taller than wide: its transposed operand is a copy
         "wide": gen_synthetic(20, 120, 0.2, 0.1, 3),  # feature blocks of 7, 7 and 6 rows: each node's own product
@@ -605,18 +613,22 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
                                                      for o in (v if isinstance(v, tuple) else (v,)))]
         assert held == (["X", "cut"] if cut else ["X", "blocks"]), case
         assert "matrix_t" not in vars(ds.X)
-        key = ("mirror", 1 if logistic else 3)
+        key = ("operands", 1 if logistic else 3)
         tiles = shape == "long" and not logistic
-        assert set(part.cache) == {("curvature_slices", 5), key, *[("tiled", 3)] * tiles}, case
-        kept, mirror = part.cache[("curvature_slices", 5)], part.cache[key]
+        assert set(part.cache) == {("curvature_slices", 5), key}, case
+        # the splits the solve multiplies through: the tiled pair, or the partition's and the mirror
+        kept, (split, mirror) = part.cache[("curvature_slices", 5)], part.cache[key]
         assert kept.x is not None  # tau = 5 is below every block
         operands = [part.cut] if cut else list(part.blocks)
         other = [mirror.cut] if mirror.cut is not None else list(mirror.blocks)
-        # the splits the solve multiplies through: the tiled pair, or the partition's and the mirror
-        split, other_split = part.cache[("tiled", 3)] if tiles else (part, mirror)
-        products = [o for s in (split, other_split) for o in ([s.cut] if s.cut is not None else s.blocks)]
+        products = [o for s in (split, mirror) for o in ([s.cut] if s.cut is not None else s.blocks)]
+        assert (split.order is not None or mirror.order is not None) == tiles, case
+        if tiles:  # neither split multiplies the partition's own operand
+            assert not {*map(id, operands)} & {*map(id, products)}, case
+        else:
+            assert split.blocks is part.blocks and split.cut is part.cut, case
         for block in products:  # blocks multiply transposed, cuts forward
-            assert ("matrix_t" in vars(block)) != (block is split.cut or block is other_split.cut), case
+            assert ("matrix_t" in vars(block)) != (block is split.cut or block is mirror.cut), case
         assert kept.x.rows <= kept.x.cols and set(vars(kept.x)) == {"matrix", "matrix_t"}
         for block in [*products, kept.x]:
             assert block.rows <= block.cols
@@ -631,7 +643,8 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
 
         # X for a cut by samples or row blocks by features, else X' in CSR
         reads_x = [(block, by_samples == cut) for block in operands]
-        reads_x += [(block, (not by_samples) == (mirror.cut is not None)) for block in other]
+        if not tiles:
+            reads_x += [(block, (not by_samples) == (mirror.cut is not None)) for block in other]
         for block, from_x in reads_x:
             if from_x:
                 assert np.shares_memory(block.matrix.data, ds.X.matrix.data), case
@@ -655,11 +668,11 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
                 assert np.shares_memory(block.matrix.indices, xt_indices), case
             sources.append(xt_data)
         if tiles:  # the one copy of X's nonzeros, which both splits read
-            copy = split.cut if split.cut is not None else other_split.cut
+            copy = split.cut if split.cut is not None else mirror.cut
             copy_data, copy_indices = data_root(copy.matrix.data), data_root(copy.matrix.indices)
             assert copy_data.size == copy_indices.size == ds.X.nnz, case
             assert not np.shares_memory(copy_data, ds.X.matrix.data), case
-            for block in (*split.blocks, *other_split.blocks):
+            for block in (*split.blocks, *mirror.blocks):
                 assert np.shares_memory(block.matrix.data, copy_data), case
                 assert np.shares_memory(block.matrix.indices, copy_indices), case
             sources.append(copy_data)
@@ -716,7 +729,8 @@ def test_benchmark_gate_passes_a_full_size_tiled_solve(bench_run, monkeypatch):
     monkeypatch.setattr(solver, "partition_by_features", lambda *args: parts.append(partition(*args)) or parts[-1])
     cluster = Cluster(workload.m)
     result = solver.disco_outer(cluster, ds, config)
-    assert ("tiled", workload.m) in parts[0].cache
+    split, mirror = parts[0].cache[("operands", workload.m)]
+    assert split.reads is not None and mirror.order is not None
     assert bench_run.check_solve(workload, ds, config, result, cluster.snapshot_stats()) is None
 
 
@@ -820,13 +834,15 @@ def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, str
         (part,) = parts
         assert (part.cut is None) == streamed, mode
         parts_other = 1 if loss is LossKind.LOGISTIC else m
-        mirror = part.cache[("mirror", parts_other)]
+        assert set(part.cache) == {("curvature_slices", 2), ("operands", parts_other)}
+        own, mirror = part.cache[("operands", parts_other)]
         assert len(mirror.nodes) == parts_other and (mirror.cut is not None) == (streamed and (parts_other == 1 or tiles))
-        tiled = ("tiled", parts_other) in part.cache
-        assert tiled == (tiles and parts_other > 1)
-        own, mirror = part.cache[("tiled", parts_other)] if tiled else (part, mirror)
+        tiled = own.reads is not None
+        assert tiled == (tiles and parts_other > 1) == (mirror.order is not None)
+        if not tiled:  # the partition's own operand, untiled
+            assert own.blocks is part.blocks and own.cut is part.cut
         partials = list(own.blocks) if streamed else [own.cut]
-        if tiled:  # node i's rows of the copy: its feature block once per sample tile
+        if tiled:  # node i's rows of the copy: its feature block once per sample tile, and no untiled mirror
             assert [block.rows for block in partials] == [size * m for size in part.sizes]
             assert all(np.shares_memory(block.matrix.data, mirror.cut.matrix.data) for block in partials)
         forward = mirror.cut is not None

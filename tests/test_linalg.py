@@ -12,7 +12,6 @@ from disco.linalg import (
     matvec,
     spmv,
     spmv_transpose,
-    tile_rows,
 )
 from disco.partition import partition_by_features, partition_by_samples
 from disco.solver import _curvature_slices
@@ -372,31 +371,3 @@ def test_cut_rows_multiplies_as_each_column_block_does(offsets):
     for j in range(k):
         block = SparseBlock(source[:, bounds[j]:bounds[j + 1]])
         assert got[:, j].tobytes() == spmv(block, x[bounds[j]:bounds[j + 1]]).tobytes()
-
-
-@pytest.mark.parametrize("offsets, tile_offsets", [((0, 3, 5), (0, 4, 8)), ((0, 4), (0, 2, 2, 11)), ((0,), (0, 6))])
-def test_tile_rows_reorders_the_cut_node_by_node(offsets, tile_offsets):
-    """The tiled copy holds the cut's rows (``cut_rows``), row block by row
-    block, then tile by tile, in its own data and index arrays, and ``order``
-    finds row r's tile j in it. Its forward product, put in order, has the
-    bits of the cut's; row block i's rows, multiplied transposed by the
-    block's part of u once per tile, have the bits of the block's own
-    transposed product. With an empty row, an empty tile and a tile
-    running to the last column."""
-    rng = np.random.default_rng(len(offsets) + len(tile_offsets))
-    Xd = rng.standard_normal((7, 11)) * (rng.random((7, 11)) < 0.5)
-    Xd[3] = 0.0
-    source = SparseBlock.from_dense(Xd).matrix
-    cut, k = cut_rows(source, tile_offsets), len(tile_offsets)
-    tiled, order = tile_rows(cut, offsets, k)
-    assert order.shape == (k, 7) and sorted(order.ravel()) == list(range(7 * k))
-    assert tiled.nnz == source.nnz and tiled.indptr.dtype == tiled.indices.dtype == np.int32
-    assert not np.shares_memory(tiled.data, source.data)
-    assert np.array_equal(tiled.toarray()[order.T.ravel()], cut.toarray())
-    x, u = rng.standard_normal(11), rng.standard_normal(7)
-    assert spmv(SparseBlock(tiled), x)[order].T.tobytes() == spmv(SparseBlock(cut), x).reshape(7, k).tobytes()
-    bounds = (*offsets, 7)
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = SparseBlock(tiled[start * k:stop * k])
-        want = spmv_transpose(SparseBlock(source[start:stop]), u[start:stop])
-        assert spmv_transpose(rows, np.tile(u[start:stop], k)).tobytes() == want.tobytes()

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from disco import SparseBlock, full_gradient, partition_by_features, partition_by_samples
-from disco.linalg import spmv, spmv_transpose
+from disco import partition as partition_module
+from disco.linalg import cut_rows, spmv, spmv_transpose
 from disco.losses import grad_coeffs
-from disco.partition import balanced_sizes
+from disco.partition import balanced_sizes, tile_split
 
 from conftest import make_dense_instance
 
@@ -200,3 +201,38 @@ def test_stack_holds_each_shard_block_diagonally(partition, m):
     assert np.array_equal(part.cut.toarray(), want) and part.blocks == ()
     assert part.X is not ds.X and part.X.matrix is ds.X.matrix
 
+
+@pytest.mark.parametrize("offsets, tile_offsets", [((0, 3, 5), (0, 4, 8)), ((0, 4), (0, 2, 2, 11)), ((0,), (0, 6))])
+def test_tile_split_reorders_the_cut_node_by_node(monkeypatch, offsets, tile_offsets):
+    """The tiled copy holds the cut's rows (``cut_rows``), row block by row
+    block, then tile by tile, in its own data and index arrays, and ``order``
+    finds row r's tile j in it. Its forward product, put in order, has the
+    bits of the cut's; row block i's rows of it (``blocks[i]``, a view),
+    multiplied transposed by the block's part of u once per tile
+    (``u[reads[i]]``), have the bits of the block's own transposed product.
+    With an empty row, an empty tile and a tile running to the last column.
+    No copy is made when the cut averages fewer than ``TILE_MIN_NNZ``
+    nonzeros per row."""
+    rng = np.random.default_rng(len(offsets) + len(tile_offsets))
+    Xd = rng.standard_normal((7, 11)) * (rng.random((7, 11)) < 0.5)
+    Xd[3] = 0.0
+    source = SparseBlock.from_dense(Xd).matrix
+    cut, k = SparseBlock(cut_rows(source, tile_offsets)), len(tile_offsets)
+    monkeypatch.setattr(partition_module, "TILE_MIN_NNZ", cut.nnz // cut.rows + 1)
+    assert tile_split(cut, offsets, k) is None
+    monkeypatch.setattr(partition_module, "TILE_MIN_NNZ", cut.nnz // cut.rows)
+    blocks, reads, tiled, order = tile_split(cut, offsets, k)
+    assert order.shape == (k, 7) and sorted(order.ravel()) == list(range(7 * k))
+    assert tiled.nnz == source.nnz and tiled.matrix.indptr.dtype == tiled.matrix.indices.dtype == np.int32
+    assert not np.shares_memory(tiled.matrix.data, source.data)
+    assert np.array_equal(tiled.toarray()[order.T.ravel()], cut.toarray())
+    x, u = rng.standard_normal(11), rng.standard_normal(7)
+    assert spmv(tiled, x)[order].T.tobytes() == spmv(cut, x).reshape(7, k).tobytes()
+    bounds = (*offsets, 7)
+    assert len(blocks) == len(reads) == len(offsets)
+    for block, read, start, stop in zip(blocks, reads, bounds, bounds[1:]):
+        assert np.array_equal(block.toarray(), tiled.toarray()[start * k:stop * k])
+        assert np.shares_memory(block.matrix.data, tiled.matrix.data)
+        assert np.array_equal(read, np.tile(np.arange(start, stop), k))
+        want = spmv_transpose(SparseBlock(source[start:stop]), u[start:stop])
+        assert spmv_transpose(block, u[read]).tobytes() == want.tobytes()
