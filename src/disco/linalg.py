@@ -162,21 +162,9 @@ def matvec(operand, x: np.ndarray) -> np.ndarray:
 
 def spmv(block: SparseBlock, x: np.ndarray) -> np.ndarray:
     """Return ``block @ x`` (length ``block.rows``)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != block.cols:
-        raise ValueError(
-            f"spmv dimension mismatch: block is {block.rows}x{block.cols}, "
-            f"vector has length {x.shape[0] if x.ndim == 1 else x.shape}"
-        )
-    return matvec(block.matrix, x)
+    return matvec(block.matrix, np.asarray(x, dtype=np.float64))
 
 
 def spmv_transpose(block: SparseBlock, x: np.ndarray) -> np.ndarray:
     """Return ``block.T @ x`` (length ``block.cols``)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != block.rows:
-        raise ValueError(
-            f"spmv_transpose dimension mismatch: block is {block.rows}x{block.cols}, "
-            f"vector has length {x.shape[0] if x.ndim == 1 else x.shape}"
-        )
-    return matvec(block.matrix_t, x)
+    return matvec(block.matrix_t, np.asarray(x, dtype=np.float64))

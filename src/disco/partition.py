@@ -3,14 +3,15 @@
 A sample partition gives node j a contiguous group of columns (samples), a
 feature partition node i a contiguous group of rows (features); splits are
 balanced, larger shards first. Every node keeps the full label vector. A
-partition keeps no per-node copy of the data: it holds the unsplit ``X`` in a
-block of its own, the operand of the solver's partial products
-(``split_rows``) and a ``cache`` for what a solve derives from it alone.
+partition holds data alone, no per-node copy of it: the unsplit ``X`` in a
+block of its own and a ``cache`` for what a solve derives from it. The
+splits a solve multiplies through come from ``operand_pair``, by one rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "FeaturePartition",
     "TILE_MIN_NNZ",
     "balanced_sizes",
+    "operand_pair",
     "partition_by_samples",
     "partition_by_features",
     "split_rows",
@@ -29,7 +31,7 @@ __all__ = [
 
 # The fewest nonzeros per (row, tile) segment, on average, at which
 # ``tile_split`` makes a tiled copy: below it, solves through the copy were
-# measured no faster than without it (CHANGES.md).
+# measured no faster than without it, and up to 8% slower (CHANGES.md).
 TILE_MIN_NNZ = 32
 
 
@@ -44,8 +46,7 @@ def balanced_sizes(total: int, m: int) -> list:
 @dataclass(frozen=True)
 class _Partition:
     """Node i holds part ``offsets[i]:+sizes[i]`` of the split dimension;
-    ``y`` is the full label vector, ``X`` the unsplit data, and ``blocks``
-    and ``cut`` the split's operand (``split_rows``)."""
+    ``y`` is the full label vector and ``X`` the unsplit data."""
 
     y: np.ndarray
     sizes: tuple
@@ -53,8 +54,6 @@ class _Partition:
     d: int
     n: int
     X: SparseBlock = field(repr=False, compare=False)
-    blocks: tuple = field(repr=False, compare=False)
-    cut: SparseBlock | None = field(repr=False, compare=False)
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -66,21 +65,38 @@ class FeaturePartition(_Partition):
     """Node i holds features offsets[i]:+sizes[i] of all n samples: X split by rows."""
 
 
-def split_rows(X: SparseBlock, sizes, by_samples: bool) -> tuple:
-    """(offsets, blocks, cut) of the split matrix, X' ``by_samples`` and X
-    otherwise, split into consecutive row blocks of ``sizes``. When no block
-    is taller than wide (by samples, and not all square), ``blocks[i]`` is
-    node i's rows in CSR over the split matrix's arrays, and ``cut`` None.
-    Otherwise ``blocks`` is empty and ``cut`` is the split matrix's transpose
-    (X by samples, X' in CSR by features) cut at the offsets (``cut_rows``).
-    No block or cut is taller than wide; each views the arrays of X or of X'
-    in CSR."""
+class _Split(NamedTuple):
+    """The operand of one split's per-node partial products: node i holds
+    part ``nodes[i]`` of a vector. A streamed split has no ``cut`` and node
+    i multiplies ``blocks[i]`` transposed by ``v[reads[i]]``; otherwise
+    ``blocks`` and ``reads`` are empty and one forward product with ``cut``
+    holds node i's part in positions ``order[i]``."""
+
+    nodes: tuple
+    blocks: tuple
+    cut: SparseBlock | None
+    reads: tuple
+    order: np.ndarray | None
+
+
+def split_rows(X: SparseBlock, sizes, by_samples: bool) -> _Split:
+    """The split of X' ``by_samples`` and of X otherwise into consecutive row
+    blocks of ``sizes``. When no block is taller than wide (by samples, and
+    not all square), it streams node i's rows in CSR over the split matrix's
+    arrays, read by ``nodes[i]``. Otherwise its ``cut`` is the split
+    matrix's transpose (X by samples, X' in CSR by features) cut at the
+    offsets (``cut_rows``), whose row r*k + i holds node i's part of r. No
+    block or cut is taller than wide; each views the arrays of X or of X' in
+    CSR."""
     offsets = tuple(sum(sizes[:i]) for i in range(len(sizes)))
+    nodes = tuple(slice(off, off + size) for off, size in zip(offsets, sizes))
     cols = X.rows if by_samples else X.cols
     if (min(sizes) >= cols) if by_samples else (max(sizes) > cols):
-        return offsets, (), SparseBlock(cut_rows(X.matrix if by_samples else X.matrix_t, offsets))
+        cut = SparseBlock(cut_rows(X.matrix if by_samples else X.matrix_t, offsets))
+        return _Split(nodes, (), cut, (), np.arange(cut.rows).reshape(-1, len(sizes)).T)
     split = X.matrix_t.tocsr() if by_samples else X.matrix
-    return offsets, tuple(SparseBlock(row_view(split, off, off + size)) for off, size in zip(offsets, sizes)), None
+    blocks = tuple(SparseBlock(row_view(split, node.start, node.stop)) for node in nodes)
+    return _Split(nodes, blocks, None, nodes, None)
 
 
 def tile_split(cut: SparseBlock, offsets, k: int):
@@ -109,9 +125,29 @@ def tile_split(cut: SparseBlock, offsets, k: int):
     return blocks, reads, tiled, order
 
 
+def operand_pair(part: _Partition, parts: int) -> tuple:
+    """(own, mirror): the splits a solve on ``part`` multiplies through, its
+    own (``split_rows`` at its sizes) and the other layout's, in ``parts``
+    balanced parts. When one streams and the other is a cut of more than
+    one part, ``tile_split`` may tile the cut: both then read that one copy,
+    and no untiled operand is kept."""
+    by_samples = isinstance(part, SamplePartition)
+    sizes = balanced_sizes(part.d if by_samples else part.n, parts)
+    own, mirror = split_rows(part.X, part.sizes, by_samples), split_rows(part.X, sizes, not by_samples)
+    if parts > 1 and (own.cut is None) != (mirror.cut is None):
+        flip = mirror.cut is None  # the partition's own split is the cut
+        streamed, tiles = (mirror, own) if flip else (own, mirror)
+        tiled = tile_split(tiles.cut, [node.start for node in streamed.nodes], len(tiles.nodes))
+        if tiled is not None:
+            blocks, reads, copy, order = tiled
+            pair = streamed._replace(blocks=blocks, reads=reads), tiles._replace(cut=copy, order=order)
+            return pair[::-1] if flip else pair
+    return own, mirror
+
+
 def _row_split(X: SparseBlock, y, m: int, by_samples: bool) -> _Partition:
     """The partition whose m nodes hold balanced row blocks of the split
-    matrix (X by features, X' by samples), as ``split_rows`` splits it."""
+    matrix (X by features, X' by samples)."""
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)):  # True would run as one node
         raise ValueError(f"node count m must be an integer, got {m!r}")
     X = SparseBlock(X.matrix)
@@ -122,9 +158,9 @@ def _row_split(X: SparseBlock, y, m: int, by_samples: bool) -> _Partition:
     if m > total:
         raise ValueError(f"cannot split {total} {what} over {m} nodes: empty shard")
     sizes = tuple(balanced_sizes(total, m))
-    offsets, blocks, cut = split_rows(X, sizes, by_samples)
+    offsets = tuple(sum(sizes[:i]) for i in range(m))
     kind = SamplePartition if by_samples else FeaturePartition
-    return kind(y.copy(), sizes, offsets, X.rows, X.cols, X, blocks, cut)
+    return kind(y.copy(), sizes, offsets, X.rows, X.cols, X)
 
 
 def partition_by_samples(X: SparseBlock, y: np.ndarray, m: int) -> SamplePartition:

@@ -32,11 +32,11 @@ from .losses import Choice, LossKind, grad_coeffs, hess_coeffs
 from .partition import (
     FeaturePartition,
     SamplePartition,
+    _Split,
     balanced_sizes,
+    operand_pair,
     partition_by_features,
     partition_by_samples,
-    split_rows,
-    tile_split,
 )
 
 __all__ = [
@@ -383,49 +383,15 @@ def build_preconditioner_features(
 # ---------------------------------------------------------------------------
 
 
-class _Split(NamedTuple):
-    """The operand of one split's per-node partial products: node i holds
-    part ``nodes[i]`` of a vector and multiplies ``blocks[i]`` transposed by
-    ``v[reads[i]]`` (``v[nodes[i]]`` when ``reads`` is None); or, in place
-    of the blocks, one forward product with ``cut`` holds node i's part in
-    column i of its (rows, nodes) reshape, or in positions ``order[i]``."""
-
-    nodes: tuple
-    blocks: tuple
-    cut: SparseBlock | None
-    reads: tuple | None = None
-    order: np.ndarray | None = None
-
-
-def _node_slices(offsets, sizes) -> tuple:
-    return tuple(slice(off, off + size) for off, size in zip(offsets, sizes))
-
-
 def _operands(part: SamplePartition | FeaturePartition, config: SolverConfig) -> tuple:
-    """(split, mirror) of a solve on ``part``: the partition's split and the
-    other layout's, which ``split_rows`` makes into min(size, m) parts for
-    the square loss and one for the logistic loss; or, when one of them
-    streams its row blocks, the other is a cut of more than one part and
-    ``tile_split`` tiles the cut, both through that one copy. Made once per
-    partition and part count, and kept in ``part.cache``."""
-    by_samples = isinstance(part, SamplePartition)
-    total = part.d if by_samples else part.n
+    """(split, mirror) of a solve on ``part`` (``operand_pair``), the mirror
+    in min(size, m) parts for the square loss and one for the logistic loss;
+    made once per partition and part count, and kept in ``part.cache``."""
+    total = part.d if isinstance(part, SamplePartition) else part.n
     parts = 1 if config.loss is LossKind.LOGISTIC else min(total, len(part.sizes))
     key = ("operands", parts)
     if key not in part.cache:
-        sizes = balanced_sizes(total, parts)
-        own = _Split(_node_slices(part.offsets, part.sizes), part.blocks, part.cut)
-        offsets, blocks, cut = split_rows(part.X, sizes, not by_samples)
-        mirror = _Split(_node_slices(offsets, sizes), blocks, cut)
-        tiled = None
-        if parts > 1 and (own.cut is None) != (cut is None):
-            streamed, tiles = (own, mirror) if cut is not None else (mirror, own)
-            tiled = tile_split(tiles.cut, [node.start for node in streamed.nodes], len(tiles.nodes))
-        if tiled is not None:
-            blocks, reads, copy, order = tiled
-            streamed, tiles = streamed._replace(blocks=blocks, reads=reads), tiles._replace(cut=copy, order=order)
-            own, mirror = (streamed, tiles) if cut is not None else (tiles, streamed)
-        part.cache[key] = own, mirror
+        part.cache[key] = operand_pair(part, parts)
     return part.cache[key]
 
 
@@ -434,9 +400,8 @@ def _partials(v: np.ndarray, split: _Split):
     streamed block's only when asked for, so that a sum adds each while it is
     still in cache. Each has the bits of the node's own product."""
     if split.cut is not None:
-        z = spmv(split.cut, v)
-        return z.reshape(-1, len(split.nodes)).T if split.order is None else z[split.order]
-    return (spmv_transpose(block, v[read]) for block, read in zip(split.blocks, split.reads or split.nodes))
+        return spmv(split.cut, v)[split.order]
+    return (spmv_transpose(block, v[read]) for block, read in zip(split.blocks, split.reads))
 
 
 class _Layout:
@@ -477,32 +442,19 @@ class _Layout:
         return self._product(u, lambda z: h * z)[0]
 
     def dots(self, *pairs, metered: bool = True) -> list:
-        """<a, b> for each pair, summed over the feature split in node order:
-        by features and ``metered``, in one scalar reduce_all; otherwise as
-        Python floats without a collective (free on the master by samples; a
-        driver-side control scalar by features)."""
-        nodes = self.features.nodes
-        if metered and not self.by_samples:
+        """<a, b> for each pair, summed over the feature split by ``_sum``,
+        as Python floats; never metered when not ``metered`` (a driver-side
+        control scalar by features)."""
+        terms = (np.array([np.dot(a[node], b[node]) for a, b in pairs]) for node in self.features.nodes)
+        return self._sum(self.features, terms, metered).tolist()
 
-            def terms(i):
-                node = nodes[i]
-                return np.array([float(np.dot(a[node], b[node])) for a, b in pairs])
-
-            return [float(x) for x in self.cluster.reduce_all(self.cluster.map_nodes(terms))]
-        sums = []
-        for a, b in pairs:
-            total = None
-            for node in nodes:
-                term = float(np.dot(a[node], b[node]))
-                total = term if total is None else total + term
-            sums.append(total)
-        return sums
-
-    def _sum(self, split: _Split, parts) -> np.ndarray:
-        """The node-order sum (p0 + p1) + p2 ... of ``split``'s partial
-        products: metered over the layout's own split, unmetered over the
-        mirror."""
-        return self.cluster.reduce_all(parts) if split is self.split else functools.reduce(operator.add, parts)
+    def _sum(self, split: _Split, parts, metered: bool = True) -> np.ndarray:
+        """The node-order sum (p0 + p1) + p2 ... of ``split``'s per-node
+        parts: metered over the layout's own split, unmetered over the mirror
+        or when not ``metered``."""
+        if metered and split is self.split:
+            return self.cluster.reduce_all(parts)
+        return functools.reduce(operator.add, parts)
 
     def _product(self, u: np.ndarray, coeffs) -> tuple:
         """(X c)/n + lam*u, c = coeffs(X'u) elementwise, and the length-n

@@ -39,7 +39,7 @@ from disco import solver
 from disco.harness import gen_synthetic
 from disco.linalg import spmv, spmv_transpose
 from disco.losses import grad_coeffs
-from disco.partition import TILE_MIN_NNZ, SamplePartition, balanced_sizes
+from disco.partition import TILE_MIN_NNZ, SamplePartition, balanced_sizes, split_rows
 
 
 def random_instance(data, d, n, loss):
@@ -52,6 +52,21 @@ def random_instance(data, d, n, loss):
     if loss is LossKind.LOGISTIC:
         y = np.where(y > 0, 1.0, -1.0)
     return Dataset(X=SparseBlock.from_dense(Xd), y=y, d=d, n=n, source="hypothesis")
+
+
+def is_tiled(pair) -> bool:
+    """Whether an operand pair runs through one tiled copy of X: its
+    streamed split then reads its part of a vector by index, once per tile,
+    where an untiled one reads its node slice, and an untiled cut puts its
+    forward product in node order by the plain (rows, nodes) reshape."""
+    tiled = any(isinstance(read, np.ndarray) for split in pair if split.cut is None for read in split.reads)
+    for split in pair:
+        if split.cut is None:
+            assert tiled or split.reads == split.nodes
+        else:
+            assert split.blocks == split.reads == ()
+            assert tiled or np.array_equal(split.order, np.arange(split.cut.rows).reshape(-1, len(split.nodes)).T)
+    return tiled
 
 
 def draw_m(data, limit):
@@ -286,7 +301,7 @@ def test_square_solves_are_bitwise_equal_in_both_layouts(m):
             per_step = COSTMODEL.inner_iters_per_step(result)
             assert cluster.snapshot_stats() == COSTMODEL.expected_stats(mode, d, n, result.grad_evals, per_step)
             runs[mode] = (result.w.tobytes(), per_step)
-            streamed[mode].add(parts[0].cut is None)
+            streamed[mode].add(parts[0].cache[("operands", m)][0].cut is None)
         assert runs[PartitionMode.SAMPLES] == runs[PartitionMode.FEATURES], (d, n)
     assert streamed == {mode: {False, True} if m <= 2 else {True} for mode in PartitionMode}
 
@@ -397,29 +412,30 @@ def test_stacked_products_are_the_per_shard_products_bitwise(d, n, m, mode, loss
     h = layout.curvature(margins)
     want_hu, _ = per_shard_product(X, layout.part, u, lambda z: h * z, 0.3, loss)
     assert layout.hess_vec(u, h).tobytes() == want_hu.tobytes()
-    # each split, the partition's and the other layout's, cuts only for a
-    # block taller than wide, or by samples for blocks all square: X by
-    # samples, X' by features
+    # each split, the partition's untiled one (``split_rows``) and the two a
+    # solve multiplies through, cuts only for a block taller than wide, or by
+    # samples for blocks all square: X by samples, X' by features
     mirror, by_samples = layout.mirror, mode is PartitionMode.SAMPLES
     total = d if by_samples else n
     assert len(mirror.nodes) == (1 if loss is LossKind.LOGISTIC else min(total, m))
-    splits = [(layout.part.sizes, layout.part.blocks, layout.part.cut, by_samples),
-              ([node.stop - node.start for node in mirror.nodes], mirror.blocks, mirror.cut, not by_samples)]
-    for sizes, blocks, cut, samples in splits:
-        cols = d if samples else n
-        assert (cut is None) == (min(sizes) < cols if samples else max(sizes) <= cols) == (blocks != ())
-        for block in [cut] if cut is not None else blocks:
+    own = split_rows(layout.part.X, layout.part.sizes, by_samples)
+    for split, samples in ((own, by_samples), (layout.split, by_samples), (mirror, not by_samples)):
+        sizes, cols = [node.stop - node.start for node in split.nodes], d if samples else n
+        assert (split.cut is None) == (min(sizes) < cols if samples else max(sizes) <= cols) == (split.blocks != ())
+        for block in [split.cut] if split.cut is not None else split.blocks:
             assert block.rows <= block.cols
-        if cut is not None:
-            assert "matrix_t" not in vars(cut)
+        if split.cut is not None:
+            assert "matrix_t" not in vars(split.cut)
+    assert own.nodes == layout.split.nodes
     # the pair is the partition's one operand entry; a tiled one keeps no untiled operand
     ((key, pair),) = layout.part.cache.items()
     assert key == ("operands", len(mirror.nodes)) and pair[0] is layout.split and pair[1] is mirror
-    tiled = layout.split.order is not None or mirror.order is not None
+    tiled = is_tiled(pair)
     assert tiled == ((d, n) == (8, 600) and m > 1 and loss is LossKind.SQUARE)
     if tiled:  # the streamed split's blocks view the other's cut: one copy of X
         streamed, copy = (mirror, layout.split.cut) if by_samples else (layout.split, mirror.cut)
-        assert streamed.reads is not None and copy is not layout.part.cut
+        assert all(isinstance(read, np.ndarray) for read in streamed.reads)
+        assert not np.shares_memory(copy.matrix.data, layout.part.X.matrix.data)
         assert copy.nnz == X.nnz and copy.rows == d * m
         for block in streamed.blocks:
             assert np.shares_memory(block.matrix.data, copy.matrix.data)
@@ -452,8 +468,33 @@ def test_tiled_copy_only_for_long_segments(mode):
         part = partition(X, y, m)
         layout = solver._Layout(Cluster(m), part, SolverConfig(lam=0.1, mu=0.1, tau=2, loss=loss, partition_mode=mode))
         assert set(part.cache) == {("operands", len(layout.mirror.nodes))}
-        assert ((layout.split.reads or layout.mirror.reads) is not None) == tiled, (X.shape, X.nnz, loss)
-        assert (layout.split.order is not None or layout.mirror.order is not None) == tiled
+        assert is_tiled((layout.split, layout.mirror)) == tiled, (X.shape, X.nnz, loss)
+
+
+@pytest.mark.parametrize("mode", list(PartitionMode))
+def test_partition_holds_only_data_and_a_tiled_solve_keeps_no_untiled_operand(monkeypatch, mode):
+    """A partition of either kind holds no sparse operand besides X: what a
+    solve multiplies through is its operand pair, built by ``operand_pair``
+    and kept in the partition's cache. On 4 x 64 dense data at m = 2 a
+    square-loss solve runs both products through one tiled copy of X, and
+    afterwards no sparse array but X itself (and its transposed operand, if
+    built) is left over X's arrays: neither the untiled row blocks of X nor
+    X cut at the sample offsets stays alive."""
+    ds, _ = make_dense_instance(4, 64, seed=5)
+    parts, name = [], f"partition_by_{mode.value}"
+    partition = getattr(solver, name)
+    monkeypatch.setattr(solver, name, lambda *args: parts.append(partition(*args)) or parts[-1])
+    assert disco_outer(Cluster(2), ds, SolverConfig(lam=0.1, mu=0.1, tau=2, partition_mode=mode)).converged
+    (part,) = parts
+    assert held_sparse_fields(part) == ["X"] and part.X.matrix is ds.X.matrix
+    split, mirror = part.cache[("operands", 2)]
+    assert is_tiled((split, mirror))
+    for block in [s.cut if s.cut is not None else s.blocks[0] for s in (split, mirror)]:
+        assert data_root(block.matrix.data) is not data_root(ds.X.matrix.data)
+    over_x = [o for o in sparse_objects() if isinstance(o, sparse.sparray)
+              and (data_root(o.data) is data_root(ds.X.matrix.data)
+                   or data_root(o.indices) is data_root(ds.X.matrix.indices))]
+    assert {*map(id, over_x)} == {id(ds.X.matrix), *([id(part.X.matrix_t)] if "matrix_t" in vars(part.X) else [])}
 
 
 # A feature-layout solve whose every block (3 x 24) is no taller than wide:
@@ -497,7 +538,8 @@ SAMPLE_SOLVES = {
 def test_sample_solve_keeps_the_bits_of_the_sample_stack(path):
     n, w, stats, iters = SAMPLE_SOLVES[path]
     ds, _ = make_dense_instance(d=9, n=n, seed=231)
-    assert (partition_by_samples(ds.X, ds.y, 3).cut is None) == (path == "streamed")
+    part = partition_by_samples(ds.X, ds.y, 3)
+    assert (split_rows(part.X, part.sizes, True).cut is None) == (path == "streamed")
     cluster = Cluster(3)
     result = disco_outer(cluster, ds, SolverConfig(lam=0.1, mu=0.1, tau=2, partition_mode=PartitionMode.SAMPLES))
     assert result.converged
@@ -557,17 +599,17 @@ def data_root(array):
 
 def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
     """A solve in either layout and with either loss multiplies through its
-    partition's X and the operand of its partial products, built with the
-    partition by ``split_rows``: each node's rows of the split matrix (X' by
-    samples, X by features) or, when a block is taller than wide or, by
-    samples, when every block is square, the split matrix's transpose cut at
-    the node offsets; and through the other layout's split, made by the same
-    rule (into m parts for the square loss, one for the logistic loss), and
-    the Woodbury cut of the preconditioner's slices, kept in the partition's
-    cache under one entry each: the pair of splits a solve multiplies
-    through, and the preconditioner's slices. The partition's fields hold no
-    sparse matrix besides X and its blocks or cut, the caller's data block
-    caches no product operand, and the sparse arrays a solve leaves alive are those operands,
+    partition's X and the operand of its partial products (``split_rows``):
+    each node's rows of the split matrix (X' by samples, X by features) or,
+    when a block is taller than wide or, by samples, when every block is
+    square, the split matrix's transpose cut at the node offsets; and
+    through the other layout's split, made by the same rule (into m parts
+    for the square loss, one for the logistic loss), and the Woodbury cut of
+    the preconditioner's slices, kept in the partition's cache under one
+    entry each: the pair of splits a solve multiplies through
+    (``operand_pair``), and the preconditioner's slices. The partition's
+    fields hold no sparse matrix besides X, the caller's data block caches
+    no product operand, and the sparse arrays a solve leaves alive are those operands,
     their wrappers and the operands cached on them; no block or cut is
     taller than wide, and no cut builds a transposed operand. The blocks and
     cuts hold the data and index arrays of X or of X' in CSR, and so does
@@ -584,8 +626,7 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
     (``tile_split``): its data and index arrays hold nnz(X) entries each,
     the streamed split's blocks view it, and it is the one copy of X's
     nonzeros the solve makes. The cached pair is then the tiled one alone,
-    and no untiled mirror stays alive; the partition's own operands read
-    X's arrays and are never multiplied."""
+    and no untiled operand of either split stays alive."""
     data = {
         "tall": gen_synthetic(120, 20, 0.2, 0.1, 3),  # X is taller than wide: its transposed operand is a copy
         "wide": gen_synthetic(20, 120, 0.2, 0.1, 3),  # feature blocks of 7, 7 and 6 rows: each node's own product
@@ -606,44 +647,38 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
             cfg = SolverConfig(lam=0.1, mu=0.1, tau=5, loss=loss, partition_mode=mode)
             assert disco_outer(Cluster(3), ds, cfg).converged, case
         (part,) = parts
-        cut = part.cut is not None
-        assert cut == (shape in (("wide", "long") if by_samples else ("tall",))), case
-        fields = {f.name: getattr(part, f.name) for f in dataclasses.fields(part)}
-        held = [k for k, v in fields.items() if any(isinstance(o, (sparse.sparray, SparseBlock))
-                                                     for o in (v if isinstance(v, tuple) else (v,)))]
-        assert held == (["X", "cut"] if cut else ["X", "blocks"]), case
+        assert held_sparse_fields(part) == ["X"], case
         assert "matrix_t" not in vars(ds.X)
         key = ("operands", 1 if logistic else 3)
         tiles = shape == "long" and not logistic
         assert set(part.cache) == {("curvature_slices", 5), key}, case
         # the splits the solve multiplies through: the tiled pair, or the partition's and the mirror
         kept, (split, mirror) = part.cache[("curvature_slices", 5)], part.cache[key]
+        cut = split.cut is not None
+        assert cut == (shape in (("wide", "long") if by_samples else ("tall",))), case
         assert kept.x is not None  # tau = 5 is below every block
-        operands = [part.cut] if cut else list(part.blocks)
+        operands = [split.cut] if cut else list(split.blocks)
         other = [mirror.cut] if mirror.cut is not None else list(mirror.blocks)
-        products = [o for s in (split, mirror) for o in ([s.cut] if s.cut is not None else s.blocks)]
-        assert (split.order is not None or mirror.order is not None) == tiles, case
-        if tiles:  # neither split multiplies the partition's own operand
-            assert not {*map(id, operands)} & {*map(id, products)}, case
-        else:
-            assert split.blocks is part.blocks and split.cut is part.cut, case
+        products = operands + other
+        assert is_tiled((split, mirror)) == tiles, case
         for block in products:  # blocks multiply transposed, cuts forward
             assert ("matrix_t" in vars(block)) != (block is split.cut or block is mirror.cut), case
         assert kept.x.rows <= kept.x.cols and set(vars(kept.x)) == {"matrix", "matrix_t"}
         for block in [*products, kept.x]:
             assert block.rows <= block.cols
-        allowed = []
-        for block in [part.X, *operands, *other, *products, kept.x]:
+        allowed = []  # no untiled operand of a tiled pair among them
+        for block in [part.X, *products, kept.x]:
             allowed += [block, block.matrix, vars(block).get("matrix_t")]
         seen = {id(o) for o in before}
         new = [o for o in sparse_objects() if id(o) not in seen]
         # nothing else: what is new is the partition's operands, the tiled copy and the Woodbury cut
         assert {id(o) for o in new} <= {id(o) for o in allowed}, (case, [type(o) for o in new])
-        assert {*map(id, operands + other + products + [kept.x])} <= {id(o) for o in new}
+        assert {*map(id, products + [kept.x])} <= {id(o) for o in new}
 
-        # X for a cut by samples or row blocks by features, else X' in CSR
-        reads_x = [(block, by_samples == cut) for block in operands]
+        # untiled, X for a cut by samples or row blocks by features, else X' in CSR
+        reads_x = []
         if not tiles:
+            reads_x += [(block, by_samples == cut) for block in operands]
             reads_x += [(block, (not by_samples) == (mirror.cut is not None)) for block in other]
         for block, from_x in reads_x:
             if from_x:
@@ -678,6 +713,13 @@ def test_feature_solve_keeps_one_copy_of_the_data(monkeypatch):
             sources.append(copy_data)
         copies = [o for o in new if isinstance(o, sparse.sparray)]
         assert all(any(np.shares_memory(o.data, data) for data in sources) for o in copies), case
+
+
+def held_sparse_fields(part) -> list:
+    """The names of ``part``'s fields that hold a sparse matrix or block."""
+    fields = {f.name: getattr(part, f.name) for f in dataclasses.fields(part)}
+    return [k for k, v in fields.items() if any(isinstance(o, (sparse.sparray, SparseBlock))
+                                                 for o in (v if isinstance(v, tuple) else (v,)))]
 
 
 @pytest.fixture
@@ -730,7 +772,7 @@ def test_benchmark_gate_passes_a_full_size_tiled_solve(bench_run, monkeypatch):
     cluster = Cluster(workload.m)
     result = solver.disco_outer(cluster, ds, config)
     split, mirror = parts[0].cache[("operands", workload.m)]
-    assert split.reads is not None and mirror.order is not None
+    assert split.cut is None and is_tiled((split, mirror))
     assert bench_run.check_solve(workload, ds, config, result, cluster.snapshot_stats()) is None
 
 
@@ -779,9 +821,8 @@ def test_tracer_names_are_looked_up_at_call_time(monkeypatch, mode, pcg, build, 
     # samples (X cut at one offset), and the sample layout's partial
     # products, over X cut at the sample offsets (X' has blocks of 10 x 8)
     assert calls["spmv"] > 0
-    # no product or preconditioner apply maps over the nodes; only the
-    # feature layout's metered dot products do
-    assert (calls["map_nodes"] > 0) == (mode is PartitionMode.FEATURES)
+    # no product, preconditioner apply or dot product maps over the nodes
+    assert calls["map_nodes"] == 0
     assert calls["apply_block"] == 0
 
 
@@ -832,15 +873,18 @@ def test_tracer_sees_every_nonzero_of_the_partial_margins(monkeypatch, d, n, str
         assert result.converged
         products = result.grad_evals + result.inner_iters_total
         (part,) = parts
-        assert (part.cut is None) == streamed, mode
+        assert held_sparse_fields(part) == ["X"]
         parts_other = 1 if loss is LossKind.LOGISTIC else m
         assert set(part.cache) == {("curvature_slices", 2), ("operands", parts_other)}
         own, mirror = part.cache[("operands", parts_other)]
+        assert (own.cut is None) == streamed, mode
         assert len(mirror.nodes) == parts_other and (mirror.cut is not None) == (streamed and (parts_other == 1 or tiles))
-        tiled = own.reads is not None
-        assert tiled == (tiles and parts_other > 1) == (mirror.order is not None)
-        if not tiled:  # the partition's own operand, untiled
-            assert own.blocks is part.blocks and own.cut is part.cut
+        tiled = is_tiled((own, mirror))
+        assert tiled == (tiles and parts_other > 1)
+        if not tiled:  # the partition's own split, untiled, as ``split_rows`` makes it
+            untiled = split_rows(part.X, part.sizes, mode is PartitionMode.SAMPLES)
+            ours, theirs = ([s.cut] if s.cut is not None else s.blocks for s in (own, untiled))
+            assert [o.toarray().tobytes() for o in ours] == [o.toarray().tobytes() for o in theirs]
         partials = list(own.blocks) if streamed else [own.cut]
         if tiled:  # node i's rows of the copy: its feature block once per sample tile, and no untiled mirror
             assert [block.rows for block in partials] == [size * m for size in part.sizes]

@@ -13,7 +13,7 @@ from disco.linalg import (
     spmv,
     spmv_transpose,
 )
-from disco.partition import partition_by_features, partition_by_samples
+from disco.partition import partition_by_features, partition_by_samples, split_rows
 from disco.solver import _curvature_slices
 
 
@@ -324,16 +324,17 @@ CALLERS = ["features", "samples", "woodbury"]
 def cut_by(caller, Xd):
     """The matrix that ``caller`` cuts for the 3 x 11 array ``Xd``, its
     offsets, and the cut the caller keeps, at two nodes or blocks of 6 and 5:
-    the partition by features of the 11 x 3 data Xd' cuts X' (the data's CSR
-    ``matrix_t``); the partition by samples of the data Xd cuts X itself;
+    the own split (``split_rows``) of the partition by features of the 11 x 3
+    data Xd' cuts X' (the data's CSR ``matrix_t``); that of the partition by
+    samples of the data Xd cuts X itself;
     the Woodbury preconditioner of 11 x 9 data whose first 3 columns are Xd'
     cuts those columns' CSR transpose."""
     if caller == "features":
         part = partition_by_features(SparseBlock.from_dense(Xd.T), np.zeros(3), 2)
-        return part.X.matrix_t, part.offsets, part.cut.matrix
+        return part.X.matrix_t, part.offsets, split_rows(part.X, part.sizes, False).cut.matrix
     if caller == "samples":
         part = partition_by_samples(SparseBlock.from_dense(Xd), np.zeros(11), 2)
-        return part.X.matrix, part.offsets, part.cut.matrix
+        return part.X.matrix, part.offsets, split_rows(part.X, part.sizes, True).cut.matrix
     X = SparseBlock.from_dense(np.hstack([Xd.T, np.ones((11, 6))]))
     kept = _curvature_slices(partition_by_features(X, np.zeros(9), 2), 3)
     return X.matrix[:, :3].T.tocsr(), kept.offsets, kept.x.matrix

@@ -5,7 +5,7 @@ from disco import SparseBlock, full_gradient, partition_by_features, partition_b
 from disco import partition as partition_module
 from disco.linalg import cut_rows, spmv, spmv_transpose
 from disco.losses import grad_coeffs
-from disco.partition import balanced_sizes, tile_split
+from disco.partition import SamplePartition, balanced_sizes, split_rows, tile_split
 
 from conftest import make_dense_instance
 
@@ -18,14 +18,30 @@ def node_blocks(X, part, by_samples):
     return [SparseBlock(X.matrix[cut]) for cut in cuts]
 
 
+def own_split(part):
+    """The partition's own split (``split_rows`` at its sizes), whose node i
+    holds part ``offsets[i]:+sizes[i]``: a streamed split reads it by that
+    slice, and a cut's forward product holds it at rows i, i+m, ..."""
+    split = split_rows(part.X, part.sizes, isinstance(part, SamplePartition))
+    m = len(part.sizes)
+    assert split.nodes == tuple(slice(off, off + size) for off, size in zip(part.offsets, part.sizes))
+    if split.cut is None:
+        assert split.reads == split.nodes and split.order is None and len(split.blocks) == m
+    else:
+        assert split.blocks == split.reads == ()
+        assert np.array_equal(split.order, np.arange(split.cut.rows).reshape(-1, m).T)
+    return split
+
+
 def node_rows(part, i):
     """Node i's rows of the partition's split matrix (X' by samples, X by
-    features) as its products read them: its row block when the partition
-    has no cut, else its columns of the cut's rows i, i+m, ..., transposed."""
-    if part.cut is None:
-        return part.blocks[i].matrix
+    features) as its products read them: its row block when its own split
+    streams, else its columns of the cut's rows i, i+m, ..., transposed."""
+    split = own_split(part)
+    if split.cut is None:
+        return split.blocks[i].matrix
     off, size, m = part.offsets[i], part.sizes[i], len(part.sizes)
-    return part.cut.matrix[i::m][:, off:off + size].T
+    return split.cut.matrix[i::m][:, off:off + size].T
 
 
 class TestBalancedSizes:
@@ -70,15 +86,16 @@ class TestSamplePartition:
         part = partition_by_samples(ds.X, ds.y, 2)
         assert part.sizes == (3, 2)
         assert part.offsets == (0, 3)
-        assert part.cut is None  # no block of X' is taller than wide
+        assert own_split(part).cut is None  # no block of X' is taller than wide
         assert [node_rows(part, j).shape for j in range(2)] == [(3, 4), (2, 4)]
 
     def test_single_node_is_identity(self):
         ds, _ = make_dense_instance(d=4, n=6, seed=1)
         part = partition_by_samples(ds.X, ds.y, 1)
         # the one 6 x 4 block of X' is taller than wide: its cut is X itself
-        assert np.array_equal(part.cut.toarray(), ds.X.toarray())
-        assert part.blocks == () and np.array_equal(node_rows(part, 0).toarray(), ds.X.toarray().T)
+        split = own_split(part)
+        assert np.array_equal(split.cut.toarray(), ds.X.toarray())
+        assert split.blocks == () and np.array_equal(node_rows(part, 0).toarray(), ds.X.toarray().T)
         assert np.array_equal(part.X.toarray(), ds.X.toarray())
         assert np.array_equal(part.y, ds.y)
 
@@ -93,7 +110,8 @@ class TestSamplePartition:
         for d in (7, 2):
             ds, _ = make_dense_instance(d=d, n=11, seed=3)
             part = partition_by_samples(ds.X, ds.y, 4)
-            assert (part.cut is None) == (d == 7) and (part.blocks == ()) == (d == 2)
+            split = own_split(part)
+            assert (split.cut is None) == (d == 7) and (split.blocks == ()) == (d == 2)
             blocks = [node_rows(part, j) for j in range(4)]
             for got, want in zip(blocks, node_blocks(ds.X, part, True), strict=True):
                 assert np.array_equal(got.toarray(), want.toarray().T)
@@ -113,7 +131,7 @@ class TestFeaturePartition:
         ds, _ = make_dense_instance(d=4, n=6, seed=5)
         part = partition_by_features(ds.X, ds.y, 2)
         assert part.sizes == (2, 2)
-        assert part.cut is None  # no block is taller than wide
+        assert own_split(part).cut is None  # no block is taller than wide
         assert [node_rows(part, i).shape for i in range(2)] == [(2, 6), (2, 6)]
 
     def test_single_node_is_identity(self):
@@ -198,7 +216,8 @@ def test_stack_holds_each_shard_block_diagonally(partition, m):
     for i, (shard, off) in enumerate(zip(node_blocks(ds.X, part, by_samples), part.offsets)):
         rows = shard.toarray().T if by_samples else shard.toarray()
         want[i::m, off:off + len(rows)] = rows.T
-    assert np.array_equal(part.cut.toarray(), want) and part.blocks == ()
+    split = own_split(part)
+    assert np.array_equal(split.cut.toarray(), want) and split.blocks == ()
     assert part.X is not ds.X and part.X.matrix is ds.X.matrix
 
 
