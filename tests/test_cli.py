@@ -167,6 +167,11 @@ class TestErrors:
         assert run_cli("--synthetic", "40,30,0.2,nan,1") == 1
         assert "noise must be non-negative and finite" in capsys.readouterr().err
 
+    def test_negative_seed_is_named(self, capsys):
+        # before, numpy's "expected non-negative integer" named no field
+        assert run_cli("--synthetic", "10,20,0.3,0.1,-1") == 1
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_bad_synthetic_spec(self, capsys):
         assert run_cli("--synthetic", "10,20") == 1
         assert "error" in capsys.readouterr().err

@@ -1,8 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disco import (
     Cluster,
@@ -17,6 +20,7 @@ from disco import (
     partition_by_samples,
 )
 from disco.harness import gen_synthetic, read_libsvm, write_libsvm
+from disco.harness.datasets import _CHUNK_DRAWS, _sample_rows
 
 from conftest import make_dense_instance, newton_step, recorded_solve
 from oracles import DenseNewtonOracle, ridge_closed_form
@@ -138,20 +142,81 @@ def gen_synthetic_by_column(d, n, density, noise, seed):
     return X, y
 
 
+def choice_rows(rng, d, k, n):
+    """The sorted rows of n columns from n calls of rng.choice."""
+    return np.sort([rng.choice(d, size=k, replace=False) for _ in range(n)], axis=1)
+
+
+def assert_same_dataset(ds, X, y):
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ds.X.matrix, name), getattr(X.matrix, name))
+        assert getattr(ds.X.matrix, name).dtype == getattr(X.matrix, name).dtype
+    assert np.array_equal(ds.y, y)
+
+
+# Floyd's algorithm draws 2k - 1 times per column with k < d: 299 for k = 150
+# out of d = 300. Both of the sampler's chunk limits then give CHUNK_COLUMNS
+# columns for n = 8 * CHUNK_COLUMNS + 1, whose last chunk holds one column.
+CHUNK_COLUMNS = _CHUNK_DRAWS // 299
+
+
 class TestGenSynthetic:
-    @pytest.mark.parametrize("d, n, density, noise", [
-        (10, 20, 0.3, 0.1),
-        (50, 7, 0.01, 0.1),    # per_col = 1
-        (1, 4, 1.0, 0.0),      # per_col = 1, density = 1
-        (8, 12, 1.0, 0.2),     # density = 1
-        (300, 40, 0.05, 0.0),
+    @pytest.mark.parametrize("d, n, density, noise, seed", [
+        (10, 20, 0.3, 0.1, 30),
+        (50, 7, 0.01, 0.1, 57),      # k = 1
+        (1, 4, 1.0, 0.0, 5),         # k = d = 1: no draw at all
+        (8, 12, 1.0, 0.2, 20),       # k = d at small d
+        (300, 40, 0.05, 0.0, 340),
+        (100, 20, 0.9, 0.1, 120),    # Floyd's picks often taken: steps take their own j
+        (300, 8 * CHUNK_COLUMNS + 1, 0.5, 0.1, 3),  # odd draws per column, a last chunk of one column
+        (10000, 200, 0.02, 0.1, 37),  # one draw is rejected and drawn again
+        (20000, 40, 0.025, 0.1, 8),  # k = 500 > d // 50: numpy shuffles the tail of arange(d)
+        (10001, 3, 0.9999, 0.1, 4),  # k = d - 1: swaps move values moved before
+        (10050, 2, 1.0, 0.1, 4),     # k = d above 10000, by the tail shuffle
+    ], ids=["10-20-0.3-0.1", "50-7-0.01-0.1", "1-4-1.0-0.0", "8-12-1.0-0.2", "300-40-0.05-0.0",
+            "dense", "chunks", "rejection", "tail", "tail-dense", "k=d-tail"])
+    def test_matches_per_column_reference_bitwise(self, d, n, density, noise, seed):
+        ds = gen_synthetic(d, n, density, noise, seed=seed)
+        assert_same_dataset(ds, *gen_synthetic_by_column(d, n, density, noise, seed=seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 20000), n=st.integers(1, 20), density=st.floats(1e-4, 1.0),
+           seed=st.integers(0, 2**32))
+    def test_matches_per_column_reference_on_any_shape(self, d, n, density, seed):
+        # d crosses 10000, where numpy switches to the tail shuffle for k > d // 50
+        ds = gen_synthetic(d, n, density, 0.1, seed)
+        assert_same_dataset(ds, *gen_synthetic_by_column(d, n, density, 0.1, seed))
+
+    @pytest.mark.parametrize("d, k, n", [
+        (10, 3, 5),      # 5 draws per column: an odd total
+        (10, 3, 4),
+        (10, 10, 3),     # k = d: bounds 0 (no draw) up to 9, then the shuffle
+        (20000, 500, 2),
+        (20000, 20000, 1),
+        (10000, 200, 200),
     ])
-    def test_matches_per_column_reference_bitwise(self, d, n, density, noise):
-        ds = gen_synthetic(d, n, density, noise, seed=d + n)
-        X, y = gen_synthetic_by_column(d, n, density, noise, seed=d + n)
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(ds.X.matrix, name), getattr(X.matrix, name))
-        assert np.array_equal(ds.y, y)
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_sampler_leaves_the_generator_where_choice_does(self, d, k, n, buffered):
+        # a buffered half of a 64-bit draw, in the state or left by the
+        # sampler, is the next 32-bit draw's
+        a, b = np.random.default_rng(d + k), np.random.default_rng(d + k)
+        if buffered:  # 3 draws of 32 bits
+            a.choice(10, 2, replace=False), b.choice(10, 2, replace=False)
+            assert a.bit_generator.state["has_uint32"] == 1
+        assert np.array_equal(_sample_rows(a, d, k, n), choice_rows(b, d, k, n))
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.choice(1000, 3, replace=False).tolist() == b.choice(1000, 3, replace=False).tolist()
+
+    @pytest.mark.parametrize("d, n", [(500, 5000), (4000, 500)], ids=["tall", "wide"])
+    def test_peak_memory_at_most_the_per_column_draw(self, d, n):
+        # the benchmark's peak RSS is reached while it builds its datasets
+        peaks = []
+        for make in (gen_synthetic, gen_synthetic_by_column):
+            tracemalloc.start()
+            make(d, n, 0.02, 0.1, 7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
     def test_same_seed_identical(self):
         a = gen_synthetic(10, 20, 0.3, 0.1, seed=5)
@@ -179,10 +244,16 @@ class TestGenSynthetic:
         # a NaN noise level once ran as no noise
         (4, 4, 0.5, math.nan, "noise must be non-negative and finite, got nan"),
         (4, 4, 0.5, math.inf, "noise must be non-negative and finite, got inf"),
-    ], ids=["density", "d", "noise", "noise-nan", "noise-inf"])
+        (2**32 + 1, 4, 1e-9, 0.0, r"need d <= 2\*\*32, got d=4294967297"),
+    ], ids=["density", "d", "noise", "noise-nan", "noise-inf", "d-above-2**32"])
     def test_invalid_arguments(self, d, n, density, noise, message):
         with pytest.raises(ValueError, match=message):
             gen_synthetic(d, n, density, noise, seed=0)
+
+    def test_negative_seed_rejected(self):
+        # it once failed inside numpy with "expected non-negative integer"
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            gen_synthetic(4, 4, 0.5, 0.1, seed=-1)
 
     @pytest.mark.parametrize("field, value", [
         # 4.5 once failed inside rng.choice, a seed of 1.5 inside numpy's SeedSequence
