@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preconditioner ridge, must be positive (default %(default)g)")
     p.add_argument("--tau", type=int, default=None, help="preconditioner samples (default min(1000, master's sample shard))")
     p.add_argument("--theta", type=float, default=SolverConfig.theta,
-                   help="inner tolerance multiplier, in (0, 1) (default %(default)g)")
+                   help="inner tolerance multiplier, in (0, 1): each Newton step stops at "
+                   "max(theta*||grad||, tol/2) (default %(default)g)")
     p.add_argument("--tol", type=float, default=SolverConfig.outer_tol,
                    help="outer gradient-norm tolerance (default %(default)g)")
     p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer,

@@ -597,11 +597,17 @@ def damped_update(w: np.ndarray, direction: np.ndarray, delta: float) -> np.ndar
     return w - (1.0 / (1.0 + delta)) * direction
 
 
+# The inner tolerance never falls below this share of outer_tol: for the square
+# loss g_{k+1} = r_k + c*Hv_k, so half goes to the PCG residual, half to c*Hv_k.
+_INNER_FLOOR = 0.5
+
+
 def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
     """Run the damped inexact-Newton loop on ``dataset`` over ``cluster``
     from w = 0 until ||grad|| <= ``outer_tol`` or ``max_outer`` updates, with
-    eps_k = theta * ||grad||. One trace row per gradient evaluation. The
-    logistic loss requires labels in {-1, +1}."""
+    eps_k = max(theta * ||grad||, outer_tol / 2): a step runs only while
+    ||grad|| > outer_tol, so eps_k < ||grad|| still. One trace row per
+    gradient evaluation. The logistic loss requires labels in {-1, +1}."""
     config.validate()
     partition = partition_by_samples if config.partition_mode is PartitionMode.SAMPLES else partition_by_features
     layout = _Layout(cluster, partition(dataset.X, dataset.y, cluster.m), config)
@@ -634,7 +640,7 @@ def disco_outer(cluster: Cluster, dataset, config: SolverConfig) -> DiscoResult:
         )
         if gnorm <= config.outer_tol or k == config.max_outer:
             break
-        eps_k = config.theta * gnorm
+        eps_k = max(config.theta * gnorm, _INNER_FLOOR * config.outer_tol)
         if precond is None or config.loss is LossKind.LOGISTIC:
             precond = layout.preconditioner(margins)
         step = layout.newton_step(eps_k, grad, margins, precond, start)

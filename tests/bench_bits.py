@@ -1,6 +1,7 @@
 """Print the bits of the benchmark's solves and of four more: per solve, the
-first 8 hex digits of the md5 of ``w`` and (rounds, bytes, inner, outer),
-with BLAS on one thread.
+first 8 hex digits of the md5 of ``w``, (rounds, bytes, inner, outer) and the
+final gradient norm (``%.2e``), the accuracy the solve ends at, with BLAS on
+one thread.
 
     PYTHONPATH=src python tests/bench_bits.py
 
@@ -35,12 +36,14 @@ from disco.harness import gen_synthetic  # noqa: E402
 
 
 def bits(ds, config, m):
-    """The md5 prefix of w and (rounds, bytes, inner, outer) of one solve."""
+    """The md5 prefix of w, (rounds, bytes, inner, outer) and the final
+    gradient norm of one solve."""
     cluster = Cluster(m)
     result = disco_outer(cluster, ds, config)
     stats = cluster.snapshot_stats()
     md5 = hashlib.md5(result.w.tobytes()).hexdigest()[:8]
-    return f"{md5} {stats.total_rounds}/{stats.total_bytes}/{result.inner_iters_total}/{result.updates}"
+    counts = f"{stats.total_rounds}/{stats.total_bytes}/{result.inner_iters_total}/{result.updates}"
+    return f"{md5} {counts} {result.trace[-1].grad_norm:.2e}"
 
 
 def main():

@@ -501,11 +501,11 @@ def test_partition_holds_only_data_and_a_tiled_solve_keeps_no_untiled_operand(mo
 # its iterate, bit for bit, and its counters. Node-by-node products must
 # keep every bit.
 STREAMED_SOLVE_W = [
-    "-0x1.f463e82c7227ap-3", "-0x1.470a5fd8a19b6p-1", "0x1.16440ab6d16e0p-3",
-    "0x1.6ff68dffec653p-2", "0x1.a5ee5321cbfb8p-4", "0x1.40b7972901efap-2",
-    "0x1.d99034fdd6b77p-2", "0x1.7cad6a8ddc33ep-4", "-0x1.4063608d85651p-3",
+    "-0x1.f463e82c912f1p-3", "-0x1.470a5fd82bf98p-1", "0x1.16440ab7a13b4p-3",
+    "0x1.6ff68dffd063ep-2", "0x1.a5ee532170825p-4", "0x1.40b79728f836fp-2",
+    "0x1.d99034fd80a1bp-2", "0x1.7cad6a8c98783p-4", "-0x1.4063608c07eb2p-3",
 ]
-STREAMED_SOLVE_STATS = CommStats(reduce_rounds=2, reduceall_rounds=41, reduce_bytes=144, reduceall_bytes=4016)
+STREAMED_SOLVE_STATS = CommStats(reduce_rounds=2, reduceall_rounds=38, reduce_bytes=144, reduceall_bytes=3792)
 
 
 def test_streamed_feature_solve_keeps_the_stacked_bits():
@@ -515,7 +515,7 @@ def test_streamed_feature_solve_keeps_the_stacked_bits():
     assert result.converged
     assert [x.hex() for x in result.w] == STREAMED_SOLVE_W
     assert cluster.snapshot_stats() == STREAMED_SOLVE_STATS
-    assert (result.inner_iters_total, result.updates) == (11, 7)
+    assert (result.inner_iters_total, result.updates) == (10, 7)
 
 
 # Sample-layout solves of 9 x 24 data, whose every node holds an 8 x 9 block
@@ -525,12 +525,12 @@ def test_streamed_feature_solve_keeps_the_stacked_bits():
 # the feature layout's above.
 SAMPLE_SOLVES = {
     "streamed": (24, STREAMED_SOLVE_W,
-                 CommStats(broadcast_rounds=19, reduceall_rounds=19, broadcast_bytes=1368, reduceall_bytes=1368), (11, 7)),
+                 CommStats(broadcast_rounds=18, reduceall_rounds=18, broadcast_bytes=1296, reduceall_bytes=1296), (10, 7)),
     "stacked": (30, [
-        "-0x1.15669ac386e37p-3", "-0x1.b121d2e1fae8ep-4", "-0x1.eba58314702afp-4",
-        "-0x1.8cb4546becad3p-5", "0x1.ecce46886dbb0p-2", "0x1.eb7fbee9965bfp-6",
-        "0x1.2ca1d279b4990p-2", "-0x1.49de919c07950p-2", "-0x1.8a81542ad09e4p-7",
-    ], CommStats(broadcast_rounds=18, reduceall_rounds=18, broadcast_bytes=1296, reduceall_bytes=1296), (11, 6)),
+        "-0x1.15669ac3755cdp-3", "-0x1.b121d2e1720b7p-4", "-0x1.eba58313df022p-4",
+        "-0x1.8cb4546bb82b9p-5", "0x1.ecce468868b16p-2", "0x1.eb7fbee96aeecp-6",
+        "0x1.2ca1d2799ac56p-2", "-0x1.49de919be3c11p-2", "-0x1.8a81542e2214cp-7",
+    ], CommStats(broadcast_rounds=17, reduceall_rounds=17, broadcast_bytes=1224, reduceall_bytes=1224), (10, 6)),
 }
 
 
@@ -554,20 +554,20 @@ def test_sample_solve_keeps_the_bits_of_the_sample_stack(path):
 # over X cut at the sample offsets (9 x 30).
 LOGISTIC_SOLVES = {
     "samples-streamed": (PartitionMode.SAMPLES, 24, [
-        "-0x1.77aeada9f4f47p-1", "-0x1.b0ef6cbef7670p-1", "0x1.712fc3dc58536p-6",
-        "0x1.fb3d7a092ab40p-3", "-0x1.e502e1b80e667p-3", "0x1.f0bf240607271p-4",
-        "0x1.6649b34c40138p-1", "-0x1.489271734e405p-3", "-0x1.eb7efb9a52eb9p-2",
-    ], CommStats(broadcast_rounds=57, reduceall_rounds=57, broadcast_bytes=4104, reduceall_bytes=4104), (50, 6)),
+        "-0x1.77aead7ecc3f5p-1", "-0x1.b0ef6cf38cc8ap-1", "0x1.712fca7bebe52p-6",
+        "0x1.fb3d790d93803p-3", "-0x1.e502e38192a22p-3", "0x1.f0bf2460e4a51p-4",
+        "0x1.6649b35684a58p-1", "-0x1.4892718b5e124p-3", "-0x1.eb7efbbb9ab22p-2",
+    ], CommStats(broadcast_rounds=54, reduceall_rounds=54, broadcast_bytes=3888, reduceall_bytes=3888), (47, 6)),
     "samples-stacked": (PartitionMode.SAMPLES, 30, [
         "-0x1.9ba63ac6af7a2p-3", "-0x1.e07d071dd3f3ep-4", "-0x1.53327a84e6b69p-2",
         "-0x1.02824d24bad27p-2", "0x1.b0072ec242038p-1", "-0x1.70170977bce73p-6",
         "0x1.4ef03e7c531bap-1", "-0x1.1d0723358cb90p-2", "-0x1.81051103ba549p-5",
     ], CommStats(broadcast_rounds=51, reduceall_rounds=51, broadcast_bytes=3672, reduceall_bytes=3672), (45, 5)),
     "features-streamed": (PartitionMode.FEATURES, 24, [
-        "-0x1.77aeada9f4f47p-1", "-0x1.b0ef6cbef766fp-1", "0x1.712fc3dc58539p-6",
-        "0x1.fb3d7a092ab40p-3", "-0x1.e502e1b80e665p-3", "0x1.f0bf240607270p-4",
-        "0x1.6649b34c40138p-1", "-0x1.489271734e406p-3", "-0x1.eb7efb9a52ebap-2",
-    ], CommStats(reduce_rounds=6, reduceall_rounds=157, reduce_bytes=432, reduceall_bytes=12592), (50, 6)),
+        "-0x1.77aead7ecc3f5p-1", "-0x1.b0ef6cf38cc89p-1", "0x1.712fca7bebe56p-6",
+        "0x1.fb3d790d93803p-3", "-0x1.e502e38192a20p-3", "0x1.f0bf2460e4a50p-4",
+        "0x1.6649b35684a58p-1", "-0x1.4892718b5e124p-3", "-0x1.eb7efbbb9ab23p-2",
+    ], CommStats(reduce_rounds=6, reduceall_rounds=148, reduce_bytes=432, reduceall_bytes=11920), (47, 6)),
 }
 
 
@@ -757,23 +757,40 @@ def test_benchmark_gate_passes_in_process(bench_run, workload, trace):
     assert result["correct"] and result["failed"] == 0, result
 
 
-def test_benchmark_gate_passes_a_full_size_tiled_solve(bench_run, monkeypatch):
-    """tall_features_square's instance 0 at full size passes the check every
-    benchmark solve is held to (``run.check_solve``). At a tenth of its size
-    X has one nonzero per sample, far below ``TILE_MIN_NNZ`` per (feature,
-    sample node) segment; at full size it has 125, so both products run
-    through the tiled copy of X."""
+# Instance 0 of each workload at full size: (inner, outer, rounds) and
+# whether its products run through the tiled copy of X.
+FULL_SIZE_SOLVES = {
+    "tall_features_square": (357, 4, 1080, True),
+    "wide_features_square": (133, 4, 408, False),
+    "wide_samples_logistic": (121, 6, 256, False),
+}
+
+
+@pytest.mark.parametrize("name", FULL_SIZE_SOLVES)
+def test_benchmark_gate_passes_a_full_size_tiled_solve(bench_run, monkeypatch, name):
+    """Each workload's instance 0 at full size passes the check every
+    benchmark solve is held to (``run.check_solve``) in the counts pinned in
+    ``FULL_SIZE_SOLVES``. At a tenth of its size tall_features_square's X has
+    one nonzero per sample, far below ``TILE_MIN_NNZ`` per (feature, sample
+    node) segment; at full size it has 125, so both products run through the
+    tiled copy of X. Neither wide workload's does."""
     from workloads import WORKLOADS
 
-    workload = WORKLOADS["tall_features_square"]
+    workload = WORKLOADS[name]
     ds = workload.map_labels(workload.generate(workload.default_seed))
-    config, parts, partition = workload.config(), [], solver.partition_by_features
-    monkeypatch.setattr(solver, "partition_by_features", lambda *args: parts.append(partition(*args)) or parts[-1])
+    config, parts = workload.config(), []
+    for partitioner in ("partition_by_samples", "partition_by_features"):
+        partition = getattr(solver, partitioner)
+        monkeypatch.setattr(solver, partitioner, lambda *args, p=partition: parts.append(p(*args)) or parts[-1])
     cluster = Cluster(workload.m)
     result = solver.disco_outer(cluster, ds, config)
-    split, mirror = parts[0].cache[("operands", workload.m)]
-    assert split.cut is None and is_tiled((split, mirror))
+    inner, outer, rounds, tiled = FULL_SIZE_SOLVES[name]
+    split, mirror = next(v for k, v in parts[0].cache.items() if k[0] == "operands")
+    assert is_tiled((split, mirror)) == tiled
+    if tiled:  # the copy serves the streamed split of the partition's own rows
+        assert split.cut is None
     assert bench_run.check_solve(workload, ds, config, result, cluster.snapshot_stats()) is None
+    assert (result.inner_iters_total, result.updates, cluster.snapshot_stats().total_rounds) == (inner, outer, rounds)
 
 
 def test_the_suite_runs_blas_on_one_thread():

@@ -1048,6 +1048,75 @@ class TestPcgContinuation:
                 assert gap <= 1e-12 * np.linalg.norm(calls[0][0]["grad"])
 
 
+def watched_steps(ds, cfg, m=2):
+    """``disco_outer`` on ``m`` nodes with every Newton step caught where the
+    layouts look up ``pcg_samples``/``pcg_features`` at call time: (result,
+    steps), one (eps_k, step, the rounds the step sent) per step."""
+    steps = []
+
+    def watching(pcg):
+        def wrapper(cluster, part, eps_k, config, **kwargs):
+            before = cluster.snapshot_stats().total_rounds
+            step = pcg(cluster, part, eps_k, config, **kwargs)
+            steps.append((eps_k, step, cluster.snapshot_stats().total_rounds - before))
+            return step
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("pcg_samples", "pcg_features"):
+            mp.setattr(solver, name, watching(getattr(solver, name)))
+        result = disco_outer(Cluster(m), ds, cfg)
+    assert len(steps) == result.updates
+    return result, steps
+
+
+class TestInnerToleranceFloor:
+    """Each Newton step solves to eps_k = max(theta * ||grad||, outer_tol / 2):
+    below half the outer tolerance the outer loop has no use for a smaller
+    residual."""
+
+    @staticmethod
+    def instance(loss):
+        labels = "sign" if loss is LossKind.LOGISTIC else "regression"
+        ds, _ = make_dense_instance(d=60, n=40, seed=231, loss=loss, labels=labels)
+        return ds
+
+    # The outer iterations and total inner iterations of each loss's solve
+    # with eps_k = theta * ||grad||, in both layouts.
+    UNFLOORED = {LossKind.SQUARE: (7, 74), LossKind.LOGISTIC: (7, 232)}
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    @pytest.mark.parametrize("mode", list(PartitionMode))
+    def test_every_step_gets_theta_grad_or_half_the_outer_tol(self, mode, loss):
+        ds = self.instance(loss)
+        cfg = SolverConfig(lam=0.1, mu=0.05, tau=3, loss=loss, partition_mode=mode)
+        result, steps = watched_steps(ds, cfg)
+        floor, gnorms = cfg.outer_tol / 2, [row.grad_norm for row in result.trace[:-1]]
+        assert [eps_k for eps_k, _, _ in steps] == [max(cfg.theta * g, floor) for g in gnorms]
+        assert cfg.theta * gnorms[-1] < floor  # the floor sets the last step's tolerance
+        outer, inner = self.UNFLOORED[loss]
+        assert result.converged and result.updates == outer and result.inner_iters_total < inner
+        obj = Objective(loss=loss, lam=cfg.lam, n=ds.n, d=ds.d)
+        assert np.linalg.norm(full_gradient(obj, ds.X, ds.y, result.w)) <= cfg.outer_tol
+
+    @pytest.mark.parametrize("mode", list(PartitionMode))
+    def test_a_continued_step_that_starts_below_the_floor_sends_nothing(self, mode):
+        # step 5 stops at the floor, but its damping term c*Hv_5 leaves
+        # ||g_6|| above outer_tol; step 6 continues from r_5, already below
+        # the floor, so it returns the scaled start with no inner iteration
+        ds = self.instance(LossKind.SQUARE)
+        cfg = SolverConfig(lam=0.1, mu=0.05, tau=3, theta=1e-6, partition_mode=mode)
+        result, steps = watched_steps(ds, cfg)
+        floor = cfg.outer_tol / 2
+        (eps_prev, prev, _), (eps_k, step, sent) = steps[5], steps[6]
+        assert eps_prev == eps_k == floor
+        assert prev.inner_iters > 0 and prev.residual_norm <= floor
+        assert result.trace[6].grad_norm > cfg.outer_tol
+        assert step.inner_iters == 0 and step.converged and sent == 0
+        assert step.delta == (prev.delta / (1.0 + prev.delta)) * prev.delta
+        assert result.converged and result.updates == 7
+
+
 @pytest.mark.parametrize("mode", [PartitionMode.SAMPLES, PartitionMode.FEATURES])
 @pytest.mark.parametrize("m", [2, 4])
 def test_cluster_of_another_node_count_rejected(mode, m):
